@@ -4,7 +4,7 @@
 //!
 //! By default the campaign runs once per jobs level (1, 4, 8) and
 //! `BENCH_campaign.json` holds the throughput entries under `table3`
-//! (one per level, with COW snapshot stats and software-TLB counters)
+//! (one per level, with COW snapshot stats)
 //! plus a `stream` array: the streamed engine on the same grid per
 //! level and — for the default sweep — a synthetic ~100k-cell grid
 //! entry proving bounded-memory throughput at scale. `--jobs N`
@@ -24,11 +24,10 @@
 //! * `--synthetic-cells N` — size of the synthetic streamed grid entry
 //!   in `BENCH_campaign.json` (rounded up to a multiple of 3; 0
 //!   disables; default ~100k for the full sweep, 0 with `--jobs`)
-//! * `--no-tlb` — disable the software TLB (the report must not change)
 //! * `--chunk-frames N` — COW chunk-directory granularity in frames
 //!   (the report must not change; rounded up to a power of two)
 //! * `--report-out FILE` — write the *normalized* report as JSON
-//!   (what CI diffs across jobs levels, TLB settings, and shardings)
+//!   (what CI diffs across jobs levels, chunk sizes, and shardings)
 //! * `--trace-out FILE` — write the campaign's structured trace as JSONL
 //! * `--metrics-out FILE` — write the metrics-registry snapshot as JSON
 //! * `--json` — also print the full report as JSON
@@ -56,7 +55,6 @@ struct Options {
     shard: Option<Shard>,
     /// `None` = default policy (~100k for the full sweep, 0 otherwise).
     synthetic_cells: Option<u64>,
-    no_tlb: bool,
     /// COW chunk-directory granularity override (`None` = default).
     chunk_frames: Option<usize>,
     report_out: Option<String>,
@@ -72,7 +70,6 @@ fn parse_args() -> Options {
         queue_depth: None,
         shard: None,
         synthetic_cells: None,
-        no_tlb: false,
         chunk_frames: None,
         report_out: None,
         trace_out: None,
@@ -117,7 +114,6 @@ fn parse_args() -> Options {
                     exit(2);
                 }));
             }
-            "--no-tlb" => opts.no_tlb = true,
             "--chunk-frames" => {
                 let raw = value("--chunk-frames");
                 opts.chunk_frames = Some(raw.parse().ok().filter(|&c| c > 0).unwrap_or_else(|| {
@@ -133,7 +129,7 @@ fn parse_args() -> Options {
                 eprintln!("unknown argument '{other}'");
                 eprintln!(
                     "usage: table3_campaign [--jobs N] [--stream] [--queue-depth N] \
-                     [--shard i/n] [--synthetic-cells N] [--no-tlb] [--chunk-frames N] \
+                     [--shard i/n] [--synthetic-cells N] [--chunk-frames N] \
                      [--report-out FILE] [--trace-out FILE] [--metrics-out FILE] [--json]"
                 );
                 exit(2);
@@ -172,15 +168,11 @@ fn print_throughput(t: &CampaignThroughput) {
         t.total_hypercalls,
     );
     println!(
-        "  snapshot: {} frames, {} shared at peak, {} COW-copied, {} chunks privatized   \
-         tlb: {} hits, {} misses, {} fill conflicts",
+        "  snapshot: {} frames, {} shared at peak, {} COW-copied, {} chunks privatized",
         t.snapshot.frames_total,
         t.snapshot.frames_shared,
         t.snapshot.frames_copied,
         t.snapshot.chunks_privatized,
-        t.tlb.hits,
-        t.tlb.misses,
-        t.tlb.fill_conflicts,
     );
 }
 
@@ -245,9 +237,6 @@ fn print_report(report: &CampaignReport) {
 /// The paper campaign with every grid/engine option applied.
 fn configured_campaign(opts: &Options, workers: usize) -> Campaign {
     let mut campaign = paper_campaign().jobs(workers);
-    if opts.no_tlb {
-        campaign = campaign.use_tlb(false);
-    }
     if let Some(chunk) = opts.chunk_frames {
         campaign = campaign.world_factory(standard_world_factory(Some(chunk)));
     }
@@ -353,7 +342,7 @@ fn privatize_ns(frames: usize, chunk_frames: usize, iters: u32, rounds: u32) -> 
 
 /// ns to apply 64 valid L1 `mmu_update`s, either as one batched
 /// hypercall or as 64 singletons, best-of-`rounds`.
-fn mmu_batch_ns(batch: bool, iters: u32, rounds: u32) -> f64 {
+fn mmu_update_ns(batch: bool, iters: u32, rounds: u32) -> f64 {
     const LINK: PteFlags = PteFlags::PRESENT.union(PteFlags::RW).union(PteFlags::USER);
     let (mut world, attacker) = attack_world(XenVersion::V4_8, false);
     let (hv, kernel) = world.hv_and_kernel_mut(attacker).expect("attacker has a kernel");
@@ -437,7 +426,6 @@ fn main() {
     let mut checkpoint_entries: Vec<CheckpointBench> = Vec::new();
     let mut flight_entries: Vec<FlightBench> = Vec::new();
     let shard_note = opts.shard.map(|s| format!(", shard {s}")).unwrap_or_default();
-    let tlb_note = if opts.no_tlb { ", TLB off" } else { "" };
 
     // The normalized report written by `--report-out`: a classic
     // CampaignReport or a mergeable StreamReport depending on engine.
@@ -455,7 +443,7 @@ fn main() {
                 campaign = campaign.tracer(tracer.clone()).metrics(registry.clone());
             }
             eprintln!(
-                "streaming the full campaign ({} cells, {workers} workers{shard_note}{tlb_note}) ...",
+                "streaming the full campaign ({} cells, {workers} workers{shard_note}) ...",
                 campaign.grid().shard_len(opts.shard),
             );
             let outcome = campaign.run_streaming_with_jobs(workers);
@@ -482,7 +470,7 @@ fn main() {
                 campaign = campaign.tracer(tracer.clone()).metrics(registry.clone());
             }
             eprintln!(
-                "running the full campaign ({} cells, {workers} workers{shard_note}{tlb_note}) ...",
+                "running the full campaign ({} cells, {workers} workers{shard_note}) ...",
                 campaign.grid().shard_len(opts.shard),
             );
             let start = Instant::now();
@@ -528,9 +516,6 @@ fn main() {
         let flight_workers = opts.jobs.unwrap_or(4);
         let flight_campaign = || {
             let mut campaign = paper_campaign().trials(100).jobs(flight_workers);
-            if opts.no_tlb {
-                campaign = campaign.use_tlb(false);
-            }
             if let Some(depth) = opts.queue_depth {
                 campaign = campaign.queue_depth(depth);
             }
@@ -745,8 +730,8 @@ fn main() {
         let chunked = privatize_ns(FRAMES, DEFAULT_CHUNK_FRAMES, 200, 3);
         let monolithic = privatize_ns(FRAMES, FRAMES, 200, 3);
         let privatize_speedup = monolithic / chunked;
-        let singleton = mmu_batch_ns(false, 100, 3);
-        let batched = mmu_batch_ns(true, 100, 3);
+        let singleton = mmu_update_ns(false, 100, 3);
+        let batched = mmu_update_ns(true, 100, 3);
         println!(
             "\nframe privatization (1 touched frame, {FRAMES}-frame world): \
              {monolithic:.0} ns monolithic -> {chunked:.0} ns chunked ({privatize_speedup:.1}x)",
@@ -788,8 +773,8 @@ fn main() {
     }
 
     if let Some(path) = &opts.report_out {
-        // The *normalized* report: per-cell timing and COW/TLB stats
-        // zeroed, so runs at different jobs levels or TLB settings must
+        // The *normalized* report: per-cell timing and COW stats
+        // zeroed, so runs at different jobs levels or chunk sizes must
         // produce byte-identical files (CI diffs them), and normalized
         // streamed shard reports merge into normalized wholes.
         let json = report_json.expect("report captured when --report-out is set");

@@ -105,3 +105,56 @@ fn paper_campaign_streamed_aggregates_match_the_classic_report() {
     assert_eq!(streamed.report.hypercalls, classic.total_hypercalls());
     assert_eq!(streamed.report.by_key.len(), 24, "use_case/version/mode keys");
 }
+
+/// Shard 0/2 of `synthetic_campaign(7, 2)`, normalized, as written by
+/// `--report-out` before the software-TLB counters were removed from
+/// `StreamReport` (counter values set non-zero to show they are
+/// ignored, not merely zero).
+const PRE_TLB_REMOVAL_SHARD0: &str = r#"{
+    "cells": 3, "completed": 3, "degraded": 0, "erroneous_states": 0,
+    "violated_cells": 0, "violations": 0, "handled": 0, "boot_failed": 0,
+    "crashed": 0, "timed_out": 0, "retries": 0, "hypercalls": 0,
+    "wall_time_us": 0, "frames_copied": 0,
+    "tlb_hits": 41, "tlb_misses": 97,
+    "chunks_privatized": 0,
+    "tlb_fill_conflicts": 3,
+    "latency": {
+        "boot": {"completed": {"count": 3, "p50_us": 0, "p95_us": 0, "max_us": 0},
+                 "degraded": {"count": 0, "p50_us": 0, "p95_us": 0, "max_us": 0}},
+        "inject": {"completed": {"count": 3, "p50_us": 0, "p95_us": 0, "max_us": 0},
+                   "degraded": {"count": 0, "p50_us": 0, "p95_us": 0, "max_us": 0}},
+        "monitor": {"completed": {"count": 3, "p50_us": 0, "p95_us": 0, "max_us": 0},
+                    "degraded": {"count": 0, "p50_us": 0, "p95_us": 0, "max_us": 0}}
+    },
+    "by_key": {
+        "synthetic-grid/4.13/injection": {"cells": 1, "completed": 1, "degraded": 0,
+            "erroneous_states": 0, "violated": 0, "handled": 0, "hypercalls": 0},
+        "synthetic-grid/4.6/injection": {"cells": 1, "completed": 1, "degraded": 0,
+            "erroneous_states": 0, "violated": 0, "handled": 0, "hypercalls": 0},
+        "synthetic-grid/4.8/injection": {"cells": 1, "completed": 1, "degraded": 0,
+            "erroneous_states": 0, "violated": 0, "handled": 0, "hypercalls": 0}
+    },
+    "degraded_slots": {},
+    "grid": {"use_cases": ["synthetic-grid"], "versions": ["V4_6", "V4_8", "V4_13"],
+             "modes": ["Injection"], "trials": 2},
+    "coverage": [{"index": 0, "count": 2}]
+}"#;
+
+#[test]
+fn reports_written_with_tlb_counters_still_load_and_merge() {
+    // `report merge` and `campaign resume` read reports and journals
+    // written by older builds; the retired counter keys must be ignored.
+    let old = StreamReport::from_json(PRE_TLB_REMOVAL_SHARD0).expect("old report parses");
+    assert_eq!(old.cells, 3);
+    let shard1 = synthetic_campaign(7, 2)
+        .shard(Shard::new(1, 2).unwrap())
+        .run_streaming_with_jobs(1)
+        .report;
+    let merged = old.try_merge(&shard1).expect("old and new shards merge");
+    let whole = synthetic_campaign(7, 2).run_streaming_with_jobs(1).report;
+    assert_eq!(
+        merged.normalized().to_json().unwrap(),
+        whole.normalized().to_json().unwrap(),
+        "an old shard merged with a new one reproduces the unsharded report"
+    );
+}

@@ -54,8 +54,6 @@ COMMANDS:
                    [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
-                   [--no-tlb]      disable the software TLB (escape hatch; reports
-                                   are byte-identical either way, only slower)
                    [--chunk-frames <n>]  COW chunk-directory granularity in
                                    frames (escape hatch; rounded up to a power
                                    of two, reports are byte-identical at any
@@ -123,7 +121,6 @@ COMMANDS:
                    [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
-                   [--no-tlb]      disable the software TLB (escape hatch)
     trace        inspect a JSONL trace written by --trace-out
                    summary <file>   per-phase self-time profile + slowest cells
                                     [--top <n>]  slowest cells to list (default 10)
@@ -241,9 +238,6 @@ fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, St
     campaign = campaign.jobs(parse_jobs(p)?).retries(parse_retries(p)?);
     if let Some(deadline) = parse_cell_deadline(p)? {
         campaign = campaign.cell_deadline(deadline);
-    }
-    if p.has_flag("no-tlb") {
-        campaign = campaign.use_tlb(false);
     }
     if let Some(raw) = p.options.get("chunk-frames") {
         let chunk: usize = raw
@@ -1007,7 +1001,6 @@ mod tests {
             hypercalls: 0,
             phase_us: intrusion_core::PhaseTimings::default(),
             snapshot: hvsim::SnapshotStats::default(),
-            tlb: hvsim::TlbStats::default(),
             flight: Vec::new(),
         };
         let violation = SecurityViolation::HypervisorCrash { message: "x".into() };

@@ -16,7 +16,7 @@ use crate::stream::{
 };
 use crate::telemetry::{self, Telemetry};
 use guestos::{BootError, World, WorldBuilder};
-use hvsim::{SnapshotStats, TlbStats, XenVersion};
+use hvsim::{SnapshotStats, XenVersion};
 use hvsim_obs::{
     FlightEvent, FlightHandle, HistogramSummary, MetricsRegistry, MetricsSnapshot,
     MetricsTimeline, TraceCtx, Tracer, DEFAULT_FLIGHT_CAPACITY,
@@ -166,10 +166,6 @@ pub struct CellResult {
     /// world was cloned or freshly booted), so the whole record is
     /// zeroed by [`CampaignReport::normalized`].
     pub snapshot: SnapshotStats,
-    /// Software-TLB hit/miss counters for the cell's world. Differs by
-    /// construction when the TLB is disabled, so it is zeroed by
-    /// [`CampaignReport::normalized`] too.
-    pub tlb: TlbStats,
     /// The cell's forensic tail: flight-recorder events its worker
     /// retained for this slot, attached only when the cell degraded
     /// (empty otherwise, and whenever the recorder is off). Cleared by
@@ -246,10 +242,9 @@ impl CampaignReport {
             cell.wall_time_us = 0;
             cell.phase_us = cell.phase_us.normalized();
             // COW sharing depends on concurrently-alive sibling
-            // snapshots (worker count, reuse) and TLB counters on the
-            // cache toggle; neither is part of the assessment result.
+            // snapshots (worker count, reuse); it is not part of the
+            // assessment result.
             cell.snapshot = SnapshotStats::default();
-            cell.tlb = TlbStats::default();
             // Forensic tails are wall-clock-stamped diagnostics whose
             // presence depends on the recorder setting; normalization
             // drops them so recorder-on and recorder-off reports match.
@@ -487,8 +482,6 @@ pub struct CampaignThroughput {
     /// much of a snapshot stayed shared), `frames_copied` is summed
     /// across cells.
     pub snapshot: SnapshotStats,
-    /// Software-TLB hit/miss totals summed across cells.
-    pub tlb: TlbStats,
 }
 
 impl CampaignThroughput {
@@ -515,11 +508,6 @@ impl CampaignThroughput {
                 frames_copied: report.cells().iter().map(|c| c.snapshot.frames_copied).sum(),
                 chunks_privatized: report.cells().iter().map(|c| c.snapshot.chunks_privatized).sum(),
             },
-            tlb: TlbStats {
-                hits: report.cells().iter().map(|c| c.tlb.hits).sum(),
-                misses: report.cells().iter().map(|c| c.tlb.misses).sum(),
-                fill_conflicts: report.cells().iter().map(|c| c.tlb.fill_conflicts).sum(),
-            },
         }
     }
 }
@@ -541,10 +529,6 @@ pub struct CampaignConfig {
     /// Extra boot attempts for *transient* failures (`-ENOMEM`/`-EBUSY`)
     /// per cell; `0` means fail on the first error.
     pub retries: u32,
-    /// Disables the software TLB in every cell's world (the `--no-tlb`
-    /// escape hatch; default `false` = TLB on). The cache is
-    /// semantically transparent, so reports are identical either way.
-    pub disable_tlb: bool,
     /// Trials per `(use_case, version, mode)` key — the parameter-grid
     /// axis of the campaign grid. Each trial is its own cell; use cases
     /// see the trial index via
@@ -602,7 +586,6 @@ impl Default for CampaignConfig {
             reuse_snapshots: false,
             cell_deadline: None,
             retries: 0,
-            disable_tlb: false,
             trials: 1,
             queue_depth: None,
             shard: None,
@@ -706,14 +689,6 @@ impl Campaign {
     #[must_use]
     pub fn retries(mut self, retries: u32) -> Self {
         self.config.retries = retries;
-        self
-    }
-
-    /// Enables or disables the per-world software TLB (on by default;
-    /// see [`CampaignConfig::disable_tlb`]).
-    #[must_use]
-    pub fn use_tlb(mut self, enabled: bool) -> Self {
-        self.config.disable_tlb = !enabled;
         self
     }
 
@@ -1592,9 +1567,6 @@ impl Campaign {
                 return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
             }
         };
-        if self.config.disable_tlb {
-            world.set_tlb_enabled(false);
-        }
         if fresh_boot {
             obs_bridge::bridge_boot_stages(ctx, "cell/boot", world.boot_trace());
             flight.with_recorder(|recorder| {
@@ -1725,7 +1697,6 @@ impl Campaign {
             hypercalls: world.hv().hypercall_count().saturating_sub(base_hypercalls),
             phase_us: phases,
             snapshot: world.snapshot_stats(),
-            tlb: world.tlb_stats(),
             flight: Vec::new(),
         }
         .with_wall_time(start.elapsed().as_micros() as u64)
@@ -1776,7 +1747,6 @@ impl Campaign {
             hypercalls: 0,
             phase_us: phases,
             snapshot: SnapshotStats::default(),
-            tlb: TlbStats::default(),
             flight: Vec::new(),
         }
     }
@@ -2131,30 +2101,6 @@ mod tests {
     }
 
     #[test]
-    fn tlb_toggle_does_not_change_the_report() {
-        let with_tlb = Campaign::new()
-            .with_use_case(Box::new(CrashCase))
-            .run_with_jobs(2);
-        let without_tlb = Campaign::new()
-            .with_use_case(Box::new(CrashCase))
-            .use_tlb(false)
-            .run_with_jobs(2);
-        assert_eq!(
-            with_tlb.normalized().to_json().unwrap(),
-            without_tlb.normalized().to_json().unwrap(),
-            "the TLB must be semantically transparent"
-        );
-        // The raw (non-normalized) stats prove the toggle took effect:
-        // an enabled TLB counts every lookup (the synthetic use case is
-        // too small to guarantee repeat hits, but not lookups).
-        let lookups: u64 = with_tlb.cells().iter().map(|c| c.tlb.hits + c.tlb.misses).sum();
-        assert!(lookups > 0, "an enabled TLB observes translations during a campaign");
-        for c in without_tlb.cells() {
-            assert_eq!(c.tlb, hvsim::TlbStats::default(), "disabled TLB records nothing");
-        }
-    }
-
-    #[test]
     fn snapshot_cells_record_cow_stats() {
         let report = Campaign::new().with_use_case(Box::new(CrashCase)).run_with_jobs(1);
         for c in report.cells() {
@@ -2171,7 +2117,6 @@ mod tests {
         // Normalization zeroes the schedule-dependent stats.
         for c in report.normalized().cells() {
             assert_eq!(c.snapshot, hvsim::SnapshotStats::default());
-            assert_eq!(c.tlb, hvsim::TlbStats::default());
         }
         // The throughput record aggregates them.
         let t = CampaignThroughput::new(&report, 1, 1);

@@ -39,14 +39,6 @@ pub const M_FRAMES_COPIED: &str = "mem.frames_copied";
 /// convention as `campaign.chaos.*`), so dashboards can distinguish
 /// "nothing privatized" from "counter missing".
 pub const M_CHUNKS_PRIVATIZED: &str = "mem.chunks_privatized";
-/// Counter: software-TLB hits across all cell worlds.
-pub const M_TLB_HITS: &str = "tlb.hits";
-/// Counter: software-TLB misses across all cell worlds.
-pub const M_TLB_MISSES: &str = "tlb.misses";
-/// Counter: software-TLB fills that evicted a live entry from a full
-/// set. Recorded on every run — a quiet run reads an explicit 0 (same
-/// convention as `campaign.chaos.*`).
-pub const M_TLB_FILL_CONFLICTS: &str = "tlb.fill_conflicts";
 /// Counter (streaming only): time the spec generator spent blocked on
 /// a full work queue, µs.
 pub const M_QUEUE_STALL_US: &str = "campaign.stream.queue_stall_us";
@@ -191,9 +183,6 @@ pub fn record_report_metrics(report: &CampaignReport, registry: &MetricsRegistry
     registry.add(M_HYPERCALLS, crate::report::canonical_hypercall_total(report));
     registry.add(M_FRAMES_COPIED, cells.iter().map(|c| c.snapshot.frames_copied).sum());
     registry.add(M_CHUNKS_PRIVATIZED, cells.iter().map(|c| c.snapshot.chunks_privatized).sum());
-    registry.add(M_TLB_HITS, cells.iter().map(|c| c.tlb.hits).sum());
-    registry.add(M_TLB_MISSES, cells.iter().map(|c| c.tlb.misses).sum());
-    registry.add(M_TLB_FILL_CONFLICTS, cells.iter().map(|c| c.tlb.fill_conflicts).sum());
     let completed: Vec<&CellResult> = report.completed_cells().collect();
     let degraded: Vec<&CellResult> = report.degraded_cells().collect();
     for (suffix, group) in [("completed", &completed), ("degraded", &degraded)] {
@@ -231,9 +220,6 @@ pub(crate) fn record_stream_metrics(
     registry.add(M_HYPERCALLS, report.hypercalls);
     registry.add(M_FRAMES_COPIED, report.frames_copied);
     registry.add(M_CHUNKS_PRIVATIZED, report.chunks_privatized);
-    registry.add(M_TLB_HITS, report.tlb_hits);
-    registry.add(M_TLB_MISSES, report.tlb_misses);
-    registry.add(M_TLB_FILL_CONFLICTS, report.tlb_fill_conflicts);
     for (name, histogram) in phases.named() {
         registry.observe_histogram(name, histogram);
     }

@@ -628,16 +628,9 @@ pub struct StreamReport {
     /// Frames privatized by copy-on-write across all cell worlds
     /// (schedule-dependent; zeroed by `normalized`).
     pub frames_copied: u64,
-    /// Software-TLB hits (config-dependent; zeroed by `normalized`).
-    pub tlb_hits: u64,
-    /// Software-TLB misses (config-dependent; zeroed by `normalized`).
-    pub tlb_misses: u64,
     /// COW chunk privatizations across all cell worlds
     /// (schedule-dependent; zeroed by `normalized`).
     pub chunks_privatized: u64,
-    /// Software-TLB fills that evicted a live entry (config-dependent;
-    /// zeroed by `normalized`).
-    pub tlb_fill_conflicts: u64,
     /// Per-phase latency summaries, completed vs degraded.
     pub latency: LatencyBreakdown,
     /// Aggregates per `use_case/version/mode` key.
@@ -673,10 +666,7 @@ impl StreamReport {
         Self {
             wall_time_us: 0,
             frames_copied: 0,
-            tlb_hits: 0,
-            tlb_misses: 0,
             chunks_privatized: 0,
-            tlb_fill_conflicts: 0,
             latency: LatencyBreakdown {
                 boot: norm_phase(&self.latency.boot),
                 inject: norm_phase(&self.latency.inject),
@@ -724,10 +714,7 @@ impl StreamReport {
             hypercalls: self.hypercalls + other.hypercalls,
             wall_time_us: self.wall_time_us + other.wall_time_us,
             frames_copied: self.frames_copied + other.frames_copied,
-            tlb_hits: self.tlb_hits + other.tlb_hits,
-            tlb_misses: self.tlb_misses + other.tlb_misses,
             chunks_privatized: self.chunks_privatized + other.chunks_privatized,
-            tlb_fill_conflicts: self.tlb_fill_conflicts + other.tlb_fill_conflicts,
             latency: LatencyBreakdown {
                 boot: merge_phase(&self.latency.boot, &other.latency.boot),
                 inject: merge_phase(&self.latency.inject, &other.latency.inject),
@@ -1034,10 +1021,7 @@ impl PartialFold {
         r.hypercalls += cell.hypercalls;
         r.wall_time_us += cell.wall_time_us;
         r.frames_copied += cell.snapshot.frames_copied;
-        r.tlb_hits += cell.tlb.hits;
-        r.tlb_misses += cell.tlb.misses;
         r.chunks_privatized += cell.snapshot.chunks_privatized;
-        r.tlb_fill_conflicts += cell.tlb.fill_conflicts;
         let key = format!("{}/{}/{}", cell.use_case, cell.version, cell.mode);
         let summary = r.by_key.entry(key).or_default();
         summary.cells += 1;
@@ -1246,7 +1230,6 @@ mod tests {
                     monitor_us: Some(3),
                 },
                 snapshot: hvsim::SnapshotStats::default(),
-                tlb: hvsim::TlbStats::default(),
                 flight: Vec::new(),
             };
             if spec.slot % 2 == 0 {
@@ -1291,7 +1274,6 @@ mod tests {
             hypercalls: 0,
             phase_us: crate::campaign::PhaseTimings::default(),
             snapshot: hvsim::SnapshotStats::default(),
-            tlb: hvsim::TlbStats::default(),
             flight: vec![FlightEvent {
                 slot: 5,
                 seq: 0,

@@ -332,17 +332,6 @@ impl World {
         self.hv.mem().snapshot_stats()
     }
 
-    /// Software-TLB hit/miss counters of this world's hypervisor.
-    pub fn tlb_stats(&self) -> hvsim::TlbStats {
-        self.hv.tlb_stats()
-    }
-
-    /// Enables or disables the software TLB (the `--no-tlb` escape
-    /// hatch); translations are identical either way.
-    pub fn set_tlb_enabled(&mut self, enabled: bool) {
-        self.hv.set_tlb_enabled(enabled);
-    }
-
     /// The privileged control domain.
     pub fn dom0(&self) -> DomainId {
         self.dom0

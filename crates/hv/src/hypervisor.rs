@@ -13,9 +13,7 @@ use crate::HvError;
 use hvsim_mem::{
     DomainId, FrameAllocator, MachineMemory, Mfn, PageType, Pfn, PhysAddr, VirtAddr, PAGE_SIZE,
 };
-use hvsim_paging::{
-    AccessKind, MemoryLayout, PageFault, Region, SharedTlb, TlbStats, Translation, WalkPolicy,
-};
+use hvsim_paging::{walk, AccessKind, MemoryLayout, PageFault, Region, Translation, WalkPolicy};
 use serde::{Deserialize, Serialize};
 
 /// The M2P value marking a frame with no pseudo-physical mapping.
@@ -42,10 +40,6 @@ pub struct BuildConfig {
     pub chunk_frames: usize,
     /// Simulated CPUs, each with its own IDT (default 2).
     pub cpus: usize,
-    /// Whether translations go through the software TLB (default true;
-    /// the cache is semantically transparent, so this is an escape
-    /// hatch for A/B comparison, exposed as `--no-tlb` on the CLI).
-    pub tlb: bool,
 }
 
 impl BuildConfig {
@@ -57,7 +51,6 @@ impl BuildConfig {
             frames: 4096,
             chunk_frames: hvsim_mem::DEFAULT_CHUNK_FRAMES,
             cpus: 2,
-            tlb: true,
         }
     }
 
@@ -86,13 +79,6 @@ impl BuildConfig {
     #[must_use]
     pub fn cpus(mut self, cpus: usize) -> Self {
         self.cpus = cpus;
-        self
-    }
-
-    /// Enables or disables the software TLB.
-    #[must_use]
-    pub fn tlb(mut self, enabled: bool) -> Self {
-        self.tlb = enabled;
         self
     }
 }
@@ -137,9 +123,6 @@ pub struct Hypervisor {
     console: Vec<String>,
     pub(crate) audit: AuditLog,
     hypercall_count: u64,
-    /// Software TLB over `mem`'s page tables; cloning a hypervisor
-    /// starts the clone with a cold cache (see [`SharedTlb`]).
-    pub(crate) tlb: SharedTlb,
 }
 
 impl Hypervisor {
@@ -237,7 +220,6 @@ impl Hypervisor {
             console: Vec::new(),
             audit: AuditLog::new(),
             hypercall_count: 0,
-            tlb: SharedTlb::new(config.tlb),
         };
         hv.console_line(format!(
             "Xen version {} (injector {})",
@@ -274,22 +256,6 @@ impl Hypervisor {
     /// Read-only view of machine memory (for monitors and audits).
     pub fn mem(&self) -> &MachineMemory {
         &self.mem
-    }
-
-    /// Software-TLB hit/miss counters accumulated by this instance.
-    pub fn tlb_stats(&self) -> TlbStats {
-        self.tlb.stats()
-    }
-
-    /// `true` if translations consult the software TLB.
-    pub fn tlb_enabled(&self) -> bool {
-        self.tlb.is_enabled()
-    }
-
-    /// Enables or disables the software TLB (the `--no-tlb` escape
-    /// hatch). The cache is semantically transparent either way.
-    pub fn set_tlb_enabled(&mut self, enabled: bool) {
-        self.tlb.set_enabled(enabled);
     }
 
     /// The machine frame holding the shared hypervisor L3 table (the page
@@ -585,7 +551,7 @@ impl Hypervisor {
         let d = self.domain(dom)?;
         let cr3 = d.cr3().ok_or(HvError::Inval)?;
         let policy = self.walk_policy();
-        Ok(self.tlb.translate(&self.mem, cr3, va, &policy)?)
+        Ok(walk(&self.mem, cr3, va, &policy)?)
     }
 
     /// Reads from the guest-read-only hypervisor window (the M2P table).
@@ -740,11 +706,7 @@ impl Hypervisor {
                 .domain(dom)
                 .ok()
                 .and_then(|d| d.cr3())
-                .and_then(|cr3| {
-                    self.tlb
-                        .phys_of(&self.mem, cr3, va, &self.walk_policy())
-                        .ok()
-                }),
+                .and_then(|cr3| walk(&self.mem, cr3, va, &self.walk_policy()).map(|t| t.phys).ok()),
             _ => None,
         }
     }

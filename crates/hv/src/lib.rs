@@ -96,6 +96,5 @@ pub use hvsim_mem::{
     DomainId, MachineMemory, MemError, Mfn, PageType, Pfn, PhysAddr, SnapshotStats, VirtAddr,
 };
 pub use hvsim_paging::{
-    AccessKind, MemoryLayout, PageFault, PageFaultKind, PageTableEntry, PteFlags, TlbStats,
-    WalkPolicy,
+    AccessKind, MemoryLayout, PageFault, PageFaultKind, PageTableEntry, PteFlags, WalkPolicy,
 };

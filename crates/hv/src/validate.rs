@@ -40,38 +40,16 @@ impl Hypervisor {
     pub fn hc_mmu_update(&mut self, dom: DomainId, updates: &[MmuUpdate]) -> Result<u64, HvError> {
         self.bump_hypercall_count();
         self.ensure_alive(dom)?;
-        // Whole-batch generation scope: every entry is still validated
-        // and applied one at a time (per-entry audit events, Xen's
-        // stop-at-first-failure semantics, prior updates left applied),
-        // but the page-table write generation — and the TLB flush it
-        // drives — advances once per batch instead of once per entry.
-        // Validation reads page tables physically, never through the
-        // TLB, so deferring the bump is invisible inside the batch.
-        self.mem.pt_batch_begin();
-        let mut done = 0u64;
-        let mut first_err = None;
         for u in updates {
-            let entry = if u.ptr & 0x3 != 0 {
+            if u.ptr & 0x3 != 0 {
                 // Only MMU_NORMAL_PT_UPDATE is modelled.
-                Err(HvError::Inval)
-            } else {
-                let table = Mfn::new(u.ptr >> 12);
-                let index = ((u.ptr & 0xfff) / 8) as usize;
-                self.validate_and_write_pte(dom, table, index, PageTableEntry::from_raw(u.val))
-            };
-            match entry {
-                Ok(()) => done += 1,
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
+                return Err(HvError::Inval);
             }
+            let table = Mfn::new(u.ptr >> 12);
+            let index = ((u.ptr & 0xfff) / 8) as usize;
+            self.validate_and_write_pte(dom, table, index, PageTableEntry::from_raw(u.val))?;
         }
-        self.mem.pt_batch_end();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(done),
-        }
+        Ok(updates.len() as u64)
     }
 
     /// `HYPERVISOR_update_va_mapping`: updates the L1 entry that maps
@@ -91,13 +69,7 @@ impl Hypervisor {
         self.bump_hypercall_count();
         self.ensure_alive(dom)?;
         let cr3 = self.domain(dom)?.cr3().ok_or(HvError::Inval)?;
-        // A cached 4 KiB translation pins down the L1 slot without
-        // re-walking; a valid cache hit returns exactly what
-        // `pte_slot(.., 1)` would (see `SharedTlb::cached_l1_slot`).
-        let slot = match self.tlb.cached_l1_slot(&self.mem, cr3, va) {
-            Some(slot) => slot,
-            None => pte_slot(&self.mem, cr3, va, 1)?.0,
-        };
+        let (slot, _) = pte_slot(&self.mem, cr3, va, 1)?;
         let table = slot.frame();
         let index = slot.page_offset() / 8;
         self.validate_and_write_pte(dom, table, index, PageTableEntry::from_raw(val))?;
@@ -594,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn mmu_update_batch_bumps_generation_once() {
+    fn mmu_update_batch_matches_singleton_updates() {
         let mut g = boot(XenVersion::V4_8, false);
         let updates: Vec<MmuUpdate> = (64..128)
             .map(|i| {
@@ -602,7 +574,6 @@ mod tests {
                 MmuUpdate::normal(ptr, PageTableEntry::new(g.data, LINK).raw())
             })
             .collect();
-        let gen_before = g.hv.mem().pt_generation();
         let pte_events = |g: &Guest| {
             g.hv
                 .audit()
@@ -613,21 +584,16 @@ mod tests {
         };
         let events_before = pte_events(&g);
         assert_eq!(g.hv.hc_mmu_update(g.dom, &updates).unwrap(), 64);
-        assert_eq!(
-            g.hv.mem().pt_generation(),
-            gen_before + 1,
-            "a 64-entry batch costs exactly one generation bump"
-        );
         assert_eq!(pte_events(&g) - events_before, 64, "audit events stay per-entry");
-        // The entry-at-a-time loop applies the identical updates but
-        // pays one flush per entry — and lands on identical memory.
+        // The entry-at-a-time loop applies the identical updates, audits
+        // them identically, and lands on identical memory.
         let mut s = boot(XenVersion::V4_8, false);
         assert_eq!((s.l1, s.data), (g.l1, g.data), "boot is deterministic");
-        let gen_before = s.hv.mem().pt_generation();
+        let events_before = pte_events(&s);
         for u in &updates {
             s.hv.hc_mmu_update(s.dom, std::slice::from_ref(u)).unwrap();
         }
-        assert_eq!(s.hv.mem().pt_generation(), gen_before + 64);
+        assert_eq!(pte_events(&s) - events_before, 64);
         let mut batch_l1 = [0u8; hvsim_mem::PAGE_SIZE];
         let mut single_l1 = [0u8; hvsim_mem::PAGE_SIZE];
         g.hv.mem().read_frame(g.l1, &mut batch_l1).unwrap();
@@ -1255,25 +1221,20 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Software-TLB transparency under injection
+    // Translation after injection
     // ------------------------------------------------------------------
 
     #[test]
-    fn injected_pte_corruption_is_seen_through_a_warm_tlb() {
+    fn translation_after_injected_pte_write_sees_the_forged_frame() {
         use crate::injector::AccessMode;
         // XSA-148 audit-walk semantics: inject a corrupted PTE through
         // the injector hypercall at the slot `pte_slot` locates, and the
-        // very next walk — even with the translation already cached —
-        // must see the corruption. A stale-TLB false negative here would
-        // invalidate every monitor verdict in the campaign.
+        // very next translation must see the corruption. A false negative
+        // here would invalidate every monitor verdict in the campaign.
         let mut g = boot(XenVersion::V4_6, true);
-        assert!(g.hv.tlb_enabled());
         let cr3 = g.hv.domain(g.dom).unwrap().cr3().unwrap();
-        // Warm the cache: repeated translations of the same page hit.
         let before = g.hv.guest_translate(g.dom, g.data_va).unwrap();
         assert_eq!(before.mfn, g.data);
-        g.hv.guest_translate(g.dom, g.data_va).unwrap();
-        assert!(g.hv.tlb_stats().hits >= 1, "the second translation must hit");
         // Locate the L1 slot and inject a PTE redirecting data_va.
         let (slot, old) = pte_slot(g.hv.mem(), cr3, g.data_va, 1).unwrap();
         assert_eq!(old.mfn(), g.data);
@@ -1282,22 +1243,10 @@ mod tests {
         let mut bytes = forged.raw().to_le_bytes();
         g.hv.hc_arbitrary_access(g.dom, slot.raw(), &mut bytes, AccessMode::PhysWrite)
             .unwrap();
-        // The injected write targeted an L1-typed frame, so the memory
-        // generation moved and the cached entry is dead.
         let after = g.hv.guest_translate(g.dom, g.data_va).unwrap();
-        assert_eq!(after.mfn, evil, "the walk after injection must see the corruption");
-        // And the hypervisor's view agrees with an uncached audit walk.
+        assert_eq!(after.mfn, evil, "the translation after injection must see the corruption");
+        // And the hypervisor's view agrees with a raw audit walk.
         let raw = walk(g.hv.mem(), cr3, g.data_va, &g.hv.walk_policy()).unwrap();
         assert_eq!(after, raw);
-    }
-
-    #[test]
-    fn tlb_escape_hatch_reports_identical_translations() {
-        let mut g = boot(XenVersion::V4_8, false);
-        let cached = g.hv.guest_translate(g.dom, g.data_va).unwrap();
-        g.hv.set_tlb_enabled(false);
-        assert!(!g.hv.tlb_enabled());
-        let uncached = g.hv.guest_translate(g.dom, g.data_va).unwrap();
-        assert_eq!(cached, uncached);
     }
 }

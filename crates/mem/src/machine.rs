@@ -14,17 +14,6 @@
 //! the first write after a clone copied the entire frame-pointer vector
 //! (O(installed frames) per campaign cell); the `frame_privatize` bench
 //! measures the difference.
-//!
-//! Writes also maintain the **page-table write generation**: a counter
-//! bumped only when a store lands in a frame whose [`PageInfo`] type is
-//! one of the page-table types (or when such a frame's accounting is
-//! mutated, which covers demote-then-write sequences). The software TLB
-//! in `hvsim-paging` keys its validity off this counter, so data writes
-//! never flush cached translations while PTE writes always do. Batched
-//! hypercalls (`mmu_update`) can defer the bump with
-//! [`MachineMemory::pt_batch_begin`] / [`MachineMemory::pt_batch_end`]
-//! so a whole batch of PTE stores costs one TLB invalidation instead of
-//! one per entry.
 
 use crate::{MemError, Mfn, PageInfo, PhysAddr, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
@@ -61,9 +50,9 @@ impl FrameData {
 
 /// A fixed run of frames plus their accounting, shared whole between
 /// snapshots until either image mutates a frame inside it. Contents and
-/// accounting live in the same chunk so one privatization covers both —
-/// a PTE write needs the frame bytes *and* (via the generation check)
-/// the `PageInfo`, and splitting them would double the `Arc` traffic.
+/// accounting live in the same chunk so one privatization covers both;
+/// splitting them would double the `Arc` traffic of a first write that
+/// touches both.
 #[derive(Clone, Debug)]
 struct Chunk {
     frames: Vec<FrameData>,
@@ -104,16 +93,6 @@ pub struct MachineMemory {
     chunk_frames: usize,
     chunk_shift: u32,
     frames: u64,
-    /// Bumped on every store to (or accounting mutation of) a
-    /// page-table-typed frame; see the module docs.
-    pt_gen: u64,
-    /// Nesting depth of open [`Self::pt_batch_begin`] scopes. While
-    /// non-zero, page-table mutations mark `pt_batch_dirty` instead of
-    /// bumping `pt_gen`.
-    pt_batch_depth: u32,
-    /// A page-table mutation happened inside the current batch; the
-    /// outermost [`Self::pt_batch_end`] folds it into one bump.
-    pt_batch_dirty: bool,
     /// Copy-on-write frame breaks since this image was created or cloned.
     frames_copied: u64,
     /// Chunk privatizations since this image was created or cloned.
@@ -126,18 +105,13 @@ impl Clone for MachineMemory {
     /// directory. Frame contents and accounting are shared until either
     /// image mutates them. The clone starts its own
     /// [`SnapshotStats::frames_copied`] / `chunks_privatized` counts at
-    /// zero; the page-table write generation carries over so cached
-    /// translations keyed against the parent stay comparable. Any open
-    /// pt-batch scope belongs to the image being cloned, not the clone.
+    /// zero.
     fn clone(&self) -> Self {
         Self {
             chunks: self.chunks.clone(),
             chunk_frames: self.chunk_frames,
             chunk_shift: self.chunk_shift,
             frames: self.frames,
-            pt_gen: self.pt_gen,
-            pt_batch_depth: 0,
-            pt_batch_dirty: false,
             frames_copied: 0,
             chunks_privatized: 0,
         }
@@ -176,9 +150,6 @@ impl MachineMemory {
             chunk_frames,
             chunk_shift,
             frames: frames as u64,
-            pt_gen: 0,
-            pt_batch_depth: 0,
-            pt_batch_dirty: false,
             frames_copied: 0,
             chunks_privatized: 0,
         }
@@ -235,54 +206,6 @@ impl MachineMemory {
             self.chunks_privatized += 1;
         }
         Arc::make_mut(&mut self.chunks[c])
-    }
-
-    /// The page-table write generation. Translation caches compare this
-    /// against the value they last observed: unchanged means no
-    /// page-table-typed frame was written (or re-accounted) since, so
-    /// every cached walk is still valid.
-    pub fn pt_generation(&self) -> u64 {
-        self.pt_gen
-    }
-
-    /// Opens a batched-mutation scope: page-table writes inside it are
-    /// folded into a single generation bump at the matching
-    /// [`Self::pt_batch_end`], so an N-entry `mmu_update` costs one TLB
-    /// invalidation instead of N. Scopes nest; only the outermost end
-    /// bumps. Callers must not translate through the TLB between the
-    /// deferred writes and the end of the scope.
-    pub fn pt_batch_begin(&mut self) {
-        self.pt_batch_depth += 1;
-    }
-
-    /// Closes a batched-mutation scope, applying the deferred generation
-    /// bump (if any page-table frame was mutated inside it) once.
-    pub fn pt_batch_end(&mut self) {
-        debug_assert!(self.pt_batch_depth > 0, "pt_batch_end without begin");
-        self.pt_batch_depth = self.pt_batch_depth.saturating_sub(1);
-        if self.pt_batch_depth == 0 && self.pt_batch_dirty {
-            self.pt_batch_dirty = false;
-            self.pt_gen = self.pt_gen.wrapping_add(1);
-        }
-    }
-
-    /// Bumps the page-table write generation (or defers the bump to the
-    /// enclosing batch scope).
-    fn bump_pt_gen(&mut self) {
-        if self.pt_batch_depth > 0 {
-            self.pt_batch_dirty = true;
-        } else {
-            self.pt_gen = self.pt_gen.wrapping_add(1);
-        }
-    }
-
-    /// Bumps the page-table write generation if frame `idx` is currently
-    /// typed as a page table.
-    fn note_pt_mutation(&mut self, idx: usize) {
-        let (c, o) = self.chunk_of(idx);
-        if self.chunks[c].info[o].page_type().is_page_table() {
-            self.bump_pt_gen();
-        }
     }
 
     /// Copy-on-write accounting for this image.
@@ -351,9 +274,6 @@ impl MachineMemory {
             chunk_frames: self.chunk_frames,
             chunk_shift: self.chunk_shift,
             frames: self.frames,
-            pt_gen: self.pt_gen,
-            pt_batch_depth: 0,
-            pt_batch_dirty: false,
             frames_copied: 0,
             chunks_privatized: 0,
         }
@@ -402,18 +322,11 @@ impl MachineMemory {
 
     /// Mutable accounting record for a frame.
     ///
-    /// Handing out mutable accounting access to a page-table-typed frame
-    /// bumps the page-table write generation: a type demotion through
-    /// this handle could otherwise let later *data* writes to the frame
-    /// slip past translation caches that walked through it while it was
-    /// still a page table.
-    ///
     /// # Errors
     ///
     /// Returns [`MemError::BadFrame`] for uninstalled frames.
     pub fn info_mut(&mut self, mfn: Mfn) -> Result<&mut PageInfo, MemError> {
         let idx = self.check_frame(mfn)?;
-        self.note_pt_mutation(idx);
         let (c, o) = self.chunk_of(idx);
         Ok(&mut self.chunk_mut(c).info[o])
     }
@@ -455,9 +368,7 @@ impl MachineMemory {
     ///
     /// All-zero data landing in a still-unmaterialized zero frame is a
     /// no-op: the frame keeps its zero representation (no 4 KiB
-    /// allocation, no chunk privatization) and — since the contents are
-    /// bit-for-bit unchanged — no page-table generation bump, so cached
-    /// walks stay valid.
+    /// allocation, no chunk privatization).
     ///
     /// # Errors
     ///
@@ -482,7 +393,6 @@ impl MachineMemory {
             let zero_noop =
                 matches!(self.frame(idx), FrameData::Zero) && src.iter().all(|&b| b == 0);
             if !zero_noop {
-                self.note_pt_mutation(idx);
                 self.frame_bytes_mut(idx)[off..off + chunk].copy_from_slice(src);
             }
             written += chunk;
@@ -518,7 +428,7 @@ impl MachineMemory {
     /// The frame reverts to the unmaterialized zero representation, so
     /// a snapshot's untouched zero frames stay free after cloning.
     /// Zeroing a frame that is already in the zero representation is a
-    /// complete no-op (no privatization, no generation bump).
+    /// complete no-op (no privatization).
     ///
     /// # Errors
     ///
@@ -528,7 +438,6 @@ impl MachineMemory {
         if matches!(self.frame(idx), FrameData::Zero) {
             return Ok(());
         }
-        self.note_pt_mutation(idx);
         let (c, o) = self.chunk_of(idx);
         self.chunk_mut(c).frames[o] = FrameData::Zero;
         Ok(())
@@ -552,7 +461,6 @@ impl MachineMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DomainId, PageType};
     use proptest::prelude::*;
 
     #[test]
@@ -743,20 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_write_into_zero_pt_frame_keeps_the_generation() {
-        let mut mem = MachineMemory::new(4);
-        mem.info_mut(Mfn::new(1)).unwrap().assign(DomainId::new(1), PageType::L1PageTable);
-        let before = mem.pt_generation();
-        // The frame is unmaterialized and the store is all zeroes: the
-        // contents are bit-for-bit unchanged, so cached walks stay valid.
-        mem.write_u64(Mfn::new(1).base(), 0).unwrap();
-        assert_eq!(mem.pt_generation(), before);
-        // Zeroing an already-zero frame is equally silent.
-        mem.zero_frame(Mfn::new(1)).unwrap();
-        assert_eq!(mem.pt_generation(), before);
-    }
-
-    #[test]
     fn deep_copy_shares_nothing() {
         let mut parent = MachineMemory::new(4);
         parent.write(PhysAddr::new(0), b"data").unwrap();
@@ -766,75 +660,6 @@ mod tests {
         let mut buf = [0u8; 4];
         deep.read(PhysAddr::new(0), &mut buf).unwrap();
         assert_eq!(&buf, b"data");
-    }
-
-    #[test]
-    fn data_writes_never_bump_the_pt_generation() {
-        let mut mem = MachineMemory::new(4);
-        mem.info_mut(Mfn::new(0)).unwrap().assign(DomainId::new(1), PageType::Writable);
-        let before = mem.pt_generation();
-        mem.write_u64(PhysAddr::new(8), 0x4141).unwrap();
-        mem.write(Mfn::new(2).base(), b"untyped frame").unwrap();
-        assert_eq!(mem.pt_generation(), before, "data writes must not flush the TLB");
-    }
-
-    #[test]
-    fn page_table_writes_always_bump_the_pt_generation() {
-        let mut mem = MachineMemory::new(4);
-        mem.info_mut(Mfn::new(1)).unwrap().assign(DomainId::new(1), PageType::L1PageTable);
-        let before = mem.pt_generation();
-        mem.write_u64(Mfn::new(1).base().offset(16), 0xdead).unwrap();
-        assert!(mem.pt_generation() > before, "a PTE write must flush the TLB");
-        let before = mem.pt_generation();
-        mem.zero_frame(Mfn::new(1)).unwrap();
-        assert!(mem.pt_generation() > before, "zeroing a page table must flush too");
-    }
-
-    #[test]
-    fn accounting_mutation_of_a_page_table_bumps_the_generation() {
-        let mut mem = MachineMemory::new(4);
-        mem.info_mut(Mfn::new(1)).unwrap().assign(DomainId::new(1), PageType::L2PageTable);
-        let before = mem.pt_generation();
-        // A demotion (or any accounting touch) of a page-table frame
-        // must invalidate cached walks through it.
-        mem.info_mut(Mfn::new(1)).unwrap().set_type_unchecked(PageType::Writable);
-        assert!(mem.pt_generation() > before);
-        // But accounting touches on data frames stay silent.
-        let before = mem.pt_generation();
-        mem.info_mut(Mfn::new(2)).unwrap().assign(DomainId::new(1), PageType::Writable);
-        assert_eq!(mem.pt_generation(), before);
-    }
-
-    #[test]
-    fn pt_batch_folds_many_bumps_into_one() {
-        let mut mem = MachineMemory::new(8);
-        for i in 0..4 {
-            mem.info_mut(Mfn::new(i)).unwrap().assign(DomainId::new(1), PageType::L1PageTable);
-        }
-        let before = mem.pt_generation();
-        mem.pt_batch_begin();
-        for i in 0..4u64 {
-            mem.write_u64(Mfn::new(i).base(), 0x1000 + i).unwrap();
-            mem.write_u64(Mfn::new(i).base().offset(8), 0x2000 + i).unwrap();
-            assert_eq!(mem.pt_generation(), before, "bumps are deferred inside the batch");
-        }
-        mem.pt_batch_end();
-        assert_eq!(mem.pt_generation(), before + 1, "one bump per batch, not per store");
-        // A batch that never touches a page table bumps nothing.
-        let before = mem.pt_generation();
-        mem.pt_batch_begin();
-        mem.write_u64(Mfn::new(6).base(), 0xdada).unwrap();
-        mem.pt_batch_end();
-        assert_eq!(mem.pt_generation(), before);
-        // Nested scopes fold into the outermost end.
-        let before = mem.pt_generation();
-        mem.pt_batch_begin();
-        mem.pt_batch_begin();
-        mem.write_u64(Mfn::new(0).base(), 0xbeef).unwrap();
-        mem.pt_batch_end();
-        assert_eq!(mem.pt_generation(), before, "inner end must not bump");
-        mem.pt_batch_end();
-        assert_eq!(mem.pt_generation(), before + 1);
     }
 
     proptest! {

@@ -8,9 +8,6 @@
 //!   entries (present/RW/user/PSE/NX, 40-bit frame numbers),
 //! * [`walk`] — a 4-level software page walk with superpage (PSE) support,
 //!   returning either a [`Translation`] or a structured [`PageFault`],
-//! * [`SharedTlb`] — a software TLB over [`walk`], keyed per CR3/VPN/size
-//!   class and invalidated by the machine memory's page-table write
-//!   generation (data writes never flush, PTE writes always do),
 //! * [`MemoryLayout`] — the Xen virtual-address-space layout, including the
 //!   guest-read-only hypervisor range and the RWX linear-page-table window
 //!   whose removal was part of the Xen 4.9+ hardening (the reason Xen 4.13
@@ -42,7 +39,6 @@
 mod entry;
 mod fault;
 mod layout;
-mod tlb;
 mod vaddr;
 mod walk;
 
@@ -52,6 +48,5 @@ pub use layout::{
     LayoutDenial, MemoryLayout, Region, DIRECTMAP_START, GUEST_RO_END, HYPERVISOR_VIRT_START,
     LINEAR_PT_SIZE, LINEAR_PT_START,
 };
-pub use tlb::{SharedTlb, TlbStats};
 pub use vaddr::{compose_va, selfmap_va, VaIndices, ENTRIES_PER_TABLE};
 pub use walk::{pte_slot, walk, MappingLevel, Translation, WalkPolicy, WalkStep};
