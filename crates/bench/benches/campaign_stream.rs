@@ -1,10 +1,8 @@
 //! Streaming-pipeline throughput: the classic collect-everything engine
-//! against the bounded-memory streaming runner on a synthetic grid, plus
-//! the effect of queue depth on the streamed hot path. Reports are
-//! byte-identical across engines (see the streaming tests), so this
-//! measures pure pipeline overhead — `cells_per_sec` and
-//! `peak_resident_cells` for the same grid land in `BENCH_campaign.json`
-//! via `table3_campaign`.
+//! against the bounded-memory streaming runner on a synthetic grid.
+//! Reports are byte-identical across engines (see the streaming tests),
+//! so this measures pure pipeline overhead — `cells_per_sec` for the
+//! same grid lands in `BENCH_campaign.json` via `table3_campaign`.
 
 use bench::synthetic_campaign;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -29,18 +27,5 @@ fn bench_stream_vs_classic(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_queue_depth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("campaign_stream/queue_depth");
-    group.sample_size(10);
-    for depth in [1usize, 8, 64] {
-        group.bench_function(format!("depth_{depth}_jobs4"), |b| {
-            b.iter(|| {
-                synthetic_campaign(SEED, TRIALS).queue_depth(depth).run_streaming_with_jobs(4)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_stream_vs_classic, bench_queue_depth);
+criterion_group!(benches, bench_stream_vs_classic);
 criterion_main!(benches);

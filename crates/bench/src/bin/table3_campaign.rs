@@ -7,7 +7,7 @@
 //! (one per level, with COW snapshot stats)
 //! plus a `stream` array: the streamed engine on the same grid per
 //! level and — for the default sweep — a synthetic ~100k-cell grid
-//! entry proving bounded-memory throughput at scale. `--jobs N`
+//! entry measuring streamed throughput at scale. `--jobs N`
 //! restricts the sweep to one level (and skips the synthetic entry
 //! unless `--synthetic-cells` asks for it).
 //!
@@ -18,7 +18,6 @@
 //!   of the collect-everything engine; prints the per-key summary and
 //!   pipeline stats, and `--report-out` writes the normalized
 //!   `StreamReport` (mergeable across shards)
-//! * `--queue-depth N` — bounded work-queue capacity (streaming)
 //! * `--shard i/n` — run only slots `i, i+n, i+2n, …` of the grid;
 //!   shard reports merge back to the unsharded report byte-for-byte
 //! * `--synthetic-cells N` — size of the synthetic streamed grid entry
@@ -51,7 +50,6 @@ struct Options {
     /// `None` runs the default 1/4/8 sweep.
     jobs: Option<usize>,
     stream: bool,
-    queue_depth: Option<usize>,
     shard: Option<Shard>,
     /// `None` = default policy (~100k for the full sweep, 0 otherwise).
     synthetic_cells: Option<u64>,
@@ -67,7 +65,6 @@ fn parse_args() -> Options {
     let mut opts = Options {
         jobs: None,
         stream: false,
-        queue_depth: None,
         shard: None,
         synthetic_cells: None,
         chunk_frames: None,
@@ -93,13 +90,6 @@ fn parse_args() -> Options {
                 }));
             }
             "--stream" => opts.stream = true,
-            "--queue-depth" => {
-                let raw = value("--queue-depth");
-                opts.queue_depth = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--queue-depth needs a positive integer, got '{raw}'");
-                    exit(2);
-                }));
-            }
             "--shard" => {
                 let raw = value("--shard");
                 opts.shard = Some(Shard::parse(&raw).unwrap_or_else(|e| {
@@ -128,8 +118,8 @@ fn parse_args() -> Options {
             other => {
                 eprintln!("unknown argument '{other}'");
                 eprintln!(
-                    "usage: table3_campaign [--jobs N] [--stream] [--queue-depth N] \
-                     [--shard i/n] [--synthetic-cells N] [--chunk-frames N] \
+                    "usage: table3_campaign [--jobs N] [--stream] [--shard i/n] \
+                     [--synthetic-cells N] [--chunk-frames N] \
                      [--report-out FILE] [--trace-out FILE] [--metrics-out FILE] [--json]"
                 );
                 exit(2);
@@ -240,9 +230,6 @@ fn configured_campaign(opts: &Options, workers: usize) -> Campaign {
     if let Some(chunk) = opts.chunk_frames {
         campaign = campaign.world_factory(standard_world_factory(Some(chunk)));
     }
-    if let Some(depth) = opts.queue_depth {
-        campaign = campaign.queue_depth(depth);
-    }
     if let Some(shard) = opts.shard {
         campaign = campaign.shard(shard);
     }
@@ -260,17 +247,12 @@ fn print_stream(outcome: &StreamOutcome) {
     );
     let s = outcome.stats;
     println!(
-        "  pipeline: {} workers, queue depth {}, {:.1} ms, {:.0} cells/sec, \
-         peak resident {} cells",
+        "  pipeline: {} workers, {:.1} ms, {:.0} cells/sec; merge {} us, base-world wait {} us",
         s.workers,
-        s.queue_depth,
         s.elapsed_us as f64 / 1000.0,
         s.cells_per_sec,
-        s.peak_resident_cells,
-    );
-    println!(
-        "  stalls: generator {} us, workers {} us; merge {} us, base-world wait {} us",
-        s.queue_stall_us, s.worker_stall_us, s.merge_us, s.base_world_wait_us,
+        s.merge_us,
+        s.base_world_wait_us,
     );
 }
 
@@ -514,13 +496,7 @@ fn main() {
     // floor.
     {
         let flight_workers = opts.jobs.unwrap_or(4);
-        let flight_campaign = || {
-            let mut campaign = paper_campaign().trials(100).jobs(flight_workers);
-            if let Some(depth) = opts.queue_depth {
-                campaign = campaign.queue_depth(depth);
-            }
-            campaign
-        };
+        let flight_campaign = || paper_campaign().trials(100).jobs(flight_workers);
         eprintln!(
             "measuring flight-recorder overhead (paper grid x100 trials, \
              {flight_workers} workers) ..."
@@ -566,9 +542,8 @@ fn main() {
         });
     }
 
-    // The synthetic ~100k-cell streamed grid: proves the pipeline holds
-    // O(workers + queue depth) cells resident regardless of grid size.
-    // Default-on for the full sweep, off for explicit `--jobs` runs (CI
+    // The synthetic ~100k-cell streamed grid: streamed throughput at a
+    // scale where the engine and harness dominate. Default-on for the full sweep, off for explicit `--jobs` runs (CI
     // determinism steps stay fast); `--synthetic-cells` overrides.
     let synthetic_cells = opts.synthetic_cells.unwrap_or(if opts.jobs.is_none() { 100_002 } else { 0 });
     if synthetic_cells > 0 {
@@ -579,30 +554,14 @@ fn main() {
         // writes (per-cell metrics recording is not free and must be
         // paid identically on both sides).
         let plain_registry = MetricsRegistry::new();
-        let mut campaign =
+        let campaign =
             synthetic_campaign(SYNTHETIC_SEED, trials).metrics(plain_registry.clone());
-        if let Some(depth) = opts.queue_depth {
-            campaign = campaign.queue_depth(depth);
-        }
         eprintln!("streaming the synthetic grid ({} cells, {workers} workers) ...", trials * 3);
         let outcome = campaign.run_streaming_with_jobs(workers);
         let stats = outcome.stats;
-        assert!(
-            stats.peak_resident_cells <= stats.queue_depth + stats.workers + 1,
-            "resident cells must be O(workers + queue depth): peak {} > {} + {} + 1",
-            stats.peak_resident_cells,
-            stats.queue_depth,
-            stats.workers,
-        );
         println!(
-            "\nsynthetic streamed grid: {} cells at {:.0} cells/sec, peak resident {} \
-             (bound {} = queue depth {} + workers {} + 1)",
-            outcome.report.cells,
-            stats.cells_per_sec,
-            stats.peak_resident_cells,
-            stats.queue_depth + stats.workers + 1,
-            stats.queue_depth,
-            stats.workers,
+            "\nsynthetic streamed grid: {} cells at {:.0} cells/sec on {} workers",
+            outcome.report.cells, stats.cells_per_sec, stats.workers,
         );
         stream_entries.push(outcome.bench_entry(format!("synthetic_{}", trials * 3)));
 

@@ -22,7 +22,6 @@ fn chaotic() -> Campaign {
         .chaos(ChaosConfig::standard(CHAOS_SEED))
         .retries(1)
         .cell_deadline(DEADLINE)
-        .queue_depth(16)
 }
 
 #[test]
@@ -101,7 +100,7 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
                 probe.transient_boot_faults(slot, 1) == 0
                     && !probe.worker_panic(slot)
                     && probe.slowdown(slot, Some(DEADLINE)).is_none()
-                    && probe.queue_stall(slot).is_none()
+                    && probe.claim_stall(slot).is_none()
             })
         })
         .expect("some seed in 0..10_000 is quiet over six slots");
@@ -118,7 +117,7 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
         "campaign.chaos.worker_panics",
         "campaign.chaos.transient_boots",
         "campaign.chaos.slowdowns",
-        "campaign.chaos.queue_stalls",
+        "campaign.chaos.claim_stalls",
         "campaign.chaos.torn_writes",
     ] {
         let counter = snapshot

@@ -18,7 +18,6 @@ fn campaign() -> Campaign {
     // The forensic sidecar is opt-in; on here so the kill/resume path
     // exercises it at scale (the sidecar appends across generations).
     synthetic_campaign(SEED, TRIALS)
-        .queue_depth(32)
         .jobs(4)
         .checkpoint_interval(256)
         .journal_slots(true)

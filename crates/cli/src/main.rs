@@ -59,9 +59,8 @@ COMMANDS:
                                    of two, reports are byte-identical at any
                                    size)
                    [--stream]      bounded-memory streaming engine: per-key summary
-                                   instead of per-cell tables, O(workers + queue)
-                                   resident memory, mergeable reports
-                   [--queue-depth <n>]  work-queue capacity for --stream
+                                   instead of per-cell tables, one resident cell
+                                   per worker, mergeable reports
                    [--shard <i/n>] run only slots i, i+n, i+2n, ... of the grid;
                                    merging the n shard reports ('report merge')
                                    reproduces the unsharded report byte-for-byte
@@ -79,7 +78,7 @@ COMMANDS:
                                    synced, never read by recovery)
                    [--chaos-seed <n>]  deterministic fault injection: seeded
                                    worker panics, transient boots, slowdowns,
-                                   queue stalls, torn journal writes (implies
+                                   claim stalls, torn journal writes (implies
                                    --stream; same seed => same faults at any
                                    --jobs count)
                    [--progress]    live progress line on stderr (done/total,
@@ -250,11 +249,6 @@ fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, St
     let trials: u64 =
         p.get_or("trials", "1").parse().map_err(|_| "--trials must be a number".to_owned())?;
     campaign = campaign.trials(trials);
-    if let Some(raw) = p.options.get("queue-depth") {
-        let depth: usize =
-            raw.parse().map_err(|_| "--queue-depth must be a number".to_owned())?;
-        campaign = campaign.queue_depth(depth);
-    }
     if let Some(raw) = p.options.get("shard") {
         campaign = campaign.shard(Shard::parse(raw).map_err(|e| format!("--shard: {e}"))?);
     }
@@ -456,12 +450,8 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         println!("{}", outcome.report.render_keys());
         let s = outcome.stats;
         println!(
-            "pipeline: {} workers, queue depth {}, {:.0} cells/sec, peak resident {} cells",
-            s.workers, s.queue_depth, s.cells_per_sec, s.peak_resident_cells,
-        );
-        println!(
-            "stalls: generator {} us, workers {} us; merge {} us, base-world wait {} us",
-            s.queue_stall_us, s.worker_stall_us, s.merge_us, s.base_world_wait_us,
+            "pipeline: {} workers, {:.0} cells/sec; merge {} us, base-world wait {} us",
+            s.workers, s.cells_per_sec, s.merge_us, s.base_world_wait_us,
         );
         if outcome.report.degraded > 0 {
             eprintln!(
@@ -1062,8 +1052,6 @@ mod tests {
                 "--stream".into(),
                 "--jobs".into(),
                 "2".into(),
-                "--queue-depth".into(),
-                "4".into(),
             ];
             argv.extend(extra);
             run(argv).unwrap()
@@ -1274,7 +1262,7 @@ mod tests {
         assert!(dump_files > 0, "a degraded chaos run must leave forensic dumps");
         let samples = std::fs::read_to_string(&timeline).unwrap();
         assert!(samples.contains("progress.done"), "timeline carries progress: {samples}");
-        assert!(samples.contains("queue.depth"), "timeline carries stream gauges");
+        assert!(samples.contains("stream.claimed"), "timeline carries stream gauges");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(timeline).ok();
         let err = run(vec![

@@ -11,8 +11,8 @@ use crate::obs_bridge;
 use crate::report::{TextTable, CHECK, SHIELD};
 use crate::scenario::{Mode, UseCase};
 use crate::stream::{
-    BoundedQueue, CellSpec, GridFingerprint, PartialFold, ResidentGauge, Shard, SpecGrid,
-    StreamOutcome, StreamRunStats,
+    CellSpec, GridFingerprint, PartialFold, Shard, SlotClaims, SpecGrid, StreamOutcome,
+    StreamRunStats,
 };
 use crate::telemetry::{self, Telemetry};
 use guestos::{BootError, World, WorldBuilder};
@@ -535,9 +535,6 @@ pub struct CampaignConfig {
     /// [`UseCase::run_injection_trial`](crate::UseCase::run_injection_trial).
     /// Defaults to 1 (the classic single-shot grid).
     pub trials: u64,
-    /// Bounded work-queue capacity for [`Campaign::run_streaming`];
-    /// `None` picks `max(2 × workers, 8)`.
-    pub queue_depth: Option<usize>,
     /// Run only this shard of the grid (slots congruent to `index`
     /// modulo `count`); `None` runs everything. Merging the `n` shard
     /// reports reproduces the unsharded report byte-for-byte after
@@ -587,7 +584,6 @@ impl Default for CampaignConfig {
             cell_deadline: None,
             retries: 0,
             trials: 1,
-            queue_depth: None,
             shard: None,
             checkpoint_interval: 1024,
             journal_slots: false,
@@ -697,15 +693,6 @@ impl Campaign {
     #[must_use]
     pub fn trials(mut self, trials: u64) -> Self {
         self.config.trials = trials.max(1);
-        self
-    }
-
-    /// Sets the bounded work-queue capacity used by
-    /// [`Campaign::run_streaming`]; `0` or unset picks a default of
-    /// `max(2 × workers, 8)`.
-    #[must_use]
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.config.queue_depth = (depth > 0).then_some(depth);
         self
     }
 
@@ -860,16 +847,16 @@ impl Campaign {
         let base_worlds =
             self.config.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
 
-        let next = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
         let slots: Vec<Mutex<CellSlot>> =
             work.iter().map(|_| Mutex::new(CellSlot::Pending)).collect();
         let workers = jobs.max(1).min(work.len());
+        let claims = SlotClaims::new(work.len() as u64, workers);
         let flights: Vec<FlightHandle> =
             (0..workers).map(|_| FlightHandle::new(self.config.flight_capacity)).collect();
         let telemetry = Telemetry::new(work.len() as u64, workers);
         std::thread::scope(|scope| {
-            let next = &next;
+            let claims = &claims;
             let completed = &completed;
             let slots = &slots;
             let work = &work;
@@ -882,12 +869,9 @@ impl Campaign {
                     // per (version, injector) key per worker, so the
                     // per-cell hot path never touches a shared lock.
                     let mut cache: BaseCache = BTreeMap::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&spec) = work.get(i) else {
-                            telemetry.worker_finished(worker);
-                            break;
-                        };
+                    claims.drain(|i| {
+                        let i = i as usize;
+                        let spec = work[i];
                         telemetry.beat(worker);
                         let started = Instant::now();
                         *lock_recover(&slots[i]) = CellSlot::Running { started };
@@ -910,7 +894,8 @@ impl Campaign {
                         self.finalize_slot(&slots[i], started, cell);
                         telemetry.cell_done(degraded);
                         completed.fetch_add(1, Ordering::Release);
-                    }
+                    });
+                    telemetry.worker_finished(worker);
                 });
             }
             if let Some(deadline) = self.config.cell_deadline {
@@ -1028,27 +1013,25 @@ impl Campaign {
         }
     }
 
-    /// Streams every cell of the (possibly sharded) grid through the
-    /// bounded pipeline with the configured worker count. See
+    /// Streams every cell of the (possibly sharded) grid with the
+    /// configured worker count. See
     /// [`Campaign::run_streaming_with_jobs`].
     pub fn run_streaming(&self) -> StreamOutcome {
         self.run_streaming_with_jobs(self.config.jobs.unwrap_or_else(default_jobs))
     }
 
-    /// Streams the grid on exactly `jobs` workers with O(workers +
-    /// queue depth) resident memory: a generator thread lazily emits
-    /// [`CellSpec`]s into a bounded queue (blocking when full), workers
-    /// fold each finished cell into a per-worker partial report and
-    /// drop it, and the partials merge — ordered by first slot — into
-    /// one [`StreamReport`].
+    /// Streams the grid on exactly `jobs` workers with one cell per
+    /// worker resident: each worker claims batches of slots, decodes
+    /// each [`CellSpec`] from its index, folds the finished cell into a
+    /// per-worker partial report and drops it, and the partials merge —
+    /// ordered by first slot — into one [`StreamReport`].
     ///
     /// Every aggregate in the report is a commutative monoid over
     /// per-cell values that depend only on the cell's spec, so the
-    /// normalized report is byte-identical for every worker count,
-    /// queue depth, and sharding. Deadlines are enforced by the same
-    /// post-return check the classic runner applies when a worker
-    /// finishes late; there is no watchdog thread because no slot
-    /// vector exists to re-label.
+    /// normalized report is byte-identical for every worker count and
+    /// sharding. Deadlines are enforced by the same post-return check
+    /// the classic runner applies when a worker finishes late; there is
+    /// no watchdog thread because no slot vector exists to re-label.
     pub fn run_streaming_with_jobs(&self, jobs: usize) -> StreamOutcome {
         self.stream_impl(jobs, None, self.chaos_policy())
     }
@@ -1085,8 +1068,8 @@ impl Campaign {
     }
 
     /// Resumes a checkpointed streaming run from its journal: reloads
-    /// the valid prefix (truncating a torn tail), re-enqueues only the
-    /// slots no durable fold record covers, and merges the recovered
+    /// the valid prefix (truncating a torn tail), runs only the slots
+    /// no durable fold record covers, and merges the recovered
     /// folds with the fresh ones — so the final normalized report is
     /// byte-identical to an uninterrupted run of the same campaign.
     ///
@@ -1141,12 +1124,13 @@ impl Campaign {
     }
 
     /// The streaming engine body shared by plain, checkpointed, and
-    /// resumed runs. With a session, the generator skips slots already
-    /// covered by durable fold records, each worker journals its
-    /// progress (a synced fold record every `checkpoint_interval` slots
-    /// and at drain, plus per-cell slot records when the forensic
-    /// sidecar is enabled), and recovered folds
-    /// merge in exactly like fresh ones. With a chaos policy, slot-
+    /// resumed runs. Workers claim shard-local indices from one shared
+    /// counter and decode their slots themselves. With a session, a
+    /// worker skips claimed slots already covered by durable fold
+    /// records, each worker journals its progress (a synced fold record
+    /// every `checkpoint_interval` slots and at drain, plus per-cell
+    /// slot records when the forensic sidecar is enabled), and
+    /// recovered folds merge in exactly like fresh ones. With a chaos policy, slot-
     /// keyed faults are injected along the way (see [`crate::chaos`]).
     fn stream_impl(
         &self,
@@ -1166,9 +1150,7 @@ impl Campaign {
         let base_worlds =
             self.config.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
         let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
-        let queue_depth = self.config.queue_depth.unwrap_or_else(|| (workers * 2).max(8));
-        let queue: BoundedQueue<CellSpec> = BoundedQueue::new(queue_depth);
-        let resident = ResidentGauge::default();
+        let claims = SlotClaims::new(total, workers);
         let folds: Mutex<Vec<PartialFold>> = Mutex::new(Vec::with_capacity(workers));
         let first_worker = session.as_ref().map_or(1, |s| s.first_worker);
         let flights: Vec<FlightHandle> =
@@ -1180,23 +1162,10 @@ impl Campaign {
             let session = session.as_ref();
             let policy = policy.as_deref();
             std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for spec in grid.shard_iter(shard) {
-                        if session.is_some_and(|s| s.is_done(spec.slot)) {
-                            continue;
-                        }
-                        if let Some(stall) = policy.and_then(|p| p.queue_stall(spec.slot)) {
-                            std::thread::sleep(stall);
-                        }
-                        resident.enter();
-                        queue.push(spec);
-                    }
-                    queue.close();
-                });
                 for (index, flight) in flights.iter().enumerate() {
                     let worker_id = first_worker + index as u64;
-                    let queue = &queue;
-                    let resident = &resident;
+                    let claims = &claims;
+                    let grid = &grid;
                     let folds = &folds;
                     let base_worlds = &base_worlds;
                     let telemetry = &telemetry;
@@ -1206,7 +1175,14 @@ impl Campaign {
                         let mut seq = 0u64;
                         let mut batch: Vec<u64> = Vec::new();
                         let mut pending = crate::checkpoint::SlotBuffer::default();
-                        while let Some(spec) = queue.pop() {
+                        claims.drain(|i| {
+                            let Some(spec) = grid.shard_decode(shard, i) else { return };
+                            if session.is_some_and(|s| s.is_done(spec.slot)) {
+                                return;
+                            }
+                            if let Some(stall) = policy.and_then(|p| p.claim_stall(spec.slot)) {
+                                std::thread::sleep(stall);
+                            }
                             telemetry.beat(index);
                             let started = Instant::now();
                             let ctx = self.tracer.ctx(spec.slot + 1);
@@ -1306,8 +1282,7 @@ impl Campaign {
                                 }
                                 drop(journal_span);
                             }
-                            resident.exit();
-                        }
+                        });
                         if let Some(s) = session {
                             if !batch.is_empty() {
                                 seq += 1;
@@ -1321,15 +1296,10 @@ impl Campaign {
                 if self.supervisor_wanted() {
                     let supervisor = self.supervisor(&flights);
                     let telemetry = &telemetry;
-                    let queue = &queue;
-                    let resident = &resident;
+                    let claims = &claims;
                     scope.spawn(move || {
                         supervisor.run(telemetry, &|values| {
-                            values.push(("queue.depth".to_owned(), queue.len() as u64));
-                            values.push(("resident.cells".to_owned(), resident.current()));
-                            values.push(("resident.peak".to_owned(), resident.peak()));
-                            values.push(("queue.push_stall_us".to_owned(), queue.push_stall_us()));
-                            values.push(("queue.pop_stall_us".to_owned(), queue.pop_stall_us()));
+                            values.push(("stream.claimed".to_owned(), claims.claimed()));
                             if let Some(s) = session {
                                 let counters = s.writer.counters();
                                 values.push(("checkpoint.slots".to_owned(), counters.slots));
@@ -1369,12 +1339,8 @@ impl Campaign {
         let elapsed_us = (run_start.elapsed().as_micros() as u64).max(1);
         let stats = StreamRunStats {
             workers: workers as u64,
-            queue_depth: queue_depth as u64,
             elapsed_us,
             cells_per_sec: report.completed as f64 * 1_000_000.0 / elapsed_us as f64,
-            peak_resident_cells: resident.peak(),
-            queue_stall_us: queue.push_stall_us(),
-            worker_stall_us: queue.pop_stall_us(),
             merge_us,
             base_world_wait_us: base_worlds.as_ref().map_or(0, BaseWorlds::wait_us),
         };

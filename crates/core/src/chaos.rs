@@ -1,7 +1,7 @@
 //! Deterministic chaos injection for the harness itself: seeded faults
 //! that exercise every degradation path the campaign engine claims to
 //! contain — worker panics, transient boot failures, cells that blow
-//! their deadline, generator stalls, and torn journal writes.
+//! their deadline, claim stalls, and torn journal writes.
 //!
 //! The paper's argument depends on the harness surviving its own
 //! faults (a fault injector that dies on a fault proves nothing), and
@@ -12,10 +12,10 @@
 //! # Determinism contract
 //!
 //! Every report-affecting decision is a pure function of
-//! `(seed, fault kind, slot)` — **never** of worker id, queue position,
+//! `(seed, fault kind, slot)` — **never** of worker id, claim order,
 //! or wall clock — so a chaos campaign produces byte-identical
 //! normalized reports at any `--jobs` count, and CI diffs them exactly
-//! like regular runs. Queue stalls and torn journal writes only shape
+//! like regular runs. Claim stalls and torn journal writes only shape
 //! wall-clock time and journal durability, which `normalized()`
 //! excludes by construction.
 
@@ -63,9 +63,10 @@ pub struct ChaosConfig {
     /// Permille of slots slowed past the cell deadline (→ `TimedOut`;
     /// inert when no deadline is configured).
     pub slowdown_permille: u32,
-    /// Permille of slots whose enqueue stalls the generator briefly
-    /// (wall-clock only — never visible in a normalized report).
-    pub queue_stall_permille: u32,
+    /// Permille of slots whose worker stalls briefly between claiming
+    /// the slot and running it (wall-clock only — never visible in a
+    /// normalized report).
+    pub claim_stall_permille: u32,
     /// Permille of journal records written torn (a prefix of the
     /// bytes), exercising torn-tail recovery. Header records are
     /// exempt so the journal stays identifiable.
@@ -82,7 +83,7 @@ impl ChaosConfig {
             worker_panic_permille: 10,
             transient_boot_permille: 20,
             slowdown_permille: 5,
-            queue_stall_permille: 10,
+            claim_stall_permille: 10,
             torn_write_permille: 100,
         }
     }
@@ -92,7 +93,7 @@ impl ChaosConfig {
         self.worker_panic_permille == 0
             && self.transient_boot_permille == 0
             && self.slowdown_permille == 0
-            && self.queue_stall_permille == 0
+            && self.claim_stall_permille == 0
             && self.torn_write_permille == 0
     }
 }
@@ -106,7 +107,7 @@ pub struct ChaosPolicy {
     worker_panics: AtomicU64,
     transient_boots: AtomicU64,
     slowdowns: AtomicU64,
-    queue_stalls: AtomicU64,
+    claim_stalls: AtomicU64,
     torn_writes: AtomicU64,
 }
 
@@ -118,7 +119,7 @@ impl ChaosPolicy {
             worker_panics: AtomicU64::new(0),
             transient_boots: AtomicU64::new(0),
             slowdowns: AtomicU64::new(0),
-            queue_stalls: AtomicU64::new(0),
+            claim_stalls: AtomicU64::new(0),
             torn_writes: AtomicU64::new(0),
         }
     }
@@ -180,12 +181,13 @@ impl ChaosPolicy {
             && self.roll(SALT_PANIC, slot) % 1000 < u64::from(self.config.worker_panic_permille)
     }
 
-    /// Should the generator stall before enqueueing this slot?
-    pub fn queue_stall(&self, slot: u64) -> Option<Duration> {
-        if !self.fires(SALT_STALL, slot, self.config.queue_stall_permille) {
+    /// Should the worker stall after claiming this slot, before
+    /// running it?
+    pub fn claim_stall(&self, slot: u64) -> Option<Duration> {
+        if !self.fires(SALT_STALL, slot, self.config.claim_stall_permille) {
             return None;
         }
-        self.queue_stalls.fetch_add(1, Ordering::Relaxed);
+        self.claim_stalls.fetch_add(1, Ordering::Relaxed);
         Some(Duration::from_micros(200))
     }
 
@@ -201,14 +203,14 @@ impl ChaosPolicy {
     }
 
     /// Fired-fault counts so far:
-    /// `(worker_panics, transient_boots, slowdowns, queue_stalls,
+    /// `(worker_panics, transient_boots, slowdowns, claim_stalls,
     /// torn_writes)`.
     pub fn fired(&self) -> (u64, u64, u64, u64, u64) {
         (
             self.worker_panics.load(Ordering::Relaxed),
             self.transient_boots.load(Ordering::Relaxed),
             self.slowdowns.load(Ordering::Relaxed),
-            self.queue_stalls.load(Ordering::Relaxed),
+            self.claim_stalls.load(Ordering::Relaxed),
             self.torn_writes.load(Ordering::Relaxed),
         )
     }
@@ -339,7 +341,7 @@ mod tests {
                 a.slowdown(slot, Some(Duration::from_millis(50))),
                 b.slowdown(slot, Some(Duration::from_millis(50)))
             );
-            assert_eq!(a.queue_stall(slot).is_some(), b.queue_stall(slot).is_some());
+            assert_eq!(a.claim_stall(slot).is_some(), b.claim_stall(slot).is_some());
         }
         assert_eq!(a.fired(), b.fired());
         let (panics, boots, slows, stalls, _) = a.fired();
@@ -361,7 +363,7 @@ mod tests {
             worker_panic_permille: 1000,
             transient_boot_permille: 0,
             slowdown_permille: 1000,
-            queue_stall_permille: 0,
+            claim_stall_permille: 0,
             torn_write_permille: 0,
         });
         assert_eq!(policy.slowdown(0, None), None);
@@ -377,7 +379,7 @@ mod tests {
             worker_panic_permille: 0,
             transient_boot_permille: 1000,
             slowdown_permille: 0,
-            queue_stall_permille: 0,
+            claim_stall_permille: 0,
             torn_write_permille: 0,
         });
         let retries = 2u32;
@@ -412,7 +414,7 @@ mod tests {
             worker_panic_permille: 0,
             transient_boot_permille: 0,
             slowdown_permille: 0,
-            queue_stall_permille: 0,
+            claim_stall_permille: 0,
             torn_write_permille: 1000,
         }));
         let mut sink = ChaosSink::new(Box::new(CaptureSink(Vec::new())), Arc::clone(&policy));
@@ -432,7 +434,7 @@ mod tests {
             worker_panic_permille: 0,
             transient_boot_permille: 0,
             slowdown_permille: 0,
-            queue_stall_permille: 0,
+            claim_stall_permille: 0,
             torn_write_permille: 0,
         };
         assert!(off.is_noop());

@@ -554,8 +554,8 @@ impl SlotBuffer {
 /// recovered state a resumed run starts from (empty for a fresh run).
 pub(crate) struct CheckpointSession {
     pub(crate) writer: CheckpointWriter,
-    /// Slots already covered by durable fold records — the generator
-    /// skips these.
+    /// Slots already covered by durable fold records — workers skip
+    /// these after claiming them.
     pub(crate) done: BTreeSet<u64>,
     /// Each prior worker's last cumulative fold, merged into the final
     /// report exactly as if those cells had just run.

@@ -39,17 +39,9 @@ pub const M_FRAMES_COPIED: &str = "mem.frames_copied";
 /// convention as `campaign.chaos.*`), so dashboards can distinguish
 /// "nothing privatized" from "counter missing".
 pub const M_CHUNKS_PRIVATIZED: &str = "mem.chunks_privatized";
-/// Counter (streaming only): time the spec generator spent blocked on
-/// a full work queue, µs.
-pub const M_QUEUE_STALL_US: &str = "campaign.stream.queue_stall_us";
-/// Counter (streaming only): time workers spent blocked on an empty
-/// work queue, µs.
-pub const M_WORKER_STALL_US: &str = "campaign.stream.worker_stall_us";
 /// Counter (streaming only): time spent merging per-worker partial
 /// reports, µs.
 pub const M_MERGE_US: &str = "campaign.stream.merge_us";
-/// Counter (streaming only): peak cells resident in the pipeline.
-pub const M_PEAK_RESIDENT: &str = "campaign.stream.peak_resident_cells";
 /// Counter (streaming only): cold-miss wait on the shared base-world
 /// map, µs.
 pub const M_BASE_WORLD_WAIT_US: &str = "campaign.stream.base_world_wait_us";
@@ -75,8 +67,8 @@ pub const M_CHAOS_PANICS: &str = "campaign.chaos.worker_panics";
 pub const M_CHAOS_BOOTS: &str = "campaign.chaos.transient_boots";
 /// Counter (chaos only): cell slowdowns injected.
 pub const M_CHAOS_SLOWDOWNS: &str = "campaign.chaos.slowdowns";
-/// Counter (chaos only): queue stalls injected.
-pub const M_CHAOS_STALLS: &str = "campaign.chaos.queue_stalls";
+/// Counter (chaos only): claim stalls injected.
+pub const M_CHAOS_STALLS: &str = "campaign.chaos.claim_stalls";
 /// Counter (chaos only): journal records torn mid-write.
 pub const M_CHAOS_TORN: &str = "campaign.chaos.torn_writes";
 /// Counter: stall episodes the supervisor flagged — a busy worker
@@ -223,10 +215,7 @@ pub(crate) fn record_stream_metrics(
     for (name, histogram) in phases.named() {
         registry.observe_histogram(name, histogram);
     }
-    registry.add(M_QUEUE_STALL_US, stats.queue_stall_us);
-    registry.add(M_WORKER_STALL_US, stats.worker_stall_us);
     registry.add(M_MERGE_US, stats.merge_us);
-    registry.add(M_PEAK_RESIDENT, stats.peak_resident_cells);
     registry.add(M_BASE_WORLD_WAIT_US, stats.base_world_wait_us);
 }
 

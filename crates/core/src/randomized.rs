@@ -9,11 +9,11 @@
 
 use crate::campaign::{default_jobs, lock_recover};
 use crate::erroneous_state::ErroneousStateSpec;
-use crate::stream::BoundedQueue;
 use crate::error::{panic_payload, CampaignError};
 use crate::injector::{ArbitraryAccessInjector, Injector};
 use crate::monitor::Monitor;
 use crate::report::TextTable;
+use crate::stream::SlotClaims;
 use guestos::{BootError, World};
 use hvsim::IDT_ENTRIES;
 use hvsim_mem::{DomainId, VirtAddr};
@@ -22,7 +22,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -278,19 +277,17 @@ impl RandomizedCampaign {
         }
         let (base_world, attacker) = self.boot_base(&factory)?;
 
-        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<TrialResult>>> =
             (0..self.trials).map(|_| Mutex::new(None)).collect();
         let workers = jobs.max(1).min(self.trials);
+        let claims = SlotClaims::new(self.trials as u64, workers);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= self.trials {
-                        break;
-                    }
-                    let trial = self.run_trial_contained(&base_world, attacker, t as u64);
-                    *lock_recover(&slots[t]) = Some(trial);
+                scope.spawn(|| {
+                    claims.drain(|t| {
+                        let trial = self.run_trial_contained(&base_world, attacker, t);
+                        *lock_recover(&slots[t as usize]) = Some(trial);
+                    });
                 });
             }
         });
@@ -323,10 +320,10 @@ impl RandomizedCampaign {
         Ok((summary, outcomes))
     }
 
-    /// Streams the trial indices through a bounded queue on exactly
-    /// `jobs` workers, folding each classified trial into a per-worker
-    /// summary that is dropped into the merge at the end — O(workers)
-    /// resident memory, no retained outcomes. Each trial's
+    /// Runs the trials on exactly `jobs` workers that claim batches of
+    /// trial indices themselves, folding each classified trial into a
+    /// per-worker summary that is dropped into the merge at the end —
+    /// O(workers) resident memory, no retained outcomes. Each trial's
     /// classification depends only on its deterministic seed, and every
     /// summary field is a sum, so the merged summary is identical to
     /// [`RandomizedCampaign::run_with_jobs`]'s for every worker count.
@@ -344,23 +341,17 @@ impl RandomizedCampaign {
         }
         let (base_world, attacker) = self.boot_base(&factory)?;
         let workers = jobs.max(1).min(self.trials);
-        let queue: BoundedQueue<u64> = BoundedQueue::new((workers * 2).max(8));
+        let claims = SlotClaims::new(self.trials as u64, workers);
         let partials: Mutex<Vec<RandomizedSummary>> = Mutex::new(Vec::with_capacity(workers));
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for t in 0..self.trials as u64 {
-                    queue.push(t);
-                }
-                queue.close();
-            });
             for _ in 0..workers {
                 scope.spawn(|| {
                     let mut summary = RandomizedSummary::default();
-                    while let Some(t) = queue.pop() {
+                    claims.drain(|t| {
                         let trial = self.run_trial_contained(&base_world, attacker, t);
                         summary.total += 1;
                         fold_trial(&mut summary, &trial);
-                    }
+                    });
                     lock_recover(&partials).push(summary);
                 });
             }
@@ -589,12 +580,18 @@ mod tests {
 
     #[test]
     fn streaming_summary_matches_classic_at_any_worker_count() {
-        let campaign = RandomizedCampaign::new(TargetRegion::IdtGates { cpu: 0 }, 10, 99);
-        let (classic, _) = campaign.run_with_jobs(factory(XenVersion::V4_8), 2).unwrap();
-        for jobs in [1, 4] {
-            let streamed =
-                campaign.run_streaming_summary(factory(XenVersion::V4_8), jobs).unwrap();
-            assert_eq!(streamed, classic, "streamed summary at jobs={jobs}");
+        // Enough trials for several claim batches, so workers really
+        // interleave instead of one batch swallowing the whole run.
+        let trials = 3 * crate::stream::CLAIM_BATCH as usize + 5;
+        for region in [TargetRegion::IdtGates { cpu: 0 }, TargetRegion::DomainPageTables] {
+            let campaign = RandomizedCampaign::new(region, trials, 99);
+            let (classic, _) = campaign.run_with_jobs(factory(XenVersion::V4_8), 2).unwrap();
+            assert_eq!(classic.total, trials);
+            for jobs in [1, 2, 8] {
+                let streamed =
+                    campaign.run_streaming_summary(factory(XenVersion::V4_8), jobs).unwrap();
+                assert_eq!(streamed, classic, "{} streamed at jobs={jobs}", region.label());
+            }
         }
     }
 

@@ -1,24 +1,28 @@
-//! The streaming campaign pipeline: lazy cell-spec generation, a
-//! bounded work queue with backpressure, and merge-associative partial
-//! reports.
+//! The streaming campaign pipeline: an index-addressable cell grid,
+//! batched slot claiming, and merge-associative partial reports.
 //!
 //! The classic runner ([`Campaign::run`](crate::Campaign::run))
 //! materializes one [`CellResult`](crate::CellResult) per cell — O(cells)
 //! memory, fine for the paper's 24-cell Table III, hopeless for the
 //! million-cell grids the taxonomy implies. The streaming runner keeps
-//! resident state at O(workers + queue depth):
+//! one cell per worker resident:
 //!
 //! ```text
-//! SpecGrid (lazy slots)      BoundedQueue (depth D)          N workers
-//!  generator ── CellSpec ──▶ [ ▒▒▒ backpressure ▒▒▒ ] ──▶ run cell ─┐
-//!                                                                   ▼
-//!                                                    PartialFold (per worker)
-//!                                                                   │
-//!                              ordered merge (by first slot) ◀──────┘
-//!                                         │
-//!                                         ▼
-//!                                   StreamReport
+//!  SlotClaims (one AtomicU64)          N workers
+//!  claim batch i..i+B ──────────▶ slot = shard.index + i·shard.count
+//!                                  SpecGrid::decode(slot) → run cell ─┐
+//!                                                                      ▼
+//!                                                       PartialFold (per worker)
+//!                                                                      │
+//!                                 ordered merge (by first slot) ◀──────┘
+//!                                            │
+//!                                            ▼
+//!                                      StreamReport
 //! ```
+//!
+//! There is no generator thread and no queue: [`SpecGrid`] decodes any
+//! slot from its index, so a worker that claims a batch of shard-local
+//! indices from [`SlotClaims`] can build every cell spec itself.
 //!
 //! Determinism: a cell's result depends only on its [`CellSpec`] (every
 //! cell starts from a pristine world), and every aggregate in a
@@ -36,10 +40,9 @@ use crate::scenario::Mode;
 use hvsim::XenVersion;
 use hvsim_obs::{FlightEvent, Histogram, HistogramSummary};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Instant;
 
 /// One cell of a campaign grid, identified by its global slot index.
 ///
@@ -134,20 +137,24 @@ impl SpecGrid {
         })
     }
 
+    /// Decodes the `i`-th slot of a shard: slot `index + i·count` (slot
+    /// `i` when `shard` is `None`). `None` past the shard's end.
+    pub(crate) fn shard_decode(&self, shard: Option<Shard>, i: u64) -> Option<CellSpec> {
+        let Shard { index, count } = shard.unwrap_or(Shard { index: 0, count: 1 });
+        self.decode(i.checked_mul(count)?.checked_add(index)?)
+    }
+
     /// Lazily iterates the whole grid in slot order.
-    pub fn iter(&self) -> SpecIter<'_> {
-        SpecIter { grid: self, next: 0, step: 1 }
+    pub fn iter(&self) -> impl Iterator<Item = CellSpec> + '_ {
+        self.shard_iter(None)
     }
 
     /// Lazily iterates one shard: slots `index, index + count,
     /// index + 2·count, …`. `None` iterates the whole grid. The `n`
     /// shards of any grid partition it exactly, which is what makes
     /// merged shard reports reproduce the unsharded report.
-    pub fn shard_iter(&self, shard: Option<Shard>) -> SpecIter<'_> {
-        match shard {
-            None => self.iter(),
-            Some(s) => SpecIter { grid: self, next: s.index, step: s.count },
-        }
+    pub fn shard_iter(&self, shard: Option<Shard>) -> impl Iterator<Item = CellSpec> + '_ {
+        (0..self.shard_len(shard)).filter_map(move |i| self.shard_decode(shard, i))
     }
 
     /// Number of slots a shard of this grid contains.
@@ -160,22 +167,51 @@ impl SpecGrid {
     }
 }
 
-/// Lazy slot-order iterator over a [`SpecGrid`] (whole grid or one
-/// shard). Never materializes the grid.
-#[derive(Clone, Debug)]
-pub struct SpecIter<'g> {
-    grid: &'g SpecGrid,
-    next: u64,
-    step: u64,
+/// Indices a worker takes per claim: enough that the shared counter is
+/// touched once per many cells, few enough that the last batches of a
+/// run still spread across workers.
+pub(crate) const CLAIM_BATCH: u64 = 64;
+
+/// Hands out the shard-local indices `0..len` in batches from one
+/// shared counter — the only coordination between campaign workers.
+/// Every index is claimed exactly once whatever the interleaving, and a
+/// worker holds at most one cell at a time, so resident memory is one
+/// cell per worker by construction.
+pub(crate) struct SlotClaims {
+    next: AtomicU64,
+    len: u64,
+    batch: u64,
 }
 
-impl Iterator for SpecIter<'_> {
-    type Item = CellSpec;
+impl SlotClaims {
+    /// Claims over `0..len` for `workers` workers. Batches are
+    /// [`CLAIM_BATCH`] indices, shrunk on small grids so every worker
+    /// still gets a share.
+    pub(crate) fn new(len: u64, workers: usize) -> Self {
+        let batch = CLAIM_BATCH.min(len.div_ceil(workers.max(1) as u64)).max(1);
+        Self { next: AtomicU64::new(0), len, batch }
+    }
 
-    fn next(&mut self) -> Option<CellSpec> {
-        let spec = self.grid.decode(self.next)?;
-        self.next = self.next.saturating_add(self.step);
-        Some(spec)
+    /// The next unclaimed batch, or `None` once every index is taken.
+    fn claim(&self) -> Option<Range<u64>> {
+        // Relaxed: the counter only partitions indices. It publishes no
+        // data — workers read inputs set up before they were spawned
+        // and hand results back through mutexes and the scope join.
+        let start = self.next.fetch_add(self.batch, Ordering::Relaxed);
+        (start < self.len).then(|| start..(start + self.batch).min(self.len))
+    }
+
+    /// Calls `f` on every index this worker claims, batch by batch,
+    /// until the range is exhausted.
+    pub(crate) fn drain(&self, mut f: impl FnMut(u64)) {
+        while let Some(batch) = self.claim() {
+            batch.for_each(&mut f);
+        }
+    }
+
+    /// Indices claimed so far (a live gauge, clamped to `len`).
+    pub(crate) fn claimed(&self) -> u64 {
+        self.next.load(Ordering::Relaxed).min(self.len)
     }
 }
 
@@ -277,133 +313,6 @@ impl Shard {
 impl std::fmt::Display for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
-/// A bounded MPMC queue: producers block when full (backpressure),
-/// consumers block when empty, `close()` wakes everyone for shutdown.
-/// Stall time on both sides is accounted so the throughput summary can
-/// show whether the generator or the workers were the bottleneck.
-pub(crate) struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-    push_stall_us: AtomicU64,
-    pop_stall_us: AtomicU64,
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            state: Mutex::new(QueueState { items: VecDeque::with_capacity(capacity), closed: false }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-            push_stall_us: AtomicU64::new(0),
-            pop_stall_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Blocks until there is room, then enqueues. Items pushed after
-    /// `close()` are dropped (the campaign never does this; it closes
-    /// only after the generator is exhausted).
-    pub(crate) fn push(&self, item: T) {
-        let started = Instant::now();
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while state.items.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        let stalled = started.elapsed().as_micros() as u64;
-        if stalled > 0 {
-            self.push_stall_us.fetch_add(stalled, Ordering::Relaxed);
-        }
-        if !state.closed {
-            state.items.push_back(item);
-            drop(state);
-            self.not_empty.notify_one();
-        }
-    }
-
-    /// Blocks until an item is available; `None` once the queue is
-    /// closed *and* drained.
-    pub(crate) fn pop(&self) -> Option<T> {
-        let started = Instant::now();
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                let stalled = started.elapsed().as_micros() as u64;
-                if stalled > 0 {
-                    self.pop_stall_us.fetch_add(stalled, Ordering::Relaxed);
-                }
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Marks the stream complete and wakes all waiters.
-    pub(crate) fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.closed = true;
-        drop(state);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Items currently queued — a telemetry gauge, racy by nature.
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).items.len()
-    }
-
-    /// Total time producers spent blocked on a full queue, µs.
-    pub(crate) fn push_stall_us(&self) -> u64 {
-        self.push_stall_us.load(Ordering::Relaxed)
-    }
-
-    /// Total time consumers spent blocked on an empty queue, µs.
-    pub(crate) fn pop_stall_us(&self) -> u64 {
-        self.pop_stall_us.load(Ordering::Relaxed)
-    }
-}
-
-/// Tracks how many cells are resident (queued or being folded) and the
-/// peak — the evidence that streaming memory is O(workers + queue
-/// depth), not O(cells).
-#[derive(Default)]
-pub(crate) struct ResidentGauge {
-    current: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl ResidentGauge {
-    pub(crate) fn enter(&self) {
-        let now = self.current.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    pub(crate) fn exit(&self) {
-        self.current.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Cells resident right now — a telemetry gauge, racy by nature.
-    pub(crate) fn current(&self) -> u64 {
-        self.current.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
     }
 }
 
@@ -648,7 +557,7 @@ pub struct StreamReport {
 impl StreamReport {
     /// The report with every wall-clock and schedule-dependent value
     /// zeroed; counts survive. Normalized reports are byte-identical
-    /// across worker counts, queue depths, and shardings.
+    /// across worker counts and shardings.
     #[must_use]
     pub fn normalized(&self) -> Self {
         let norm_phase = |p: &PhaseLatency| PhaseLatency {
@@ -823,19 +732,10 @@ impl StreamReport {
 pub struct StreamRunStats {
     /// Worker threads used.
     pub workers: u64,
-    /// Bounded queue capacity.
-    pub queue_depth: u64,
     /// End-to-end elapsed time, µs.
     pub elapsed_us: u64,
     /// Completed cells per second of elapsed time.
     pub cells_per_sec: f64,
-    /// Peak number of cells resident (queued or being folded) at once —
-    /// bounded by queue depth + workers + 1, never O(cells).
-    pub peak_resident_cells: u64,
-    /// Time the generator spent blocked on a full queue, µs.
-    pub queue_stall_us: u64,
-    /// Time workers spent blocked on an empty queue, µs.
-    pub worker_stall_us: u64,
     /// Time spent merging per-worker partial reports, µs.
     pub merge_us: u64,
     /// Time spent waiting on the shared base-world map (cold misses
@@ -868,18 +768,10 @@ pub struct StreamBench {
     pub degraded: u64,
     /// Worker threads used.
     pub workers: u64,
-    /// Bounded queue capacity.
-    pub queue_depth: u64,
     /// End-to-end elapsed time, µs.
     pub elapsed_us: u64,
     /// Completed cells per second of elapsed time.
     pub cells_per_sec: f64,
-    /// Peak cells resident in the pipeline at once.
-    pub peak_resident_cells: u64,
-    /// Generator stall on a full queue, µs.
-    pub queue_stall_us: u64,
-    /// Worker stall on an empty queue, µs.
-    pub worker_stall_us: u64,
     /// Partial-report merge time, µs.
     pub merge_us: u64,
     /// Cold-miss wait on the shared base-world map, µs.
@@ -896,12 +788,8 @@ impl StreamOutcome {
             completed: self.report.completed,
             degraded: self.report.degraded,
             workers: s.workers,
-            queue_depth: s.queue_depth,
             elapsed_us: s.elapsed_us,
             cells_per_sec: s.cells_per_sec,
-            peak_resident_cells: s.peak_resident_cells,
-            queue_stall_us: s.queue_stall_us,
-            worker_stall_us: s.worker_stall_us,
             merge_us: s.merge_us,
             base_world_wait_us: s.base_world_wait_us,
         }
@@ -1082,7 +970,6 @@ impl PartialFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn grid() -> SpecGrid {
         SpecGrid::new(
@@ -1166,41 +1053,51 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_backpressure_and_close() {
-        let q = Arc::new(BoundedQueue::new(2));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                for i in 0..100u64 {
-                    q.push(i);
+    fn claims_hand_out_every_shard_slot_exactly_once() {
+        let b = CLAIM_BATCH as usize;
+        let shards = [None, Some(Shard { index: 0, count: 3 }), Some(Shard { index: 2, count: 3 })];
+        for len in [0, 1, b - 1, b, b + 1] {
+            let g = SpecGrid::new(len, &[XenVersion::V4_6], &[Mode::Exploit], 1);
+            for shard in shards {
+                let expected: Vec<u64> = g.shard_iter(shard).map(|s| s.slot).collect();
+                // Every third slot counts as already done, as a resumed
+                // checkpoint session would report it.
+                let done = |slot: u64| slot % 3 == 1;
+                for threads in [1, 2, 8] {
+                    let claims = SlotClaims::new(g.shard_len(shard), threads);
+                    let ran = std::sync::Mutex::new(Vec::new());
+                    let skipped = AtomicU64::new(0);
+                    std::thread::scope(|scope| {
+                        for _ in 0..threads {
+                            scope.spawn(|| {
+                                let mut mine = Vec::new();
+                                claims.drain(|i| {
+                                    let spec = g.shard_decode(shard, i).unwrap();
+                                    if done(spec.slot) {
+                                        skipped.fetch_add(1, Ordering::Relaxed);
+                                    } else {
+                                        mine.push(spec.slot);
+                                    }
+                                });
+                                ran.lock().unwrap().extend(mine);
+                            });
+                        }
+                    });
+                    let mut ran = ran.into_inner().unwrap();
+                    ran.sort_unstable();
+                    let want: Vec<u64> = expected.iter().copied().filter(|&s| !done(s)).collect();
+                    let case = format!("len {len}, shard {shard:?}, {threads} threads");
+                    assert_eq!(ran, want, "{case}: each live slot runs exactly once");
+                    assert_eq!(
+                        skipped.into_inner(),
+                        expected.len() as u64 - want.len() as u64,
+                        "{case}: done slots are skipped"
+                    );
+                    assert_eq!(claims.claimed(), g.shard_len(shard), "{case}: gauge clamps");
+                    assert_eq!(claims.claim(), None, "{case}: exhausted");
                 }
-                q.close();
-            })
-        };
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(v) = q.pop() {
-                    got.push(v);
-                }
-                got
-            })
-        };
-        producer.join().unwrap();
-        let got = consumer.join().unwrap();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert_eq!(q.pop(), None, "closed and drained");
-    }
-
-    #[test]
-    fn resident_gauge_tracks_peak() {
-        let g = ResidentGauge::default();
-        g.enter();
-        g.enter();
-        g.exit();
-        g.enter();
-        assert_eq!(g.peak(), 2);
+            }
+        }
     }
 
     #[test]

@@ -129,8 +129,8 @@ pub(crate) fn progress_line(done: u64, total: u64, degraded: u64, elapsed_ms: u6
 }
 
 /// Engine-specific gauge appender: each tick's timeline sample passes
-/// through one of these so the streaming engine can add queue depth,
-/// resident cells, and checkpoint/chaos tallies to the shared base set.
+/// through one of these so the streaming engine can add its claim
+/// counter and checkpoint/chaos tallies to the shared base set.
 pub(crate) type ExtraGauges<'a> = &'a dyn Fn(&mut Vec<(String, u64)>);
 
 /// Everything the supervisor thread needs, borrowed from the engine's
@@ -158,8 +158,8 @@ impl Supervisor<'_> {
     /// final sample after the last cell so even sub-interval runs
     /// produce a non-empty timeline.
     ///
-    /// `extra` appends engine-specific gauges (queue depth, resident
-    /// cells, checkpoint counters, chaos tallies) to each sample.
+    /// `extra` appends engine-specific gauges (claimed slots,
+    /// checkpoint counters, chaos tallies) to each sample.
     pub(crate) fn run(&self, telemetry: &Telemetry, extra: ExtraGauges<'_>) {
         if let Some(registry) = self.registry {
             // Pre-register the stall counter so "no stalls" is an

@@ -276,7 +276,7 @@ pub struct TimelineSample {
 /// order, no trailing newline):
 ///
 /// ```json
-/// {"t_ms":400,"values":{"progress.done":1200,"queue.depth":16}}
+/// {"t_ms":400,"values":{"progress.done":1200,"stream.claimed":16}}
 /// ```
 pub fn encode_sample(sample: &TimelineSample) -> String {
     let mut out = String::with_capacity(64 + sample.values.len() * 24);
@@ -297,7 +297,7 @@ pub fn encode_sample(sample: &TimelineSample) -> String {
 ///
 /// Unlike [`MetricsRegistry`] (folded once, deterministically, at
 /// collection time), the timeline is **wall-clock shaped by design** —
-/// queue depths, resident cells, throughput and heartbeat ages as they
+/// claimed slots, throughput and heartbeat ages as they
 /// actually evolved — and is therefore never part of determinism
 /// diffs and never normalized. Cloning is cheap and clones share
 /// state, so the campaign samples while the CLI holds the handle that
@@ -506,20 +506,20 @@ mod tests {
         let sampler = timeline.clone();
         sampler.push(
             200,
-            vec![("queue.depth".to_owned(), 16), ("progress.done".to_owned(), 1200)],
+            vec![("stream.claimed".to_owned(), 16), ("progress.done".to_owned(), 1200)],
         );
         sampler.push(400, vec![("progress.done".to_owned(), 2400)]);
         assert_eq!(timeline.len(), 2, "clones share state");
         let samples = timeline.samples();
         assert_eq!(
             samples[0].values,
-            vec![("progress.done".to_owned(), 1200), ("queue.depth".to_owned(), 16)],
+            vec![("progress.done".to_owned(), 1200), ("stream.claimed".to_owned(), 16)],
             "values are name-sorted on push"
         );
         let jsonl = timeline.to_jsonl();
         assert_eq!(
             jsonl,
-            "{\"t_ms\":200,\"values\":{\"progress.done\":1200,\"queue.depth\":16}}\n\
+            "{\"t_ms\":200,\"values\":{\"progress.done\":1200,\"stream.claimed\":16}}\n\
              {\"t_ms\":400,\"values\":{\"progress.done\":2400}}\n"
         );
         // Samples round-trip through serde for programmatic consumers.

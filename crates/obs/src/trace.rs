@@ -154,7 +154,7 @@ impl Tracer {
         TraceCtx {
             sink: self.inner.clone(),
             shard,
-            seq: Arc::new(AtomicU64::new(0)),
+            seq: self.inner.as_ref().map(|_| Arc::new(AtomicU64::new(0))),
         }
     }
 
@@ -173,11 +173,12 @@ impl Tracer {
 /// The clock lives here — not in the storage shard — so the numbering
 /// of a context's events depends only on the order of its own calls,
 /// never on which other contexts happened to share a storage mutex.
+/// A disabled context has no clock, so creating one allocates nothing.
 #[derive(Clone, Debug)]
 pub struct TraceCtx {
     sink: Option<Arc<Sink>>,
     shard: u64,
-    seq: Arc<AtomicU64>,
+    seq: Option<Arc<AtomicU64>>,
 }
 
 impl TraceCtx {
@@ -192,8 +193,8 @@ impl TraceCtx {
     }
 
     fn emit(&self, kind: EventKind, path: String, wall_us: u64, attrs: Vec<(String, String)>) {
-        if let Some(sink) = &self.sink {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        if let (Some(sink), Some(seq)) = (&self.sink, &self.seq) {
+            let seq = seq.fetch_add(1, Ordering::Relaxed);
             sink.push(TraceEvent { shard: self.shard, seq, kind, path, wall_us, attrs });
         }
     }
@@ -266,6 +267,7 @@ mod tests {
         assert!(!tracer.is_enabled());
         let ctx = tracer.ctx(7);
         assert!(!ctx.is_enabled());
+        assert!(ctx.seq.is_none(), "a disabled context allocates no clock");
         let span = ctx.span_with("cell", || panic!("attrs closure must not run"));
         ctx.point("cell/event", 3, || panic!("attrs closure must not run"));
         drop(span);
