@@ -6,7 +6,7 @@
 
 use bench::synthetic_campaign;
 use hvsim_obs::{flight, MetricsRegistry};
-use intrusion_core::{Campaign, ChaosConfig, ChaosPolicy, StreamReport};
+use intrusion_core::{Campaign, CellOutcome, ChaosConfig, ChaosPolicy, StreamReport};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -84,6 +84,35 @@ fn chaos_is_schedule_independent_and_every_fault_is_typed() {
         dumps(&jobs8.report),
         "normalized flight dumps must be byte-identical at jobs=1 and jobs=8"
     );
+}
+
+#[test]
+fn collecting_runs_inject_the_streamed_runs_faults() {
+    let jobs1 = chaotic().run_with_jobs(1);
+    let jobs8 = chaotic().run_with_jobs(8);
+    assert_eq!(
+        jobs1.normalized().to_json().unwrap(),
+        jobs8.normalized().to_json().unwrap(),
+        "a fixed chaos seed must produce byte-identical collected reports at jobs=1 and jobs=8"
+    );
+
+    // The unsharded grid's cells are in slot order, so a collected
+    // cell's index is its slot: the same slots degrade, the same way,
+    // as in a streamed run of the same campaign.
+    let collected: BTreeMap<u64, CellOutcome> = (0u64..)
+        .zip(jobs1.cells())
+        .filter(|(_, cell)| cell.degraded())
+        .map(|(slot, cell)| (slot, cell.outcome.clone()))
+        .collect();
+    let streamed: BTreeMap<u64, CellOutcome> = chaotic()
+        .run_streaming_with_jobs(2)
+        .report
+        .degraded_slots
+        .into_iter()
+        .map(|(slot, degraded)| (slot, degraded.outcome))
+        .collect();
+    assert!(!collected.is_empty(), "chaos fired on the collecting run");
+    assert_eq!(collected, streamed, "collected and streamed runs degrade the same slots");
 }
 
 #[test]

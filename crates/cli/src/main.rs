@@ -50,7 +50,7 @@ COMMANDS:
                    [--extensions]  include the extension use cases
                    [--json]        emit the raw cell report as JSON
                    [--jobs <n>]    worker threads (default: hardware threads)
-                   [--cell-deadline-ms <n>]  per-cell watchdog deadline (default: none)
+                   [--cell-deadline-ms <n>]  per-cell deadline (default: none)
                    [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
@@ -116,7 +116,7 @@ COMMANDS:
                    [--retries <n>]  retry budget for boots and panicking trials (default 0)
     benchmark    score and rank versions by erroneous-state handling
                    [--jobs <n>]    worker threads (default: hardware threads)
-                   [--cell-deadline-ms <n>]  per-cell watchdog deadline (default: none)
+                   [--cell-deadline-ms <n>]  per-cell deadline (default: none)
                    [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
@@ -223,7 +223,7 @@ fn parse_retries(p: &Parsed) -> Result<u32, String> {
         .map_err(|_| "--retries must be a number".to_owned())
 }
 
-/// Parses `--cell-deadline-ms` into the optional watchdog deadline.
+/// Parses `--cell-deadline-ms` into the optional per-cell deadline.
 fn parse_cell_deadline(p: &Parsed) -> Result<Option<Duration>, String> {
     match p.get_or("cell-deadline-ms", "0").parse::<u64>() {
         Ok(0) => Ok(None),
@@ -450,8 +450,8 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         println!("{}", outcome.report.render_keys());
         let s = outcome.stats;
         println!(
-            "pipeline: {} workers, {:.0} cells/sec; merge {} us, base-world wait {} us",
-            s.workers, s.cells_per_sec, s.merge_us, s.base_world_wait_us,
+            "pipeline: {} workers, {:.0} cells/sec; merge {} us",
+            s.workers, s.cells_per_sec, s.merge_us,
         );
         if outcome.report.degraded > 0 {
             eprintln!(

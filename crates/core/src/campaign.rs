@@ -26,8 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Builds a fresh world for one campaign cell: `(version,
@@ -74,15 +73,6 @@ pub fn standard_world_factory(chunk_frames: Option<usize>) -> WorldFactory {
         }
         builder.build()
     })
-}
-
-/// Locks a mutex, recovering the data from a poisoned lock. Cell bodies
-/// run under their own panic boundary, so a poisoned slot can only mean
-/// a panic in the tiny bookkeeping window around it — the data is a
-/// plain enum that is always in a consistent state, so recovery is safe
-/// and one crashed worker can never wedge result collection.
-pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Name of the attacker guest in the standard world.
@@ -520,11 +510,11 @@ pub struct CampaignConfig {
     /// Boot each `(version, injector)` base world once and clone it per
     /// cell (on by default via [`Campaign::new`]).
     pub reuse_snapshots: bool,
-    /// Per-cell deadline enforced by a watchdog thread; overrunning
-    /// cells are reported [`CellOutcome::TimedOut`]. `None` disables the
-    /// watchdog. The watchdog is cooperative: it re-labels the slot and
-    /// lets the campaign finish, but a cell body that never returns
-    /// still holds its worker thread until it does.
+    /// Per-cell deadline, checked when the cell returns: a cell that
+    /// overran is reported [`CellOutcome::TimedOut`], keeping its phase
+    /// timings. `None` disables the check. The check is cooperative — a
+    /// cell body that never returns holds its worker thread until it
+    /// does, and the supervisor's stall detection flags that worker.
     pub cell_deadline: Option<Duration>,
     /// Extra boot attempts for *transient* failures (`-ENOMEM`/`-EBUSY`)
     /// per cell; `0` means fail on the first error.
@@ -827,137 +817,44 @@ impl Campaign {
         self.run_with_jobs(self.config.jobs.unwrap_or_else(default_jobs))
     }
 
-    /// Runs every cell on exactly `jobs` worker threads. Cell results
-    /// are slot-indexed, so the report's cell order — and, because each
-    /// cell starts from a pristine world, the cells themselves — are
-    /// identical for every worker count.
+    /// Runs every cell on exactly `jobs` worker threads, keeping every
+    /// [`CellResult`]. Workers tag each cell with its shard-local index
+    /// and the cells are put in index order after the join, so the
+    /// report's cell order — and, because each cell starts from a
+    /// pristine world, the cells themselves — are identical for every
+    /// worker count. Chaos, deadlines and flight tails behave exactly
+    /// as in [`Campaign::run_streaming_with_jobs`]: both run the same
+    /// worker loop.
     pub fn run_with_jobs(&self, jobs: usize) -> CampaignReport {
-        let grid = self.grid();
-        let work: Vec<CellSpec> = grid.shard_iter(self.config.shard).collect();
-        if work.is_empty() {
+        let policy = self.chaos_policy();
+        let sinks = self.run_workers(jobs, None, policy.as_deref(), |_| Collected::default());
+        if sinks.is_empty() {
             return CampaignReport::default();
         }
-
-        // Shard 0 of the trace belongs to campaign setup; the cell in
-        // grid slot s uses trace shard s + 1. Shard assignment is
-        // positional, so the trace's logical structure is independent
-        // of the worker count.
-        let setup_ctx = self.tracer.ctx(0);
-        let campaign_span = setup_ctx.span("campaign");
-        let base_worlds =
-            self.config.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
-
-        let completed = AtomicUsize::new(0);
-        let slots: Vec<Mutex<CellSlot>> =
-            work.iter().map(|_| Mutex::new(CellSlot::Pending)).collect();
-        let workers = jobs.max(1).min(work.len());
-        let claims = SlotClaims::new(work.len() as u64, workers);
-        let flights: Vec<FlightHandle> =
-            (0..workers).map(|_| FlightHandle::new(self.config.flight_capacity)).collect();
-        let telemetry = Telemetry::new(work.len() as u64, workers);
-        std::thread::scope(|scope| {
-            let claims = &claims;
-            let completed = &completed;
-            let slots = &slots;
-            let work = &work;
-            let base_worlds = &base_worlds;
-            let telemetry = &telemetry;
-            for (worker, flight) in flights.iter().enumerate() {
-                scope.spawn(move || {
-                    // Each worker keeps its own cache of base-world
-                    // handles: the shared map is consulted at most once
-                    // per (version, injector) key per worker, so the
-                    // per-cell hot path never touches a shared lock.
-                    let mut cache: BaseCache = BTreeMap::new();
-                    claims.drain(|i| {
-                        let i = i as usize;
-                        let spec = work[i];
-                        telemetry.beat(worker);
-                        let started = Instant::now();
-                        *lock_recover(&slots[i]) = CellSlot::Running { started };
-                        let ctx = self.tracer.ctx(spec.slot + 1);
-                        let mut cell = self.run_cell_contained(
-                            &ctx,
-                            &*self.use_cases[spec.use_case],
-                            spec.version,
-                            spec.mode,
-                            spec.trial,
-                            base_worlds.as_ref().map(|worlds| (worlds, &mut cache)),
-                            0,
-                            flight,
-                            spec.slot,
-                        );
-                        if cell.degraded() {
-                            cell.flight = flight.tail(spec.slot);
-                        }
-                        let degraded = cell.degraded();
-                        self.finalize_slot(&slots[i], started, cell);
-                        telemetry.cell_done(degraded);
-                        completed.fetch_add(1, Ordering::Release);
-                    });
-                    telemetry.worker_finished(worker);
-                });
-            }
-            if let Some(deadline) = self.config.cell_deadline {
-                let total = work.len();
-                scope.spawn(move || watchdog(slots, completed, total, deadline));
-            }
-            if self.supervisor_wanted() {
-                let supervisor = self.supervisor(&flights);
-                scope.spawn(move || supervisor.run(telemetry, &|_| {}));
-            }
-        });
-
-        let cells: Vec<CellResult> = work
-            .iter()
-            .zip(slots)
-            .map(|(&spec, slot)| {
-                let uc = &*self.use_cases[spec.use_case];
-                match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    CellSlot::Done(cell) => *cell,
-                    CellSlot::TimedOut { phases } => {
-                        let mut cell = self.timed_out_cell(uc, spec.version, spec.mode, phases);
-                        // The worker attaches tails for cells it saw
-                        // degrade; a watchdog-relabelled slot is only
-                        // known degraded here, so fetch its tail from
-                        // whichever worker ring still holds it.
-                        cell.flight = flights
-                            .iter()
-                            .map(|flight| flight.tail(spec.slot))
-                            .find(|tail| !tail.is_empty())
-                            .unwrap_or_default();
-                        cell
-                    }
-                    // Unreachable — cell bodies are contained, so a
-                    // worker always finalizes its slot — but a lost
-                    // slot degrades one cell, never the collection.
-                    CellSlot::Pending | CellSlot::Running { .. } => self.degraded_cell(
-                        uc,
-                        spec.version,
-                        spec.mode,
-                        CampaignError::HarnessCrash {
-                            payload: "worker abandoned the cell".to_owned(),
-                        },
-                        1,
-                        0,
-                        PhaseTimings::default(),
-                    ),
-                }
-            })
-            .collect();
-        drop(campaign_span);
+        // Cells are boxed while they wait, so the tagged list stays
+        // small and the report's vector is the only other copy.
+        let mut tagged: Vec<(u64, Box<CellResult>)> =
+            sinks.into_iter().flat_map(|sink| sink.0).collect();
+        tagged.sort_unstable_by_key(|&(index, _)| index);
+        let cells: Vec<CellResult> = tagged.into_iter().map(|(_, cell)| *cell).collect();
         let mut report = CampaignReport { cells, metrics: None };
-        // Metrics fold in at collection time, after the slot-indexed
-        // cells are assembled: counter updates happen in report order,
-        // never in worker-scheduling order.
+        // Metrics fold in at collection time, in report order, through
+        // the same fold a streamed run uses — never in worker order.
         if let Some(registry) = &self.metrics {
-            obs_bridge::record_report_metrics(&report, registry);
-            // When chaos is configured the `campaign.chaos.*` counters
-            // are always published — zeros distinguish "chaos quiet"
-            // from "chaos off" (the classic engine injects no faults,
-            // so these are always zero here).
+            let grid = self.grid();
+            let mut fold = PartialFold::default();
+            for (index, cell) in (0u64..).zip(&report.cells) {
+                if let Some(spec) = grid.shard_decode(self.config.shard, index) {
+                    fold.fold(&spec, cell);
+                }
+            }
+            let (summary, phases) = fold.finish();
+            obs_bridge::record_fold_metrics(&summary, &phases, registry);
+            // Published whenever chaos is configured — even a no-op or
+            // quiet policy records explicit zeros, so dashboards can
+            // tell "chaos quiet" from "chaos off".
             if self.config.chaos.is_some() {
-                obs_bridge::record_chaos_metrics(self.chaos_policy().as_deref(), registry);
+                obs_bridge::record_chaos_metrics(policy.as_deref(), registry);
             }
             report.metrics = Some(registry.snapshot());
         }
@@ -994,25 +891,6 @@ impl Campaign {
         }
     }
 
-    /// Stores a finished cell into its slot, honoring the deadline.
-    fn finalize_slot(&self, slot: &Mutex<CellSlot>, started: Instant, cell: CellResult) {
-        let mut slot = lock_recover(slot);
-        // The watchdog may have abandoned this cell while it ran; a
-        // finished-but-late result is also re-labelled here so deadline
-        // enforcement does not depend on watchdog scheduling.
-        let overran = self
-            .config
-            .cell_deadline
-            .is_some_and(|deadline| started.elapsed() > deadline);
-        if !matches!(*slot, CellSlot::TimedOut { .. }) && !overran {
-            *slot = CellSlot::Done(Box::new(cell));
-        } else {
-            // Keep the finished cell's phase breakdown so the timeout
-            // is attributable to boot/inject/monitor.
-            *slot = CellSlot::TimedOut { phases: Some(cell.phase_us) };
-        }
-    }
-
     /// Streams every cell of the (possibly sharded) grid with the
     /// configured worker count. See
     /// [`Campaign::run_streaming_with_jobs`].
@@ -1029,9 +907,8 @@ impl Campaign {
     /// Every aggregate in the report is a commutative monoid over
     /// per-cell values that depend only on the cell's spec, so the
     /// normalized report is byte-identical for every worker count and
-    /// sharding. Deadlines are enforced by the same post-return check
-    /// the classic runner applies when a worker finishes late; there is
-    /// no watchdog thread because no slot vector exists to re-label.
+    /// sharding. A cell that returns past the deadline is relabelled
+    /// [`CellOutcome::TimedOut`] (see [`CampaignConfig::cell_deadline`]).
     pub fn run_streaming_with_jobs(&self, jobs: usize) -> StreamOutcome {
         self.stream_impl(jobs, None, self.chaos_policy())
     }
@@ -1124,14 +1001,8 @@ impl Campaign {
     }
 
     /// The streaming engine body shared by plain, checkpointed, and
-    /// resumed runs. Workers claim shard-local indices from one shared
-    /// counter and decode their slots themselves. With a session, a
-    /// worker skips claimed slots already covered by durable fold
-    /// records, each worker journals its progress (a synced fold record
-    /// every `checkpoint_interval` slots and at drain, plus per-cell
-    /// slot records when the forensic sidecar is enabled), and
-    /// recovered folds merge in exactly like fresh ones. With a chaos policy, slot-
-    /// keyed faults are injected along the way (see [`crate::chaos`]).
+    /// resumed runs: the worker loop with a [`FoldSink`] per worker,
+    /// then the ordered merge of the fresh and recovered folds.
     fn stream_impl(
         &self,
         jobs: usize,
@@ -1139,189 +1010,23 @@ impl Campaign {
         policy: Option<Arc<ChaosPolicy>>,
     ) -> StreamOutcome {
         let run_start = Instant::now();
-        let grid = self.grid();
-        let shard = self.config.shard;
-        let total = grid.shard_len(shard);
-        if total == 0 {
+        let session = session.as_ref();
+        let first_worker = session.map_or(1, |s| s.first_worker);
+        let sinks = self.run_workers(jobs, session, policy.as_deref(), |index| FoldSink {
+            session,
+            worker_id: first_worker + index as u64,
+            fold: PartialFold::default(),
+            seq: 0,
+            batch: Vec::new(),
+            pending: crate::checkpoint::SlotBuffer::default(),
+        });
+        if sinks.is_empty() {
             return StreamOutcome::default();
         }
-        let setup_ctx = self.tracer.ctx(0);
-        let campaign_span = setup_ctx.span("campaign");
-        let base_worlds =
-            self.config.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
-        let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
-        let claims = SlotClaims::new(total, workers);
-        let folds: Mutex<Vec<PartialFold>> = Mutex::new(Vec::with_capacity(workers));
-        let first_worker = session.as_ref().map_or(1, |s| s.first_worker);
-        let flights: Vec<FlightHandle> =
-            (0..workers).map(|_| FlightHandle::new(self.config.flight_capacity)).collect();
-        let live_total =
-            total.saturating_sub(session.as_ref().map_or(0, CheckpointSession::resumed_slots));
-        let telemetry = Telemetry::new(live_total, workers);
-        {
-            let session = session.as_ref();
-            let policy = policy.as_deref();
-            std::thread::scope(|scope| {
-                for (index, flight) in flights.iter().enumerate() {
-                    let worker_id = first_worker + index as u64;
-                    let claims = &claims;
-                    let grid = &grid;
-                    let folds = &folds;
-                    let base_worlds = &base_worlds;
-                    let telemetry = &telemetry;
-                    scope.spawn(move || {
-                        let mut cache: BaseCache = BTreeMap::new();
-                        let mut fold = PartialFold::default();
-                        let mut seq = 0u64;
-                        let mut batch: Vec<u64> = Vec::new();
-                        let mut pending = crate::checkpoint::SlotBuffer::default();
-                        claims.drain(|i| {
-                            let Some(spec) = grid.shard_decode(shard, i) else { return };
-                            if session.is_some_and(|s| s.is_done(spec.slot)) {
-                                return;
-                            }
-                            if let Some(stall) = policy.and_then(|p| p.claim_stall(spec.slot)) {
-                                std::thread::sleep(stall);
-                            }
-                            telemetry.beat(index);
-                            let started = Instant::now();
-                            let ctx = self.tracer.ctx(spec.slot + 1);
-                            let uc = &*self.use_cases[spec.use_case];
-                            // Chaos decisions are slot-keyed and made
-                            // exactly once, here — the only place that
-                            // knows both the slot and the cell.
-                            let (chaos_panic, chaos_slow, chaos_boot_faults) = policy
-                                .map_or((false, None, 0), |p| {
-                                    (
-                                        p.worker_panic(spec.slot),
-                                        p.slowdown(spec.slot, self.config.cell_deadline),
-                                        p.transient_boot_faults(spec.slot, self.config.retries),
-                                    )
-                                });
-                            // Chaos decisions land in the flight ring
-                            // too: a degraded cell's forensic tail shows
-                            // which fault was injected, not just its
-                            // effect. All three are pure functions of
-                            // (seed, slot), so tails stay deterministic.
-                            if chaos_panic {
-                                flight.record(spec.slot, "chaos/worker_panic", 0);
-                            }
-                            if let Some(slow) = chaos_slow {
-                                flight.record_with(
-                                    spec.slot,
-                                    "chaos/slowdown",
-                                    slow.as_micros() as u64,
-                                    |d| d.push_str("2x deadline"),
-                                );
-                            }
-                            if chaos_boot_faults > 0 {
-                                flight.record_with(spec.slot, "chaos/transient_boots", 0, |d| {
-                                    let _ = write!(d, "faults={chaos_boot_faults}");
-                                });
-                            }
-                            let chaos_uc;
-                            let run_uc: &dyn UseCase = if chaos_panic || chaos_slow.is_some() {
-                                chaos_uc = ChaosUseCase::new(uc, chaos_panic, chaos_slow);
-                                &chaos_uc
-                            } else {
-                                uc
-                            };
-                            // Forced transient boots take the fresh-boot
-                            // path (snapshot clones are proven identical
-                            // to fresh boots, so the report is unmoved).
-                            let worlds = if chaos_boot_faults > 0 {
-                                None
-                            } else {
-                                base_worlds.as_ref().map(|worlds| (worlds, &mut cache))
-                            };
-                            let mut cell = self.run_cell_contained(
-                                &ctx,
-                                run_uc,
-                                spec.version,
-                                spec.mode,
-                                spec.trial,
-                                worlds,
-                                chaos_boot_faults,
-                                flight,
-                                spec.slot,
-                            );
-                            if self.config.cell_deadline.is_some_and(|d| started.elapsed() > d) {
-                                flight.record(spec.slot, "cell/deadline_exceeded", 0);
-                                cell = self.timed_out_cell(
-                                    uc,
-                                    spec.version,
-                                    spec.mode,
-                                    Some(cell.phase_us),
-                                );
-                            }
-                            if cell.degraded() {
-                                cell.flight = flight.tail(spec.slot);
-                            }
-                            telemetry.cell_done(cell.degraded());
-                            fold.fold(&spec, &cell);
-                            if let Some(s) = session {
-                                let journal_span = ctx.span("cell/journal");
-                                seq += 1;
-                                s.record_slot(
-                                    &mut pending,
-                                    worker_id,
-                                    seq,
-                                    spec.slot,
-                                    slot_digest(&cell),
-                                );
-                                batch.push(spec.slot);
-                                if batch.len() as u64 >= s.interval {
-                                    seq += 1;
-                                    s.record_fold(
-                                        &mut pending,
-                                        worker_id,
-                                        seq,
-                                        std::mem::take(&mut batch),
-                                        &fold,
-                                    );
-                                }
-                                drop(journal_span);
-                            }
-                        });
-                        if let Some(s) = session {
-                            if !batch.is_empty() {
-                                seq += 1;
-                                s.record_fold(&mut pending, worker_id, seq, batch, &fold);
-                            }
-                        }
-                        lock_recover(folds).push(fold);
-                        telemetry.worker_finished(index);
-                    });
-                }
-                if self.supervisor_wanted() {
-                    let supervisor = self.supervisor(&flights);
-                    let telemetry = &telemetry;
-                    let claims = &claims;
-                    scope.spawn(move || {
-                        supervisor.run(telemetry, &|values| {
-                            values.push(("stream.claimed".to_owned(), claims.claimed()));
-                            if let Some(s) = session {
-                                let counters = s.writer.counters();
-                                values.push(("checkpoint.slots".to_owned(), counters.slots));
-                                values.push(("checkpoint.folds".to_owned(), counters.folds));
-                                values.push(("checkpoint.syncs".to_owned(), counters.syncs));
-                                values.push(("checkpoint.bytes".to_owned(), counters.bytes));
-                            }
-                            if let Some(p) = policy {
-                                let (panics, boots, slowdowns, stalls, torn) = p.fired();
-                                values.push((
-                                    "chaos.fired".to_owned(),
-                                    panics + boots + slowdowns + stalls + torn,
-                                ));
-                            }
-                        });
-                    });
-                }
-            });
-        }
+        let workers = sinks.len() as u64;
         let merge_start = Instant::now();
-        let mut parts = folds.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some(s) = &session {
+        let mut parts: Vec<PartialFold> = sinks.into_iter().map(|sink| sink.fold).collect();
+        if let Some(s) = session {
             parts.extend(s.recovered.iter().cloned());
         }
         // Merge in first-slot order. All aggregates commute, so this is
@@ -1332,21 +1037,20 @@ impl Campaign {
             whole.absorb(part);
         }
         let merge_us = merge_start.elapsed().as_micros() as u64;
-        drop(campaign_span);
         let (mut report, phases) = whole.finish();
         report.grid = self.fingerprint();
-        report.coverage = vec![shard.unwrap_or(Shard { index: 0, count: 1 })];
+        report.coverage = vec![self.config.shard.unwrap_or(Shard { index: 0, count: 1 })];
         let elapsed_us = (run_start.elapsed().as_micros() as u64).max(1);
         let stats = StreamRunStats {
-            workers: workers as u64,
+            workers,
             elapsed_us,
             cells_per_sec: report.completed as f64 * 1_000_000.0 / elapsed_us as f64,
             merge_us,
-            base_world_wait_us: base_worlds.as_ref().map_or(0, BaseWorlds::wait_us),
         };
         if let Some(registry) = &self.metrics {
-            obs_bridge::record_stream_metrics(&report, &phases, &stats, registry);
-            if let Some(s) = &session {
+            obs_bridge::record_fold_metrics(&report, &phases, registry);
+            registry.add(obs_bridge::M_MERGE_US, merge_us);
+            if let Some(s) = session {
                 obs_bridge::record_checkpoint_metrics(
                     &s.writer.counters(),
                     s.resumed_slots(),
@@ -1363,32 +1067,194 @@ impl Campaign {
         StreamOutcome { report, stats }
     }
 
+    /// The campaign's one worker loop, shared by collecting, streamed,
+    /// checkpointed and resumed runs. Workers claim shard-local indices
+    /// from one shared counter, decode their slots themselves, run each
+    /// cell through [`Campaign::run_slot`], and hand it to their own
+    /// sink. With a session, claimed slots already covered by durable
+    /// fold records are skipped. Returns the sinks in worker order;
+    /// none when the shard has no cells.
+    fn run_workers<S: CellSink>(
+        &self,
+        jobs: usize,
+        session: Option<&CheckpointSession>,
+        policy: Option<&ChaosPolicy>,
+        new_sink: impl Fn(usize) -> S + Sync,
+    ) -> Vec<S> {
+        let grid = self.grid();
+        let shard = self.config.shard;
+        let total = grid.shard_len(shard);
+        if total == 0 {
+            return Vec::new();
+        }
+        // Shard 0 of the trace belongs to campaign setup; the cell in
+        // grid slot s uses trace shard s + 1. Shard assignment is
+        // positional, so the trace's logical structure is independent
+        // of the worker count.
+        let setup_ctx = self.tracer.ctx(0);
+        let _campaign_span = setup_ctx.span("campaign");
+        let base_worlds =
+            self.config.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
+        let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
+        let claims = SlotClaims::new(total, workers);
+        let flights: Vec<FlightHandle> =
+            (0..workers).map(|_| FlightHandle::new(self.config.flight_capacity)).collect();
+        let live_total = total.saturating_sub(session.map_or(0, CheckpointSession::resumed_slots));
+        let telemetry = Telemetry::new(live_total, workers);
+        std::thread::scope(|scope| {
+            let (claims, grid, telemetry, new_sink) = (&claims, &grid, &telemetry, &new_sink);
+            let base_worlds = base_worlds.as_ref();
+            let handles: Vec<_> = flights
+                .iter()
+                .enumerate()
+                .map(|(index, flight)| {
+                    scope.spawn(move || {
+                        let mut sink = new_sink(index);
+                        claims.drain(|i| {
+                            let Some(spec) = grid.shard_decode(shard, i) else { return };
+                            if session.is_some_and(|s| s.is_done(spec.slot)) {
+                                return;
+                            }
+                            if let Some(stall) = policy.and_then(|p| p.claim_stall(spec.slot)) {
+                                std::thread::sleep(stall);
+                            }
+                            telemetry.beat(index);
+                            let ctx = self.tracer.ctx(spec.slot + 1);
+                            let cell = self.run_slot(&ctx, spec, base_worlds, policy, flight);
+                            telemetry.cell_done(cell.degraded());
+                            sink.push(i, &spec, cell, &ctx);
+                        });
+                        sink.finish();
+                        telemetry.worker_finished(index);
+                        sink
+                    })
+                })
+                .collect();
+            if self.supervisor_wanted() {
+                let supervisor = self.supervisor(&flights);
+                scope.spawn(move || {
+                    supervisor.run(telemetry, |values| {
+                        values.push(("stream.claimed".to_owned(), claims.claimed()));
+                        if let Some(s) = session {
+                            let counters = s.writer.counters();
+                            values.push(("checkpoint.slots".to_owned(), counters.slots));
+                            values.push(("checkpoint.folds".to_owned(), counters.folds));
+                            values.push(("checkpoint.syncs".to_owned(), counters.syncs));
+                            values.push(("checkpoint.bytes".to_owned(), counters.bytes));
+                        }
+                        if let Some(p) = policy {
+                            let (panics, boots, slowdowns, stalls, torn) = p.fired();
+                            values.push((
+                                "chaos.fired".to_owned(),
+                                panics + boots + slowdowns + stalls + torn,
+                            ));
+                        }
+                    });
+                });
+            }
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    }
+
+    /// Runs one claimed slot: the slot-keyed chaos decisions, the
+    /// contained cell, the deadline relabel, and — for a degraded cell —
+    /// its forensic flight tail.
+    fn run_slot(
+        &self,
+        ctx: &TraceCtx,
+        spec: CellSpec,
+        base_worlds: Option<&BaseWorldMap>,
+        policy: Option<&ChaosPolicy>,
+        flight: &FlightHandle,
+    ) -> CellResult {
+        let started = Instant::now();
+        let uc = &*self.use_cases[spec.use_case];
+        // Chaos decisions are slot-keyed and made exactly once, here —
+        // the only place that knows both the slot and the cell.
+        let (chaos_panic, chaos_slow, chaos_boot_faults) = policy.map_or((false, None, 0), |p| {
+            (
+                p.worker_panic(spec.slot),
+                p.slowdown(spec.slot, self.config.cell_deadline),
+                p.transient_boot_faults(spec.slot, self.config.retries),
+            )
+        });
+        // Chaos decisions land in the flight ring too: a degraded cell's
+        // forensic tail shows which fault was injected, not just its
+        // effect. All three are pure functions of (seed, slot), so tails
+        // stay deterministic.
+        if chaos_panic {
+            flight.record(spec.slot, "chaos/worker_panic", 0);
+        }
+        if let Some(slow) = chaos_slow {
+            flight.record_with(spec.slot, "chaos/slowdown", slow.as_micros() as u64, |d| {
+                d.push_str("2x deadline");
+            });
+        }
+        if chaos_boot_faults > 0 {
+            flight.record_with(spec.slot, "chaos/transient_boots", 0, |d| {
+                let _ = write!(d, "faults={chaos_boot_faults}");
+            });
+        }
+        let chaos_uc;
+        let run_uc: &dyn UseCase = if chaos_panic || chaos_slow.is_some() {
+            chaos_uc = ChaosUseCase::new(uc, chaos_panic, chaos_slow);
+            &chaos_uc
+        } else {
+            uc
+        };
+        // Forced transient boots take the fresh-boot path (snapshot
+        // clones are proven identical to fresh boots, so the report is
+        // unmoved).
+        let base = if chaos_boot_faults > 0 {
+            None
+        } else {
+            base_worlds.and_then(|worlds| worlds.get(&(spec.version, spec.mode == Mode::Injection)))
+        };
+        let mut cell = self.run_cell_contained(
+            ctx,
+            run_uc,
+            spec.version,
+            spec.mode,
+            spec.trial,
+            base,
+            chaos_boot_faults,
+            flight,
+            spec.slot,
+        );
+        if self.config.cell_deadline.is_some_and(|d| started.elapsed() > d) {
+            flight.record(spec.slot, "cell/deadline_exceeded", 0);
+            cell = self.timed_out_cell(uc, spec.version, spec.mode, cell.phase_us);
+        }
+        if cell.degraded() {
+            cell.flight = flight.tail(spec.slot);
+        }
+        cell
+    }
+
     /// Boots every `(version, injector_enabled)` base world the grid
     /// can need, under the setup trace context. A base world that fails
     /// to boot (or panics the factory) poisons only the cells that need
-    /// it — the error is cloned into each.
-    fn boot_base_worlds(&self, setup_ctx: &TraceCtx, grid: &SpecGrid) -> BaseWorlds {
-        let worlds = BaseWorlds::new(
-            Arc::clone(&self.factory),
-            self.config.retries,
-            self.metrics.clone(),
-        );
-        let mut map = lock_recover(&worlds.map);
+    /// it — the error is cloned into each. The map never changes after
+    /// this, so workers share it by reference.
+    fn boot_base_worlds(&self, setup_ctx: &TraceCtx, grid: &SpecGrid) -> BaseWorldMap {
+        let mut worlds = BaseWorldMap::new();
         for &version in grid.versions() {
             for &mode in grid.modes() {
                 let injector = mode == Mode::Injection;
-                map.entry((version, injector)).or_insert_with(|| {
+                worlds.entry((version, injector)).or_insert_with(|| {
                     let span = setup_ctx.span_with("campaign/snapshot_boot", || {
                         vec![
                             ("version".to_owned(), version.to_string()),
                             ("injector".to_owned(), injector.to_string()),
                         ]
                     });
-                    let (world, attempts, backoff_us) = boot_world(
-                        &|v, i| (self.factory)(v, i),
-                        version,
-                        injector,
+                    let (world, attempts, backoff_us) = boot_with_retries(
+                        format_args!("{version}/{injector}"),
                         self.config.retries,
+                        || (self.factory)(version, injector),
                     );
                     if backoff_us > 0 {
                         if let Some(registry) = &self.metrics {
@@ -1409,11 +1275,10 @@ impl Campaign {
                         ]
                     });
                     drop(span);
-                    Arc::new(world)
+                    world
                 });
             }
         }
-        drop(map);
         worlds
     }
 
@@ -1438,7 +1303,7 @@ impl Campaign {
         version: XenVersion,
         mode: Mode,
         trial: u64,
-        worlds: Option<(&BaseWorlds, &mut BaseCache)>,
+        base: Option<&Result<World, CampaignError>>,
         boot_faults: u32,
         flight: &FlightHandle,
         slot: u64,
@@ -1461,19 +1326,8 @@ impl Campaign {
         // broken state can leak to other cells.
         let boot_span = ctx.span("cell/boot");
         let boot_start = Instant::now();
-        let fresh_boot = worlds.is_none();
-        // Base-world lookup runs under its own span unconditionally
-        // (one event per reuse-mode cell — deterministic), so any
-        // residual wait on the shared map is visible as self-time in
-        // the trace profiler. With warm per-worker caches it is a
-        // lock-free BTreeMap hit.
-        let acquired = worlds.map(|(worlds, cache)| {
-            let wait_span = ctx.span("cell/boot/base_wait");
-            let base = worlds.get(cache, (version, mode == Mode::Injection));
-            drop(wait_span);
-            base
-        });
-        let (world, attempts, backoff_us) = match acquired.as_deref() {
+        let fresh_boot = base.is_none();
+        let (world, attempts, backoff_us) = match base {
             Some(Ok(base)) => (
                 catch_unwind(AssertUnwindSafe(|| base.clone())).map_err(|p| {
                     CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }
@@ -1483,22 +1337,15 @@ impl Campaign {
             ),
             Some(Err(e)) => (Err(e.clone()), 1, 0),
             None => {
+                let injector = mode == Mode::Injection;
                 let remaining_faults = std::cell::Cell::new(boot_faults);
-                boot_world(
-                    &|v, i| {
-                        if remaining_faults.get() > 0 {
-                            remaining_faults.set(remaining_faults.get() - 1);
-                            return Err(BootError::transient(
-                                "chaos",
-                                "injected transient boot failure",
-                            ));
-                        }
-                        (self.factory)(v, i)
-                    },
-                    version,
-                    mode == Mode::Injection,
-                    self.config.retries,
-                )
+                boot_with_retries(format_args!("{version}/{injector}"), self.config.retries, || {
+                    if remaining_faults.get() > 0 {
+                        remaining_faults.set(remaining_faults.get() - 1);
+                        return Err(BootError::transient("chaos", "injected transient boot failure"));
+                    }
+                    (self.factory)(version, injector)
+                })
             }
         };
         if backoff_us > 0 {
@@ -1717,16 +1564,15 @@ impl Campaign {
         }
     }
 
-    /// A cell record for a watchdog-abandoned cell. `phases` carries the
-    /// per-phase timings when the worker eventually finished (so the
-    /// overrun is attributable to boot vs inject vs monitor); `None`
-    /// means the worker was still stuck at collection time.
+    /// A cell record for a cell that returned past the deadline.
+    /// `phases` keeps the finished cell's per-phase timings, so the
+    /// overrun is attributable to boot vs inject vs monitor.
     fn timed_out_cell(
         &self,
         uc: &dyn UseCase,
         version: XenVersion,
         mode: Mode,
-        phases: Option<PhaseTimings>,
+        phases: PhaseTimings,
     ) -> CellResult {
         let deadline_us =
             self.config.cell_deadline.map_or(0, |d| d.as_micros() as u64);
@@ -1737,96 +1583,82 @@ impl Campaign {
             CampaignError::Deadline { deadline_us },
             1,
             deadline_us,
-            phases.unwrap_or_default(),
+            phases,
         );
         cell.outcome = CellOutcome::TimedOut { deadline_us };
         cell
     }
 }
 
-/// Key of a base world: `(version, injector_enabled)`.
-type BaseKey = (XenVersion, bool);
+/// The campaign's pre-booted base worlds, keyed by `(version,
+/// injector_enabled)`. A boot error poisons only the cells that need
+/// that world.
+type BaseWorldMap = BTreeMap<(XenVersion, bool), Result<World, CampaignError>>;
 
-/// A shared handle to one pre-booted base world (or its boot error,
-/// which poisons only the cells that need that world).
-type BaseRef = Arc<Result<World, CampaignError>>;
+/// Where a worker puts its finished cells — the one difference between
+/// a collecting run and a streamed one. Everything else is the shared
+/// worker loop ([`Campaign::run_workers`]).
+trait CellSink: Send {
+    /// Takes one finished cell; `index` is its shard-local index.
+    fn push(&mut self, index: u64, spec: &CellSpec, cell: CellResult, ctx: &TraceCtx);
 
-/// A worker's private cache of base-world handles. Once a worker has
-/// seen a key, acquiring that base world is a local read — no shared
-/// state on the per-cell hot path.
-type BaseCache = BTreeMap<BaseKey, BaseRef>;
-
-/// The campaign's base worlds: pre-booted once per `(version,
-/// injector)` key behind a mutex that workers consult only on a
-/// per-worker cache miss (at most once per key per worker). The mutex
-/// that used to be on the per-cell path is gone; `wait_us` records the
-/// residual cold-miss wait so the win stays measurable.
-struct BaseWorlds {
-    factory: WorldFactory,
-    retries: u32,
-    map: Mutex<BTreeMap<BaseKey, BaseRef>>,
-    wait_us: AtomicU64,
-    metrics: Option<MetricsRegistry>,
+    /// Called once after the worker's last cell.
+    fn finish(&mut self) {}
 }
 
-impl BaseWorlds {
-    fn new(factory: WorldFactory, retries: u32, metrics: Option<MetricsRegistry>) -> Self {
-        Self {
-            factory,
-            retries,
-            map: Mutex::new(BTreeMap::new()),
-            wait_us: AtomicU64::new(0),
-            metrics,
+/// A collecting run's sink: every cell, tagged with its shard-local
+/// index so the report can put them back in grid order.
+#[derive(Default)]
+struct Collected(Vec<(u64, Box<CellResult>)>);
+
+impl CellSink for Collected {
+    fn push(&mut self, index: u64, _spec: &CellSpec, cell: CellResult, _ctx: &TraceCtx) {
+        self.0.push((index, Box::new(cell)));
+    }
+}
+
+/// A streamed run's sink: folds each cell into the worker's partial
+/// report and drops it. With a checkpoint session it also journals the
+/// worker's progress — a slot record per cell when the forensic sidecar
+/// is on, and a synced fold record every `interval` slots and at the end.
+struct FoldSink<'a> {
+    session: Option<&'a CheckpointSession>,
+    worker_id: u64,
+    fold: PartialFold,
+    seq: u64,
+    batch: Vec<u64>,
+    pending: crate::checkpoint::SlotBuffer,
+}
+
+impl FoldSink<'_> {
+    fn record_fold(&mut self, session: &CheckpointSession) {
+        self.seq += 1;
+        let batch = std::mem::take(&mut self.batch);
+        session.record_fold(&mut self.pending, self.worker_id, self.seq, batch, &self.fold);
+    }
+}
+
+impl CellSink for FoldSink<'_> {
+    fn push(&mut self, _index: u64, spec: &CellSpec, cell: CellResult, ctx: &TraceCtx) {
+        self.fold.fold(spec, &cell);
+        let Some(session) = self.session else { return };
+        let _journal_span = ctx.span("cell/journal");
+        self.seq += 1;
+        let digest = slot_digest(&cell);
+        session.record_slot(&mut self.pending, self.worker_id, self.seq, spec.slot, digest);
+        self.batch.push(spec.slot);
+        if self.batch.len() as u64 >= session.interval {
+            self.record_fold(session);
         }
     }
 
-    /// The handle for `key`, from the worker's cache when warm. A cold
-    /// miss takes the shared lock (recording the wait) and, for a key
-    /// that was somehow never pre-booted, boots it lazily under the
-    /// lock so the result is still one world per key.
-    fn get(&self, cache: &mut BaseCache, key: BaseKey) -> BaseRef {
-        if let Some(base) = cache.get(&key) {
-            return Arc::clone(base);
-        }
-        let started = Instant::now();
-        let mut map = lock_recover(&self.map);
-        let waited = started.elapsed().as_micros() as u64;
-        if waited > 0 {
-            self.wait_us.fetch_add(waited, Ordering::Relaxed);
-        }
-        let base = Arc::clone(map.entry(key).or_insert_with(|| {
-            let (world, _, backoff_us) =
-                boot_world(&|v, i| (self.factory)(v, i), key.0, key.1, self.retries);
-            if backoff_us > 0 {
-                if let Some(registry) = &self.metrics {
-                    registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
-                }
+    fn finish(&mut self) {
+        if let Some(session) = self.session {
+            if !self.batch.is_empty() {
+                self.record_fold(session);
             }
-            Arc::new(world)
-        }));
-        drop(map);
-        cache.insert(key, Arc::clone(&base));
-        base
+        }
     }
-
-    /// Total cold-miss wait on the shared map, µs.
-    fn wait_us(&self) -> u64 {
-        self.wait_us.load(Ordering::Relaxed)
-    }
-}
-
-/// One result slot's lifecycle, watched by the deadline watchdog.
-enum CellSlot {
-    /// Not picked up by a worker yet.
-    Pending,
-    /// A worker entered the cell body at `started`.
-    Running { started: Instant },
-    /// The watchdog (or the worker's own post-check) abandoned the cell.
-    /// `phases` is filled in by the worker when it finishes late, so the
-    /// deadline overrun is attributable to a specific phase.
-    TimedOut { phases: Option<PhaseTimings> },
-    /// The cell finished in time.
-    Done(Box<CellResult>),
 }
 
 /// Hard ceiling on total backoff sleep per world boot, µs. Keeps the
@@ -1839,80 +1671,43 @@ const MAX_BOOT_BACKOFF_US: u64 = 20_000;
 /// 5ms), scaled by a deterministic ±25% jitter keyed on `(key,
 /// attempt)` — seeded, not sampled, so reruns sleep the same schedule
 /// and reports stay reproducible.
-pub(crate) fn retry_backoff_us(key: &str, attempt: u32) -> u64 {
+fn retry_backoff_us(key: impl std::fmt::Display, attempt: u32) -> u64 {
     let base = (200u64 << attempt.min(6).saturating_sub(1)).min(5_000);
     let salt = format!("{key}/{attempt}");
     let jitter = 750 + splitmix64(fnv64(salt.as_bytes())) % 501;
     base * jitter / 1000
 }
 
-/// Boots one world through the factory with panic containment and the
-/// bounded retry policy: transient failures (`BootError::is_transient`)
-/// are retried up to `retries` extra times with deterministic
-/// exponential backoff (total sleep capped at [`MAX_BOOT_BACKOFF_US`]);
-/// deterministic failures and factory panics fail immediately. Returns
-/// the attempts consumed and the backoff slept, µs.
-fn boot_world(
-    factory: &dyn Fn(XenVersion, bool) -> Result<World, BootError>,
-    version: XenVersion,
-    injector: bool,
+/// Boots through `boot` with panic containment and the bounded retry
+/// policy: transient failures (`BootError::is_transient`) are retried
+/// up to `retries` extra times with deterministic exponential backoff
+/// jittered on `key` (total sleep capped at [`MAX_BOOT_BACKOFF_US`]);
+/// deterministic failures and panics fail immediately. Returns the
+/// attempts consumed and the backoff slept, µs.
+pub(crate) fn boot_with_retries<T>(
+    key: impl std::fmt::Display,
     retries: u32,
-) -> (Result<World, CampaignError>, u32, u64) {
+    boot: impl Fn() -> Result<T, BootError>,
+) -> (Result<T, CampaignError>, u32, u64) {
     let mut attempts = 0u32;
     let mut backoff_us = 0u64;
     loop {
         attempts += 1;
-        match catch_unwind(AssertUnwindSafe(|| factory(version, injector))) {
-            Ok(Ok(world)) => return (Ok(world), attempts, backoff_us),
+        let error = match catch_unwind(AssertUnwindSafe(&boot)) {
+            Ok(Ok(booted)) => return (Ok(booted), attempts, backoff_us),
             Ok(Err(boot)) if boot.is_transient() && attempts <= retries => {
-                let sleep = retry_backoff_us(&format!("{version}/{injector}"), attempts)
+                let sleep = retry_backoff_us(&key, attempts)
                     .min(MAX_BOOT_BACKOFF_US.saturating_sub(backoff_us));
                 if sleep > 0 {
                     std::thread::sleep(Duration::from_micros(sleep));
                     backoff_us += sleep;
                 }
+                continue;
             }
-            Ok(Err(boot)) => {
-                return (
-                    Err(CampaignError::Boot { message: boot.to_string(), attempts }),
-                    attempts,
-                    backoff_us,
-                )
-            }
-            Err(p) => {
-                return (
-                    Err(CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }),
-                    attempts,
-                    backoff_us,
-                )
-            }
-        }
-    }
-}
-
-/// The deadline watchdog: polls running slots and re-labels any that
-/// overran the deadline `TimedOut`, so result collection can report them
-/// without waiting on the stuck worker. Cooperative by design —
-/// `std::thread::scope` still joins every worker, so a cell body that
-/// *never* returns holds campaign exit; the watchdog's job is to keep
-/// the *report* complete and correctly labelled.
-fn watchdog(
-    slots: &[Mutex<CellSlot>],
-    completed: &AtomicUsize,
-    total: usize,
-    deadline: Duration,
-) {
-    let poll = (deadline / 10).max(Duration::from_millis(1));
-    while completed.load(Ordering::Acquire) < total {
-        for slot in slots {
-            let mut slot = lock_recover(slot);
-            if let CellSlot::Running { started } = *slot {
-                if started.elapsed() > deadline {
-                    *slot = CellSlot::TimedOut { phases: None };
-                }
-            }
-        }
-        std::thread::sleep(poll);
+            Ok(Err(boot)) => CampaignError::Boot { message: boot.to_string(), attempts },
+            Err(p) => CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) },
+        };
+        return (Err(error), attempts, backoff_us);
     }
 }
 
@@ -1938,6 +1733,7 @@ mod tests {
     use crate::scenario::ScenarioOutcome;
     use crate::taxonomy::AbusiveFunctionality;
     use hvsim_mem::DomainId;
+    use std::sync::Mutex;
 
     /// A synthetic use case: injects IDT corruption and triggers a fault.
     struct CrashCase;
@@ -2308,6 +2104,29 @@ mod tests {
         let fast = report.cell("synthetic-crash", XenVersion::V4_13, Mode::Injection).unwrap();
         assert!(!fast.degraded(), "cells inside the deadline are unaffected");
         assert!(report.is_degraded());
+    }
+
+    #[test]
+    fn live_telemetry_counts_deadline_overruns_as_degraded() {
+        let timeline = MetricsTimeline::new();
+        let report = Campaign::new()
+            .with_use_case(Box::new(CrashCase))
+            .with_use_case(Box::new(SleepyCase))
+            .versions(&[XenVersion::V4_13])
+            .modes(&[Mode::Injection])
+            .cell_deadline(Duration::from_millis(40))
+            .timeline(timeline.clone())
+            .metrics_interval(Duration::from_millis(5))
+            .run_with_jobs(2);
+        let samples = timeline.samples();
+        let last = samples.last().expect("the supervisor's final sample lands");
+        let degraded = last.values.iter().find(|(k, _)| k == "progress.degraded").map(|&(_, v)| v);
+        assert_eq!(report.degraded_cells().count(), 1, "the sleepy cell overran");
+        assert_eq!(
+            degraded,
+            Some(report.degraded_cells().count() as u64),
+            "the live gauge counts the relabelled cell"
+        );
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl ChaosPolicy {
     }
 
     /// How long to slow this slot down, if at all: 2× the deadline, so
-    /// the watchdog relabel is unambiguous. Panic takes precedence —
+    /// the deadline relabel is unambiguous. Panic takes precedence —
     /// a cell that panics never reaches its slowdown.
     pub fn slowdown(&self, slot: u64, deadline: Option<Duration>) -> Option<Duration> {
         let deadline = deadline?;
@@ -249,8 +249,8 @@ impl JournalSink for ChaosSink {
 /// A delegating [`UseCase`] wrapper that injects this cell's chaos
 /// faults into the inject phase: a panic (caught at the containment
 /// boundary → `Crashed`) or a sleep past the deadline (relabelled by
-/// the watchdog → `TimedOut`). Built per cell by the streaming worker,
-/// which is the only place that knows the slot.
+/// the deadline check → `TimedOut`). Built per cell by the campaign
+/// worker loop, which is the only place that knows the slot.
 pub(crate) struct ChaosUseCase<'a> {
     inner: &'a dyn UseCase,
     panic_in_inject: bool,

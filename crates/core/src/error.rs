@@ -48,8 +48,7 @@ pub enum CampaignError {
         /// The downcast panic payload.
         payload: String,
     },
-    /// The cell exceeded the campaign's per-cell deadline and was
-    /// abandoned by the watchdog.
+    /// The cell returned past the campaign's per-cell deadline.
     Deadline {
         /// The configured deadline, in microseconds.
         deadline_us: u64,
@@ -173,7 +172,7 @@ pub enum CellOutcome {
         /// Which cell crashed.
         cell: CellId,
     },
-    /// The watchdog abandoned the cell at the per-cell deadline.
+    /// The cell returned past the per-cell deadline.
     TimedOut {
         /// The configured deadline, in microseconds.
         deadline_us: u64,

@@ -7,8 +7,8 @@
 //! re-emitted as trace events, so neither `hvsim` nor `guestos` grows a
 //! dependency on the obs crate and no event is ever counted twice.
 
-use crate::campaign::{CampaignReport, CellResult};
-use crate::stream::{StreamReport, StreamRunStats};
+use crate::campaign::CellResult;
+use crate::stream::StreamReport;
 use guestos::BootStage;
 use hvsim::AuditEvent;
 use hvsim_obs::{FlightHandle, Histogram, MetricsRegistry, TraceCtx};
@@ -42,9 +42,6 @@ pub const M_CHUNKS_PRIVATIZED: &str = "mem.chunks_privatized";
 /// Counter (streaming only): time spent merging per-worker partial
 /// reports, µs.
 pub const M_MERGE_US: &str = "campaign.stream.merge_us";
-/// Counter (streaming only): cold-miss wait on the shared base-world
-/// map, µs.
-pub const M_BASE_WORLD_WAIT_US: &str = "campaign.stream.base_world_wait_us";
 /// Counter: total backoff slept between transient boot retries, µs.
 pub const M_RETRY_BACKOFF_US: &str = "boot.retry_backoff_us";
 /// Counter (checkpointing only): slot records journaled.
@@ -128,78 +125,15 @@ pub fn bridge_boot_stages(ctx: &TraceCtx, parent: &str, stages: &[BootStage]) {
     }
 }
 
-fn phase_histograms(
-    registry: &MetricsRegistry,
-    name: &str,
-    cells: &[&CellResult],
-    value: impl Fn(&CellResult) -> Option<u64>,
-) {
-    for cell in cells {
-        if let Some(v) = value(cell) {
-            registry.observe(name, v);
-        }
-    }
-}
-
-/// Folds a finished report into the registry: the `campaign.*` counters
-/// plus per-phase latency histograms split by completed vs degraded.
-/// Called once at collection time (deterministic — no worker-thread
-/// interleaving can reorder counter updates).
-pub fn record_report_metrics(report: &CampaignReport, registry: &MetricsRegistry) {
-    let cells = report.cells();
-    registry.add(M_CELLS, cells.len() as u64);
-    registry.add(M_CELLS_COMPLETED, report.completed_cells().count() as u64);
-    registry.add(M_CELLS_DEGRADED, report.degraded_cells().count() as u64);
-    registry.add(M_RETRIES, cells.iter().map(|c| u64::from(c.attempts.saturating_sub(1))).sum());
-    registry.add(
-        M_TIMEOUTS,
-        cells
-            .iter()
-            .filter(|c| matches!(c.outcome, crate::error::CellOutcome::TimedOut { .. }))
-            .count() as u64,
-    );
-    registry.add(
-        M_BOOT_FAILURES,
-        cells
-            .iter()
-            .filter(|c| matches!(c.outcome, crate::error::CellOutcome::BootFailed))
-            .count() as u64,
-    );
-    registry.add(
-        M_CRASHES,
-        cells
-            .iter()
-            .filter(|c| matches!(c.outcome, crate::error::CellOutcome::Crashed { .. }))
-            .count() as u64,
-    );
-    registry.add(M_HYPERCALLS, crate::report::canonical_hypercall_total(report));
-    registry.add(M_FRAMES_COPIED, cells.iter().map(|c| c.snapshot.frames_copied).sum());
-    registry.add(M_CHUNKS_PRIVATIZED, cells.iter().map(|c| c.snapshot.chunks_privatized).sum());
-    let completed: Vec<&CellResult> = report.completed_cells().collect();
-    let degraded: Vec<&CellResult> = report.degraded_cells().collect();
-    for (suffix, group) in [("completed", &completed), ("degraded", &degraded)] {
-        phase_histograms(registry, &format!("campaign.boot_us.{suffix}"), group, |c| {
-            c.phase_us.boot_us
-        });
-        phase_histograms(registry, &format!("campaign.inject_us.{suffix}"), group, |c| {
-            c.phase_us.inject_us
-        });
-        phase_histograms(registry, &format!("campaign.monitor_us.{suffix}"), group, |c| {
-            c.phase_us.monitor_us
-        });
-    }
-}
-
-/// Folds a streaming run into the registry: the same `campaign.*`
-/// counters the classic path records (from the already-merged report,
-/// so updates are deterministic), full-resolution per-phase histograms
-/// via exact merges, and the streaming-only pipeline counters. The
-/// `campaign.stream.*` values are wall-clock shaped and never part of
-/// determinism diffs.
-pub(crate) fn record_stream_metrics(
+/// Folds a run's merged cell fold into the registry: the `campaign.*`
+/// counters and the six per-phase latency histograms (completed vs
+/// degraded), merged exactly. Collecting and streamed runs both record
+/// through here, from a fold that is complete before any counter moves,
+/// so updates never depend on worker scheduling. Phases no cell
+/// reached publish explicit zero-count histograms.
+pub(crate) fn record_fold_metrics(
     report: &StreamReport,
     phases: &crate::stream::PhaseHistograms,
-    stats: &StreamRunStats,
     registry: &MetricsRegistry,
 ) {
     registry.add(M_CELLS, report.cells);
@@ -215,8 +149,6 @@ pub(crate) fn record_stream_metrics(
     for (name, histogram) in phases.named() {
         registry.observe_histogram(name, histogram);
     }
-    registry.add(M_MERGE_US, stats.merge_us);
-    registry.add(M_BASE_WORLD_WAIT_US, stats.base_world_wait_us);
 }
 
 /// Folds a finished checkpoint session into the registry. Counter

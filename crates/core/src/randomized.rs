@@ -7,7 +7,7 @@
 //! component made concrete), injects each into a fresh world, exercises
 //! the system, and classifies the outcome.
 
-use crate::campaign::{default_jobs, lock_recover};
+use crate::campaign::{boot_with_retries, default_jobs};
 use crate::erroneous_state::ErroneousStateSpec;
 use crate::error::{panic_payload, CampaignError};
 use crate::injector::{ArbitraryAccessInjector, Injector};
@@ -22,7 +22,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Where randomized injections land — the concrete footprint of an
@@ -272,60 +271,31 @@ impl RandomizedCampaign {
         factory: impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync,
         jobs: usize,
     ) -> Result<(RandomizedSummary, Vec<RandomizedOutcome>), CampaignError> {
-        if self.trials == 0 {
-            return Ok((RandomizedSummary::default(), Vec::new()));
-        }
-        let (base_world, attacker) = self.boot_base(&factory)?;
-
-        let slots: Vec<Mutex<Option<TrialResult>>> =
-            (0..self.trials).map(|_| Mutex::new(None)).collect();
-        let workers = jobs.max(1).min(self.trials);
-        let claims = SlotClaims::new(self.trials as u64, workers);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    claims.drain(|t| {
-                        let trial = self.run_trial_contained(&base_world, attacker, t);
-                        *lock_recover(&slots[t as usize]) = Some(trial);
-                    });
-                });
-            }
-        });
-
-        // Fold the summary serially over the slot-ordered results, so
+        let mut trials: Vec<(u64, TrialResult)> = self
+            .run_pool(factory, jobs, |mine: &mut Vec<_>, t, trial| mine.push((t, trial)))?
+            .into_iter()
+            .flatten()
+            .collect();
+        // Fold the summary serially over the index-ordered results, so
         // counting never depends on completion order.
-        let mut summary = RandomizedSummary {
-            total: self.trials,
-            ..Default::default()
-        };
-        let mut outcomes = Vec::with_capacity(self.trials);
-        for slot in slots {
-            let trial = slot
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| TrialResult {
-                    // Unreachable — trial bodies are contained — but a
-                    // lost slot degrades one trial, never the campaign.
-                    outcome: degraded_outcome(
-                        self.region,
-                        CampaignError::HarnessCrash {
-                            payload: "worker abandoned the trial".to_owned(),
-                        },
-                    ),
-                    non_crash_violations: 0,
-                });
-            fold_trial(&mut summary, &trial);
-            outcomes.push(trial.outcome);
-        }
+        trials.sort_unstable_by_key(|&(t, _)| t);
+        let mut summary = RandomizedSummary::default();
+        let outcomes = trials
+            .into_iter()
+            .map(|(_, trial)| {
+                fold_trial(&mut summary, &trial);
+                trial.outcome
+            })
+            .collect();
         Ok((summary, outcomes))
     }
 
-    /// Runs the trials on exactly `jobs` workers that claim batches of
-    /// trial indices themselves, folding each classified trial into a
-    /// per-worker summary that is dropped into the merge at the end —
-    /// O(workers) resident memory, no retained outcomes. Each trial's
-    /// classification depends only on its deterministic seed, and every
-    /// summary field is a sum, so the merged summary is identical to
+    /// Runs the trials on exactly `jobs` workers, folding each
+    /// classified trial into a per-worker summary that is dropped into
+    /// the merge at the end — O(workers) resident memory, no retained
+    /// outcomes. Each trial's classification depends only on its
+    /// deterministic seed, and every summary field is a sum, so the
+    /// merged summary is identical to
     /// [`RandomizedCampaign::run_with_jobs`]'s for every worker count.
     ///
     /// # Errors
@@ -336,66 +306,47 @@ impl RandomizedCampaign {
         factory: impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync,
         jobs: usize,
     ) -> Result<RandomizedSummary, CampaignError> {
-        if self.trials == 0 {
-            return Ok(RandomizedSummary::default());
-        }
-        let (base_world, attacker) = self.boot_base(&factory)?;
-        let workers = jobs.max(1).min(self.trials);
-        let claims = SlotClaims::new(self.trials as u64, workers);
-        let partials: Mutex<Vec<RandomizedSummary>> = Mutex::new(Vec::with_capacity(workers));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut summary = RandomizedSummary::default();
-                    claims.drain(|t| {
-                        let trial = self.run_trial_contained(&base_world, attacker, t);
-                        summary.total += 1;
-                        fold_trial(&mut summary, &trial);
-                    });
-                    lock_recover(&partials).push(summary);
-                });
-            }
-        });
-        let mut merged = RandomizedSummary::default();
-        for summary in partials.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            merged = merged.merge(&summary);
-        }
-        Ok(merged)
+        let partials = self.run_pool(factory, jobs, |summary, _, trial| fold_trial(summary, &trial))?;
+        Ok(partials.iter().fold(RandomizedSummary::default(), |merged, s| merged.merge(s)))
     }
 
-    /// Boots the shared base world with panic containment and the
-    /// transient-failure retry budget, sleeping the same deterministic
-    /// exponential backoff the grid campaign uses between attempts
-    /// (jitter keyed on the campaign seed).
-    fn boot_base(
+    /// The campaign's one worker pool. Boots the shared base world under
+    /// the transient-failure retry budget (backoff jitter keyed on the
+    /// campaign seed), then `jobs` workers claim batches of trial
+    /// indices and hand each contained trial to their own state via
+    /// `take`. Returns the per-worker states; none when there are no
+    /// trials.
+    fn run_pool<S: Default + Send>(
         &self,
-        factory: &(impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync),
-    ) -> Result<(World, DomainId), CampaignError> {
-        let mut attempts = 0u32;
-        let mut backoff_us = 0u64;
-        loop {
-            attempts += 1;
-            match catch_unwind(AssertUnwindSafe(factory)) {
-                Ok(Ok(base)) => return Ok(base),
-                Ok(Err(boot)) if boot.is_transient() && attempts <= self.retries => {
-                    let sleep =
-                        crate::campaign::retry_backoff_us(&format!("randomized/{}", self.seed), attempts)
-                            .min(20_000u64.saturating_sub(backoff_us));
-                    if sleep > 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(sleep));
-                        backoff_us += sleep;
-                    }
-                }
-                Ok(Err(boot)) => {
-                    return Err(CampaignError::Boot { message: boot.to_string(), attempts })
-                }
-                Err(p) => {
-                    return Err(CampaignError::HarnessCrash {
-                        payload: panic_payload(p.as_ref()),
-                    })
-                }
-            }
+        factory: impl Fn() -> Result<(World, DomainId), BootError>,
+        jobs: usize,
+        take: impl Fn(&mut S, u64, TrialResult) + Sync,
+    ) -> Result<Vec<S>, CampaignError> {
+        if self.trials == 0 {
+            return Ok(Vec::new());
         }
+        let (base, _, _) =
+            boot_with_retries(format_args!("randomized/{}", self.seed), self.retries, factory);
+        let (base_world, attacker) = base?;
+        let workers = jobs.max(1).min(self.trials);
+        let claims = SlotClaims::new(self.trials as u64, workers);
+        Ok(std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut state = S::default();
+                        claims.drain(|t| {
+                            take(&mut state, t, self.run_trial_contained(&base_world, attacker, t));
+                        });
+                        state
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        }))
     }
 
     /// Runs trial `t` under a panic boundary, retrying contained panics
@@ -473,11 +424,11 @@ struct TrialResult {
     non_crash_violations: usize,
 }
 
-/// Classifies one trial into the summary counts (everything except
-/// `total`, which the callers own). Shared by the slot-ordered classic
-/// fold and the per-worker streaming fold — one definition of
-/// degraded/crashed/violated/handled for both paths.
+/// Counts one trial into the summary. Shared by the index-ordered
+/// collecting fold and the per-worker streaming fold — one definition
+/// of degraded/crashed/violated/handled for both paths.
 fn fold_trial(summary: &mut RandomizedSummary, trial: &TrialResult) {
+    summary.total += 1;
     if trial.outcome.error.is_some() {
         summary.degraded += 1;
         return;

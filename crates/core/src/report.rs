@@ -12,9 +12,9 @@ use std::fmt;
 /// report, and the `campaign.hypercalls` registry counter
 /// ([`M_HYPERCALLS`](crate::obs_bridge::M_HYPERCALLS)) when metrics are
 /// attached. The report field is **authoritative**: it exists whether or
-/// not a registry is attached, and the counter is derived from it at
-/// collection time (`record_report_metrics` calls this function), so the
-/// two can never legitimately disagree. The
+/// not a registry is attached, and the counter is derived at collection
+/// time from the same per-cell values, so the two can never
+/// legitimately disagree. The
 /// `hypercall_counter_matches_canonical_per_cell_sum` test pins that
 /// equality down.
 pub fn canonical_hypercall_total(report: &CampaignReport) -> u64 {

@@ -1,11 +1,14 @@
 //! The streaming campaign pipeline: an index-addressable cell grid,
 //! batched slot claiming, and merge-associative partial reports.
 //!
-//! The classic runner ([`Campaign::run`](crate::Campaign::run))
-//! materializes one [`CellResult`](crate::CellResult) per cell — O(cells)
-//! memory, fine for the paper's 24-cell Table III, hopeless for the
-//! million-cell grids the taxonomy implies. The streaming runner keeps
-//! one cell per worker resident:
+//! Every campaign run goes through one worker loop; runs differ only in
+//! what each worker does with a finished cell. A collecting run
+//! ([`Campaign::run`](crate::Campaign::run)) keeps one
+//! [`CellResult`](crate::CellResult) per cell — O(cells) memory, right
+//! for the paper's 24-cell Table III. A streamed run folds each cell
+//! into its worker's partial report and drops it, keeping one cell per
+//! worker resident — what the million-cell grids the taxonomy implies
+//! need:
 //!
 //! ```text
 //!  SlotClaims (one AtomicU64)          N workers
@@ -738,9 +741,6 @@ pub struct StreamRunStats {
     pub cells_per_sec: f64,
     /// Time spent merging per-worker partial reports, µs.
     pub merge_us: u64,
-    /// Time spent waiting on the shared base-world map (cold misses
-    /// only; per-worker caches make steady state lock-free), µs.
-    pub base_world_wait_us: u64,
 }
 
 /// What a streaming run returns: the mergeable report plus the
@@ -774,8 +774,6 @@ pub struct StreamBench {
     pub cells_per_sec: f64,
     /// Partial-report merge time, µs.
     pub merge_us: u64,
-    /// Cold-miss wait on the shared base-world map, µs.
-    pub base_world_wait_us: u64,
 }
 
 impl StreamOutcome {
@@ -791,7 +789,6 @@ impl StreamOutcome {
             elapsed_us: s.elapsed_us,
             cells_per_sec: s.cells_per_sec,
             merge_us: s.merge_us,
-            base_world_wait_us: s.base_world_wait_us,
         }
     }
 }

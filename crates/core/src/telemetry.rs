@@ -1,8 +1,8 @@
 //! Live campaign telemetry: worker heartbeats, stall detection, the
 //! metrics-timeline sampler, and the `--progress` line.
 //!
-//! The campaign engines (classic and streaming) share one model: each
-//! worker stamps a heartbeat at every slot boundary, and a single
+//! The campaign worker loop stamps each worker's heartbeat at every
+//! slot boundary, and a single
 //! supervisor thread wakes every sampling interval to (1) push a
 //! [`TimelineSample`] of live counters and gauges, (2) compare every
 //! worker's heartbeat age against the stall threshold — flagging a
@@ -128,11 +128,6 @@ pub(crate) fn progress_line(done: u64, total: u64, degraded: u64, elapsed_ms: u6
     )
 }
 
-/// Engine-specific gauge appender: each tick's timeline sample passes
-/// through one of these so the streaming engine can add its claim
-/// counter and checkpoint/chaos tallies to the shared base set.
-pub(crate) type ExtraGauges<'a> = &'a dyn Fn(&mut Vec<(String, u64)>);
-
 /// Everything the supervisor thread needs, borrowed from the engine's
 /// scope so the thread can live inside `std::thread::scope`.
 pub(crate) struct Supervisor<'a> {
@@ -158,9 +153,9 @@ impl Supervisor<'_> {
     /// final sample after the last cell so even sub-interval runs
     /// produce a non-empty timeline.
     ///
-    /// `extra` appends engine-specific gauges (claimed slots,
-    /// checkpoint counters, chaos tallies) to each sample.
-    pub(crate) fn run(&self, telemetry: &Telemetry, extra: ExtraGauges<'_>) {
+    /// `extra` appends run-specific gauges (claimed slots, checkpoint
+    /// counters, chaos tallies) to each sample.
+    pub(crate) fn run(&self, telemetry: &Telemetry, extra: impl Fn(&mut Vec<(String, u64)>)) {
         if let Some(registry) = self.registry {
             // Pre-register the stall counter so "no stalls" is an
             // explicit 0 in every snapshot, not an absent name.
@@ -169,7 +164,7 @@ impl Supervisor<'_> {
         let mut flagged = vec![false; self.flight.len().max(telemetry.heartbeats.len())];
         loop {
             let finished = self.sleep_interval(telemetry);
-            self.tick(telemetry, extra, &mut flagged);
+            self.tick(telemetry, &extra, &mut flagged);
             if finished {
                 break;
             }
@@ -196,7 +191,7 @@ impl Supervisor<'_> {
     fn tick(
         &self,
         telemetry: &Telemetry,
-        extra: ExtraGauges<'_>,
+        extra: &impl Fn(&mut Vec<(String, u64)>),
         flagged: &mut [bool],
     ) {
         let now_ms = telemetry.elapsed_ms();
