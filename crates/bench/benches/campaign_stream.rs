@@ -1,8 +1,8 @@
 //! Streaming-pipeline throughput: the classic collect-everything engine
 //! against the bounded-memory streaming runner on a synthetic grid.
 //! Reports are byte-identical across engines (see the streaming tests),
-//! so this measures pure pipeline overhead — `cells_per_sec` for the
-//! same grid lands in `BENCH_campaign.json` via `table3_campaign`.
+//! so this measures pure pipeline overhead. The `perf` benchmark's
+//! `synthetic_stream` workload measures the same grid end to end.
 
 use bench::synthetic_campaign;
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -180,5 +180,4 @@ fn chaos_composes_with_checkpoint_resume_despite_torn_writes() {
         "chaos + kill + resume must reproduce the uninterrupted report"
     );
     std::fs::remove_file(&journal).ok();
-    std::fs::remove_file(format!("{}.slots", journal.display())).ok();
 }

@@ -15,12 +15,7 @@ const SEED: u64 = 0xD5_2023;
 const TRIALS: u64 = 33_334;
 
 fn campaign() -> Campaign {
-    // The forensic sidecar is opt-in; on here so the kill/resume path
-    // exercises it at scale (the sidecar appends across generations).
-    synthetic_campaign(SEED, TRIALS)
-        .jobs(4)
-        .checkpoint_interval(256)
-        .journal_slots(true)
+    synthetic_campaign(SEED, TRIALS).jobs(4)
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -63,7 +58,6 @@ fn killed_checkpointed_campaign_resumes_byte_identically() {
     assert!(skipped > 0, "resume must skip slots covered by durable fold records");
     assert!(skipped < 100_002, "a truncated journal cannot cover the whole grid");
     assert!(counter(&registry, "campaign.checkpoint.folds") > 0);
-    assert!(counter(&registry, "campaign.checkpoint.slots") > 0, "sidecar was requested");
     assert_eq!(counter(&registry, "campaign.checkpoint.write_errors"), 0);
 
     // A second resume of the now-complete journal re-runs only the tail
@@ -71,7 +65,6 @@ fn killed_checkpointed_campaign_resumes_byte_identically() {
     let again = campaign().resume(&journal).unwrap();
     assert_eq!(again.report.normalized().to_json().unwrap(), uninterrupted);
     std::fs::remove_file(&journal).ok();
-    std::fs::remove_file(format!("{}.slots", journal.display())).ok();
 }
 
 #[test]
@@ -92,8 +85,7 @@ fn killed_shards_resume_and_merge_to_the_unsharded_report() {
         );
         shard_reports.push(resumed.report);
         std::fs::remove_file(&journal).ok();
-        std::fs::remove_file(format!("{}.slots", journal.display())).ok();
-    }
+        }
     let merged = shard_reports[0].try_merge(&shard_reports[1]).unwrap();
     assert_eq!(
         merged.normalized().to_json().unwrap(),
@@ -115,5 +107,4 @@ fn resume_refuses_the_wrong_campaign_or_shard() {
         small().shard(Shard::new(0, 2).unwrap()).resume(&journal).unwrap_err().to_string();
     assert!(err.contains("different campaign"), "shard mismatch is loud and typed: {err}");
     std::fs::remove_file(&journal).ok();
-    std::fs::remove_file(format!("{}.slots", journal.display())).ok();
 }

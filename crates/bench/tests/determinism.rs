@@ -5,9 +5,7 @@
 
 use bench::{attack_world, paper_campaign, synthetic_campaign};
 use hvsim::XenVersion;
-use intrusion_core::{
-    standard_world_factory, RandomizedCampaign, Shard, StreamReport, TargetRegion,
-};
+use intrusion_core::{RandomizedCampaign, Shard, StreamReport, TargetRegion};
 use proptest::prelude::*;
 
 #[test]
@@ -30,25 +28,6 @@ fn paper_campaign_snapshots_match_boot_per_cell() {
         booted.normalized().to_json().unwrap(),
         "a snapshot clone must behave exactly like a fresh boot"
     );
-}
-
-#[test]
-fn paper_campaign_report_is_chunk_size_independent() {
-    // The COW chunk directory is pure mechanism: shrinking chunks to a
-    // single frame (maximum privatization granularity) or inflating
-    // them past the whole world (the old monolithic behaviour) must
-    // not change a single byte of the normalized report.
-    let default_chunks = paper_campaign().run_with_jobs(2);
-    for chunk in [1usize, 1 << 20] {
-        let resized = paper_campaign()
-            .world_factory(standard_world_factory(Some(chunk)))
-            .run_with_jobs(2);
-        assert_eq!(
-            default_chunks.normalized().to_json().unwrap(),
-            resized.normalized().to_json().unwrap(),
-            "chunk size {chunk} must produce a byte-identical report"
-        );
-    }
 }
 
 #[test]

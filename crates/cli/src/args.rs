@@ -14,9 +14,20 @@ pub struct Parsed {
     /// Bare `--flag` switches.
     pub flags: Vec<String>,
     /// Positional arguments after the subcommand (e.g. `trace summary
-    /// FILE`). Commands that take none reject them via
-    /// [`Parsed::no_positionals`].
+    /// FILE`), for commands whose [`Spec`] allows them.
     pub positionals: Vec<String>,
+}
+
+/// The arguments one subcommand accepts.
+#[derive(Clone, Copy, Debug)]
+pub struct Spec {
+    /// Bare `--flag` switches.
+    pub flags: &'static [&'static str],
+    /// `--key value` options.
+    pub values: &'static [&'static str],
+    /// Whether positional arguments are allowed (the command checks
+    /// them itself).
+    pub positionals: bool,
 }
 
 /// Argument errors.
@@ -26,6 +37,10 @@ pub enum ArgError {
     MissingCommand,
     /// Unexpected positional argument.
     UnexpectedPositional(String),
+    /// An option the command does not accept.
+    UnknownOption(String),
+    /// A `--key value` option given without its value.
+    MissingValue(String),
     /// A required option is absent.
     MissingOption(&'static str),
     /// An option has an unrecognized value.
@@ -44,6 +59,8 @@ impl fmt::Display for ArgError {
         match self {
             ArgError::MissingCommand => f.write_str("no subcommand given (try 'help')"),
             ArgError::UnexpectedPositional(v) => write!(f, "unexpected argument '{v}'"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option --{k} (see 'help')"),
+            ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::MissingOption(k) => write!(f, "required option --{k} missing"),
             ArgError::BadValue { option, value, expected } => {
                 write!(f, "--{option} got '{value}', expected one of: {expected}")
@@ -54,41 +71,42 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Parses `args` (without the program name).
-///
-/// Arguments after the subcommand are either `--key value` pairs (a key
-/// followed by another `--key` or end-of-input is treated as a flag) or
-/// positionals, collected in order. Most commands take no positionals
-/// and reject them with [`Parsed::no_positionals`].
+/// Parses `args` (without the program name) against the [`Spec`] of the
+/// subcommand, its first element: every `--key` must be one of the
+/// spec's flags or value options, a value option must be followed by a
+/// value, and positionals are collected in order when the spec allows
+/// them.
 ///
 /// # Errors
 ///
 /// [`ArgError`] on malformed input.
-pub fn parse<I, S>(args: I) -> Result<Parsed, ArgError>
+pub fn parse<I, S>(args: I, spec: Spec) -> Result<Parsed, ArgError>
 where
     I: IntoIterator<Item = S>,
     S: Into<String>,
 {
-    let mut iter = args.into_iter().map(Into::into).peekable();
+    let mut iter = args.into_iter().map(Into::into);
     let command = iter.next().ok_or(ArgError::MissingCommand)?;
-    if command.starts_with("--") {
-        return Err(ArgError::MissingCommand);
-    }
-    let mut parsed = Parsed {
-        command,
-        ..Default::default()
-    };
+    let mut parsed = Parsed { command, ..Default::default() };
     while let Some(arg) = iter.next() {
         let Some(key) = arg.strip_prefix("--") else {
+            if !spec.positionals {
+                return Err(ArgError::UnexpectedPositional(arg));
+            }
             parsed.positionals.push(arg);
             continue;
         };
-        match iter.peek() {
-            Some(next) if !next.starts_with("--") => {
-                let value = iter.next().expect("peeked");
-                parsed.options.insert(key.to_owned(), value);
+        if spec.flags.contains(&key) {
+            parsed.flags.push(key.to_owned());
+        } else if spec.values.contains(&key) {
+            match iter.next() {
+                Some(value) if !value.starts_with("--") => {
+                    parsed.options.insert(key.to_owned(), value);
+                }
+                _ => return Err(ArgError::MissingValue(key.to_owned())),
             }
-            _ => parsed.flags.push(key.to_owned()),
+        } else {
+            return Err(ArgError::UnknownOption(key.to_owned()));
         }
     }
     Ok(parsed)
@@ -116,27 +134,18 @@ impl Parsed {
     pub fn has_flag(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)
     }
-
-    /// Rejects stray positional arguments — for commands that take none.
-    ///
-    /// # Errors
-    ///
-    /// [`ArgError::UnexpectedPositional`] naming the first extra.
-    pub fn no_positionals(&self) -> Result<(), ArgError> {
-        match self.positionals.first() {
-            None => Ok(()),
-            Some(extra) => Err(ArgError::UnexpectedPositional(extra.clone())),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const SPEC: Spec =
+        Spec { flags: &["json"], values: &["use-case", "version"], positionals: false };
+
     #[test]
     fn parses_command_options_and_flags() {
-        let p = parse(["inject", "--use-case", "XSA-182-test", "--version", "4.13", "--json"])
+        let p = parse(["inject", "--use-case", "XSA-182-test", "--version", "4.13", "--json"], SPEC)
             .unwrap();
         assert_eq!(p.command, "inject");
         assert_eq!(p.require("use-case").unwrap(), "XSA-182-test");
@@ -147,33 +156,48 @@ mod tests {
 
     #[test]
     fn missing_command() {
-        assert_eq!(parse(Vec::<String>::new()).unwrap_err(), ArgError::MissingCommand);
-        assert_eq!(parse(["--json"]).unwrap_err(), ArgError::MissingCommand);
+        assert_eq!(parse(Vec::<String>::new(), SPEC).unwrap_err(), ArgError::MissingCommand);
     }
 
     #[test]
     fn positionals_collected_and_rejectable() {
-        let p = parse(["trace", "summary", "t.jsonl", "--top", "5"]).unwrap();
+        let trace = Spec { flags: &[], values: &["top"], positionals: true };
+        let p = parse(["trace", "summary", "t.jsonl", "--top", "5"], trace).unwrap();
         assert_eq!(p.positionals, vec!["summary".to_owned(), "t.jsonl".to_owned()]);
         assert_eq!(p.get_or("top", "10"), "5");
-        // Commands that take no positionals reject them explicitly.
-        let p = parse(["run", "extra"]).unwrap();
         assert_eq!(
-            p.no_positionals().unwrap_err(),
+            parse(["run", "extra"], SPEC).unwrap_err(),
             ArgError::UnexpectedPositional("extra".into())
         );
-        assert!(parse(["campaign", "--json"]).unwrap().no_positionals().is_ok());
     }
 
     #[test]
     fn trailing_option_is_flag() {
-        let p = parse(["campaign", "--extensions"]).unwrap();
-        assert!(p.has_flag("extensions"));
+        let p = parse(["run", "--json"], SPEC).unwrap();
+        assert!(p.has_flag("json"));
+    }
+
+    #[test]
+    fn unknown_options_and_missing_values_are_errors() {
+        assert_eq!(
+            parse(["run", "--verison", "4.8"], SPEC).unwrap_err(),
+            ArgError::UnknownOption("verison".into())
+        );
+        // A value option never degrades into a flag.
+        assert_eq!(
+            parse(["run", "--version"], SPEC).unwrap_err(),
+            ArgError::MissingValue("version".into())
+        );
+        assert_eq!(
+            parse(["run", "--version", "--json"], SPEC).unwrap_err(),
+            ArgError::MissingValue("version".into())
+        );
+        assert!(ArgError::UnknownOption("x".into()).to_string().contains("--x"));
     }
 
     #[test]
     fn required_option_errors() {
-        let p = parse(["inject"]).unwrap();
+        let p = parse(["inject"], SPEC).unwrap();
         assert_eq!(p.require("use-case").unwrap_err(), ArgError::MissingOption("use-case"));
     }
 

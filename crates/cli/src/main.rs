@@ -19,15 +19,14 @@
 
 mod args;
 
-use args::{ArgError, Parsed};
+use args::{ArgError, Parsed, Spec};
 use hvsim_obs::{
     flight, parse_jsonl, parse_line, to_jsonl, FlightEvent, MetricsRegistry, MetricsTimeline,
     ParseError, TraceSummary, Tracer,
 };
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
-    read_header, standard_world_factory, ArbitraryAccessInjector, Campaign, CampaignReport,
-    ChaosConfig, Mode,
+    read_header, ArbitraryAccessInjector, Campaign, CampaignReport, ChaosConfig, Mode,
     RandomizedCampaign, RandomizedSummary, SecurityBenchmark, Shard, StreamReport, TargetRegion,
     UseCase,
 };
@@ -54,10 +53,6 @@ COMMANDS:
                    [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
-                   [--chunk-frames <n>]  COW chunk-directory granularity in
-                                   frames (escape hatch; rounded up to a power
-                                   of two, reports are byte-identical at any
-                                   size)
                    [--stream]      bounded-memory streaming engine: per-key summary
                                    instead of per-cell tables, one resident cell
                                    per worker, mergeable reports
@@ -67,15 +62,11 @@ COMMANDS:
                    [--trials <n>]  trials per (use case, version, mode) cell
                    [--report-out <file>]   with --stream: write the normalized
                                    mergeable report as JSON
-                   [--checkpoint <file>]   journal durable progress so a killed
-                                   run can 'campaign resume <file>' (implies
-                                   --stream); resumed runs produce the same
-                                   normalized report byte-for-byte
-                   [--checkpoint-interval <n>]  slots per durable fold record
-                                   (default 1024)
-                   [--journal-slots]  with --checkpoint: also stream per-cell
-                                   forensic records to <file>.slots (never
-                                   synced, never read by recovery)
+                   [--checkpoint <file>]   journal durable progress (a synced
+                                   fold record every 1024 slots per worker) so
+                                   a killed run can 'campaign resume <file>'
+                                   (implies --stream); resumed runs produce
+                                   the same normalized report byte-for-byte
                    [--chaos-seed <n>]  deterministic fault injection: seeded
                                    worker panics, transient boots, slowdowns,
                                    claim stalls, torn journal writes (implies
@@ -88,12 +79,9 @@ COMMANDS:
                                    <dir>/slot-<n>.jsonl (plus
                                    stall-worker-<n>.jsonl for wedged workers);
                                    dumps are trace-schema JSONL
-                   [--flight-capacity <n>]  per-worker flight-recorder ring
-                                   size (default 256; 0 disables the recorder)
-                   [--timeline-out <file>]  write the sampled metrics timeline
-                                   (counters + gauges per tick) as JSONL
-                   [--metrics-interval-ms <n>]  telemetry sampling interval
-                                   (default 200 when a telemetry output is on)
+                   [--timeline-out <file>]  write the metrics timeline, sampled
+                                   every 200 ms (counters + gauges per tick),
+                                   as JSONL
                  resume <file>   resume a checkpointed campaign from its
                                    journal; grid shape, trials and shard are
                                    restored from the journal header
@@ -238,48 +226,19 @@ fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, St
     if let Some(deadline) = parse_cell_deadline(p)? {
         campaign = campaign.cell_deadline(deadline);
     }
-    if let Some(raw) = p.options.get("chunk-frames") {
-        let chunk: usize = raw
-            .parse()
-            .ok()
-            .filter(|&c| c > 0)
-            .ok_or("--chunk-frames must be a positive number".to_owned())?;
-        campaign = campaign.world_factory(standard_world_factory(Some(chunk)));
-    }
     let trials: u64 =
         p.get_or("trials", "1").parse().map_err(|_| "--trials must be a number".to_owned())?;
     campaign = campaign.trials(trials);
     if let Some(raw) = p.options.get("shard") {
         campaign = campaign.shard(Shard::parse(raw).map_err(|e| format!("--shard: {e}"))?);
     }
-    if let Some(raw) = p.options.get("checkpoint-interval") {
-        let interval: u64 =
-            raw.parse().map_err(|_| "--checkpoint-interval must be a number".to_owned())?;
-        campaign = campaign.checkpoint_interval(interval);
-    }
-    if p.has_flag("journal-slots") {
-        campaign = campaign.journal_slots(true);
-    }
     if let Some(raw) = p.options.get("chaos-seed") {
         let seed: u64 =
             raw.parse().map_err(|_| "--chaos-seed must be a number".to_owned())?;
         campaign = campaign.chaos(ChaosConfig::standard(seed));
     }
-    if let Some(raw) = p.options.get("flight-capacity") {
-        let capacity: usize =
-            raw.parse().map_err(|_| "--flight-capacity must be a number".to_owned())?;
-        campaign = campaign.flight_capacity(capacity);
-    }
     if let Some(dir) = p.options.get("flight-out") {
         campaign = campaign.flight_out(PathBuf::from(dir));
-    }
-    if let Some(raw) = p.options.get("metrics-interval-ms") {
-        let ms: u64 = raw
-            .parse()
-            .ok()
-            .filter(|&ms| ms > 0)
-            .ok_or("--metrics-interval-ms must be a positive number".to_owned())?;
-        campaign = campaign.metrics_interval(Duration::from_millis(ms));
     }
     if p.has_flag("progress") {
         campaign = campaign.progress(true);
@@ -302,9 +261,7 @@ fn attach_obs(campaign: Campaign, p: &Parsed) -> (Campaign, ObsHooks) {
         if p.options.contains_key("trace-out") { Tracer::enabled() } else { Tracer::disabled() };
     let registry = MetricsRegistry::new();
     let mut campaign = campaign.tracer(tracer.clone()).metrics(registry.clone());
-    let timeline = (p.options.contains_key("timeline-out")
-        || p.options.contains_key("metrics-interval-ms"))
-    .then(MetricsTimeline::new);
+    let timeline = p.options.contains_key("timeline-out").then(MetricsTimeline::new);
     if let Some(timeline) = &timeline {
         campaign = campaign.timeline(timeline.clone());
     }
@@ -802,14 +759,40 @@ fn cmd_models() -> Result<CliOutcome, String> {
     Ok(CliOutcome::Clean)
 }
 
+/// The arguments each command accepts: exactly what its HELP entry
+/// lists. `None` for an unknown command.
+fn spec(command: &str) -> Option<Spec> {
+    let (flags, values, positionals): (&'static [&'static str], &'static [&'static str], bool) =
+        match command {
+            // `campaign resume <journal>` is its one positional form.
+            "campaign" => (
+                &["extensions", "json", "stream", "progress"],
+                &[
+                    "jobs", "cell-deadline-ms", "retries", "trace-out", "metrics-out", "shard",
+                    "trials", "report-out", "checkpoint", "chaos-seed", "flight-out",
+                    "timeline-out",
+                ],
+                true,
+            ),
+            "run" => (&[], &["use-case", "version", "mode"], false),
+            "randomized" => {
+                (&[], &["region", "trials", "seed", "version", "jobs", "retries"], false)
+            }
+            "benchmark" => {
+                (&[], &["jobs", "cell-deadline-ms", "retries", "trace-out", "metrics-out"], false)
+            }
+            "trace" => (&[], &["top"], true),
+            "report" => (&[], &[], true),
+            "taxonomy" | "models" | "help" | "--help" | "-h" => (&[], &[], false),
+            _ => return None,
+        };
+    Some(Spec { flags, values, positionals })
+}
+
 fn run(argv: Vec<String>) -> Result<CliOutcome, String> {
-    let parsed = args::parse(argv).map_err(|e| e.to_string())?;
-    // Only `trace` (action + file), `report` (action + paths), and
-    // `campaign` (`resume <journal>`) take positional arguments; each
-    // validates its own.
-    if parsed.command != "trace" && parsed.command != "report" && parsed.command != "campaign" {
-        parsed.no_positionals().map_err(|e| e.to_string())?;
-    }
+    let command = argv.first().ok_or_else(|| ArgError::MissingCommand.to_string())?;
+    let spec = spec(command).ok_or_else(|| format!("unknown command '{command}' (try 'help')"))?;
+    let parsed = args::parse(argv, spec).map_err(|e| e.to_string())?;
     match parsed.command.as_str() {
         "campaign" => cmd_campaign(&parsed),
         "run" => cmd_run(&parsed),
@@ -822,11 +805,11 @@ fn run(argv: Vec<String>) -> Result<CliOutcome, String> {
             Ok(CliOutcome::Clean)
         }
         "models" => cmd_models(),
-        "help" | "--help" | "-h" => {
+        // `help`, `--help` and `-h`: `spec` admits no other command.
+        _ => {
             print!("{HELP}");
             Ok(CliOutcome::Clean)
         }
-        other => Err(format!("unknown command '{other}' (try 'help')")),
     }
 }
 
@@ -1080,15 +1063,10 @@ mod tests {
         let journal = dir.join("cli_ckpt.journal").display().to_string();
         let full = dir.join("cli_ckpt_full.json").display().to_string();
         let resumed = dir.join("cli_ckpt_resumed.json").display().to_string();
-        // A full checkpointed run with the opt-in forensic sidecar: the
-        // journal ends complete and the sidecar holds slot records.
         let outcome = run(vec![
             "campaign".into(),
             "--checkpoint".into(),
             journal.clone(),
-            "--checkpoint-interval".into(),
-            "4".into(),
-            "--journal-slots".into(),
             "--jobs".into(),
             "2".into(),
             "--report-out".into(),
@@ -1096,8 +1074,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(outcome, CliOutcome::Violations);
-        let sidecar = std::fs::read_to_string(format!("{journal}.slots")).unwrap();
-        assert!(sidecar.contains("journal/slot"), "--journal-slots streams forensics");
         // Tear the journal's tail (simulating a mid-write kill), then
         // resume: the normalized report must come back byte-identical.
         let bytes = std::fs::read(&journal).unwrap();
@@ -1127,7 +1103,7 @@ mod tests {
         assert!(err.contains("journal path"));
         let err = run(vec!["campaign".into(), "sideways".into()]).unwrap_err();
         assert!(err.contains("unexpected argument"));
-        for stale in [journal.clone(), format!("{journal}.slots"), full, resumed] {
+        for stale in [journal.clone(), full, resumed] {
             std::fs::remove_file(stale).ok();
         }
     }
@@ -1241,8 +1217,6 @@ mod tests {
             dumps.clone(),
             "--timeline-out".into(),
             timeline.clone(),
-            "--metrics-interval-ms".into(),
-            "25".into(),
         ])
         .unwrap();
         assert_eq!(outcome, CliOutcome::Degraded, "seed 7 degrades cells");
@@ -1265,16 +1239,36 @@ mod tests {
         assert!(samples.contains("stream.claimed"), "timeline carries stream gauges");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(timeline).ok();
-        let err = run(vec![
-            "campaign".into(),
-            "--metrics-interval-ms".into(),
-            "0".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("--metrics-interval-ms"));
-        let err =
-            run(vec!["campaign".into(), "--flight-capacity".into(), "big".into()]).unwrap_err();
-        assert!(err.contains("--flight-capacity"));
+    }
+
+    #[test]
+    fn unknown_options_and_missing_values_are_cli_errors() {
+        let cases: [&[&str]; 6] = [
+            &["campaign", "--journal-slots"],
+            &["campaign", "--chunk-frames", "1"],
+            &["run", "--use-case", "XSA-182-test", "--chekpoint", "x"],
+            &["campaign", "--jobs"],
+            &["benchmark", "--trials", "2"],
+            &["taxonomy", "--no-tlb"],
+        ];
+        for argv in cases {
+            let err = run(argv.iter().map(|&a| a.to_owned()).collect()).unwrap_err();
+            let option = argv.iter().rev().find(|a| a.starts_with("--")).unwrap();
+            assert!(err.contains(option), "{argv:?} must be refused naming {option}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_accepted_option_is_documented() {
+        for command in ["campaign", "run", "randomized", "benchmark", "trace", "report"] {
+            let spec = spec(command).unwrap();
+            for option in spec.flags.iter().chain(spec.values) {
+                assert!(
+                    HELP.contains(&format!("--{option}")),
+                    "{command} accepts --{option}, which HELP does not list"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Figs. 2/4.
 
 use crate::chaos::{splitmix64, ChaosConfig, ChaosPolicy, ChaosSink, ChaosUseCase};
-use crate::checkpoint::{fnv64, slot_digest, CheckpointSession, JournalSink};
+use crate::checkpoint::{fnv64, CheckpointSession, JournalSink, FOLD_INTERVAL};
 use crate::error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
 use crate::injector::ArbitraryAccessInjector;
 use crate::monitor::SecurityViolation;
@@ -55,24 +55,6 @@ pub fn standard_world(version: XenVersion, injector: bool) -> Result<World, Boot
         .guest("xen2", 64)
         .guest("guest03", 64)
         .build()
-}
-
-/// A [`WorldFactory`] building [`standard_world`]s with an explicit
-/// copy-on-write chunk size (`None` keeps the default). Chunking is a
-/// pure performance knob, so campaigns run through this factory must
-/// produce byte-identical normalized reports at any chunk size — CI
-/// drives the 1-frame worst case through it.
-pub fn standard_world_factory(chunk_frames: Option<usize>) -> WorldFactory {
-    Arc::new(move |version, injector| {
-        let mut builder = WorldBuilder::new(version)
-            .injector(injector)
-            .guest("xen2", 64)
-            .guest("guest03", 64);
-        if let Some(chunk) = chunk_frames {
-            builder = builder.chunk_frames(chunk);
-        }
-        builder.build()
-    })
 }
 
 /// Name of the attacker guest in the standard world.
@@ -158,9 +140,8 @@ pub struct CellResult {
     pub snapshot: SnapshotStats,
     /// The cell's forensic tail: flight-recorder events its worker
     /// retained for this slot, attached only when the cell degraded
-    /// (empty otherwise, and whenever the recorder is off). Cleared by
-    /// [`CampaignReport::normalized`] so normalized reports are
-    /// byte-identical with the recorder on or off.
+    /// (empty otherwise). Its events are wall-clock-stamped, so
+    /// [`CampaignReport::normalized`] clears it.
     pub flight: Vec<FlightEvent>,
 }
 
@@ -235,9 +216,8 @@ impl CampaignReport {
             // snapshots (worker count, reuse); it is not part of the
             // assessment result.
             cell.snapshot = SnapshotStats::default();
-            // Forensic tails are wall-clock-stamped diagnostics whose
-            // presence depends on the recorder setting; normalization
-            // drops them so recorder-on and recorder-off reports match.
+            // Forensic tails are wall-clock-stamped diagnostics, not
+            // assessment results.
             cell.flight = Vec::new();
         }
         report.metrics = report.metrics.as_ref().map(MetricsSnapshot::normalized);
@@ -415,8 +395,7 @@ pub struct PhaseLatency {
 }
 
 /// Per-phase latency summaries (p50/p95/max), split completed vs
-/// degraded — the histogram block `BENCH_campaign.json` carries
-/// alongside the existing throughput fields.
+/// degraded — the latency block of a [`CampaignThroughput`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyBreakdown {
     /// World acquisition.
@@ -443,7 +422,7 @@ impl LatencyBreakdown {
 }
 
 /// A machine-readable campaign throughput record — what the Table III
-/// regenerator writes to `BENCH_campaign.json`.
+/// regenerator prints after its run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CampaignThroughput {
     /// Cells the campaign scheduled.
@@ -502,97 +481,22 @@ impl CampaignThroughput {
     }
 }
 
-/// Fault-containment and scheduling knobs shared by campaign runs.
-#[derive(Clone, Debug)]
-pub struct CampaignConfig {
-    /// Worker threads; `None` means one per hardware thread.
-    pub jobs: Option<usize>,
-    /// Boot each `(version, injector)` base world once and clone it per
-    /// cell (on by default via [`Campaign::new`]).
-    pub reuse_snapshots: bool,
-    /// Per-cell deadline, checked when the cell returns: a cell that
-    /// overran is reported [`CellOutcome::TimedOut`], keeping its phase
-    /// timings. `None` disables the check. The check is cooperative — a
-    /// cell body that never returns holds its worker thread until it
-    /// does, and the supervisor's stall detection flags that worker.
-    pub cell_deadline: Option<Duration>,
-    /// Extra boot attempts for *transient* failures (`-ENOMEM`/`-EBUSY`)
-    /// per cell; `0` means fail on the first error.
-    pub retries: u32,
-    /// Trials per `(use_case, version, mode)` key — the parameter-grid
-    /// axis of the campaign grid. Each trial is its own cell; use cases
-    /// see the trial index via
-    /// [`UseCase::run_injection_trial`](crate::UseCase::run_injection_trial).
-    /// Defaults to 1 (the classic single-shot grid).
-    pub trials: u64,
-    /// Run only this shard of the grid (slots congruent to `index`
-    /// modulo `count`); `None` runs everything. Merging the `n` shard
-    /// reports reproduces the unsharded report byte-for-byte after
-    /// normalization.
-    pub shard: Option<Shard>,
-    /// Slots between durable fold records per worker when a streaming
-    /// run is checkpointed (see
-    /// [`Campaign::run_streaming_checkpointed`]). Smaller intervals
-    /// lose less work on a crash but sync more often.
-    pub checkpoint_interval: u64,
-    /// Also stream per-cell forensic slot records to the `<journal>.slots`
-    /// sidecar during a checkpointed run (which cells ran, in what
-    /// order, with what digest). Off by default: recovery never reads
-    /// slot records, and at ~150 bytes per cell they cost measurable
-    /// throughput on slow or contended storage.
-    pub journal_slots: bool,
-    /// Seeded harness-fault injection (see [`crate::chaos`]); `None`
-    /// (the default) runs no chaos.
-    pub chaos: Option<ChaosConfig>,
-    /// Per-worker flight-recorder ring capacity, in events. The
-    /// recorder is always on at negligible cost (one mutexed ring push
-    /// per event, no allocation beyond the event itself); `0` disables
-    /// it, which is the escape hatch the overhead gate measures
-    /// against. Defaults to [`DEFAULT_FLIGHT_CAPACITY`].
-    pub flight_capacity: usize,
-    /// Directory stall-triggered flight dumps are written into by the
-    /// supervisor (`stall-worker-<n>.jsonl`); `None` disables stall
-    /// dumps (stalls are still counted).
-    pub flight_out: Option<PathBuf>,
-    /// Metrics-timeline sampling interval. `Some` starts the
-    /// supervisor thread which pushes one [`TimelineSample`]
-    /// (`hvsim_obs::TimelineSample`) per tick into the attached
-    /// timeline; `None` leaves sampling off unless `progress` or
-    /// `flight_out` needs the supervisor anyway (then a 200ms default
-    /// is used).
-    pub metrics_interval: Option<Duration>,
-    /// Redraw a live progress line (done/total, cells/s, ETA, degraded
-    /// count) on stderr every sampling tick.
-    pub progress: bool,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        Self {
-            jobs: None,
-            reuse_snapshots: false,
-            cell_deadline: None,
-            retries: 0,
-            trials: 1,
-            shard: None,
-            checkpoint_interval: 1024,
-            journal_slots: false,
-            chaos: None,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
-            flight_out: None,
-            metrics_interval: None,
-            progress: false,
-        }
-    }
-}
-
-/// The campaign: use cases × versions × modes.
+/// The campaign: use cases × versions × modes. Every setting has one
+/// default, set by [`Campaign::new`]; the builder methods change them.
 pub struct Campaign {
     use_cases: Vec<Box<dyn UseCase>>,
     versions: Vec<XenVersion>,
     modes: Vec<Mode>,
     factory: WorldFactory,
-    config: CampaignConfig,
+    jobs: Option<usize>,
+    reuse_snapshots: bool,
+    cell_deadline: Option<Duration>,
+    retries: u32,
+    trials: u64,
+    shard: Option<Shard>,
+    chaos: Option<ChaosConfig>,
+    flight_out: Option<PathBuf>,
+    progress: bool,
     tracer: Tracer,
     metrics: Option<MetricsRegistry>,
     timeline: Option<MetricsTimeline>,
@@ -601,14 +505,24 @@ pub struct Campaign {
 impl Campaign {
     /// A campaign over all three versions and both modes, using the
     /// standard world, snapshot reuse, and one worker per hardware
-    /// thread. Tracing and metrics are off until attached.
+    /// thread: one trial per key, the whole grid, no deadline, no boot
+    /// retries, no chaos. Tracing, metrics and telemetry are off until
+    /// attached.
     pub fn new() -> Self {
         Self {
             use_cases: Vec::new(),
             versions: XenVersion::ALL.to_vec(),
             modes: vec![Mode::Exploit, Mode::Injection],
             factory: Arc::new(standard_world),
-            config: CampaignConfig { reuse_snapshots: true, ..CampaignConfig::default() },
+            jobs: None,
+            reuse_snapshots: true,
+            cell_deadline: None,
+            retries: 0,
+            trials: 1,
+            shard: None,
+            chaos: None,
+            flight_out: None,
+            progress: false,
             tracer: Tracer::disabled(),
             metrics: None,
             timeline: None,
@@ -647,7 +561,7 @@ impl Campaign {
     /// means one worker per hardware thread.
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.config.jobs = (jobs > 0).then_some(jobs);
+        self.jobs = (jobs > 0).then_some(jobs);
         self
     }
 
@@ -659,101 +573,78 @@ impl Campaign {
     /// produce identical reports.
     #[must_use]
     pub fn reuse_snapshots(mut self, reuse: bool) -> Self {
-        self.config.reuse_snapshots = reuse;
+        self.reuse_snapshots = reuse;
         self
     }
 
-    /// Sets the per-cell deadline (see [`CampaignConfig::cell_deadline`]).
+    /// Sets the per-cell deadline, checked when the cell returns: a
+    /// cell that overran is reported [`CellOutcome::TimedOut`], keeping
+    /// its phase timings. The check is cooperative — a cell body that
+    /// never returns holds its worker thread until it does, and the
+    /// supervisor's stall detection flags that worker.
     #[must_use]
     pub fn cell_deadline(mut self, deadline: Duration) -> Self {
-        self.config.cell_deadline = Some(deadline);
+        self.cell_deadline = Some(deadline);
         self
     }
 
-    /// Allows up to `retries` extra boot attempts per cell for transient
-    /// failures (see [`CampaignConfig::retries`]).
+    /// Allows up to `retries` extra boot attempts per cell for
+    /// *transient* failures (`-ENOMEM`/`-EBUSY`); `0` fails on the first
+    /// error.
     #[must_use]
     pub fn retries(mut self, retries: u32) -> Self {
-        self.config.retries = retries;
+        self.retries = retries;
         self
     }
 
-    /// Sets the trials axis of the grid (see [`CampaignConfig::trials`]).
+    /// Sets the trials per `(use_case, version, mode)` key — the
+    /// parameter-grid axis of the campaign grid. Each trial is its own
+    /// cell; use cases see the trial index via
+    /// [`UseCase::run_injection_trial`](crate::UseCase::run_injection_trial).
     /// `0` is treated as 1.
     #[must_use]
     pub fn trials(mut self, trials: u64) -> Self {
-        self.config.trials = trials.max(1);
+        self.trials = trials.max(1);
         self
     }
 
-    /// Restricts the run to one shard of the grid (see
-    /// [`CampaignConfig::shard`]).
+    /// Restricts the run to one shard of the grid (slots congruent to
+    /// `index` modulo `count`). Merging the `n` shard reports
+    /// reproduces the unsharded report byte-for-byte after
+    /// normalization.
     #[must_use]
     pub fn shard(mut self, shard: Shard) -> Self {
-        self.config.shard = Some(shard);
+        self.shard = Some(shard);
         self
     }
 
-    /// Sets the checkpoint fold interval (see
-    /// [`CampaignConfig::checkpoint_interval`]). `0` is treated as 1.
-    #[must_use]
-    pub fn checkpoint_interval(mut self, interval: u64) -> Self {
-        self.config.checkpoint_interval = interval.max(1);
-        self
-    }
-
-    /// Enables the per-cell forensic slot sidecar for checkpointed
-    /// runs (see [`CampaignConfig::journal_slots`]).
-    #[must_use]
-    pub fn journal_slots(mut self, enabled: bool) -> Self {
-        self.config.journal_slots = enabled;
-        self
-    }
-
-    /// Enables seeded harness-fault injection (see
-    /// [`CampaignConfig::chaos`]).
+    /// Enables seeded harness-fault injection (see [`crate::chaos`]).
     #[must_use]
     pub fn chaos(mut self, config: ChaosConfig) -> Self {
-        self.config.chaos = Some(config);
+        self.chaos = Some(config);
         self
     }
 
-    /// Sets the per-worker flight-recorder ring capacity (see
-    /// [`CampaignConfig::flight_capacity`]); `0` disables the recorder.
-    #[must_use]
-    pub fn flight_capacity(mut self, capacity: usize) -> Self {
-        self.config.flight_capacity = capacity;
-        self
-    }
-
-    /// Sets the directory stall-triggered flight dumps are written
-    /// into (see [`CampaignConfig::flight_out`]).
+    /// Sets the directory the supervisor writes stall-triggered flight
+    /// dumps into (`stall-worker-<n>.jsonl`). Without it stalls are
+    /// still counted, not dumped.
     #[must_use]
     pub fn flight_out(mut self, dir: PathBuf) -> Self {
-        self.config.flight_out = Some(dir);
+        self.flight_out = Some(dir);
         self
     }
 
-    /// Enables the metrics-timeline sampler at `interval` (see
-    /// [`CampaignConfig::metrics_interval`]).
-    #[must_use]
-    pub fn metrics_interval(mut self, interval: Duration) -> Self {
-        self.config.metrics_interval = Some(interval);
-        self
-    }
-
-    /// Enables the live progress line on stderr (see
-    /// [`CampaignConfig::progress`]).
+    /// Redraws a live progress line (done/total, cells/s, ETA, degraded
+    /// count) on stderr every sampling tick.
     #[must_use]
     pub fn progress(mut self, enabled: bool) -> Self {
-        self.config.progress = enabled;
+        self.progress = enabled;
         self
     }
 
-    /// Attaches a timeline the supervisor pushes live samples into;
-    /// drain it after the run (see [`MetricsTimeline::to_jsonl`]).
-    /// Implies the supervisor runs even without an explicit
-    /// [`Campaign::metrics_interval`].
+    /// Attaches a timeline the supervisor pushes one live sample into
+    /// every 200 ms and once after the last cell; drain it
+    /// after the run (see [`MetricsTimeline::to_jsonl`]).
     #[must_use]
     pub fn timeline(mut self, timeline: MetricsTimeline) -> Self {
         self.timeline = Some(timeline);
@@ -762,7 +653,7 @@ impl Campaign {
 
     /// The campaign's cell grid: use cases × versions × modes × trials.
     pub fn grid(&self) -> SpecGrid {
-        SpecGrid::new(self.use_cases.len(), &self.versions, &self.modes, self.config.trials)
+        SpecGrid::new(self.use_cases.len(), &self.versions, &self.modes, self.trials)
     }
 
     /// The campaign's grid identity — stamped into streamed reports
@@ -773,15 +664,8 @@ impl Campaign {
             use_cases: self.use_cases.iter().map(|uc| uc.name().to_owned()).collect(),
             versions: self.versions.clone(),
             modes: self.modes.clone(),
-            trials: self.config.trials.max(1),
+            trials: self.trials.max(1),
         }
-    }
-
-    /// Replaces the whole configuration at once.
-    #[must_use]
-    pub fn config(mut self, config: CampaignConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// Attaches a tracer: campaign setup, every cell phase, guest boot
@@ -814,7 +698,7 @@ impl Campaign {
     /// in its [`CellOutcome`] / [`CampaignError`]) and the rest of the
     /// campaign completes.
     pub fn run(&self) -> CampaignReport {
-        self.run_with_jobs(self.config.jobs.unwrap_or_else(default_jobs))
+        self.run_with_jobs(self.jobs.unwrap_or_else(default_jobs))
     }
 
     /// Runs every cell on exactly `jobs` worker threads, keeping every
@@ -844,7 +728,7 @@ impl Campaign {
             let grid = self.grid();
             let mut fold = PartialFold::default();
             for (index, cell) in (0u64..).zip(&report.cells) {
-                if let Some(spec) = grid.shard_decode(self.config.shard, index) {
+                if let Some(spec) = grid.shard_decode(self.shard, index) {
                     fold.fold(&spec, cell);
                 }
             }
@@ -853,7 +737,7 @@ impl Campaign {
             // Published whenever chaos is configured — even a no-op or
             // quiet policy records explicit zeros, so dashboards can
             // tell "chaos quiet" from "chaos off".
-            if self.config.chaos.is_some() {
+            if self.chaos.is_some() {
                 obs_bridge::record_chaos_metrics(policy.as_deref(), registry);
             }
             report.metrics = Some(registry.snapshot());
@@ -863,31 +747,25 @@ impl Campaign {
 
     /// Whether this run needs the telemetry supervisor thread.
     fn supervisor_wanted(&self) -> bool {
-        self.config.metrics_interval.is_some()
-            || self.config.progress
-            || self.config.flight_out.is_some()
-            || self.timeline.is_some()
+        self.progress || self.flight_out.is_some() || self.timeline.is_some()
     }
 
     /// The run's telemetry supervisor, borrowing the per-worker flight
     /// handles so a stall can dump the wedged worker's ring.
     fn supervisor<'a>(&'a self, flights: &'a [FlightHandle]) -> telemetry::Supervisor<'a> {
-        let interval = self.config.metrics_interval.unwrap_or(Duration::from_millis(200));
         // A busy worker counts as stalled only when its heartbeat age
         // dwarfs both the sampling cadence and the worst legitimate
         // cell — chaos slowdowns sleep 2× the deadline, so 4× is
         // comfortably past anything a healthy worker does.
-        let stall_after = (interval * 4)
-            .max(self.config.cell_deadline.map_or(Duration::ZERO, |d| d * 4))
-            .max(Duration::from_secs(2));
+        let stall_after =
+            self.cell_deadline.map_or(Duration::ZERO, |d| d * 4).max(Duration::from_secs(2));
         telemetry::Supervisor {
-            interval,
             stall_after,
-            progress: self.config.progress,
+            progress: self.progress,
             timeline: self.timeline.as_ref(),
             registry: self.metrics.as_ref(),
             flight: flights,
-            flight_out: self.config.flight_out.as_deref(),
+            flight_out: self.flight_out.as_deref(),
         }
     }
 
@@ -895,7 +773,7 @@ impl Campaign {
     /// configured worker count. See
     /// [`Campaign::run_streaming_with_jobs`].
     pub fn run_streaming(&self) -> StreamOutcome {
-        self.run_streaming_with_jobs(self.config.jobs.unwrap_or_else(default_jobs))
+        self.run_streaming_with_jobs(self.jobs.unwrap_or_else(default_jobs))
     }
 
     /// Streams the grid on exactly `jobs` workers with one cell per
@@ -908,7 +786,7 @@ impl Campaign {
     /// per-cell values that depend only on the cell's spec, so the
     /// normalized report is byte-identical for every worker count and
     /// sharding. A cell that returns past the deadline is relabelled
-    /// [`CellOutcome::TimedOut`] (see [`CampaignConfig::cell_deadline`]).
+    /// [`CellOutcome::TimedOut`] (see [`Campaign::cell_deadline`]).
     pub fn run_streaming_with_jobs(&self, jobs: usize) -> StreamOutcome {
         self.stream_impl(jobs, None, self.chaos_policy())
     }
@@ -928,17 +806,10 @@ impl Campaign {
     pub fn run_streaming_checkpointed(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
         let policy = self.chaos_policy();
         let session = self.with_journal_wrap(&policy, |wrap| {
-            CheckpointSession::create(
-                path,
-                self.fingerprint(),
-                self.config.shard,
-                self.config.checkpoint_interval,
-                self.config.journal_slots,
-                wrap,
-            )
+            CheckpointSession::create(path, self.fingerprint(), self.shard, wrap)
         })?;
         Ok(self.stream_impl(
-            self.config.jobs.unwrap_or_else(default_jobs),
+            self.jobs.unwrap_or_else(default_jobs),
             Some(session),
             policy,
         ))
@@ -957,17 +828,10 @@ impl Campaign {
     pub fn resume(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
         let policy = self.chaos_policy();
         let session = self.with_journal_wrap(&policy, |wrap| {
-            CheckpointSession::resume(
-                path,
-                &self.fingerprint(),
-                self.config.shard,
-                self.config.checkpoint_interval,
-                self.config.journal_slots,
-                wrap,
-            )
+            CheckpointSession::resume(path, &self.fingerprint(), self.shard, wrap)
         })?;
         Ok(self.stream_impl(
-            self.config.jobs.unwrap_or_else(default_jobs),
+            self.jobs.unwrap_or_else(default_jobs),
             Some(session),
             policy,
         ))
@@ -975,8 +839,7 @@ impl Campaign {
 
     /// The run's chaos policy, when chaos is configured and non-noop.
     fn chaos_policy(&self) -> Option<Arc<ChaosPolicy>> {
-        self.config
-            .chaos
+        self.chaos
             .filter(|config| !config.is_noop())
             .map(|config| Arc::new(ChaosPolicy::new(config)))
     }
@@ -1018,7 +881,6 @@ impl Campaign {
             fold: PartialFold::default(),
             seq: 0,
             batch: Vec::new(),
-            pending: crate::checkpoint::SlotBuffer::default(),
         });
         if sinks.is_empty() {
             return StreamOutcome::default();
@@ -1039,7 +901,7 @@ impl Campaign {
         let merge_us = merge_start.elapsed().as_micros() as u64;
         let (mut report, phases) = whole.finish();
         report.grid = self.fingerprint();
-        report.coverage = vec![self.config.shard.unwrap_or(Shard { index: 0, count: 1 })];
+        report.coverage = vec![self.shard.unwrap_or(Shard { index: 0, count: 1 })];
         let elapsed_us = (run_start.elapsed().as_micros() as u64).max(1);
         let stats = StreamRunStats {
             workers,
@@ -1060,7 +922,7 @@ impl Campaign {
             // Published whenever chaos is configured — even a no-op or
             // quiet policy records explicit zeros, so dashboards can
             // tell "chaos quiet" from "chaos off".
-            if self.config.chaos.is_some() {
+            if self.chaos.is_some() {
                 obs_bridge::record_chaos_metrics(policy.as_deref(), registry);
             }
         }
@@ -1082,7 +944,7 @@ impl Campaign {
         new_sink: impl Fn(usize) -> S + Sync,
     ) -> Vec<S> {
         let grid = self.grid();
-        let shard = self.config.shard;
+        let shard = self.shard;
         let total = grid.shard_len(shard);
         if total == 0 {
             return Vec::new();
@@ -1094,11 +956,11 @@ impl Campaign {
         let setup_ctx = self.tracer.ctx(0);
         let _campaign_span = setup_ctx.span("campaign");
         let base_worlds =
-            self.config.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
+            self.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
         let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
         let claims = SlotClaims::new(total, workers);
         let flights: Vec<FlightHandle> =
-            (0..workers).map(|_| FlightHandle::new(self.config.flight_capacity)).collect();
+            (0..workers).map(|_| FlightHandle::new(DEFAULT_FLIGHT_CAPACITY)).collect();
         let live_total = total.saturating_sub(session.map_or(0, CheckpointSession::resumed_slots));
         let telemetry = Telemetry::new(live_total, workers);
         std::thread::scope(|scope| {
@@ -1137,7 +999,6 @@ impl Campaign {
                         values.push(("stream.claimed".to_owned(), claims.claimed()));
                         if let Some(s) = session {
                             let counters = s.writer.counters();
-                            values.push(("checkpoint.slots".to_owned(), counters.slots));
                             values.push(("checkpoint.folds".to_owned(), counters.folds));
                             values.push(("checkpoint.syncs".to_owned(), counters.syncs));
                             values.push(("checkpoint.bytes".to_owned(), counters.bytes));
@@ -1177,8 +1038,8 @@ impl Campaign {
         let (chaos_panic, chaos_slow, chaos_boot_faults) = policy.map_or((false, None, 0), |p| {
             (
                 p.worker_panic(spec.slot),
-                p.slowdown(spec.slot, self.config.cell_deadline),
-                p.transient_boot_faults(spec.slot, self.config.retries),
+                p.slowdown(spec.slot, self.cell_deadline),
+                p.transient_boot_faults(spec.slot, self.retries),
             )
         });
         // Chaos decisions land in the flight ring too: a degraded cell's
@@ -1224,7 +1085,7 @@ impl Campaign {
             flight,
             spec.slot,
         );
-        if self.config.cell_deadline.is_some_and(|d| started.elapsed() > d) {
+        if self.cell_deadline.is_some_and(|d| started.elapsed() > d) {
             flight.record(spec.slot, "cell/deadline_exceeded", 0);
             cell = self.timed_out_cell(uc, spec.version, spec.mode, cell.phase_us);
         }
@@ -1253,7 +1114,7 @@ impl Campaign {
                     });
                     let (world, attempts, backoff_us) = boot_with_retries(
                         format_args!("{version}/{injector}"),
-                        self.config.retries,
+                        self.retries,
                         || (self.factory)(version, injector),
                     );
                     if backoff_us > 0 {
@@ -1339,7 +1200,7 @@ impl Campaign {
             None => {
                 let injector = mode == Mode::Injection;
                 let remaining_faults = std::cell::Cell::new(boot_faults);
-                boot_with_retries(format_args!("{version}/{injector}"), self.config.retries, || {
+                boot_with_retries(format_args!("{version}/{injector}"), self.retries, || {
                     if remaining_faults.get() > 0 {
                         remaining_faults.set(remaining_faults.get() - 1);
                         return Err(BootError::transient("chaos", "injected transient boot failure"));
@@ -1575,7 +1436,7 @@ impl Campaign {
         phases: PhaseTimings,
     ) -> CellResult {
         let deadline_us =
-            self.config.cell_deadline.map_or(0, |d| d.as_micros() as u64);
+            self.cell_deadline.map_or(0, |d| d.as_micros() as u64);
         let mut cell = self.degraded_cell(
             uc,
             version,
@@ -1619,22 +1480,22 @@ impl CellSink for Collected {
 
 /// A streamed run's sink: folds each cell into the worker's partial
 /// report and drops it. With a checkpoint session it also journals the
-/// worker's progress — a slot record per cell when the forensic sidecar
-/// is on, and a synced fold record every `interval` slots and at the end.
+/// worker's progress: a synced fold record every [`FOLD_INTERVAL`] slots
+/// and at the end.
 struct FoldSink<'a> {
     session: Option<&'a CheckpointSession>,
     worker_id: u64,
     fold: PartialFold,
+    /// Fold records this worker has journaled.
     seq: u64,
     batch: Vec<u64>,
-    pending: crate::checkpoint::SlotBuffer,
 }
 
 impl FoldSink<'_> {
     fn record_fold(&mut self, session: &CheckpointSession) {
         self.seq += 1;
         let batch = std::mem::take(&mut self.batch);
-        session.record_fold(&mut self.pending, self.worker_id, self.seq, batch, &self.fold);
+        session.record_fold(self.worker_id, self.seq, batch, &self.fold);
     }
 }
 
@@ -1643,11 +1504,8 @@ impl CellSink for FoldSink<'_> {
         self.fold.fold(spec, &cell);
         let Some(session) = self.session else { return };
         let _journal_span = ctx.span("cell/journal");
-        self.seq += 1;
-        let digest = slot_digest(&cell);
-        session.record_slot(&mut self.pending, self.worker_id, self.seq, spec.slot, digest);
         self.batch.push(spec.slot);
-        if self.batch.len() as u64 >= session.interval {
+        if self.batch.len() as u64 >= FOLD_INTERVAL {
             self.record_fold(session);
         }
     }
@@ -2116,7 +1974,6 @@ mod tests {
             .modes(&[Mode::Injection])
             .cell_deadline(Duration::from_millis(40))
             .timeline(timeline.clone())
-            .metrics_interval(Duration::from_millis(5))
             .run_with_jobs(2);
         let samples = timeline.samples();
         let last = samples.last().expect("the supervisor's final sample lands");
@@ -2267,27 +2124,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_does_not_change_the_normalized_report() {
-        let factory = panicking_factory((XenVersion::V4_6, true));
-        let on = Campaign::new()
-            .with_use_case(Box::new(CrashCase))
-            .world_factory(factory.clone())
-            .run_with_jobs(4)
-            .normalized()
-            .to_json()
-            .unwrap();
-        let off = Campaign::new()
-            .with_use_case(Box::new(CrashCase))
-            .world_factory(factory)
-            .flight_capacity(0)
-            .run_with_jobs(1)
-            .normalized()
-            .to_json()
-            .unwrap();
-        assert_eq!(on, off, "recorder on/off must not perturb normalized reports");
-    }
-
-    #[test]
     fn supervisor_samples_the_timeline() {
         let timeline = MetricsTimeline::new();
         let registry = MetricsRegistry::new();
@@ -2295,10 +2131,10 @@ mod tests {
             .with_use_case(Box::new(CrashCase))
             .timeline(timeline.clone())
             .metrics(registry.clone())
-            .metrics_interval(Duration::from_millis(5))
             .run_with_jobs(2);
         // The supervisor's final tick runs after the last worker
-        // finishes, so even a sub-interval run has a complete sample.
+        // finishes, so even a run shorter than one sampling interval
+        // has a complete sample.
         assert!(!timeline.is_empty(), "at least the final sample lands");
         let samples = timeline.samples();
         let last = samples.last().unwrap();

@@ -419,7 +419,7 @@ mod tests {
         }));
         let mut sink = ChaosSink::new(Box::new(CaptureSink(Vec::new())), Arc::clone(&policy));
         let header = b"xx journal/header yy\n";
-        let record = b"123 deadbeef {\"payload\":\"journal/slot\"}\n";
+        let record = b"123 deadbeef {\"payload\":\"journal/fold\"}\n";
         sink.append(header).unwrap();
         sink.append(record).unwrap();
         let (_, _, _, _, torn) = policy.fired();

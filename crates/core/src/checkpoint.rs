@@ -15,29 +15,19 @@
 //! where `len` is the payload's byte length in decimal, the checksum is
 //! FNV-1a over the payload bytes, and the payload is one canonical
 //! `hvsim-obs` JSONL trace event (the same codec `trace validate`
-//! enforces). Three record kinds, distinguished by the event path:
+//! enforces). Two record kinds, distinguished by the event path:
 //!
-//! | path             | file               | meaning                   |
-//! |------------------|--------------------|---------------------------|
-//! | `journal/header` | both               | grid fingerprint + shard; first record, synced in the journal |
-//! | `journal/slot`   | `<journal>.slots`  | one folded slot + digest; buffered, never synced |
-//! | `journal/fold`   | journal            | a worker's cumulative fold + the batch of slots it covers since that worker's previous fold; fsync'd |
+//! | path             | meaning                   |
+//! |------------------|---------------------------|
+//! | `journal/header` | grid fingerprint + shard; first record, synced |
+//! | `journal/fold`   | a worker's cumulative fold + the batch of slots it covers since that worker's previous fold; fsync'd |
 //!
-//! Only `journal/fold` records drive recovery: the done-set is the
-//! union of their slot batches, and each worker's last fold record is
-//! its exact cumulative state — fsync ordering guarantees a fold record
-//! is durable before any slot it covers is considered done. `slot`
-//! records are forensic detail (which cells ran, in what order, with
-//! what digest); they live in the `<journal>.slots` sidecar precisely
-//! because `fsync` is a whole-file operation — at ~150 bytes per cell
-//! they would otherwise ride along on every fold sync and dominate the
-//! journal's durability cost. The sidecar is never synced and never
-//! read by recovery; losing it loses postmortem detail only. Because
-//! even unsynced per-cell writes cost measurable throughput on slow or
-//! contended storage, the sidecar is opt-in
-//! ([`CampaignConfig::journal_slots`](crate::CampaignConfig::journal_slots),
-//! `--journal-slots` on the CLI); by default a checkpointed run writes
-//! folds only.
+//! Recovery reads only fold records: the done-set is the union of their
+//! slot batches, and each worker's last fold record is its exact
+//! cumulative state — fsync ordering guarantees a fold record is
+//! durable before any slot it covers is considered done. Each worker
+//! writes one every 1024 slots (`FOLD_INTERVAL`) and when it runs out of
+//! work.
 //!
 //! # Crash model
 //!
@@ -62,9 +52,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// FNV-1a 64-bit: the journal's checksum and the slot digest hash.
-/// Deliberately simple — the journal defends against torn writes, not
-/// adversarial corruption.
+/// Slots a worker folds between two durable fold records. Larger
+/// intervals sync less often; smaller ones lose less work on a crash.
+pub(crate) const FOLD_INTERVAL: u64 = 1024;
+
+/// FNV-1a 64-bit: the journal's checksum. Deliberately simple — the
+/// journal defends against torn writes, not adversarial corruption.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -145,13 +138,6 @@ pub(crate) enum JournalRecord {
         grid: GridFingerprint,
         shard: Option<Shard>,
     },
-    /// One slot folded by `worker` — buffered diagnostics.
-    SlotDone {
-        worker: u64,
-        seq: u64,
-        slot: u64,
-        digest: u64,
-    },
     /// `worker`'s cumulative fold, covering `slots` since its previous
     /// fold record — the durable unit of recovery.
     Fold {
@@ -195,17 +181,6 @@ impl JournalRecord {
                         "shard".to_owned(),
                         shard.map_or_else(|| "-".to_owned(), |s| s.to_string()),
                     ),
-                ],
-            },
-            JournalRecord::SlotDone { worker, seq, slot, digest } => TraceEvent {
-                shard: *worker,
-                seq: *seq,
-                kind: EventKind::Point,
-                path: "journal/slot".to_owned(),
-                wall_us: 0,
-                attrs: vec![
-                    ("slot".to_owned(), slot.to_string()),
-                    ("digest".to_owned(), format!("{digest:016x}")),
                 ],
             },
             JournalRecord::Fold { worker, seq, slots, fold } => {
@@ -266,14 +241,6 @@ impl JournalRecord {
                     Some(Shard::parse(shard_text).map_err(|e| format!("bad shard: {e}"))?)
                 };
                 Ok(JournalRecord::Header { grid, shard })
-            }
-            "journal/slot" => {
-                let slot: u64 = attr(&event, "slot")?
-                    .parse()
-                    .map_err(|_| "bad slot number".to_owned())?;
-                let digest = u64::from_str_radix(attr(&event, "digest")?, 16)
-                    .map_err(|_| "bad slot digest".to_owned())?;
-                Ok(JournalRecord::SlotDone { worker: event.shard, seq: event.seq, slot, digest })
             }
             "journal/fold" => {
                 let slots_text = attr(&event, "slots")?;
@@ -362,9 +329,6 @@ impl JournalState {
                         message: "first record is not a journal header".to_owned(),
                     });
                 }
-                JournalRecord::SlotDone { worker, .. } => {
-                    next_worker = next_worker.max(worker + 1);
-                }
                 JournalRecord::Fold { worker, slots, fold, .. } => {
                     next_worker = next_worker.max(worker + 1);
                     done.extend(slots);
@@ -379,15 +343,6 @@ impl JournalState {
         })?;
         Ok(Self { header, folds, done, next_worker, valid_bytes: offset as u64 })
     }
-}
-
-/// The forensic slot-record sidecar that rides next to a journal:
-/// `<journal>.slots` (extension appended, not replaced, so distinct
-/// journals never collide).
-pub(crate) fn sidecar_path(path: &Path) -> std::path::PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".slots");
-    std::path::PathBuf::from(os)
 }
 
 /// Reads just the identity of a checkpoint journal — what the CLI
@@ -405,27 +360,18 @@ pub fn read_header(path: &Path) -> Result<JournalHeader, CheckpointError> {
 /// `campaign.checkpoint.*` metrics fold.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct CheckpointCounters {
-    pub(crate) slots: u64,
     pub(crate) folds: u64,
     pub(crate) syncs: u64,
     pub(crate) bytes: u64,
     pub(crate) write_errors: u64,
 }
 
-/// Thread-safe journal writer: the fsync'd recovery journal plus the
-/// optional never-synced slot sidecar. **Fail-soft**: the first I/O
-/// error on either file disables that file for the rest of the run
-/// (counted in `write_errors`) — a broken journal must degrade
-/// durability, never the campaign itself — and the two latches are
-/// independent, so a full forensics disk cannot stop checkpointing.
+/// Thread-safe journal writer. **Fail-soft**: the first I/O error
+/// disables it for the rest of the run (counted in `write_errors`) — a
+/// broken journal must degrade durability, never the campaign itself.
 pub(crate) struct CheckpointWriter {
     sink: Mutex<Box<dyn JournalSink>>,
-    /// The `<journal>.slots` sidecar (`None` when it could not be
-    /// opened — forensics are best-effort by design).
-    slot_sink: Mutex<Option<Box<dyn JournalSink>>>,
     failed: AtomicBool,
-    slots_failed: AtomicBool,
-    slots: AtomicU64,
     folds: AtomicU64,
     syncs: AtomicU64,
     bytes: AtomicU64,
@@ -433,13 +379,10 @@ pub(crate) struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    fn new(sink: Box<dyn JournalSink>, slot_sink: Option<Box<dyn JournalSink>>) -> Self {
+    fn new(sink: Box<dyn JournalSink>) -> Self {
         Self {
             sink: Mutex::new(sink),
-            slots_failed: AtomicBool::new(slot_sink.is_none()),
-            slot_sink: Mutex::new(slot_sink),
             failed: AtomicBool::new(false),
-            slots: AtomicU64::new(0),
             folds: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -447,37 +390,15 @@ impl CheckpointWriter {
         }
     }
 
-    /// `true` while the slot sidecar accepts records — callers skip the
-    /// encoding work once its fail-soft latch has tripped.
-    fn slot_recording(&self) -> bool {
-        !self.slots_failed.load(Ordering::Relaxed)
-    }
-
     fn trip(&self) {
         self.write_errors.fetch_add(1, Ordering::Relaxed);
         self.failed.store(true, Ordering::Relaxed);
     }
 
-    /// Flushes a worker's buffered slot lines to the sidecar (never
-    /// synced — an fsync on the journal would otherwise flush every
-    /// forensic byte too, and at ~150 bytes/cell that dwarfs the folds)
-    /// and appends one fold record to the journal, synced. This is the
-    /// *only* steady-state write path: slot records cost a buffer push
-    /// on the hot path and hit a sink once per fold interval. Errors
-    /// trip the per-file fail-soft latch instead of propagating.
-    fn append_batch(&self, slot_lines: &str, slot_count: u64, fold: &JournalRecord) {
-        if !slot_lines.is_empty() && self.slot_recording() {
-            let mut guard = self.slot_sink.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(sink) = guard.as_mut() {
-                if sink.append(slot_lines.as_bytes()).is_ok() {
-                    self.bytes.fetch_add(slot_lines.len() as u64, Ordering::Relaxed);
-                    self.slots.fetch_add(slot_count, Ordering::Relaxed);
-                } else {
-                    self.write_errors.fetch_add(1, Ordering::Relaxed);
-                    self.slots_failed.store(true, Ordering::Relaxed);
-                }
-            }
-        }
+    /// Appends one fold record to the journal and syncs it — the only
+    /// steady-state write path. Errors trip the fail-soft latch instead
+    /// of propagating.
+    fn append_fold(&self, fold: &JournalRecord) {
         if self.failed.load(Ordering::Relaxed) {
             return;
         }
@@ -504,7 +425,6 @@ impl CheckpointWriter {
 
     pub(crate) fn counters(&self) -> CheckpointCounters {
         CheckpointCounters {
-            slots: self.slots.load(Ordering::Relaxed),
             folds: self.folds.load(Ordering::Relaxed),
             syncs: self.syncs.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
@@ -516,39 +436,6 @@ impl CheckpointWriter {
 /// Sink transformer hook: the identity for production runs, a
 /// torn-write chaos wrapper under `ChaosConfig`.
 pub(crate) type SinkWrap<'a> = &'a dyn Fn(Box<dyn JournalSink>) -> Box<dyn JournalSink>;
-
-/// A worker's local slot-record buffer: framed `journal/slot` lines
-/// accumulated between fold records, plus a scratch string so the hot
-/// path allocates nothing in steady state. Slot records are the
-/// journal's per-cell cost, so they get a hand-rolled encoder (pinned
-/// byte-for-byte to [`JournalRecord::encode`] by a unit test) instead
-/// of the general `TraceEvent` path.
-#[derive(Default)]
-pub(crate) struct SlotBuffer {
-    lines: String,
-    scratch: String,
-}
-
-impl SlotBuffer {
-    /// Appends one framed `journal/slot` line without allocating.
-    fn push_slot(&mut self, worker: u64, seq: u64, slot: u64, digest: u64) {
-        self.scratch.clear();
-        let _ = write!(
-            self.scratch,
-            "{{\"shard\":{worker},\"seq\":{seq},\"kind\":\"point\",\
-             \"path\":\"journal/slot\",\"wall_us\":0,\
-             \"attrs\":{{\"slot\":\"{slot}\",\"digest\":\"{digest:016x}\"}}}}"
-        );
-        let _ = write!(
-            self.lines,
-            "{} {:016x} ",
-            self.scratch.len(),
-            fnv64(self.scratch.as_bytes())
-        );
-        self.lines.push_str(&self.scratch);
-        self.lines.push('\n');
-    }
-}
 
 /// One campaign run's attachment to a journal: the writer plus the
 /// recovered state a resumed run starts from (empty for a fresh run).
@@ -563,8 +450,6 @@ pub(crate) struct CheckpointSession {
     /// First worker id for this run's workers (continues past prior
     /// generations so journal lines stay attributable).
     pub(crate) first_worker: u64,
-    /// Slots between fold records, per worker.
-    pub(crate) interval: u64,
 }
 
 impl CheckpointSession {
@@ -580,8 +465,6 @@ impl CheckpointSession {
         path: &Path,
         grid: GridFingerprint,
         shard: Option<Shard>,
-        interval: u64,
-        slots: bool,
         wrap: SinkWrap<'_>,
     ) -> Result<Self, CheckpointError> {
         let io_err = |e: std::io::Error| CheckpointError::Io {
@@ -597,26 +480,13 @@ impl CheckpointSession {
         })?;
         sink.append(line.as_bytes()).map_err(io_err)?;
         sink.sync().map_err(io_err)?;
-        // The forensic sidecar is opt-in and best-effort: when enabled
-        // it opens fresh alongside the journal and gets the same header
-        // (unsynced) so the pair stays self-identifying, but failure to
-        // open it degrades forensics, never checkpointing.
-        let slot_sink = slots
-            .then(|| File::create(sidecar_path(path)).ok())
-            .flatten()
-            .map(|f| {
-                let mut s: Box<dyn JournalSink> = Box::new(FileSink::new(f));
-                let _ = s.append(line.as_bytes());
-                s
-            });
-        let writer = CheckpointWriter::new(sink, slot_sink);
+        let writer = CheckpointWriter::new(sink);
         writer.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
         Ok(Self {
             writer,
             done: BTreeSet::new(),
             recovered: Vec::new(),
             first_worker: 1,
-            interval: interval.max(1),
         })
     }
 
@@ -632,8 +502,6 @@ impl CheckpointSession {
         path: &Path,
         grid: &GridFingerprint,
         shard: Option<Shard>,
-        interval: u64,
-        slots: bool,
         wrap: SinkWrap<'_>,
     ) -> Result<Self, CheckpointError> {
         let state = JournalState::load(path)?;
@@ -651,22 +519,11 @@ impl CheckpointSession {
         file.set_len(state.valid_bytes).map_err(io_err)?;
         file.seek(SeekFrom::End(0)).map_err(io_err)?;
         let sink = wrap(Box::new(FileSink::new(file)));
-        // When enabled, the sidecar appends across generations (a torn
-        // line at a kill boundary garbles one forensic record, nothing
-        // else), and its absence is not an error — forensics are
-        // best-effort.
-        let slot_sink = slots
-            .then(|| {
-                OpenOptions::new().append(true).create(true).open(sidecar_path(path)).ok()
-            })
-            .flatten()
-            .map(|f| Box::new(FileSink::new(f)) as Box<dyn JournalSink>);
         Ok(Self {
-            writer: CheckpointWriter::new(sink, slot_sink),
+            writer: CheckpointWriter::new(sink),
             done: state.done,
             recovered: state.folds.into_values().collect(),
             first_worker: state.next_worker,
-            interval: interval.max(1),
         })
     }
 
@@ -680,76 +537,17 @@ impl CheckpointSession {
         self.done.len() as u64
     }
 
-    /// Records one folded slot into the worker's local buffer — pure
-    /// memory, no lock, no syscall. The buffer reaches the sink with
-    /// the worker's next [`record_fold`](Self::record_fold); a crash
-    /// before then loses only forensic detail, never durability.
-    pub(crate) fn record_slot(
-        &self,
-        buf: &mut SlotBuffer,
-        worker: u64,
-        seq: u64,
-        slot: u64,
-        digest: u64,
-    ) {
-        if !self.writer.slot_recording() {
-            return;
-        }
-        buf.push_slot(worker, seq, slot, digest);
+    /// Records a worker's cumulative fold covering `slots` since its
+    /// previous fold record, then syncs — after this returns, those
+    /// slots survive any crash.
+    pub(crate) fn record_fold(&self, worker: u64, seq: u64, slots: Vec<u64>, fold: &PartialFold) {
+        self.writer.append_fold(&JournalRecord::Fold {
+            worker,
+            seq,
+            slots,
+            fold: Box::new(fold.clone()),
+        });
     }
-
-    /// Flushes the worker's buffered slot lines and records its
-    /// cumulative fold covering `slots` since its previous fold record,
-    /// then syncs — after this returns, those slots survive any crash.
-    pub(crate) fn record_fold(
-        &self,
-        buf: &mut SlotBuffer,
-        worker: u64,
-        seq: u64,
-        slots: Vec<u64>,
-        fold: &PartialFold,
-    ) {
-        let slot_count = slots.len() as u64;
-        self.writer.append_batch(
-            &buf.lines,
-            slot_count,
-            &JournalRecord::Fold { worker, seq, slots, fold: Box::new(fold.clone()) },
-        );
-        buf.lines.clear();
-    }
-}
-
-/// An [`std::fmt::Write`] adapter that FNV-1a-hashes whatever is
-/// formatted into it — the slot digest's way of hashing a formatted
-/// summary without allocating a `String` per cell.
-struct FnvWriter(u64);
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-/// The slot digest recorded next to each `journal/slot` entry: a
-/// schedule-independent hash of the cell's assessment-relevant outcome,
-/// so two runs of the same slot can be compared forensically.
-pub(crate) fn slot_digest(cell: &crate::campaign::CellResult) -> u64 {
-    let mut hasher = FnvWriter(0xcbf2_9ce4_8422_2325);
-    let _ = write!(
-        hasher,
-        "{}|{}|{}|{}|{}|{}",
-        cell.use_case,
-        cell.version,
-        cell.mode,
-        cell.erroneous_state,
-        cell.violations.len(),
-        cell.degraded(),
-    );
-    hasher.0
 }
 
 #[cfg(test)]
@@ -772,7 +570,6 @@ mod tests {
         let records = [
             JournalRecord::Header { grid: fingerprint(), shard: Some(Shard { index: 1, count: 4 }) },
             JournalRecord::Header { grid: fingerprint(), shard: None },
-            JournalRecord::SlotDone { worker: 3, seq: 9, slot: 42, digest: 0xdead_beef },
             JournalRecord::Fold {
                 worker: 2,
                 seq: 4,
@@ -790,25 +587,11 @@ mod tests {
     }
 
     #[test]
-    fn slot_buffer_fast_path_matches_the_canonical_encoder() {
-        let mut buf = SlotBuffer::default();
-        let cases =
-            [(1u64, 1u64, 0u64, 0u64), (7, 42, 99_999, 0xdead_beef), (u64::MAX, u64::MAX, u64::MAX, u64::MAX)];
-        for (worker, seq, slot, digest) in cases {
-            buf.lines.clear();
-            buf.push_slot(worker, seq, slot, digest);
-            let canonical = JournalRecord::SlotDone { worker, seq, slot, digest }
+    fn decode_rejects_torn_and_corrupt_frames() {
+        let line =
+            JournalRecord::Fold { worker: 1, seq: 1, slots: vec![7], fold: Box::default() }
                 .encode()
                 .unwrap();
-            assert_eq!(buf.lines, canonical, "hand-rolled slot line diverged from the codec");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_torn_and_corrupt_frames() {
-        let line = JournalRecord::SlotDone { worker: 1, seq: 1, slot: 7, digest: 1 }
-            .encode()
-            .unwrap();
         let whole = line.trim_end();
         // Torn: any strict prefix must fail (length or checksum).
         for cut in 1..whole.len() {
@@ -887,12 +670,12 @@ mod tests {
         let path = dir.join("grid.journal");
         let identity: SinkWrap<'_> = &|s| s;
         let session =
-            CheckpointSession::create(&path, fingerprint(), None, 512, false, identity).unwrap();
+            CheckpointSession::create(&path, fingerprint(), None, identity).unwrap();
         drop(session);
         let mut other = fingerprint();
         other.trials = 99;
         assert!(matches!(
-            CheckpointSession::resume(&path, &other, None, 512, false, identity),
+            CheckpointSession::resume(&path, &other, None, identity),
             Err(CheckpointError::GridMismatch { .. })
         ));
         assert!(matches!(
@@ -900,18 +683,14 @@ mod tests {
                 &path,
                 &fingerprint(),
                 Some(Shard { index: 0, count: 2 }),
-                512,
-                false,
                 identity
             ),
             Err(CheckpointError::GridMismatch { .. })
         ));
-        let ok =
-            CheckpointSession::resume(&path, &fingerprint(), None, 512, false, identity).unwrap();
+        let ok = CheckpointSession::resume(&path, &fingerprint(), None, identity).unwrap();
         assert_eq!(ok.resumed_slots(), 0);
         assert_eq!(ok.first_worker, 1);
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(sidecar_path(&path)).ok();
     }
 
     #[test]
@@ -928,14 +707,13 @@ mod tests {
                 Ok(())
             }
         }
-        let writer = CheckpointWriter::new(Box::new(BrokenSink { appends: 0 }), None);
+        let writer = CheckpointWriter::new(Box::new(BrokenSink { appends: 0 }));
         let fold =
             JournalRecord::Fold { worker: 1, seq: 1, slots: vec![0], fold: Box::default() };
-        writer.append_batch("42 x line\n", 1, &fold);
-        writer.append_batch("42 x line\n", 1, &fold);
+        writer.append_fold(&fold);
+        writer.append_fold(&fold);
         let counters = writer.counters();
         assert_eq!(counters.write_errors, 1, "first error latches");
-        assert_eq!(counters.slots, 0);
         assert_eq!(counters.folds, 0);
         assert_eq!(counters.bytes, 0);
     }
@@ -946,53 +724,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.journal");
         let identity: SinkWrap<'_> = &|s| s;
-        let session =
-            CheckpointSession::create(&path, fingerprint(), None, 512, true, identity).unwrap();
-        let mut buf = SlotBuffer::default();
-        session.record_slot(&mut buf, 1, 1, 3, 0xabcd);
-        session.record_fold(&mut buf, 1, 2, vec![3], &PartialFold::default());
-        assert!(buf.lines.is_empty(), "fold flushes the slot buffer");
+        let session = CheckpointSession::create(&path, fingerprint(), None, identity).unwrap();
+        session.record_fold(1, 1, vec![3], &PartialFold::default());
         let counters = session.writer.counters();
-        assert_eq!((counters.slots, counters.folds), (1, 1));
+        assert_eq!(counters.folds, 1);
         assert!(counters.syncs >= 1);
         drop(session);
-        // Slot forensics land in the sidecar, not the fsync'd journal.
         let journal = std::fs::read_to_string(&path).unwrap();
-        assert!(!journal.contains("journal/slot"), "journal holds header + folds only");
-        let sidecar = std::fs::read_to_string(sidecar_path(&path)).unwrap();
-        assert!(sidecar.contains("journal/header"), "sidecar is self-identifying");
-        assert!(sidecar.contains("journal/slot"), "sidecar holds the slot records");
-        let resumed =
-            CheckpointSession::resume(&path, &fingerprint(), None, 512, true, identity).unwrap();
+        assert_eq!(journal.lines().count(), 2, "the journal holds the header and one fold");
+        let resumed = CheckpointSession::resume(&path, &fingerprint(), None, identity).unwrap();
         assert!(resumed.is_done(3));
         assert!(!resumed.is_done(4));
         assert_eq!(resumed.resumed_slots(), 1);
         assert_eq!(resumed.recovered.len(), 1);
         assert_eq!(resumed.first_worker, 2);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(sidecar_path(&path)).unwrap();
-    }
-
-    #[test]
-    fn slot_forensics_are_opt_in() {
-        let dir = std::env::temp_dir().join(format!("hvsim-ckpt-optin-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("default.journal");
-        let identity: SinkWrap<'_> = &|s| s;
-        let session =
-            CheckpointSession::create(&path, fingerprint(), None, 512, false, identity).unwrap();
-        let mut buf = SlotBuffer::default();
-        session.record_slot(&mut buf, 1, 1, 3, 0xabcd);
-        assert!(buf.lines.is_empty(), "slot recording is off by default");
-        session.record_fold(&mut buf, 1, 2, vec![3], &PartialFold::default());
-        let counters = session.writer.counters();
-        assert_eq!((counters.slots, counters.folds), (0, 1));
-        drop(session);
-        assert!(!sidecar_path(&path).exists(), "no sidecar unless requested");
-        let resumed =
-            CheckpointSession::resume(&path, &fingerprint(), None, 512, false, identity).unwrap();
-        assert!(resumed.is_done(3), "fold durability is unaffected");
-        assert!(!sidecar_path(&path).exists());
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -96,8 +96,8 @@ mod telemetry;
 pub use avi::{ThreatChain, ThreatLink, ThreatStage};
 pub use benchmark::{SecurityAttribute, SecurityBenchmark, VersionScore};
 pub use campaign::{
-    default_jobs, standard_world_factory, Campaign, CampaignConfig, CampaignReport,
-    CampaignThroughput, CellResult, LatencyBreakdown, PhaseLatency, PhaseTimings, WorldFactory,
+    default_jobs, Campaign, CampaignReport, CampaignThroughput, CellResult, LatencyBreakdown,
+    PhaseLatency, PhaseTimings, WorldFactory,
 };
 pub use chaos::{ChaosConfig, ChaosPolicy};
 pub use checkpoint::{read_header, FileSink, JournalHeader, JournalSink};
@@ -111,6 +111,6 @@ pub use report::{canonical_hypercall_total, TextTable};
 pub use scenario::{Mode, ScenarioOutcome, UseCase};
 pub use stream::{
     CellSpec, DegradedSlot, GridFingerprint, KeySummary, MergeError, Shard, ShardError, SpecGrid,
-    StreamBench, StreamOutcome, StreamReport, StreamRunStats,
+    StreamOutcome, StreamReport, StreamRunStats,
 };
 pub use taxonomy::{AbusiveFunctionality, FunctionalityClass};

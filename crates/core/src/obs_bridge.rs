@@ -44,8 +44,6 @@ pub const M_CHUNKS_PRIVATIZED: &str = "mem.chunks_privatized";
 pub const M_MERGE_US: &str = "campaign.stream.merge_us";
 /// Counter: total backoff slept between transient boot retries, µs.
 pub const M_RETRY_BACKOFF_US: &str = "boot.retry_backoff_us";
-/// Counter (checkpointing only): slot records journaled.
-pub const M_CKPT_SLOTS: &str = "campaign.checkpoint.slots";
 /// Counter (checkpointing only): durable fold records journaled.
 pub const M_CKPT_FOLDS: &str = "campaign.checkpoint.folds";
 /// Counter (checkpointing only): fsyncs issued on the journal.
@@ -160,7 +158,6 @@ pub(crate) fn record_checkpoint_metrics(
     resumed_slots: u64,
     registry: &MetricsRegistry,
 ) {
-    registry.add(M_CKPT_SLOTS, counters.slots);
     registry.add(M_CKPT_FOLDS, counters.folds);
     registry.add(M_CKPT_SYNCS, counters.syncs);
     registry.add(M_CKPT_BYTES, counters.bytes);
@@ -188,7 +185,7 @@ pub(crate) fn record_chaos_metrics(
 }
 
 /// Builds one phase histogram summary directly from report cells — the
-/// path `CampaignThroughput` uses for `BENCH_campaign.json`.
+/// path `CampaignThroughput` uses.
 pub fn phase_summary<'a>(
     cells: impl Iterator<Item = &'a CellResult>,
     value: impl Fn(&CellResult) -> Option<u64>,

@@ -753,46 +753,6 @@ pub struct StreamOutcome {
     pub stats: StreamRunStats,
 }
 
-/// One machine-readable benchmark record of a streamed run, as written
-/// to the `stream` array of `BENCH_campaign.json`: which grid was
-/// streamed, how big it was, and the run-shape stats.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StreamBench {
-    /// What was streamed (e.g. `table3` or `synthetic_100k`).
-    pub grid: String,
-    /// Cells in this run's (shard of the) grid.
-    pub cells: u64,
-    /// Cells that completed cleanly.
-    pub completed: u64,
-    /// Cells on which the harness degraded.
-    pub degraded: u64,
-    /// Worker threads used.
-    pub workers: u64,
-    /// End-to-end elapsed time, µs.
-    pub elapsed_us: u64,
-    /// Completed cells per second of elapsed time.
-    pub cells_per_sec: f64,
-    /// Partial-report merge time, µs.
-    pub merge_us: u64,
-}
-
-impl StreamOutcome {
-    /// The benchmark record for this run, labelled `grid`.
-    pub fn bench_entry(&self, grid: impl Into<String>) -> StreamBench {
-        let s = self.stats;
-        StreamBench {
-            grid: grid.into(),
-            cells: self.report.cells,
-            completed: self.report.completed,
-            degraded: self.report.degraded,
-            workers: s.workers,
-            elapsed_us: s.elapsed_us,
-            cells_per_sec: s.cells_per_sec,
-            merge_us: s.merge_us,
-        }
-    }
-}
-
 /// Per-worker raw fold state: full histograms (not summaries) so the
 /// final merge is exact, plus the worker's first slot so partial folds
 /// merge in a deterministic order.

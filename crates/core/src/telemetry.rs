@@ -3,7 +3,7 @@
 //!
 //! The campaign worker loop stamps each worker's heartbeat at every
 //! slot boundary, and a single
-//! supervisor thread wakes every sampling interval to (1) push a
+//! supervisor thread wakes every [`SAMPLE_INTERVAL`] to (1) push a
 //! [`TimelineSample`] of live counters and gauges, (2) compare every
 //! worker's heartbeat age against the stall threshold — flagging a
 //! wedged worker once per stall episode via the
@@ -19,6 +19,10 @@ use hvsim_obs::{flight, FlightHandle, MetricsRegistry, MetricsTimeline};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// How often the supervisor samples the timeline, checks for stalls and
+/// redraws the progress line.
+pub(crate) const SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Heartbeat value meaning "this worker is idle" (finished its stream
 /// or waiting for work) — idle workers are never stall candidates.
@@ -131,8 +135,6 @@ pub(crate) fn progress_line(done: u64, total: u64, degraded: u64, elapsed_ms: u6
 /// Everything the supervisor thread needs, borrowed from the engine's
 /// scope so the thread can live inside `std::thread::scope`.
 pub(crate) struct Supervisor<'a> {
-    /// Sampling interval for the timeline / stall check / progress line.
-    pub interval: Duration,
     /// Heartbeat age beyond which a busy worker counts as stalled.
     pub stall_after: Duration,
     /// Redraw the live progress line on stderr every tick.
@@ -177,8 +179,8 @@ impl Supervisor<'_> {
     /// Sleeps one interval in short chunks, returning early (true)
     /// once the run is finished.
     fn sleep_interval(&self, telemetry: &Telemetry) -> bool {
-        let chunk = Duration::from_millis(10).min(self.interval);
-        let deadline = Instant::now() + self.interval;
+        let chunk = Duration::from_millis(10);
+        let deadline = Instant::now() + SAMPLE_INTERVAL;
         while Instant::now() < deadline {
             if telemetry.finished() {
                 return true;

@@ -177,7 +177,6 @@ pub struct WorldBuilder {
     version: XenVersion,
     injector: bool,
     frames: usize,
-    chunk_frames: usize,
     dom0_pages: u64,
     guests: Vec<(String, u64)>,
     remote_host: String,
@@ -192,7 +191,6 @@ impl WorldBuilder {
             version,
             injector: false,
             frames: 4096,
-            chunk_frames: hvsim_mem::DEFAULT_CHUNK_FRAMES,
             dom0_pages: 96,
             guests: Vec::new(),
             remote_host: "10.3.1.99".to_owned(),
@@ -211,15 +209,6 @@ impl WorldBuilder {
     #[must_use]
     pub fn frames(mut self, frames: usize) -> Self {
         self.frames = frames;
-        self
-    }
-
-    /// Sets the copy-on-write chunk size of the frame directory — a
-    /// pure performance knob (chunk size 1 is the unobservability worst
-    /// case; >= `frames` reproduces monolithic privatization).
-    #[must_use]
-    pub fn chunk_frames(mut self, chunk_frames: usize) -> Self {
-        self.chunk_frames = chunk_frames;
         self
     }
 
@@ -251,8 +240,7 @@ impl WorldBuilder {
         let mut hv = Hypervisor::new(
             BuildConfig::new(self.version)
                 .injector(self.injector)
-                .frames(self.frames)
-                .chunk_frames(self.chunk_frames),
+                .frames(self.frames),
         );
         let dom0 = hv
             .create_domain("xen3", true, self.dom0_pages)

@@ -32,12 +32,6 @@ pub struct BuildConfig {
     pub injector_enabled: bool,
     /// Installed machine frames (default 4096 = 16 MiB).
     pub frames: usize,
-    /// Frames per copy-on-write chunk of the frame directory (default
-    /// [`hvsim_mem::DEFAULT_CHUNK_FRAMES`]). Purely a performance knob:
-    /// chunk size 1 is the worst case CI uses to prove chunking is
-    /// unobservable, and a value ≥ `frames` reproduces the old
-    /// monolithic-vector privatization cost.
-    pub chunk_frames: usize,
     /// Simulated CPUs, each with its own IDT (default 2).
     pub cpus: usize,
 }
@@ -49,7 +43,6 @@ impl BuildConfig {
             version,
             injector_enabled: false,
             frames: 4096,
-            chunk_frames: hvsim_mem::DEFAULT_CHUNK_FRAMES,
             cpus: 2,
         }
     }
@@ -65,13 +58,6 @@ impl BuildConfig {
     #[must_use]
     pub fn frames(mut self, frames: usize) -> Self {
         self.frames = frames;
-        self
-    }
-
-    /// Sets the copy-on-write chunk size of the frame directory.
-    #[must_use]
-    pub fn chunk_frames(mut self, chunk_frames: usize) -> Self {
-        self.chunk_frames = chunk_frames;
         self
     }
 
@@ -146,7 +132,7 @@ impl Hypervisor {
     pub fn new(config: BuildConfig) -> Self {
         assert!(config.frames >= 64, "need at least 64 machine frames");
         assert!(config.cpus >= 1, "need at least one CPU");
-        let mut mem = MachineMemory::with_chunk_frames(config.frames, config.chunk_frames);
+        let mut mem = MachineMemory::new(config.frames);
         let xen_text = Mfn::new(0);
         mem.info_mut(xen_text)
             .expect("frame 0 installed")

@@ -60,8 +60,7 @@ struct Chunk {
 }
 
 /// Copy-on-write accounting for one memory image, reported per campaign
-/// cell so `BENCH_campaign.json` shows how much of a snapshot stayed
-/// shared.
+/// cell so a run shows how much of a snapshot stayed shared.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotStats {
     /// Installed frames.
@@ -128,8 +127,8 @@ impl MachineMemory {
     /// Creates a machine with an explicit copy-on-write chunk size.
     /// `chunk_frames` is rounded up to a power of two and clamped to at
     /// least 1; a chunk size of 1 degenerates to per-frame directory
-    /// entries (the worst case CI uses to prove chunking is
-    /// unobservable), and a chunk size ≥ `frames` reproduces the old
+    /// entries (the worst case the chunked-COW proptest checks against
+    /// a flat reference), and a chunk size ≥ `frames` reproduces the old
     /// monolithic-vector behaviour (the `frame_privatize` bench
     /// baseline).
     pub fn with_chunk_frames(frames: usize, chunk_frames: usize) -> Self {

@@ -26,7 +26,7 @@
 //!   overwrite-oldest event ring whose slot tail becomes the forensic
 //!   dump attached to degraded cells ([`flight`]),
 //! * [`MetricsTimeline`] — wall-clock time series of live pipeline
-//!   state, sampled every `--metrics-interval-ms` ([`metrics`]).
+//!   state, sampled every 200 ms ([`metrics`]).
 //!
 //! A disabled [`Tracer`] is a true no-op: one branch per call site, no
 //! allocation, attribute closures never run.

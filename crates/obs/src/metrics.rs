@@ -132,7 +132,7 @@ impl Histogram {
 }
 
 /// p50/p95/max summary of a [`Histogram`], as serialized into
-/// `CampaignReport` and `BENCH_campaign.json`.
+/// campaign reports and throughput records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Observations recorded (deterministic).
@@ -292,8 +292,8 @@ pub fn encode_sample(sample: &TimelineSample) -> String {
     out
 }
 
-/// A time series of live pipeline state, sampled every
-/// `--metrics-interval-ms` by the campaign's telemetry thread.
+/// A time series of live pipeline state, sampled every 200 ms by the
+/// campaign's telemetry thread.
 ///
 /// Unlike [`MetricsRegistry`] (folded once, deterministically, at
 /// collection time), the timeline is **wall-clock shaped by design** —
