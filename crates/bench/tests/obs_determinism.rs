@@ -9,7 +9,7 @@ use guestos::{BootError, World};
 use hvsim::XenVersion;
 use hvsim_mem::DomainId;
 use hvsim_obs::{
-    flight, normalized_jsonl, parse_jsonl, to_jsonl, MetricsRegistry, TraceSummary, Tracer,
+    normalized_jsonl, parse_jsonl, to_jsonl, MetricsRegistry, TraceEvent, TraceSummary, Tracer,
 };
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
@@ -230,38 +230,36 @@ fn degraded_cells_carry_phase_timings() {
     assert!(throughput.latency.inject.degraded.max_us >= 300_000);
 }
 
+/// The normalized events of one trace shard, as canonical JSONL.
+fn shard_jsonl(events: &[TraceEvent], shard: u64) -> String {
+    let shard: Vec<TraceEvent> = events.iter().filter(|e| e.shard == shard).cloned().collect();
+    normalized_jsonl(&shard)
+}
+
 #[test]
-fn flight_dumps_are_schedule_independent() {
-    let serial = messy_campaign().run_with_jobs(1);
-    let parallel = messy_campaign().run_with_jobs(8);
-    // Key dumps by cell identity (slots are equal across runs, but the
-    // identity makes failures readable).
-    let dumps = |report: &CampaignReport| -> Vec<(String, String)> {
-        report
-            .cells()
-            .iter()
-            .filter(|c| c.degraded())
-            .map(|c| {
-                (
-                    format!("{}/{}/{}", c.use_case, c.version, c.mode),
-                    flight::normalized_dump_jsonl(&c.flight),
-                )
-            })
-            .collect()
-    };
-    let serial_dumps = dumps(&serial);
-    assert!(!serial_dumps.is_empty(), "the messy campaign degrades cells");
-    for (id, dump) in &serial_dumps {
-        assert!(!dump.is_empty(), "degraded cell {id} has no forensic tail");
-        // Dumps are themselves schema-valid trace JSONL, so every trace
-        // tool (validate, summary) works on them.
-        parse_jsonl(dump).unwrap_or_else(|e| panic!("dump for {id} is not trace JSONL: {e}"));
+fn replayed_degraded_slots_reproduce_their_cells_and_trace_shards() {
+    let (serial, serial_jsonl, _) = observed_run(1);
+    let (parallel, parallel_jsonl, _) = observed_run(8);
+    // Unsharded collecting runs keep cells in slot order.
+    let degraded: Vec<u64> =
+        (0u64..).zip(serial.cells()).filter(|(_, c)| c.degraded()).map(|(s, _)| s).collect();
+    assert!(!degraded.is_empty(), "the messy campaign degrades cells");
+    for slot in degraded {
+        let tracer = Tracer::enabled();
+        let replayed = messy_campaign().tracer(tracer.clone()).replay(slot).unwrap();
+        let replay_trace = shard_jsonl(&tracer.drain(), slot + 1);
+        assert!(replay_trace.contains("cell/degraded"), "slot {slot}: {replay_trace}");
+        for (report, jsonl) in [(&serial, &serial_jsonl), (&parallel, &parallel_jsonl)] {
+            let cell = &report.cells()[slot as usize];
+            assert_eq!(replayed.outcome, cell.outcome, "slot {slot}");
+            assert_eq!(replayed.error, cell.error, "slot {slot}");
+            assert_eq!(
+                replay_trace,
+                shard_jsonl(&parse_jsonl(jsonl).unwrap(), slot + 1),
+                "replaying slot {slot} must reproduce its trace shard byte-for-byte"
+            );
+        }
     }
-    assert_eq!(
-        serial_dumps,
-        dumps(&parallel),
-        "normalized flight dumps must be byte-identical at jobs=1 and jobs=8"
-    );
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! worker counts and across shard/merge decompositions.
 
 use bench::{paper_campaign, synthetic_campaign};
-use intrusion_core::{Shard, StreamReport};
+use intrusion_core::{ChaosConfig, Shard, StreamReport};
 
 #[test]
 fn hundred_thousand_cell_campaign_is_bounded_and_deterministic() {
@@ -130,21 +130,81 @@ const PRE_TLB_REMOVAL_SHARD0: &str = r#"{
     "coverage": [{"index": 0, "count": 2}]
 }"#;
 
+/// Shard 0/2 of `synthetic_campaign(7, 24)` under `--chaos-seed 7`,
+/// normalized, in the shape written before the flight recorder was
+/// removed: its degraded slot carries a `flight` forensic tail, as
+/// checkpoint fold records of that era persist it.
+const PRE_REPLAY_CHAOS_SHARD0: &str = r#"{
+    "cells": 36, "completed": 35, "degraded": 1, "erroneous_states": 21,
+    "violated_cells": 0, "violations": 0, "handled": 21, "boot_failed": 1,
+    "crashed": 0, "timed_out": 0, "retries": 0, "hypercalls": 0,
+    "wall_time_us": 0, "frames_copied": 0, "chunks_privatized": 0,
+    "latency": {
+        "boot": {"completed": {"count": 35, "p50_us": 0, "p95_us": 0, "max_us": 0},
+                 "degraded": {"count": 1, "p50_us": 0, "p95_us": 0, "max_us": 0}},
+        "inject": {"completed": {"count": 35, "p50_us": 0, "p95_us": 0, "max_us": 0},
+                   "degraded": {"count": 0, "p50_us": 0, "p95_us": 0, "max_us": 0}},
+        "monitor": {"completed": {"count": 35, "p50_us": 0, "p95_us": 0, "max_us": 0},
+                    "degraded": {"count": 0, "p50_us": 0, "p95_us": 0, "max_us": 0}}
+    },
+    "by_key": {
+        "synthetic-grid/4.13/injection": {"cells": 12, "completed": 11, "degraded": 1,
+            "erroneous_states": 7, "violated": 0, "handled": 7, "hypercalls": 0},
+        "synthetic-grid/4.6/injection": {"cells": 12, "completed": 12, "degraded": 0,
+            "erroneous_states": 7, "violated": 0, "handled": 7, "hypercalls": 0},
+        "synthetic-grid/4.8/injection": {"cells": 12, "completed": 12, "degraded": 0,
+            "erroneous_states": 7, "violated": 0, "handled": 7, "hypercalls": 0}
+    },
+    "degraded_slots": {
+        "60": {
+            "use_case": "synthetic-grid", "version": "V4_13", "mode": "Injection",
+            "trial": 12, "outcome": "BootFailed",
+            "error": {"Boot": {"message":
+                "boot failed at chaos: injected transient boot failure (transient)",
+                "attempts": 1}},
+            "flight": [
+                {"slot": 60, "seq": 0, "path": "chaos/transient_boots", "wall_us": 0,
+                 "detail": "faults=2"},
+                {"slot": 60, "seq": 1, "path": "cell/start", "wall_us": 0,
+                 "detail": "synthetic-grid/4.13/injection trial=12"},
+                {"slot": 60, "seq": 2, "path": "cell/boot/result", "wall_us": 2,
+                 "detail": "attempts=1 source=boot ok=false"},
+                {"slot": 60, "seq": 3, "path": "cell/degraded", "wall_us": 0,
+                 "detail": "boot failed after 1 attempt(s): boot failed at chaos: injected transient boot failure (transient)"}
+            ]
+        }
+    },
+    "grid": {"use_cases": ["synthetic-grid"], "versions": ["V4_6", "V4_8", "V4_13"],
+             "modes": ["Injection"], "trials": 24},
+    "coverage": [{"index": 0, "count": 2}]
+}"#;
+
 #[test]
 fn reports_written_with_tlb_counters_still_load_and_merge() {
     // `report merge` and `campaign resume` read reports and journals
-    // written by older builds; the retired counter keys must be ignored.
-    let old = StreamReport::from_json(PRE_TLB_REMOVAL_SHARD0).expect("old report parses");
-    assert_eq!(old.cells, 3);
-    let shard1 = synthetic_campaign(7, 2)
-        .shard(Shard::new(1, 2).unwrap())
-        .run_streaming_with_jobs(1)
-        .report;
-    let merged = old.try_merge(&shard1).expect("old and new shards merge");
-    let whole = synthetic_campaign(7, 2).run_streaming_with_jobs(1).report;
-    assert_eq!(
-        merged.normalized().to_json().unwrap(),
-        whole.normalized().to_json().unwrap(),
-        "an old shard merged with a new one reproduces the unsharded report"
-    );
+    // written by older builds; retired keys — the software-TLB counters,
+    // a degraded slot's flight tail — must be ignored.
+    let cases = [
+        (PRE_TLB_REMOVAL_SHARD0, 3, 2, None),
+        (PRE_REPLAY_CHAOS_SHARD0, 36, 24, Some(ChaosConfig::standard(7))),
+    ];
+    for (json, cells, trials, chaos) in cases {
+        let old = StreamReport::from_json(json).expect("old report parses");
+        assert_eq!(old.cells, cells);
+        let campaign = || {
+            let campaign = synthetic_campaign(7, trials);
+            match chaos {
+                Some(config) => campaign.chaos(config),
+                None => campaign,
+            }
+        };
+        let shard1 = campaign().shard(Shard::new(1, 2).unwrap()).run_streaming_with_jobs(1).report;
+        let merged = old.try_merge(&shard1).expect("old and new shards merge");
+        let whole = campaign().run_streaming_with_jobs(1).report;
+        assert_eq!(
+            merged.normalized().to_json().unwrap(),
+            whole.normalized().to_json().unwrap(),
+            "an old shard merged with a new one reproduces the unsharded report"
+        );
+    }
 }

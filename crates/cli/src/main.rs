@@ -4,8 +4,9 @@
 //! ```text
 //! intrusion-injector campaign [--extensions] [--json] [--jobs 4] [--trace-out t.jsonl]
 //! intrusion-injector campaign --stream --checkpoint c.journal [--chaos-seed 7]
-//! intrusion-injector campaign --progress --flight-out dumps/ --timeline-out tl.jsonl
+//! intrusion-injector campaign --progress --timeline-out tl.jsonl
 //! intrusion-injector campaign resume c.journal
+//! intrusion-injector campaign replay 17 --chaos-seed 7 --trace-out slot17.jsonl
 //! intrusion-injector run --use-case XSA-182-test --version 4.13 --mode injection
 //! intrusion-injector randomized --region idt --trials 24 --seed 7 --version 4.8
 //! intrusion-injector benchmark [--jobs 4]
@@ -21,19 +22,19 @@ mod args;
 
 use args::{ArgError, Parsed, Spec};
 use hvsim_obs::{
-    flight, parse_jsonl, parse_line, to_jsonl, FlightEvent, MetricsRegistry, MetricsTimeline,
-    ParseError, TraceSummary, Tracer,
+    parse_jsonl, parse_line, to_jsonl, MetricsRegistry, MetricsTimeline, ParseError,
+    TraceSummary, Tracer,
 };
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
-    read_header, ArbitraryAccessInjector, Campaign, CampaignReport, ChaosConfig, Mode,
+    read_header, ArbitraryAccessInjector, Campaign, CampaignError, CampaignReport, ChaosConfig, Mode,
     RandomizedCampaign, RandomizedSummary, SecurityBenchmark, Shard, StreamReport, TargetRegion,
     UseCase,
 };
 use hvsim::XenVersion;
 use serde::Value;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 use xsa_exploits::{extension_use_cases, paper_use_cases};
@@ -74,17 +75,23 @@ COMMANDS:
                                    --jobs count)
                    [--progress]    live progress line on stderr (done/total,
                                    cells/s, ETA, degraded count)
-                   [--flight-out <dir>]    write the flight-recorder forensic
-                                   tail of every degraded cell as
-                                   <dir>/slot-<n>.jsonl (plus
-                                   stall-worker-<n>.jsonl for wedged workers);
-                                   dumps are trace-schema JSONL
                    [--timeline-out <file>]  write the metrics timeline, sampled
                                    every 200 ms (counters + gauges per tick),
-                                   as JSONL
+                                   as JSONL; with --progress or --timeline-out a
+                                   wedged worker is reported as 'worker <w>
+                                   stalled on slot <s>'
                  resume <file>   resume a checkpointed campaign from its
                                    journal; grid shape, trials and shard are
                                    restored from the journal header
+                 replay <slot>   re-run one grid slot with tracing on: writes
+                                   its trace (boot stages, audited hypercalls,
+                                   chaos faults, verdict) as JSONL to
+                                   --trace-out or stdout, prints the verdict on
+                                   stderr and exits 0/1/2 from that cell. Pass
+                                   the grid flags of the original run
+                                   (--extensions, --trials, --chaos-seed,
+                                   --cell-deadline-ms, --retries); degraded
+                                   cells are listed with their slot
     report       operate on streamed campaign reports
                    merge <out> <in>...   merge shard reports written by
                                          'campaign --stream --report-out'
@@ -237,9 +244,6 @@ fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, St
             raw.parse().map_err(|_| "--chaos-seed must be a number".to_owned())?;
         campaign = campaign.chaos(ChaosConfig::standard(seed));
     }
-    if let Some(dir) = p.options.get("flight-out") {
-        campaign = campaign.flight_out(PathBuf::from(dir));
-    }
     if p.has_flag("progress") {
         campaign = campaign.progress(true);
     }
@@ -293,33 +297,6 @@ fn write_obs_outputs(p: &Parsed, hooks: &ObsHooks) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes one `slot-<n>.jsonl` forensic dump per degraded cell into the
-/// `--flight-out` directory (stall dumps land there too, written live by
-/// the telemetry supervisor as `stall-worker-<n>.jsonl`).
-fn write_flight_dumps<'a>(
-    p: &Parsed,
-    tails: impl Iterator<Item = (u64, &'a [FlightEvent])>,
-) -> Result<(), String> {
-    let Some(dir) = p.options.get("flight-out") else {
-        return Ok(());
-    };
-    let dir = Path::new(dir);
-    std::fs::create_dir_all(dir)
-        .map_err(|e| format!("could not create {}: {e}", dir.display()))?;
-    let mut written = 0usize;
-    for (slot, tail) in tails {
-        if tail.is_empty() {
-            continue;
-        }
-        let path = dir.join(format!("slot-{slot}.jsonl"));
-        std::fs::write(&path, flight::dump_jsonl(tail))
-            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
-        written += 1;
-    }
-    eprintln!("wrote {written} flight dump(s) to {}", dir.display());
-    Ok(())
-}
-
 fn all_use_cases() -> Vec<Box<dyn UseCase>> {
     paper_use_cases().into_iter().chain(extension_use_cases()).collect()
 }
@@ -329,16 +306,23 @@ fn find_use_case(name: &str) -> Option<Box<dyn UseCase>> {
 }
 
 fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
-    // `campaign resume <journal>` is the only positional form.
-    let resume_path = match p.positionals.first().map(String::as_str) {
-        None => None,
-        Some("resume") => {
-            let path =
-                p.positionals.get(1).ok_or("campaign resume needs a journal path")?.clone();
-            if let Some(extra) = p.positionals.get(2) {
-                return Err(format!("unexpected argument '{extra}'"));
-            }
-            Some(path)
+    // `campaign resume <journal>` and `campaign replay <slot>` are the
+    // positional forms.
+    let argument = |form: &str, what: &str| -> Result<String, String> {
+        let arg = p.positionals.get(1).ok_or_else(|| format!("campaign {form} needs {what}"))?;
+        if let Some(extra) = p.positionals.get(2) {
+            return Err(format!("unexpected argument '{extra}'"));
+        }
+        Ok(arg.clone())
+    };
+    let (resume_path, replay_slot) = match p.positionals.first().map(String::as_str) {
+        None => (None, None),
+        Some("resume") => (Some(argument("resume", "a journal path")?), None),
+        Some("replay") => {
+            let raw = argument("replay", "a slot number")?;
+            let slot: u64 =
+                raw.parse().map_err(|_| format!("campaign replay: '{raw}' is not a slot number"))?;
+            (None, Some(slot))
         }
         Some(other) => return Err(format!("unexpected argument '{other}'")),
     };
@@ -369,6 +353,10 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
             campaign = campaign.shard(shard);
         }
     }
+    if let Some(slot) = replay_slot {
+        return cmd_campaign_replay(campaign, slot, p);
+    }
+    let flags = replay_flags(p, want_extensions, campaign.fingerprint().trials);
     let (campaign, hooks) = attach_obs(campaign, p);
     let streaming = p.has_flag("stream")
         || resume_path.is_some()
@@ -386,14 +374,6 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
             campaign.run_streaming()
         };
         write_obs_outputs(p, &hooks)?;
-        write_flight_dumps(
-            p,
-            outcome
-                .report
-                .degraded_slots
-                .iter()
-                .map(|(&slot, degraded)| (slot, degraded.flight.as_slice())),
-        )?;
         if let Some(path) = p.options.get("report-out") {
             let json = outcome.report.normalized().to_json().map_err(|e| e.to_string())?;
             std::fs::write(path, json).map_err(|e| format!("could not write {path}: {e}"))?;
@@ -412,24 +392,20 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         );
         if outcome.report.degraded > 0 {
             eprintln!(
-                "warning: {} cell(s) degraded (crash / deadline / boot failure)",
+                "warning: {} cell(s) degraded (crash / deadline / boot failure):",
                 outcome.report.degraded
             );
+            for (&slot, cell) in &outcome.report.degraded_slots {
+                let cell_id = format!("{} / Xen {} / {}", cell.use_case, cell.version, cell.mode);
+                eprintln!("{}", degraded_line(slot, &cell_id, cell.error.as_ref(), &flags));
+            }
         }
         return Ok(exit);
     }
     eprintln!("running the campaign ...");
+    let grid = campaign.grid();
     let report = campaign.run();
     write_obs_outputs(p, &hooks)?;
-    // A classic cell does not carry its slot, but every event in its
-    // forensic tail does.
-    write_flight_dumps(
-        p,
-        report
-            .cells()
-            .iter()
-            .filter_map(|cell| Some((cell.flight.first()?.slot, cell.flight.as_slice()))),
-    )?;
     let outcome = CliOutcome::for_report(&report);
     if p.has_flag("json") {
         println!("{}", report.to_json().map_err(|e| e.to_string())?);
@@ -441,13 +417,73 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     let degraded = report.degraded_cells().count();
     if degraded > 0 {
         eprintln!("warning: {degraded} cell(s) degraded (crash / deadline / boot failure):");
-        for cell in report.degraded_cells() {
-            let error =
-                cell.error.as_ref().map_or_else(|| "unknown".to_owned(), ToString::to_string);
-            eprintln!("  ! {} / Xen {} / {}: {error}", cell.use_case, cell.version, cell.mode);
+        // Cells are in shard-local order: the i-th is slot index + i·count.
+        let shard = p.options.get("shard").and_then(|raw| Shard::parse(raw).ok());
+        for (spec, cell) in grid.shard_iter(shard).zip(report.cells()) {
+            if cell.degraded() {
+                let cell_id = format!("{} / Xen {} / {}", cell.use_case, cell.version, cell.mode);
+                eprintln!("{}", degraded_line(spec.slot, &cell_id, cell.error.as_ref(), &flags));
+            }
         }
     }
     Ok(outcome)
+}
+
+/// The grid flags `campaign replay` needs to rebuild this invocation's
+/// grid.
+fn replay_flags(p: &Parsed, extensions: bool, trials: u64) -> String {
+    let mut flags = String::new();
+    if extensions {
+        flags.push_str(" --extensions");
+    }
+    if trials > 1 {
+        flags.push_str(&format!(" --trials {trials}"));
+    }
+    for option in ["chaos-seed", "cell-deadline-ms", "retries"] {
+        if let Some(value) = p.options.get(option) {
+            flags.push_str(&format!(" --{option} {value}"));
+        }
+    }
+    flags
+}
+
+/// One degraded cell: its slot, identity, error, and the command that
+/// replays it.
+fn degraded_line(slot: u64, cell_id: &str, error: Option<&CampaignError>, flags: &str) -> String {
+    let error = error.map_or_else(|| "unknown".to_owned(), ToString::to_string);
+    let command = format!("intrusion-injector campaign replay {slot}{flags}");
+    format!("  ! slot {slot}: {cell_id}: {error} -- replay: {command}")
+}
+
+/// `campaign replay <slot>`: re-runs one slot of the grid with the
+/// tracer on, writes its trace as canonical JSONL to `--trace-out` (or
+/// stdout), prints the verdict on stderr, and exits from that cell.
+fn cmd_campaign_replay(campaign: Campaign, slot: u64, p: &Parsed) -> Result<CliOutcome, String> {
+    let tracer = Tracer::enabled();
+    let campaign = campaign.tracer(tracer.clone());
+    let cells = campaign.grid().len();
+    let cell = campaign
+        .replay(slot)
+        .ok_or_else(|| format!("slot {slot} is past the end of the grid ({cells} cells)"))?;
+    let trace = to_jsonl(&tracer.drain());
+    match p.options.get("trace-out") {
+        Some(path) => {
+            std::fs::write(path, &trace).map_err(|e| format!("could not write {path}: {e}"))?;
+        }
+        None => print!("{trace}"),
+    }
+    let verdict = if cell.degraded() {
+        let error = cell.error.as_ref().map_or_else(|| "unknown".to_owned(), ToString::to_string);
+        format!("degraded: {error}")
+    } else if cell.violated() {
+        format!("{} security violation(s)", cell.violations.len())
+    } else if cell.handled {
+        "erroneous state handled".to_owned()
+    } else {
+        "no security violation".to_owned()
+    };
+    eprintln!("slot {slot}: {} / Xen {} / {}: {verdict}", cell.use_case, cell.version, cell.mode);
+    Ok(CliOutcome::for_report(&CampaignReport::from_cells(vec![cell])))
 }
 
 fn cmd_run(p: &Parsed) -> Result<CliOutcome, String> {
@@ -764,13 +800,12 @@ fn cmd_models() -> Result<CliOutcome, String> {
 fn spec(command: &str) -> Option<Spec> {
     let (flags, values, positionals): (&'static [&'static str], &'static [&'static str], bool) =
         match command {
-            // `campaign resume <journal>` is its one positional form.
+            // `campaign resume <journal>` and `campaign replay <slot>`.
             "campaign" => (
                 &["extensions", "json", "stream", "progress"],
                 &[
                     "jobs", "cell-deadline-ms", "retries", "trace-out", "metrics-out", "shard",
-                    "trials", "report-out", "checkpoint", "chaos-seed", "flight-out",
-                    "timeline-out",
+                    "trials", "report-out", "checkpoint", "chaos-seed", "timeline-out",
                 ],
                 true,
             ),
@@ -974,7 +1009,6 @@ mod tests {
             hypercalls: 0,
             phase_us: intrusion_core::PhaseTimings::default(),
             snapshot: hvsim::SnapshotStats::default(),
-            flight: Vec::new(),
         };
         let violation = SecurityViolation::HypervisorCrash { message: "x".into() };
         let clean = CampaignReport::from_cells(vec![cell(vec![], None)]);
@@ -1201,11 +1235,11 @@ mod tests {
     }
 
     #[test]
-    fn chaos_run_writes_flight_dumps_and_timeline() {
-        let dir = std::env::temp_dir().join("cli_flight_dumps");
-        std::fs::remove_dir_all(&dir).ok();
-        let dumps = dir.display().to_string();
-        let timeline = std::env::temp_dir().join("cli_timeline.jsonl").display().to_string();
+    fn chaos_run_replays_a_degraded_slot_and_writes_timeline() {
+        let dir = std::env::temp_dir();
+        let report = dir.join("cli_chaos_replay_report.json").display().to_string();
+        let timeline = dir.join("cli_timeline.jsonl").display().to_string();
+        let trace = dir.join("cli_chaos_replay_slot.jsonl").display().to_string();
         let outcome = run(vec![
             "campaign".into(),
             "--chaos-seed".into(),
@@ -1213,38 +1247,48 @@ mod tests {
             "--jobs".into(),
             "2".into(),
             "--progress".into(),
-            "--flight-out".into(),
-            dumps.clone(),
             "--timeline-out".into(),
             timeline.clone(),
+            "--report-out".into(),
+            report.clone(),
         ])
         .unwrap();
         assert_eq!(outcome, CliOutcome::Degraded, "seed 7 degrades cells");
-        // Every degraded slot carries a non-empty, schema-valid dump.
-        let mut dump_files = 0usize;
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            let name = path.file_name().unwrap().to_string_lossy().to_string();
-            if !name.starts_with("slot-") {
-                continue;
-            }
-            dump_files += 1;
-            assert!(std::fs::metadata(&path).unwrap().len() > 0, "{name} must not be empty");
-            run(vec!["trace".into(), "validate".into(), path.display().to_string()])
-                .expect("flight dumps are trace-schema JSONL");
-        }
-        assert!(dump_files > 0, "a degraded chaos run must leave forensic dumps");
         let samples = std::fs::read_to_string(&timeline).unwrap();
         assert!(samples.contains("progress.done"), "timeline carries progress: {samples}");
         assert!(samples.contains("stream.claimed"), "timeline carries stream gauges");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_file(timeline).ok();
+        // Replaying a degraded slot reproduces its degradation and
+        // writes a schema-valid trace of it.
+        let written = StreamReport::from_json(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let slot = *written.degraded_slots.keys().next().expect("a degraded slot");
+        let outcome = run(vec![
+            "campaign".into(),
+            "replay".into(),
+            slot.to_string(),
+            "--chaos-seed".into(),
+            "7".into(),
+            "--trace-out".into(),
+            trace.clone(),
+        ])
+        .unwrap();
+        assert_eq!(outcome, CliOutcome::Degraded, "the replayed cell degrades again: exit 2");
+        run(vec!["trace".into(), "validate".into(), trace.clone()]).unwrap();
+        let events = parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        assert!(events.iter().any(|e| e.path == "cell/degraded" && e.shard == slot + 1));
+        let err = run(vec!["campaign".into(), "replay".into(), "many".into()]).unwrap_err();
+        assert!(err.contains("slot number"), "{err}");
+        let err = run(vec!["campaign".into(), "replay".into(), "999999".into()]).unwrap_err();
+        assert!(err.contains("past the end"), "{err}");
+        for stale in [report, timeline, trace] {
+            std::fs::remove_file(stale).ok();
+        }
     }
 
     #[test]
     fn unknown_options_and_missing_values_are_cli_errors() {
-        let cases: [&[&str]; 6] = [
+        let cases: [&[&str]; 7] = [
             &["campaign", "--journal-slots"],
+            &["campaign", "--flight-out", "dumps"],
             &["campaign", "--chunk-frames", "1"],
             &["run", "--use-case", "XSA-182-test", "--chekpoint", "x"],
             &["campaign", "--jobs"],

@@ -213,7 +213,6 @@ mod tests {
             hypercalls: 0,
             phase_us: crate::campaign::PhaseTimings::default(),
             snapshot: hvsim::SnapshotStats::default(),
-            flight: Vec::new(),
         }
     }
 

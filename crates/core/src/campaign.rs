@@ -18,14 +18,12 @@ use crate::telemetry::{self, Telemetry};
 use guestos::{BootError, World, WorldBuilder};
 use hvsim::{SnapshotStats, XenVersion};
 use hvsim_obs::{
-    FlightEvent, FlightHandle, HistogramSummary, MetricsRegistry, MetricsSnapshot,
-    MetricsTimeline, TraceCtx, Tracer, DEFAULT_FLIGHT_CAPACITY,
+    HistogramSummary, MetricsRegistry, MetricsSnapshot, MetricsTimeline, TraceCtx, Tracer,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -138,11 +136,6 @@ pub struct CellResult {
     /// world was cloned or freshly booted), so the whole record is
     /// zeroed by [`CampaignReport::normalized`].
     pub snapshot: SnapshotStats,
-    /// The cell's forensic tail: flight-recorder events its worker
-    /// retained for this slot, attached only when the cell degraded
-    /// (empty otherwise). Its events are wall-clock-stamped, so
-    /// [`CampaignReport::normalized`] clears it.
-    pub flight: Vec<FlightEvent>,
 }
 
 impl CellResult {
@@ -216,9 +209,6 @@ impl CampaignReport {
             // snapshots (worker count, reuse); it is not part of the
             // assessment result.
             cell.snapshot = SnapshotStats::default();
-            // Forensic tails are wall-clock-stamped diagnostics, not
-            // assessment results.
-            cell.flight = Vec::new();
         }
         report.metrics = report.metrics.as_ref().map(MetricsSnapshot::normalized);
         report
@@ -495,7 +485,6 @@ pub struct Campaign {
     trials: u64,
     shard: Option<Shard>,
     chaos: Option<ChaosConfig>,
-    flight_out: Option<PathBuf>,
     progress: bool,
     tracer: Tracer,
     metrics: Option<MetricsRegistry>,
@@ -521,7 +510,6 @@ impl Campaign {
             trials: 1,
             shard: None,
             chaos: None,
-            flight_out: None,
             progress: false,
             tracer: Tracer::disabled(),
             metrics: None,
@@ -625,15 +613,6 @@ impl Campaign {
         self
     }
 
-    /// Sets the directory the supervisor writes stall-triggered flight
-    /// dumps into (`stall-worker-<n>.jsonl`). Without it stalls are
-    /// still counted, not dumped.
-    #[must_use]
-    pub fn flight_out(mut self, dir: PathBuf) -> Self {
-        self.flight_out = Some(dir);
-        self
-    }
-
     /// Redraws a live progress line (done/total, cells/s, ETA, degraded
     /// count) on stderr every sampling tick.
     #[must_use]
@@ -706,7 +685,7 @@ impl Campaign {
     /// and the cells are put in index order after the join, so the
     /// report's cell order — and, because each cell starts from a
     /// pristine world, the cells themselves — are identical for every
-    /// worker count. Chaos, deadlines and flight tails behave exactly
+    /// worker count. Chaos and deadlines behave exactly
     /// as in [`Campaign::run_streaming_with_jobs`]: both run the same
     /// worker loop.
     pub fn run_with_jobs(&self, jobs: usize) -> CampaignReport {
@@ -747,12 +726,11 @@ impl Campaign {
 
     /// Whether this run needs the telemetry supervisor thread.
     fn supervisor_wanted(&self) -> bool {
-        self.progress || self.flight_out.is_some() || self.timeline.is_some()
+        self.progress || self.timeline.is_some()
     }
 
-    /// The run's telemetry supervisor, borrowing the per-worker flight
-    /// handles so a stall can dump the wedged worker's ring.
-    fn supervisor<'a>(&'a self, flights: &'a [FlightHandle]) -> telemetry::Supervisor<'a> {
+    /// The run's telemetry supervisor.
+    fn supervisor(&self) -> telemetry::Supervisor<'_> {
         // A busy worker counts as stalled only when its heartbeat age
         // dwarfs both the sampling cadence and the worst legitimate
         // cell — chaos slowdowns sleep 2× the deadline, so 4× is
@@ -764,8 +742,6 @@ impl Campaign {
             progress: self.progress,
             timeline: self.timeline.as_ref(),
             registry: self.metrics.as_ref(),
-            flight: flights,
-            flight_out: self.flight_out.as_deref(),
         }
     }
 
@@ -959,17 +935,13 @@ impl Campaign {
             self.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
         let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
         let claims = SlotClaims::new(total, workers);
-        let flights: Vec<FlightHandle> =
-            (0..workers).map(|_| FlightHandle::new(DEFAULT_FLIGHT_CAPACITY)).collect();
         let live_total = total.saturating_sub(session.map_or(0, CheckpointSession::resumed_slots));
         let telemetry = Telemetry::new(live_total, workers);
         std::thread::scope(|scope| {
             let (claims, grid, telemetry, new_sink) = (&claims, &grid, &telemetry, &new_sink);
             let base_worlds = base_worlds.as_ref();
-            let handles: Vec<_> = flights
-                .iter()
-                .enumerate()
-                .map(|(index, flight)| {
+            let handles: Vec<_> = (0..workers)
+                .map(|index| {
                     scope.spawn(move || {
                         let mut sink = new_sink(index);
                         claims.drain(|i| {
@@ -980,9 +952,9 @@ impl Campaign {
                             if let Some(stall) = policy.and_then(|p| p.claim_stall(spec.slot)) {
                                 std::thread::sleep(stall);
                             }
-                            telemetry.beat(index);
+                            telemetry.beat(index, spec.slot);
                             let ctx = self.tracer.ctx(spec.slot + 1);
-                            let cell = self.run_slot(&ctx, spec, base_worlds, policy, flight);
+                            let cell = self.run_slot(&ctx, spec, base_worlds, policy);
                             telemetry.cell_done(cell.degraded());
                             sink.push(i, &spec, cell, &ctx);
                         });
@@ -993,7 +965,7 @@ impl Campaign {
                 })
                 .collect();
             if self.supervisor_wanted() {
-                let supervisor = self.supervisor(&flights);
+                let supervisor = self.supervisor();
                 scope.spawn(move || {
                     supervisor.run(telemetry, |values| {
                         values.push(("stream.claimed".to_owned(), claims.claimed()));
@@ -1020,16 +992,36 @@ impl Campaign {
         })
     }
 
+    /// Re-runs one grid slot on the calling thread exactly as the
+    /// campaign runs it — the same chaos decisions, contained cell and
+    /// deadline relabel, under the slot's own trace shard (`slot + 1`).
+    /// Only the base world the slot needs is booted, under setup
+    /// context 0. Every cell is a pure function of (grid, slot, chaos
+    /// seed), so with a tracer attached this reproduces a degraded
+    /// cell's events on demand. Slots are global: the shard setting is
+    /// ignored. Returns `None` past the grid's end.
+    pub fn replay(&self, slot: u64) -> Option<CellResult> {
+        let spec = self.grid().decode(slot)?;
+        let policy = self.chaos_policy();
+        let base_worlds = self.reuse_snapshots.then(|| {
+            let key = (spec.version, spec.mode == Mode::Injection);
+            BaseWorldMap::from([(key, self.boot_base_world(&self.tracer.ctx(0), key))])
+        });
+        let ctx = self.tracer.ctx(slot + 1);
+        Some(self.run_slot(&ctx, spec, base_worlds.as_ref(), policy.as_deref()))
+    }
+
     /// Runs one claimed slot: the slot-keyed chaos decisions, the
-    /// contained cell, the deadline relabel, and — for a degraded cell —
-    /// its forensic flight tail.
+    /// contained cell, and the deadline relabel. The injected faults,
+    /// the overrun and a degraded verdict are trace points in the
+    /// slot's shard, so a replay shows which fault was injected, not
+    /// just its effect.
     fn run_slot(
         &self,
         ctx: &TraceCtx,
         spec: CellSpec,
         base_worlds: Option<&BaseWorldMap>,
         policy: Option<&ChaosPolicy>,
-        flight: &FlightHandle,
     ) -> CellResult {
         let started = Instant::now();
         let uc = &*self.use_cases[spec.use_case];
@@ -1042,21 +1034,17 @@ impl Campaign {
                 p.transient_boot_faults(spec.slot, self.retries),
             )
         });
-        // Chaos decisions land in the flight ring too: a degraded cell's
-        // forensic tail shows which fault was injected, not just its
-        // effect. All three are pure functions of (seed, slot), so tails
-        // stay deterministic.
         if chaos_panic {
-            flight.record(spec.slot, "chaos/worker_panic", 0);
+            ctx.point("chaos/worker_panic", 0, Vec::new);
         }
         if let Some(slow) = chaos_slow {
-            flight.record_with(spec.slot, "chaos/slowdown", slow.as_micros() as u64, |d| {
-                d.push_str("2x deadline");
+            ctx.point("chaos/slowdown", slow.as_micros() as u64, || {
+                vec![("detail".to_owned(), "2x deadline".to_owned())]
             });
         }
         if chaos_boot_faults > 0 {
-            flight.record_with(spec.slot, "chaos/transient_boots", 0, |d| {
-                let _ = write!(d, "faults={chaos_boot_faults}");
+            ctx.point("chaos/transient_boots", 0, || {
+                vec![("faults".to_owned(), chaos_boot_faults.to_string())]
             });
         }
         let chaos_uc;
@@ -1082,15 +1070,18 @@ impl Campaign {
             spec.trial,
             base,
             chaos_boot_faults,
-            flight,
-            spec.slot,
         );
-        if self.cell_deadline.is_some_and(|d| started.elapsed() > d) {
-            flight.record(spec.slot, "cell/deadline_exceeded", 0);
+        if let Some(deadline) = self.cell_deadline.filter(|&d| started.elapsed() > d) {
+            ctx.point("cell/deadline_exceeded", 0, || {
+                vec![("deadline_us".to_owned(), deadline.as_micros().to_string())]
+            });
             cell = self.timed_out_cell(uc, spec.version, spec.mode, cell.phase_us);
         }
         if cell.degraded() {
-            cell.flight = flight.tail(spec.slot);
+            ctx.point("cell/degraded", 0, || {
+                let error = cell.error.as_ref().map_or_else(String::new, ToString::to_string);
+                vec![("error".to_owned(), error)]
+            });
         }
         cell
     }
@@ -1104,43 +1095,45 @@ impl Campaign {
         let mut worlds = BaseWorldMap::new();
         for &version in grid.versions() {
             for &mode in grid.modes() {
-                let injector = mode == Mode::Injection;
-                worlds.entry((version, injector)).or_insert_with(|| {
-                    let span = setup_ctx.span_with("campaign/snapshot_boot", || {
-                        vec![
-                            ("version".to_owned(), version.to_string()),
-                            ("injector".to_owned(), injector.to_string()),
-                        ]
-                    });
-                    let (world, attempts, backoff_us) = boot_with_retries(
-                        format_args!("{version}/{injector}"),
-                        self.retries,
-                        || (self.factory)(version, injector),
-                    );
-                    if backoff_us > 0 {
-                        if let Some(registry) = &self.metrics {
-                            registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
-                        }
-                    }
-                    if let Ok(world) = &world {
-                        obs_bridge::bridge_boot_stages(
-                            setup_ctx,
-                            "campaign/snapshot_boot",
-                            world.boot_trace(),
-                        );
-                    }
-                    setup_ctx.point("campaign/snapshot_boot/result", 0, || {
-                        vec![
-                            ("attempts".to_owned(), attempts.to_string()),
-                            ("ok".to_owned(), world.is_ok().to_string()),
-                        ]
-                    });
-                    drop(span);
-                    world
-                });
+                let key = (version, mode == Mode::Injection);
+                worlds.entry(key).or_insert_with(|| self.boot_base_world(setup_ctx, key));
             }
         }
         worlds
+    }
+
+    /// Boots one `(version, injector_enabled)` base world under the
+    /// setup trace context, with the campaign's retry budget.
+    fn boot_base_world(
+        &self,
+        setup_ctx: &TraceCtx,
+        (version, injector): (XenVersion, bool),
+    ) -> Result<World, CampaignError> {
+        let _span = setup_ctx.span_with("campaign/snapshot_boot", || {
+            vec![
+                ("version".to_owned(), version.to_string()),
+                ("injector".to_owned(), injector.to_string()),
+            ]
+        });
+        let (world, attempts, backoff_us) =
+            boot_with_retries(format_args!("{version}/{injector}"), self.retries, || {
+                (self.factory)(version, injector)
+            });
+        if backoff_us > 0 {
+            if let Some(registry) = &self.metrics {
+                registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
+            }
+        }
+        if let Ok(world) = &world {
+            obs_bridge::bridge_boot_stages(setup_ctx, "campaign/snapshot_boot", world.boot_trace());
+        }
+        setup_ctx.point("campaign/snapshot_boot/result", 0, || {
+            vec![
+                ("attempts".to_owned(), attempts.to_string()),
+                ("ok".to_owned(), world.is_ok().to_string()),
+            ]
+        });
+        world
     }
 
     /// Runs one cell on the calling thread with panic containment
@@ -1166,8 +1159,6 @@ impl Campaign {
         trial: u64,
         base: Option<&Result<World, CampaignError>>,
         boot_faults: u32,
-        flight: &FlightHandle,
-        slot: u64,
     ) -> CellResult {
         let start = Instant::now();
         let mut phases = PhaseTimings::default();
@@ -1177,9 +1168,6 @@ impl Campaign {
                 ("version".to_owned(), version.to_string()),
                 ("mode".to_owned(), mode.to_string()),
             ]
-        });
-        flight.record_with(slot, "cell/start", 0, |d| {
-            let _ = write!(d, "{}/{version}/{mode} trial={trial}", uc.name());
         });
         // Phase 1: world acquisition. `AssertUnwindSafe` is sound here:
         // the base snapshot is only read through `&` during `Clone`, and
@@ -1222,54 +1210,25 @@ impl Campaign {
                 ("ok".to_owned(), world.is_ok().to_string()),
             ]
         });
-        flight.record_with(slot, "cell/boot/result", phases.boot_us.unwrap_or(0), |d| {
-            let _ = write!(
-                d,
-                "attempts={attempts} source={} ok={}",
-                if fresh_boot { "boot" } else { "snapshot" },
-                world.is_ok()
-            );
-        });
         drop(boot_span);
         let mut world = match world {
             Ok(world) => world,
             Err(error) => {
                 let wall = start.elapsed().as_micros() as u64;
-                flight.record_with(slot, "cell/degraded", 0, |d| {
-                    let _ = write!(d, "{error}");
-                });
                 return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
             }
         };
         if fresh_boot {
             obs_bridge::bridge_boot_stages(ctx, "cell/boot", world.boot_trace());
-            flight.with_recorder(|recorder| {
-                for stage in world.boot_trace() {
-                    recorder.record_parts(slot, stage.wall_us, |path, _| {
-                        path.push_str("cell/boot/");
-                        path.push_str(stage.stage);
-                    });
-                }
-            });
         }
         let base_hypercalls = world.hv().hypercall_count();
         // Audit events up to here belong to the world's boot (or to the
         // snapshot it was cloned from); everything past this baseline is
         // this cell's doing and gets bridged into its trace shard.
         let audit_baseline = world.hv().audit().events().len();
-        // Traces get the cell's audit events unconditionally; the
-        // flight ring gets them only when the cell degrades. A clean
-        // cell's audits can never surface in a forensic tail (tails
-        // filter by slot), so recording them would only pay the
-        // per-hypercall cost — the bulk of a cell's event volume — for
-        // data nothing can read back.
-        let bridge_audit = |world: &World, degrading: bool| {
+        let bridge_audit = |world: &World| {
             let events = world.hv().audit().events();
-            let fresh = events.get(audit_baseline..).unwrap_or(&[]);
-            obs_bridge::bridge_audit(ctx, fresh);
-            if degrading {
-                obs_bridge::bridge_audit_flight(flight, slot, fresh);
-            }
+            obs_bridge::bridge_audit(ctx, events.get(audit_baseline..).unwrap_or(&[]));
         };
         let Some(attacker) =
             world.domain_by_name(ATTACKER_GUEST).or_else(|| world.domains().last().copied())
@@ -1279,9 +1238,6 @@ impl Campaign {
                 attempts,
             };
             let wall = start.elapsed().as_micros() as u64;
-            flight.record_with(slot, "cell/degraded", 0, |d| {
-                let _ = write!(d, "{error}");
-            });
             return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
         };
 
@@ -1297,18 +1253,12 @@ impl Campaign {
         }));
         phases.inject_us = Some(inject_start.elapsed().as_micros() as u64);
         drop(inject_span);
-        flight.record_with(slot, "cell/inject", phases.inject_us.unwrap_or(0), |d| {
-            let _ = write!(d, "ok={}", outcome.is_ok());
-        });
         let outcome = match outcome {
             Ok(outcome) => outcome,
             Err(p) => {
                 let error = CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) };
                 let wall = start.elapsed().as_micros() as u64;
-                bridge_audit(&world, true);
-                flight.record_with(slot, "cell/degraded", 0, |d| {
-                    let _ = write!(d, "{error}");
-                });
+                bridge_audit(&world);
                 return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
             }
         };
@@ -1322,18 +1272,12 @@ impl Campaign {
         }));
         phases.monitor_us = Some(monitor_start.elapsed().as_micros() as u64);
         drop(monitor_span);
-        flight.record_with(slot, "cell/monitor", phases.monitor_us.unwrap_or(0), |d| {
-            let _ = write!(d, "ok={}", observed.is_ok());
-        });
         let (observation, detector_failures) = match observed {
             Ok(observed) => observed,
             Err(p) => {
                 let error = CampaignError::Monitor { message: panic_payload(p.as_ref()) };
                 let wall = start.elapsed().as_micros() as u64;
-                bridge_audit(&world, true);
-                flight.record_with(slot, "cell/degraded", 0, |d| {
-                    let _ = write!(d, "{error}");
-                });
+                bridge_audit(&world);
                 return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
             }
         };
@@ -1343,18 +1287,8 @@ impl Campaign {
             Some(CampaignError::Monitor { message: detector_failures.join("; ") })
         };
 
-        // A completed cell still degrades when its error is a harness
-        // failure (detector panics), so that tail keeps its audits too.
-        bridge_audit(&world, error.as_ref().is_some_and(CampaignError::is_harness_failure));
+        bridge_audit(&world);
         let handled = outcome.erroneous_state && observation.is_clean();
-        flight.record_with(slot, "cell/done", 0, |d| {
-            let _ = write!(
-                d,
-                "erroneous_state={} violations={} handled={handled}",
-                outcome.erroneous_state,
-                observation.violations.len()
-            );
-        });
         CellResult {
             use_case: uc.name().to_owned(),
             abusive_functionality: uc.intrusion_model().abusive_functionality.label().to_owned(),
@@ -1371,7 +1305,6 @@ impl Campaign {
             hypercalls: world.hv().hypercall_count().saturating_sub(base_hypercalls),
             phase_us: phases,
             snapshot: world.snapshot_stats(),
-            flight: Vec::new(),
         }
         .with_wall_time(start.elapsed().as_micros() as u64)
     }
@@ -1421,7 +1354,6 @@ impl Campaign {
             hypercalls: 0,
             phase_us: phases,
             snapshot: SnapshotStats::default(),
-            flight: Vec::new(),
         }
     }
 
@@ -2098,29 +2030,32 @@ mod tests {
     }
 
     #[test]
-    fn degraded_cells_carry_forensic_flight_tails() {
-        let report = Campaign::new()
+    fn replaying_a_degraded_slot_reproduces_its_cell_and_trace() {
+        let tracer = Tracer::enabled();
+        let campaign = Campaign::new()
             .with_use_case(Box::new(CrashCase))
             .world_factory(panicking_factory((XenVersion::V4_8, true)))
-            .run_with_jobs(2);
-        let bad = report.cell("synthetic-crash", XenVersion::V4_8, Mode::Injection).unwrap();
-        assert!(bad.degraded());
-        assert!(!bad.flight.is_empty(), "a degraded cell carries its flight tail");
-        let paths: Vec<&str> = bad.flight.iter().map(|e| e.path.as_str()).collect();
-        assert!(paths.contains(&"cell/start"), "{paths:?}");
-        assert!(paths.contains(&"cell/degraded"), "{paths:?}");
-        // Tails are re-stamped per cell: dense seq from 0, one slot.
-        for (i, event) in bad.flight.iter().enumerate() {
-            assert_eq!(event.seq, i as u64, "tail seq must be dense");
-            assert_eq!(event.slot, bad.flight[0].slot);
+            .tracer(tracer.clone());
+        let report = campaign.run_with_jobs(2);
+        let full_trace = tracer.drain();
+        // Unsharded, so a collected cell's index is its slot.
+        let degraded: Vec<u64> =
+            (0u64..).zip(report.cells()).filter(|(_, c)| c.degraded()).map(|(s, _)| s).collect();
+        assert_eq!(degraded.len(), 1, "only the (4.8, injector) cell degrades");
+        let shard = |events: &[hvsim_obs::TraceEvent], slot: u64| -> Vec<hvsim_obs::TraceEvent> {
+            events.iter().filter(|e| e.shard == slot + 1).map(|e| e.normalized()).collect()
+        };
+        for slot in degraded {
+            let cell = &report.cells()[slot as usize];
+            let replayed = campaign.replay(slot).expect("slot inside the grid");
+            assert_eq!(replayed.outcome, cell.outcome);
+            assert_eq!(replayed.error, cell.error);
+            let replay_trace = tracer.drain();
+            assert_eq!(shard(&replay_trace, slot), shard(&full_trace, slot), "slot {slot}");
+            let verdict = replay_trace.iter().find(|e| e.path == "cell/degraded").unwrap();
+            assert!(verdict.attrs[0].1.contains("factory panic"), "{verdict:?}");
         }
-        for cell in report.cells() {
-            if !cell.degraded() {
-                assert!(cell.flight.is_empty(), "clean cells carry no tail");
-            }
-        }
-        // Tails are forensic diagnostics, never report content.
-        assert!(report.normalized().cells().iter().all(|c| c.flight.is_empty()));
+        assert!(campaign.replay(report.cells().len() as u64).is_none(), "past the grid's end");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::campaign::CellResult;
 use crate::stream::StreamReport;
 use guestos::BootStage;
 use hvsim::AuditEvent;
-use hvsim_obs::{FlightHandle, Histogram, MetricsRegistry, TraceCtx};
+use hvsim_obs::{Histogram, MetricsRegistry, TraceCtx};
 
 /// Counter: cells the campaign scheduled.
 pub const M_CELLS: &str = "campaign.cells";
@@ -87,29 +87,6 @@ pub fn bridge_audit(ctx: &TraceCtx, events: &[AuditEvent]) {
             vec![("detail".to_owned(), event.to_string())]
         });
     }
-}
-
-/// Records hypervisor audit events into a worker's flight ring under
-/// `audit/<kind>`, mirroring [`bridge_audit`]'s trace emission — the
-/// recorder is always on, so a degraded cell's forensic tail carries
-/// the hypercall/audit activity even when tracing is off.
-///
-/// Called only on a cell's *degradation* paths: a clean cell's audit
-/// events can never appear in another cell's tail (tails filter by
-/// slot), and a wedged cell hasn't reached its bridge point yet, so
-/// skipping them changes no dump while keeping one audit-heavy cell
-/// from paying per-hypercall recording cost on the clean hot path.
-pub(crate) fn bridge_audit_flight(flight: &FlightHandle, slot: u64, events: &[AuditEvent]) {
-    use std::fmt::Write as _;
-    flight.with_recorder(|recorder| {
-        for event in events {
-            recorder.record_parts(slot, 0, |path, detail| {
-                path.push_str("audit/");
-                path.push_str(event.kind());
-                let _ = write!(detail, "{event}");
-            });
-        }
-    });
 }
 
 /// Re-emits the guest boot trace as points under `<parent>/<stage>`,

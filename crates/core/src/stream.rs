@@ -41,7 +41,7 @@ use crate::error::{CampaignError, CellOutcome};
 use crate::report::TextTable;
 use crate::scenario::Mode;
 use hvsim::XenVersion;
-use hvsim_obs::{FlightEvent, Histogram, HistogramSummary};
+use hvsim_obs::{Histogram, HistogramSummary};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -370,12 +370,6 @@ pub struct DegradedSlot {
     pub outcome: CellOutcome,
     /// The typed failure.
     pub error: Option<CampaignError>,
-    /// The cell's forensic tail: the flight-recorder events its worker
-    /// retained for this slot (empty when the recorder is off). Raw
-    /// `wall_us` values are wall-clock; [`StreamReport::normalized`]
-    /// clears the whole tail so normalized reports are byte-identical
-    /// with the recorder on or off.
-    pub flight: Vec<FlightEvent>,
 }
 
 /// Identity of the campaign grid a [`StreamReport`] was produced from:
@@ -567,14 +561,6 @@ impl StreamReport {
             completed: p.completed.normalized(),
             degraded: p.degraded.normalized(),
         };
-        // Forensic tails are diagnostics: their wall_us fields are
-        // wall-clock and their presence depends on the recorder
-        // setting, so normalization drops them entirely — a normalized
-        // report is byte-identical with the recorder on or off.
-        let mut degraded_slots = self.degraded_slots.clone();
-        for slot in degraded_slots.values_mut() {
-            slot.flight = Vec::new();
-        }
         Self {
             wall_time_us: 0,
             frames_copied: 0,
@@ -584,7 +570,6 @@ impl StreamReport {
                 inject: norm_phase(&self.latency.inject),
                 monitor: norm_phase(&self.latency.monitor),
             },
-            degraded_slots,
             ..self.clone()
         }
     }
@@ -840,7 +825,6 @@ impl PartialFold {
                     trial: spec.trial,
                     outcome: cell.outcome.clone(),
                     error: cell.error.clone(),
-                    flight: cell.flight.clone(),
                 },
             );
         } else {
@@ -1084,7 +1068,6 @@ mod tests {
                     monitor_us: Some(3),
                 },
                 snapshot: hvsim::SnapshotStats::default(),
-                flight: Vec::new(),
             };
             if spec.slot % 2 == 0 {
                 fold_a.fold(&spec, &cell);
@@ -1128,13 +1111,6 @@ mod tests {
             hypercalls: 0,
             phase_us: crate::campaign::PhaseTimings::default(),
             snapshot: hvsim::SnapshotStats::default(),
-            flight: vec![FlightEvent {
-                slot: 5,
-                seq: 0,
-                path: "cell/degraded".into(),
-                wall_us: 7,
-                detail: "boot failed".into(),
-            }],
         };
         let mut fold = PartialFold::default();
         fold.fold(&spec, &cell);
@@ -1145,11 +1121,6 @@ mod tests {
         let slot = report.degraded_slots.get(&5).unwrap();
         assert_eq!(slot.outcome, CellOutcome::BootFailed);
         assert_eq!(slot.trial, spec.trial);
-        assert_eq!(slot.flight.len(), 1, "the forensic tail rides along in the fold");
         assert!(report.render_keys().contains("uc/"));
-        // Normalization drops the tail so recorder-on and recorder-off
-        // reports are byte-identical.
-        let norm = report.normalized();
-        assert!(norm.degraded_slots.get(&5).unwrap().flight.is_empty());
     }
 }

@@ -1,22 +1,22 @@
 //! Live campaign telemetry: worker heartbeats, stall detection, the
 //! metrics-timeline sampler, and the `--progress` line.
 //!
-//! The campaign worker loop stamps each worker's heartbeat at every
-//! slot boundary, and a single
+//! The campaign worker loop stamps each worker's heartbeat — the time
+//! and the slot it just claimed — at every slot boundary, and a single
 //! supervisor thread wakes every [`SAMPLE_INTERVAL`] to (1) push a
 //! [`TimelineSample`] of live counters and gauges, (2) compare every
 //! worker's heartbeat age against the stall threshold — flagging a
 //! wedged worker once per stall episode via the
-//! `campaign.worker.stalled` counter and dumping its flight-recorder
-//! ring — and (3) redraw the live progress line on stderr.
+//! `campaign.worker.stalled` counter and a `worker <w> stalled on slot
+//! <s>` line on stderr, which `campaign replay <s>` reproduces — and
+//! (3) redraw the live progress line on stderr.
 //!
 //! Everything here is wall-clock shaped by construction and therefore
 //! lives *outside* the determinism contract: timelines, progress
-//! lines, and stall dumps are diagnostics, never part of normalized
+//! lines, and stall reports are diagnostics, never part of normalized
 //! reports.
 
-use hvsim_obs::{flight, FlightHandle, MetricsRegistry, MetricsTimeline};
-use std::path::Path;
+use hvsim_obs::{MetricsRegistry, MetricsTimeline};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -29,9 +29,8 @@ pub(crate) const SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 const IDLE: u64 = u64::MAX;
 
 /// Shared live state of one campaign run: progress counters and one
-/// heartbeat cell per worker. Created once per run, written by workers
-/// on the slot boundary (two relaxed atomic stores), read by the
-/// supervisor.
+/// heartbeat per worker. Created once per run, written by workers on
+/// the slot boundary (relaxed atomic stores), read by the supervisor.
 pub(crate) struct Telemetry {
     start: Instant,
     total: u64,
@@ -40,6 +39,8 @@ pub(crate) struct Telemetry {
     /// Per-worker heartbeat: milliseconds since `start` when the worker
     /// last crossed a slot boundary, or [`IDLE`].
     heartbeats: Vec<AtomicU64>,
+    /// Per-worker slot claimed at the last heartbeat.
+    slots: Vec<AtomicU64>,
     /// Workers that ran out of work and exited — the supervisor's
     /// shutdown condition, airtight even when the cell count drifts
     /// (resumed slots, early closes).
@@ -54,6 +55,7 @@ impl Telemetry {
             done: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             heartbeats: (0..workers).map(|_| AtomicU64::new(IDLE)).collect(),
+            slots: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             finished_workers: AtomicU64::new(0),
         }
     }
@@ -63,9 +65,10 @@ impl Telemetry {
         self.start.elapsed().as_millis() as u64
     }
 
-    /// Stamps `worker`'s heartbeat: it just crossed a slot boundary.
-    pub(crate) fn beat(&self, worker: usize) {
-        if let Some(cell) = self.heartbeats.get(worker) {
+    /// Stamps `worker`'s heartbeat: it just claimed `slot`.
+    pub(crate) fn beat(&self, worker: usize, slot: u64) {
+        if let (Some(cell), Some(held)) = (self.heartbeats.get(worker), self.slots.get(worker)) {
+            held.store(slot, Ordering::Relaxed);
             cell.store(self.elapsed_ms().min(IDLE - 1), Ordering::Relaxed);
         }
     }
@@ -96,25 +99,49 @@ impl Telemetry {
         self.finished_workers.load(Ordering::Relaxed) >= self.heartbeats.len() as u64
     }
 
-    /// Each busy worker's heartbeat age in ms (`None` = idle).
-    fn heartbeat_ages_ms(&self, now_ms: u64) -> Vec<Option<u64>> {
+    /// Each busy worker's heartbeat age in ms and the slot it holds
+    /// (`None` = idle).
+    fn heartbeats(&self, now_ms: u64) -> Vec<Option<Heartbeat>> {
         self.heartbeats
             .iter()
-            .map(|cell| match cell.load(Ordering::Relaxed) {
+            .zip(&self.slots)
+            .map(|(cell, slot)| match cell.load(Ordering::Relaxed) {
                 IDLE => None,
-                beat => Some(now_ms.saturating_sub(beat)),
+                beat => Some(Heartbeat {
+                    age_ms: now_ms.saturating_sub(beat),
+                    slot: slot.load(Ordering::Relaxed),
+                }),
             })
             .collect()
     }
 }
 
-/// Indices of workers whose heartbeat age exceeds the threshold. Pure
-/// so the stall policy is unit-testable without threads.
-pub(crate) fn stalled_workers(ages: &[Option<u64>], threshold_ms: u64) -> Vec<usize> {
-    ages.iter()
+/// A busy worker's last heartbeat, as the supervisor sees it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Heartbeat {
+    /// Milliseconds since the worker claimed `slot`.
+    pub age_ms: u64,
+    /// The grid slot the worker holds.
+    pub slot: u64,
+}
+
+/// `(worker, slot)` for every worker whose heartbeat age exceeds the
+/// threshold. Pure so the stall policy is unit-testable without
+/// threads.
+pub(crate) fn stalled_workers(beats: &[Option<Heartbeat>], threshold_ms: u64) -> Vec<(usize, u64)> {
+    beats
+        .iter()
         .enumerate()
-        .filter_map(|(worker, age)| age.filter(|&a| a > threshold_ms).map(|_| worker))
+        .filter_map(|(worker, beat)| {
+            beat.filter(|b| b.age_ms > threshold_ms).map(|b| (worker, b.slot))
+        })
         .collect()
+}
+
+/// The stderr line for one stall episode; the slot is what `campaign
+/// replay` takes.
+pub(crate) fn stall_line(worker: usize, slot: u64) -> String {
+    format!("worker {worker} stalled on slot {slot}")
 }
 
 /// The `--progress` line: done/total, percent, throughput, ETA, and
@@ -143,10 +170,6 @@ pub(crate) struct Supervisor<'a> {
     pub timeline: Option<&'a MetricsTimeline>,
     /// Registry the `campaign.worker.stalled` counter is folded into.
     pub registry: Option<&'a MetricsRegistry>,
-    /// Every worker's flight handle, for stall dumps.
-    pub flight: &'a [FlightHandle],
-    /// Directory stall dumps are written into (fail-soft on IO).
-    pub flight_out: Option<&'a Path>,
 }
 
 impl Supervisor<'_> {
@@ -163,7 +186,7 @@ impl Supervisor<'_> {
             // explicit 0 in every snapshot, not an absent name.
             registry.add(crate::obs_bridge::M_WORKER_STALLED, 0);
         }
-        let mut flagged = vec![false; self.flight.len().max(telemetry.heartbeats.len())];
+        let mut flagged = vec![false; telemetry.heartbeats.len()];
         loop {
             let finished = self.sleep_interval(telemetry);
             self.tick(telemetry, &extra, &mut flagged);
@@ -199,22 +222,24 @@ impl Supervisor<'_> {
         let now_ms = telemetry.elapsed_ms();
         let done = telemetry.done.load(Ordering::Relaxed);
         let degraded = telemetry.degraded.load(Ordering::Relaxed);
-        let ages = telemetry.heartbeat_ages_ms(now_ms);
-        let busy = ages.iter().filter(|age| age.is_some()).count() as u64;
-        let stalled = stalled_workers(&ages, self.stall_after.as_millis() as u64);
-        for &worker in &stalled {
+        let beats = telemetry.heartbeats(now_ms);
+        let busy = beats.iter().filter(|beat| beat.is_some()).count() as u64;
+        let stalled = stalled_workers(&beats, self.stall_after.as_millis() as u64);
+        for &(worker, slot) in &stalled {
             if !flagged[worker] {
                 flagged[worker] = true;
                 if let Some(registry) = self.registry {
                     registry.add(crate::obs_bridge::M_WORKER_STALLED, 1);
                 }
-                self.dump_stalled_worker(worker);
+                // Start a fresh line when a progress line is being redrawn.
+                let lead = if self.progress { "\n" } else { "" };
+                eprintln!("{lead}{}", stall_line(worker, slot));
             }
         }
         // A worker that beats again ends its stall episode; the next
-        // episode counts (and dumps) anew.
-        for (worker, age) in ages.iter().enumerate() {
-            if !stalled.contains(&worker) && age.is_some() {
+        // episode counts (and reports) anew.
+        for (worker, beat) in beats.iter().enumerate() {
+            if beat.is_some() && !stalled.iter().any(|&(w, _)| w == worker) {
                 flagged[worker] = false;
             }
         }
@@ -237,24 +262,6 @@ impl Supervisor<'_> {
             eprint!("\r{}", progress_line(done, telemetry.total, degraded, now_ms));
         }
     }
-
-    /// Writes the wedged worker's whole ring (its last actions, newest
-    /// last) as a flight dump. Fail-soft: a diagnostics write error
-    /// must never take the campaign down.
-    fn dump_stalled_worker(&self, worker: usize) {
-        let (Some(dir), Some(handle)) = (self.flight_out, self.flight.get(worker)) else {
-            return;
-        };
-        let snapshot = handle.snapshot();
-        if snapshot.is_empty() {
-            return;
-        }
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(
-            dir.join(format!("stall-worker-{worker}.jsonl")),
-            flight::dump_jsonl(&snapshot),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -263,23 +270,32 @@ mod tests {
 
     #[test]
     fn stall_detection_ignores_idle_and_fresh_workers() {
-        let ages = vec![Some(10), None, Some(5_000), Some(2_001), None];
-        assert_eq!(stalled_workers(&ages, 2_000), vec![2, 3]);
-        assert!(stalled_workers(&ages, 10_000).is_empty());
+        let beat = |age_ms, slot| Some(Heartbeat { age_ms, slot });
+        let beats = vec![beat(10, 0), None, beat(5_000, 17), beat(2_001, 4), None];
+        assert_eq!(stalled_workers(&beats, 2_000), vec![(2, 17), (3, 4)]);
+        assert!(stalled_workers(&beats, 10_000).is_empty());
         assert!(stalled_workers(&[], 1).is_empty());
+        // Each stall is reported by the slot its worker holds.
+        let lines: Vec<String> = stalled_workers(&beats, 4_000)
+            .into_iter()
+            .map(|(worker, slot)| stall_line(worker, slot))
+            .collect();
+        assert_eq!(lines, vec!["worker 2 stalled on slot 17".to_owned()]);
     }
 
     #[test]
     fn heartbeats_round_trip_through_ages() {
         let t = Telemetry::new(4, 2);
-        t.beat(0);
-        let ages = t.heartbeat_ages_ms(t.elapsed_ms() + 50);
-        assert!(ages[0].unwrap() >= 50);
-        assert_eq!(ages[1], None, "a worker that never beat is idle");
+        t.beat(0, 3);
+        let beats = t.heartbeats(t.elapsed_ms() + 50);
+        let beat = beats[0].unwrap();
+        assert!(beat.age_ms >= 50);
+        assert_eq!(beat.slot, 3, "the heartbeat carries the claimed slot");
+        assert_eq!(beats[1], None, "a worker that never beat is idle");
         t.idle(0);
-        assert_eq!(t.heartbeat_ages_ms(1_000), vec![None, None]);
+        assert_eq!(t.heartbeats(1_000), vec![None, None]);
         // Out-of-range worker indices are ignored, not a panic.
-        t.beat(7);
+        t.beat(7, 0);
         t.idle(7);
     }
 

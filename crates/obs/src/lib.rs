@@ -22,9 +22,6 @@
 //!   strict line validator behind `trace validate`,
 //! * [`TraceSummary`] — flamegraph-style self-time aggregation and the
 //!   top-N slowest-cells table behind `trace summary` ([`summary`]),
-//! * [`FlightHandle`] / [`FlightRecorder`] — a per-worker fixed-capacity
-//!   overwrite-oldest event ring whose slot tail becomes the forensic
-//!   dump attached to degraded cells ([`flight`]),
 //! * [`MetricsTimeline`] — wall-clock time series of live pipeline
 //!   state, sampled every 200 ms ([`metrics`]).
 //!
@@ -54,13 +51,11 @@
 // their unwraps.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod flight;
 pub mod jsonl;
 pub mod metrics;
 pub mod summary;
 pub mod trace;
 
-pub use flight::{FlightEvent, FlightHandle, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use jsonl::{encode_event, normalized_jsonl, parse_jsonl, parse_line, to_jsonl, ParseError};
 pub use metrics::{
     CounterSnapshot, Histogram, HistogramSnapshot, HistogramSummary, MetricsRegistry,
