@@ -1678,8 +1678,7 @@ mod tests {
 
     #[test]
     fn hypercall_counter_matches_canonical_per_cell_sum() {
-        // The compatibility shim: the per-cell sum in the report is the
-        // canonical count (see `report::canonical_hypercall_total`); the
+        // The per-cell sum in the report is the canonical count; the
         // `campaign.hypercalls` registry counter is derived from it and
         // the two must always agree.
         let registry = MetricsRegistry::new();
@@ -1687,8 +1686,7 @@ mod tests {
             .with_use_case(Box::new(CrashCase))
             .metrics(registry.clone())
             .run_with_jobs(2);
-        let canonical = crate::report::canonical_hypercall_total(&report);
-        assert_eq!(canonical, report.total_hypercalls());
+        let canonical = report.total_hypercalls();
         let counter = report
             .metrics()
             .expect("metrics snapshot attached")

@@ -107,7 +107,7 @@ pub use injector::{ArbitraryAccessInjector, DebugStubInjector, InjectError, Inje
 pub use model::{AttackInterface, IntrusionModel, StateTrace, TargetComponent, TriggeringSource};
 pub use monitor::{Detector, Monitor, Observation, SecurityViolation};
 pub use randomized::{RandomizedCampaign, RandomizedOutcome, RandomizedSummary, TargetRegion};
-pub use report::{canonical_hypercall_total, TextTable};
+pub use report::TextTable;
 pub use scenario::{Mode, ScenarioOutcome, UseCase};
 pub use stream::{
     CellSpec, DegradedSlot, GridFingerprint, KeySummary, MergeError, Shard, ShardError, SpecGrid,

@@ -27,10 +27,11 @@ pub const M_TIMEOUTS: &str = "campaign.timeouts";
 pub const M_BOOT_FAILURES: &str = "campaign.boot_failures";
 /// Counter: cells where a panic escaped the cell body.
 pub const M_CRASHES: &str = "campaign.crashes";
-/// Counter: hypercalls executed across all cells. Derived from the
-/// canonical per-cell sum — see
-/// [`canonical_hypercall_total`](crate::report::canonical_hypercall_total)
-/// for which count is authoritative.
+/// Counter: hypercalls executed across all cells, derived at collection
+/// time from the per-cell sum
+/// [`CampaignReport::total_hypercalls`](crate::CampaignReport::total_hypercalls),
+/// which is authoritative: it exists whether or not a registry is
+/// attached.
 pub const M_HYPERCALLS: &str = "campaign.hypercalls";
 /// Counter: frames privatized by copy-on-write across all cell worlds.
 pub const M_FRAMES_COPIED: &str = "mem.frames_copied";

@@ -1,25 +1,6 @@
-//! Plain-text table rendering for the table/figure regenerators, and the
-//! canonical definitions of report-level aggregates.
+//! Plain-text table rendering for the table/figure regenerators.
 
-use crate::campaign::CampaignReport;
 use std::fmt;
-
-/// The canonical campaign-wide hypercall total: the sum of the per-cell
-/// `hypercalls` field (each cell counts its own world's hypercalls above
-/// its boot baseline).
-///
-/// The same number is published two ways — this per-cell sum in the
-/// report, and the `campaign.hypercalls` registry counter
-/// ([`M_HYPERCALLS`](crate::obs_bridge::M_HYPERCALLS)) when metrics are
-/// attached. The report field is **authoritative**: it exists whether or
-/// not a registry is attached, and the counter is derived at collection
-/// time from the same per-cell values, so the two can never
-/// legitimately disagree. The
-/// `hypercall_counter_matches_canonical_per_cell_sum` test pins that
-/// equality down.
-pub fn canonical_hypercall_total(report: &CampaignReport) -> u64 {
-    report.total_hypercalls()
-}
 
 /// A simple monospace table with a header row.
 #[derive(Clone, Debug, Default)]

@@ -9,6 +9,7 @@
 //! paused") become injectable and monitorable.
 
 use crate::audit::AuditEvent;
+use crate::hypercall::Gate;
 use crate::hypervisor::Hypervisor;
 use crate::HvError;
 use hvsim_mem::DomainId;
@@ -56,51 +57,19 @@ impl Hypervisor {
         target: DomainId,
         op: DomctlOp,
     ) -> Result<u64, HvError> {
-        self.bump_hypercall_count();
-        if self.is_crashed() {
-            return Err(HvError::Crashed);
-        }
-        let privileged = self.domain(caller)?.is_privileged();
-        let self_directed = caller == target && matches!(op, DomctlOp::Pause | DomctlOp::Unpause);
-        if !privileged && !self_directed {
-            self.audit.push(AuditEvent::ValidationRejected {
-                dom: caller,
-                check: "domctl_privilege",
-                detail: format!("{caller} attempted {} on {target}", op.name()),
-            });
-            return Err(HvError::Perm);
-        }
-        let result: Result<u64, HvError> = match op {
-            DomctlOp::Pause => {
-                self.domain_mut(target)?.set_paused(true);
-                Ok(0)
-            }
-            DomctlOp::Unpause => {
-                self.domain_mut(target)?.set_paused(false);
-                Ok(0)
-            }
-            DomctlOp::SetMaxMem { max_pages } => {
-                self.domain(target)?;
-                self.alloc.set_quota(target, max_pages);
-                Ok(0)
-            }
-            DomctlOp::Destroy => {
-                if target == caller {
-                    return Err(HvError::Inval);
+        self.enter(caller, "domctl", Gate::Privileged { target, op }, |hv| {
+            match op {
+                DomctlOp::Pause => hv.domain_mut(target)?.set_paused(true),
+                DomctlOp::Unpause => hv.domain_mut(target)?.set_paused(false),
+                DomctlOp::SetMaxMem { max_pages } => {
+                    hv.domain(target)?;
+                    hv.alloc.set_quota(target, max_pages);
                 }
-                self.domain_mut(target)?.kill();
-                Ok(0)
+                DomctlOp::Destroy if target == caller => return Err(HvError::Inval),
+                DomctlOp::Destroy => hv.domain_mut(target)?.kill(),
             }
-        };
-        self.audit.push(AuditEvent::Hypercall {
-            dom: caller,
-            name: "domctl",
-            result: match &result {
-                Ok(v) => *v as i64,
-                Err(e) => e.errno(),
-            },
-        });
-        result
+            Ok(0)
+        })
     }
 
     /// Injector-only: force a domain's scheduler state (paused flag)

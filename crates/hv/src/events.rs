@@ -18,6 +18,7 @@
 //!   interrupt intrusion models.
 
 use crate::audit::AuditEvent;
+use crate::hypercall::Gate;
 use crate::hypervisor::Hypervisor;
 use crate::HvError;
 use hvsim_mem::{DomainId, Mfn};
@@ -92,30 +93,26 @@ impl Hypervisor {
         dom: DomainId,
         op: EventChannelOp,
     ) -> Result<u64, HvError> {
-        self.bump_hypercall_count();
-        if self.is_crashed() {
-            return Err(HvError::Crashed);
-        }
-        let result = match op {
+        self.enter(dom, "event_channel_op", Gate::Any, |hv| match op {
             EventChannelOp::AllocUnbound { remote } => {
-                self.domain(remote)?;
-                let d = self.domain_mut(dom)?;
+                hv.domain(remote)?;
+                let d = hv.domain_mut(dom)?;
                 let port = d.alloc_event_port(PortState::Unbound { remote })?;
                 Ok(port as u64)
             }
             EventChannelOp::BindInterdomain { remote, remote_port } => {
                 // The remote port must be unbound-for-us.
-                match self.domain(remote)?.event_port(remote_port) {
+                match hv.domain(remote)?.event_port(remote_port) {
                     Some(PortState::Unbound { remote: allowed }) if allowed == dom => {}
                     _ => return Err(HvError::Inval),
                 }
-                let local = self
+                let local = hv
                     .domain_mut(dom)?
                     .alloc_event_port(PortState::Interdomain {
                         remote,
                         remote_port,
                     })?;
-                self.domain_mut(remote)?.set_event_port(
+                hv.domain_mut(remote)?.set_event_port(
                     remote_port,
                     PortState::Interdomain {
                         remote: dom,
@@ -125,14 +122,14 @@ impl Hypervisor {
                 Ok(local as u64)
             }
             EventChannelOp::Send { port } => {
-                let state = self.domain(dom)?.event_port(port);
+                let state = hv.domain(dom)?.event_port(port);
                 match state {
                     Some(PortState::Interdomain { remote, remote_port }) => {
-                        self.deliver_event(remote, remote_port)?;
+                        hv.deliver_event(remote, remote_port)?;
                         Ok(0)
                     }
-                    _ if !self.vulns.xsa_evtchn_unvalidated_send => {
-                        self.audit.push(AuditEvent::ValidationRejected {
+                    _ if !hv.vulns.xsa_evtchn_unvalidated_send => {
+                        hv.audit.push(AuditEvent::ValidationRejected {
                             dom,
                             check: "evtchn_send",
                             detail: format!("send on unbound port {port}"),
@@ -143,33 +140,27 @@ impl Hypervisor {
                         // Vulnerable: the port number is trusted and used
                         // as a (domain, port) pair raw — a guest can raise
                         // arbitrary events on arbitrary domains.
-                        let victims = self.domain_ids();
+                        let victims = hv.domain_ids();
                         let victim = victims
                             .get((port as usize) % victims.len().max(1))
                             .copied()
                             .ok_or(HvError::NoDomain)?;
-                        self.deliver_event(victim, port % EVTCHN_PORTS as u16)?;
+                        hv.deliver_event(victim, port % EVTCHN_PORTS as u16)?;
                         Ok(0)
                     }
                 }
             }
             EventChannelOp::Close { port } => {
-                let state = self.domain(dom)?.event_port(port).ok_or(HvError::Inval)?;
+                let state = hv.domain(dom)?.event_port(port).ok_or(HvError::Inval)?;
                 if let PortState::Interdomain { remote, remote_port } = state {
-                    if let Ok(r) = self.domain_mut(remote) {
+                    if let Ok(r) = hv.domain_mut(remote) {
                         let _ = r.set_event_port(remote_port, PortState::Unbound { remote: dom });
                     }
                 }
-                self.domain_mut(dom)?.set_event_port(port, PortState::Free)?;
+                hv.domain_mut(dom)?.set_event_port(port, PortState::Free)?;
                 Ok(0)
             }
-        };
-        self.audit.push(AuditEvent::Hypercall {
-            dom,
-            name: "event_channel_op",
-            result: result.as_ref().map(|&v| v as i64).unwrap_or_else(|e| e.errno()),
-        });
-        result
+        })
     }
 
     /// Sets the pending bit for `(dom, port)` in the domain's

@@ -1,15 +1,22 @@
-//! Hypercall request types and the uniform dispatcher.
+//! The one hypercall entry point, and the [`Hypercall`] request type.
 //!
-//! Guests may either call the typed methods on
-//! [`Hypervisor`](crate::Hypervisor) directly or funnel everything through
-//! [`Hypervisor::dispatch`] with a [`Hypercall`] value — the latter is what
-//! the benchmark harness and the intrusion-injection campaign use, because
-//! it gives one audit point and one latency-measurement point per call.
+//! Every hypercall, whether issued through a typed `hc_*` method on
+//! [`Hypervisor`] or as a [`Hypercall`] value through
+//! [`Hypervisor::dispatch`], runs through `Hypervisor::enter` exactly
+//! once. It counts the call, fails it with [`HvError::Crashed`] after a
+//! hypervisor panic or [`HvError::NoDomain`] for an unknown or dead
+//! caller, applies `domctl`'s privilege rule, and audits the errno-style
+//! result as one [`AuditEvent::Hypercall`], whatever the outcome.
 
+use crate::audit::AuditEvent;
+use crate::domctl::DomctlOp;
+use crate::events::EventChannelOp;
 use crate::exchange::ExchangeArgs;
 use crate::grants::GrantTableVersion;
+use crate::hypervisor::Hypervisor;
 use crate::injector::AccessMode;
-use hvsim_mem::{Pfn, VirtAddr};
+use crate::HvError;
+use hvsim_mem::{DomainId, Mfn, Pfn, VirtAddr};
 use serde::{Deserialize, Serialize};
 
 /// One `mmu_update` request: write `val` into the page-table entry at
@@ -40,17 +47,17 @@ pub enum MmuExtOp {
         /// Page-table level (1..=4).
         level: u8,
         /// The frame to pin.
-        mfn: hvsim_mem::Mfn,
+        mfn: Mfn,
     },
     /// Unpin a previously pinned page-table frame.
     Unpin {
         /// The frame to unpin.
-        mfn: hvsim_mem::Mfn,
+        mfn: Mfn,
     },
     /// Install a new top-level page table for the calling domain.
     NewBaseptr {
         /// The L4 frame to load.
-        mfn: hvsim_mem::Mfn,
+        mfn: Mfn,
     },
 }
 
@@ -96,6 +103,31 @@ pub enum Hypercall {
         /// Operation and address mode.
         mode: AccessMode,
     },
+    /// Grant `grantee` access to one of the caller's frames.
+    GrantAccess {
+        /// The domain being granted access.
+        grantee: DomainId,
+        /// The caller's frame.
+        mfn: Mfn,
+        /// Whether the grant allows writes.
+        writable: bool,
+    },
+    /// Map a grant that `granter` issued to the caller.
+    GrantMap {
+        /// The granting domain.
+        granter: DomainId,
+        /// The grant reference in `granter`'s table.
+        gref: usize,
+    },
+    /// `HYPERVISOR_event_channel_op`.
+    EventChannelOp(EventChannelOp),
+    /// `HYPERVISOR_domctl` against `target`.
+    Domctl {
+        /// The controlled domain.
+        target: DomainId,
+        /// The operation.
+        op: DomctlOp,
+    },
 }
 
 impl Hypercall {
@@ -111,6 +143,92 @@ impl Hypercall {
             Hypercall::SetTrapTable(_) => "set_trap_table",
             Hypercall::ConsoleIo(_) => "console_io",
             Hypercall::ArbitraryAccess { .. } => "arbitrary_access",
+            Hypercall::GrantAccess { .. } => "grant_access",
+            Hypercall::GrantMap { .. } => "grant_map",
+            Hypercall::EventChannelOp(_) => "event_channel_op",
+            Hypercall::Domctl { .. } => "domctl",
+        }
+    }
+}
+
+/// Who may issue a hypercall, beyond being a live domain.
+#[derive(Clone, Copy)]
+pub(crate) enum Gate {
+    /// Any live domain.
+    Any,
+    /// The `domctl` rule for `op` on `target`: the privileged domain
+    /// only, except that a domain may always pause or unpause itself.
+    Privileged { target: DomainId, op: DomctlOp },
+}
+
+impl Hypervisor {
+    /// The one hypercall entry point (see the module docs): runs `body`
+    /// for `dom` between the checks and the audit.
+    pub(crate) fn enter(
+        &mut self,
+        dom: DomainId,
+        name: &'static str,
+        gate: Gate,
+        body: impl FnOnce(&mut Self) -> Result<u64, HvError>,
+    ) -> Result<u64, HvError> {
+        self.hypercall_count += 1;
+        let result = self
+            .check_alive(dom)
+            .and_then(|()| self.check_privilege(dom, gate))
+            .and_then(|()| body(self));
+        self.audit.push(AuditEvent::Hypercall {
+            dom,
+            name,
+            result: result.as_ref().map_or_else(HvError::errno, |&v| v as i64),
+        });
+        result
+    }
+
+    fn check_privilege(&mut self, caller: DomainId, gate: Gate) -> Result<(), HvError> {
+        let Gate::Privileged { target, op } = gate else {
+            return Ok(());
+        };
+        let self_directed = caller == target && matches!(op, DomctlOp::Pause | DomctlOp::Unpause);
+        if self.domain(caller)?.is_privileged() || self_directed {
+            return Ok(());
+        }
+        self.audit.push(AuditEvent::ValidationRejected {
+            dom: caller,
+            check: "domctl_privilege",
+            detail: format!("{caller} attempted {} on {target}", op.name()),
+        });
+        Err(HvError::Perm)
+    }
+
+    /// Routes a [`Hypercall`] to its typed `hc_*` method, which counts,
+    /// checks and audits it. `ArbitraryAccess` reads fill `data` in place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the callee's error.
+    pub fn dispatch(&mut self, dom: DomainId, call: &mut Hypercall) -> Result<u64, HvError> {
+        match call {
+            Hypercall::MmuUpdate(updates) => self.hc_mmu_update(dom, updates),
+            Hypercall::MmuExtOp(ops) => self.hc_mmuext_op(dom, ops),
+            Hypercall::UpdateVaMapping { va, val } => self.hc_update_va_mapping(dom, *va, *val),
+            Hypercall::MemoryExchange(args) => self.hc_memory_exchange(dom, args),
+            Hypercall::DecreaseReservation { pfns, after_cache_maintenance: acm } => {
+                self.hc_decrease_reservation(dom, pfns, *acm)
+            }
+            Hypercall::GrantTableSetVersion(v) => self.hc_grant_table_set_version(dom, *v),
+            Hypercall::SetTrapTable(entries) => self.hc_set_trap_table(dom, entries),
+            Hypercall::ConsoleIo(line) => self.hc_console_io(dom, line),
+            Hypercall::ArbitraryAccess { addr, data, mode } => {
+                self.hc_arbitrary_access(dom, *addr, data, *mode)
+            }
+            Hypercall::GrantAccess { grantee, mfn, writable } => {
+                self.hc_grant_access(dom, *grantee, *mfn, *writable)
+            }
+            Hypercall::GrantMap { granter, gref } => {
+                self.hc_grant_map(dom, *granter, *gref).map(Mfn::raw)
+            }
+            Hypercall::EventChannelOp(op) => self.hc_event_channel_op(dom, *op),
+            Hypercall::Domctl { target, op } => self.hc_domctl(dom, *target, *op),
         }
     }
 }

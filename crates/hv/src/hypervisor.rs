@@ -1,11 +1,11 @@
-//! The hypervisor proper: boot, domains, hypercall dispatch, exception
-//! delivery and the injector hypercall.
+//! The hypervisor proper: boot, domains, guest memory access, exception
+//! delivery, and the non-MMU hypercalls including the injector.
 
 use crate::audit::{AuditEvent, AuditLog, WriteOrigin};
 use crate::domain::{Domain, StartInfo};
 use crate::exchange::ExchangeArgs;
 use crate::grants::{GrantEntry, GrantTableVersion};
-use crate::hypercall::Hypercall;
+use crate::hypercall::Gate;
 use crate::idt::{IdtEntry, DOUBLE_FAULT_VECTOR, PAGE_FAULT_VECTOR};
 use crate::injector::AccessMode;
 use crate::version::{VulnConfig, XenVersion};
@@ -108,7 +108,7 @@ pub struct Hypervisor {
     crashed: Option<CrashInfo>,
     console: Vec<String>,
     pub(crate) audit: AuditLog,
-    hypercall_count: u64,
+    pub(crate) hypercall_count: u64,
 }
 
 impl Hypervisor {
@@ -280,16 +280,10 @@ impl Hypervisor {
         self.audit.clear();
     }
 
-    /// Total hypercalls executed, counting both [`Hypervisor::dispatch`]
-    /// and direct calls to the `hc_*` entry points (exploit and injector
-    /// code call them directly).
+    /// Total hypercalls executed, failed ones included, whether issued
+    /// through a typed `hc_*` method or [`Hypervisor::dispatch`].
     pub fn hypercall_count(&self) -> u64 {
         self.hypercall_count
-    }
-
-    /// Counts one hypercall; every `hc_*` entry point calls this first.
-    pub(crate) fn bump_hypercall_count(&mut self) {
-        self.hypercall_count += 1;
     }
 
     /// Looks up a domain.
@@ -442,7 +436,9 @@ impl Hypervisor {
         Ok((pfn, mfn))
     }
 
-    fn check_alive(&self, dom: DomainId) -> Result<(), HvError> {
+    /// Fails with [`HvError::Crashed`] after a panic and
+    /// [`HvError::NoDomain`] for an unknown or dead domain.
+    pub(crate) fn check_alive(&self, dom: DomainId) -> Result<(), HvError> {
         if self.crashed.is_some() {
             return Err(HvError::Crashed);
         }
@@ -883,96 +879,28 @@ impl Hypervisor {
     // Hypercalls (non-MMU; the MMU family lives in validate.rs)
     // ------------------------------------------------------------------
 
-    /// Uniform dispatcher: routes a [`Hypercall`] to its implementation,
-    /// audits the call, and returns the errno-style result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the callee's error.
-    pub fn dispatch(&mut self, dom: DomainId, call: &mut Hypercall) -> Result<u64, HvError> {
-        let name = call.name();
-        let result = match call {
-            Hypercall::MmuUpdate(updates) => {
-                let updates = updates.clone();
-                self.hc_mmu_update(dom, &updates)
-            }
-            Hypercall::MmuExtOp(ops) => {
-                let ops = ops.clone();
-                self.hc_mmuext_op(dom, &ops)
-            }
-            Hypercall::UpdateVaMapping { va, val } => {
-                let (va, val) = (*va, *val);
-                self.hc_update_va_mapping(dom, va, val)
-            }
-            Hypercall::MemoryExchange(args) => {
-                let args = args.clone();
-                self.hc_memory_exchange(dom, &args)
-            }
-            Hypercall::DecreaseReservation {
-                pfns,
-                after_cache_maintenance,
-            } => {
-                let (pfns, acm) = (pfns.clone(), *after_cache_maintenance);
-                self.hc_decrease_reservation(dom, &pfns, acm)
-            }
-            Hypercall::GrantTableSetVersion(v) => {
-                let v = *v;
-                self.hc_grant_table_set_version(dom, v)
-            }
-            Hypercall::SetTrapTable(entries) => {
-                let entries = entries.clone();
-                self.hc_set_trap_table(dom, &entries)
-            }
-            Hypercall::ConsoleIo(line) => {
-                let line = line.clone();
-                self.hc_console_io(dom, &line)
-            }
-            Hypercall::ArbitraryAccess { addr, data, mode } => {
-                let (addr, mode) = (*addr, *mode);
-                let mut buf = std::mem::take(data);
-                let r = self.hc_arbitrary_access(dom, addr, &mut buf, mode);
-                *data = buf;
-                r
-            }
-        };
-        self.audit.push(AuditEvent::Hypercall {
-            dom,
-            name,
-            result: result.as_ref().map(|&v| v as i64).unwrap_or_else(|e| e.errno()),
-        });
-        result
-    }
-
     /// `HYPERVISOR_console_io`: appends a guest-tagged line to the
     /// hypervisor console.
-    ///
-    /// # Errors
-    ///
-    /// [`HvError::Crashed`] / [`HvError::NoDomain`] per the usual checks.
     pub fn hc_console_io(&mut self, dom: DomainId, line: &str) -> Result<u64, HvError> {
-        self.hypercall_count += 1;
-        self.check_alive(dom)?;
-        self.console_line(format!("[{dom}] {line}"));
-        Ok(0)
+        self.enter(dom, "console_io", Gate::Any, |hv| {
+            hv.console_line(format!("[{dom}] {line}"));
+            Ok(0)
+        })
     }
 
     /// `HYPERVISOR_set_trap_table`: registers guest exception handlers.
-    ///
-    /// # Errors
-    ///
-    /// Standard liveness checks.
     pub fn hc_set_trap_table(
         &mut self,
         dom: DomainId,
         entries: &[(u8, VirtAddr)],
     ) -> Result<u64, HvError> {
-        self.hypercall_count += 1;
-        self.check_alive(dom)?;
-        let d = self.domain_mut(dom)?;
-        for &(vector, va) in entries {
-            d.set_trap_handler(vector, va);
-        }
-        Ok(0)
+        self.enter(dom, "set_trap_table", Gate::Any, |hv| {
+            let d = hv.domain_mut(dom)?;
+            for &(vector, va) in entries {
+                d.set_trap_handler(vector, va);
+            }
+            Ok(0)
+        })
     }
 
     /// `XENMEM_exchange`. See [`ExchangeArgs`] for the XSA-212 mechanics.
@@ -987,47 +915,47 @@ impl Hypervisor {
         dom: DomainId,
         args: &ExchangeArgs,
     ) -> Result<u64, HvError> {
-        self.hypercall_count += 1;
-        self.check_alive(dom)?;
-        let unchecked = self.vulns.xsa212_exchange_unchecked_handle;
-        if !unchecked && self.layout.region_of(args.out_extent_start) != Region::GuestVirtual {
-            self.audit.push(AuditEvent::ValidationRejected {
-                dom,
-                check: "exchange_handle",
-                detail: format!("out.extent_start {} rejected", args.out_extent_start),
-            });
-            return Err(HvError::Fault);
-        }
-        let mut exchanged = 0u64;
-        for (i, &gmfn) in args.in_gmfns.iter().enumerate() {
-            let slot = args.out_slot(i);
-            let backing = self.domain(dom)?.p2m(Pfn::new(gmfn));
-            match backing {
-                Some(old_mfn) => {
-                    let new_mfn = self
-                        .alloc
-                        .alloc(&mut self.mem, dom, PageType::Writable)
-                        .map_err(|_| HvError::NoMem)?;
-                    let d = self.domain_mut(dom)?;
-                    d.p2m_remove(Pfn::new(gmfn));
-                    d.p2m_insert(Pfn::new(gmfn), new_mfn);
-                    self.m2p_set(old_mfn, None);
-                    self.m2p_set(new_mfn, Some(Pfn::new(gmfn)));
-                    self.alloc.free(&mut self.mem, old_mfn)?;
-                    self.exchange_copy(dom, slot, new_mfn.raw(), unchecked)?;
-                    exchanged += 1;
-                }
-                None => {
-                    // Error path: Xen writes the offending input extent
-                    // back through the (possibly unchecked) handle before
-                    // failing. On vulnerable builds this is the
-                    // write-what-where.
-                    self.exchange_copy(dom, slot, gmfn, unchecked)?;
-                    return Err(HvError::Fault);
+        self.enter(dom, "memory_exchange", Gate::Any, |hv| {
+            let unchecked = hv.vulns.xsa212_exchange_unchecked_handle;
+            if !unchecked && hv.layout.region_of(args.out_extent_start) != Region::GuestVirtual {
+                hv.audit.push(AuditEvent::ValidationRejected {
+                    dom,
+                    check: "exchange_handle",
+                    detail: format!("out.extent_start {} rejected", args.out_extent_start),
+                });
+                return Err(HvError::Fault);
+            }
+            let mut exchanged = 0u64;
+            for (i, &gmfn) in args.in_gmfns.iter().enumerate() {
+                let slot = args.out_slot(i);
+                let backing = hv.domain(dom)?.p2m(Pfn::new(gmfn));
+                match backing {
+                    Some(old_mfn) => {
+                        let new_mfn = hv
+                            .alloc
+                            .alloc(&mut hv.mem, dom, PageType::Writable)
+                            .map_err(|_| HvError::NoMem)?;
+                        let d = hv.domain_mut(dom)?;
+                        d.p2m_remove(Pfn::new(gmfn));
+                        d.p2m_insert(Pfn::new(gmfn), new_mfn);
+                        hv.m2p_set(old_mfn, None);
+                        hv.m2p_set(new_mfn, Some(Pfn::new(gmfn)));
+                        hv.alloc.free(&mut hv.mem, old_mfn)?;
+                        hv.exchange_copy(dom, slot, new_mfn.raw(), unchecked)?;
+                        exchanged += 1;
+                    }
+                    None => {
+                        // Error path: Xen writes the offending input extent
+                        // back through the (possibly unchecked) handle before
+                        // failing. On vulnerable builds this is the
+                        // write-what-where.
+                        hv.exchange_copy(dom, slot, gmfn, unchecked)?;
+                        return Err(HvError::Fault);
+                    }
                 }
             }
-        }
-        Ok(exchanged)
+            Ok(exchanged)
+        })
     }
 
     fn exchange_copy(
@@ -1054,37 +982,37 @@ impl Hypervisor {
     ///
     /// # Errors
     ///
-    /// Standard liveness checks; unknown pfns are skipped (counted in the
-    /// return value as in Xen).
+    /// None of its own: unknown pfns are skipped, and the return value
+    /// counts the frames released (as in Xen).
     pub fn hc_decrease_reservation(
         &mut self,
         dom: DomainId,
         pfns: &[Pfn],
         after_cache_maintenance: bool,
     ) -> Result<u64, HvError> {
-        self.hypercall_count += 1;
-        self.check_alive(dom)?;
-        let vulnerable = self.vulns.xsa393_decrease_reservation_keeps_mapping;
-        let mut done = 0u64;
-        for &pfn in pfns {
-            let Some(mfn) = self.domain_mut(dom)?.p2m_remove(pfn) else {
-                continue;
-            };
-            if vulnerable && after_cache_maintenance {
-                self.domain_mut(dom)?.retain_access(mfn);
-                self.audit.push(AuditEvent::DanglingReference {
-                    dom,
-                    mfn,
-                    detail: "decrease_reservation left mapping live (XSA-393)".into(),
-                });
-            } else {
-                self.domain_mut(dom)?.drop_retained_access(mfn);
+        self.enter(dom, "decrease_reservation", Gate::Any, |hv| {
+            let vulnerable = hv.vulns.xsa393_decrease_reservation_keeps_mapping;
+            let mut done = 0u64;
+            for &pfn in pfns {
+                let Some(mfn) = hv.domain_mut(dom)?.p2m_remove(pfn) else {
+                    continue;
+                };
+                if vulnerable && after_cache_maintenance {
+                    hv.domain_mut(dom)?.retain_access(mfn);
+                    hv.audit.push(AuditEvent::DanglingReference {
+                        dom,
+                        mfn,
+                        detail: "decrease_reservation left mapping live (XSA-393)".into(),
+                    });
+                } else {
+                    hv.domain_mut(dom)?.drop_retained_access(mfn);
+                }
+                hv.m2p_set(mfn, None);
+                hv.alloc.free(&mut hv.mem, mfn)?;
+                done += 1;
             }
-            self.m2p_set(mfn, None);
-            self.alloc.free(&mut self.mem, mfn)?;
-            done += 1;
-        }
-        Ok(done)
+            Ok(done)
+        })
     }
 
     /// `GNTTABOP_set_version`.
@@ -1101,49 +1029,49 @@ impl Hypervisor {
         dom: DomainId,
         version: GrantTableVersion,
     ) -> Result<u64, HvError> {
-        self.hypercall_count += 1;
-        self.check_alive(dom)?;
-        let current = self.domain(dom)?.grant_table().version();
-        match (current, version) {
-            (GrantTableVersion::V1, GrantTableVersion::V2) => {
-                // Status frames are hypervisor pages mapped into the guest.
-                let mfn = self
-                    .alloc
-                    .alloc(&mut self.mem, dom, PageType::GrantTable)
-                    .map_err(|_| HvError::NoMem)?;
-                self.mem.info_mut(mfn)?.set_owner_unchecked(None);
-                self.mem.info_mut(mfn)?.set_type_unchecked(PageType::GrantTable);
-                let d = self.domain_mut(dom)?;
-                d.grant_table_mut().add_status_frame(mfn);
-                d.grant_table_mut().set_version(GrantTableVersion::V2);
-                d.retain_access(mfn);
-                Ok(0)
-            }
-            (GrantTableVersion::V2, GrantTableVersion::V1) => {
-                let vulnerable = self.vulns.xsa387_gnttab_v2_status_leak;
-                let frames = self.domain_mut(dom)?.grant_table_mut().take_status_frames();
-                for mfn in frames {
-                    if vulnerable {
-                        // The guest's mapping of the status page survives
-                        // the switch: Keep Page Reference.
-                        self.audit.push(AuditEvent::DanglingReference {
-                            dom,
-                            mfn,
-                            detail: "gnttab v2->v1 left status page mapped (XSA-387)".into(),
-                        });
-                    } else {
-                        self.domain_mut(dom)?.drop_retained_access(mfn);
-                    }
-                    self.mem.info_mut(mfn)?.release();
-                    self.alloc.free(&mut self.mem, mfn)?;
+        self.enter(dom, "grant_table_set_version", Gate::Any, |hv| {
+            let current = hv.domain(dom)?.grant_table().version();
+            match (current, version) {
+                (GrantTableVersion::V1, GrantTableVersion::V2) => {
+                    // Status frames are hypervisor pages mapped into the guest.
+                    let mfn = hv
+                        .alloc
+                        .alloc(&mut hv.mem, dom, PageType::GrantTable)
+                        .map_err(|_| HvError::NoMem)?;
+                    hv.mem.info_mut(mfn)?.set_owner_unchecked(None);
+                    hv.mem.info_mut(mfn)?.set_type_unchecked(PageType::GrantTable);
+                    let d = hv.domain_mut(dom)?;
+                    d.grant_table_mut().add_status_frame(mfn);
+                    d.grant_table_mut().set_version(GrantTableVersion::V2);
+                    d.retain_access(mfn);
+                    Ok(0)
                 }
-                self.domain_mut(dom)?
-                    .grant_table_mut()
-                    .set_version(GrantTableVersion::V1);
-                Ok(0)
+                (GrantTableVersion::V2, GrantTableVersion::V1) => {
+                    let vulnerable = hv.vulns.xsa387_gnttab_v2_status_leak;
+                    let frames = hv.domain_mut(dom)?.grant_table_mut().take_status_frames();
+                    for mfn in frames {
+                        if vulnerable {
+                            // The guest's mapping of the status page survives
+                            // the switch: Keep Page Reference.
+                            hv.audit.push(AuditEvent::DanglingReference {
+                                dom,
+                                mfn,
+                                detail: "gnttab v2->v1 left status page mapped (XSA-387)".into(),
+                            });
+                        } else {
+                            hv.domain_mut(dom)?.drop_retained_access(mfn);
+                        }
+                        hv.mem.info_mut(mfn)?.release();
+                        hv.alloc.free(&mut hv.mem, mfn)?;
+                    }
+                    hv.domain_mut(dom)?
+                        .grant_table_mut()
+                        .set_version(GrantTableVersion::V1);
+                    Ok(0)
+                }
+                _ => Ok(0),
             }
-            _ => Ok(0),
-        }
+        })
     }
 
     /// Grants `grantee` (read or read/write) access to one of `dom`'s
@@ -1159,18 +1087,18 @@ impl Hypervisor {
         mfn: Mfn,
         writable: bool,
     ) -> Result<u64, HvError> {
-        self.hypercall_count += 1;
-        self.check_alive(dom)?;
-        if self.mem.info(mfn)?.owner() != Some(dom) {
-            return Err(HvError::Perm);
-        }
-        let gref = self.domain_mut(dom)?.grant_table_mut().add_entry(GrantEntry {
-            domid: grantee,
-            frame: mfn,
-            writable,
-            mapped: false,
-        }) as u64;
-        Ok(gref)
+        self.enter(dom, "grant_access", Gate::Any, |hv| {
+            if hv.mem.info(mfn)?.owner() != Some(dom) {
+                return Err(HvError::Perm);
+            }
+            let gref = hv.domain_mut(dom)?.grant_table_mut().add_entry(GrantEntry {
+                domid: grantee,
+                frame: mfn,
+                writable,
+                mapped: false,
+            }) as u64;
+            Ok(gref)
+        })
     }
 
     /// Maps a grant: `grantee` gains access to the granted frame.
@@ -1185,39 +1113,22 @@ impl Hypervisor {
         granter: DomainId,
         gref: usize,
     ) -> Result<Mfn, HvError> {
-        self.hypercall_count += 1;
-        self.check_alive(grantee)?;
-        let entry = *self
-            .domain(granter)?
-            .grant_table()
-            .entry(gref)
-            .ok_or(HvError::Inval)?;
-        if entry.domid != grantee {
-            return Err(HvError::Perm);
-        }
-        self.domain_mut(granter)?
-            .grant_table_mut()
-            .entry_mut(gref)
-            .ok_or(HvError::Inval)?
-            .mapped = true;
-        self.domain_mut(grantee)?.retain_access(entry.frame);
-        Ok(entry.frame)
+        self.enter(grantee, "grant_map", Gate::Any, |hv| {
+            let entry = *hv.domain(granter)?.grant_table().entry(gref).ok_or(HvError::Inval)?;
+            if entry.domid != grantee {
+                return Err(HvError::Perm);
+            }
+            hv.domain_mut(granter)?
+                .grant_table_mut()
+                .entry_mut(gref)
+                .ok_or(HvError::Inval)?
+                .mapped = true;
+            hv.domain_mut(grantee)?.retain_access(entry.frame);
+            Ok(entry.frame.raw())
+        })
+        .map(Mfn::new)
     }
 
-    /// The paper's injector hypercall:
-    /// `arbitrary_access(addr, buff, n, action)`.
-    ///
-    /// Reads fill `data`; writes consume it. Linear addresses resolve via
-    /// the direct map or (for guest-half addresses) the calling domain's
-    /// page tables — with **no permission checks**, which is the point.
-    /// Physical addresses are mapped and accessed directly, mirroring the
-    /// prototype's `map into Xen linear address space and perform the
-    /// operation` path (§V-B).
-    ///
-    /// # Errors
-    ///
-    /// [`HvError::NoSys`] when the build does not include the injector;
-    /// [`HvError::Fault`] for unresolvable addresses.
     /// Host-debugger physical access (a gdbsx/JTAG-style stub): reads or
     /// writes machine memory from *outside* any domain context. Unlike
     /// [`Hypervisor::hc_arbitrary_access`] this requires **no patched
@@ -1279,6 +1190,20 @@ impl Hypervisor {
         Ok(())
     }
 
+    /// The paper's injector hypercall:
+    /// `arbitrary_access(addr, buff, n, action)`.
+    ///
+    /// Reads fill `data`; writes consume it. Linear addresses resolve via
+    /// the direct map or (for guest-half addresses) the calling domain's
+    /// page tables — with **no permission checks**, which is the point.
+    /// Physical addresses are mapped and accessed directly, mirroring the
+    /// prototype's `map into Xen linear address space and perform the
+    /// operation` path (§V-B).
+    ///
+    /// # Errors
+    ///
+    /// [`HvError::NoSys`] when the build does not include the injector;
+    /// [`HvError::Fault`] for unresolvable addresses.
     pub fn hc_arbitrary_access(
         &mut self,
         dom: DomainId,
@@ -1286,35 +1211,34 @@ impl Hypervisor {
         data: &mut [u8],
         mode: AccessMode,
     ) -> Result<u64, HvError> {
-        self.hypercall_count += 1;
-        if !self.injector_enabled {
-            return Err(HvError::NoSys);
-        }
-        self.check_alive(dom)?;
-        let phys = if mode.is_linear() {
-            self.resolve_hv_va(dom, VirtAddr::new(addr))
-                .ok_or(HvError::Fault)?
-        } else {
-            PhysAddr::new(addr)
-        };
-        self.audit.push(AuditEvent::InjectorAccess {
-            dom,
-            addr,
-            len: data.len(),
-            mode: mode.label(),
-        });
-        if mode.is_write() {
-            self.mem.write(phys, data)?;
-            self.audit.push(AuditEvent::HypervisorWrite {
+        self.enter(dom, "arbitrary_access", Gate::Any, |hv| {
+            if !hv.injector_enabled {
+                return Err(HvError::NoSys);
+            }
+            let phys = if mode.is_linear() {
+                hv.resolve_hv_va(dom, VirtAddr::new(addr)).ok_or(HvError::Fault)?
+            } else {
+                PhysAddr::new(addr)
+            };
+            hv.audit.push(AuditEvent::InjectorAccess {
                 dom,
-                phys,
+                addr,
                 len: data.len(),
-                origin: WriteOrigin::Injector,
+                mode: mode.label(),
             });
-        } else {
-            self.mem.read(phys, data)?;
-        }
-        Ok(data.len() as u64)
+            if mode.is_write() {
+                hv.mem.write(phys, data)?;
+                hv.audit.push(AuditEvent::HypervisorWrite {
+                    dom,
+                    phys,
+                    len: data.len(),
+                    origin: WriteOrigin::Injector,
+                });
+            } else {
+                hv.mem.read(phys, data)?;
+            }
+            Ok(data.len() as u64)
+        })
     }
 }
 

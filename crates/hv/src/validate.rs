@@ -17,7 +17,7 @@
 //! by [`VulnConfig`](crate::VulnConfig), never by exploit-specific code.
 
 use crate::audit::{AuditEvent, WriteOrigin};
-use crate::hypercall::{MmuExtOp, MmuUpdate};
+use crate::hypercall::{Gate, MmuExtOp, MmuUpdate};
 use crate::hypervisor::Hypervisor;
 use crate::HvError;
 use hvsim_mem::{DomainId, Mfn, PageType, VirtAddr};
@@ -38,18 +38,18 @@ impl Hypervisor {
     /// Stops at the first rejected update with its error; prior updates
     /// remain applied (as in Xen).
     pub fn hc_mmu_update(&mut self, dom: DomainId, updates: &[MmuUpdate]) -> Result<u64, HvError> {
-        self.bump_hypercall_count();
-        self.ensure_alive(dom)?;
-        for u in updates {
-            if u.ptr & 0x3 != 0 {
-                // Only MMU_NORMAL_PT_UPDATE is modelled.
-                return Err(HvError::Inval);
+        self.enter(dom, "mmu_update", Gate::Any, |hv| {
+            for u in updates {
+                if u.ptr & 0x3 != 0 {
+                    // Only MMU_NORMAL_PT_UPDATE is modelled.
+                    return Err(HvError::Inval);
+                }
+                let table = Mfn::new(u.ptr >> 12);
+                let index = ((u.ptr & 0xfff) / 8) as usize;
+                hv.validate_and_write_pte(dom, table, index, PageTableEntry::from_raw(u.val))?;
             }
-            let table = Mfn::new(u.ptr >> 12);
-            let index = ((u.ptr & 0xfff) / 8) as usize;
-            self.validate_and_write_pte(dom, table, index, PageTableEntry::from_raw(u.val))?;
-        }
-        Ok(updates.len() as u64)
+            Ok(updates.len() as u64)
+        })
     }
 
     /// `HYPERVISOR_update_va_mapping`: updates the L1 entry that maps
@@ -66,14 +66,14 @@ impl Hypervisor {
         va: VirtAddr,
         val: u64,
     ) -> Result<u64, HvError> {
-        self.bump_hypercall_count();
-        self.ensure_alive(dom)?;
-        let cr3 = self.domain(dom)?.cr3().ok_or(HvError::Inval)?;
-        let (slot, _) = pte_slot(&self.mem, cr3, va, 1)?;
-        let table = slot.frame();
-        let index = slot.page_offset() / 8;
-        self.validate_and_write_pte(dom, table, index, PageTableEntry::from_raw(val))?;
-        Ok(0)
+        self.enter(dom, "update_va_mapping", Gate::Any, |hv| {
+            let cr3 = hv.domain(dom)?.cr3().ok_or(HvError::Inval)?;
+            let (slot, _) = pte_slot(&hv.mem, cr3, va, 1)?;
+            let table = slot.frame();
+            let index = slot.page_offset() / 8;
+            hv.validate_and_write_pte(dom, table, index, PageTableEntry::from_raw(val))?;
+            Ok(0)
+        })
     }
 
     /// `HYPERVISOR_mmuext_op`: pin/unpin page tables and install a new
@@ -84,28 +84,18 @@ impl Hypervisor {
     /// Per-operation validation errors; processing stops at the first
     /// failure.
     pub fn hc_mmuext_op(&mut self, dom: DomainId, ops: &[MmuExtOp]) -> Result<u64, HvError> {
-        self.bump_hypercall_count();
-        self.ensure_alive(dom)?;
-        let mut done = 0u64;
-        for op in ops {
-            match *op {
-                MmuExtOp::Pin { level, mfn } => self.pin_table(dom, mfn, level)?,
-                MmuExtOp::Unpin { mfn } => self.unpin_table(dom, mfn)?,
-                MmuExtOp::NewBaseptr { mfn } => self.new_baseptr(dom, mfn)?,
+        self.enter(dom, "mmuext_op", Gate::Any, |hv| {
+            let mut done = 0u64;
+            for op in ops {
+                match *op {
+                    MmuExtOp::Pin { level, mfn } => hv.pin_table(dom, mfn, level)?,
+                    MmuExtOp::Unpin { mfn } => hv.unpin_table(dom, mfn)?,
+                    MmuExtOp::NewBaseptr { mfn } => hv.new_baseptr(dom, mfn)?,
+                }
+                done += 1;
             }
-            done += 1;
-        }
-        Ok(done)
-    }
-
-    fn ensure_alive(&self, dom: DomainId) -> Result<(), HvError> {
-        if self.is_crashed() {
-            return Err(HvError::Crashed);
-        }
-        if self.domain(dom)?.is_dead() {
-            return Err(HvError::NoDomain);
-        }
-        Ok(())
+            Ok(done)
+        })
     }
 
     fn reject(&mut self, dom: DomainId, check: &'static str, detail: String) -> HvError {
@@ -1094,20 +1084,140 @@ mod tests {
         }
     }
 
+    /// The typed `hc_*` call that `dispatch` must be equivalent to.
+    fn typed(hv: &mut Hypervisor, dom: DomainId, call: &mut Hypercall) -> Result<u64, HvError> {
+        match call {
+            Hypercall::MmuUpdate(updates) => hv.hc_mmu_update(dom, updates),
+            Hypercall::MmuExtOp(ops) => hv.hc_mmuext_op(dom, ops),
+            Hypercall::UpdateVaMapping { va, val } => hv.hc_update_va_mapping(dom, *va, *val),
+            Hypercall::MemoryExchange(args) => hv.hc_memory_exchange(dom, args),
+            Hypercall::DecreaseReservation { pfns, after_cache_maintenance } => {
+                hv.hc_decrease_reservation(dom, pfns, *after_cache_maintenance)
+            }
+            Hypercall::GrantTableSetVersion(v) => hv.hc_grant_table_set_version(dom, *v),
+            Hypercall::SetTrapTable(entries) => hv.hc_set_trap_table(dom, entries),
+            Hypercall::ConsoleIo(line) => hv.hc_console_io(dom, line),
+            Hypercall::ArbitraryAccess { addr, data, mode } => {
+                hv.hc_arbitrary_access(dom, *addr, data, *mode)
+            }
+            Hypercall::GrantAccess { grantee, mfn, writable } => {
+                hv.hc_grant_access(dom, *grantee, *mfn, *writable)
+            }
+            Hypercall::GrantMap { granter, gref } => {
+                hv.hc_grant_map(dom, *granter, *gref).map(Mfn::raw)
+            }
+            Hypercall::EventChannelOp(op) => hv.hc_event_channel_op(dom, *op),
+            Hypercall::Domctl { target, op } => hv.hc_domctl(dom, *target, *op),
+        }
+    }
+
+    /// Every [`Hypercall`] variant, on a success and a failure path: the
+    /// call is counted once and audited once with its name and errno, and
+    /// its result and the hypervisor state equal the typed call's.
     #[test]
     fn dispatch_audits_and_counts() {
-        let mut g = boot(XenVersion::V4_6, false);
-        let before = g.hv.hypercall_count();
-        let mut call = Hypercall::ConsoleIo("ping".into());
-        g.hv.dispatch(g.dom, &mut call).unwrap();
-        assert_eq!(g.hv.hypercall_count(), before + 1);
-        assert!(g
-            .hv
-            .audit()
-            .events()
-            .iter()
-            .any(|e| matches!(e, AuditEvent::Hypercall { name: "console_io", result: 0, .. })));
-        assert!(g.hv.console().iter().any(|l| l.contains("ping")));
+        use crate::{AccessMode, DomctlOp, EventChannelOp, GrantTableVersion};
+        let mut g = boot(XenVersion::V4_8, true);
+        let guest = g.dom;
+        let dom0 = g.hv.create_domain("dom0", true, 16).unwrap();
+        let nobody = DomainId::new(99);
+        let (_, fresh) = g.hv.alloc_domain_frame(guest, PageType::Writable).unwrap();
+        let dom0_frame = g.hv.domain(dom0).unwrap().p2m(Pfn::new(1)).unwrap();
+        let gref = g.hv.hc_grant_access(dom0, guest, dom0_frame, false).unwrap() as usize;
+        let unbound = EventChannelOp::AllocUnbound { remote: guest };
+        let unbound_port = g.hv.hc_event_channel_op(dom0, unbound).unwrap() as u16;
+        let l1_slot = g.l1.base().offset(VaIndices::of(g.data_va).l1 as u64 * 8).raw();
+        let remap = PageTableEntry::new(fresh, LINK).raw();
+        let unmapped = VirtAddr::new(0x7f00_dead_0000);
+        let decrease = Hypercall::DecreaseReservation {
+            pfns: vec![Pfn::new(10)],
+            after_cache_maintenance: false,
+        };
+        let access = |addr, mode| Hypercall::ArbitraryAccess { addr, data: vec![0; 8], mode };
+        let grant = |mfn| Hypercall::GrantAccess { grantee: dom0, mfn, writable: true };
+        let evtchn = Hypercall::EventChannelOp;
+        let base = g.hv;
+
+        use HvError::*;
+        let cases: Vec<(DomainId, Hypercall, Result<u64, HvError>)> = vec![
+            (guest, Hypercall::MmuUpdate(vec![MmuUpdate::normal(l1_slot, remap)]), Ok(1)),
+            (guest, Hypercall::MmuUpdate(vec![MmuUpdate::normal(l1_slot | 1, remap)]), Err(Inval)),
+            (guest, Hypercall::MmuExtOp(vec![MmuExtOp::Pin { level: 1, mfn: fresh }]), Ok(1)),
+            (guest, Hypercall::MmuExtOp(vec![MmuExtOp::Pin { level: 5, mfn: fresh }]), Err(Inval)),
+            (guest, Hypercall::UpdateVaMapping { va: g.data_va, val: remap }, Ok(0)),
+            (
+                guest,
+                Hypercall::UpdateVaMapping { va: unmapped, val: remap },
+                Err(GuestFault(hvsim_paging::PageFault::new(
+                    unmapped,
+                    AccessKind::Read,
+                    PageFaultKind::NotPresent { level: 4 },
+                ))),
+            ),
+            (guest, Hypercall::MemoryExchange(ExchangeArgs::new(vec![10], g.data_va)), Ok(1)),
+            (guest, Hypercall::MemoryExchange(ExchangeArgs::new(vec![999], g.data_va)), Err(Fault)),
+            (guest, decrease.clone(), Ok(1)),
+            (nobody, decrease, Err(NoDomain)),
+            (guest, Hypercall::GrantTableSetVersion(GrantTableVersion::V2), Ok(0)),
+            (nobody, Hypercall::GrantTableSetVersion(GrantTableVersion::V2), Err(NoDomain)),
+            (guest, Hypercall::SetTrapTable(vec![(14, g.data_va)]), Ok(0)),
+            (nobody, Hypercall::SetTrapTable(vec![(14, g.data_va)]), Err(NoDomain)),
+            (guest, Hypercall::ConsoleIo("ping".into()), Ok(0)),
+            (nobody, Hypercall::ConsoleIo("ping".into()), Err(NoDomain)),
+            (guest, access(0, AccessMode::PhysRead), Ok(8)),
+            (guest, access(unmapped.raw(), AccessMode::LinearRead), Err(Fault)),
+            (guest, grant(g.data), Ok(0)),
+            (guest, grant(Mfn::new(0)), Err(Perm)),
+            (guest, Hypercall::GrantMap { granter: dom0, gref }, Ok(dom0_frame.raw())),
+            (guest, Hypercall::GrantMap { granter: dom0, gref: 999 }, Err(Inval)),
+            (guest, evtchn(EventChannelOp::AllocUnbound { remote: dom0 }), Ok(1)),
+            (
+                guest,
+                evtchn(EventChannelOp::BindInterdomain {
+                    remote: dom0,
+                    remote_port: unbound_port,
+                }),
+                Ok(1),
+            ),
+            (
+                guest,
+                evtchn(EventChannelOp::BindInterdomain {
+                    remote: dom0,
+                    remote_port: unbound_port + 1,
+                }),
+                Err(Inval),
+            ),
+            (guest, Hypercall::Domctl { target: guest, op: DomctlOp::Pause }, Ok(0)),
+            (dom0, Hypercall::Domctl { target: guest, op: DomctlOp::Destroy }, Ok(0)),
+            (dom0, Hypercall::Domctl { target: dom0, op: DomctlOp::Destroy }, Err(Inval)),
+            (guest, Hypercall::Domctl { target: dom0, op: DomctlOp::Pause }, Err(Perm)),
+        ];
+
+        let mut covered = BTreeSet::new();
+        for (caller, call, expected) in cases {
+            let name = call.name();
+            covered.insert(name);
+            let (mut routed, mut direct) = (base.clone(), base.clone());
+            let (mut routed_call, mut direct_call) = (call.clone(), call);
+            let result = routed.dispatch(caller, &mut routed_call);
+            assert_eq!(result, expected, "{name} from {caller}");
+            assert_eq!(result, typed(&mut direct, caller, &mut direct_call), "{name}");
+            assert_eq!(routed_call, direct_call, "{name}: in/out arguments");
+            assert_eq!(format!("{routed:?}"), format!("{direct:?}"), "{name}: state");
+
+            assert_eq!(routed.hypercall_count(), base.hypercall_count() + 1, "{name}");
+            let audited: Vec<_> = routed.audit().events()[base.audit().events().len()..]
+                .iter()
+                .filter(|e| matches!(e, AuditEvent::Hypercall { .. }))
+                .collect();
+            let errno = result.map_or_else(|e| e.errno(), |v| v as i64);
+            assert_eq!(
+                audited,
+                [&AuditEvent::Hypercall { dom: caller, name, result: errno }],
+                "{name} from {caller}"
+            );
+        }
+        assert_eq!(covered.len(), 13, "every Hypercall variant is exercised: {covered:?}");
     }
 
     #[test]

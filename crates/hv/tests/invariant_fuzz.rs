@@ -7,8 +7,8 @@
 //! only way to reach the erroneous states is to inject them.
 
 use hvsim::{
-    BuildConfig, ExchangeArgs, HvError, Hypervisor, InvariantViolation, MmuExtOp, MmuUpdate,
-    PageType, PteFlags, XenVersion,
+    AuditEvent, BuildConfig, ExchangeArgs, HvError, Hypercall, Hypervisor, InvariantViolation,
+    MmuExtOp, MmuUpdate, PageType, PteFlags, XenVersion,
 };
 use hvsim_mem::{DomainId, Mfn, Pfn, VirtAddr};
 use hvsim_paging::PageTableEntry;
@@ -25,6 +25,28 @@ struct Rig {
     l2: Mfn,
     l1: Mfn,
     data: Vec<Mfn>,
+    /// Hypercalls issued through [`Rig::call`], setup included.
+    hypercalls: u64,
+}
+
+impl Rig {
+    fn call(&mut self, mut call: Hypercall) -> Result<u64, HvError> {
+        self.hypercalls += 1;
+        self.hv.dispatch(self.dom, &mut call)
+    }
+
+    /// `hypercall_count` and the number of audited hypercalls: each
+    /// must equal [`Rig::hypercalls`].
+    fn accounting(&self) -> (u64, u64) {
+        let audited = self
+            .hv
+            .audit()
+            .events()
+            .iter()
+            .filter(|e| matches!(e, AuditEvent::Hypercall { .. }))
+            .count();
+        (self.hv.hypercall_count(), audited as u64)
+    }
 }
 
 fn rig(version: XenVersion) -> Rig {
@@ -42,9 +64,7 @@ fn rig(version: XenVersion) -> Rig {
     for (i, &d) in data.iter().enumerate() {
         w(&mut hv, l1, i, PageTableEntry::new(d, LINK));
     }
-    hv.hc_mmuext_op(dom, &[MmuExtOp::Pin { level: 4, mfn: l4 }]).unwrap();
-    hv.hc_mmuext_op(dom, &[MmuExtOp::NewBaseptr { mfn: l4 }]).unwrap();
-    Rig {
+    let mut r = Rig {
         hv,
         dom,
         l4,
@@ -52,7 +72,11 @@ fn rig(version: XenVersion) -> Rig {
         l2,
         l1,
         data,
-    }
+        hypercalls: 0,
+    };
+    r.call(Hypercall::MmuExtOp(vec![MmuExtOp::Pin { level: 4, mfn: l4 }])).unwrap();
+    r.call(Hypercall::MmuExtOp(vec![MmuExtOp::NewBaseptr { mfn: l4 }])).unwrap();
+    r
 }
 
 /// One adversarial action the fuzzer may attempt.
@@ -102,36 +126,31 @@ fn target_of(rig: &Rig, sel: u8) -> Mfn {
     }
 }
 
+/// Applies `action`: every action but `DirectWrite` is a [`Hypercall`]
+/// value routed through `dispatch`.
 fn apply(rig: &mut Rig, action: &Action) -> Result<(), HvError> {
-    match action {
+    let call = match *action {
         Action::MmuUpdate { table, index, target, flags } => {
-            let t = table_of(rig, *table);
-            let ptr = t.base().offset(*index as u64 * 8).raw();
+            let ptr = table_of(rig, table).base().offset(index as u64 * 8).raw();
             let entry = PageTableEntry::new(
-                target_of(rig, *target),
-                PteFlags::from_bits_truncate(*flags) | PteFlags::PRESENT,
+                target_of(rig, target),
+                PteFlags::from_bits_truncate(flags) | PteFlags::PRESENT,
             );
-            rig.hv
-                .hc_mmu_update(rig.dom, &[MmuUpdate::normal(ptr, entry.raw())])
-                .map(|_| ())
+            Hypercall::MmuUpdate(vec![MmuUpdate::normal(ptr, entry.raw())])
         }
-        Action::Exchange { gmfn, out } => rig
-            .hv
-            .hc_memory_exchange(
-                rig.dom,
-                &ExchangeArgs::new(vec![*gmfn], VirtAddr::new(*out)),
-            )
-            .map(|_| ()),
-        Action::Decrease { pfn, acm } => rig
-            .hv
-            .hc_decrease_reservation(rig.dom, &[Pfn::new(*pfn)], *acm)
-            .map(|_| ()),
+        Action::Exchange { gmfn, out } => {
+            Hypercall::MemoryExchange(ExchangeArgs::new(vec![gmfn], VirtAddr::new(out)))
+        }
+        Action::Decrease { pfn, acm } => Hypercall::DecreaseReservation {
+            pfns: vec![Pfn::new(pfn)],
+            after_cache_maintenance: acm,
+        },
         Action::DirectWrite { table, offset, value } => {
-            let t = table_of(rig, *table);
-            rig.hv
-                .guest_write_frame(rig.dom, t, *offset, &value.to_le_bytes())
+            let t = table_of(rig, table);
+            return rig.hv.guest_write_frame(rig.dom, t, offset, &value.to_le_bytes());
         }
-    }
+    };
+    rig.call(call).map(|_| ())
 }
 
 /// Violations the fuzz rig itself can cause legally: exchanging its own
@@ -179,6 +198,7 @@ proptest! {
             violations.is_empty(),
             "version {version}: {actions:?} broke {violations:?}"
         );
+        prop_assert_eq!(r.accounting(), (r.hypercalls, r.hypercalls));
     }
 
     /// Freshly built rigs are always sound, on every version.
@@ -189,6 +209,7 @@ proptest! {
         let r = rig(version);
         let violations = r.hv.audit_pv_invariants();
         prop_assert!(violations.is_empty(), "{violations:?}");
+        prop_assert_eq!(r.accounting(), (r.hypercalls, r.hypercalls));
     }
 }
 
