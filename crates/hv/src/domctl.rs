@@ -9,7 +9,6 @@
 //! paused") become injectable and monitorable.
 
 use crate::audit::AuditEvent;
-use crate::hypercall::Gate;
 use crate::hypervisor::Hypervisor;
 use crate::HvError;
 use hvsim_mem::DomainId;
@@ -57,7 +56,8 @@ impl Hypervisor {
         target: DomainId,
         op: DomctlOp,
     ) -> Result<u64, HvError> {
-        self.enter(caller, "domctl", Gate::Privileged { target, op }, |hv| {
+        self.enter(caller, "domctl", |hv| {
+            hv.check_domctl_privilege(caller, target, op)?;
             match op {
                 DomctlOp::Pause => hv.domain_mut(target)?.set_paused(true),
                 DomctlOp::Unpause => hv.domain_mut(target)?.set_paused(false),
@@ -70,6 +70,26 @@ impl Hypervisor {
             }
             Ok(0)
         })
+    }
+
+    /// The one privilege check: the privileged domain only, except that a
+    /// domain may always pause or unpause itself. Rejections are audited.
+    fn check_domctl_privilege(
+        &mut self,
+        caller: DomainId,
+        target: DomainId,
+        op: DomctlOp,
+    ) -> Result<(), HvError> {
+        let self_directed = caller == target && matches!(op, DomctlOp::Pause | DomctlOp::Unpause);
+        if self.domain(caller)?.is_privileged() || self_directed {
+            return Ok(());
+        }
+        self.audit.push(AuditEvent::ValidationRejected {
+            dom: caller,
+            check: "domctl_privilege",
+            detail: format!("{caller} attempted {} on {target}", op.name()),
+        });
+        Err(HvError::Perm)
     }
 
     /// Injector-only: force a domain's scheduler state (paused flag)

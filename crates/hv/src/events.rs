@@ -18,7 +18,6 @@
 //!   interrupt intrusion models.
 
 use crate::audit::AuditEvent;
-use crate::hypercall::Gate;
 use crate::hypervisor::Hypervisor;
 use crate::HvError;
 use hvsim_mem::{DomainId, Mfn};
@@ -93,7 +92,7 @@ impl Hypervisor {
         dom: DomainId,
         op: EventChannelOp,
     ) -> Result<u64, HvError> {
-        self.enter(dom, "event_channel_op", Gate::Any, |hv| match op {
+        self.enter(dom, "event_channel_op", |hv| match op {
             EventChannelOp::AllocUnbound { remote } => {
                 hv.domain(remote)?;
                 let d = hv.domain_mut(dom)?;

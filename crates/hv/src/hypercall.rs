@@ -5,8 +5,9 @@
 //! [`Hypervisor::dispatch`], runs through `Hypervisor::enter` exactly
 //! once. It counts the call, fails it with [`HvError::Crashed`] after a
 //! hypervisor panic or [`HvError::NoDomain`] for an unknown or dead
-//! caller, applies `domctl`'s privilege rule, and audits the errno-style
-//! result as one [`AuditEvent::Hypercall`], whatever the outcome.
+//! caller, runs the call's body (`domctl`'s body starts with its
+//! privilege check), and audits the errno-style result as one
+//! [`AuditEvent::Hypercall`], whatever the outcome.
 
 use crate::audit::AuditEvent;
 use crate::domctl::DomctlOp;
@@ -131,7 +132,8 @@ pub enum Hypercall {
 }
 
 impl Hypercall {
-    /// The hypercall's name, as recorded in the audit log.
+    /// The hypercall's name, as recorded in the audit log. Each must match
+    /// the literal its typed `hc_*` method passes to `Hypervisor::enter`.
     pub fn name(&self) -> &'static str {
         match self {
             Hypercall::MmuUpdate(_) => "mmu_update",
@@ -151,16 +153,6 @@ impl Hypercall {
     }
 }
 
-/// Who may issue a hypercall, beyond being a live domain.
-#[derive(Clone, Copy)]
-pub(crate) enum Gate {
-    /// Any live domain.
-    Any,
-    /// The `domctl` rule for `op` on `target`: the privileged domain
-    /// only, except that a domain may always pause or unpause itself.
-    Privileged { target: DomainId, op: DomctlOp },
-}
-
 impl Hypervisor {
     /// The one hypercall entry point (see the module docs): runs `body`
     /// for `dom` between the checks and the audit.
@@ -168,36 +160,16 @@ impl Hypervisor {
         &mut self,
         dom: DomainId,
         name: &'static str,
-        gate: Gate,
         body: impl FnOnce(&mut Self) -> Result<u64, HvError>,
     ) -> Result<u64, HvError> {
         self.hypercall_count += 1;
-        let result = self
-            .check_alive(dom)
-            .and_then(|()| self.check_privilege(dom, gate))
-            .and_then(|()| body(self));
+        let result = self.check_alive(dom).and_then(|()| body(self));
         self.audit.push(AuditEvent::Hypercall {
             dom,
             name,
             result: result.as_ref().map_or_else(HvError::errno, |&v| v as i64),
         });
         result
-    }
-
-    fn check_privilege(&mut self, caller: DomainId, gate: Gate) -> Result<(), HvError> {
-        let Gate::Privileged { target, op } = gate else {
-            return Ok(());
-        };
-        let self_directed = caller == target && matches!(op, DomctlOp::Pause | DomctlOp::Unpause);
-        if self.domain(caller)?.is_privileged() || self_directed {
-            return Ok(());
-        }
-        self.audit.push(AuditEvent::ValidationRejected {
-            dom: caller,
-            check: "domctl_privilege",
-            detail: format!("{caller} attempted {} on {target}", op.name()),
-        });
-        Err(HvError::Perm)
     }
 
     /// Routes a [`Hypercall`] to its typed `hc_*` method, which counts,

@@ -5,7 +5,6 @@ use crate::audit::{AuditEvent, AuditLog, WriteOrigin};
 use crate::domain::{Domain, StartInfo};
 use crate::exchange::ExchangeArgs;
 use crate::grants::{GrantEntry, GrantTableVersion};
-use crate::hypercall::Gate;
 use crate::idt::{IdtEntry, DOUBLE_FAULT_VECTOR, PAGE_FAULT_VECTOR};
 use crate::injector::AccessMode;
 use crate::version::{VulnConfig, XenVersion};
@@ -881,20 +880,28 @@ impl Hypervisor {
 
     /// `HYPERVISOR_console_io`: appends a guest-tagged line to the
     /// hypervisor console.
+    ///
+    /// # Errors
+    ///
+    /// [`HvError::Crashed`] / [`HvError::NoDomain`] per the usual checks.
     pub fn hc_console_io(&mut self, dom: DomainId, line: &str) -> Result<u64, HvError> {
-        self.enter(dom, "console_io", Gate::Any, |hv| {
+        self.enter(dom, "console_io", |hv| {
             hv.console_line(format!("[{dom}] {line}"));
             Ok(0)
         })
     }
 
     /// `HYPERVISOR_set_trap_table`: registers guest exception handlers.
+    ///
+    /// # Errors
+    ///
+    /// Standard liveness checks.
     pub fn hc_set_trap_table(
         &mut self,
         dom: DomainId,
         entries: &[(u8, VirtAddr)],
     ) -> Result<u64, HvError> {
-        self.enter(dom, "set_trap_table", Gate::Any, |hv| {
+        self.enter(dom, "set_trap_table", |hv| {
             let d = hv.domain_mut(dom)?;
             for &(vector, va) in entries {
                 d.set_trap_handler(vector, va);
@@ -915,7 +922,7 @@ impl Hypervisor {
         dom: DomainId,
         args: &ExchangeArgs,
     ) -> Result<u64, HvError> {
-        self.enter(dom, "memory_exchange", Gate::Any, |hv| {
+        self.enter(dom, "memory_exchange", |hv| {
             let unchecked = hv.vulns.xsa212_exchange_unchecked_handle;
             if !unchecked && hv.layout.region_of(args.out_extent_start) != Region::GuestVirtual {
                 hv.audit.push(AuditEvent::ValidationRejected {
@@ -990,7 +997,7 @@ impl Hypervisor {
         pfns: &[Pfn],
         after_cache_maintenance: bool,
     ) -> Result<u64, HvError> {
-        self.enter(dom, "decrease_reservation", Gate::Any, |hv| {
+        self.enter(dom, "decrease_reservation", |hv| {
             let vulnerable = hv.vulns.xsa393_decrease_reservation_keeps_mapping;
             let mut done = 0u64;
             for &pfn in pfns {
@@ -1029,7 +1036,7 @@ impl Hypervisor {
         dom: DomainId,
         version: GrantTableVersion,
     ) -> Result<u64, HvError> {
-        self.enter(dom, "grant_table_set_version", Gate::Any, |hv| {
+        self.enter(dom, "grant_table_set_version", |hv| {
             let current = hv.domain(dom)?.grant_table().version();
             match (current, version) {
                 (GrantTableVersion::V1, GrantTableVersion::V2) => {
@@ -1087,7 +1094,7 @@ impl Hypervisor {
         mfn: Mfn,
         writable: bool,
     ) -> Result<u64, HvError> {
-        self.enter(dom, "grant_access", Gate::Any, |hv| {
+        self.enter(dom, "grant_access", |hv| {
             if hv.mem.info(mfn)?.owner() != Some(dom) {
                 return Err(HvError::Perm);
             }
@@ -1113,7 +1120,7 @@ impl Hypervisor {
         granter: DomainId,
         gref: usize,
     ) -> Result<Mfn, HvError> {
-        self.enter(grantee, "grant_map", Gate::Any, |hv| {
+        self.enter(grantee, "grant_map", |hv| {
             let entry = *hv.domain(granter)?.grant_table().entry(gref).ok_or(HvError::Inval)?;
             if entry.domid != grantee {
                 return Err(HvError::Perm);
@@ -1211,7 +1218,7 @@ impl Hypervisor {
         data: &mut [u8],
         mode: AccessMode,
     ) -> Result<u64, HvError> {
-        self.enter(dom, "arbitrary_access", Gate::Any, |hv| {
+        self.enter(dom, "arbitrary_access", |hv| {
             if !hv.injector_enabled {
                 return Err(HvError::NoSys);
             }

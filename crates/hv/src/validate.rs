@@ -17,7 +17,7 @@
 //! by [`VulnConfig`](crate::VulnConfig), never by exploit-specific code.
 
 use crate::audit::{AuditEvent, WriteOrigin};
-use crate::hypercall::{Gate, MmuExtOp, MmuUpdate};
+use crate::hypercall::{MmuExtOp, MmuUpdate};
 use crate::hypervisor::Hypervisor;
 use crate::HvError;
 use hvsim_mem::{DomainId, Mfn, PageType, VirtAddr};
@@ -38,7 +38,7 @@ impl Hypervisor {
     /// Stops at the first rejected update with its error; prior updates
     /// remain applied (as in Xen).
     pub fn hc_mmu_update(&mut self, dom: DomainId, updates: &[MmuUpdate]) -> Result<u64, HvError> {
-        self.enter(dom, "mmu_update", Gate::Any, |hv| {
+        self.enter(dom, "mmu_update", |hv| {
             for u in updates {
                 if u.ptr & 0x3 != 0 {
                     // Only MMU_NORMAL_PT_UPDATE is modelled.
@@ -66,7 +66,7 @@ impl Hypervisor {
         va: VirtAddr,
         val: u64,
     ) -> Result<u64, HvError> {
-        self.enter(dom, "update_va_mapping", Gate::Any, |hv| {
+        self.enter(dom, "update_va_mapping", |hv| {
             let cr3 = hv.domain(dom)?.cr3().ok_or(HvError::Inval)?;
             let (slot, _) = pte_slot(&hv.mem, cr3, va, 1)?;
             let table = slot.frame();
@@ -84,7 +84,7 @@ impl Hypervisor {
     /// Per-operation validation errors; processing stops at the first
     /// failure.
     pub fn hc_mmuext_op(&mut self, dom: DomainId, ops: &[MmuExtOp]) -> Result<u64, HvError> {
-        self.enter(dom, "mmuext_op", Gate::Any, |hv| {
+        self.enter(dom, "mmuext_op", |hv| {
             let mut done = 0u64;
             for op in ops {
                 match *op {
@@ -1205,6 +1205,18 @@ mod tests {
             assert_eq!(routed_call, direct_call, "{name}: in/out arguments");
             assert_eq!(format!("{routed:?}"), format!("{direct:?}"), "{name}: state");
 
+            match (&routed_call, &result) {
+                (Hypercall::ConsoleIo(line), Ok(_)) => {
+                    assert_eq!(routed.console().last(), Some(&format!("[{caller}] {line}")));
+                }
+                (Hypercall::Domctl { .. }, Err(Perm)) => {
+                    assert!(routed.audit().events().iter().any(|e| matches!(
+                        e,
+                        AuditEvent::ValidationRejected { check: "domctl_privilege", .. }
+                    )));
+                }
+                _ => {}
+            }
             assert_eq!(routed.hypercall_count(), base.hypercall_count() + 1, "{name}");
             let audited: Vec<_> = routed.audit().events()[base.audit().events().len()..]
                 .iter()
