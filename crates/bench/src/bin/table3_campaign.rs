@@ -111,9 +111,8 @@ fn print_throughput(t: &CampaignThroughput) {
         t.total_hypercalls,
     );
     println!(
-        "  snapshot: {} frames, {} shared at peak, {} COW-copied, {} chunks privatized",
+        "  snapshot: {} frames, {} COW-copied, {} chunks privatized",
         t.snapshot.frames_total,
-        t.snapshot.frames_shared,
         t.snapshot.frames_copied,
         t.snapshot.chunks_privatized,
     );

@@ -108,7 +108,7 @@ COMMANDS:
                    [--seed <n>]     default 7
                    [--version <v>]  default 4.8
                    [--jobs <n>]     worker threads (default: hardware threads)
-                   [--retries <n>]  retry budget for boots and panicking trials (default 0)
+                   [--retries <n>] extra boot attempts for transient failures (default 0)
     benchmark    score and rank versions by erroneous-state handling
                    [--jobs <n>]    worker threads (default: hardware threads)
                    [--cell-deadline-ms <n>]  per-cell deadline (default: none)

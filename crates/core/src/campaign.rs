@@ -131,10 +131,9 @@ pub struct CellResult {
     /// too, so a timeout or crash is attributable to a phase.
     pub phase_us: PhaseTimings,
     /// Copy-on-write accounting of the cell's world at collection time.
-    /// `frames_shared` depends on which sibling snapshots happen to be
-    /// alive when the cell finishes (and `frames_copied` on whether the
-    /// world was cloned or freshly booted), so the whole record is
-    /// zeroed by [`CampaignReport::normalized`].
+    /// `frames_copied` depends on whether the world was cloned or
+    /// freshly booted, so the whole record is zeroed by
+    /// [`CampaignReport::normalized`].
     pub snapshot: SnapshotStats,
 }
 
@@ -205,9 +204,9 @@ impl CampaignReport {
         for cell in &mut report.cells {
             cell.wall_time_us = 0;
             cell.phase_us = cell.phase_us.normalized();
-            // COW sharing depends on concurrently-alive sibling
-            // snapshots (worker count, reuse); it is not part of the
-            // assessment result.
+            // COW accounting depends on whether the cell's world was
+            // cloned or freshly booted (snapshot reuse, chaos boot
+            // faults); it is not part of the assessment result.
             cell.snapshot = SnapshotStats::default();
         }
         report.metrics = report.metrics.as_ref().map(MetricsSnapshot::normalized);
@@ -436,10 +435,9 @@ pub struct CampaignThroughput {
     pub total_hypercalls: u64,
     /// Per-phase latency summaries, split completed vs degraded.
     pub latency: LatencyBreakdown,
-    /// Copy-on-write aggregate: `frames_total`/`frames_shared` are the
-    /// per-cell maxima (worlds share one size; peak sharing shows how
-    /// much of a snapshot stayed shared), `frames_copied` is summed
-    /// across cells.
+    /// Copy-on-write aggregate: `frames_total` is the per-cell maximum
+    /// (worlds share one size); `frames_copied` and `chunks_privatized`
+    /// are summed across cells.
     pub snapshot: SnapshotStats,
 }
 
@@ -463,7 +461,6 @@ impl CampaignThroughput {
             latency: LatencyBreakdown::from_report(report),
             snapshot: SnapshotStats {
                 frames_total: report.cells().iter().map(|c| c.snapshot.frames_total).max().unwrap_or(0),
-                frames_shared: report.cells().iter().map(|c| c.snapshot.frames_shared).max().unwrap_or(0),
                 frames_copied: report.cells().iter().map(|c| c.snapshot.frames_copied).sum(),
                 chunks_privatized: report.cells().iter().map(|c| c.snapshot.chunks_privatized).sum(),
             },
@@ -905,14 +902,15 @@ impl Campaign {
         StreamOutcome { report, stats }
     }
 
-    /// The campaign's one worker loop, shared by collecting, streamed,
-    /// checkpointed and resumed runs. Workers claim shard-local indices
+    /// The crate's one worker loop, shared by collecting, streamed,
+    /// checkpointed and resumed runs and by randomized campaigns
+    /// (`RandomizedCampaign` runs as a one-key grid). Workers claim shard-local indices
     /// from one shared counter, decode their slots themselves, run each
     /// cell through [`Campaign::run_slot`], and hand it to their own
     /// sink. With a session, claimed slots already covered by durable
     /// fold records are skipped. Returns the sinks in worker order;
     /// none when the shard has no cells.
-    fn run_workers<S: CellSink>(
+    pub(crate) fn run_workers<S: CellSink>(
         &self,
         jobs: usize,
         session: Option<&CheckpointSession>,
@@ -1389,9 +1387,9 @@ impl Campaign {
 type BaseWorldMap = BTreeMap<(XenVersion, bool), Result<World, CampaignError>>;
 
 /// Where a worker puts its finished cells — the one difference between
-/// a collecting run and a streamed one. Everything else is the shared
-/// worker loop ([`Campaign::run_workers`]).
-trait CellSink: Send {
+/// a collecting run, a streamed one and a randomized campaign's count.
+/// Everything else is the shared worker loop ([`Campaign::run_workers`]).
+pub(crate) trait CellSink: Send {
     /// Takes one finished cell; `index` is its shard-local index.
     fn push(&mut self, index: u64, spec: &CellSpec, cell: CellResult, ctx: &TraceCtx);
 
@@ -1674,6 +1672,13 @@ mod tests {
         let t = CampaignThroughput::new(&report, 1, 1);
         assert!(t.snapshot.frames_copied > 0);
         assert_eq!(t.snapshot.frames_total, 4096, "the standard world's frame count");
+        // Reports written when the stats still carried the retired
+        // `frames_shared` figure load; the key is ignored.
+        let old: hvsim::SnapshotStats = serde_json::from_str(
+            r#"{"frames_total":4096,"frames_shared":12,"frames_copied":3,"chunks_privatized":2}"#,
+        )
+        .unwrap();
+        assert_eq!((old.frames_total, old.frames_copied, old.chunks_privatized), (4096, 3, 2));
     }
 
     #[test]

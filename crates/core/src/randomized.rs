@@ -6,23 +6,31 @@
 //! samples erroneous states from a [`TargetRegion`] (the IM's target
 //! component made concrete), injects each into a fresh world, exercises
 //! the system, and classifies the outcome.
+//!
+//! A trial is the same experiment as a Table III cell, so it runs on the
+//! same engine: the campaign is a one-key grid, `(randomized, <version>,
+//! injection)` × `trials`, whose use case samples, injects and shakes
+//! per trial index. Containment, claiming and cloning are the grid's.
 
-use crate::campaign::{boot_with_retries, default_jobs};
+use crate::campaign::{boot_with_retries, default_jobs, Campaign, CellResult, CellSink};
 use crate::erroneous_state::ErroneousStateSpec;
-use crate::error::{panic_payload, CampaignError};
-use crate::injector::{ArbitraryAccessInjector, Injector};
-use crate::monitor::Monitor;
+use crate::error::CampaignError;
+use crate::injector::Injector;
+use crate::model::IntrusionModel;
+use crate::monitor::SecurityViolation;
 use crate::report::TextTable;
-use crate::stream::SlotClaims;
+use crate::scenario::{Mode, ScenarioOutcome, UseCase};
+use crate::stream::CellSpec;
+use crate::taxonomy::AbusiveFunctionality;
 use guestos::{BootError, World};
 use hvsim::IDT_ENTRIES;
 use hvsim_mem::{DomainId, VirtAddr};
+use hvsim_obs::TraceCtx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Where randomized injections land — the concrete footprint of an
 /// intrusion model's target component.
@@ -119,10 +127,34 @@ pub struct RandomizedOutcome {
     /// Hypercalls executed during this trial (deterministic for a given
     /// seed).
     pub hypercalls: u64,
-    /// Set when the harness degraded on this trial (the trial body kept
-    /// panicking past the retry budget); the other fields then carry no
-    /// assessment data.
+    /// Set when the harness degraded on this trial (a contained panic,
+    /// as for any grid cell); the other fields then carry no assessment
+    /// data.
     pub error: Option<CampaignError>,
+}
+
+impl RandomizedOutcome {
+    /// The outcome of the trial that ran as `cell`.
+    fn from_cell(cell: &CellResult, region: TargetRegion) -> Self {
+        Self {
+            spec: cell.notes.first().cloned().unwrap_or_else(|| {
+                format!("(degraded) ({})", region.label())
+            }),
+            injected: cell.erroneous_state,
+            crashed: crashed(cell),
+            violations: cell.violations.len(),
+            wall_time_us: cell.wall_time_us,
+            hypercalls: cell.hypercalls,
+            error: cell.degraded().then(|| cell.error.clone()).flatten(),
+        }
+    }
+}
+
+/// Whether the trial's monitor saw the hypervisor crash.
+fn crashed(cell: &CellResult) -> bool {
+    cell.violations
+        .iter()
+        .any(|v| matches!(v, SecurityViolation::HypervisorCrash { .. }))
 }
 
 /// Equality ignores `wall_time_us`: timing is the only
@@ -154,13 +186,33 @@ pub struct RandomizedSummary {
     pub violated: usize,
     /// States injected but fully handled.
     pub handled: usize,
-    /// Trials on which the harness degraded (contained panics past the
-    /// retry budget). Hypervisor crashes are assessment data, never
-    /// degradation.
+    /// Trials on which the harness degraded (contained panics).
+    /// Hypervisor crashes are assessment data, never degradation.
     pub degraded: usize,
 }
 
 impl RandomizedSummary {
+    /// Counts the trial that ran as `cell`: the one definition of
+    /// degraded/crashed/violated/handled that collecting and streaming
+    /// runs share.
+    fn count(&mut self, cell: &CellResult) {
+        self.total += 1;
+        if cell.degraded() {
+            self.degraded += 1;
+            return;
+        }
+        if cell.erroneous_state {
+            self.injected += 1;
+        }
+        if crashed(cell) {
+            self.crashes += 1;
+        } else if cell.violated() {
+            self.violated += 1;
+        } else if cell.handled {
+            self.handled += 1;
+        }
+    }
+
     /// Sums two summaries. Every field is a count of per-trial
     /// indicators, so merging per-worker (or per-shard) summaries is
     /// exact, associative, and commutative.
@@ -228,10 +280,10 @@ impl RandomizedCampaign {
         self
     }
 
-    /// Allows up to `retries` extra attempts per trial (after a
-    /// contained panic) and per base-world boot (after a transient
-    /// failure). Retried trial attempt `a` reseeds deterministically as
-    /// `seed ^ t ^ (a << 32)`, so retried campaigns stay reproducible.
+    /// Allows up to `retries` extra attempts at booting the base world
+    /// after a transient failure, as [`Campaign::retries`] does for
+    /// grid keys. A trial that panics is not retried: it degrades its
+    /// own slot.
     #[must_use]
     pub fn retries(mut self, retries: u32) -> Self {
         self.retries = retries;
@@ -243,8 +295,7 @@ impl RandomizedCampaign {
     /// The factory is called once; every trial starts from a clone of
     /// that base world (booting is deterministic, so a clone is
     /// indistinguishable from a fresh boot). Trial `t` draws from its
-    /// own generator seeded `seed ^ t` (attempt `a` of a retried trial
-    /// reseeds as `seed ^ t ^ (a << 32)`), so the sampled inputs — and
+    /// own generator seeded `seed ^ t`, so the sampled inputs — and
     /// therefore the outcomes and summary — are identical for every
     /// worker count and every scheduling order.
     ///
@@ -261,7 +312,8 @@ impl RandomizedCampaign {
         self.run_with_jobs(factory, self.jobs.unwrap_or_else(default_jobs))
     }
 
-    /// Runs the campaign on exactly `jobs` worker threads.
+    /// Runs the campaign on exactly `jobs` worker threads, keeping every
+    /// trial's outcome in trial order.
     ///
     /// # Errors
     ///
@@ -271,31 +323,27 @@ impl RandomizedCampaign {
         factory: impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync,
         jobs: usize,
     ) -> Result<(RandomizedSummary, Vec<RandomizedOutcome>), CampaignError> {
-        let mut trials: Vec<(u64, TrialResult)> = self
-            .run_pool(factory, jobs, |mine: &mut Vec<_>, t, trial| mine.push((t, trial)))?
-            .into_iter()
-            .flatten()
-            .collect();
-        // Fold the summary serially over the index-ordered results, so
-        // counting never depends on completion order.
-        trials.sort_unstable_by_key(|&(t, _)| t);
+        let Some(grid) = self.grid(factory)? else {
+            return Ok((RandomizedSummary::default(), Vec::new()));
+        };
+        let report = grid.run_with_jobs(jobs);
         let mut summary = RandomizedSummary::default();
-        let outcomes = trials
-            .into_iter()
-            .map(|(_, trial)| {
-                fold_trial(&mut summary, &trial);
-                trial.outcome
+        let outcomes = report
+            .cells()
+            .iter()
+            .map(|cell| {
+                summary.count(cell);
+                RandomizedOutcome::from_cell(cell, self.region)
             })
             .collect();
         Ok((summary, outcomes))
     }
 
-    /// Runs the trials on exactly `jobs` workers, folding each
-    /// classified trial into a per-worker summary that is dropped into
-    /// the merge at the end — O(workers) resident memory, no retained
-    /// outcomes. Each trial's classification depends only on its
-    /// deterministic seed, and every summary field is a sum, so the
-    /// merged summary is identical to
+    /// Runs the trials on exactly `jobs` workers, counting each trial
+    /// into a per-worker summary and dropping it — O(workers) resident
+    /// memory, no retained outcomes. Each trial's classification depends
+    /// only on its deterministic seed, and every summary field is a
+    /// sum, so the merged summary is identical to
     /// [`RandomizedCampaign::run_with_jobs`]'s for every worker count.
     ///
     /// # Errors
@@ -306,155 +354,103 @@ impl RandomizedCampaign {
         factory: impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync,
         jobs: usize,
     ) -> Result<RandomizedSummary, CampaignError> {
-        let partials = self.run_pool(factory, jobs, |summary, _, trial| fold_trial(summary, &trial))?;
-        Ok(partials.iter().fold(RandomizedSummary::default(), |merged, s| merged.merge(s)))
+        let Some(grid) = self.grid(factory)? else {
+            return Ok(RandomizedSummary::default());
+        };
+        let sinks = grid.run_workers(jobs, None, None, |_| Counted::default());
+        Ok(sinks.iter().fold(RandomizedSummary::default(), |merged, s| merged.merge(&s.0)))
     }
 
-    /// The campaign's one worker pool. Boots the shared base world under
-    /// the transient-failure retry budget (backoff jitter keyed on the
-    /// campaign seed), then `jobs` workers claim batches of trial
-    /// indices and hand each contained trial to their own state via
-    /// `take`. Returns the per-worker states; none when there are no
-    /// trials.
-    fn run_pool<S: Default + Send>(
+    /// The campaign as a one-key grid: boots the factory's base world
+    /// under the transient-failure retry budget (backoff jitter keyed on
+    /// the campaign seed) and hands the grid clones of it. `None` when
+    /// there are no trials; the factory is then never called.
+    fn grid(
         &self,
         factory: impl Fn() -> Result<(World, DomainId), BootError>,
-        jobs: usize,
-        take: impl Fn(&mut S, u64, TrialResult) + Sync,
-    ) -> Result<Vec<S>, CampaignError> {
+    ) -> Result<Option<Campaign>, CampaignError> {
         if self.trials == 0 {
-            return Ok(Vec::new());
+            return Ok(None);
         }
         let (base, _, _) =
             boot_with_retries(format_args!("randomized/{}", self.seed), self.retries, factory);
-        let (base_world, attacker) = base?;
-        let workers = jobs.max(1).min(self.trials);
-        let claims = SlotClaims::new(self.trials as u64, workers);
-        Ok(std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut state = S::default();
-                        claims.drain(|t| {
-                            take(&mut state, t, self.run_trial_contained(&base_world, attacker, t));
-                        });
-                        state
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        }))
+        let (world, attacker) = base?;
+        let trial = RandomTrial { region: self.region, seed: self.seed, attacker };
+        Ok(Some(
+            Campaign::new()
+                .with_use_case(Box::new(trial))
+                .versions(&[world.hv().version()])
+                .modes(&[Mode::Injection])
+                .trials(self.trials as u64)
+                .world_factory(Arc::new(move |_, _| Ok(world.clone()))),
+        ))
+    }
+}
+
+/// A streaming run's sink: the worker's trial counts.
+#[derive(Default)]
+struct Counted(RandomizedSummary);
+
+impl CellSink for Counted {
+    fn push(&mut self, _index: u64, _spec: &CellSpec, cell: CellResult, _ctx: &TraceCtx) {
+        self.0.count(&cell);
+    }
+}
+
+/// One randomized trial as a grid use case. `attacker` is the domain the
+/// campaign's factory named.
+struct RandomTrial {
+    region: TargetRegion,
+    seed: u64,
+    attacker: DomainId,
+}
+
+impl UseCase for RandomTrial {
+    fn name(&self) -> &'static str {
+        "randomized"
     }
 
-    /// Runs trial `t` under a panic boundary, retrying contained panics
-    /// with a deterministic reseed up to the retry budget; a trial that
-    /// keeps panicking becomes a degraded outcome instead of taking the
-    /// worker down. `AssertUnwindSafe` is sound: each attempt works on
-    /// its own clone of the base world, dropped inside the boundary.
-    fn run_trial_contained(&self, base_world: &World, attacker: DomainId, t: u64) -> TrialResult {
-        let mut attempt = 0u32;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.run_trial(base_world, attacker, t, attempt)
-            })) {
-                Ok(trial) => return trial,
-                Err(_) if attempt < self.retries => attempt += 1,
-                Err(p) => {
-                    return TrialResult {
-                        outcome: degraded_outcome(
-                            self.region,
-                            CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) },
-                        ),
-                        non_crash_violations: 0,
-                    }
-                }
-            }
-        }
+    fn intrusion_model(&self) -> IntrusionModel {
+        IntrusionModel::guest_hypercall_memory(
+            "IM-randomized",
+            AbusiveFunctionality::WriteUnauthorizedArbitraryMemory,
+            &[],
+        )
     }
 
-    /// Runs attempt `attempt` of trial `t`: clone the base world, sample
-    /// from the attempt's own generator, inject, shake, monitor.
-    fn run_trial(
+    fn run_exploit(&self, _world: &mut World, _attacker: DomainId) -> ScenarioOutcome {
+        ScenarioOutcome::failed("-ENOSYS (randomized trials have no exploit path)")
+    }
+
+    fn run_injection(
         &self,
-        base_world: &World,
+        world: &mut World,
         attacker: DomainId,
-        t: u64,
-        attempt: u32,
-    ) -> TrialResult {
-        let start = Instant::now();
-        // Attempt 0 reproduces the historical `seed ^ t` stream exactly;
-        // retries draw fresh-but-deterministic inputs.
-        let mut rng = StdRng::seed_from_u64(self.seed ^ t ^ (u64::from(attempt) << 32));
-        let mut world = base_world.clone();
-        let base_hypercalls = world.hv().hypercall_count();
-        let spec = self.region.sample(&world, attacker, &mut rng);
-        let injected = ArbitraryAccessInjector
-            .inject(&mut world, attacker, &spec)
-            .is_ok();
-        shake(&mut world, attacker);
-        let crashed = world.hv().is_crashed();
-        let observation = Monitor::standard().observe(&world);
-        let non_crash_violations = observation
-            .violations
-            .iter()
-            .filter(|v| !matches!(v, crate::monitor::SecurityViolation::HypervisorCrash { .. }))
-            .count();
-        TrialResult {
-            outcome: RandomizedOutcome {
-                spec: format!("{} ({})", spec.label(), self.region.label()),
-                injected,
-                crashed,
-                violations: observation.violations.len(),
-                wall_time_us: start.elapsed().as_micros() as u64,
-                hypercalls: world.hv().hypercall_count().saturating_sub(base_hypercalls),
-                error: None,
-            },
-            non_crash_violations,
+        injector: &dyn Injector,
+    ) -> ScenarioOutcome {
+        self.run_injection_trial(world, attacker, injector, 0)
+    }
+
+    /// Trial `t`: sample from the trial's own generator, seeded
+    /// `seed ^ t`, inject, shake. The spec label is the outcome's one
+    /// note.
+    fn run_injection_trial(
+        &self,
+        world: &mut World,
+        _attacker: DomainId,
+        injector: &dyn Injector,
+        trial: u64,
+    ) -> ScenarioOutcome {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ trial);
+        let spec = self.region.sample(world, self.attacker, &mut rng);
+        let injected = injector.inject(world, self.attacker, &spec).is_ok();
+        shake(world, self.attacker);
+        ScenarioOutcome {
+            erroneous_state: injected,
+            state_audit: None,
+            notes: vec![format!("{} ({})", spec.label(), self.region.label())],
+            error: None,
         }
-    }
-}
-
-/// One trial's outcome plus the non-crash violation count the summary
-/// fold needs.
-struct TrialResult {
-    outcome: RandomizedOutcome,
-    non_crash_violations: usize,
-}
-
-/// Counts one trial into the summary. Shared by the index-ordered
-/// collecting fold and the per-worker streaming fold — one definition
-/// of degraded/crashed/violated/handled for both paths.
-fn fold_trial(summary: &mut RandomizedSummary, trial: &TrialResult) {
-    summary.total += 1;
-    if trial.outcome.error.is_some() {
-        summary.degraded += 1;
-        return;
-    }
-    if trial.outcome.injected {
-        summary.injected += 1;
-    }
-    if trial.outcome.crashed {
-        summary.crashes += 1;
-    } else if trial.non_crash_violations > 0 {
-        summary.violated += 1;
-    } else if trial.outcome.injected {
-        summary.handled += 1;
-    }
-}
-
-/// A placeholder outcome for a trial the harness could not complete.
-fn degraded_outcome(region: TargetRegion, error: CampaignError) -> RandomizedOutcome {
-    RandomizedOutcome {
-        spec: format!("(degraded) ({})", region.label()),
-        injected: false,
-        crashed: false,
-        violations: 0,
-        wall_time_us: 0,
-        hypercalls: 0,
-        error: Some(error),
     }
 }
 
@@ -602,6 +598,46 @@ mod tests {
                 .unwrap();
         assert_eq!(summary, clean);
         assert_eq!(outcomes, clean_outcomes);
+    }
+
+    #[test]
+    fn region_verdicts_are_pinned() {
+        // The verdicts are assessment data: how the engine schedules,
+        // contains or counts trials must not move any of them.
+        let handled = |crashes: usize| RandomizedSummary {
+            total: 256,
+            injected: 256,
+            crashes,
+            violated: 0,
+            handled: 256 - crashes,
+            degraded: 0,
+        };
+        for (region, expected, crashing_trials) in [
+            (TargetRegion::IdtGates { cpu: 0 }, handled(2), vec![19, 88]),
+            (TargetRegion::SharedL3, handled(0), vec![]),
+            (TargetRegion::DomainPageTables, handled(0), vec![]),
+            (TargetRegion::DomainFrames, handled(0), vec![]),
+        ] {
+            let campaign = RandomizedCampaign::new(region, 256, 7);
+            let (summary, outcomes) = campaign.run_with_jobs(factory(XenVersion::V4_8), 2).unwrap();
+            assert_eq!(summary, expected, "{}", region.label());
+            let crashed: Vec<usize> =
+                outcomes.iter().enumerate().filter(|(_, o)| o.crashed).map(|(t, _)| t).collect();
+            assert_eq!(crashed, crashing_trials, "{}", region.label());
+        }
+    }
+
+    #[test]
+    fn zero_trials_never_call_the_factory() {
+        let campaign = RandomizedCampaign::new(TargetRegion::SharedL3, 0, 1);
+        let unreachable = || -> Result<(World, DomainId), BootError> {
+            panic!("a 0-trial campaign must not boot")
+        };
+        let (summary, outcomes) = campaign.run(unreachable).unwrap();
+        assert_eq!(summary, RandomizedSummary::default());
+        assert!(outcomes.is_empty());
+        let streamed = campaign.run_streaming_summary(unreachable, 4).unwrap();
+        assert_eq!(streamed, RandomizedSummary::default());
     }
 
     #[test]

@@ -60,16 +60,13 @@ struct Chunk {
 }
 
 /// Copy-on-write accounting for one memory image, reported per campaign
-/// cell so a run shows how much of a snapshot stayed shared.
+/// cell so a run shows how much of a snapshot the cell had to copy.
+/// Every field is a counter the image keeps as it goes, so taking the
+/// stats is O(1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotStats {
     /// Installed frames.
     pub frames_total: u64,
-    /// Materialized frames currently shared with at least one other
-    /// snapshot (reference count > 1). Depends on which sibling
-    /// snapshots are alive at sampling time, so it is zeroed by report
-    /// normalization.
-    pub frames_shared: u64,
     /// Frames this image privatized via copy-on-write since it was
     /// cloned (zero-frame materializations are not copies and are not
     /// counted).
@@ -207,27 +204,10 @@ impl MachineMemory {
         Arc::make_mut(&mut self.chunks[c])
     }
 
-    /// Copy-on-write accounting for this image.
+    /// Copy-on-write accounting for this image, in O(1).
     pub fn snapshot_stats(&self) -> SnapshotStats {
-        // While a chunk is still shared whole (no mutation inside it
-        // since the clone), every materialized frame in it is shared
-        // with the sibling image even though its own refcount is
-        // untouched.
-        let mut frames_shared = 0u64;
-        for chunk in &self.chunks {
-            let chunk_shared = Arc::strong_count(chunk) > 1;
-            frames_shared += chunk
-                .frames
-                .iter()
-                .filter(|f| match f {
-                    FrameData::Data(a) => chunk_shared || Arc::strong_count(a) > 1,
-                    FrameData::Zero => false,
-                })
-                .count() as u64;
-        }
         SnapshotStats {
             frames_total: self.frame_count(),
-            frames_shared,
             frames_copied: self.frames_copied,
             chunks_privatized: self.chunks_privatized,
         }
@@ -281,8 +261,8 @@ impl MachineMemory {
     /// Mutable view of one frame's bytes, materializing zero frames and
     /// breaking copy-on-write sharing as needed. The first mutation
     /// after a clone also privatizes the frame's chunk (which bumps
-    /// every materialized frame's refcount in that chunk, keeping the
-    /// per-frame sharing accounting intact); sibling chunks stay shared.
+    /// every materialized frame's refcount in that chunk, so a later
+    /// write to any of them still copies); sibling chunks stay shared.
     fn frame_bytes_mut(&mut self, idx: usize) -> &mut [u8; PAGE_SIZE] {
         let (c, o) = self.chunk_of(idx);
         // A frame is a COW copy if its own Arc is shared, or if the
@@ -534,15 +514,24 @@ mod tests {
         let mut parent = MachineMemory::new(8);
         parent.write(PhysAddr::new(0), b"parent data").unwrap();
         parent.write_u64(Mfn::new(3).base(), 0xabcd).unwrap();
-        let child = parent.clone();
+        let mut child = parent.clone();
         let stats = child.snapshot_stats();
         assert_eq!(stats.frames_total, 8);
-        assert_eq!(stats.frames_shared, 2, "both materialized frames are shared");
         assert_eq!(stats.frames_copied, 0, "nothing written through the clone yet");
         assert_eq!(stats.chunks_privatized, 0);
-        // The parent sees the same sharing; its copy counter reflects
-        // only its own post-clone writes.
-        assert_eq!(parent.snapshot_stats().frames_shared, 2);
+        // The parent sees the same sharing: its first post-clone write to
+        // a materialized frame is a copy, and the child keeps the old
+        // contents.
+        parent.write(PhysAddr::new(0), b"PARENT").unwrap();
+        assert_eq!(parent.snapshot_stats().frames_copied, 1);
+        let mut buf = [0u8; 11];
+        child.read(PhysAddr::new(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"parent data");
+        // Both materialized frames were shared: the child's write to the
+        // other one is a copy too.
+        child.write_u64(Mfn::new(3).base(), 0x1234).unwrap();
+        assert_eq!(child.snapshot_stats().frames_copied, 1);
+        assert_eq!(parent.read_u64(Mfn::new(3).base()).unwrap(), 0xabcd);
     }
 
     #[test]
@@ -559,7 +548,15 @@ mod tests {
         assert_eq!(&buf, b"modified");
         let stats = child.snapshot_stats();
         assert_eq!(stats.frames_copied, 1, "only the written frame was privatized");
-        assert_eq!(stats.frames_shared, 1, "frame 1 is still shared");
+        // Frame 1 is still shared: the parent's write to it is a copy
+        // that the child never sees, while its write to frame 0 (no
+        // longer shared) copies nothing.
+        parent.write(Mfn::new(1).base(), b"SECOND").unwrap();
+        parent.write(PhysAddr::new(0), b"ORIGINAL").unwrap();
+        assert_eq!(parent.snapshot_stats().frames_copied, 1);
+        let mut second = [0u8; 6];
+        child.read(Mfn::new(1).base(), &mut second).unwrap();
+        assert_eq!(&second, b"second");
     }
 
     #[test]
@@ -573,15 +570,20 @@ mod tests {
         child.write_u64(Mfn::new(3).base(), 7).unwrap();
         let stats = child.snapshot_stats();
         assert_eq!(stats.chunks_privatized, 1, "one O(chunk) copy, not O(frames)");
-        // Frame 512's chunk was untouched, so its frame is still shared
-        // through the shared chunk Arc.
-        assert!(stats.frames_shared >= 1);
         // A second write into the same chunk privatizes nothing new.
         child.write_u64(Mfn::new(5).base(), 8).unwrap();
         assert_eq!(child.snapshot_stats().chunks_privatized, 1);
-        // A write into a different chunk breaks exactly one more.
+        assert_eq!(child.snapshot_stats().frames_copied, 0, "frames 3 and 5 were zero");
+        // A write into a different chunk breaks exactly one more. Frame
+        // 512's chunk was untouched, so its frame was still shared
+        // through the shared chunk Arc: the write is a copy, and the
+        // parent keeps its contents.
         child.write_u64(Mfn::new(512).base(), 9).unwrap();
         assert_eq!(child.snapshot_stats().chunks_privatized, 2);
+        assert_eq!(child.snapshot_stats().frames_copied, 1);
+        let mut buf = [0u8; 1];
+        parent.read(Mfn::new(512).base(), &mut buf).unwrap();
+        assert_eq!(&buf, b"b");
     }
 
     #[test]
@@ -653,12 +655,20 @@ mod tests {
     fn deep_copy_shares_nothing() {
         let mut parent = MachineMemory::new(4);
         parent.write(PhysAddr::new(0), b"data").unwrap();
-        let deep = parent.deep_copy();
-        assert_eq!(deep.snapshot_stats().frames_shared, 0);
-        assert_eq!(parent.snapshot_stats().frames_shared, 0);
+        let mut deep = parent.deep_copy();
         let mut buf = [0u8; 4];
         deep.read(PhysAddr::new(0), &mut buf).unwrap();
         assert_eq!(&buf, b"data");
+        // Neither image shares a chunk or a frame with the other, so
+        // writes on both sides copy nothing and stay invisible across.
+        deep.write(PhysAddr::new(0), b"DEEP").unwrap();
+        parent.write(PhysAddr::new(0), b"PRNT").unwrap();
+        for image in [&deep, &parent] {
+            let stats = image.snapshot_stats();
+            assert_eq!((stats.frames_copied, stats.chunks_privatized), (0, 0));
+        }
+        deep.read(PhysAddr::new(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"DEEP");
     }
 
     proptest! {
