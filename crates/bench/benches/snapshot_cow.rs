@@ -1,12 +1,13 @@
-//! Copy-on-write snapshot cost: cloning a booted world's machine memory
-//! must be a refcount sweep (one `Arc` bump per materialized frame),
-//! not a page-by-page copy. The acceptance floor for this PR is a ≥10×
-//! win of `MachineMemory::clone` over `deep_copy` on the standard
-//! 4096-frame world.
+//! Copy-on-write snapshot cost. Cloning a booted world's machine memory
+//! must be one reference-count bump on the chunk directory, not a
+//! page-by-page copy: the acceptance floor is a ≥10× win of
+//! `MachineMemory::clone` over `deep_copy` on the standard 4096-frame
+//! world. A whole-world fork shares the domains and kernels too, so its
+//! cost is what a campaign cell pays before and after it writes.
 
 use bench::attack_world;
 use criterion::{criterion_group, criterion_main, Criterion};
-use hvsim::XenVersion;
+use hvsim::{VirtAddr, XenVersion};
 use std::hint::black_box;
 
 fn bench_cow_clone(c: &mut Criterion) {
@@ -24,15 +25,42 @@ fn bench_deep_copy(c: &mut Criterion) {
 }
 
 fn bench_world_clone(c: &mut Criterion) {
-    // The campaign's actual snapshot operation: the whole world,
-    // dominated by the machine-memory clone.
+    // The campaign's snapshot operation: the whole world. Memory,
+    // domains and kernels are reference-count bumps; the allocator's
+    // freed stack, console, audit log and boot trace are copied.
     let (world, _) = attack_world(XenVersion::V4_8, true);
     c.bench_function("snapshot_cow/world_clone", |b| b.iter(|| black_box(world.clone())));
 }
 
+fn bench_world_clone_drop(c: &mut Criterion) {
+    // One cell's fork and its drop, with nothing written in between:
+    // what a cell that never touches the simulator pays.
+    let (world, _) = attack_world(XenVersion::V4_8, true);
+    c.bench_function("snapshot_cow/world_clone_drop", |b| {
+        b.iter(|| drop(black_box(world.clone())))
+    });
+}
+
+fn bench_world_first_domain_write(c: &mut Criterion) {
+    // The cost that sharing on write defers to the first write: a fork,
+    // one write to a domain (a trap-table hypercall copies the
+    // attacker's domain) and one to its kernel (a log line copies the
+    // kernel), then the drop.
+    let (world, attacker) = attack_world(XenVersion::V4_8, true);
+    let handler = VirtAddr::new(0xffff_8000_0000_1000);
+    c.bench_function("snapshot_cow/world_first_domain_write", |b| {
+        b.iter(|| {
+            let mut fork = world.clone();
+            fork.hv_mut().hc_set_trap_table(attacker, &[(0x80, handler)]).unwrap();
+            fork.kernel_mut(attacker).unwrap().klog("first write");
+            drop(black_box(fork))
+        })
+    });
+}
+
 fn bench_first_write_after_clone(c: &mut Criterion) {
-    // Cost of privatizing one frame after a snapshot: the COW fault
-    // path (one page copy) plus the write itself.
+    // Cost of privatizing one frame after a snapshot: the directory and
+    // chunk copies, the COW fault path (one page copy) and the write.
     let (world, _) = attack_world(XenVersion::V4_8, true);
     let base = world.hv().mem();
     let frame = hvsim_mem::Mfn::new(8);
@@ -50,6 +78,8 @@ criterion_group!(
     bench_cow_clone,
     bench_deep_copy,
     bench_world_clone,
+    bench_world_clone_drop,
+    bench_world_first_domain_write,
     bench_first_write_after_clone
 );
 criterion_main!(benches);

@@ -1,12 +1,14 @@
 //! Regression tests for the parallel campaign engine: the real paper
 //! campaign (4 use cases × 3 versions × 2 modes) must produce
 //! byte-identical normalized reports regardless of worker count or
-//! snapshot reuse, and the randomized sweep must be schedule-independent.
+//! snapshot reuse (the extension use cases too), and the randomized
+//! sweep must be schedule-independent.
 
 use bench::{attack_world, paper_campaign, synthetic_campaign};
 use hvsim::XenVersion;
-use intrusion_core::{RandomizedCampaign, Shard, StreamReport, TargetRegion};
+use intrusion_core::{Campaign, RandomizedCampaign, Shard, StreamReport, TargetRegion};
 use proptest::prelude::*;
+use xsa_exploits::extension_use_cases;
 
 #[test]
 fn paper_campaign_report_is_worker_count_independent() {
@@ -23,6 +25,28 @@ fn paper_campaign_report_is_worker_count_independent() {
 fn paper_campaign_snapshots_match_boot_per_cell() {
     let snapshots = paper_campaign().run_with_jobs(2);
     let booted = paper_campaign().reuse_snapshots(false).run_with_jobs(2);
+    assert_eq!(
+        snapshots.normalized().to_json().unwrap(),
+        booted.normalized().to_json().unwrap(),
+        "a snapshot clone must behave exactly like a fresh boot"
+    );
+}
+
+/// The same check with the extension use cases on and several trials
+/// per cell. Those cells write to dom0 and to cross-domain grant and
+/// event-channel state, so a fork privatizes several of the domains it
+/// shares with its base world.
+#[test]
+fn extension_campaign_snapshots_match_boot_per_cell() {
+    let campaign = || {
+        extension_use_cases()
+            .into_iter()
+            .fold(paper_campaign(), Campaign::with_use_case)
+            .trials(4)
+    };
+    let snapshots = campaign().run_with_jobs(2);
+    let booted = campaign().reuse_snapshots(false).run_with_jobs(2);
+    assert_eq!(snapshots.cells().len(), 8 * 3 * 2 * 4);
     assert_eq!(
         snapshots.normalized().to_json().unwrap(),
         booted.normalized().to_json().unwrap(),

@@ -941,6 +941,8 @@ impl Campaign {
             let handles: Vec<_> = (0..workers)
                 .map(|index| {
                     scope.spawn(move || {
+                        let worker_worlds = base_worlds.map(unshared_copy);
+                        let base_worlds = worker_worlds.as_ref();
                         let mut sink = new_sink(index);
                         claims.drain(|i| {
                             let Some(spec) = grid.shard_decode(shard, i) else { return };
@@ -1088,7 +1090,7 @@ impl Campaign {
     /// can need, under the setup trace context. A base world that fails
     /// to boot (or panics the factory) poisons only the cells that need
     /// it — the error is cloned into each. The map never changes after
-    /// this, so workers share it by reference.
+    /// this; each worker forks its cells from its own unshared copy.
     fn boot_base_worlds(&self, setup_ctx: &TraceCtx, grid: &SpecGrid) -> BaseWorldMap {
         let mut worlds = BaseWorldMap::new();
         for &version in grid.versions() {
@@ -1385,6 +1387,22 @@ impl Campaign {
 /// injector_enabled)`. A boot error poisons only the cells that need
 /// that world.
 type BaseWorldMap = BTreeMap<(XenVersion, bool), Result<World, CampaignError>>;
+
+/// A worker's own copy of the base worlds, each [`World::unshare`]d so
+/// that no two workers' forks bump the same reference counts.
+fn unshared_copy(worlds: &BaseWorldMap) -> BaseWorldMap {
+    worlds
+        .iter()
+        .map(|(&key, world)| {
+            let world = world.as_ref().map(|base| {
+                let mut copy = base.clone();
+                copy.unshare();
+                copy
+            });
+            (key, world.map_err(Clone::clone))
+        })
+        .collect()
+}
 
 /// Where a worker puts its finished cells — the one difference between
 /// a collecting run, a streamed one and a randomized campaign's count.

@@ -18,6 +18,7 @@ use hvsim_mem::{DomainId, VirtAddr, PAGE_SIZE};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Wall-clock timing of one boot stage, recorded by
@@ -262,7 +263,7 @@ impl WorldBuilder {
                 b"Confidential content in root folder!",
             )
             .map_err(|e| BootError::from_world("seed dom0 filesystem", e.into()))?;
-        kernels.insert(dom0, k0);
+        kernels.insert(dom0, Arc::new(k0));
         mark(&mut boot_trace, "seed dom0 filesystem");
         for (name, pages) in &self.guests {
             let dom = hv
@@ -272,7 +273,7 @@ impl WorldBuilder {
             let mut k = GuestKernel::boot(&mut hv, dom)
                 .map_err(|e| BootError::from_world("boot guest kernel", e.into()))?;
             k.spawn("bash", Uid::new(1000), true);
-            kernels.insert(dom, k);
+            kernels.insert(dom, Arc::new(k));
             mark(&mut boot_trace, "boot guest kernel");
         }
         Ok(World {
@@ -290,7 +291,9 @@ impl WorldBuilder {
 pub struct World {
     hv: Hypervisor,
     dom0: DomainId,
-    kernels: BTreeMap<DomainId, GuestKernel>,
+    /// Each kernel behind an `Arc`, so a cloned world (a campaign cell's
+    /// fork) shares every kernel until its first write.
+    kernels: BTreeMap<DomainId, Arc<GuestKernel>>,
     remote: RemoteHost,
     boot_trace: Vec<BootStage>,
 }
@@ -320,6 +323,19 @@ impl World {
         self.hv.mem().snapshot_stats()
     }
 
+    /// Gives this world its own copy of every part a clone shares by
+    /// reference count at the top level: the chunk directory, the
+    /// domains and the kernels. A campaign worker forks its cells from
+    /// its own unshared copy of each base world, because workers forking
+    /// one base bump the same reference counts and the contended cache
+    /// lines cost more than the fork itself.
+    pub fn unshare(&mut self) {
+        self.hv.unshare();
+        for k in self.kernels.values_mut() {
+            Arc::make_mut(k);
+        }
+    }
+
     /// The privileged control domain.
     pub fn dom0(&self) -> DomainId {
         self.dom0
@@ -344,16 +360,17 @@ impl World {
     ///
     /// [`WorldError::NoGuest`] for unknown domains.
     pub fn kernel(&self, dom: DomainId) -> Result<&GuestKernel, WorldError> {
-        self.kernels.get(&dom).ok_or(WorldError::NoGuest(dom))
+        self.kernels.get(&dom).map(|k| &**k).ok_or(WorldError::NoGuest(dom))
     }
 
-    /// Mutable kernel access.
+    /// Mutable kernel access; copies a kernel still shared with a
+    /// snapshot.
     ///
     /// # Errors
     ///
     /// [`WorldError::NoGuest`] for unknown domains.
     pub fn kernel_mut(&mut self, dom: DomainId) -> Result<&mut GuestKernel, WorldError> {
-        self.kernels.get_mut(&dom).ok_or(WorldError::NoGuest(dom))
+        self.kernels.get_mut(&dom).map(Arc::make_mut).ok_or(WorldError::NoGuest(dom))
     }
 
     /// Splits the world into the hypervisor and one kernel — the pattern
@@ -366,7 +383,8 @@ impl World {
         &mut self,
         dom: DomainId,
     ) -> Result<(&mut Hypervisor, &mut GuestKernel), WorldError> {
-        let kernel = self.kernels.get_mut(&dom).ok_or(WorldError::NoGuest(dom))?;
+        let kernel =
+            self.kernels.get_mut(&dom).map(Arc::make_mut).ok_or(WorldError::NoGuest(dom))?;
         Ok((&mut self.hv, kernel))
     }
 
@@ -444,14 +462,14 @@ impl World {
             PayloadCommand::DropRootFile { path, template } => {
                 let content =
                     Payload::expand_template(template, &Uid::ROOT.id_string(), &hostname);
-                if let Some(k) = self.kernels.get_mut(&dom) {
+                if let Some(k) = self.kernels.get_mut(&dom).map(Arc::make_mut) {
                     // Kernel-privileged: writes as root regardless of any
                     // user-space permission.
                     let _ = k.vfs_mut().write(path, Uid::ROOT, FileMode::PublicRead, content.as_bytes());
                 }
             }
             PayloadCommand::KlogMarker { marker } => {
-                if let Some(k) = self.kernels.get_mut(&dom) {
+                if let Some(k) = self.kernels.get_mut(&dom).map(Arc::make_mut) {
                     k.klog(format!("payload: {marker}"));
                 }
             }

@@ -14,6 +14,7 @@ use hvsim_mem::{
 };
 use hvsim_paging::{walk, AccessKind, MemoryLayout, PageFault, Region, Translation, WalkPolicy};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The M2P value marking a frame with no pseudo-physical mapping.
 const INVALID_M2P: u64 = u64::MAX;
@@ -94,7 +95,9 @@ pub struct InterruptDispatch {
 pub struct Hypervisor {
     pub(crate) mem: MachineMemory,
     pub(crate) alloc: FrameAllocator,
-    domains: std::collections::BTreeMap<DomainId, Domain>,
+    /// Each domain behind an `Arc`, so a cloned hypervisor (a campaign
+    /// cell's world fork) shares every domain until its first write.
+    domains: std::collections::BTreeMap<DomainId, Arc<Domain>>,
     next_domid: u16,
     version: XenVersion,
     pub(crate) vulns: VulnConfig,
@@ -177,11 +180,12 @@ impl Hypervisor {
                 .set_type_unchecked(PageType::Hypervisor);
             m2p_frames.push(mfn);
         }
-        // All entries start invalid.
-        for raw in 0..config.frames as u64 {
-            let frame = m2p_frames[(raw as usize * 8) / PAGE_SIZE];
-            let offset = (raw as usize * 8) % PAGE_SIZE;
-            mem.write_u64(frame.base().offset(offset as u64), INVALID_M2P)
+        // All entries start invalid: one write per M2P frame, not one
+        // per entry, because every write pays the copy-on-write checks.
+        let per_frame = PAGE_SIZE / m2p_entry_bytes;
+        for (i, frame) in m2p_frames.iter().enumerate() {
+            let entries = (config.frames - i * per_frame).min(per_frame);
+            mem.write(frame.base(), &INVALID_M2P.to_le_bytes().repeat(entries))
                 .expect("m2p init");
         }
 
@@ -285,22 +289,39 @@ impl Hypervisor {
         self.hypercall_count
     }
 
+    /// Frames left in the domain heap.
+    pub fn free_frames(&self) -> usize {
+        self.alloc.free_frames()
+    }
+
     /// Looks up a domain.
     ///
     /// # Errors
     ///
     /// [`HvError::NoDomain`] if the id is unknown.
     pub fn domain(&self, id: DomainId) -> Result<&Domain, HvError> {
-        self.domains.get(&id).ok_or(HvError::NoDomain)
+        self.domains.get(&id).map(|d| &**d).ok_or(HvError::NoDomain)
     }
 
+    /// Mutable domain access; copies a domain still shared with a
+    /// snapshot on its first write.
     pub(crate) fn domain_mut(&mut self, id: DomainId) -> Result<&mut Domain, HvError> {
-        self.domains.get_mut(&id).ok_or(HvError::NoDomain)
+        self.domains.get_mut(&id).map(Arc::make_mut).ok_or(HvError::NoDomain)
+    }
+
+    /// Gives this hypervisor its own chunk directory and its own copy of
+    /// every domain, so forks of it share nothing top-level with the
+    /// hypervisor it was cloned from (see [`MachineMemory::unshare`]).
+    pub fn unshare(&mut self) {
+        self.mem.unshare();
+        for d in self.domains.values_mut() {
+            Arc::make_mut(d);
+        }
     }
 
     /// Iterates all domains in id order.
     pub fn domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.values()
+        self.domains.values().map(|d| &**d)
     }
 
     /// Ids of all domains, in order.
@@ -407,7 +428,7 @@ impl Hypervisor {
             dom.p2m_insert(Pfn::new(1 + i), mfn);
             self.m2p_set(mfn, Some(Pfn::new(1 + i)));
         }
-        self.domains.insert(id, dom);
+        self.domains.insert(id, Arc::new(dom));
         self.console_line(format!("created {id} ('{name}', {pages} pages)"));
         Ok(id)
     }
@@ -842,7 +863,7 @@ impl Hypervisor {
             message: message.to_owned(),
         });
         for d in self.domains.values_mut() {
-            d.kill();
+            Arc::make_mut(d).kill();
         }
     }
 

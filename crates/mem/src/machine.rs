@@ -1,13 +1,16 @@
 //! The byte-accurate machine memory array.
 //!
-//! Frames are stored copy-on-write at **two levels**: frames (and their
+//! Frames are stored copy-on-write at **three levels**: frames (and their
 //! `PageInfo` accounting) are grouped into fixed-size chunks, each chunk
 //! behind an [`Arc`], and the image holds a small directory of chunk
-//! pointers. Cloning a [`MachineMemory`] is one reference-count bump per
-//! chunk — O(installed frames / chunk size), 32 bumps for the standard
-//! 4096-frame world. The first mutation after a clone privatizes only
-//! the *touched chunk* ([`Arc::make_mut`]; one pointer copy per frame in
-//! that chunk), and each materialized frame is itself an
+//! pointers, itself behind an [`Arc`]. Cloning a [`MachineMemory`] is one
+//! reference-count bump, whatever the installed memory. The first
+//! mutation after a clone copies the directory (one bump per chunk, 32
+//! for the standard 4096-frame world) and privatizes only the *touched
+//! chunk* ([`Arc::make_mut`]; one pointer copy per frame in that chunk),
+//! so a clone that is only read never pays either. A shared directory
+//! also keeps workers that fork one base image from contending on 32
+//! chunk reference counts per fork. Each materialized frame is itself an
 //! `Arc<[u8; PAGE_SIZE]>` shared until written, so a snapshot still
 //! costs only O(touched pages) of real memory over its lifetime — the
 //! behaviour a real MMU gives fork-style snapshots. Before chunking,
@@ -83,7 +86,9 @@ pub struct SnapshotStats {
 /// hypercalls, guests, the intrusion injector) reads and mutates.
 #[derive(Debug)]
 pub struct MachineMemory {
-    chunks: Vec<Arc<Chunk>>,
+    /// The chunk directory, itself shared between clones until either
+    /// image mutates a chunk: a clone is one reference-count bump.
+    chunks: Arc<Vec<Arc<Chunk>>>,
     /// Frames per chunk; always a power of two so frame→chunk indexing
     /// is a shift and a mask.
     chunk_frames: usize,
@@ -96,10 +101,10 @@ pub struct MachineMemory {
 }
 
 impl Clone for MachineMemory {
-    /// A copy-on-write snapshot: one reference-count bump per chunk,
-    /// independent of installed memory size beyond the (small) chunk
-    /// directory. Frame contents and accounting are shared until either
-    /// image mutates them. The clone starts its own
+    /// A copy-on-write snapshot: one reference-count bump on the chunk
+    /// directory, independent of installed memory size. The directory,
+    /// frame contents and accounting are shared until either image
+    /// mutates them. The clone starts its own
     /// [`SnapshotStats::frames_copied`] / `chunks_privatized` counts at
     /// zero.
     fn clone(&self) -> Self {
@@ -140,7 +145,8 @@ impl MachineMemory {
                     info: vec![PageInfo::new(); len],
                 })
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let chunks = Arc::new(chunks);
         Self {
             chunks,
             chunk_frames,
@@ -198,10 +204,11 @@ impl MachineMemory {
     /// Privatizes chunk `c` if it is still shared with a sibling image,
     /// counting the break; the returned chunk is exclusively owned.
     fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
-        if Arc::strong_count(&self.chunks[c]) > 1 {
+        let chunks = Arc::make_mut(&mut self.chunks);
+        if Arc::strong_count(&chunks[c]) > 1 {
             self.chunks_privatized += 1;
         }
-        Arc::make_mut(&mut self.chunks[c])
+        Arc::make_mut(&mut chunks[c])
     }
 
     /// Copy-on-write accounting for this image, in O(1).
@@ -228,6 +235,15 @@ impl MachineMemory {
             .sum()
     }
 
+    /// Gives this image its own chunk directory if it still shares one
+    /// with a clone. Clones of this image then share the directory with
+    /// it alone: threads that each fork their own unshared copy of one
+    /// base image never bump the same reference count. Chunks and frames
+    /// stay shared.
+    pub fn unshare(&mut self) {
+        Arc::make_mut(&mut self.chunks);
+    }
+
     /// A clone that materializes a private copy of every frame — the
     /// pre-COW snapshot behaviour, kept as the baseline the
     /// `snapshot_cow` bench compares reference-count cloning against.
@@ -249,7 +265,8 @@ impl MachineMemory {
                         info: chunk.info.clone(),
                     })
                 })
-                .collect(),
+                .collect::<Vec<_>>()
+                .into(),
             chunk_frames: self.chunk_frames,
             chunk_shift: self.chunk_shift,
             frames: self.frames,
@@ -268,17 +285,19 @@ impl MachineMemory {
         // A frame is a COW copy if its own Arc is shared, or if the
         // whole chunk is still shared (privatizing the chunk bumps every
         // materialized frame's refcount, so both cases mean a sibling
-        // can still read the old contents).
-        let chunk_shared = Arc::strong_count(&self.chunks[c]) > 1;
+        // can still read the old contents). Privatizing a shared
+        // directory first bumps every chunk's refcount the same way.
+        let chunks = Arc::make_mut(&mut self.chunks);
+        let chunk_shared = Arc::strong_count(&chunks[c]) > 1;
         if chunk_shared {
             self.chunks_privatized += 1;
         }
-        if let FrameData::Data(arc) = &self.chunks[c].frames[o] {
+        if let FrameData::Data(arc) = &chunks[c].frames[o] {
             if chunk_shared || Arc::strong_count(arc) > 1 {
                 self.frames_copied += 1;
             }
         }
-        let slot = &mut Arc::make_mut(&mut self.chunks[c]).frames[o];
+        let slot = &mut Arc::make_mut(&mut chunks[c]).frames[o];
         if matches!(slot, FrameData::Zero) {
             *slot = FrameData::Data(Arc::new([0u8; PAGE_SIZE]));
         }
