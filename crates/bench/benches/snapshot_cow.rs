@@ -1,5 +1,5 @@
 //! Copy-on-write snapshot cost. Cloning a booted world's machine memory
-//! must be one reference-count bump on the chunk directory, not a
+//! must be one reference-count bump on the frozen memory base, not a
 //! page-by-page copy: the acceptance floor is a ≥10× win of
 //! `MachineMemory::clone` over `deep_copy` on the standard 4096-frame
 //! world. A whole-world fork shares the domains and kernels too, so its
@@ -59,8 +59,8 @@ fn bench_world_first_domain_write(c: &mut Criterion) {
 }
 
 fn bench_first_write_after_clone(c: &mut Criterion) {
-    // Cost of privatizing one frame after a snapshot: the directory and
-    // chunk copies, the COW fault path (one page copy) and the write.
+    // Cost of privatizing one frame after a snapshot: one overlay entry,
+    // the COW fault path (one page copy) and the write.
     let (world, _) = attack_world(XenVersion::V4_8, true);
     let base = world.hv().mem();
     let frame = hvsim_mem::Mfn::new(8);

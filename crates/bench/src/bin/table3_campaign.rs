@@ -111,10 +111,8 @@ fn print_throughput(t: &CampaignThroughput) {
         t.total_hypercalls,
     );
     println!(
-        "  snapshot: {} frames, {} COW-copied, {} chunks privatized",
-        t.snapshot.frames_total,
-        t.snapshot.frames_copied,
-        t.snapshot.chunks_privatized,
+        "  snapshot: {} frames, {} COW-copied",
+        t.snapshot.frames_total, t.snapshot.frames_copied,
     );
     println!("per-phase latency (completed vs degraded cells):");
     print_phase("boot", &t.latency.boot);

@@ -113,9 +113,9 @@ impl UseCase for SleepyCase {
 }
 
 /// A quiet run — one do-nothing cell — must still publish the
-/// chunked-COW perf counter as an explicit zero (the `campaign.chaos.*`
-/// convention), so a dashboard can tell "nothing happened" from
-/// "counter missing".
+/// copy-on-write and hypercall counters as explicit zeros (the
+/// `campaign.chaos.*` convention), so a dashboard can tell "nothing
+/// happened" from "counter missing".
 #[test]
 fn quiet_runs_publish_explicit_zero_perf_counters() {
     let registry = MetricsRegistry::new();
@@ -126,7 +126,9 @@ fn quiet_runs_publish_explicit_zero_perf_counters() {
         .run_with_jobs(1);
     let snapshot = registry.snapshot();
     let value = |name: &str| snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value);
-    assert!(value("mem.chunks_privatized").is_some(), "published on every run");
+    for name in ["mem.frames_copied", "campaign.hypercalls"] {
+        assert_eq!(value(name), Some(0), "{name} published on every run");
+    }
 }
 
 /// The messy campaign of `fault_containment.rs`: two transient boot

@@ -1,0 +1,46 @@
+//! Reports and journals written before the overlay memory model still
+//! load: both carry the retired `chunks_privatized` key, which readers
+//! ignore. The fixtures are described in `fixtures/README.md`.
+
+use bench::paper_campaign;
+use hvsim_obs::MetricsRegistry;
+use intrusion_core::{Shard, StreamReport};
+
+const SHARD0: &str = include_str!("fixtures/chunked-shard0-of-2.json");
+const JOURNAL: &[u8] = include_bytes!("fixtures/chunked-50-trials.journal");
+
+#[test]
+fn chunked_era_report_merges_with_a_new_shard() {
+    let old = StreamReport::from_json(SHARD0).expect("old report parses");
+    assert!(SHARD0.contains("chunks_privatized"), "the fixture carries the retired key");
+    let campaign = || paper_campaign().trials(2).jobs(2);
+    let shard1 = campaign().shard(Shard::new(1, 2).unwrap()).run_streaming().report;
+    let merged = old.try_merge(&shard1.normalized()).expect("old and new shards merge");
+    assert_eq!(
+        merged.to_json().unwrap(),
+        campaign().run_streaming().report.normalized().to_json().unwrap(),
+        "an old shard merged with a new one reproduces the unsharded report"
+    );
+}
+
+#[test]
+fn chunked_era_journal_resumes() {
+    let journal = std::env::temp_dir().join(format!("hvsim-compat-{}.journal", std::process::id()));
+    std::fs::write(&journal, JOURNAL).unwrap();
+    let campaign = || paper_campaign().trials(50).jobs(2);
+    let registry = MetricsRegistry::new();
+    let resumed = campaign().metrics(registry.clone()).resume(&journal).unwrap();
+    std::fs::remove_file(&journal).ok();
+    let skipped = registry
+        .snapshot()
+        .counters
+        .iter()
+        .find(|c| c.name == "campaign.checkpoint.resumed_slots")
+        .map(|c| c.value);
+    assert!(skipped > Some(0), "the journal's fold record covers slots: {skipped:?}");
+    assert_eq!(
+        resumed.report.normalized().to_json().unwrap(),
+        campaign().run_streaming().report.normalized().to_json().unwrap(),
+        "the resumed run equals an uninterrupted one"
+    );
+}

@@ -356,12 +356,17 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     if let Some(slot) = replay_slot {
         return cmd_campaign_replay(campaign, slot, p);
     }
-    let flags = replay_flags(p, want_extensions, campaign.fingerprint().trials);
-    let (campaign, hooks) = attach_obs(campaign, p);
     let streaming = p.has_flag("stream")
         || resume_path.is_some()
         || p.options.contains_key("checkpoint")
         || p.options.contains_key("chaos-seed");
+    if !streaming && p.options.contains_key("report-out") {
+        return Err("--report-out needs --stream (or --checkpoint, --chaos-seed or resume): \
+                    a collecting campaign writes no stream report"
+            .into());
+    }
+    let flags = replay_flags(p, want_extensions, campaign.fingerprint().trials);
+    let (campaign, hooks) = attach_obs(campaign, p);
     if streaming {
         let outcome = if let Some(path) = &resume_path {
             eprintln!("resuming the campaign from {path} ...");
@@ -1089,6 +1094,18 @@ mod tests {
         assert!(err.contains("expected merge"));
         let err = run(vec!["campaign".into(), "--shard".into(), "5/2".into()]).unwrap_err();
         assert!(err.contains("--shard"));
+    }
+
+    #[test]
+    fn collecting_campaign_refuses_report_out() {
+        // A collecting run has no stream report to write: refuse the
+        // option (exit 2) before running anything, not silently drop it.
+        let out = std::env::temp_dir().join("cli_collect_report_out.json");
+        std::fs::remove_file(&out).ok();
+        let argv = vec!["campaign".into(), "--report-out".into(), out.display().to_string()];
+        let err = run(argv).unwrap_err();
+        assert!(err.contains("--report-out needs --stream"), "{err}");
+        assert!(!out.exists(), "nothing written");
     }
 
     #[test]

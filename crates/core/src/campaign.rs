@@ -436,8 +436,7 @@ pub struct CampaignThroughput {
     /// Per-phase latency summaries, split completed vs degraded.
     pub latency: LatencyBreakdown,
     /// Copy-on-write aggregate: `frames_total` is the per-cell maximum
-    /// (worlds share one size); `frames_copied` and `chunks_privatized`
-    /// are summed across cells.
+    /// (worlds share one size); `frames_copied` is summed across cells.
     pub snapshot: SnapshotStats,
 }
 
@@ -462,7 +461,6 @@ impl CampaignThroughput {
             snapshot: SnapshotStats {
                 frames_total: report.cells().iter().map(|c| c.snapshot.frames_total).max().unwrap_or(0),
                 frames_copied: report.cells().iter().map(|c| c.snapshot.frames_copied).sum(),
-                chunks_privatized: report.cells().iter().map(|c| c.snapshot.chunks_privatized).sum(),
             },
         }
     }
@@ -1691,12 +1689,13 @@ mod tests {
         assert!(t.snapshot.frames_copied > 0);
         assert_eq!(t.snapshot.frames_total, 4096, "the standard world's frame count");
         // Reports written when the stats still carried the retired
-        // `frames_shared` figure load; the key is ignored.
+        // `frames_shared` and `chunks_privatized` figures load; the keys
+        // are ignored.
         let old: hvsim::SnapshotStats = serde_json::from_str(
             r#"{"frames_total":4096,"frames_shared":12,"frames_copied":3,"chunks_privatized":2}"#,
         )
         .unwrap();
-        assert_eq!((old.frames_total, old.frames_copied, old.chunks_privatized), (4096, 3, 2));
+        assert_eq!((old.frames_total, old.frames_copied), (4096, 3));
     }
 
     #[test]

@@ -35,11 +35,6 @@ pub const M_CRASHES: &str = "campaign.crashes";
 pub const M_HYPERCALLS: &str = "campaign.hypercalls";
 /// Counter: frames privatized by copy-on-write across all cell worlds.
 pub const M_FRAMES_COPIED: &str = "mem.frames_copied";
-/// Counter: COW chunk-directory privatizations across all cell worlds.
-/// Recorded on every run — a quiet run reads an explicit 0 (same
-/// convention as `campaign.chaos.*`), so dashboards can distinguish
-/// "nothing privatized" from "counter missing".
-pub const M_CHUNKS_PRIVATIZED: &str = "mem.chunks_privatized";
 /// Counter (streaming only): time spent merging per-worker partial
 /// reports, µs.
 pub const M_MERGE_US: &str = "campaign.stream.merge_us";
@@ -121,7 +116,6 @@ pub(crate) fn record_fold_metrics(
     registry.add(M_CRASHES, report.crashed);
     registry.add(M_HYPERCALLS, report.hypercalls);
     registry.add(M_FRAMES_COPIED, report.frames_copied);
-    registry.add(M_CHUNKS_PRIVATIZED, report.chunks_privatized);
     for (name, histogram) in phases.named() {
         registry.observe_histogram(name, histogram);
     }

@@ -534,9 +534,6 @@ pub struct StreamReport {
     /// Frames privatized by copy-on-write across all cell worlds
     /// (schedule-dependent; zeroed by `normalized`).
     pub frames_copied: u64,
-    /// COW chunk privatizations across all cell worlds
-    /// (schedule-dependent; zeroed by `normalized`).
-    pub chunks_privatized: u64,
     /// Per-phase latency summaries, completed vs degraded.
     pub latency: LatencyBreakdown,
     /// Aggregates per `use_case/version/mode` key.
@@ -564,7 +561,6 @@ impl StreamReport {
         Self {
             wall_time_us: 0,
             frames_copied: 0,
-            chunks_privatized: 0,
             latency: LatencyBreakdown {
                 boot: norm_phase(&self.latency.boot),
                 inject: norm_phase(&self.latency.inject),
@@ -611,7 +607,6 @@ impl StreamReport {
             hypercalls: self.hypercalls + other.hypercalls,
             wall_time_us: self.wall_time_us + other.wall_time_us,
             frames_copied: self.frames_copied + other.frames_copied,
-            chunks_privatized: self.chunks_privatized + other.chunks_privatized,
             latency: LatencyBreakdown {
                 boot: merge_phase(&self.latency.boot, &other.latency.boot),
                 inject: merge_phase(&self.latency.inject, &other.latency.inject),
@@ -850,7 +845,6 @@ impl PartialFold {
         r.hypercalls += cell.hypercalls;
         r.wall_time_us += cell.wall_time_us;
         r.frames_copied += cell.snapshot.frames_copied;
-        r.chunks_privatized += cell.snapshot.chunks_privatized;
         let key = format!("{}/{}/{}", cell.use_case, cell.version, cell.mode);
         let summary = r.by_key.entry(key).or_default();
         summary.cells += 1;

@@ -323,12 +323,12 @@ impl World {
         self.hv.mem().snapshot_stats()
     }
 
-    /// Gives this world its own copy of every part a clone shares by
-    /// reference count at the top level: the chunk directory, the
-    /// domains and the kernels. A campaign worker forks its cells from
-    /// its own unshared copy of each base world, because workers forking
-    /// one base bump the same reference counts and the contended cache
-    /// lines cost more than the fork itself.
+    /// Gives this world its own memory handle and its own copy of the
+    /// domains and the kernels: every part a clone shares by reference
+    /// count at the top level. A campaign worker forks its cells from its
+    /// own unshared copy of each base world, because workers forking one
+    /// base bump the same reference counts and the contended cache lines
+    /// cost more than the fork itself.
     pub fn unshare(&mut self) {
         self.hv.unshare();
         for k in self.kernels.values_mut() {

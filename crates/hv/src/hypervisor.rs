@@ -309,9 +309,10 @@ impl Hypervisor {
         self.domains.get_mut(&id).map(Arc::make_mut).ok_or(HvError::NoDomain)
     }
 
-    /// Gives this hypervisor its own chunk directory and its own copy of
-    /// every domain, so forks of it share nothing top-level with the
-    /// hypervisor it was cloned from (see [`MachineMemory::unshare`]).
+    /// Gives this hypervisor its own handle on machine memory and its
+    /// own copy of every domain, so forks of it bump no reference count
+    /// that forks of the hypervisor it was cloned from bump (see
+    /// [`MachineMemory::unshare`]).
     pub fn unshare(&mut self) {
         self.mem.unshare();
         for d in self.domains.values_mut() {

@@ -44,5 +44,5 @@ mod page_info;
 pub use addr::{Mfn, Pfn, PhysAddr, VirtAddr, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 pub use alloc::FrameAllocator;
 pub use error::MemError;
-pub use machine::{MachineMemory, SnapshotStats, DEFAULT_CHUNK_FRAMES};
+pub use machine::{MachineMemory, SnapshotStats};
 pub use page_info::{DomainId, PageInfo, PageType};

@@ -1,66 +1,53 @@
 //! The byte-accurate machine memory array.
 //!
-//! Frames are stored copy-on-write at **three levels**: frames (and their
-//! `PageInfo` accounting) are grouped into fixed-size chunks, each chunk
-//! behind an [`Arc`], and the image holds a small directory of chunk
-//! pointers, itself behind an [`Arc`]. Cloning a [`MachineMemory`] is one
-//! reference-count bump, whatever the installed memory. The first
-//! mutation after a clone copies the directory (one bump per chunk, 32
-//! for the standard 4096-frame world) and privatizes only the *touched
-//! chunk* ([`Arc::make_mut`]; one pointer copy per frame in that chunk),
-//! so a clone that is only read never pays either. A shared directory
-//! also keeps workers that fork one base image from contending on 32
-//! chunk reference counts per fork. Each materialized frame is itself an
-//! `Arc<[u8; PAGE_SIZE]>` shared until written, so a snapshot still
-//! costs only O(touched pages) of real memory over its lifetime — the
-//! behaviour a real MMU gives fork-style snapshots. Before chunking,
-//! the first write after a clone copied the entire frame-pointer vector
-//! (O(installed frames) per campaign cell); the `frame_privatize` bench
-//! measures the difference.
+//! A memory image is a **frozen shared base** plus a **per-image
+//! overlay**. The base holds every installed frame, its contents and its
+//! [`PageInfo`] accounting, behind one [`Arc`]. The overlay holds the
+//! frames this image wrote while the base was shared, one entry per
+//! frame (contents plus accounting), sorted by frame index.
+//!
+//! - While the base is uniquely owned, as during boot, writes go straight
+//!   into it ([`Arc::get_mut`]).
+//! - Once a clone shares the base, the first write to a frame copies that
+//!   one frame's entry into the overlay, and every later write to the
+//!   frame lands there. An overlay entry keeps shadowing the base even
+//!   after the base becomes uniquely owned again.
+//! - Reads check the overlay first. A 64-bit mask of the overlay's frame
+//!   indices modulo 64 lets reads of frames this image never wrote skip
+//!   the search.
+//! - A clone bumps the base's reference count and copies the overlay, so
+//!   a fork of a fork holds one flat overlay rather than a chain. A drop
+//!   frees only the overlay.
+//! - The base sits behind a per-image *handle*, a second [`Arc`] that
+//!   clones share. [`MachineMemory::unshare`] gives an image a handle of
+//!   its own in O(1), so threads that each fork their own unshared copy
+//!   of one image never bump the same reference count.
+//!
+//! A campaign cell forks a booted base world (empty overlay) and writes a
+//! frame or two, so it pays one entry copy plus a 4 KiB copy for each
+//! materialized frame it writes. Frame contents are `Arc<[u8; PAGE_SIZE]>`
+//! shared until written, and a never-written frame holds no page at all,
+//! so an image costs O(touched pages) of real memory over its lifetime.
 
 use crate::{MemError, Mfn, PageInfo, PhysAddr, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Frames per chunk when no explicit chunk size is configured. 128
-/// frames keeps the directory for the standard 4096-frame world at 32
-/// entries while capping the cost of a first-write privatization at a
-/// 128-pointer copy.
-pub const DEFAULT_CHUNK_FRAMES: usize = 128;
-
-/// One machine frame's contents.
-///
-/// Frames start life as all-zeroes and are only materialized on first
-/// write, so large simulated machines stay cheap until touched. The
-/// materialized representation is shared between clones until written.
+/// One machine frame: its contents and its accounting, copied into an
+/// overlay together on the frame's first write after a fork.
 #[derive(Clone, Debug, Default)]
-enum FrameData {
-    /// The frame has never been written; reads see zeroes.
-    #[default]
-    Zero,
-    /// Materialized contents, shared copy-on-write between snapshots.
-    Data(Arc<[u8; PAGE_SIZE]>),
+struct Frame {
+    /// `None` until first written (reads see zeroes); materialized
+    /// contents are shared copy-on-write between images.
+    data: Option<Arc<[u8; PAGE_SIZE]>>,
+    info: PageInfo,
 }
 
-impl FrameData {
-    fn bytes(&self) -> Option<&[u8; PAGE_SIZE]> {
-        match self {
-            FrameData::Zero => None,
-            FrameData::Data(b) => Some(b),
-        }
-    }
-}
-
-/// A fixed run of frames plus their accounting, shared whole between
-/// snapshots until either image mutates a frame inside it. Contents and
-/// accounting live in the same chunk so one privatization covers both;
-/// splitting them would double the `Arc` traffic of a first write that
-/// touches both.
+/// The frames of one base, shared by every handle on it. A newtype so
+/// that a handle (`Arc<Frames>`) and the frames it points at keep
+/// separate reference counts (see [`MachineMemory::unshare`]).
 #[derive(Clone, Debug)]
-struct Chunk {
-    frames: Vec<FrameData>,
-    info: Vec<PageInfo>,
-}
+struct Frames(Arc<Vec<Frame>>);
 
 /// Copy-on-write accounting for one memory image, reported per campaign
 /// cell so a run shows how much of a snapshot the cell had to copy.
@@ -74,10 +61,6 @@ pub struct SnapshotStats {
     /// cloned (zero-frame materializations are not copies and are not
     /// counted).
     pub frames_copied: u64,
-    /// Chunks of the frame directory this image privatized since it was
-    /// cloned — each is one O(chunk) pointer copy, the unit cost the
-    /// chunked directory caps first-write privatization at.
-    pub chunks_privatized: u64,
 }
 
 /// All installed machine memory: frame contents plus per-frame accounting.
@@ -86,85 +69,53 @@ pub struct SnapshotStats {
 /// hypercalls, guests, the intrusion injector) reads and mutates.
 #[derive(Debug)]
 pub struct MachineMemory {
-    /// The chunk directory, itself shared between clones until either
-    /// image mutates a chunk: a clone is one reference-count bump.
-    chunks: Arc<Vec<Arc<Chunk>>>,
-    /// Frames per chunk; always a power of two so frame→chunk indexing
-    /// is a shift and a mask.
-    chunk_frames: usize,
-    chunk_shift: u32,
-    frames: u64,
+    /// Every installed frame, behind this image's handle (the outer
+    /// `Arc`, shared by its clones). Written in place only while this
+    /// image owns both the handle and the frames alone.
+    base: Arc<Frames>,
+    /// The frames this image wrote while its base was shared, sorted by
+    /// frame index. They shadow the base.
+    overlay: Vec<(usize, Frame)>,
+    /// Bit `idx % 64` is set once frame `idx` has an overlay entry.
+    overlay_mask: u64,
     /// Copy-on-write frame breaks since this image was created or cloned.
     frames_copied: u64,
-    /// Chunk privatizations since this image was created or cloned.
-    chunks_privatized: u64,
 }
 
 impl Clone for MachineMemory {
-    /// A copy-on-write snapshot: one reference-count bump on the chunk
-    /// directory, independent of installed memory size. The directory,
-    /// frame contents and accounting are shared until either image
-    /// mutates them. The clone starts its own
-    /// [`SnapshotStats::frames_copied`] / `chunks_privatized` counts at
+    /// A copy-on-write snapshot: one reference-count bump on the base
+    /// plus a copy of the overlay, which is empty for a booted world. The
+    /// clone starts its own [`SnapshotStats::frames_copied`] count at
     /// zero.
     fn clone(&self) -> Self {
         Self {
-            chunks: self.chunks.clone(),
-            chunk_frames: self.chunk_frames,
-            chunk_shift: self.chunk_shift,
-            frames: self.frames,
+            base: Arc::clone(&self.base),
+            overlay: self.overlay.clone(),
+            overlay_mask: self.overlay_mask,
             frames_copied: 0,
-            chunks_privatized: 0,
         }
     }
 }
 
 impl MachineMemory {
     /// Creates a machine with `frames` installed 4 KiB frames, all zeroed
-    /// and unowned, grouped into [`DEFAULT_CHUNK_FRAMES`]-frame chunks.
+    /// and unowned.
     pub fn new(frames: usize) -> Self {
-        Self::with_chunk_frames(frames, DEFAULT_CHUNK_FRAMES)
+        Self::from_frames(vec![Frame::default(); frames])
     }
 
-    /// Creates a machine with an explicit copy-on-write chunk size.
-    /// `chunk_frames` is rounded up to a power of two and clamped to at
-    /// least 1; a chunk size of 1 degenerates to per-frame directory
-    /// entries (the worst case the chunked-COW proptest checks against
-    /// a flat reference), and a chunk size ≥ `frames` reproduces the old
-    /// monolithic-vector behaviour (the `frame_privatize` bench
-    /// baseline).
-    pub fn with_chunk_frames(frames: usize, chunk_frames: usize) -> Self {
-        let chunk_frames = chunk_frames.max(1).next_power_of_two();
-        let chunk_shift = chunk_frames.trailing_zeros();
-        let chunks = (0..frames)
-            .step_by(chunk_frames)
-            .map(|start| {
-                let len = chunk_frames.min(frames - start);
-                Arc::new(Chunk {
-                    frames: (0..len).map(|_| FrameData::Zero).collect(),
-                    info: vec![PageInfo::new(); len],
-                })
-            })
-            .collect::<Vec<_>>();
-        let chunks = Arc::new(chunks);
+    fn from_frames(frames: Vec<Frame>) -> Self {
         Self {
-            chunks,
-            chunk_frames,
-            chunk_shift,
-            frames: frames as u64,
+            base: Arc::new(Frames(Arc::new(frames))),
+            overlay: Vec::new(),
+            overlay_mask: 0,
             frames_copied: 0,
-            chunks_privatized: 0,
         }
-    }
-
-    /// Frames per copy-on-write chunk.
-    pub fn chunk_frames(&self) -> usize {
-        self.chunk_frames
     }
 
     /// Number of installed frames.
     pub fn frame_count(&self) -> u64 {
-        self.frames
+        self.base.0.len() as u64
     }
 
     /// Total installed bytes.
@@ -188,27 +139,52 @@ impl MachineMemory {
         }
     }
 
-    /// Splits a frame index into (chunk index, offset within chunk).
-    #[inline]
-    fn chunk_of(&self, idx: usize) -> (usize, usize) {
-        (idx >> self.chunk_shift, idx & (self.chunk_frames - 1))
-    }
-
-    /// Shared view of one frame's contents.
-    #[inline]
-    fn frame(&self, idx: usize) -> &FrameData {
-        let (c, o) = self.chunk_of(idx);
-        &self.chunks[c].frames[o]
-    }
-
-    /// Privatizes chunk `c` if it is still shared with a sibling image,
-    /// counting the break; the returned chunk is exclusively owned.
-    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
-        let chunks = Arc::make_mut(&mut self.chunks);
-        if Arc::strong_count(&chunks[c]) > 1 {
-            self.chunks_privatized += 1;
+    fn check_range(&self, addr: PhysAddr, len: usize) -> Result<(), MemError> {
+        match addr.raw().checked_add(len as u64) {
+            Some(end) if end <= self.size_bytes() => Ok(()),
+            _ => Err(MemError::OutOfRange { addr, len }),
         }
-        Arc::make_mut(&mut chunks[c])
+    }
+
+    fn overlay_pos(&self, idx: usize) -> Result<usize, usize> {
+        self.overlay.binary_search_by_key(&idx, |&(i, _)| i)
+    }
+
+    /// The frame this image sees at `idx`.
+    #[inline]
+    fn frame(&self, idx: usize) -> &Frame {
+        if self.overlay_mask & (1 << (idx % 64)) != 0 {
+            if let Ok(pos) = self.overlay_pos(idx) {
+                return &self.overlay[pos].1;
+            }
+        }
+        &self.base.0[idx]
+    }
+
+    /// The frame a write to `idx` lands in: its overlay entry if it has
+    /// one, else the base while this image owns it alone, else a new
+    /// overlay entry copied from the base.
+    fn frame_mut(&mut self, idx: usize) -> &mut Frame {
+        let pos = match self.overlay_pos(idx) {
+            Ok(pos) => return &mut self.overlay[pos].1,
+            Err(pos) => pos,
+        };
+        if Arc::get_mut(&mut self.base).and_then(|f| Arc::get_mut(&mut f.0)).is_some() {
+            // Unique, so `make_mut` copies nothing. (Returning the
+            // `get_mut` borrow directly fails the borrow checker on the
+            // fall-through path.)
+            return &mut Arc::make_mut(&mut Arc::make_mut(&mut self.base).0)[idx];
+        }
+        self.overlay.insert(pos, (idx, self.base.0[idx].clone()));
+        self.overlay_mask |= 1 << (idx % 64);
+        &mut self.overlay[pos].1
+    }
+
+    /// Gives this image its own handle on the shared base, in O(1)
+    /// memory: its clones then bump a reference count that clones of the
+    /// image it was cloned from do not. Frames stay shared.
+    pub fn unshare(&mut self) {
+        self.base = Arc::new(Frames(Arc::clone(&self.base.0)));
     }
 
     /// Copy-on-write accounting for this image, in O(1).
@@ -216,95 +192,24 @@ impl MachineMemory {
         SnapshotStats {
             frames_total: self.frame_count(),
             frames_copied: self.frames_copied,
-            chunks_privatized: self.chunks_privatized,
         }
-    }
-
-    /// Frames currently holding materialized (non-zero-representation)
-    /// contents. Zero writes into zero frames must not grow this — the
-    /// regression guard for the zero-write fast path.
-    pub fn materialized_frames(&self) -> u64 {
-        self.chunks
-            .iter()
-            .map(|c| {
-                c.frames
-                    .iter()
-                    .filter(|f| matches!(f, FrameData::Data(_)))
-                    .count() as u64
-            })
-            .sum()
-    }
-
-    /// Gives this image its own chunk directory if it still shares one
-    /// with a clone. Clones of this image then share the directory with
-    /// it alone: threads that each fork their own unshared copy of one
-    /// base image never bump the same reference count. Chunks and frames
-    /// stay shared.
-    pub fn unshare(&mut self) {
-        Arc::make_mut(&mut self.chunks);
     }
 
     /// A clone that materializes a private copy of every frame — the
     /// pre-COW snapshot behaviour, kept as the baseline the
     /// `snapshot_cow` bench compares reference-count cloning against.
     pub fn deep_copy(&self) -> Self {
-        Self {
-            chunks: self
-                .chunks
-                .iter()
-                .map(|chunk| {
-                    Arc::new(Chunk {
-                        frames: chunk
-                            .frames
-                            .iter()
-                            .map(|f| match f {
-                                FrameData::Zero => FrameData::Zero,
-                                FrameData::Data(b) => FrameData::Data(Arc::new(**b)),
-                            })
-                            .collect(),
-                        info: chunk.info.clone(),
-                    })
+        Self::from_frames(
+            (0..self.base.0.len())
+                .map(|idx| {
+                    let frame = self.frame(idx);
+                    Frame {
+                        data: frame.data.as_deref().map(|bytes| Arc::new(*bytes)),
+                        info: frame.info.clone(),
+                    }
                 })
-                .collect::<Vec<_>>()
-                .into(),
-            chunk_frames: self.chunk_frames,
-            chunk_shift: self.chunk_shift,
-            frames: self.frames,
-            frames_copied: 0,
-            chunks_privatized: 0,
-        }
-    }
-
-    /// Mutable view of one frame's bytes, materializing zero frames and
-    /// breaking copy-on-write sharing as needed. The first mutation
-    /// after a clone also privatizes the frame's chunk (which bumps
-    /// every materialized frame's refcount in that chunk, so a later
-    /// write to any of them still copies); sibling chunks stay shared.
-    fn frame_bytes_mut(&mut self, idx: usize) -> &mut [u8; PAGE_SIZE] {
-        let (c, o) = self.chunk_of(idx);
-        // A frame is a COW copy if its own Arc is shared, or if the
-        // whole chunk is still shared (privatizing the chunk bumps every
-        // materialized frame's refcount, so both cases mean a sibling
-        // can still read the old contents). Privatizing a shared
-        // directory first bumps every chunk's refcount the same way.
-        let chunks = Arc::make_mut(&mut self.chunks);
-        let chunk_shared = Arc::strong_count(&chunks[c]) > 1;
-        if chunk_shared {
-            self.chunks_privatized += 1;
-        }
-        if let FrameData::Data(arc) = &chunks[c].frames[o] {
-            if chunk_shared || Arc::strong_count(arc) > 1 {
-                self.frames_copied += 1;
-            }
-        }
-        let slot = &mut Arc::make_mut(&mut chunks[c]).frames[o];
-        if matches!(slot, FrameData::Zero) {
-            *slot = FrameData::Data(Arc::new([0u8; PAGE_SIZE]));
-        }
-        match slot {
-            FrameData::Data(arc) => Arc::make_mut(arc),
-            FrameData::Zero => unreachable!("frame was just materialized"),
-        }
+                .collect(),
+        )
     }
 
     /// Accounting record for a frame.
@@ -314,8 +219,7 @@ impl MachineMemory {
     /// Returns [`MemError::BadFrame`] for uninstalled frames.
     pub fn info(&self, mfn: Mfn) -> Result<&PageInfo, MemError> {
         let idx = self.check_frame(mfn)?;
-        let (c, o) = self.chunk_of(idx);
-        Ok(&self.chunks[c].info[o])
+        Ok(&self.frame(idx).info)
     }
 
     /// Mutable accounting record for a frame.
@@ -325,8 +229,7 @@ impl MachineMemory {
     /// Returns [`MemError::BadFrame`] for uninstalled frames.
     pub fn info_mut(&mut self, mfn: Mfn) -> Result<&mut PageInfo, MemError> {
         let idx = self.check_frame(mfn)?;
-        let (c, o) = self.chunk_of(idx);
-        Ok(&mut self.chunk_mut(c).info[o])
+        Ok(&mut self.frame_mut(idx).info)
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -339,62 +242,52 @@ impl MachineMemory {
     /// Returns [`MemError::OutOfRange`] if the access crosses the end of
     /// installed memory.
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
-        let end = addr
-            .raw()
-            .checked_add(buf.len() as u64)
-            .ok_or(MemError::OutOfRange { addr, len: buf.len() })?;
-        if end > self.size_bytes() {
-            return Err(MemError::OutOfRange { addr, len: buf.len() });
-        }
+        self.check_range(addr, buf.len())?;
         let mut cursor = addr;
         let mut filled = 0usize;
         while filled < buf.len() {
-            let frame = cursor.frame();
             let off = cursor.page_offset();
-            let chunk = (PAGE_SIZE - off).min(buf.len() - filled);
-            match self.frame(frame.raw() as usize).bytes() {
-                Some(bytes) => buf[filled..filled + chunk].copy_from_slice(&bytes[off..off + chunk]),
-                None => buf[filled..filled + chunk].fill(0),
+            let len = (PAGE_SIZE - off).min(buf.len() - filled);
+            let out = &mut buf[filled..filled + len];
+            match &self.frame(cursor.frame().raw() as usize).data {
+                Some(bytes) => out.copy_from_slice(&bytes[off..off + len]),
+                None => out.fill(0),
             }
-            filled += chunk;
-            cursor = cursor.offset(chunk as u64);
+            filled += len;
+            cursor = cursor.offset(len as u64);
         }
         Ok(())
     }
 
     /// Writes `buf` starting at `addr`.
     ///
-    /// All-zero data landing in a still-unmaterialized zero frame is a
-    /// no-op: the frame keeps its zero representation (no 4 KiB
-    /// allocation, no chunk privatization).
+    /// All-zero data landing in a never-written frame is a no-op: the
+    /// frame stays unmaterialized (no 4 KiB allocation, no overlay
+    /// entry).
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfRange`] if the access crosses the end of
     /// installed memory.
     pub fn write(&mut self, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
-        let end = addr
-            .raw()
-            .checked_add(buf.len() as u64)
-            .ok_or(MemError::OutOfRange { addr, len: buf.len() })?;
-        if end > self.size_bytes() {
-            return Err(MemError::OutOfRange { addr, len: buf.len() });
-        }
+        self.check_range(addr, buf.len())?;
         let mut cursor = addr;
         let mut written = 0usize;
         while written < buf.len() {
-            let frame = cursor.frame();
-            let idx = frame.raw() as usize;
+            let idx = cursor.frame().raw() as usize;
             let off = cursor.page_offset();
-            let chunk = (PAGE_SIZE - off).min(buf.len() - written);
-            let src = &buf[written..written + chunk];
-            let zero_noop =
-                matches!(self.frame(idx), FrameData::Zero) && src.iter().all(|&b| b == 0);
-            if !zero_noop {
-                self.frame_bytes_mut(idx)[off..off + chunk].copy_from_slice(src);
+            let len = (PAGE_SIZE - off).min(buf.len() - written);
+            let src = &buf[written..written + len];
+            if self.frame(idx).data.is_some() || src.iter().any(|&b| b != 0) {
+                let data = &mut self.frame_mut(idx).data;
+                // Contents another image can still read are a COW copy.
+                let copied = data.as_ref().is_some_and(|d| Arc::strong_count(d) > 1);
+                let bytes = data.get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
+                Arc::make_mut(bytes)[off..off + len].copy_from_slice(src);
+                self.frames_copied += u64::from(copied);
             }
-            written += chunk;
-            cursor = cursor.offset(chunk as u64);
+            written += len;
+            cursor = cursor.offset(len as u64);
         }
         Ok(())
     }
@@ -423,21 +316,18 @@ impl MachineMemory {
 
     /// Zeroes an entire frame.
     ///
-    /// The frame reverts to the unmaterialized zero representation, so
-    /// a snapshot's untouched zero frames stay free after cloning.
-    /// Zeroing a frame that is already in the zero representation is a
-    /// complete no-op (no privatization).
+    /// The frame reverts to the unmaterialized zero representation.
+    /// Zeroing a frame that is already unmaterialized is a complete no-op
+    /// (no overlay entry).
     ///
     /// # Errors
     ///
     /// Returns [`MemError::BadFrame`] for uninstalled frames.
     pub fn zero_frame(&mut self, mfn: Mfn) -> Result<(), MemError> {
         let idx = self.check_frame(mfn)?;
-        if matches!(self.frame(idx), FrameData::Zero) {
-            return Ok(());
+        if self.frame(idx).data.is_some() {
+            self.frame_mut(idx).data = None;
         }
-        let (c, o) = self.chunk_of(idx);
-        self.chunk_mut(c).frames[o] = FrameData::Zero;
         Ok(())
     }
 
@@ -448,8 +338,8 @@ impl MachineMemory {
     /// Returns [`MemError::BadFrame`] for uninstalled frames.
     pub fn read_frame(&self, mfn: Mfn, out: &mut [u8; PAGE_SIZE]) -> Result<(), MemError> {
         let idx = self.check_frame(mfn)?;
-        match self.frame(idx).bytes() {
-            Some(bytes) => out.copy_from_slice(bytes),
+        match &self.frame(idx).data {
+            Some(bytes) => out.copy_from_slice(&bytes[..]),
             None => out.fill(0),
         }
         Ok(())
@@ -459,7 +349,13 @@ impl MachineMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DomainId, PageType};
     use proptest::prelude::*;
+
+    /// Frames holding materialized contents, as this image sees them.
+    fn materialized_frames(mem: &MachineMemory) -> usize {
+        (0..mem.base.0.len()).filter(|&idx| mem.frame(idx).data.is_some()).count()
+    }
 
     #[test]
     fn fresh_memory_reads_zero() {
@@ -537,7 +433,6 @@ mod tests {
         let stats = child.snapshot_stats();
         assert_eq!(stats.frames_total, 8);
         assert_eq!(stats.frames_copied, 0, "nothing written through the clone yet");
-        assert_eq!(stats.chunks_privatized, 0);
         // The parent sees the same sharing: its first post-clone write to
         // a materialized frame is a copy, and the child keeps the old
         // contents.
@@ -567,58 +462,59 @@ mod tests {
         assert_eq!(&buf, b"modified");
         let stats = child.snapshot_stats();
         assert_eq!(stats.frames_copied, 1, "only the written frame was privatized");
-        // Frame 1 is still shared: the parent's write to it is a copy
-        // that the child never sees, while its write to frame 0 (no
-        // longer shared) copies nothing.
+        // The child still shares the parent's base, so the parent's
+        // writes to both frames copy them into its own overlay: two
+        // copies, neither visible to the child.
         parent.write(Mfn::new(1).base(), b"SECOND").unwrap();
         parent.write(PhysAddr::new(0), b"ORIGINAL").unwrap();
-        assert_eq!(parent.snapshot_stats().frames_copied, 1);
+        assert_eq!(parent.snapshot_stats().frames_copied, 2);
+        child.read(PhysAddr::new(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"modified");
         let mut second = [0u8; 6];
         child.read(Mfn::new(1).base(), &mut second).unwrap();
         assert_eq!(&second, b"second");
     }
 
     #[test]
-    fn first_write_privatizes_one_chunk_not_the_directory() {
-        // 1024 frames in 64-frame chunks: a single write after a clone
-        // must break exactly one chunk, leaving the other 15 shared.
-        let mut parent = MachineMemory::with_chunk_frames(1024, 64);
-        parent.write(Mfn::new(0).base(), b"a").unwrap();
-        parent.write(Mfn::new(512).base(), b"b").unwrap();
+    fn write_after_siblings_drop_lands_in_the_overlay() {
+        let mut parent = MachineMemory::new(4);
+        parent.write(PhysAddr::new(0), b"base").unwrap();
         let mut child = parent.clone();
-        child.write_u64(Mfn::new(3).base(), 7).unwrap();
-        let stats = child.snapshot_stats();
-        assert_eq!(stats.chunks_privatized, 1, "one O(chunk) copy, not O(frames)");
-        // A second write into the same chunk privatizes nothing new.
-        child.write_u64(Mfn::new(5).base(), 8).unwrap();
-        assert_eq!(child.snapshot_stats().chunks_privatized, 1);
-        assert_eq!(child.snapshot_stats().frames_copied, 0, "frames 3 and 5 were zero");
-        // A write into a different chunk breaks exactly one more. Frame
-        // 512's chunk was untouched, so its frame was still shared
-        // through the shared chunk Arc: the write is a copy, and the
-        // parent keeps its contents.
-        child.write_u64(Mfn::new(512).base(), 9).unwrap();
-        assert_eq!(child.snapshot_stats().chunks_privatized, 2);
-        assert_eq!(child.snapshot_stats().frames_copied, 1);
-        let mut buf = [0u8; 1];
-        parent.read(Mfn::new(512).base(), &mut buf).unwrap();
-        assert_eq!(&buf, b"b");
+        child.write(PhysAddr::new(0), b"kid1").unwrap();
+        child.info_mut(Mfn::new(1)).unwrap().assign(DomainId::new(3), PageType::Writable);
+        // The parent goes: the child owns the base alone again, but its
+        // overlay still shadows frames 0 and 1. Writes to them must land
+        // in the overlay, writes elsewhere go straight into the base.
+        drop(parent);
+        child.write(PhysAddr::new(0), b"kid2").unwrap();
+        child.info_mut(Mfn::new(1)).unwrap().pin();
+        child.write(Mfn::new(2).base(), b"new!").unwrap();
+        let mut buf = [0u8; 4];
+        child.read(PhysAddr::new(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"kid2");
+        let info = child.info(Mfn::new(1)).unwrap();
+        assert_eq!((info.owner(), info.pinned()), (Some(DomainId::new(3)), true));
+        child.read(Mfn::new(2).base(), &mut buf).unwrap();
+        assert_eq!(&buf, b"new!");
+        assert_eq!(child.overlay.len(), 2, "frame 2 was written in place");
     }
 
     #[test]
-    fn chunk_size_one_and_oversized_chunks_behave_identically() {
-        for chunk in [1usize, 2, 8, 4096] {
-            let mut parent = MachineMemory::with_chunk_frames(16, chunk);
-            parent.write(PhysAddr::new(0), b"seed").unwrap();
-            let mut child = parent.clone();
-            child.write(Mfn::new(9).base(), b"child").unwrap();
-            let mut buf = [0u8; 5];
-            child.read(Mfn::new(9).base(), &mut buf).unwrap();
-            assert_eq!(&buf, b"child");
-            let mut out = [0u8; PAGE_SIZE];
-            parent.read_frame(Mfn::new(9), &mut out).unwrap();
-            assert!(out.iter().all(|&b| b == 0), "chunk={chunk}: parent unaffected");
-        }
+    fn unshared_handle_shares_frames_and_writes_into_its_overlay() {
+        let mut base = MachineMemory::new(4);
+        base.write(PhysAddr::new(0), b"base").unwrap();
+        let mut worker = base.clone();
+        worker.unshare();
+        assert!(!Arc::ptr_eq(&worker.base, &base.base), "a handle of its own");
+        assert!(Arc::ptr_eq(&worker.base.0, &base.base.0), "the same frames");
+        // The handle is unique but the frames behind it are not: the
+        // write lands in the overlay instead of copying the whole base.
+        worker.write(PhysAddr::new(0), b"work").unwrap();
+        assert!(Arc::ptr_eq(&worker.base.0, &base.base.0));
+        assert_eq!(worker.overlay.len(), 1);
+        let mut buf = [0u8; 4];
+        base.read(PhysAddr::new(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"base");
     }
 
     #[test]
@@ -654,20 +550,19 @@ mod tests {
         mem.write(PhysAddr::new(100), &[0u8; 200]).unwrap();
         let span = vec![0u8; PAGE_SIZE + 64];
         mem.write(PhysAddr::new(PAGE_SIZE as u64 - 32), &span).unwrap();
-        assert_eq!(mem.materialized_frames(), 0);
-        // ...and a cloned image privatizes nothing for them either.
+        assert_eq!(materialized_frames(&mem), 0);
+        // ...and a cloned image copies nothing into its overlay either.
         let mut child = mem.clone();
         child.write_u64(PhysAddr::new(16), 0).unwrap();
-        let stats = child.snapshot_stats();
-        assert_eq!(stats.chunks_privatized, 0);
-        assert_eq!(child.materialized_frames(), 0);
+        assert!(child.overlay.is_empty());
+        assert_eq!(materialized_frames(&child), 0);
         // A non-zero store still materializes exactly the touched frame,
         // and zero stores into materialized frames land normally.
         child.write_u64(PhysAddr::new(8), 0x4141).unwrap();
-        assert_eq!(child.materialized_frames(), 1);
+        assert_eq!(materialized_frames(&child), 1);
         child.write_u64(PhysAddr::new(8), 0).unwrap();
         assert_eq!(child.read_u64(PhysAddr::new(8)).unwrap(), 0);
-        assert_eq!(child.materialized_frames(), 1);
+        assert_eq!(materialized_frames(&child), 1);
     }
 
     #[test]
@@ -678,13 +573,12 @@ mod tests {
         let mut buf = [0u8; 4];
         deep.read(PhysAddr::new(0), &mut buf).unwrap();
         assert_eq!(&buf, b"data");
-        // Neither image shares a chunk or a frame with the other, so
+        // Neither image shares a base or a frame with the other, so
         // writes on both sides copy nothing and stay invisible across.
         deep.write(PhysAddr::new(0), b"DEEP").unwrap();
         parent.write(PhysAddr::new(0), b"PRNT").unwrap();
         for image in [&deep, &parent] {
-            let stats = image.snapshot_stats();
-            assert_eq!((stats.frames_copied, stats.chunks_privatized), (0, 0));
+            assert_eq!(image.snapshot_stats().frames_copied, 0);
         }
         deep.read(PhysAddr::new(0), &mut buf).unwrap();
         assert_eq!(&buf, b"DEEP");
@@ -758,45 +652,68 @@ mod tests {
             }
         }
 
-        /// Chunked-COW equivalence: arbitrary interleavings of clones
-        /// and writes, across chunk boundaries and at every chunk size,
-        /// read back exactly like a flat deep-copied reference image.
+        /// Overlay-COW equivalence: arbitrary interleavings of clones,
+        /// drops, handle unsharing, writes across frame boundaries,
+        /// accounting updates and frame zeroing read back exactly like a
+        /// flat deep-copied reference image. Dropping images makes a base
+        /// uniquely owned again while surviving overlays still shadow
+        /// some of its frames; an unshared handle is unique while the
+        /// frames behind it are not.
         #[test]
-        fn prop_chunked_cow_matches_flat_reference(
-            chunk_frames in prop_oneof![Just(1usize), Just(2), Just(4), Just(64)],
+        fn prop_overlay_cow_matches_flat_reference(
             ops in proptest::collection::vec(
-                // (clone source image, write target image, addr, data)
-                (any::<u16>(), any::<u16>(), 0u64..(8 * PAGE_SIZE as u64 - 24),
+                // (op, image, addr, data)
+                (0u8..8, any::<u16>(), 0u64..(8 * PAGE_SIZE as u64 - 24),
                  proptest::collection::vec(any::<u8>(), 1..24)),
-                1..32,
+                1..48,
             ),
-            interleave in proptest::collection::vec(any::<bool>(), 1..32),
         ) {
             const FRAMES: usize = 8;
-            let mut images = vec![MachineMemory::with_chunk_frames(FRAMES, chunk_frames)];
-            // The reference model: a plain flat byte image per snapshot,
-            // deep-copied on clone — trivially correct COW semantics.
-            let mut models = vec![vec![0u8; FRAMES * PAGE_SIZE]];
-            for (i, (clone_src, write_tgt, addr, data)) in ops.iter().enumerate() {
-                let do_clone = interleave.get(i).copied().unwrap_or(false);
-                if do_clone && images.len() < 8 {
-                    let src = (*clone_src as usize) % images.len();
-                    images.push(images[src].clone());
-                    models.push(models[src].clone());
+            let mut images = vec![MachineMemory::new(FRAMES)];
+            // The reference model: a plain flat byte image plus per-frame
+            // (owner, type) per snapshot, deep-copied on clone — trivially
+            // correct COW semantics.
+            type Model = (Vec<u8>, Vec<(Option<DomainId>, PageType)>);
+            let mut models: Vec<Model> =
+                vec![(vec![0u8; FRAMES * PAGE_SIZE], vec![(None, PageType::None); FRAMES])];
+            for (op, image, addr, data) in &ops {
+                let i = usize::from(*image) % images.len();
+                let (addr, frame) = (*addr as usize, *addr as usize / PAGE_SIZE);
+                match op {
+                    0 if images.len() < 8 => {
+                        images.push(images[i].clone());
+                        models.push(models[i].clone());
+                    }
+                    1 if images.len() > 1 => {
+                        images.remove(i);
+                        models.remove(i);
+                    }
+                    2 => {
+                        let (owner, ty) = (DomainId::new(u16::from(data[0])), PageType::Writable);
+                        images[i].info_mut(Mfn::new(frame as u64)).unwrap().assign(owner, ty);
+                        models[i].1[frame] = (Some(owner), ty);
+                    }
+                    3 => {
+                        images[i].zero_frame(Mfn::new(frame as u64)).unwrap();
+                        models[i].0[frame * PAGE_SIZE..(frame + 1) * PAGE_SIZE].fill(0);
+                    }
+                    4 => images[i].unshare(),
+                    _ => {
+                        images[i].write(PhysAddr::new(addr as u64), data).unwrap();
+                        models[i].0[addr..addr + data.len()].copy_from_slice(data);
+                    }
                 }
-                let tgt = (*write_tgt as usize) % images.len();
-                images[tgt].write(PhysAddr::new(*addr), data).unwrap();
-                models[tgt][*addr as usize..*addr as usize + data.len()]
-                    .copy_from_slice(data);
             }
-            for (image, model) in images.iter().zip(&models) {
+            for (image, (bytes, infos)) in images.iter().zip(&models) {
                 let mut out = [0u8; PAGE_SIZE];
                 for frame in 0..FRAMES {
                     image.read_frame(Mfn::new(frame as u64), &mut out).unwrap();
                     prop_assert_eq!(
-                        &out[..], &model[frame * PAGE_SIZE..(frame + 1) * PAGE_SIZE],
-                        "chunk={} image diverged from flat reference", chunk_frames
+                        &out[..], &bytes[frame * PAGE_SIZE..(frame + 1) * PAGE_SIZE],
+                        "frame {} diverged from the flat reference", frame
                     );
+                    let info = image.info(Mfn::new(frame as u64)).unwrap();
+                    prop_assert_eq!((info.owner(), info.page_type()), infos[frame]);
                 }
             }
         }
