@@ -29,7 +29,7 @@ fn bench_single_cell(c: &mut Criterion) {
                         .versions(&[version])
                         .modes(&[Mode::Injection])
                 },
-                |campaign| campaign.run(),
+                |campaign| campaign.run_streaming(),
                 BatchSize::SmallInput,
             )
         });

@@ -12,13 +12,13 @@ fn bench_engine_configurations(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign_parallel/full_table3");
     group.sample_size(10);
     group.bench_function("boot_per_cell_serial", |b| {
-        b.iter(|| paper_campaign().reuse_snapshots(false).jobs(1).run())
+        b.iter(|| paper_campaign().reuse_snapshots(false).jobs(1).run_streaming())
     });
     group.bench_function("snapshot_reuse_serial", |b| {
-        b.iter(|| paper_campaign().jobs(1).run())
+        b.iter(|| paper_campaign().jobs(1).run_streaming())
     });
     group.bench_function(format!("snapshot_reuse_{}_workers", default_jobs()), |b| {
-        b.iter(|| paper_campaign().run())
+        b.iter(|| paper_campaign().run_streaming())
     });
     group.finish();
 }

@@ -12,9 +12,9 @@ use hvsim_obs::{MetricsRegistry, Tracer};
 fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead/full_table3");
     group.sample_size(10);
-    group.bench_function("no_obs", |b| b.iter(|| paper_campaign().run()));
+    group.bench_function("no_obs", |b| b.iter(|| paper_campaign().run_streaming()));
     group.bench_function("tracer_disabled", |b| {
-        b.iter(|| paper_campaign().tracer(Tracer::disabled()).run())
+        b.iter(|| paper_campaign().tracer(Tracer::disabled()).run_streaming())
     });
     group.bench_function("tracer_and_metrics_enabled", |b| {
         b.iter(|| {
@@ -22,7 +22,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
             let report = paper_campaign()
                 .tracer(tracer.clone())
                 .metrics(MetricsRegistry::new())
-                .run();
+                .run_streaming();
             // Drain inside the measurement: producing the event stream
             // is part of what "enabled" costs.
             (report, tracer.drain().len())

@@ -2,7 +2,7 @@
 //! version by how it handles the full injected erroneous-state corpus
 //! (the paper's four use cases plus the extension IMs), then rank.
 
-use intrusion_core::{Campaign, SecurityBenchmark};
+use intrusion_core::{default_jobs, Campaign, SecurityBenchmark};
 use xsa_exploits::{extension_use_cases, paper_use_cases};
 
 fn main() {
@@ -11,7 +11,7 @@ fn main() {
     for uc in paper_use_cases().into_iter().chain(extension_use_cases()) {
         campaign = campaign.with_use_case(uc);
     }
-    let report = campaign.run();
+    let report = campaign.run_with_jobs(default_jobs());
     let benchmark = SecurityBenchmark::from_report(&report);
     println!("{}", benchmark.render());
 

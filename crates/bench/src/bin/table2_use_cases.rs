@@ -1,17 +1,11 @@
 //! Regenerates **Table II**: the four use cases and the abusive
 //! functionality their intrusion models carry.
 
-use intrusion_core::TextTable;
+use intrusion_core::render_table2;
 use xsa_exploits::paper_use_cases;
 
 fn main() {
-    let mut table =
-        TextTable::new(["Use Case", "Abusive Functionality"]).title("TABLE II (from the paper's four use cases)");
-    for uc in paper_use_cases() {
-        let im = uc.intrusion_model();
-        table.row([uc.name().to_owned(), im.abusive_functionality.label().to_owned()]);
-    }
-    println!("{table}");
+    println!("{}", render_table2(&paper_use_cases()));
     println!("full instantiation shared by all four (paper §VI-A):");
     let im = paper_use_cases()[0].intrusion_model();
     println!(

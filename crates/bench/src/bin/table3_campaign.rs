@@ -1,37 +1,31 @@
 //! Regenerates **Table III**: the injection campaign across all
 //! versions, plus the RQ1/RQ2/RQ3 summaries of §VI–§VIII, the exploit
-//! failure signatures of §VII, and any degraded cells. One run, with a
-//! throughput line for it; the `perf` benchmark is where throughput is
-//! measured and compared.
+//! failure signatures of §VII, and any degraded cells. One streamed
+//! run, with a throughput line and per-phase latency for it; the `perf`
+//! benchmark is where throughput is measured and compared.
 //!
 //! Flags:
 //!
 //! * `--jobs N` — worker threads (default: one per hardware thread)
-//! * `--stream` — run the campaign through the streaming engine instead
-//!   of the collect-everything engine; prints the per-key summary and
-//!   pipeline stats, and `--report-out` writes the normalized
-//!   `StreamReport` (mergeable across shards)
 //! * `--shard i/n` — run only slots `i, i+n, i+2n, …` of the grid;
 //!   shard reports merge back to the unsharded report byte-for-byte
-//! * `--report-out FILE` — write the *normalized* report as JSON
+//! * `--report-out FILE` — write the *normalized* `StreamReport` as JSON
 //!   (what CI diffs across jobs levels and shardings)
 //! * `--trace-out FILE` — write the campaign's structured trace as JSONL
 //! * `--metrics-out FILE` — write the metrics-registry snapshot as JSON
-//! * `--json` — also print the full report as JSON
+//! * `--json` — also print the full `StreamReport` as JSON
 
 use bench::paper_campaign;
 use hvsim::XenVersion;
 use hvsim_obs::{to_jsonl, MetricsRegistry, Tracer};
 use intrusion_core::{
-    default_jobs, CampaignReport, CampaignThroughput, Mode, PhaseLatency, Shard, StreamOutcome,
+    default_jobs, Campaign, Mode, PhaseLatency, Shard, StreamOutcome, StreamReport,
 };
 use std::process::exit;
-use std::time::Instant;
 
 #[derive(Default)]
 struct Options {
     jobs: Option<usize>,
-    stream: bool,
     shard: Option<Shard>,
     report_out: Option<String>,
     trace_out: Option<String>,
@@ -57,7 +51,6 @@ fn parse_args() -> Options {
                     exit(2);
                 }));
             }
-            "--stream" => opts.stream = true,
             "--shard" => {
                 let raw = value("--shard");
                 opts.shard = Some(Shard::parse(&raw).unwrap_or_else(|e| {
@@ -72,7 +65,7 @@ fn parse_args() -> Options {
             other => {
                 eprintln!("unknown argument '{other}'");
                 eprintln!(
-                    "usage: table3_campaign [--jobs N] [--stream] [--shard i/n] \
+                    "usage: table3_campaign [--jobs N] [--shard i/n] \
                      [--report-out FILE] [--trace-out FILE] [--metrics-out FILE] [--json]"
                 );
                 exit(2);
@@ -97,41 +90,50 @@ fn print_phase(name: &str, phase: &PhaseLatency) {
     );
 }
 
-fn print_throughput(t: &CampaignThroughput) {
+fn print_run(outcome: &StreamOutcome) {
+    let (r, s) = (&outcome.report, outcome.stats);
     println!(
         "throughput: {} completed + {} degraded of {} cells in {:.1} ms on {} workers \
-         ({:.0} cells/sec, {} us cell time, {} hypercalls)",
-        t.completed_cells,
-        t.degraded_cells,
-        t.cells,
-        t.elapsed_us as f64 / 1000.0,
-        t.workers,
-        t.cells_per_sec,
-        t.total_cell_wall_time_us,
-        t.total_hypercalls,
-    );
-    println!(
-        "  snapshot: {} frames, {} COW-copied",
-        t.snapshot.frames_total, t.snapshot.frames_copied,
+         ({:.0} cells/sec, {} us cell time, {} hypercalls, {} frames COW-copied; merge {} us)",
+        r.completed,
+        r.degraded,
+        r.cells,
+        s.elapsed_us as f64 / 1000.0,
+        s.workers,
+        s.cells_per_sec,
+        r.wall_time_us,
+        r.hypercalls,
+        r.frames_copied,
+        s.merge_us,
     );
     println!("per-phase latency (completed vs degraded cells):");
-    print_phase("boot", &t.latency.boot);
-    print_phase("inject", &t.latency.inject);
-    print_phase("monitor", &t.latency.monitor);
+    print_phase("boot", &r.latency.boot);
+    print_phase("inject", &r.latency.inject);
+    print_phase("monitor", &r.latency.monitor);
 }
 
-fn print_report(report: &CampaignReport) {
+/// Prints Table III, the RQ summaries, the §VII exploit failure
+/// signatures and the degraded cells. The signatures are per-cell
+/// detail the streamed report does not keep, so each of those slots is
+/// replayed on `untraced` — a copy of the campaign with no tracer or
+/// registry attached, which leaves the run's trace and metrics as they
+/// were.
+fn print_report(report: &StreamReport, untraced: &Campaign, shard: Option<Shard>) {
     println!("{}", report.render_table3());
 
     println!("RQ1 (reproduce exploit effects on the vulnerable version):");
-    for cell in report.cells().iter().filter(|c| c.version == XenVersion::V4_6) {
-        println!(
-            "  {:<13} {:<9} -> state {} violation {}",
-            cell.use_case,
-            cell.mode.to_string(),
-            cell.erroneous_state,
-            cell.violated()
-        );
+    for use_case in &report.grid.use_cases {
+        for mode in [Mode::Exploit, Mode::Injection] {
+            if let Some(key) = report.key(use_case, XenVersion::V4_6, mode) {
+                println!(
+                    "  {:<13} {:<9} -> state {} violation {}",
+                    use_case,
+                    mode.to_string(),
+                    key.erroneous_states == key.cells,
+                    key.violated == key.cells,
+                );
+            }
+        }
     }
 
     println!("\nRQ2 (inject states on non-vulnerable versions): all Err. State cells above");
@@ -141,11 +143,12 @@ fn print_report(report: &CampaignReport) {
 
     // Exploit failure signatures on fixed versions (§VII).
     println!("exploit attempts on fixed versions:");
-    for cell in report
-        .cells()
-        .iter()
-        .filter(|c| c.mode == Mode::Exploit && c.version != XenVersion::V4_6)
-    {
+    let grid = untraced.grid();
+    for spec in grid.shard_iter(shard) {
+        if spec.mode != Mode::Exploit || spec.version == XenVersion::V4_6 {
+            continue;
+        }
+        let Some(cell) = untraced.replay(spec.slot) else { continue };
         println!(
             "  {:<13} on {:<4} -> {}",
             cell.use_case,
@@ -160,10 +163,9 @@ fn print_report(report: &CampaignReport) {
     // Harness degradation is reported separately from assessment data:
     // a crashed or timed-out cell tells us nothing about the version
     // under test, so it must not be silently folded into the tables.
-    let degraded: Vec<_> = report.degraded_cells().collect();
-    if !degraded.is_empty() {
+    if !report.degraded_slots.is_empty() {
         println!("\ndegraded cells (harness failures, excluded from assessment):");
-        for cell in &degraded {
+        for cell in report.degraded_slots.values() {
             println!(
                 "  {:<13} on {:<4} {:<9} -> {}",
                 cell.use_case,
@@ -176,25 +178,6 @@ fn print_report(report: &CampaignReport) {
             );
         }
     }
-}
-
-fn print_stream(outcome: &StreamOutcome) {
-    let r = &outcome.report;
-    println!("{}", r.render_keys());
-    println!(
-        "stream totals: {} cells ({} completed, {} degraded), {} erroneous states, \
-         {} violated, {} handled, {} hypercalls",
-        r.cells, r.completed, r.degraded, r.erroneous_states, r.violated_cells, r.handled,
-        r.hypercalls,
-    );
-    let s = outcome.stats;
-    println!(
-        "  pipeline: {} workers, {:.1} ms, {:.0} cells/sec; merge {} us",
-        s.workers,
-        s.elapsed_us as f64 / 1000.0,
-        s.cells_per_sec,
-        s.merge_us,
-    );
 }
 
 /// Writes `contents` to `path`, exiting 1 when it cannot.
@@ -221,35 +204,21 @@ fn main() {
     let shard_note = opts.shard.map(|s| format!(", shard {s}")).unwrap_or_default();
     let cells = campaign.grid().shard_len(opts.shard);
 
-    // The normalized report: a classic CampaignReport or a mergeable
-    // StreamReport depending on the engine. Per-cell timing and COW
-    // stats are zeroed, so runs at different jobs levels must produce
-    // byte-identical files (CI diffs them), and normalized streamed
-    // shard reports merge into normalized wholes.
-    let normalized = if opts.stream {
-        eprintln!("streaming the full campaign ({cells} cells, {workers} workers{shard_note}) ...");
-        let outcome = campaign.run_streaming_with_jobs(workers);
-        print_stream(&outcome);
-        if opts.json {
-            println!("\n{}", outcome.report.to_json().expect("report serializes"));
-        }
-        outcome.report.normalized().to_json()
-    } else {
-        eprintln!("running the full campaign ({cells} cells, {workers} workers{shard_note}) ...");
-        let start = Instant::now();
-        let report = campaign.run_with_jobs(workers);
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        print_report(&report);
-        println!();
-        print_throughput(&CampaignThroughput::new(&report, workers, elapsed_us));
-        if opts.json {
-            println!("\n{}", report.to_json().expect("report serializes"));
-        }
-        report.normalized().to_json()
-    };
+    eprintln!("running the full campaign ({cells} cells, {workers} workers{shard_note}) ...");
+    let outcome = campaign.run_streaming_with_jobs(workers);
+    print_report(&outcome.report, &paper_campaign(), opts.shard);
+    println!();
+    print_run(&outcome);
+    if opts.json {
+        println!("\n{}", outcome.report.to_json().expect("report serializes"));
+    }
 
     if let Some(path) = &opts.report_out {
-        write_or_exit(path, normalized.expect("report serializes"), "normalized report");
+        // Per-cell timing and COW counts are zeroed, so runs at different
+        // jobs levels write byte-identical files (CI diffs them), and
+        // normalized shard reports merge into normalized wholes.
+        let normalized = outcome.report.normalized().to_json().expect("report serializes");
+        write_or_exit(path, normalized, "normalized report");
     }
     if let Some(path) = &opts.trace_out {
         let events = tracer.drain();

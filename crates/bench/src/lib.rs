@@ -21,8 +21,8 @@ use hvsim::XenVersion;
 use hvsim_mem::DomainId;
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
-    AbusiveFunctionality, Campaign, CampaignReport, ErroneousStateSpec, Injector, IntrusionModel,
-    Mode, Monitor, ScenarioOutcome, UseCase,
+    AbusiveFunctionality, Campaign, ErroneousStateSpec, Injector, IntrusionModel, Mode, Monitor,
+    ScenarioOutcome, StreamReport, UseCase,
 };
 use xsa_exploits::paper_use_cases;
 
@@ -47,9 +47,10 @@ pub fn paper_campaign() -> Campaign {
     campaign
 }
 
-/// Runs the full paper campaign with the default configuration.
-pub fn run_paper_campaign() -> CampaignReport {
-    paper_campaign().run()
+/// Runs the full paper campaign with the default configuration and
+/// returns the streamed report the artefacts render from.
+pub fn run_paper_campaign() -> StreamReport {
+    paper_campaign().run_streaming().report
 }
 
 /// SplitMix64 — the deterministic per-trial mixer behind

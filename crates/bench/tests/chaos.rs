@@ -77,9 +77,9 @@ fn collecting_runs_inject_the_streamed_runs_faults() {
     let jobs1 = chaotic().run_with_jobs(1);
     let jobs8 = chaotic().run_with_jobs(8);
     assert_eq!(
-        jobs1.normalized().to_json().unwrap(),
-        jobs8.normalized().to_json().unwrap(),
-        "a fixed chaos seed must produce byte-identical collected reports at jobs=1 and jobs=8"
+        jobs1.normalized(),
+        jobs8.normalized(),
+        "a fixed chaos seed must produce identical collected reports at jobs=1 and jobs=8"
     );
 
     // The unsharded grid's cells are in slot order, so a collected

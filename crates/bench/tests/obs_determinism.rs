@@ -13,7 +13,7 @@ use hvsim_obs::{
 };
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
-    AbusiveFunctionality, Campaign, CampaignReport, CampaignThroughput, CellOutcome, Injector,
+    AbusiveFunctionality, Campaign, CampaignReport, CellOutcome, Injector,
     IntrusionModel, Mode, ScenarioOutcome, UseCase,
 };
 use std::collections::BTreeMap;
@@ -176,9 +176,9 @@ fn traces_and_metrics_are_schedule_independent() {
 
     // The report stays schedule-independent with obs attached.
     assert_eq!(
-        serial_report.normalized().to_json().unwrap(),
-        parallel_report.normalized().to_json().unwrap(),
-        "normalized reports must be byte-identical at jobs=1 and jobs=8"
+        serial_report.normalized(),
+        parallel_report.normalized(),
+        "normalized reports must be identical at jobs=1 and jobs=8"
     );
 
     // Every line of the raw trace is schema-valid.
@@ -222,14 +222,14 @@ fn degraded_cells_carry_phase_timings() {
     assert!(crashed.phase_us.inject_us.is_some(), "elapsed-until-panic is recorded");
     assert_eq!(crashed.phase_us.monitor_us, None, "monitor never ran");
 
-    // The latency breakdown splits the populations.
-    let throughput = CampaignThroughput::new(&report, 2, 1_000_000);
-    assert_eq!(throughput.latency.inject.degraded.count, 2, "panicky + sleepy");
+    // The streamed report's latency breakdown splits the populations.
+    let latency = messy_campaign().run_streaming_with_jobs(2).report.latency;
+    assert_eq!(latency.inject.degraded.count, 2, "panicky + sleepy");
     // Sleepy ran to completion (late), so its monitor phase was timed;
     // panicky never reached the monitor.
-    assert_eq!(throughput.latency.monitor.degraded.count, 1);
-    assert_eq!(throughput.latency.boot.completed.count, 16);
-    assert!(throughput.latency.inject.degraded.max_us >= 300_000);
+    assert_eq!(latency.monitor.degraded.count, 1);
+    assert_eq!(latency.boot.completed.count, 16);
+    assert!(latency.inject.degraded.max_us >= 300_000);
 }
 
 /// The normalized events of one trace shard, as canonical JSONL.

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! intrusion-injector campaign [--extensions] [--json] [--jobs 4] [--trace-out t.jsonl]
-//! intrusion-injector campaign --stream --checkpoint c.journal [--chaos-seed 7]
+//! intrusion-injector campaign --checkpoint c.journal [--chaos-seed 7]
 //! intrusion-injector campaign --progress --timeline-out tl.jsonl
 //! intrusion-injector campaign resume c.journal
 //! intrusion-injector campaign replay 17 --chaos-seed 7 --trace-out slot17.jsonl
@@ -27,9 +27,9 @@ use hvsim_obs::{
 };
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
-    read_header, ArbitraryAccessInjector, Campaign, CampaignError, CampaignReport, ChaosConfig, Mode,
-    RandomizedCampaign, RandomizedSummary, SecurityBenchmark, Shard, StreamReport, TargetRegion,
-    UseCase,
+    default_jobs, read_header, render_table2, ArbitraryAccessInjector, Campaign, CampaignError,
+    CampaignReport, ChaosConfig, Mode, RandomizedCampaign, RandomizedSummary, SecurityBenchmark,
+    Shard, StreamReport, TargetRegion, UseCase,
 };
 use hvsim::XenVersion;
 use serde::Value;
@@ -46,33 +46,30 @@ USAGE:
     intrusion-injector <command> [options]
 
 COMMANDS:
-    campaign     run the full assessment campaign and print Tables II/III + Fig. 4
+    campaign     run the full assessment campaign and print Table II, Fig. 4,
+                 Table III and the per-key summary; one resident cell per worker
                    [--extensions]  include the extension use cases
-                   [--json]        emit the raw cell report as JSON
+                   [--json]        emit the streamed report as JSON
                    [--jobs <n>]    worker threads (default: hardware threads)
                    [--cell-deadline-ms <n>]  per-cell deadline (default: none)
                    [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
-                   [--stream]      bounded-memory streaming engine: per-key summary
-                                   instead of per-cell tables, one resident cell
-                                   per worker, mergeable reports
                    [--shard <i/n>] run only slots i, i+n, i+2n, ... of the grid;
                                    merging the n shard reports ('report merge')
                                    reproduces the unsharded report byte-for-byte
                    [--trials <n>]  trials per (use case, version, mode) cell
-                   [--report-out <file>]   with --stream: write the normalized
-                                   mergeable report as JSON
+                   [--report-out <file>]   write the normalized mergeable
+                                   report as JSON
                    [--checkpoint <file>]   journal durable progress (a synced
                                    fold record every 1024 slots per worker) so
-                                   a killed run can 'campaign resume <file>'
-                                   (implies --stream); resumed runs produce
-                                   the same normalized report byte-for-byte
+                                   a killed run can 'campaign resume <file>';
+                                   resumed runs produce the same normalized
+                                   report byte-for-byte
                    [--chaos-seed <n>]  deterministic fault injection: seeded
                                    worker panics, transient boots, slowdowns,
-                                   claim stalls, torn journal writes (implies
-                                   --stream; same seed => same faults at any
-                                   --jobs count)
+                                   claim stalls, torn journal writes (same
+                                   seed => same faults at any --jobs count)
                    [--progress]    live progress line on stderr (done/total,
                                    cells/s, ETA, degraded count)
                    [--timeline-out <file>]  write the metrics timeline, sampled
@@ -94,7 +91,7 @@ COMMANDS:
                                    cells are listed with their slot
     report       operate on streamed campaign reports
                    merge <out> <in>...   merge shard reports written by
-                                         'campaign --stream --report-out'
+                                         'campaign --report-out'
                    diff <a> <b>          compare two JSON reports or metrics
                                          snapshots leaf-by-leaf; exit 0 when
                                          identical, 1 when they differ
@@ -356,82 +353,50 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     if let Some(slot) = replay_slot {
         return cmd_campaign_replay(campaign, slot, p);
     }
-    let streaming = p.has_flag("stream")
-        || resume_path.is_some()
-        || p.options.contains_key("checkpoint")
-        || p.options.contains_key("chaos-seed");
-    if !streaming && p.options.contains_key("report-out") {
-        return Err("--report-out needs --stream (or --checkpoint, --chaos-seed or resume): \
-                    a collecting campaign writes no stream report"
-            .into());
-    }
     let flags = replay_flags(p, want_extensions, campaign.fingerprint().trials);
     let (campaign, hooks) = attach_obs(campaign, p);
-    if streaming {
-        let outcome = if let Some(path) = &resume_path {
-            eprintln!("resuming the campaign from {path} ...");
-            campaign.resume(Path::new(path)).map_err(|e| e.to_string())?
-        } else if let Some(path) = p.options.get("checkpoint") {
-            eprintln!("streaming the campaign (journal: {path}) ...");
-            campaign.run_streaming_checkpointed(Path::new(path)).map_err(|e| e.to_string())?
-        } else {
-            eprintln!("streaming the campaign ...");
-            campaign.run_streaming()
-        };
-        write_obs_outputs(p, &hooks)?;
-        if let Some(path) = p.options.get("report-out") {
-            let json = outcome.report.normalized().to_json().map_err(|e| e.to_string())?;
-            std::fs::write(path, json).map_err(|e| format!("could not write {path}: {e}"))?;
-            eprintln!("wrote normalized stream report to {path}");
-        }
-        let exit = CliOutcome::for_stream(&outcome.report);
-        if p.has_flag("json") {
-            println!("{}", outcome.report.to_json().map_err(|e| e.to_string())?);
-            return Ok(exit);
-        }
-        println!("{}", outcome.report.render_keys());
-        let s = outcome.stats;
-        println!(
-            "pipeline: {} workers, {:.0} cells/sec; merge {} us",
-            s.workers, s.cells_per_sec, s.merge_us,
-        );
-        if outcome.report.degraded > 0 {
-            eprintln!(
-                "warning: {} cell(s) degraded (crash / deadline / boot failure):",
-                outcome.report.degraded
-            );
-            for (&slot, cell) in &outcome.report.degraded_slots {
-                let cell_id = format!("{} / Xen {} / {}", cell.use_case, cell.version, cell.mode);
-                eprintln!("{}", degraded_line(slot, &cell_id, cell.error.as_ref(), &flags));
-            }
-        }
-        return Ok(exit);
-    }
-    eprintln!("running the campaign ...");
-    let grid = campaign.grid();
-    let report = campaign.run();
+    let outcome = if let Some(path) = &resume_path {
+        eprintln!("resuming the campaign from {path} ...");
+        campaign.resume(Path::new(path)).map_err(|e| e.to_string())?
+    } else if let Some(path) = p.options.get("checkpoint") {
+        eprintln!("running the campaign (journal: {path}) ...");
+        campaign.run_streaming_checkpointed(Path::new(path)).map_err(|e| e.to_string())?
+    } else {
+        eprintln!("running the campaign ...");
+        campaign.run_streaming()
+    };
     write_obs_outputs(p, &hooks)?;
-    let outcome = CliOutcome::for_report(&report);
+    let report = &outcome.report;
+    if let Some(path) = p.options.get("report-out") {
+        let json = report.normalized().to_json().map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| format!("could not write {path}: {e}"))?;
+        eprintln!("wrote normalized stream report to {path}");
+    }
+    let exit = CliOutcome::for_stream(report);
     if p.has_flag("json") {
         println!("{}", report.to_json().map_err(|e| e.to_string())?);
-        return Ok(outcome);
+        return Ok(exit);
     }
-    println!("{}", report.render_table2());
+    println!("{}", render_table2(campaign.use_cases()));
     println!("{}", report.render_fig4());
     println!("{}", report.render_table3());
-    let degraded = report.degraded_cells().count();
-    if degraded > 0 {
-        eprintln!("warning: {degraded} cell(s) degraded (crash / deadline / boot failure):");
-        // Cells are in shard-local order: the i-th is slot index + i·count.
-        let shard = p.options.get("shard").and_then(|raw| Shard::parse(raw).ok());
-        for (spec, cell) in grid.shard_iter(shard).zip(report.cells()) {
-            if cell.degraded() {
-                let cell_id = format!("{} / Xen {} / {}", cell.use_case, cell.version, cell.mode);
-                eprintln!("{}", degraded_line(spec.slot, &cell_id, cell.error.as_ref(), &flags));
-            }
+    println!("{}", report.render_keys());
+    let s = outcome.stats;
+    println!(
+        "pipeline: {} workers, {:.0} cells/sec; merge {} us",
+        s.workers, s.cells_per_sec, s.merge_us,
+    );
+    if report.degraded > 0 {
+        eprintln!(
+            "warning: {} cell(s) degraded (crash / deadline / boot failure):",
+            report.degraded
+        );
+        for (&slot, cell) in &report.degraded_slots {
+            let cell_id = format!("{} / Xen {} / {}", cell.use_case, cell.version, cell.mode);
+            eprintln!("{}", degraded_line(slot, &cell_id, cell.error.as_ref(), &flags));
         }
     }
-    Ok(outcome)
+    Ok(exit)
 }
 
 /// The grid flags `campaign replay` needs to rebuild this invocation's
@@ -582,7 +547,11 @@ fn cmd_benchmark(p: &Parsed) -> Result<CliOutcome, String> {
     }
     let (campaign, hooks) = attach_obs(campaign, p);
     eprintln!("running the extended campaign ...");
-    let report = campaign.run();
+    let jobs = match parse_jobs(p)? {
+        0 => default_jobs(),
+        jobs => jobs,
+    };
+    let report = campaign.run_with_jobs(jobs);
     write_obs_outputs(p, &hooks)?;
     let benchmark = SecurityBenchmark::from_report(&report);
     println!("{}", benchmark.render());
@@ -807,7 +776,7 @@ fn spec(command: &str) -> Option<Spec> {
         match command {
             // `campaign resume <journal>` and `campaign replay <slot>`.
             "campaign" => (
-                &["extensions", "json", "stream", "progress"],
+                &["extensions", "json", "progress"],
                 &[
                     "jobs", "cell-deadline-ms", "retries", "trace-out", "metrics-out", "shard",
                     "trials", "report-out", "checkpoint", "chaos-seed", "timeline-out",
@@ -1000,7 +969,6 @@ mod tests {
         use intrusion_core::{CampaignError, CellOutcome, CellResult, SecurityViolation};
         let cell = |violations: Vec<SecurityViolation>, error: Option<CampaignError>| CellResult {
             use_case: "t".into(),
-            abusive_functionality: "f".into(),
             version: XenVersion::V4_6,
             mode: Mode::Injection,
             erroneous_state: true,
@@ -1071,7 +1039,6 @@ mod tests {
         let stream = |extra: Vec<String>| {
             let mut argv = vec![
                 "campaign".into(),
-                "--stream".into(),
                 "--jobs".into(),
                 "2".into(),
             ];
@@ -1097,15 +1064,21 @@ mod tests {
     }
 
     #[test]
-    fn collecting_campaign_refuses_report_out() {
-        // A collecting run has no stream report to write: refuse the
-        // option (exit 2) before running anything, not silently drop it.
-        let out = std::env::temp_dir().join("cli_collect_report_out.json");
+    fn plain_campaign_report_out_writes_the_stream_report() {
+        let out = std::env::temp_dir().join("cli_plain_report_out.json");
         std::fs::remove_file(&out).ok();
-        let argv = vec!["campaign".into(), "--report-out".into(), out.display().to_string()];
-        let err = run(argv).unwrap_err();
-        assert!(err.contains("--report-out needs --stream"), "{err}");
-        assert!(!out.exists(), "nothing written");
+        let argv = vec![
+            "campaign".into(),
+            "--jobs".into(),
+            "2".into(),
+            "--report-out".into(),
+            out.display().to_string(),
+        ];
+        assert_eq!(run(argv).unwrap(), CliOutcome::Violations);
+        let written = StreamReport::from_json(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert_eq!(written, written.normalized(), "the report is written normalized");
+        assert_eq!(written.cells, 24, "the full paper grid");
+        std::fs::remove_file(out).ok();
     }
 
     #[test]
@@ -1166,7 +1139,6 @@ mod tests {
         let merged = dir.join("cli_merge_out.json").display().to_string();
         run(vec![
             "campaign".into(),
-            "--stream".into(),
             "--jobs".into(),
             "2".into(),
             "--shard".into(),
@@ -1303,7 +1275,8 @@ mod tests {
 
     #[test]
     fn unknown_options_and_missing_values_are_cli_errors() {
-        let cases: [&[&str]; 7] = [
+        let cases: [&[&str]; 8] = [
+            &["campaign", "--stream"],
             &["campaign", "--journal-slots"],
             &["campaign", "--flight-out", "dumps"],
             &["campaign", "--chunk-frames", "1"],

@@ -199,7 +199,6 @@ mod tests {
         let handled = state && violations.is_empty();
         CellResult {
             use_case: "t".into(),
-            abusive_functionality: "f".into(),
             version,
             mode: Mode::Injection,
             erroneous_state: state,

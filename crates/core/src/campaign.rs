@@ -8,7 +8,6 @@ use crate::error::{panic_payload, CampaignError, CellId, CellOutcome, Checkpoint
 use crate::injector::ArbitraryAccessInjector;
 use crate::monitor::SecurityViolation;
 use crate::obs_bridge;
-use crate::report::{TextTable, CHECK, SHIELD};
 use crate::scenario::{Mode, UseCase};
 use crate::stream::{
     CellSpec, GridFingerprint, PartialFold, Shard, SlotClaims, SpecGrid, StreamOutcome,
@@ -17,11 +16,9 @@ use crate::stream::{
 use crate::telemetry::{self, Telemetry};
 use guestos::{BootError, World, WorldBuilder};
 use hvsim::{SnapshotStats, XenVersion};
-use hvsim_obs::{
-    HistogramSummary, MetricsRegistry, MetricsSnapshot, MetricsTimeline, TraceCtx, Tracer,
-};
+use hvsim_obs::{MetricsRegistry, MetricsTimeline, TraceCtx, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
@@ -88,12 +85,10 @@ impl PhaseTimings {
 }
 
 /// One campaign cell: a use case run in one mode on one version.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CellResult {
     /// Use-case name (e.g. `XSA-212-crash`).
     pub use_case: String,
-    /// The abusive functionality of its intrusion model (for Table II).
-    pub abusive_functionality: String,
     /// Version under test.
     pub version: XenVersion,
     /// Exploit or injection.
@@ -153,29 +148,24 @@ impl CellResult {
     }
 }
 
-/// A complete campaign report.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// The per-cell result list of a collecting run
+/// ([`Campaign::run_with_jobs`]): the security benchmark and the
+/// randomized sweep read every cell. Every rendered artefact reads the
+/// streamed [`StreamReport`](crate::StreamReport) instead.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CampaignReport {
     cells: Vec<CellResult>,
-    metrics: Option<MetricsSnapshot>,
 }
 
 impl CampaignReport {
-    /// Builds a report from pre-computed cells (used by the benchmark
-    /// layer and by report deserialization).
+    /// Builds a report from pre-computed cells.
     pub fn from_cells(cells: Vec<CellResult>) -> Self {
-        Self { cells, metrics: None }
+        Self { cells }
     }
 
     /// All cells.
     pub fn cells(&self) -> &[CellResult] {
         &self.cells
-    }
-
-    /// The metrics snapshot taken at collection time, when the campaign
-    /// ran with a registry attached (see [`Campaign::metrics`]).
-    pub fn metrics(&self) -> Option<&MetricsSnapshot> {
-        self.metrics.as_ref()
     }
 
     /// Looks up one cell.
@@ -185,19 +175,10 @@ impl CampaignReport {
             .find(|c| c.use_case == use_case && c.version == version && c.mode == mode)
     }
 
-    /// Iterates the first cell of each use case, in campaign order — the
-    /// per-use-case anchor rows shared by the Table II/III and Fig. 4
-    /// renderers.
-    pub fn first_cell_per_use_case(&self) -> impl Iterator<Item = &CellResult> {
-        let mut seen = BTreeSet::new();
-        self.cells.iter().filter(move |c| seen.insert(c.use_case.clone()))
-    }
-
-    /// A copy with every wall-clock timing zeroed — per-cell totals,
-    /// per-phase breakdowns, and metric histogram quantiles. Timing is
-    /// the only non-deterministic part of a report; the normalized form
-    /// is byte-identical across runs and worker counts for the same
-    /// configuration.
+    /// A copy with every wall-clock timing zeroed — per-cell totals and
+    /// per-phase breakdowns. Timing is the only non-deterministic part
+    /// of a report; the normalized form is identical across runs and
+    /// worker counts for the same configuration.
     #[must_use]
     pub fn normalized(&self) -> Self {
         let mut report = self.clone();
@@ -209,30 +190,7 @@ impl CampaignReport {
             // faults); it is not part of the assessment result.
             cell.snapshot = SnapshotStats::default();
         }
-        report.metrics = report.metrics.as_ref().map(MetricsSnapshot::normalized);
         report
-    }
-
-    /// Total wall-clock time across all cells, in microseconds.
-    pub fn total_wall_time_us(&self) -> u64 {
-        self.cells.iter().map(|c| c.wall_time_us).sum()
-    }
-
-    /// Total hypercalls executed across all cells.
-    pub fn total_hypercalls(&self) -> u64 {
-        self.cells.iter().map(|c| c.hypercalls).sum()
-    }
-
-    /// Cells that completed cleanly (including failed injection
-    /// attempts, which are assessment data).
-    pub fn completed_cells(&self) -> impl Iterator<Item = &CellResult> {
-        self.cells.iter().filter(|c| !c.degraded())
-    }
-
-    /// Cells on which the harness degraded: crashed, timed out, failed
-    /// to boot, or lost part of their observation.
-    pub fn degraded_cells(&self) -> impl Iterator<Item = &CellResult> {
-        self.cells.iter().filter(|c| c.degraded())
     }
 
     /// `true` when any cell degraded — the CLI maps this to exit code 2.
@@ -244,225 +202,6 @@ impl CampaignReport {
     /// maps this to exit code 1 (when nothing degraded).
     pub fn has_violations(&self) -> bool {
         self.cells.iter().any(CellResult::violated)
-    }
-
-    /// Renders Table II: use case → abusive functionality.
-    pub fn render_table2(&self) -> String {
-        let mut table = TextTable::new(["Use Case", "Abusive Functionality"])
-            .title("TABLE II: use cases and their abusive functionality");
-        for c in self.first_cell_per_use_case() {
-            table.row([c.use_case.clone(), c.abusive_functionality.clone()]);
-        }
-        table.to_string()
-    }
-
-    /// Renders Table III: the injection campaign on the non-vulnerable
-    /// versions. A check marks a correctly induced property; the shield
-    /// marks an erroneous state the system handled.
-    pub fn render_table3(&self) -> String {
-        let mut table = TextTable::new([
-            "Use Case",
-            "4.8 Err. State",
-            "4.8 Sec. Viol.",
-            "4.13 Err. State",
-            "4.13 Sec. Viol.",
-        ])
-        .title(
-            "TABLE III: injection campaign in non-vulnerable versions \
-             (check = property induced, shield = erroneous state handled)",
-        );
-        for c in self.first_cell_per_use_case() {
-            let mut row = vec![c.use_case.clone()];
-            for version in [XenVersion::V4_8, XenVersion::V4_13] {
-                match self.cell(&c.use_case, version, Mode::Injection) {
-                    Some(cell) => {
-                        row.push(if cell.erroneous_state { CHECK } else { "x" }.to_owned());
-                        row.push(
-                            if cell.violated() {
-                                CHECK.to_owned()
-                            } else if cell.handled {
-                                SHIELD.to_owned()
-                            } else {
-                                "x".to_owned()
-                            },
-                        );
-                    }
-                    None => {
-                        row.push("-".into());
-                        row.push("-".into());
-                    }
-                }
-            }
-            table.row(row);
-        }
-        table.to_string()
-    }
-
-    /// Renders the Fig. 4 comparison: on the vulnerable version, does the
-    /// injection reproduce the exploit's erroneous state *and* security
-    /// violation?
-    pub fn render_fig4(&self) -> String {
-        let mut table = TextTable::new([
-            "Use Case",
-            "exploit err/viol (4.6)",
-            "injection err/viol (4.6)",
-            "equivalent",
-        ])
-        .title("FIG. 4: experimental validation on the vulnerable version (Xen 4.6)");
-        for c in self.first_cell_per_use_case() {
-            let e = self.cell(&c.use_case, XenVersion::V4_6, Mode::Exploit);
-            let i = self.cell(&c.use_case, XenVersion::V4_6, Mode::Injection);
-            let fmt_cell = |c: Option<&CellResult>| match c {
-                Some(c) => format!(
-                    "{}/{}",
-                    if c.erroneous_state { CHECK } else { "x" },
-                    if c.violated() { CHECK } else { "x" }
-                ),
-                None => "-".into(),
-            };
-            let equivalent = match (e, i) {
-                (Some(e), Some(i)) => {
-                    e.erroneous_state == i.erroneous_state && e.violated() == i.violated()
-                }
-                _ => false,
-            };
-            table.row([
-                c.use_case.clone(),
-                fmt_cell(e),
-                fmt_cell(i),
-                if equivalent { "yes" } else { "NO" }.to_owned(),
-            ]);
-        }
-        table.to_string()
-    }
-
-    /// Renders the Fig. 2 methodology view for one use case on one
-    /// version: the traditional path vs the injection path.
-    pub fn render_fig2(&self, use_case: &str, version: XenVersion) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "FIG. 2: methodology paths for {use_case} on Xen {version}\n"
-        ));
-        for (mode, label) in [
-            (Mode::Exploit, "traditional: attack -> vulnerability -> intrusion"),
-            (Mode::Injection, "injection:   intrusion injector (intrusion model)"),
-        ] {
-            if let Some(c) = self.cell(use_case, version, mode) {
-                let terminal = if c.violated() {
-                    "security violation"
-                } else if c.handled {
-                    "erroneous state handled"
-                } else {
-                    "no erroneous state"
-                };
-                out.push_str(&format!(
-                    "  {label} -> erroneous state: {} -> {terminal}\n",
-                    if c.erroneous_state { "induced" } else { "not induced" },
-                ));
-            }
-        }
-        out
-    }
-
-    /// Serializes the report to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors (unreachable for this data model).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(&self.cells)
-    }
-}
-
-/// Completed/degraded histogram summaries for one cell phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseLatency {
-    /// Summary over cells that completed cleanly.
-    pub completed: HistogramSummary,
-    /// Summary over cells on which the harness degraded.
-    pub degraded: HistogramSummary,
-}
-
-/// Per-phase latency summaries (p50/p95/max), split completed vs
-/// degraded — the latency block of a [`CampaignThroughput`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyBreakdown {
-    /// World acquisition.
-    pub boot: PhaseLatency,
-    /// Scenario body.
-    pub inject: PhaseLatency,
-    /// Violation monitoring.
-    pub monitor: PhaseLatency,
-}
-
-impl LatencyBreakdown {
-    /// Summarizes a report's per-phase timings.
-    pub fn from_report(report: &CampaignReport) -> Self {
-        let phase = |value: fn(&CellResult) -> Option<u64>| PhaseLatency {
-            completed: obs_bridge::phase_summary(report.completed_cells(), value),
-            degraded: obs_bridge::phase_summary(report.degraded_cells(), value),
-        };
-        Self {
-            boot: phase(|c| c.phase_us.boot_us),
-            inject: phase(|c| c.phase_us.inject_us),
-            monitor: phase(|c| c.phase_us.monitor_us),
-        }
-    }
-}
-
-/// A machine-readable campaign throughput record — what the Table III
-/// regenerator prints after its run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CampaignThroughput {
-    /// Cells the campaign scheduled.
-    pub cells: usize,
-    /// Cells that completed cleanly (throughput counts only these).
-    pub completed_cells: usize,
-    /// Cells on which the harness degraded (crashed / timed out /
-    /// boot-failed / partial observation).
-    pub degraded_cells: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// End-to-end elapsed wall-clock time, in microseconds.
-    pub elapsed_us: u64,
-    /// *Completed* cells per second of elapsed time — degraded cells do
-    /// not inflate throughput, so BENCH trajectories stay comparable
-    /// across clean and degraded runs.
-    pub cells_per_sec: f64,
-    /// Sum of per-cell wall-clock times (≈ CPU time across workers).
-    pub total_cell_wall_time_us: u64,
-    /// Hypercalls executed across all cells.
-    pub total_hypercalls: u64,
-    /// Per-phase latency summaries, split completed vs degraded.
-    pub latency: LatencyBreakdown,
-    /// Copy-on-write aggregate: `frames_total` is the per-cell maximum
-    /// (worlds share one size); `frames_copied` is summed across cells.
-    pub snapshot: SnapshotStats,
-}
-
-impl CampaignThroughput {
-    /// Derives the record from a report, the worker count, and the
-    /// elapsed run time.
-    pub fn new(report: &CampaignReport, workers: usize, elapsed_us: u64) -> Self {
-        let elapsed_us = elapsed_us.max(1);
-        let cells = report.cells().len();
-        let degraded_cells = report.degraded_cells().count();
-        let completed_cells = cells - degraded_cells;
-        Self {
-            cells,
-            completed_cells,
-            degraded_cells,
-            workers,
-            elapsed_us,
-            cells_per_sec: completed_cells as f64 * 1_000_000.0 / elapsed_us as f64,
-            total_cell_wall_time_us: report.total_wall_time_us(),
-            total_hypercalls: report.total_hypercalls(),
-            latency: LatencyBreakdown::from_report(report),
-            snapshot: SnapshotStats {
-                frames_total: report.cells().iter().map(|c| c.snapshot.frames_total).max().unwrap_or(0),
-                frames_copied: report.cells().iter().map(|c| c.snapshot.frames_copied).sum(),
-            },
-        }
     }
 }
 
@@ -540,8 +279,9 @@ impl Campaign {
         self
     }
 
-    /// Sets the worker count used by [`Campaign::run`]. `0` or unset
-    /// means one worker per hardware thread.
+    /// Sets the worker count used by [`Campaign::run_streaming`] and
+    /// the checkpointed runs. `0` or unset means one worker per
+    /// hardware thread.
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = (jobs > 0).then_some(jobs);
@@ -625,6 +365,11 @@ impl Campaign {
         self
     }
 
+    /// The campaign's use cases, in grid order.
+    pub fn use_cases(&self) -> &[Box<dyn UseCase>] {
+        &self.use_cases
+    }
+
     /// The campaign's cell grid: use cases × versions × modes × trials.
     pub fn grid(&self) -> SpecGrid {
         SpecGrid::new(self.use_cases.len(), &self.versions, &self.modes, self.trials)
@@ -652,27 +397,13 @@ impl Campaign {
         self
     }
 
-    /// Attaches a metrics registry: at collection time the campaign
+    /// Attaches a metrics registry: at the end of a run the campaign
     /// folds `campaign.*` counters and per-phase latency histograms
-    /// into it and embeds a snapshot in the report.
+    /// into it. The registry is the one place a run's metrics live.
     #[must_use]
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self
-    }
-
-    /// Runs every cell with the configured worker count. Exploit cells
-    /// run on a stock build, injection cells on an injector build,
-    /// exactly like the paper's setup; each cell gets a pristine world
-    /// (a snapshot clone, or a fresh boot when snapshot reuse is off),
-    /// runs its scenario, then monitors for violations.
-    ///
-    /// The run is fail-soft: a panicking world, injector, or monitor, a
-    /// failed boot, or a deadline overrun degrades *that cell* (recorded
-    /// in its [`CellOutcome`] / [`CampaignError`]) and the rest of the
-    /// campaign completes.
-    pub fn run(&self) -> CampaignReport {
-        self.run_with_jobs(self.jobs.unwrap_or_else(default_jobs))
     }
 
     /// Runs every cell on exactly `jobs` worker threads, keeping every
@@ -695,13 +426,12 @@ impl Campaign {
             sinks.into_iter().flat_map(|sink| sink.0).collect();
         tagged.sort_unstable_by_key(|&(index, _)| index);
         let cells: Vec<CellResult> = tagged.into_iter().map(|(_, cell)| *cell).collect();
-        let mut report = CampaignReport { cells, metrics: None };
         // Metrics fold in at collection time, in report order, through
         // the same fold a streamed run uses — never in worker order.
         if let Some(registry) = &self.metrics {
             let grid = self.grid();
             let mut fold = PartialFold::default();
-            for (index, cell) in (0u64..).zip(&report.cells) {
+            for (index, cell) in (0u64..).zip(&cells) {
                 if let Some(spec) = grid.shard_decode(self.shard, index) {
                     fold.fold(&spec, cell);
                 }
@@ -714,9 +444,8 @@ impl Campaign {
             if self.chaos.is_some() {
                 obs_bridge::record_chaos_metrics(policy.as_deref(), registry);
             }
-            report.metrics = Some(registry.snapshot());
         }
-        report
+        CampaignReport { cells }
     }
 
     /// Whether this run needs the telemetry supervisor thread.
@@ -740,9 +469,17 @@ impl Campaign {
         }
     }
 
-    /// Streams every cell of the (possibly sharded) grid with the
-    /// configured worker count. See
-    /// [`Campaign::run_streaming_with_jobs`].
+    /// Runs every cell of the (possibly sharded) grid with the
+    /// configured worker count — the campaign's default engine. Exploit
+    /// cells run on a stock build, injection cells on an injector build,
+    /// exactly like the paper's setup; each cell gets a pristine world
+    /// (a snapshot clone, or a fresh boot when snapshot reuse is off),
+    /// runs its scenario, then monitors for violations.
+    ///
+    /// The run is fail-soft: a panicking world, injector, or monitor, a
+    /// failed boot, or a deadline overrun degrades *that cell* (recorded
+    /// in the report's `degraded_slots`) and the rest of the campaign
+    /// completes. See [`Campaign::run_streaming_with_jobs`].
     pub fn run_streaming(&self) -> StreamOutcome {
         self.run_streaming_with_jobs(self.jobs.unwrap_or_else(default_jobs))
     }
@@ -1070,10 +807,17 @@ impl Campaign {
             chaos_boot_faults,
         );
         if let Some(deadline) = self.cell_deadline.filter(|&d| started.elapsed() > d) {
+            let deadline_us = deadline.as_micros() as u64;
             ctx.point("cell/deadline_exceeded", 0, || {
-                vec![("deadline_us".to_owned(), deadline.as_micros().to_string())]
+                vec![("deadline_us".to_owned(), deadline_us.to_string())]
             });
-            cell = self.timed_out_cell(uc, spec.version, spec.mode, cell.phase_us);
+            // The relabelled cell keeps the boot attempts it consumed,
+            // the time it really took and its per-phase timings, so the
+            // overrun is attributable to boot vs inject vs monitor.
+            let error = CampaignError::Deadline { deadline_us };
+            let wall = started.elapsed().as_micros() as u64;
+            let (attempts, phases) = (cell.attempts, cell.phase_us);
+            cell = self.degraded_cell(uc, spec.version, spec.mode, error, attempts, wall, phases);
         }
         if cell.degraded() {
             ctx.point("cell/degraded", 0, || {
@@ -1289,7 +1033,6 @@ impl Campaign {
         let handled = outcome.erroneous_state && observation.is_clean();
         CellResult {
             use_case: uc.name().to_owned(),
-            abusive_functionality: uc.intrusion_model().abusive_functionality.label().to_owned(),
             version,
             mode,
             erroneous_state: outcome.erroneous_state,
@@ -1307,7 +1050,8 @@ impl Campaign {
         .with_wall_time(start.elapsed().as_micros() as u64)
     }
 
-    /// A cell record for a harness failure (boot / crash / monitor).
+    /// A cell record for a harness failure (boot / crash / monitor /
+    /// deadline).
     // Private helper mirroring the cell-result fields one-to-one; a
     // params struct would just restate `CellResult`.
     #[allow(clippy::too_many_arguments)]
@@ -1338,7 +1082,6 @@ impl Campaign {
         };
         CellResult {
             use_case: uc.name().to_owned(),
-            abusive_functionality: uc.intrusion_model().abusive_functionality.label().to_owned(),
             version,
             mode,
             erroneous_state: false,
@@ -1353,31 +1096,6 @@ impl Campaign {
             phase_us: phases,
             snapshot: SnapshotStats::default(),
         }
-    }
-
-    /// A cell record for a cell that returned past the deadline.
-    /// `phases` keeps the finished cell's per-phase timings, so the
-    /// overrun is attributable to boot vs inject vs monitor.
-    fn timed_out_cell(
-        &self,
-        uc: &dyn UseCase,
-        version: XenVersion,
-        mode: Mode,
-        phases: PhaseTimings,
-    ) -> CellResult {
-        let deadline_us =
-            self.cell_deadline.map_or(0, |d| d.as_micros() as u64);
-        let mut cell = self.degraded_cell(
-            uc,
-            version,
-            mode,
-            CampaignError::Deadline { deadline_us },
-            1,
-            deadline_us,
-            phases,
-        );
-        cell.outcome = CellOutcome::TimedOut { deadline_us };
-        cell
     }
 }
 
@@ -1534,6 +1252,7 @@ mod tests {
     use crate::erroneous_state::ErroneousStateSpec;
     use crate::injector::Injector;
     use crate::model::IntrusionModel;
+    use crate::report::CHECK;
     use crate::scenario::ScenarioOutcome;
     use crate::taxonomy::AbusiveFunctionality;
     use hvsim_mem::DomainId;
@@ -1609,7 +1328,7 @@ mod tests {
 
     #[test]
     fn campaign_produces_full_matrix() {
-        let report = Campaign::new().with_use_case(Box::new(CrashCase)).run();
+        let report = Campaign::new().with_use_case(Box::new(CrashCase)).run_with_jobs(2);
         assert_eq!(report.cells().len(), 6, "3 versions x 2 modes");
         // Exploit works only on 4.6.
         let e46 = report.cell("synthetic-crash", XenVersion::V4_6, Mode::Exploit).unwrap();
@@ -1634,8 +1353,9 @@ mod tests {
 
     #[test]
     fn report_renderers_produce_tables() {
-        let report = Campaign::new().with_use_case(Box::new(CrashCase)).run();
-        let t2 = report.render_table2();
+        let campaign = Campaign::new().with_use_case(Box::new(CrashCase));
+        let report = campaign.run_streaming().report;
+        let t2 = crate::report::render_table2(campaign.use_cases());
         assert!(t2.contains("synthetic-crash"));
         assert!(t2.contains("Write Unauthorized Arbitrary Memory"));
         let t3 = report.render_table3();
@@ -1647,22 +1367,20 @@ mod tests {
         assert!(f2.contains("traditional"));
         assert!(f2.contains("injection"));
         let json = report.to_json().unwrap();
-        assert!(json.contains("\"use_case\""));
+        assert!(json.contains("\"synthetic-crash/4.6/exploit\""));
     }
 
     #[test]
     fn worker_count_and_snapshot_reuse_do_not_change_the_report() {
         let campaign = Campaign::new().with_use_case(Box::new(CrashCase));
-        let serial = campaign.run_with_jobs(1).normalized().to_json().unwrap();
-        let parallel = campaign.run_with_jobs(8).normalized().to_json().unwrap();
-        assert_eq!(serial, parallel, "jobs=1 and jobs=8 reports must be byte-identical");
+        let serial = campaign.run_with_jobs(1).normalized();
+        let parallel = campaign.run_with_jobs(8).normalized();
+        assert_eq!(serial, parallel, "jobs=1 and jobs=8 reports must be identical");
         let booted = Campaign::new()
             .with_use_case(Box::new(CrashCase))
             .reuse_snapshots(false)
             .run_with_jobs(2)
-            .normalized()
-            .to_json()
-            .unwrap();
+            .normalized();
         assert_eq!(serial, booted, "snapshot clones must equal fresh boots");
     }
 
@@ -1684,10 +1402,14 @@ mod tests {
         for c in report.normalized().cells() {
             assert_eq!(c.snapshot, hvsim::SnapshotStats::default());
         }
-        // The throughput record aggregates them.
-        let t = CampaignThroughput::new(&report, 1, 1);
-        assert!(t.snapshot.frames_copied > 0);
-        assert_eq!(t.snapshot.frames_total, 4096, "the standard world's frame count");
+        assert!(
+            report.cells().iter().all(|c| c.snapshot.frames_total == 4096),
+            "the standard world's frame count"
+        );
+        // The streamed report sums them.
+        let streamed =
+            Campaign::new().with_use_case(Box::new(CrashCase)).run_streaming_with_jobs(1).report;
+        assert_eq!(streamed.frames_copied, copied);
         // Reports written when the stats still carried the retired
         // `frames_shared` and `chunks_privatized` figures load; the keys
         // are ignored.
@@ -1708,10 +1430,9 @@ mod tests {
             .with_use_case(Box::new(CrashCase))
             .metrics(registry.clone())
             .run_with_jobs(2);
-        let canonical = report.total_hypercalls();
-        let counter = report
-            .metrics()
-            .expect("metrics snapshot attached")
+        let canonical: u64 = report.cells().iter().map(|c| c.hypercalls).sum();
+        let snapshot = registry.snapshot();
+        let counter = snapshot
             .counters
             .iter()
             .find(|c| c.name == crate::obs_bridge::M_HYPERCALLS)
@@ -1722,25 +1443,26 @@ mod tests {
 
     #[test]
     fn cells_record_timing_and_hypercalls() {
-        let report = Campaign::new().with_use_case(Box::new(CrashCase)).run();
+        let report = Campaign::new().with_use_case(Box::new(CrashCase)).run_with_jobs(2);
         // Every injection cell goes through the injector's hypercalls.
         for c in report.cells().iter().filter(|c| c.mode == Mode::Injection) {
             assert!(c.hypercalls > 0, "injection on {} made no hypercalls", c.version);
         }
-        assert!(report.total_hypercalls() > 0);
-        assert!(report.total_wall_time_us() > 0);
+        assert!(report.cells().iter().map(|c| c.wall_time_us).sum::<u64>() > 0);
         // Normalization zeroes the only non-deterministic field.
         assert!(report.normalized().cells().iter().all(|c| c.wall_time_us == 0));
-        let t = CampaignThroughput::new(&report, 2, 1_000_000);
-        assert_eq!(t.cells, report.cells().len());
-        assert_eq!(t.completed_cells, report.cells().len(), "clean run: all cells complete");
-        assert_eq!(t.degraded_cells, 0);
-        assert!((t.cells_per_sec - t.completed_cells as f64).abs() < 1e-9);
+        // The streamed report counts the same cells and hypercalls.
+        let streamed = Campaign::new().with_use_case(Box::new(CrashCase)).run_streaming().report;
+        assert_eq!(streamed.cells as usize, report.cells().len());
+        assert_eq!(streamed.completed, streamed.cells, "clean run: all cells complete");
+        assert_eq!(streamed.degraded, 0);
+        assert_eq!(streamed.hypercalls, report.cells().iter().map(|c| c.hypercalls).sum::<u64>());
+        assert!(streamed.hypercalls > 0);
     }
 
     #[test]
     fn cells_record_phase_timings() {
-        let report = Campaign::new().with_use_case(Box::new(CrashCase)).run();
+        let report = Campaign::new().with_use_case(Box::new(CrashCase)).run_with_jobs(2);
         for c in report.cells() {
             assert!(c.phase_us.boot_us.is_some(), "boot phase timed on {}", c.version);
             assert!(c.phase_us.inject_us.is_some(), "inject phase timed on {}", c.version);
@@ -1752,9 +1474,10 @@ mod tests {
             assert_eq!(c.phase_us.inject_us, Some(0));
             assert_eq!(c.phase_us.monitor_us, Some(0));
         }
-        let t = CampaignThroughput::new(&report, 1, 1_000_000);
-        assert_eq!(t.latency.boot.completed.count as usize, report.cells().len());
-        assert_eq!(t.latency.monitor.degraded.count, 0, "clean run: no degraded latencies");
+        let latency =
+            Campaign::new().with_use_case(Box::new(CrashCase)).run_streaming().report.latency;
+        assert_eq!(latency.boot.completed.count as usize, report.cells().len());
+        assert_eq!(latency.monitor.degraded.count, 0, "clean run: no degraded latencies");
     }
 
     #[test]
@@ -1779,9 +1502,8 @@ mod tests {
             paths.iter().any(|p| p.starts_with("audit/")),
             "audit events should be bridged: {paths:?}"
         );
-        // The campaign folded its own counters into the registry and
-        // embedded the snapshot in the report.
-        let snapshot = report.metrics().expect("metrics snapshot attached");
+        // The campaign folded its own counters into the registry.
+        let snapshot = registry.snapshot();
         let cells = snapshot
             .counters
             .iter()
@@ -1793,7 +1515,7 @@ mod tests {
             .iter()
             .find(|c| c.name == crate::obs_bridge::M_HYPERCALLS)
             .expect("campaign.hypercalls counter");
-        assert_eq!(hypercalls.value, report.total_hypercalls());
+        assert_eq!(hypercalls.value, report.cells().iter().map(|c| c.hypercalls).sum::<u64>());
         assert!(
             snapshot.histograms.iter().any(|h| h.name == "campaign.boot_us.completed"),
             "phase histograms snapshotted"
@@ -1808,7 +1530,7 @@ mod tests {
             .with_use_case(Box::new(CrashCase))
             .versions(&[XenVersion::V4_13])
             .modes(&[Mode::Injection])
-            .run();
+            .run_with_jobs(2);
         assert_eq!(report.cells().len(), 1);
         assert_eq!(report.cells()[0].version, XenVersion::V4_13);
     }
@@ -1832,7 +1554,7 @@ mod tests {
                 .with_use_case(Box::new(CrashCase))
                 .world_factory(panicking_factory((XenVersion::V4_8, true)))
                 .reuse_snapshots(reuse)
-                .run();
+                .run_with_jobs(2);
             assert_eq!(report.cells().len(), 6, "the campaign still completes (reuse={reuse})");
             let bad = report.cell("synthetic-crash", XenVersion::V4_8, Mode::Injection).unwrap();
             assert!(bad.degraded());
@@ -1851,7 +1573,7 @@ mod tests {
                 assert!(!cell.degraded(), "{} {} {} degraded", cell.use_case, cell.version, cell.mode);
             }
             assert!(report.is_degraded());
-            assert_eq!(report.degraded_cells().count(), 1);
+            assert_eq!(report.cells().iter().filter(|c| c.degraded()).count(), 1);
         }
     }
 
@@ -1860,9 +1582,9 @@ mod tests {
         let campaign = Campaign::new()
             .with_use_case(Box::new(CrashCase))
             .world_factory(panicking_factory((XenVersion::V4_6, false)));
-        let serial = campaign.run_with_jobs(1).normalized().to_json().unwrap();
-        let parallel = campaign.run_with_jobs(8).normalized().to_json().unwrap();
-        assert_eq!(serial, parallel, "degraded cells must serialize identically at any -j");
+        let serial = campaign.run_with_jobs(1).normalized();
+        let parallel = campaign.run_with_jobs(8).normalized();
+        assert_eq!(serial, parallel, "degraded cells must be identical at any -j");
     }
 
     /// A use case whose injection path sleeps past any reasonable
@@ -1905,7 +1627,7 @@ mod tests {
             .versions(&[XenVersion::V4_13])
             .modes(&[Mode::Injection])
             .cell_deadline(Duration::from_millis(40))
-            .run();
+            .run_with_jobs(2);
         assert_eq!(report.cells().len(), 2, "the campaign completes past the stuck cell");
         let slow = report.cell("synthetic-sleep", XenVersion::V4_13, Mode::Injection).unwrap();
         assert!(matches!(slow.outcome, CellOutcome::TimedOut { deadline_us: 40_000 }));
@@ -1930,12 +1652,39 @@ mod tests {
         let samples = timeline.samples();
         let last = samples.last().expect("the supervisor's final sample lands");
         let degraded = last.values.iter().find(|(k, _)| k == "progress.degraded").map(|&(_, v)| v);
-        assert_eq!(report.degraded_cells().count(), 1, "the sleepy cell overran");
-        assert_eq!(
-            degraded,
-            Some(report.degraded_cells().count() as u64),
-            "the live gauge counts the relabelled cell"
-        );
+        let relabelled = report.cells().iter().filter(|c| c.degraded()).count();
+        assert_eq!(relabelled, 1, "the sleepy cell overran");
+        assert_eq!(degraded, Some(relabelled as u64), "the live gauge counts the relabelled cell");
+    }
+
+    #[test]
+    fn deadline_relabel_keeps_boot_attempts_and_wall_time() {
+        // One transient boot failure, retried, then a cell that sleeps
+        // far past its 1 ms deadline.
+        let campaign = || {
+            let failed = Mutex::new(false);
+            let factory: WorldFactory = Arc::new(move |version, injector| {
+                if !std::mem::replace(&mut *failed.lock().unwrap(), true) {
+                    return Err(guestos::BootError::transient("create dom0", "no frames left"));
+                }
+                standard_world(version, injector)
+            });
+            Campaign::new()
+                .with_use_case(Box::new(SleepyCase))
+                .world_factory(factory)
+                .reuse_snapshots(false)
+                .versions(&[XenVersion::V4_13])
+                .modes(&[Mode::Injection])
+                .retries(1)
+                .cell_deadline(Duration::from_millis(1))
+        };
+        let report = campaign().run_with_jobs(1);
+        let cell = &report.cells()[0];
+        assert!(matches!(cell.outcome, CellOutcome::TimedOut { deadline_us: 1_000 }));
+        assert_eq!(cell.attempts, 2, "the failed boot and its retry");
+        let wall = cell.wall_time_us;
+        assert!(wall >= 300_000, "the time the cell took, not the deadline: {wall}");
+        assert_eq!(campaign().run_streaming_with_jobs(1).report.retries, 1);
     }
 
     #[test]
@@ -1962,7 +1711,7 @@ mod tests {
             .versions(&[XenVersion::V4_13])
             .modes(&[Mode::Injection])
             .retries(2)
-            .run();
+            .run_with_jobs(2);
         let cell = report.cell("synthetic-crash", XenVersion::V4_13, Mode::Injection).unwrap();
         assert_eq!(cell.attempts, 3, "two transient failures + one success");
         assert_eq!(cell.outcome, CellOutcome::Completed);
@@ -1978,7 +1727,7 @@ mod tests {
             .reuse_snapshots(false)
             .versions(&[XenVersion::V4_13])
             .modes(&[Mode::Injection])
-            .run();
+            .run_with_jobs(2);
         let cell = report.cells().first().unwrap();
         assert_eq!(cell.outcome, CellOutcome::BootFailed);
         assert!(matches!(
@@ -2037,7 +1786,7 @@ mod tests {
             .with_use_case(Box::new(BadMonitorCase))
             .versions(&[XenVersion::V4_6])
             .modes(&[Mode::Injection])
-            .run();
+            .run_with_jobs(2);
         let cell = report.cells().first().unwrap();
         assert!(
             matches!(&cell.error, Some(CampaignError::Monitor { message })
@@ -2102,7 +1851,7 @@ mod tests {
         assert!(value("workers.busy").is_some());
         assert!(value("throughput.cells_per_sec_x1000").is_some());
         // The stall counter is pre-registered as an explicit zero.
-        let snapshot = report.metrics().expect("metrics snapshot attached");
+        let snapshot = registry.snapshot();
         let stalled = snapshot
             .counters
             .iter()

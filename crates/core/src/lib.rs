@@ -34,8 +34,9 @@
 //!   cross-domain access),
 //! * [`scenario`] — the [`UseCase`] abstraction tying an intrusion model
 //!   to an exploit path and an injection path,
-//! * [`campaign`] — the assessment campaign runner and report generator
-//!   reproducing Tables II/III and Figs. 2/4,
+//! * [`campaign`] — the assessment campaign runner,
+//! * [`stream`] — the streamed campaign report that Table III and
+//!   Figs. 2/4 render from,
 //! * [`randomized`] — fuzz-style randomized injection within an
 //!   intrusion model's constraints (§IV-C's "randomize inputs to an
 //!   injector"),
@@ -95,10 +96,7 @@ mod telemetry;
 
 pub use avi::{ThreatChain, ThreatLink, ThreatStage};
 pub use benchmark::{SecurityAttribute, SecurityBenchmark, VersionScore};
-pub use campaign::{
-    default_jobs, Campaign, CampaignReport, CampaignThroughput, CellResult, LatencyBreakdown,
-    PhaseLatency, PhaseTimings, WorldFactory,
-};
+pub use campaign::{default_jobs, Campaign, CampaignReport, CellResult, PhaseTimings, WorldFactory};
 pub use chaos::{ChaosConfig, ChaosPolicy};
 pub use checkpoint::{read_header, FileSink, JournalHeader, JournalSink};
 pub use error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
@@ -107,10 +105,10 @@ pub use injector::{ArbitraryAccessInjector, DebugStubInjector, InjectError, Inje
 pub use model::{AttackInterface, IntrusionModel, StateTrace, TargetComponent, TriggeringSource};
 pub use monitor::{Detector, Monitor, Observation, SecurityViolation};
 pub use randomized::{RandomizedCampaign, RandomizedOutcome, RandomizedSummary, TargetRegion};
-pub use report::TextTable;
+pub use report::{render_table2, TextTable};
 pub use scenario::{Mode, ScenarioOutcome, UseCase};
 pub use stream::{
-    CellSpec, DegradedSlot, GridFingerprint, KeySummary, MergeError, Shard, ShardError, SpecGrid,
-    StreamOutcome, StreamReport, StreamRunStats,
+    CellSpec, DegradedSlot, GridFingerprint, KeySummary, LatencyBreakdown, MergeError,
+    PhaseLatency, Shard, ShardError, SpecGrid, StreamOutcome, StreamReport, StreamRunStats,
 };
 pub use taxonomy::{AbusiveFunctionality, FunctionalityClass};

@@ -7,11 +7,10 @@
 //! re-emitted as trace events, so neither `hvsim` nor `guestos` grows a
 //! dependency on the obs crate and no event is ever counted twice.
 
-use crate::campaign::CellResult;
 use crate::stream::StreamReport;
 use guestos::BootStage;
 use hvsim::AuditEvent;
-use hvsim_obs::{Histogram, MetricsRegistry, TraceCtx};
+use hvsim_obs::{MetricsRegistry, TraceCtx};
 
 /// Counter: cells the campaign scheduled.
 pub const M_CELLS: &str = "campaign.cells";
@@ -27,11 +26,10 @@ pub const M_TIMEOUTS: &str = "campaign.timeouts";
 pub const M_BOOT_FAILURES: &str = "campaign.boot_failures";
 /// Counter: cells where a panic escaped the cell body.
 pub const M_CRASHES: &str = "campaign.crashes";
-/// Counter: hypercalls executed across all cells, derived at collection
-/// time from the per-cell sum
-/// [`CampaignReport::total_hypercalls`](crate::CampaignReport::total_hypercalls),
-/// which is authoritative: it exists whether or not a registry is
-/// attached.
+/// Counter: hypercalls executed across all cells, derived at the end of
+/// a run from the report's sum
+/// [`StreamReport::hypercalls`](crate::StreamReport::hypercalls), which
+/// is authoritative: it exists whether or not a registry is attached.
 pub const M_HYPERCALLS: &str = "campaign.hypercalls";
 /// Counter: frames privatized by copy-on-write across all cell worlds.
 pub const M_FRAMES_COPIED: &str = "mem.frames_copied";
@@ -154,19 +152,4 @@ pub(crate) fn record_chaos_metrics(
     registry.add(M_CHAOS_SLOWDOWNS, slowdowns);
     registry.add(M_CHAOS_STALLS, stalls);
     registry.add(M_CHAOS_TORN, torn);
-}
-
-/// Builds one phase histogram summary directly from report cells — the
-/// path `CampaignThroughput` uses.
-pub fn phase_summary<'a>(
-    cells: impl Iterator<Item = &'a CellResult>,
-    value: impl Fn(&CellResult) -> Option<u64>,
-) -> hvsim_obs::HistogramSummary {
-    let mut histogram = Histogram::new();
-    for cell in cells {
-        if let Some(v) = value(cell) {
-            histogram.record(v);
-        }
-    }
-    histogram.summary()
 }

@@ -1,5 +1,6 @@
 //! Plain-text table rendering for the table/figure regenerators.
 
+use crate::scenario::UseCase;
 use std::fmt;
 
 /// A simple monospace table with a header row.
@@ -96,6 +97,18 @@ impl fmt::Display for TextTable {
         writeln!(f, "{line}")?;
         Ok(())
     }
+}
+
+/// Renders Table II: each use case and the abusive functionality its
+/// intrusion model carries.
+pub fn render_table2(use_cases: &[Box<dyn UseCase>]) -> String {
+    let mut table = TextTable::new(["Use Case", "Abusive Functionality"])
+        .title("TABLE II: use cases and their abusive functionality");
+    for uc in use_cases {
+        let label = uc.intrusion_model().abusive_functionality.label();
+        table.row([uc.name(), label]);
+    }
+    table.to_string()
 }
 
 /// The check mark used in Table III for a correctly induced property.

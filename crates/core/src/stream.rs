@@ -2,13 +2,11 @@
 //! batched slot claiming, and merge-associative partial reports.
 //!
 //! Every campaign run goes through one worker loop; runs differ only in
-//! what each worker does with a finished cell. A collecting run
-//! ([`Campaign::run`](crate::Campaign::run)) keeps one
-//! [`CellResult`](crate::CellResult) per cell — O(cells) memory, right
-//! for the paper's 24-cell Table III. A streamed run folds each cell
-//! into its worker's partial report and drops it, keeping one cell per
-//! worker resident — what the million-cell grids the taxonomy implies
-//! need:
+//! what each worker does with a finished cell. A streamed run
+//! ([`Campaign::run_streaming`](crate::Campaign::run_streaming), the
+//! default) folds each cell into its worker's partial report and drops
+//! it, keeping one cell per worker resident — what the million-cell
+//! grids the taxonomy implies need:
 //!
 //! ```text
 //!  SlotClaims (one AtomicU64)          N workers
@@ -27,6 +25,13 @@
 //! slot from its index, so a worker that claims a batch of shard-local
 //! indices from [`SlotClaims`] can build every cell spec itself.
 //!
+//! The [`StreamReport`] is the one report the artefacts render from:
+//! Table III and Figs. 2/4 read its per-key aggregates. A collecting
+//! run ([`Campaign::run_with_jobs`](crate::Campaign::run_with_jobs))
+//! keeps one [`CellResult`] per cell instead, O(cells) memory, for the
+//! callers that read every cell: the security benchmark and the
+//! randomized sweep.
+//!
 //! Determinism: a cell's result depends only on its [`CellSpec`] (every
 //! cell starts from a pristine world), and every aggregate in a
 //! [`StreamReport`] is a commutative monoid — sums, exact histogram
@@ -36,9 +41,9 @@
 //! shards; after [`StreamReport::normalized`] zeroes wall-clock values
 //! it is byte-identical across schedules.
 
-use crate::campaign::{CellResult, LatencyBreakdown, PhaseLatency};
+use crate::campaign::CellResult;
 use crate::error::{CampaignError, CellOutcome};
-use crate::report::TextTable;
+use crate::report::{TextTable, CHECK, SHIELD};
 use crate::scenario::Mode;
 use hvsim::XenVersion;
 use hvsim_obs::{Histogram, HistogramSummary};
@@ -340,7 +345,33 @@ pub struct KeySummary {
     pub hypercalls: u64,
 }
 
+/// The `by_key` key of one grid key: `use_case/version/mode`.
+fn grid_key(use_case: &str, version: XenVersion, mode: Mode) -> String {
+    format!("{use_case}/{version}/{mode}")
+}
+
+/// One column's mark over a key's cells: ✓ when every one of the `n`
+/// cells has the property, x when none has, `k/n` when they disagree
+/// (more than one trial, or a degraded cell).
+fn tally(k: u64, n: u64) -> String {
+    match k {
+        0 => "x".to_owned(),
+        k if k == n => CHECK.to_owned(),
+        k => format!("{k}/{n}"),
+    }
+}
+
 impl KeySummary {
+    /// Table III's violation mark, which also shields a handled state:
+    /// 🛡 when every cell handled it, else the violated cells' tally.
+    fn table3_mark(&self) -> String {
+        match self.handled {
+            0 => tally(self.violated, self.cells),
+            h if h == self.cells => SHIELD.to_owned(),
+            _ => format!("{}/{}", self.violated, self.cells),
+        }
+    }
+
     fn absorb(&mut self, other: &KeySummary) {
         self.cells += other.cells;
         self.completed += other.completed;
@@ -370,6 +401,27 @@ pub struct DegradedSlot {
     pub outcome: CellOutcome,
     /// The typed failure.
     pub error: Option<CampaignError>,
+}
+
+/// Completed/degraded histogram summaries for one cell phase.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PhaseLatency {
+    /// Summary over cells that completed cleanly.
+    pub completed: HistogramSummary,
+    /// Summary over cells on which the harness degraded.
+    pub degraded: HistogramSummary,
+}
+
+/// Per-phase latency summaries (p50/p95/max), split completed vs
+/// degraded — the latency block of a [`StreamReport`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LatencyBreakdown {
+    /// World acquisition.
+    pub boot: PhaseLatency,
+    /// Scenario body.
+    pub inject: PhaseLatency,
+    /// Violation monitoring.
+    pub monitor: PhaseLatency,
 }
 
 /// Identity of the campaign grid a [`StreamReport`] was produced from:
@@ -682,8 +734,104 @@ impl StreamReport {
         serde_json::from_str(text)
     }
 
-    /// Renders the per-key summary table (the streaming analogue of the
-    /// Table III view — per-cell detail is not retained).
+    /// The aggregate of one grid key, when any of its cells ran.
+    pub fn key(&self, use_case: &str, version: XenVersion, mode: Mode) -> Option<&KeySummary> {
+        self.by_key.get(&grid_key(use_case, version, mode))
+    }
+
+    /// Renders Table III: the injection campaign on the non-vulnerable
+    /// versions, one row per use case in grid order. A check marks a
+    /// correctly induced property, the shield an erroneous state the
+    /// system handled, `-` a key no cell of this report ran, and `k/n`
+    /// a key whose cells disagree.
+    pub fn render_table3(&self) -> String {
+        let mut table = TextTable::new([
+            "Use Case",
+            "4.8 Err. State",
+            "4.8 Sec. Viol.",
+            "4.13 Err. State",
+            "4.13 Sec. Viol.",
+        ])
+        .title(
+            "TABLE III: injection campaign in non-vulnerable versions \
+             (check = property induced, shield = erroneous state handled)",
+        );
+        for use_case in &self.grid.use_cases {
+            let mut row = vec![use_case.clone()];
+            for version in [XenVersion::V4_8, XenVersion::V4_13] {
+                match self.key(use_case, version, Mode::Injection) {
+                    Some(s) => row.extend([tally(s.erroneous_states, s.cells), s.table3_mark()]),
+                    None => row.extend(["-".to_owned(), "-".to_owned()]),
+                }
+            }
+            table.row(row);
+        }
+        table.to_string()
+    }
+
+    /// Renders the Fig. 4 comparison: on the vulnerable version, does
+    /// the injection reproduce the exploit's erroneous state *and*
+    /// security violation? The two are equivalent when they induce the
+    /// state and the violation in the same share of their cells.
+    pub fn render_fig4(&self) -> String {
+        let mut table = TextTable::new([
+            "Use Case",
+            "exploit err/viol (4.6)",
+            "injection err/viol (4.6)",
+            "equivalent",
+        ])
+        .title("FIG. 4: experimental validation on the vulnerable version (Xen 4.6)");
+        let marks = |s: Option<&KeySummary>| match s {
+            Some(s) => {
+                format!("{}/{}", tally(s.erroneous_states, s.cells), tally(s.violated, s.cells))
+            }
+            None => "-".to_owned(),
+        };
+        for use_case in &self.grid.use_cases {
+            let e = self.key(use_case, XenVersion::V4_6, Mode::Exploit);
+            let i = self.key(use_case, XenVersion::V4_6, Mode::Injection);
+            let equivalent = e.zip(i).is_some_and(|(e, i)| {
+                e.erroneous_states * i.cells == i.erroneous_states * e.cells
+                    && e.violated * i.cells == i.violated * e.cells
+            });
+            table.row([
+                use_case.clone(),
+                marks(e),
+                marks(i),
+                if equivalent { "yes" } else { "NO" }.to_owned(),
+            ]);
+        }
+        table.to_string()
+    }
+
+    /// Renders the Fig. 2 methodology view for one use case on one
+    /// version: the traditional path vs the injection path. A key whose
+    /// cells disagree says in how many of them each outcome happened.
+    pub fn render_fig2(&self, use_case: &str, version: XenVersion) -> String {
+        let mut out = format!("FIG. 2: methodology paths for {use_case} on Xen {version}\n");
+        for (mode, label) in [
+            (Mode::Exploit, "traditional: attack -> vulnerability -> intrusion"),
+            (Mode::Injection, "injection:   intrusion injector (intrusion model)"),
+        ] {
+            let Some(s) = self.key(use_case, version, mode) else { continue };
+            let n = s.cells;
+            let state = match s.erroneous_states {
+                0 => "not induced".to_owned(),
+                k if k == n => "induced".to_owned(),
+                k => format!("induced in {k}/{n}"),
+            };
+            let terminal = match (s.violated, s.handled) {
+                (v, _) if v == n => "security violation".to_owned(),
+                (_, h) if h == n => "erroneous state handled".to_owned(),
+                (0, 0) => "no erroneous state".to_owned(),
+                (v, h) => format!("security violation in {v}/{n}, handled in {h}/{n}"),
+            };
+            out.push_str(&format!("  {label} -> erroneous state: {state} -> {terminal}\n"));
+        }
+        out
+    }
+
+    /// Renders the per-key summary table: every grid key's counts.
     pub fn render_keys(&self) -> String {
         let mut table = TextTable::new([
             "use case / version / mode",
@@ -845,7 +993,7 @@ impl PartialFold {
         r.hypercalls += cell.hypercalls;
         r.wall_time_us += cell.wall_time_us;
         r.frames_copied += cell.snapshot.frames_copied;
-        let key = format!("{}/{}/{}", cell.use_case, cell.version, cell.mode);
+        let key = grid_key(&cell.use_case, cell.version, cell.mode);
         let summary = r.by_key.entry(key).or_default();
         summary.cells += 1;
         if degraded {
@@ -1044,7 +1192,6 @@ mod tests {
         for spec in g.iter() {
             let cell = CellResult {
                 use_case: format!("uc{}", spec.use_case),
-                abusive_functionality: "test".into(),
                 version: spec.version,
                 mode: spec.mode,
                 erroneous_state: spec.trial % 2 == 0,
@@ -1091,7 +1238,6 @@ mod tests {
         let spec = g.decode(5).unwrap();
         let cell = CellResult {
             use_case: "uc".into(),
-            abusive_functionality: "test".into(),
             version: spec.version,
             mode: spec.mode,
             erroneous_state: false,
@@ -1116,5 +1262,58 @@ mod tests {
         assert_eq!(slot.outcome, CellOutcome::BootFailed);
         assert_eq!(slot.trial, spec.trial);
         assert!(report.render_keys().contains("uc/"));
+    }
+
+    #[test]
+    fn disagreeing_trials_render_as_k_of_n() {
+        let versions = XenVersion::ALL;
+        let modes = [Mode::Exploit, Mode::Injection];
+        let g = SpecGrid::new(1, &versions, &modes, 3);
+        let mut fold = PartialFold::default();
+        for spec in g.iter() {
+            // Every trial induces the state. On 4.13 every trial handles
+            // it; elsewhere trial 0 violates and trials 1 and 2 handle it.
+            let violated = spec.version != XenVersion::V4_13 && spec.trial == 0;
+            let violations = if violated {
+                vec![crate::SecurityViolation::HypervisorCrash { message: "x".into() }]
+            } else {
+                Vec::new()
+            };
+            let cell = CellResult {
+                use_case: "uc".into(),
+                version: spec.version,
+                mode: spec.mode,
+                erroneous_state: true,
+                violations,
+                handled: !violated,
+                notes: Vec::new(),
+                error: None,
+                outcome: CellOutcome::Completed,
+                attempts: 1,
+                wall_time_us: 0,
+                hypercalls: 1,
+                phase_us: crate::campaign::PhaseTimings::default(),
+                snapshot: hvsim::SnapshotStats::default(),
+            };
+            fold.fold(&spec, &cell);
+        }
+        let (mut report, _) = fold.finish();
+        report.grid = GridFingerprint {
+            use_cases: vec!["uc".into()],
+            versions: versions.to_vec(),
+            modes: modes.to_vec(),
+            trials: 3,
+        };
+        let row = |table: String| -> Vec<String> {
+            let line = table.lines().find(|l| l.starts_with("| uc ")).unwrap().to_owned();
+            line.split('|').map(|c| c.trim().to_owned()).filter(|c| !c.is_empty()).collect()
+        };
+        assert_eq!(row(report.render_table3()), ["uc", CHECK, "1/3", CHECK, SHIELD]);
+        let fig4 = row(report.render_fig4());
+        assert_eq!(fig4, ["uc", "\u{2713}/1/3", "\u{2713}/1/3", "yes"]);
+        let fig2 = report.render_fig2("uc", XenVersion::V4_6);
+        assert!(fig2.contains("induced -> security violation in 1/3, handled in 2/3"), "{fig2}");
+        let fig2 = report.render_fig2("uc", XenVersion::V4_13);
+        assert!(fig2.contains("induced -> erroneous state handled"), "{fig2}");
     }
 }

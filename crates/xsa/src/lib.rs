@@ -28,9 +28,10 @@
 //!     .with_use_case(Box::new(Xsa212Crash))
 //!     .versions(&[XenVersion::V4_6])
 //!     .modes(&[Mode::Exploit])
-//!     .run();
-//! let cell = report.cells().first().unwrap();
-//! assert!(cell.erroneous_state && cell.violated());
+//!     .run_streaming()
+//!     .report;
+//! let cell = report.key("XSA-212-crash", XenVersion::V4_6, Mode::Exploit).unwrap();
+//! assert_eq!((cell.erroneous_states, cell.violated), (1, 1));
 //! ```
 
 pub mod advisories;

@@ -6,8 +6,8 @@
 //! cargo run -p intrusion-core --example assessment_campaign
 //! ```
 
-use intrusion_core::Campaign;
 use hvsim::XenVersion;
+use intrusion_core::{render_table2, Campaign, Mode};
 use xsa_exploits::paper_use_cases;
 
 fn main() {
@@ -16,9 +16,9 @@ fn main() {
         campaign = campaign.with_use_case(uc);
     }
     println!("running 4 use cases x 3 versions x 2 modes = 24 cells ...\n");
-    let report = campaign.run();
+    let report = campaign.run_streaming().report;
 
-    println!("{}", report.render_table2());
+    println!("{}", render_table2(campaign.use_cases()));
     println!("{}", report.render_fig4());
     println!("{}", report.render_table3());
     println!(
@@ -30,14 +30,15 @@ fn main() {
     println!("security assessment summary:");
     for version in XenVersion::ALL {
         let handled: Vec<_> = report
-            .cells()
+            .grid
+            .use_cases
             .iter()
-            .filter(|c| {
-                c.version == version
-                    && c.mode == intrusion_core::Mode::Injection
-                    && c.handled
+            .filter(|uc| {
+                report
+                    .key(uc, version, Mode::Injection)
+                    .is_some_and(|key| key.handled > 0)
             })
-            .map(|c| c.use_case.as_str())
+            .map(String::as_str)
             .collect();
         println!(
             "  Xen {version}: handles {} of 4 injected erroneous states {:?}",

@@ -11,7 +11,7 @@
 //! cargo run -p intrusion-core --example porting_erroneous_states
 //! ```
 
-use intrusion_core::{Campaign, Mode, TextTable};
+use intrusion_core::{default_jobs, Campaign, Mode, TextTable};
 use xsa_exploits::extension_use_cases;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     for uc in extension_use_cases() {
         campaign = campaign.with_use_case(uc);
     }
-    let report = campaign.run();
+    let report = campaign.run_with_jobs(default_jobs());
 
     let mut table = TextTable::new(["Use Case", "Version", "Err. State", "Violations", "Handled"])
         .title("porting keep-page-reference states across versions");

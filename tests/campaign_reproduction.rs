@@ -10,16 +10,22 @@
 //!   - Xen 4.13: XSA-212-crash and XSA-148-priv violate, while
 //!     XSA-212-priv and XSA-182-test are *handled* (the shield).
 
-use intrusion_core::{Campaign, CampaignReport, Mode};
+use intrusion_core::{render_table2, Campaign, CampaignReport, Mode, StreamReport};
 use hvsim::XenVersion;
 use xsa_exploits::paper_use_cases;
 
+fn full_campaign() -> Campaign {
+    paper_use_cases().into_iter().fold(Campaign::new(), Campaign::with_use_case)
+}
+
+/// The per-cell list, for the cell-by-cell checks.
 fn run_full_campaign() -> CampaignReport {
-    let mut campaign = Campaign::new();
-    for uc in paper_use_cases() {
-        campaign = campaign.with_use_case(uc);
-    }
-    campaign.run()
+    full_campaign().run_with_jobs(2)
+}
+
+/// The streamed report, which every artefact renders from.
+fn stream_full_campaign() -> StreamReport {
+    full_campaign().run_streaming().report
 }
 
 const USE_CASES: [&str; 4] = [
@@ -90,7 +96,7 @@ fn full_campaign_reproduces_paper_tables() {
 
 #[test]
 fn rendered_table3_shows_shields_for_handled_states() {
-    let report = run_full_campaign();
+    let report = stream_full_campaign();
     let table3 = report.render_table3();
     // Structural checks on the rendered artefact.
     for uc in USE_CASES {
@@ -104,7 +110,7 @@ fn rendered_table3_shows_shields_for_handled_states() {
 
 #[test]
 fn fig4_reports_exploit_injection_equivalence_on_4_6() {
-    let report = run_full_campaign();
+    let report = stream_full_campaign();
     let fig4 = report.render_fig4();
     for uc in USE_CASES {
         assert!(fig4.contains(uc));
@@ -114,8 +120,7 @@ fn fig4_reports_exploit_injection_equivalence_on_4_6() {
 
 #[test]
 fn table2_maps_use_cases_to_paper_functionalities() {
-    let report = run_full_campaign();
-    let t2 = report.render_table2();
+    let t2 = render_table2(full_campaign().use_cases());
     assert!(t2.contains("XSA-212-crash"));
     assert!(t2.contains("Write Unauthorized Arbitrary Memory"));
     assert!(t2.contains("Guest-Writable Page Table Entry"));
@@ -126,8 +131,9 @@ fn campaign_report_serializes() {
     let report = Campaign::new()
         .with_use_case(Box::new(xsa_exploits::Xsa182Test))
         .versions(&[XenVersion::V4_13])
-        .run();
+        .run_streaming()
+        .report;
     let json = report.to_json().unwrap();
-    assert!(json.contains("XSA-182-test"));
-    assert!(json.contains("\"version\""));
+    assert!(json.contains("XSA-182-test/4.13/injection"));
+    assert_eq!(StreamReport::from_json(&json).unwrap(), report);
 }

@@ -6,8 +6,9 @@
 use intrusion_core::campaign::standard_world;
 use intrusion_core::monitor::{PvInvariantDetector, SpuriousInterruptDetector, UnexpectedPauseDetector};
 use intrusion_core::{
-    ArbitraryAccessInjector, Campaign, DebugStubInjector, Detector, ErroneousStateSpec, Injector,
-    Mode, Monitor, SecurityAttribute, SecurityBenchmark, SecurityViolation, UseCase,
+    default_jobs, ArbitraryAccessInjector, Campaign, DebugStubInjector, Detector,
+    ErroneousStateSpec, Injector, Mode, Monitor, SecurityAttribute, SecurityBenchmark,
+    SecurityViolation, UseCase,
 };
 use guestos::World;
 use hvsim::{DomctlOp, EventChannelOp, XenVersion};
@@ -140,7 +141,7 @@ fn extended_campaign_and_benchmark() {
     for uc in paper_use_cases().into_iter().chain(extension_use_cases()) {
         campaign = campaign.with_use_case(uc);
     }
-    let report = campaign.run();
+    let report = campaign.run_with_jobs(default_jobs());
     assert_eq!(report.cells().len(), 8 * 3 * 2);
 
     // The extension cells behave as designed.
