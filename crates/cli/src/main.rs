@@ -28,8 +28,8 @@ use hvsim_obs::{
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
     default_jobs, read_header, render_table2, ArbitraryAccessInjector, Campaign, CampaignError,
-    CampaignReport, ChaosConfig, Mode, RandomizedCampaign, RandomizedSummary, SecurityBenchmark,
-    Shard, StreamReport, TargetRegion, UseCase,
+    ChaosConfig, Mode, RandomizedCampaign, SecurityBenchmark, Shard, StreamReport, TargetRegion,
+    UseCase,
 };
 use hvsim::XenVersion;
 use serde::Value;
@@ -151,31 +151,10 @@ impl CliOutcome {
     }
 
     /// Degradation dominates violations; violations dominate clean.
-    fn for_report(report: &CampaignReport) -> Self {
-        if report.is_degraded() {
+    fn new(degraded: bool, violated: bool) -> Self {
+        if degraded {
             CliOutcome::Degraded
-        } else if report.has_violations() {
-            CliOutcome::Violations
-        } else {
-            CliOutcome::Clean
-        }
-    }
-
-    /// Same dominance order for a streamed report.
-    fn for_stream(report: &StreamReport) -> Self {
-        if report.is_degraded() {
-            CliOutcome::Degraded
-        } else if report.has_violations() {
-            CliOutcome::Violations
-        } else {
-            CliOutcome::Clean
-        }
-    }
-
-    fn for_summary(summary: &RandomizedSummary) -> Self {
-        if summary.degraded > 0 {
-            CliOutcome::Degraded
-        } else if summary.crashes > 0 || summary.violated > 0 {
+        } else if violated {
             CliOutcome::Violations
         } else {
             CliOutcome::Clean
@@ -372,7 +351,7 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         std::fs::write(path, json).map_err(|e| format!("could not write {path}: {e}"))?;
         eprintln!("wrote normalized stream report to {path}");
     }
-    let exit = CliOutcome::for_stream(report);
+    let exit = CliOutcome::new(report.is_degraded(), report.has_violations());
     if p.has_flag("json") {
         println!("{}", report.to_json().map_err(|e| e.to_string())?);
         return Ok(exit);
@@ -453,7 +432,7 @@ fn cmd_campaign_replay(campaign: Campaign, slot: u64, p: &Parsed) -> Result<CliO
         "no security violation".to_owned()
     };
     eprintln!("slot {slot}: {} / Xen {} / {}: {verdict}", cell.use_case, cell.version, cell.mode);
-    Ok(CliOutcome::for_report(&CampaignReport::from_cells(vec![cell])))
+    Ok(CliOutcome::new(cell.degraded(), cell.violated()))
 }
 
 fn cmd_run(p: &Parsed) -> Result<CliOutcome, String> {
@@ -537,7 +516,7 @@ fn cmd_randomized(p: &Parsed) -> Result<CliOutcome, String> {
             ),
         }
     }
-    Ok(CliOutcome::for_summary(&summary))
+    Ok(CliOutcome::new(summary.degraded > 0, summary.crashes > 0 || summary.violated > 0))
 }
 
 fn cmd_benchmark(p: &Parsed) -> Result<CliOutcome, String> {
@@ -558,7 +537,7 @@ fn cmd_benchmark(p: &Parsed) -> Result<CliOutcome, String> {
     for (i, (version, score)) in benchmark.ranking().iter().enumerate() {
         println!("  {}. Xen {version}  score {score:.2}", i + 1);
     }
-    Ok(CliOutcome::for_report(&report))
+    Ok(CliOutcome::new(report.is_degraded(), report.has_violations()))
 }
 
 fn cmd_trace(p: &Parsed) -> Result<CliOutcome, String> {
@@ -966,7 +945,9 @@ mod tests {
 
     #[test]
     fn degradation_dominates_violations_in_exit_mapping() {
-        use intrusion_core::{CampaignError, CellOutcome, CellResult, SecurityViolation};
+        use intrusion_core::{
+            CampaignError, CampaignReport, CellOutcome, CellResult, SecurityViolation,
+        };
         let cell = |violations: Vec<SecurityViolation>, error: Option<CampaignError>| CellResult {
             use_case: "t".into(),
             version: XenVersion::V4_6,
@@ -983,16 +964,17 @@ mod tests {
             phase_us: intrusion_core::PhaseTimings::default(),
             snapshot: hvsim::SnapshotStats::default(),
         };
+        let outcome = |r: &CampaignReport| CliOutcome::new(r.is_degraded(), r.has_violations());
         let violation = SecurityViolation::HypervisorCrash { message: "x".into() };
         let clean = CampaignReport::from_cells(vec![cell(vec![], None)]);
-        assert_eq!(CliOutcome::for_report(&clean), CliOutcome::Clean);
+        assert_eq!(outcome(&clean), CliOutcome::Clean);
         let violated = CampaignReport::from_cells(vec![cell(vec![violation.clone()], None)]);
-        assert_eq!(CliOutcome::for_report(&violated), CliOutcome::Violations);
+        assert_eq!(outcome(&violated), CliOutcome::Violations);
         let degraded = CampaignReport::from_cells(vec![
             cell(vec![violation], None),
             cell(vec![], Some(CampaignError::HarnessCrash { payload: "boom".into() })),
         ]);
-        assert_eq!(CliOutcome::for_report(&degraded), CliOutcome::Degraded);
+        assert_eq!(outcome(&degraded), CliOutcome::Degraded);
     }
 
     #[test]
