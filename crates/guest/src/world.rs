@@ -279,23 +279,26 @@ impl WorldBuilder {
         Ok(World {
             hv,
             dom0,
-            kernels,
+            kernels: Arc::new(kernels),
             remote: RemoteHost::new(&self.remote_host, self.remote_port),
-            boot_trace,
+            boot_trace: boot_trace.into(),
         })
     }
 }
 
 /// Hypervisor, guests and attacker network in one deterministic unit.
+///
+/// A clone of a booted world (a campaign cell's fork) allocates
+/// nothing: every container sits behind an `Arc` until the clone first
+/// writes it (see [`Hypervisor`]).
 #[derive(Clone, Debug)]
 pub struct World {
     hv: Hypervisor,
     dom0: DomainId,
-    /// Each kernel behind an `Arc`, so a cloned world (a campaign cell's
-    /// fork) shares every kernel until its first write.
-    kernels: BTreeMap<DomainId, Arc<GuestKernel>>,
+    /// The kernel map, and each kernel in it, shared until first write.
+    kernels: Arc<BTreeMap<DomainId, Arc<GuestKernel>>>,
     remote: RemoteHost,
-    boot_trace: Vec<BootStage>,
+    boot_trace: Arc<[BootStage]>,
 }
 
 impl World {
@@ -323,17 +326,32 @@ impl World {
         self.hv.mem().snapshot_stats()
     }
 
-    /// Gives this world its own memory handle and its own copy of the
-    /// domains and the kernels: every part a clone shares by reference
-    /// count at the top level. A campaign worker forks its cells from its
-    /// own unshared copy of each base world, because workers forking one
-    /// base bump the same reference counts and the contended cache lines
-    /// cost more than the fork itself.
+    /// Gives this world its own memory handle and its own copy of every
+    /// other container a clone shares by reference count. A campaign
+    /// worker forks its cells from its own unshared copy of each base
+    /// world, because workers forking one base bump the same reference
+    /// counts and the contended cache lines cost more than the fork
+    /// itself.
     pub fn unshare(&mut self) {
         self.hv.unshare();
-        for k in self.kernels.values_mut() {
-            Arc::make_mut(k);
-        }
+        self.kernels = Arc::new(
+            self.kernels.iter().map(|(&dom, k)| (dom, Arc::new(GuestKernel::clone(k)))).collect(),
+        );
+        self.remote.unshare();
+        self.boot_trace = Arc::from(&self.boot_trace[..]);
+    }
+
+    /// The reference count of every container this world shares with
+    /// its clones: the hypervisor's ([`Hypervisor::share_counts`]), then
+    /// the kernel map, each kernel, the remote host and the boot trace.
+    /// After [`unshare`](Self::unshare), forking a clone of this world
+    /// leaves every one of them unchanged.
+    pub fn share_counts(&self) -> Vec<usize> {
+        let mut counts = self.hv.share_counts();
+        counts.push(Arc::strong_count(&self.kernels));
+        counts.extend(self.kernels.values().map(Arc::strong_count));
+        counts.extend([self.remote.share_count(), Arc::strong_count(&self.boot_trace)]);
+        counts
     }
 
     /// The privileged control domain.
@@ -363,14 +381,17 @@ impl World {
         self.kernels.get(&dom).map(|k| &**k).ok_or(WorldError::NoGuest(dom))
     }
 
-    /// Mutable kernel access; copies a kernel still shared with a
-    /// snapshot.
+    /// Mutable kernel access; copies the kernel map and then the kernel
+    /// while either is still shared with a snapshot.
     ///
     /// # Errors
     ///
     /// [`WorldError::NoGuest`] for unknown domains.
     pub fn kernel_mut(&mut self, dom: DomainId) -> Result<&mut GuestKernel, WorldError> {
-        self.kernels.get_mut(&dom).map(Arc::make_mut).ok_or(WorldError::NoGuest(dom))
+        Arc::make_mut(&mut self.kernels)
+            .get_mut(&dom)
+            .map(Arc::make_mut)
+            .ok_or(WorldError::NoGuest(dom))
     }
 
     /// Splits the world into the hypervisor and one kernel — the pattern
@@ -383,8 +404,10 @@ impl World {
         &mut self,
         dom: DomainId,
     ) -> Result<(&mut Hypervisor, &mut GuestKernel), WorldError> {
-        let kernel =
-            self.kernels.get_mut(&dom).map(Arc::make_mut).ok_or(WorldError::NoGuest(dom))?;
+        let kernel = Arc::make_mut(&mut self.kernels)
+            .get_mut(&dom)
+            .map(Arc::make_mut)
+            .ok_or(WorldError::NoGuest(dom))?;
         Ok((&mut self.hv, kernel))
     }
 
@@ -439,11 +462,12 @@ impl World {
             Err(e) => return HandlerOutcome::Faulted(e.to_string()),
         };
         let take = PAGE_SIZE - translation.phys.page_offset();
-        let mut bytes = vec![0u8; take.min(2048)];
-        if self.hv.mem().read(translation.phys, &mut bytes).is_err() {
+        let mut code = [0u8; 2048];
+        let bytes = &mut code[..take.min(2048)];
+        if self.hv.mem().read(translation.phys, bytes).is_err() {
             return HandlerOutcome::Faulted("code fetch failed".into());
         }
-        match Payload::parse(&bytes) {
+        match Payload::parse(bytes) {
             Some(payload) => {
                 self.apply_payload(dom, &payload);
                 HandlerOutcome::Executed
@@ -462,14 +486,14 @@ impl World {
             PayloadCommand::DropRootFile { path, template } => {
                 let content =
                     Payload::expand_template(template, &Uid::ROOT.id_string(), &hostname);
-                if let Some(k) = self.kernels.get_mut(&dom).map(Arc::make_mut) {
+                if let Ok(k) = self.kernel_mut(dom) {
                     // Kernel-privileged: writes as root regardless of any
                     // user-space permission.
                     let _ = k.vfs_mut().write(path, Uid::ROOT, FileMode::PublicRead, content.as_bytes());
                 }
             }
             PayloadCommand::KlogMarker { marker } => {
-                if let Some(k) = self.kernels.get_mut(&dom).map(Arc::make_mut) {
+                if let Ok(k) = self.kernel_mut(dom) {
                     k.klog(format!("payload: {marker}"));
                 }
             }
@@ -482,14 +506,12 @@ impl World {
     /// privileges. Returns the sessions established this tick.
     pub fn tick_vdso(&mut self) -> Vec<SessionId> {
         let mut sessions = Vec::new();
-        let doms = self.domains();
-        for dom in doms {
+        for (&dom, kernel) in self.kernels.iter() {
             if self.hv.domain(dom).map(|d| d.is_dead()).unwrap_or(true) {
                 continue;
             }
-            let Ok(kernel) = self.kernel(dom) else { continue };
             let Ok(vdso_mfn) = kernel.vdso_mfn(&self.hv) else { continue };
-            let mut image = vec![0u8; PAGE_SIZE];
+            let mut image = [0u8; Backdoor::IMAGE_PREFIX_LEN];
             if self.hv.mem().read(vdso_mfn.base(), &mut image).is_err() {
                 continue;
             }
@@ -497,14 +519,8 @@ impl World {
             if backdoor.host != self.remote.host() || backdoor.port != self.remote.port() {
                 continue;
             }
-            let callers: Vec<Uid> = kernel
-                .processes()
-                .iter()
-                .filter(|p| p.calls_vdso)
-                .map(|p| p.uid)
-                .collect();
-            for uid in callers {
-                if let Some(id) = self.remote.accept(dom, uid, "10.3.1.181") {
+            for p in kernel.processes().iter().filter(|p| p.calls_vdso) {
+                if let Some(id) = self.remote.accept(dom, p.uid, "10.3.1.181") {
                     sessions.push(id);
                 }
             }
@@ -628,6 +644,37 @@ mod tests {
         );
         // Clones keep the original boot's timings.
         assert_eq!(w.clone().boot_trace(), w.boot_trace());
+    }
+
+    /// A worker forks its cells from an unshared copy of a base world.
+    /// Those forks, and their first writes, must bump no reference count
+    /// of the base: a shared container missing from `unshare` fails here.
+    #[test]
+    fn forking_an_unshared_copy_leaves_the_source_counts_alone() {
+        let base = small_world(XenVersion::V4_8);
+        let mut copy = base.clone();
+        copy.unshare();
+        let before = base.share_counts();
+        let copy_before = copy.share_counts();
+        let attacker = copy.domain_by_name("guest03").unwrap();
+        let forks: Vec<World> = (0..1000)
+            .map(|i| {
+                let mut fork = copy.clone();
+                if i % 2 == 0 {
+                    let hv = fork.hv_mut();
+                    hv.hc_set_trap_table(attacker, &[(0x80, VirtAddr::new(0x1000))]).unwrap();
+                    hv.hc_console_io(attacker, "first write").unwrap();
+                    hv.alloc_domain_frame(attacker, hvsim_mem::PageType::Writable).unwrap();
+                    fork.kernel_mut(attacker).unwrap().klog("first write");
+                }
+                fork
+            })
+            .collect();
+        assert_eq!(base.share_counts(), before);
+        // The forks bumped the copy's counts instead.
+        assert_ne!(copy.share_counts(), copy_before);
+        drop(forks);
+        assert_eq!(copy.share_counts(), copy_before);
     }
 
     #[test]

@@ -223,9 +223,9 @@ fn fork_step(world: &World, (caller, kind, a, b, c): (u8, u8, u64, u64, u64)) ->
 
 /// Asserts that two worlds agree on everything a hypercall can change:
 /// every frame's contents and accounting, each domain's state (p2m,
-/// traps, ports, grants, retained set), the allocator's free count and
-/// its next 16 allocations, the audit log, the console and the
-/// hypercall count.
+/// traps, ports, grants, retained set) and allocated page count, the
+/// allocator's free count and its next 16 allocations, the audit log,
+/// the console and the hypercall count.
 fn assert_same_hypervisor_state(a: &World, b: &World) -> Result<(), TestCaseError> {
     let (ha, hb) = (a.hv(), b.hv());
     let mut fa = [0u8; 4096];
@@ -243,6 +243,7 @@ fn assert_same_hypervisor_state(a: &World, b: &World) -> Result<(), TestCaseErro
             serde_json::to_string(ha.domain(dom).unwrap()).unwrap(),
             serde_json::to_string(hb.domain(dom).unwrap()).unwrap()
         );
+        prop_assert_eq!(ha.pages_of(dom), hb.pages_of(dom), "{} page count differs", dom);
     }
     prop_assert_eq!(ha.free_frames(), hb.free_frames());
     let (mut na, mut nb) = (a.clone(), b.clone());
@@ -281,12 +282,15 @@ proptest! {
     /// freshly booted one to the same state. The parent of the clone
     /// still equals a third fresh boot afterwards, so no write leaked
     /// through state the fork shared with it — nor did the guest-level
-    /// writes (files, kernel log lines) made in the clone alone.
-    /// Extends `prop_snapshot_and_parent_never_alias` (machine memory)
-    /// to whole worlds.
+    /// writes (files, kernel log lines) made in the clone alone. With
+    /// `via_worker`, the clone forks from an unshared copy of the parent,
+    /// as a campaign worker's cells do, and that copy must stay
+    /// untouched too. Extends `prop_snapshot_and_parent_never_alias`
+    /// (machine memory) to whole worlds.
     #[test]
     fn prop_forked_world_matches_fresh_boot(
         version in prop_oneof![Just(XenVersion::V4_6), Just(XenVersion::V4_8), Just(XenVersion::V4_13)],
+        via_worker in any::<bool>(),
         steps in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>()),
             1..32,
@@ -294,7 +298,12 @@ proptest! {
         guest_writes in proptest::collection::vec((any::<u8>(), 0u8..4, any::<u64>()), 1..6),
     ) {
         let parent = fork_world(version);
-        let mut child = parent.clone();
+        let worker = via_worker.then(|| {
+            let mut copy = parent.clone();
+            copy.unshare();
+            copy
+        });
+        let mut child = worker.as_ref().unwrap_or(&parent).clone();
         let mut fresh = fork_world(version);
         for &step in &steps {
             let (dom, call) = fork_step(&fresh, step);
@@ -317,12 +326,14 @@ proptest! {
             kernel.klog(format!("fork write {value:x}"));
         }
         let untouched = fork_world(version);
-        assert_same_hypervisor_state(&parent, &untouched)?;
-        assert_same_kernels(&parent, &untouched)?;
-        for dom in parent.domains() {
-            let kernel = parent.kernel(dom).unwrap();
-            prop_assert!(kernel.vfs().paths().all(|p| !p.starts_with("/tmp/fork-")));
-            prop_assert!(!kernel.log_contains("fork write"));
+        for source in std::iter::once(&parent).chain(worker.as_ref()) {
+            assert_same_hypervisor_state(source, &untouched)?;
+            assert_same_kernels(source, &untouched)?;
+            for dom in source.domains() {
+                let kernel = source.kernel(dom).unwrap();
+                prop_assert!(kernel.vfs().paths().all(|p| !p.starts_with("/tmp/fork-")));
+                prop_assert!(!kernel.log_contains("fork write"));
+            }
         }
     }
 }

@@ -9,6 +9,7 @@
 use hvsim_mem::{DomainId, Mfn, PhysAddr, VirtAddr};
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// How a page-table entry came to be written.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -155,9 +156,12 @@ impl fmt::Display for AuditEvent {
 }
 
 /// A bounded in-order log of [`AuditEvent`]s.
-#[derive(Clone, Debug, Default, Serialize)]
+///
+/// The events sit behind an `Arc`: a clone (a campaign cell's world
+/// fork) shares the boot-time prefix, and its first append copies it.
+#[derive(Clone, Debug, Default)]
 pub struct AuditLog {
-    events: Vec<AuditEvent>,
+    events: Arc<Vec<AuditEvent>>,
     capacity: usize,
     dropped: u64,
 }
@@ -175,16 +179,28 @@ impl AuditLog {
     /// events are counted but dropped.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            events: Vec::new(),
+            events: Arc::default(),
             capacity,
             dropped: 0,
         }
     }
 
-    /// Appends an event.
+    /// Gives this log its own copy of the events, so its clones bump a
+    /// reference count that clones of the log it was cloned from do not.
+    pub(crate) fn unshare(&mut self) {
+        self.events = Arc::new((*self.events).clone());
+    }
+
+    /// The reference count of the events (how many logs share them).
+    pub(crate) fn share_count(&self) -> usize {
+        Arc::strong_count(&self.events)
+    }
+
+    /// Appends an event; the first append after a clone copies the
+    /// events shared with it.
     pub fn push(&mut self, event: AuditEvent) {
         if self.events.len() < self.capacity {
-            self.events.push(event);
+            Arc::make_mut(&mut self.events).push(event);
         } else {
             self.dropped += 1;
         }
@@ -210,7 +226,7 @@ impl AuditLog {
 
     /// Clears the log (used between campaign runs on a reused instance).
     pub fn clear(&mut self) {
-        self.events.clear();
+        self.events = Arc::default();
         self.dropped = 0;
     }
 }

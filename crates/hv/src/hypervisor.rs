@@ -14,6 +14,7 @@ use hvsim_mem::{
 };
 use hvsim_paging::{walk, AccessKind, MemoryLayout, PageFault, Region, Translation, WalkPolicy};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The M2P value marking a frame with no pseudo-physical mapping.
@@ -91,13 +92,18 @@ pub struct InterruptDispatch {
 /// interaction goes through hypercall methods (`hc_*`) or the explicit
 /// guest memory-access API ([`Hypervisor::guest_read_va`] and friends);
 /// the intrusion injector is [`Hypervisor::hc_arbitrary_access`].
+///
+/// Every container a booted hypervisor carries sits behind an `Arc`, so
+/// a clone (a campaign cell's world fork) allocates nothing: it shares
+/// machine memory, the domain map and each domain, the allocator's
+/// quotas, the IDT and M2P frame lists, the console and the audit log
+/// until its first write to one of them, which copies that one.
 #[derive(Clone, Debug)]
 pub struct Hypervisor {
     pub(crate) mem: MachineMemory,
     pub(crate) alloc: FrameAllocator,
-    /// Each domain behind an `Arc`, so a cloned hypervisor (a campaign
-    /// cell's world fork) shares every domain until its first write.
-    domains: std::collections::BTreeMap<DomainId, Arc<Domain>>,
+    /// The domain map, and each domain in it, shared until first write.
+    domains: Arc<BTreeMap<DomainId, Arc<Domain>>>,
     next_domid: u16,
     version: XenVersion,
     pub(crate) vulns: VulnConfig,
@@ -105,10 +111,12 @@ pub struct Hypervisor {
     injector_enabled: bool,
     xen_text: Mfn,
     shared_l3: Mfn,
-    idt_frames: Vec<Mfn>,
-    m2p_frames: Vec<Mfn>,
+    /// Fixed at boot; nothing writes these lists afterwards.
+    idt_frames: Arc<[Mfn]>,
+    m2p_frames: Arc<[Mfn]>,
     crashed: Option<CrashInfo>,
-    console: Vec<String>,
+    /// Append-only: a fork's first line copies the boot-time lines.
+    console: Arc<Vec<String>>,
     pub(crate) audit: AuditLog,
     pub(crate) hypercall_count: u64,
 }
@@ -203,10 +211,10 @@ impl Hypervisor {
             injector_enabled: config.injector_enabled,
             xen_text,
             shared_l3,
-            idt_frames,
-            m2p_frames,
+            idt_frames: idt_frames.into(),
+            m2p_frames: m2p_frames.into(),
             crashed: None,
-            console: Vec::new(),
+            console: Arc::default(),
             audit: AuditLog::new(),
             hypercall_count: 0,
         };
@@ -294,6 +302,11 @@ impl Hypervisor {
         self.alloc.free_frames()
     }
 
+    /// Frames currently allocated to `dom` (its `tot_pages`).
+    pub fn pages_of(&self, dom: DomainId) -> u64 {
+        self.alloc.pages_of(dom)
+    }
+
     /// Looks up a domain.
     ///
     /// # Errors
@@ -303,21 +316,49 @@ impl Hypervisor {
         self.domains.get(&id).map(|d| &**d).ok_or(HvError::NoDomain)
     }
 
-    /// Mutable domain access; copies a domain still shared with a
-    /// snapshot on its first write.
+    /// Mutable domain access; copies the domain map and then the domain
+    /// while either is still shared with a snapshot.
     pub(crate) fn domain_mut(&mut self, id: DomainId) -> Result<&mut Domain, HvError> {
-        self.domains.get_mut(&id).map(Arc::make_mut).ok_or(HvError::NoDomain)
+        Arc::make_mut(&mut self.domains).get_mut(&id).map(Arc::make_mut).ok_or(HvError::NoDomain)
     }
 
     /// Gives this hypervisor its own handle on machine memory and its
-    /// own copy of every domain, so forks of it bump no reference count
-    /// that forks of the hypervisor it was cloned from bump (see
+    /// own copy of every other shared container (each domain included),
+    /// so forks of it bump no reference count that forks of the
+    /// hypervisor it was cloned from bump (see
     /// [`MachineMemory::unshare`]).
     pub fn unshare(&mut self) {
         self.mem.unshare();
-        for d in self.domains.values_mut() {
-            Arc::make_mut(d);
-        }
+        self.alloc.unshare();
+        self.audit.unshare();
+        self.domains = Arc::new(
+            self.domains.iter().map(|(&id, d)| (id, Arc::new(Domain::clone(d)))).collect(),
+        );
+        self.idt_frames = Arc::from(&self.idt_frames[..]);
+        self.m2p_frames = Arc::from(&self.m2p_frames[..]);
+        self.console = Arc::new(Vec::clone(&self.console));
+    }
+
+    /// The reference count of every container this hypervisor shares
+    /// with its clones, in a fixed order: the memory handle, the
+    /// allocator's quotas, the audit log, the domain map, each domain,
+    /// the IDT and M2P frame lists and the console. After
+    /// [`unshare`](Self::unshare), forking a clone of this hypervisor
+    /// leaves every one of them unchanged.
+    pub fn share_counts(&self) -> Vec<usize> {
+        let mut counts = vec![
+            self.mem.share_count(),
+            self.alloc.share_count(),
+            self.audit.share_count(),
+            Arc::strong_count(&self.domains),
+        ];
+        counts.extend(self.domains.values().map(Arc::strong_count));
+        counts.extend([
+            Arc::strong_count(&self.idt_frames),
+            Arc::strong_count(&self.m2p_frames),
+            Arc::strong_count(&self.console),
+        ]);
+        counts
     }
 
     /// Iterates all domains in id order.
@@ -331,7 +372,7 @@ impl Hypervisor {
     }
 
     pub(crate) fn console_line(&mut self, line: impl Into<String>) {
-        self.console.push(line.into());
+        Arc::make_mut(&mut self.console).push(line.into());
     }
 
     // ------------------------------------------------------------------
@@ -429,7 +470,7 @@ impl Hypervisor {
             dom.p2m_insert(Pfn::new(1 + i), mfn);
             self.m2p_set(mfn, Some(Pfn::new(1 + i)));
         }
-        self.domains.insert(id, Arc::new(dom));
+        Arc::make_mut(&mut self.domains).insert(id, Arc::new(dom));
         self.console_line(format!("created {id} ('{name}', {pages} pages)"));
         Ok(id)
     }
@@ -863,7 +904,7 @@ impl Hypervisor {
         self.audit.push(AuditEvent::Crash {
             message: message.to_owned(),
         });
-        for d in self.domains.values_mut() {
+        for d in Arc::make_mut(&mut self.domains).values_mut() {
             Arc::make_mut(d).kill();
         }
     }

@@ -3,6 +3,7 @@
 use crate::{DomainId, MachineMemory, MemError, Mfn, PageType};
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Allocates machine frames to domains and tracks per-domain usage against
 /// a quota, mirroring Xen's `max_pages`/`tot_pages` accounting.
@@ -14,16 +15,17 @@ use std::ops::Range;
 ///    recently freed first (LIFO);
 /// 2. otherwise the lowest-numbered never-allocated frame is handed out.
 ///
-/// The never-allocated frames are one range, so cloning an allocator (a
-/// campaign cell's world fork) copies only the freed stack, not one
-/// entry per free frame.
+/// The never-allocated frames are one range and the quotas sit behind an
+/// `Arc` until the first allocation or free after a clone, so cloning a
+/// booted allocator (a campaign cell's world fork) allocates nothing: the
+/// freed stack is empty at boot.
 #[derive(Clone, Debug)]
 pub struct FrameAllocator {
     /// Never-allocated frames, handed out lowest first.
     fresh: Range<u64>,
     /// Freed frames, reused last-freed first, before any fresh frame.
     freed: Vec<Mfn>,
-    quotas: BTreeMap<DomainId, Quota>,
+    quotas: Arc<BTreeMap<DomainId, Quota>>,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -41,8 +43,21 @@ impl FrameAllocator {
         Self {
             fresh: first.raw()..limit.raw(),
             freed: Vec::new(),
-            quotas: BTreeMap::new(),
+            quotas: Arc::default(),
         }
+    }
+
+    /// Gives this allocator its own copy of the quotas, so its clones
+    /// bump a reference count that clones of the allocator it was cloned
+    /// from do not.
+    pub fn unshare(&mut self) {
+        self.quotas = Arc::new((*self.quotas).clone());
+    }
+
+    /// The reference count of the shared quotas (how many allocators
+    /// share them).
+    pub fn share_count(&self) -> usize {
+        Arc::strong_count(&self.quotas)
     }
 
     /// Number of frames currently free.
@@ -52,7 +67,7 @@ impl FrameAllocator {
 
     /// Sets a domain's maximum page quota.
     pub fn set_quota(&mut self, dom: DomainId, max_pages: u64) {
-        self.quotas.entry(dom).or_default().max_pages = max_pages;
+        Arc::make_mut(&mut self.quotas).entry(dom).or_default().max_pages = max_pages;
     }
 
     /// Pages currently allocated to `dom`.
@@ -77,7 +92,7 @@ impl FrameAllocator {
         dom: DomainId,
         page_type: PageType,
     ) -> Result<Mfn, MemError> {
-        let quota = self.quotas.entry(dom).or_default();
+        let quota = Arc::make_mut(&mut self.quotas).entry(dom).or_default();
         if quota.max_pages != 0 && quota.tot_pages >= quota.max_pages {
             return Err(MemError::DomainQuotaExceeded);
         }
@@ -101,7 +116,7 @@ impl FrameAllocator {
     pub fn free(&mut self, mem: &mut MachineMemory, mfn: Mfn) -> Result<(), MemError> {
         let owner = mem.info(mfn)?.owner();
         if let Some(dom) = owner {
-            if let Some(q) = self.quotas.get_mut(&dom) {
+            if let Some(q) = Arc::make_mut(&mut self.quotas).get_mut(&dom) {
                 q.tot_pages = q.tot_pages.saturating_sub(1);
             }
         }

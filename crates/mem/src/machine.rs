@@ -187,6 +187,12 @@ impl MachineMemory {
         self.base = Arc::new(Frames(Arc::clone(&self.base.0)));
     }
 
+    /// The reference count of this image's handle on its base (how many
+    /// images share the handle).
+    pub fn share_count(&self) -> usize {
+        Arc::strong_count(&self.base)
+    }
+
     /// Copy-on-write accounting for this image, in O(1).
     pub fn snapshot_stats(&self) -> SnapshotStats {
         SnapshotStats {
