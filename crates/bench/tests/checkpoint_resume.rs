@@ -4,8 +4,11 @@
 //! final record) must resume to a merged normalized [`StreamReport`]
 //! byte-identical to the uninterrupted run — per shard and across
 //! `report merge`-style [`StreamReport::try_merge`].
+//!
+//! A fold record is written in the same JSON as the by-name fold wrote
+//! it, so journals resume across the change to an index-keyed fold.
 
-use bench::synthetic_campaign;
+use bench::{paper_campaign, synthetic_campaign};
 use hvsim_obs::MetricsRegistry;
 use intrusion_core::{Campaign, Shard};
 use std::path::PathBuf;
@@ -106,5 +109,75 @@ fn resume_refuses_the_wrong_campaign_or_shard() {
     let err =
         small().shard(Shard::new(0, 2).unwrap()).resume(&journal).unwrap_err().to_string();
     assert!(err.contains("different campaign"), "shard mismatch is loud and typed: {err}");
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn a_resumed_run_counts_only_the_cells_it_ran() {
+    let journal = scratch("throughput.journal");
+    let small = || synthetic_campaign(SEED, 2_000).jobs(2);
+    small().run_streaming_checkpointed(&journal).unwrap();
+    hard_kill(&journal, 0.5);
+    let registry = MetricsRegistry::new();
+    let resumed = small().metrics(registry.clone()).resume(&journal).unwrap();
+    let skipped = counter(&registry, "campaign.checkpoint.resumed_slots");
+    assert!(
+        skipped > 0 && skipped < resumed.report.cells,
+        "the cut journal covers part of the grid"
+    );
+    let ran = resumed.report.completed - skipped;
+    let stats = resumed.stats;
+    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let counted = (stats.cells_per_sec * stats.elapsed_us as f64 / 1e6).round() as u64;
+    assert_eq!(counted, ran, "throughput counts the cells this run executed, not recovered ones");
+    // Every slot is now covered: a second resume runs nothing.
+    let again = small().resume(&journal).unwrap();
+    assert_eq!(again.report.normalized(), resumed.report.normalized());
+    assert_eq!(again.stats.cells_per_sec, 0.0, "no cell ran");
+    std::fs::remove_file(&journal).ok();
+}
+
+/// The fold record of a journal, as the JSON text the journal carries.
+fn fold_record(journal: &str) -> String {
+    let line = journal.lines().nth(1).expect("a header and a fold record");
+    // Each line is `<length> <checksum> <trace event>`.
+    let event = line.splitn(3, ' ').nth(2).unwrap();
+    let event = hvsim_obs::parse_line(event).unwrap();
+    event.attrs.into_iter().find(|(k, _)| k == "fold").map(|(_, v)| v).unwrap()
+}
+
+/// Every object key of a JSON text, with repeats, sorted.
+fn json_keys(json: &str) -> Vec<&str> {
+    let mut keys: Vec<&str> = json
+        .match_indices("\":")
+        .map(|(end, _)| &json[json[..end].rfind('"').unwrap() + 1..end])
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+#[test]
+fn fold_records_keep_the_by_name_folds_json() {
+    // Written by the engine that folded every cell by key name:
+    // `campaign --checkpoint j.journal --trials 2 --jobs 1`.
+    let old = include_str!("fixtures/by-name-fold-2-trials.journal");
+    let journal = scratch("keys.journal");
+    let campaign = || paper_campaign().trials(2).jobs(1);
+    let fresh = campaign().run_streaming_checkpointed(&journal).unwrap();
+    let new = std::fs::read_to_string(&journal).unwrap();
+    let (old_fold, new_fold) = (fold_record(old), fold_record(&new));
+    assert_eq!(json_keys(&new_fold), json_keys(&old_fold));
+    let by_key = |fold: &str| {
+        let (start, end) =
+            (fold.find("\"by_key\"").unwrap(), fold.find("\"degraded_slots\"").unwrap());
+        fold[start..end].to_owned()
+    };
+    assert_eq!(by_key(&new_fold), by_key(&old_fold), "the per-key tallies agree");
+    // The old journal covers every slot; resuming it runs nothing and
+    // reproduces the fresh run's report.
+    std::fs::write(&journal, old).unwrap();
+    let resumed = campaign().resume(&journal).unwrap();
+    assert_eq!(resumed.report.normalized(), fresh.report.normalized());
+    assert_eq!(resumed.stats.cells_per_sec, 0.0);
     std::fs::remove_file(&journal).ok();
 }

@@ -64,6 +64,27 @@ fn paper_campaign_records_cell_metrics() {
     assert!(report.cells().iter().all(|c| c.snapshot.frames_total > 0));
 }
 
+/// Each cell reads the clock once at its start and once after each
+/// phase, so boot, inject and monitor tile its wall time; rounding each
+/// of the three to whole µs loses at most 2 µs.
+#[test]
+fn phases_tile_each_cells_wall_time() {
+    let report = paper_campaign().trials(4).run_with_jobs(2);
+    for cell in report.cells().iter().filter(|c| !c.degraded()) {
+        let p = cell.phase_us;
+        let phases = p.boot_us.unwrap() + p.inject_us.unwrap() + p.monitor_us.unwrap();
+        let slack = cell.wall_time_us.checked_sub(phases);
+        assert!(
+            matches!(slack, Some(0..=2)),
+            "{} {} {}: wall {} µs, phases {p:?}",
+            cell.use_case,
+            cell.version,
+            cell.mode,
+            cell.wall_time_us
+        );
+    }
+}
+
 #[test]
 fn randomized_sweep_is_worker_count_independent() {
     let campaign = RandomizedCampaign::new(TargetRegion::IdtGates { cpu: 0 }, 16, 7);

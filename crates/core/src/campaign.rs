@@ -10,7 +10,7 @@ use crate::monitor::SecurityViolation;
 use crate::obs_bridge;
 use crate::scenario::{Mode, UseCase};
 use crate::stream::{
-    CellSpec, GridFingerprint, PartialFold, Shard, SlotClaims, SpecGrid, StreamOutcome,
+    CellSpec, GridFingerprint, KeySummary, PartialFold, Shard, SlotClaims, SpecGrid, StreamOutcome,
     StreamRunStats,
 };
 use crate::telemetry::{self, Telemetry};
@@ -583,12 +583,9 @@ impl Campaign {
         let run_start = Instant::now();
         let session = session.as_ref();
         let first_worker = session.map_or(1, |s| s.first_worker);
-        let sinks = self.run_workers(jobs, session, policy.as_deref(), |index| FoldSink {
-            session,
-            worker_id: first_worker + index as u64,
-            fold: PartialFold::default(),
-            seq: 0,
-            batch: Vec::new(),
+        let key_names = self.fingerprint().key_names();
+        let sinks = self.run_workers(jobs, session, policy.as_deref(), |index| {
+            FoldSink::new(session, first_worker + index as u64, &key_names, self.trials)
         });
         if sinks.is_empty() {
             return StreamOutcome::default();
@@ -596,6 +593,9 @@ impl Campaign {
         let workers = sinks.len() as u64;
         let merge_start = Instant::now();
         let mut parts: Vec<PartialFold> = sinks.into_iter().map(|sink| sink.fold).collect();
+        // Only the cells this run executed: a resumed run's recovered
+        // folds ran in an earlier process.
+        let ran: u64 = parts.iter().map(PartialFold::completed).sum();
         if let Some(s) = session {
             parts.extend(s.recovered.iter().cloned());
         }
@@ -614,7 +614,7 @@ impl Campaign {
         let stats = StreamRunStats {
             workers,
             elapsed_us,
-            cells_per_sec: report.completed as f64 * 1_000_000.0 / elapsed_us as f64,
+            cells_per_sec: ran as f64 * 1_000_000.0 / elapsed_us as f64,
             merge_us,
         };
         if let Some(registry) = &self.metrics {
@@ -668,10 +668,14 @@ impl Campaign {
             self.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
         let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
         let claims = SlotClaims::new(total, workers);
-        let live_total = total.saturating_sub(session.map_or(0, CheckpointSession::resumed_slots));
-        let telemetry = Telemetry::new(live_total, workers);
+        // Workers write telemetry only for a supervisor to read.
+        let telemetry = self.supervisor_wanted().then(|| {
+            let live = total.saturating_sub(session.map_or(0, CheckpointSession::resumed_slots));
+            Telemetry::new(live, workers)
+        });
         std::thread::scope(|scope| {
-            let (claims, grid, telemetry, new_sink) = (&claims, &grid, &telemetry, &new_sink);
+            let (claims, grid, new_sink) = (&claims, &grid, &new_sink);
+            let telemetry = telemetry.as_ref();
             let base_worlds = base_worlds.as_ref();
             let handles: Vec<_> = (0..workers)
                 .map(|index| {
@@ -687,19 +691,25 @@ impl Campaign {
                             if let Some(stall) = policy.and_then(|p| p.claim_stall(spec.slot)) {
                                 std::thread::sleep(stall);
                             }
-                            telemetry.beat(index, spec.slot);
+                            if let Some(t) = telemetry {
+                                t.beat(index, spec.slot);
+                            }
                             let ctx = self.tracer.ctx(spec.slot + 1);
                             let cell = self.run_slot(&ctx, spec, base_worlds, policy);
-                            telemetry.cell_done(cell.degraded());
+                            if let Some(t) = telemetry {
+                                t.cell_done(index, cell.degraded());
+                            }
                             sink.push(i, &spec, cell, &ctx);
                         });
                         sink.finish();
-                        telemetry.worker_finished(index);
+                        if let Some(t) = telemetry {
+                            t.worker_finished(index);
+                        }
                         sink
                     })
                 })
                 .collect();
-            if self.supervisor_wanted() {
+            if let Some(telemetry) = telemetry {
                 let supervisor = self.supervisor();
                 scope.spawn(move || {
                     supervisor.run(telemetry, |values| {
@@ -758,7 +768,9 @@ impl Campaign {
         base_worlds: Option<&BaseWorldMap>,
         policy: Option<&ChaosPolicy>,
     ) -> CellResult {
-        let started = Instant::now();
+        // The cell times its own phases; only a deadline needs the
+        // slot's whole span, chaos decisions included.
+        let started = self.cell_deadline.map(|_| Instant::now());
         let uc = &*self.use_cases[spec.use_case];
         // Chaos decisions are slot-keyed and made exactly once, here —
         // the only place that knows both the slot and the cell.
@@ -806,7 +818,8 @@ impl Campaign {
             base,
             chaos_boot_faults,
         );
-        if let Some(deadline) = self.cell_deadline.filter(|&d| started.elapsed() > d) {
+        let overrun = self.cell_deadline.zip(started).filter(|&(d, started)| started.elapsed() > d);
+        if let Some((deadline, started)) = overrun {
             let deadline_us = deadline.as_micros() as u64;
             ctx.point("cell/deadline_exceeded", 0, || {
                 vec![("deadline_us".to_owned(), deadline_us.to_string())]
@@ -902,6 +915,9 @@ impl Campaign {
         base: Option<&Result<World, CampaignError>>,
         boot_faults: u32,
     ) -> CellResult {
+        // One clock chain: each phase ends where the next begins, so the
+        // phases tile the cell's wall time from `start` to the end of
+        // monitoring.
         let start = Instant::now();
         let mut phases = PhaseTimings::default();
         let _cell_span = ctx.span_with("cell", || {
@@ -916,7 +932,6 @@ impl Campaign {
         // a partially-cloned world is dropped inside the boundary — no
         // broken state can leak to other cells.
         let boot_span = ctx.span("cell/boot");
-        let boot_start = Instant::now();
         let fresh_boot = base.is_none();
         let (world, attempts, backoff_us) = match base {
             Some(Ok(base)) => (
@@ -944,7 +959,8 @@ impl Campaign {
                 registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
             }
         }
-        phases.boot_us = Some(boot_start.elapsed().as_micros() as u64);
+        let booted = Instant::now();
+        phases.boot_us = Some(micros(start, booted));
         ctx.point("cell/boot/result", 0, || {
             vec![
                 ("attempts".to_owned(), attempts.to_string()),
@@ -956,7 +972,7 @@ impl Campaign {
         let mut world = match world {
             Ok(world) => world,
             Err(error) => {
-                let wall = start.elapsed().as_micros() as u64;
+                let wall = micros(start, booted);
                 return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
             }
         };
@@ -979,27 +995,27 @@ impl Campaign {
                 message: "world booted with no domains".to_owned(),
                 attempts,
             };
-            let wall = start.elapsed().as_micros() as u64;
+            let wall = micros(start, booted);
             return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
         };
 
         // Phase 2: the scenario body. The world is owned by this cell,
         // so a panicking exploit/injector takes only its own clone down.
         let inject_span = ctx.span("cell/inject");
-        let inject_start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| match mode {
             Mode::Exploit => uc.run_exploit_trial(&mut world, attacker, trial),
             Mode::Injection => {
                 uc.run_injection_trial(&mut world, attacker, &ArbitraryAccessInjector, trial)
             }
         }));
-        phases.inject_us = Some(inject_start.elapsed().as_micros() as u64);
+        let injected = Instant::now();
+        phases.inject_us = Some(micros(booted, injected));
         drop(inject_span);
         let outcome = match outcome {
             Ok(outcome) => outcome,
             Err(p) => {
                 let error = CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) };
-                let wall = start.elapsed().as_micros() as u64;
+                let wall = micros(start, injected);
                 bridge_audit(&world);
                 return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
             }
@@ -1008,17 +1024,17 @@ impl Campaign {
         // Phase 3: monitoring, with per-detector containment — one
         // panicking detector costs its own observations, not the cell's.
         let monitor_span = ctx.span("cell/monitor");
-        let monitor_start = Instant::now();
         let observed = catch_unwind(AssertUnwindSafe(|| {
             uc.monitor(&world, attacker).observe_contained(&world)
         }));
-        phases.monitor_us = Some(monitor_start.elapsed().as_micros() as u64);
+        let monitored = Instant::now();
+        phases.monitor_us = Some(micros(injected, monitored));
+        let wall = micros(start, monitored);
         drop(monitor_span);
         let (observation, detector_failures) = match observed {
             Ok(observed) => observed,
             Err(p) => {
                 let error = CampaignError::Monitor { message: panic_payload(p.as_ref()) };
-                let wall = start.elapsed().as_micros() as u64;
                 bridge_audit(&world);
                 return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
             }
@@ -1042,12 +1058,11 @@ impl Campaign {
             error,
             outcome: CellOutcome::Completed,
             attempts,
-            wall_time_us: 0, // patched below, after the clock stops
+            wall_time_us: wall,
             hypercalls: world.hv().hypercall_count().saturating_sub(base_hypercalls),
             phase_us: phases,
             snapshot: world.snapshot_stats(),
         }
-        .with_wall_time(start.elapsed().as_micros() as u64)
     }
 
     /// A cell record for a harness failure (boot / crash / monitor /
@@ -1146,26 +1161,57 @@ impl CellSink for Collected {
 /// report and drops it. With a checkpoint session it also journals the
 /// worker's progress: a synced fold record every [`FOLD_INTERVAL`] slots
 /// and at the end.
+///
+/// The per-key tally is kept by key index (`slot / trials`) beside the
+/// fold, not by name inside it; keys get their names only when a fold
+/// record is written and at [`CellSink::finish`], so the fold and its
+/// journal records are the same as a by-name fold's.
 struct FoldSink<'a> {
     session: Option<&'a CheckpointSession>,
     worker_id: u64,
     fold: PartialFold,
+    /// Per-key tallies, indexed by key.
+    keys: Vec<KeySummary>,
+    /// `by_key` name of each key ([`GridFingerprint::key_names`]).
+    key_names: &'a [String],
+    trials: u64,
     /// Fold records this worker has journaled.
     seq: u64,
     batch: Vec<u64>,
 }
 
-impl FoldSink<'_> {
+impl<'a> FoldSink<'a> {
+    fn new(
+        session: Option<&'a CheckpointSession>,
+        worker_id: u64,
+        key_names: &'a [String],
+        trials: u64,
+    ) -> Self {
+        Self {
+            session,
+            worker_id,
+            fold: PartialFold::default(),
+            keys: vec![KeySummary::default(); key_names.len()],
+            key_names,
+            trials,
+            seq: 0,
+            batch: Vec::new(),
+        }
+    }
+
     fn record_fold(&mut self, session: &CheckpointSession) {
         self.seq += 1;
         let batch = std::mem::take(&mut self.batch);
-        session.record_fold(self.worker_id, self.seq, batch, &self.fold);
+        let mut named = self.fold.clone();
+        named.name_keys(&self.keys, self.key_names);
+        session.record_fold(self.worker_id, self.seq, batch, &named);
     }
 }
 
 impl CellSink for FoldSink<'_> {
     fn push(&mut self, _index: u64, spec: &CellSpec, cell: CellResult, ctx: &TraceCtx) {
-        self.fold.fold(spec, &cell);
+        self.fold.fold_totals(spec, &cell);
+        self.keys[(spec.slot / self.trials) as usize].tally(&cell);
         let Some(session) = self.session else { return };
         let _journal_span = ctx.span("cell/journal");
         self.batch.push(spec.slot);
@@ -1180,6 +1226,8 @@ impl CellSink for FoldSink<'_> {
                 self.record_fold(session);
             }
         }
+        let keys = std::mem::take(&mut self.keys);
+        self.fold.name_keys(&keys, self.key_names);
     }
 }
 
@@ -1233,11 +1281,9 @@ pub(crate) fn boot_with_retries<T>(
     }
 }
 
-impl CellResult {
-    fn with_wall_time(mut self, wall_time_us: u64) -> Self {
-        self.wall_time_us = wall_time_us;
-        self
-    }
+/// Whole microseconds from `from` to `to`.
+fn micros(from: Instant, to: Instant) -> u64 {
+    to.duration_since(from).as_micros() as u64
 }
 
 impl Default for Campaign {
@@ -1825,6 +1871,104 @@ mod tests {
             assert!(verdict.attrs[0].1.contains("factory panic"), "{verdict:?}");
         }
         assert!(campaign.replay(report.cells().len() as u64).is_none(), "past the grid's end");
+    }
+
+    /// A cell of key `spec` with outcome, verdicts and timings drawn
+    /// from `bits`.
+    fn random_cell(use_case: &str, spec: &CellSpec, bits: u64) -> CellResult {
+        let kind = bits % 6;
+        let error = match kind {
+            0 => Some(CampaignError::Boot { message: "x".into(), attempts: 2 }),
+            1 => Some(CampaignError::Deadline { deadline_us: 7 }),
+            2 => Some(CampaignError::Injection { message: "-EFAULT".into() }),
+            _ => None,
+        };
+        let outcome = match kind {
+            0 => CellOutcome::BootFailed,
+            1 => CellOutcome::TimedOut { deadline_us: 7 },
+            _ => CellOutcome::Completed,
+        };
+        let violated = bits & 0x10 != 0;
+        CellResult {
+            use_case: use_case.to_owned(),
+            version: spec.version,
+            mode: spec.mode,
+            erroneous_state: bits & 0x20 != 0,
+            violations: if violated {
+                vec![SecurityViolation::HypervisorCrash { message: "x".into() }]
+            } else {
+                Vec::new()
+            },
+            handled: !violated && bits & 0x20 != 0,
+            notes: Vec::new(),
+            error,
+            outcome,
+            attempts: 1 + (bits >> 6) as u32 % 2,
+            wall_time_us: (bits >> 8) % 1_000,
+            hypercalls: (bits >> 18) % 9,
+            phase_us: PhaseTimings {
+                boot_us: Some((bits >> 24) % 50),
+                inject_us: (kind != 0).then_some((bits >> 32) % 50),
+                monitor_us: (kind > 2).then_some((bits >> 40) % 50),
+            },
+            snapshot: SnapshotStats { frames_total: 4096, frames_copied: (bits >> 48) % 4 },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random cells folded by key index on several sinks, whose folds
+        /// are absorbed in a shuffled order, give exactly the by-name fold
+        /// of the same cells.
+        #[test]
+        fn index_keyed_fold_equals_the_by_name_fold(
+            seed in proptest::prelude::any::<u64>(),
+            trials in 1u64..5,
+            sinks in 1usize..5,
+        ) {
+            let use_cases = vec!["uc-a".to_owned(), "uc-b".to_owned(), "uc-c".to_owned()];
+            let modes = [Mode::Exploit, Mode::Injection];
+            let grid = SpecGrid::new(use_cases.len(), &XenVersion::ALL, &modes, trials);
+            let fingerprint = GridFingerprint {
+                use_cases,
+                versions: XenVersion::ALL.to_vec(),
+                modes: modes.to_vec(),
+                trials,
+            };
+            let key_names = fingerprint.key_names();
+            let ctx = Tracer::disabled().ctx(0);
+            let mut reference = PartialFold::default();
+            let mut parts: Vec<FoldSink<'_>> =
+                (0..sinks).map(|w| FoldSink::new(None, w as u64, &key_names, trials)).collect();
+            let mut bits = seed;
+            for spec in grid.iter() {
+                bits = splitmix64(bits);
+                // Some slots, and so on small grids whole keys, never run.
+                if bits.is_multiple_of(5) {
+                    continue;
+                }
+                let cell = random_cell(&fingerprint.use_cases[spec.use_case], &spec, bits >> 3);
+                reference.fold(&spec, &cell);
+                parts[(bits >> 56) as usize % sinks].push(spec.slot, &spec, cell, &ctx);
+            }
+            let mut folds: Vec<PartialFold> = parts
+                .into_iter()
+                .map(|mut sink| {
+                    sink.finish();
+                    sink.fold
+                })
+                .collect();
+            for i in (1..folds.len()).rev() {
+                bits = splitmix64(bits);
+                folds.swap(i, (bits % (i as u64 + 1)) as usize);
+            }
+            let mut whole = PartialFold::default();
+            for fold in &folds {
+                whole.absorb(fold);
+            }
+            proptest::prop_assert_eq!(whole.finish(), reference.finish());
+        }
     }
 
     #[test]

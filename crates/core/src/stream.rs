@@ -372,6 +372,26 @@ impl KeySummary {
         }
     }
 
+    /// Counts one finished cell under this key.
+    pub(crate) fn tally(&mut self, cell: &CellResult) {
+        self.cells += 1;
+        if cell.degraded() {
+            self.degraded += 1;
+        } else {
+            self.completed += 1;
+        }
+        if cell.erroneous_state {
+            self.erroneous_states += 1;
+        }
+        if cell.violated() {
+            self.violated += 1;
+        }
+        if cell.handled {
+            self.handled += 1;
+        }
+        self.hypercalls += cell.hypercalls;
+    }
+
     fn absorb(&mut self, other: &KeySummary) {
         self.cells += other.cells;
         self.completed += other.completed;
@@ -452,6 +472,20 @@ impl GridFingerprint {
             * self.versions.len() as u64
             * self.modes.len() as u64
             * self.trials.max(1)
+    }
+
+    /// The `by_key` name of every grid key, indexed by key: cell `slot`
+    /// belongs to key `slot / trials`.
+    pub(crate) fn key_names(&self) -> Vec<String> {
+        let mut names = Vec::new();
+        for use_case in &self.use_cases {
+            for &version in &self.versions {
+                for &mode in &self.modes {
+                    names.push(grid_key(use_case, version, mode));
+                }
+            }
+        }
+        names
     }
 }
 
@@ -865,7 +899,8 @@ pub struct StreamRunStats {
     pub workers: u64,
     /// End-to-end elapsed time, µs.
     pub elapsed_us: u64,
-    /// Completed cells per second of elapsed time.
+    /// Cells this run completed per second of elapsed time; a resumed
+    /// run does not count the cells recovered from its journal.
     pub cells_per_sec: f64,
     /// Time spent merging per-worker partial reports, µs.
     pub merge_us: u64,
@@ -949,8 +984,17 @@ impl PhaseHistograms {
 
 impl PartialFold {
     /// Folds one finished cell into this worker's partial report; the
-    /// cell is dropped afterwards.
+    /// cell is dropped afterwards. Looks its key up by name, per cell;
+    /// a streaming worker keeps its per-key tally by key index instead
+    /// ([`PartialFold::fold_totals`] and [`PartialFold::name_keys`]).
     pub(crate) fn fold(&mut self, spec: &CellSpec, cell: &CellResult) {
+        self.fold_totals(spec, cell);
+        let key = grid_key(&cell.use_case, cell.version, cell.mode);
+        self.report.by_key.entry(key).or_default().tally(cell);
+    }
+
+    /// Folds everything of one finished cell but its `by_key` entry.
+    pub(crate) fn fold_totals(&mut self, spec: &CellSpec, cell: &CellResult) {
         if self.first_slot.is_none() {
             self.first_slot = Some(spec.slot);
         }
@@ -993,24 +1037,6 @@ impl PartialFold {
         r.hypercalls += cell.hypercalls;
         r.wall_time_us += cell.wall_time_us;
         r.frames_copied += cell.snapshot.frames_copied;
-        let key = grid_key(&cell.use_case, cell.version, cell.mode);
-        let summary = r.by_key.entry(key).or_default();
-        summary.cells += 1;
-        if degraded {
-            summary.degraded += 1;
-        } else {
-            summary.completed += 1;
-        }
-        if cell.erroneous_state {
-            summary.erroneous_states += 1;
-        }
-        if cell.violated() {
-            summary.violated += 1;
-        }
-        if cell.handled {
-            summary.handled += 1;
-        }
-        summary.hypercalls += cell.hypercalls;
         let (boot, inject, monitor) = if degraded {
             (&mut self.phases.boot_degraded, &mut self.phases.inject_degraded, &mut self.phases.monitor_degraded)
         } else {
@@ -1025,6 +1051,20 @@ impl PartialFold {
         if let Some(v) = cell.phase_us.monitor_us {
             monitor.record(v);
         }
+    }
+
+    /// Adds per-key tallies kept by key index to `by_key`: `keys[i]` is
+    /// named `names[i]` ([`GridFingerprint::key_names`]). Keys no cell
+    /// reached stay out, as they do from [`PartialFold::fold`].
+    pub(crate) fn name_keys(&mut self, keys: &[KeySummary], names: &[String]) {
+        for (summary, name) in keys.iter().zip(names).filter(|(s, _)| s.cells > 0) {
+            self.report.by_key.entry(name.clone()).or_default().absorb(summary);
+        }
+    }
+
+    /// Cells of this fold that completed cleanly.
+    pub(crate) fn completed(&self) -> u64 {
+        self.report.completed
     }
 
     /// The first slot this fold saw (for deterministic merge ordering).

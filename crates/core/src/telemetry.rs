@@ -1,9 +1,11 @@
 //! Live campaign telemetry: worker heartbeats, stall detection, the
 //! metrics-timeline sampler, and the `--progress` line.
 //!
-//! The campaign worker loop stamps each worker's heartbeat — the time
-//! and the slot it just claimed — at every slot boundary, and a single
-//! supervisor thread wakes every [`SAMPLE_INTERVAL`] to (1) push a
+//! A supervisor runs only for `--progress` or `--timeline-out`, and
+//! only then do workers get a [`Telemetry`]: each worker stamps its own
+//! cache-line-aligned [`WorkerSlot`] — the time and the slot it just
+//! claimed, and its done/degraded counts — at every slot boundary, and
+//! the supervisor thread wakes every [`SAMPLE_INTERVAL`] to (1) push a
 //! [`TimelineSample`] of live counters and gauges, (2) compare every
 //! worker's heartbeat age against the stall threshold — flagging a
 //! wedged worker once per stall episode via the
@@ -28,22 +30,33 @@ pub(crate) const SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 /// or waiting for work) — idle workers are never stall candidates.
 const IDLE: u64 = u64::MAX;
 
-/// Shared live state of one campaign run: progress counters and one
-/// heartbeat per worker. Created once per run, written by workers on
-/// the slot boundary (relaxed atomic stores), read by the supervisor.
+/// One worker's live counters, alone on a cache line so that no two
+/// workers' per-cell writes land on the same line. Only its worker
+/// writes it; the supervisor reads and sums every slot.
+#[repr(align(64))]
+struct WorkerSlot {
+    /// Milliseconds since the run started when the worker last crossed
+    /// a slot boundary, or [`IDLE`].
+    heartbeat: AtomicU64,
+    /// The slot claimed at the last heartbeat.
+    slot: AtomicU64,
+    /// Cells this worker finished.
+    done: AtomicU64,
+    /// Of those, cells on which the harness degraded.
+    degraded: AtomicU64,
+}
+
+/// Shared live state of one supervised campaign run: one
+/// [`WorkerSlot`] per worker. Created only when a supervisor will read
+/// it; written by workers on the slot boundary (relaxed atomic stores),
+/// read by the supervisor.
 pub(crate) struct Telemetry {
     start: Instant,
     total: u64,
-    done: AtomicU64,
-    degraded: AtomicU64,
-    /// Per-worker heartbeat: milliseconds since `start` when the worker
-    /// last crossed a slot boundary, or [`IDLE`].
-    heartbeats: Vec<AtomicU64>,
-    /// Per-worker slot claimed at the last heartbeat.
-    slots: Vec<AtomicU64>,
+    workers: Vec<WorkerSlot>,
     /// Workers that ran out of work and exited — the supervisor's
     /// shutdown condition, airtight even when the cell count drifts
-    /// (resumed slots, early closes).
+    /// (resumed slots, early closes). Written once per worker.
     finished_workers: AtomicU64,
 }
 
@@ -52,10 +65,14 @@ impl Telemetry {
         Self {
             start: Instant::now(),
             total,
-            done: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            heartbeats: (0..workers).map(|_| AtomicU64::new(IDLE)).collect(),
-            slots: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            workers: (0..workers)
+                .map(|_| WorkerSlot {
+                    heartbeat: AtomicU64::new(IDLE),
+                    slot: AtomicU64::new(0),
+                    done: AtomicU64::new(0),
+                    degraded: AtomicU64::new(0),
+                })
+                .collect(),
             finished_workers: AtomicU64::new(0),
         }
     }
@@ -67,16 +84,16 @@ impl Telemetry {
 
     /// Stamps `worker`'s heartbeat: it just claimed `slot`.
     pub(crate) fn beat(&self, worker: usize, slot: u64) {
-        if let (Some(cell), Some(held)) = (self.heartbeats.get(worker), self.slots.get(worker)) {
-            held.store(slot, Ordering::Relaxed);
-            cell.store(self.elapsed_ms().min(IDLE - 1), Ordering::Relaxed);
+        if let Some(w) = self.workers.get(worker) {
+            w.slot.store(slot, Ordering::Relaxed);
+            w.heartbeat.store(self.elapsed_ms().min(IDLE - 1), Ordering::Relaxed);
         }
     }
 
     /// Marks `worker` idle (waiting or done); idle workers never stall.
     pub(crate) fn idle(&self, worker: usize) {
-        if let Some(cell) = self.heartbeats.get(worker) {
-            cell.store(IDLE, Ordering::Relaxed);
+        if let Some(w) = self.workers.get(worker) {
+            w.heartbeat.store(IDLE, Ordering::Relaxed);
         }
     }
 
@@ -87,29 +104,40 @@ impl Telemetry {
         self.finished_workers.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one finished cell.
-    pub(crate) fn cell_done(&self, degraded: bool) {
-        if degraded {
-            self.degraded.fetch_add(1, Ordering::Relaxed);
+    /// Counts one cell `worker` finished.
+    pub(crate) fn cell_done(&self, worker: usize, degraded: bool) {
+        if let Some(w) = self.workers.get(worker) {
+            if degraded {
+                w.degraded.fetch_add(1, Ordering::Relaxed);
+            }
+            w.done.fetch_add(1, Ordering::Relaxed);
         }
-        self.done.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Cells finished across all workers.
+    fn done(&self) -> u64 {
+        self.workers.iter().map(|w| w.done.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Degraded cells across all workers.
+    fn degraded(&self) -> u64 {
+        self.workers.iter().map(|w| w.degraded.load(Ordering::Relaxed)).sum()
     }
 
     fn finished(&self) -> bool {
-        self.finished_workers.load(Ordering::Relaxed) >= self.heartbeats.len() as u64
+        self.finished_workers.load(Ordering::Relaxed) >= self.workers.len() as u64
     }
 
     /// Each busy worker's heartbeat age in ms and the slot it holds
     /// (`None` = idle).
     fn heartbeats(&self, now_ms: u64) -> Vec<Option<Heartbeat>> {
-        self.heartbeats
+        self.workers
             .iter()
-            .zip(&self.slots)
-            .map(|(cell, slot)| match cell.load(Ordering::Relaxed) {
+            .map(|w| match w.heartbeat.load(Ordering::Relaxed) {
                 IDLE => None,
                 beat => Some(Heartbeat {
                     age_ms: now_ms.saturating_sub(beat),
-                    slot: slot.load(Ordering::Relaxed),
+                    slot: w.slot.load(Ordering::Relaxed),
                 }),
             })
             .collect()
@@ -186,7 +214,7 @@ impl Supervisor<'_> {
             // explicit 0 in every snapshot, not an absent name.
             registry.add(crate::obs_bridge::M_WORKER_STALLED, 0);
         }
-        let mut flagged = vec![false; telemetry.heartbeats.len()];
+        let mut flagged = vec![false; telemetry.workers.len()];
         loop {
             let finished = self.sleep_interval(telemetry);
             self.tick(telemetry, &extra, &mut flagged);
@@ -220,8 +248,8 @@ impl Supervisor<'_> {
         flagged: &mut [bool],
     ) {
         let now_ms = telemetry.elapsed_ms();
-        let done = telemetry.done.load(Ordering::Relaxed);
-        let degraded = telemetry.degraded.load(Ordering::Relaxed);
+        let done = telemetry.done();
+        let degraded = telemetry.degraded();
         let beats = telemetry.heartbeats(now_ms);
         let busy = beats.iter().filter(|beat| beat.is_some()).count() as u64;
         let stalled = stalled_workers(&beats, self.stall_after.as_millis() as u64);
@@ -292,26 +320,46 @@ mod tests {
         assert!(beat.age_ms >= 50);
         assert_eq!(beat.slot, 3, "the heartbeat carries the claimed slot");
         assert_eq!(beats[1], None, "a worker that never beat is idle");
+        t.beat(1, 9);
+        let slots: Vec<Option<u64>> =
+            t.heartbeats(t.elapsed_ms()).iter().map(|b| b.map(|b| b.slot)).collect();
+        assert_eq!(slots, vec![Some(3), Some(9)], "each worker holds its own slot");
         t.idle(0);
+        t.idle(1);
         assert_eq!(t.heartbeats(1_000), vec![None, None]);
         // Out-of-range worker indices are ignored, not a panic.
         t.beat(7, 0);
         t.idle(7);
+        t.cell_done(7, true);
+        assert_eq!((t.done(), t.degraded()), (0, 0));
     }
 
     #[test]
     fn progress_counters_accumulate() {
         let t = Telemetry::new(3, 2);
         assert!(!t.finished());
-        t.cell_done(false);
-        t.cell_done(true);
-        t.cell_done(false);
-        assert_eq!(t.done.load(Ordering::Relaxed), 3);
-        assert_eq!(t.degraded.load(Ordering::Relaxed), 1);
+        t.cell_done(0, false);
+        t.cell_done(1, true);
+        t.cell_done(0, false);
+        assert_eq!(t.workers[0].done.load(Ordering::Relaxed), 2, "each worker counts its own");
+        assert_eq!(t.workers[1].done.load(Ordering::Relaxed), 1);
+        assert_eq!(t.done(), 3, "the supervisor sums the workers");
+        assert_eq!(t.degraded(), 1);
         t.worker_finished(0);
         assert!(!t.finished(), "one of two workers still running");
         t.worker_finished(1);
         assert!(t.finished());
+    }
+
+    #[test]
+    fn worker_slots_never_share_a_cache_line() {
+        assert!(std::mem::align_of::<WorkerSlot>() >= 64);
+        let t = Telemetry::new(0, 4);
+        for pair in t.workers.windows(2) {
+            let [a, b] = [&pair[0], &pair[1]].map(|w| w as *const WorkerSlot as usize);
+            assert_eq!(a % 64, 0, "each slot starts a line");
+            assert!(b - a >= 64, "adjacent slots sit {} bytes apart", b - a);
+        }
     }
 
     #[test]
