@@ -5,112 +5,14 @@
 //! schema-valid line by line, and summarizable — and degraded cells must
 //! carry per-phase timings so the failure is attributable.
 
-use guestos::{BootError, World};
+mod common;
+
+use common::{messy_campaign, QuietCase};
 use hvsim::XenVersion;
-use hvsim_mem::DomainId;
 use hvsim_obs::{
     normalized_jsonl, parse_jsonl, to_jsonl, MetricsRegistry, TraceEvent, TraceSummary, Tracer,
 };
-use intrusion_core::campaign::standard_world;
-use intrusion_core::{
-    AbusiveFunctionality, Campaign, CampaignReport, CellOutcome, Injector,
-    IntrusionModel, Mode, ScenarioOutcome, UseCase,
-};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-fn model() -> IntrusionModel {
-    IntrusionModel::guest_hypercall_memory(
-        "IM-obs-determinism",
-        AbusiveFunctionality::WriteUnauthorizedArbitraryMemory,
-        &[],
-    )
-}
-
-/// A well-behaved use case: induces nothing, violates nothing.
-struct QuietCase;
-
-impl UseCase for QuietCase {
-    fn name(&self) -> &'static str {
-        "quiet"
-    }
-
-    fn intrusion_model(&self) -> IntrusionModel {
-        model()
-    }
-
-    fn run_exploit(&self, _world: &mut World, _attacker: DomainId) -> ScenarioOutcome {
-        ScenarioOutcome::failed("-ENOSYS (not attempted)")
-    }
-
-    fn run_injection(
-        &self,
-        _world: &mut World,
-        _attacker: DomainId,
-        _injector: &dyn Injector,
-    ) -> ScenarioOutcome {
-        ScenarioOutcome::default()
-    }
-}
-
-/// Panics (only) when injecting on Xen 4.8.
-struct PanickyCase;
-
-impl UseCase for PanickyCase {
-    fn name(&self) -> &'static str {
-        "panicky"
-    }
-
-    fn intrusion_model(&self) -> IntrusionModel {
-        model()
-    }
-
-    fn run_exploit(&self, _world: &mut World, _attacker: DomainId) -> ScenarioOutcome {
-        ScenarioOutcome::failed("-ENOSYS (not attempted)")
-    }
-
-    fn run_injection(
-        &self,
-        world: &mut World,
-        _attacker: DomainId,
-        _injector: &dyn Injector,
-    ) -> ScenarioOutcome {
-        if world.hv().version() == XenVersion::V4_8 {
-            panic!("injector blew up");
-        }
-        ScenarioOutcome::default()
-    }
-}
-
-/// Overruns the cell deadline (only) when exploiting Xen 4.13.
-struct SleepyCase;
-
-impl UseCase for SleepyCase {
-    fn name(&self) -> &'static str {
-        "sleepy"
-    }
-
-    fn intrusion_model(&self) -> IntrusionModel {
-        model()
-    }
-
-    fn run_exploit(&self, world: &mut World, _attacker: DomainId) -> ScenarioOutcome {
-        if world.hv().version() == XenVersion::V4_13 {
-            std::thread::sleep(Duration::from_millis(400));
-        }
-        ScenarioOutcome::failed("-ENOSYS (not attempted)")
-    }
-
-    fn run_injection(
-        &self,
-        _world: &mut World,
-        _attacker: DomainId,
-        _injector: &dyn Injector,
-    ) -> ScenarioOutcome {
-        ScenarioOutcome::default()
-    }
-}
+use intrusion_core::{Campaign, CampaignReport, CellOutcome, Mode};
 
 /// A quiet run — one do-nothing cell — must still publish the
 /// copy-on-write and hypercall counters as explicit zeros (the
@@ -129,30 +31,6 @@ fn quiet_runs_publish_explicit_zero_perf_counters() {
     for name in ["mem.frames_copied", "campaign.hypercalls"] {
         assert_eq!(value(name), Some(0), "{name} published on every run");
     }
-}
-
-/// The messy campaign of `fault_containment.rs`: two transient boot
-/// failures on `(4.6, injector)`, one panicking cell, one deadline
-/// overrun. Fresh failure counters per call.
-fn messy_campaign() -> Campaign {
-    let boot_attempts: Mutex<BTreeMap<(XenVersion, bool), u32>> = Mutex::new(BTreeMap::new());
-    Campaign::new()
-        .with_use_case(Box::new(QuietCase))
-        .with_use_case(Box::new(PanickyCase))
-        .with_use_case(Box::new(SleepyCase))
-        .world_factory(Arc::new(move |version, injector| {
-            if version == XenVersion::V4_6 && injector {
-                let mut attempts = boot_attempts.lock().unwrap();
-                let n = attempts.entry((version, injector)).or_insert(0);
-                *n += 1;
-                if *n <= 2 {
-                    return Err(BootError::transient("create dom0", "out of memory"));
-                }
-            }
-            standard_world(version, injector)
-        }))
-        .retries(2)
-        .cell_deadline(Duration::from_millis(100))
 }
 
 /// Runs the messy campaign with obs attached; returns (report, trace

@@ -27,7 +27,16 @@ fn fig4_validation_matches_its_fixture() {
 
 #[test]
 fn table3_campaign_report_matches_its_fixture() {
-    // Everything before the run's timing block is pinned.
-    let out = stdout_of(env!("CARGO_BIN_EXE_table3_campaign"), &["--jobs", "2"]);
-    assert_eq!(out.get(..TABLE3.len()).unwrap_or(&out), TABLE3);
+    assert_eq!(stdout_of(env!("CARGO_BIN_EXE_table3_campaign"), &[]), TABLE3);
+}
+
+#[test]
+fn table3_campaign_rejects_run_flags() {
+    let output = Command::new(env!("CARGO_BIN_EXE_table3_campaign"))
+        .args(["--jobs", "2"])
+        .output()
+        .expect("regenerator runs");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert!(stderr.contains("intrusion-injector campaign"), "{stderr}");
 }

@@ -545,29 +545,26 @@ impl Campaign {
         ))
     }
 
-    /// The run's chaos policy, when chaos is configured and non-noop.
+    /// The run's chaos policy, when chaos is configured.
     fn chaos_policy(&self) -> Option<Arc<ChaosPolicy>> {
-        self.chaos
-            .filter(|config| !config.is_noop())
-            .map(|config| Arc::new(ChaosPolicy::new(config)))
+        self.chaos.map(|config| Arc::new(ChaosPolicy::new(config)))
     }
 
     /// Calls `open` with the journal sink transformer this run needs:
-    /// the identity normally, the torn-write chaos wrapper when chaos
-    /// configures one.
+    /// the identity normally, the torn-write chaos wrapper under chaos.
     fn with_journal_wrap<T>(
         &self,
         policy: &Option<Arc<ChaosPolicy>>,
         open: impl FnOnce(crate::checkpoint::SinkWrap<'_>) -> T,
     ) -> T {
         match policy {
-            Some(p) if p.config().torn_write_permille > 0 => {
+            Some(p) => {
                 let p = Arc::clone(p);
                 open(&move |sink: Box<dyn JournalSink>| {
                     Box::new(ChaosSink::new(sink, Arc::clone(&p))) as Box<dyn JournalSink>
                 })
             }
-            _ => open(&|sink| sink),
+            None => open(&|sink| sink),
         }
     }
 

@@ -49,28 +49,29 @@ const SALT_STALL: u64 = 0x73_74_61_6c_6c; // "stall"
 const SALT_TORN: u64 = 0x74_6f_72_6e; // "torn"
 
 /// Chaos fault rates, in permille per slot, plus the seed that makes
-/// the whole fault schedule reproducible.
+/// the whole fault schedule reproducible. The seed is the only setting:
+/// every run uses the rates of [`ChaosConfig::standard`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Seed for every fault decision.
     pub seed: u64,
     /// Permille of slots whose inject phase panics (→ `Crashed`).
-    pub worker_panic_permille: u32,
+    worker_panic_permille: u32,
     /// Permille of slots whose boot suffers forced transient failures
     /// (some recover within the retry budget, some exhaust it →
     /// `BootFailed`).
-    pub transient_boot_permille: u32,
+    transient_boot_permille: u32,
     /// Permille of slots slowed past the cell deadline (→ `TimedOut`;
     /// inert when no deadline is configured).
-    pub slowdown_permille: u32,
+    slowdown_permille: u32,
     /// Permille of slots whose worker stalls briefly between claiming
     /// the slot and running it (wall-clock only — never visible in a
     /// normalized report).
-    pub claim_stall_permille: u32,
+    claim_stall_permille: u32,
     /// Permille of journal records written torn (a prefix of the
     /// bytes), exercising torn-tail recovery. Header records are
     /// exempt so the journal stays identifiable.
-    pub torn_write_permille: u32,
+    torn_write_permille: u32,
 }
 
 impl ChaosConfig {
@@ -86,15 +87,6 @@ impl ChaosConfig {
             claim_stall_permille: 10,
             torn_write_permille: 100,
         }
-    }
-
-    /// `true` when every rate is zero (chaos configured off).
-    pub fn is_noop(&self) -> bool {
-        self.worker_panic_permille == 0
-            && self.transient_boot_permille == 0
-            && self.slowdown_permille == 0
-            && self.claim_stall_permille == 0
-            && self.torn_write_permille == 0
     }
 }
 
@@ -122,11 +114,6 @@ impl ChaosPolicy {
             claim_stalls: AtomicU64::new(0),
             torn_writes: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration this policy runs.
-    pub fn config(&self) -> ChaosConfig {
-        self.config
     }
 
     /// The raw seeded roll for one (fault, key) pair, in `0..`.
@@ -424,19 +411,5 @@ mod tests {
         sink.append(record).unwrap();
         let (_, _, _, _, torn) = policy.fired();
         assert_eq!(torn, 1, "only the non-header record is torn");
-    }
-
-    #[test]
-    fn noop_config_detection() {
-        assert!(!ChaosConfig::standard(0).is_noop());
-        let off = ChaosConfig {
-            seed: 9,
-            worker_panic_permille: 0,
-            transient_boot_permille: 0,
-            slowdown_permille: 0,
-            claim_stall_permille: 0,
-            torn_write_permille: 0,
-        };
-        assert!(off.is_noop());
     }
 }

@@ -112,23 +112,7 @@ impl Injector for ArbitraryAccessInjector {
                 .hc_arbitrary_access(dom, addr, &mut bytes, mode)?;
             performed += 1;
         }
-        if let ErroneousStateSpec::RetainFrameAccess { dom: target, mfn } = spec {
-            world.hv_mut().inject_retain_access(*target, *mfn)?;
-            performed += 1;
-        }
-        if let ErroneousStateSpec::ForcePause { dom: target } = spec {
-            world.hv_mut().inject_pause_state(*target, true)?;
-            performed += 1;
-        }
-        let audit = spec.audit(world);
-        if audit.present {
-            Ok(InjectionEvidence {
-                ops: performed,
-                audit,
-            })
-        } else {
-            Err(InjectError::Unverified(audit))
-        }
+        finish_injection(world, spec, performed)
     }
 }
 
@@ -174,24 +158,35 @@ impl Injector for DebugStubInjector {
                 .map_err(InjectError::Hv)?;
             performed += 1;
         }
-        // Accounting-level states still require the injector interface.
-        if let ErroneousStateSpec::RetainFrameAccess { dom: target, mfn } = spec {
-            world.hv_mut().inject_retain_access(*target, *mfn)?;
-            performed += 1;
-        }
-        if let ErroneousStateSpec::ForcePause { dom: target } = spec {
-            world.hv_mut().inject_pause_state(*target, true)?;
-            performed += 1;
-        }
-        let audit = spec.audit(world);
-        if audit.present {
-            Ok(InjectionEvidence {
-                ops: performed,
-                audit,
-            })
-        } else {
-            Err(InjectError::Unverified(audit))
-        }
+        finish_injection(world, spec, performed)
+    }
+}
+
+/// The tail both injectors share once their memory writes are done:
+/// the accounting-level states (keep-page-reference, forced pause),
+/// which only the injector interface can set, then the audit that
+/// verifies the state. `performed` counts the writes already made.
+fn finish_injection(
+    world: &mut World,
+    spec: &ErroneousStateSpec,
+    mut performed: usize,
+) -> Result<InjectionEvidence, InjectError> {
+    if let ErroneousStateSpec::RetainFrameAccess { dom: target, mfn } = spec {
+        world.hv_mut().inject_retain_access(*target, *mfn)?;
+        performed += 1;
+    }
+    if let ErroneousStateSpec::ForcePause { dom: target } = spec {
+        world.hv_mut().inject_pause_state(*target, true)?;
+        performed += 1;
+    }
+    let audit = spec.audit(world);
+    if audit.present {
+        Ok(InjectionEvidence {
+            ops: performed,
+            audit,
+        })
+    } else {
+        Err(InjectError::Unverified(audit))
     }
 }
 

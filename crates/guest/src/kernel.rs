@@ -162,11 +162,6 @@ impl GuestKernel {
         self.tables
     }
 
-    /// The vDSO page's pseudo-physical frame.
-    pub fn vdso_pfn(&self) -> Pfn {
-        Pfn::new(PFN_VDSO)
-    }
-
     /// The vDSO page's machine frame.
     ///
     /// # Errors

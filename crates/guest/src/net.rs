@@ -88,11 +88,6 @@ impl RemoteHost {
             .push(format!("Listening on [0.0.0.0] (family 0, port {})", self.port));
     }
 
-    /// `true` while the listener is up.
-    pub fn is_listening(&self) -> bool {
-        self.listening
-    }
-
     /// An inbound connection from a compromised guest. Returns the new
     /// session, or `None` if nobody is listening (the connection is
     /// simply lost, as in the real experiment).

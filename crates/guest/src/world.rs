@@ -136,11 +136,6 @@ impl BootError {
     pub fn is_transient(&self) -> bool {
         self.transient
     }
-
-    /// The underlying world error, when the failure came from one.
-    pub fn world_error(&self) -> Option<&WorldError> {
-        self.source.as_ref()
-    }
 }
 
 impl fmt::Display for BootError {

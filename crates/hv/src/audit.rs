@@ -223,12 +223,6 @@ impl AuditLog {
     {
         self.events.iter().filter(pred)
     }
-
-    /// Clears the log (used between campaign runs on a reused instance).
-    pub fn clear(&mut self) {
-        self.events = Arc::default();
-        self.dropped = 0;
-    }
 }
 
 #[cfg(test)]
@@ -265,9 +259,6 @@ mod tests {
         }
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.dropped(), 3);
-        log.clear();
-        assert!(log.events().is_empty());
-        assert_eq!(log.dropped(), 0);
     }
 
     #[test]

@@ -261,11 +261,6 @@ impl Hypervisor {
         self.shared_l3
     }
 
-    /// The hypervisor text frame.
-    pub fn xen_text_mfn(&self) -> Mfn {
-        self.xen_text
-    }
-
     /// The crash record, if the hypervisor has panicked.
     pub fn crash_info(&self) -> Option<&CrashInfo> {
         self.crashed.as_ref()
@@ -284,11 +279,6 @@ impl Hypervisor {
     /// The audit log.
     pub fn audit(&self) -> &AuditLog {
         &self.audit
-    }
-
-    /// Clears the audit log (between campaign phases).
-    pub fn clear_audit(&mut self) {
-        self.audit.clear();
     }
 
     /// Total hypercalls executed, failed ones included, whether issued
@@ -827,13 +817,6 @@ impl Hypervisor {
         self.mem
             .read(mfn.base().offset(IdtEntry::slot_offset(vector) as u64), &mut buf)?;
         Ok(IdtEntry::unpack(&buf))
-    }
-
-    /// The architectural handler stub address for `vector` (inside the
-    /// hypervisor text).
-    pub fn handler_stub_va(&self, vector: u8) -> VirtAddr {
-        self.layout
-            .directmap_va(self.xen_text.base().raw() + vector as u64 * 16)
     }
 
     /// Whether `va` points into the hypervisor's exception-handler stubs.

@@ -289,12 +289,6 @@ impl PageInfo {
     pub fn set_owner_unchecked(&mut self, owner: Option<DomainId>) {
         self.owner = owner;
     }
-
-    /// Overwrites the general reference count without any checks
-    /// (injector use only; models "keep page reference" erroneous states).
-    pub fn set_ref_count_unchecked(&mut self, count: u32) {
-        self.ref_count = count;
-    }
 }
 
 #[cfg(test)]
