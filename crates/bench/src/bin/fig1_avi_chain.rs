@@ -8,6 +8,7 @@ use hvsim::XenVersion;
 use xsa_exploits::Xsa212Crash;
 
 fn main() {
+    bench::reject_arguments("fig1_avi_chain", None);
     println!("FIG. 1: chain of dependability threats with the extended-AVI model\n");
     println!("generic chain (the paper's VENOM/XSA-133 running example):");
     println!("  {}\n", ThreatChain::fig1_example());

@@ -6,6 +6,7 @@ use bench::run_paper_campaign;
 use hvsim::XenVersion;
 
 fn main() {
+    bench::reject_arguments("fig2_methodology", None);
     eprintln!("running the full campaign ...");
     let report = run_paper_campaign();
     for uc in [

@@ -6,6 +6,7 @@ use intrusion_core::{AbusiveFunctionality, StateTrace, UseCase};
 use xsa_exploits::Xsa182Test;
 
 fn main() {
+    bench::reject_arguments("fig3_intrusion_model", None);
     println!("FIG. 3: intrusion internal impact (left) vs intrusion-model abstraction (right)\n");
 
     // Left: the internal view — every state the system passes through

@@ -6,6 +6,7 @@
 use bench::run_paper_campaign;
 
 fn main() {
+    bench::reject_arguments("fig4_validation", None);
     eprintln!("running the full campaign ...");
     let report = run_paper_campaign();
     println!("{}", report.render_fig4());

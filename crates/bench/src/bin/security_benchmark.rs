@@ -6,6 +6,7 @@ use intrusion_core::{default_jobs, Campaign, SecurityBenchmark};
 use xsa_exploits::{extension_use_cases, paper_use_cases};
 
 fn main() {
+    bench::reject_arguments("security_benchmark", None);
     eprintln!("running the extended campaign (paper + extension use cases) ...");
     let mut campaign = Campaign::new();
     for uc in paper_use_cases().into_iter().chain(extension_use_cases()) {

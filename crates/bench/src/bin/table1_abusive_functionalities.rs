@@ -4,6 +4,7 @@
 use xsa_exploits::advisories;
 
 fn main() {
+    bench::reject_arguments("table1_abusive_functionalities", None);
     println!("{}", advisories::render_table1());
     let total_tags: usize = advisories::ADVISORIES
         .iter()

@@ -8,17 +8,15 @@
 use bench::paper_campaign;
 use hvsim::XenVersion;
 use intrusion_core::Mode;
-use std::process::exit;
 
 fn main() {
-    if let Some(arg) = std::env::args().nth(1) {
-        eprintln!("table3_campaign takes no arguments, got '{arg}'");
-        eprintln!(
-            "usage: table3_campaign (for --jobs, --shard, --report-out, --trace-out, \
-             --metrics-out and --json, run `intrusion-injector campaign`)"
-        );
-        exit(2);
-    }
+    bench::reject_arguments(
+        "table3_campaign",
+        Some(
+            "for --jobs, --shard, --report-out, --trace-out, --metrics-out and --json, \
+             run `intrusion-injector campaign`",
+        ),
+    );
 
     eprintln!("running the full campaign ...");
     let campaign = paper_campaign();

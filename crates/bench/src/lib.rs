@@ -13,8 +13,9 @@
 //! | Fig. 4 (validation on Xen 4.6) | `fig4_validation` |
 //! | Table III (non-vulnerable versions) | `table3_campaign` |
 //!
-//! Run one with `cargo run -p bench --bin <name>`; Criterion benches live
-//! under `benches/` (`cargo bench -p bench`).
+//! Run one with `cargo run -p bench --bin <name>`; none takes an argument
+//! (see [`reject_arguments`]). Criterion benches live under `benches/`
+//! (`cargo bench -p bench`).
 
 use guestos::World;
 use hvsim::XenVersion;
@@ -25,6 +26,21 @@ use intrusion_core::{
     ScenarioOutcome, StreamReport, UseCase,
 };
 use xsa_exploits::paper_use_cases;
+
+/// Exits 2 with a usage line if the regenerator `name` got any
+/// argument. Every regenerator takes none, so a flag it would ignore is
+/// refused instead of looking as if it had taken effect; `hint` says
+/// where such flags do exist.
+pub fn reject_arguments(name: &str, hint: Option<&str>) {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("{name} takes no arguments, got '{arg}'");
+        match hint {
+            Some(hint) => eprintln!("usage: {name} ({hint})"),
+            None => eprintln!("usage: {name}"),
+        }
+        std::process::exit(2);
+    }
+}
 
 /// Builds the standard world plus the attacker handle used everywhere.
 ///

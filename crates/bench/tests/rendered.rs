@@ -40,3 +40,24 @@ fn table3_campaign_rejects_run_flags() {
     let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
     assert!(stderr.contains("intrusion-injector campaign"), "{stderr}");
 }
+
+#[test]
+fn every_regenerator_rejects_any_argument() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig1_avi_chain"),
+        env!("CARGO_BIN_EXE_fig2_methodology"),
+        env!("CARGO_BIN_EXE_fig3_intrusion_model"),
+        env!("CARGO_BIN_EXE_fig4_validation"),
+        env!("CARGO_BIN_EXE_table1_abusive_functionalities"),
+        env!("CARGO_BIN_EXE_table2_use_cases"),
+        env!("CARGO_BIN_EXE_table3_campaign"),
+        env!("CARGO_BIN_EXE_security_benchmark"),
+    ] {
+        let output = Command::new(bin).arg("--bogus").output().expect("regenerator runs");
+        assert_eq!(output.status.code(), Some(2), "{bin} --bogus: {output:?}");
+        assert!(output.stdout.is_empty(), "{bin} --bogus printed to stdout: {output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+        assert!(stderr.contains("takes no arguments, got '--bogus'"), "{stderr}");
+        assert!(stderr.contains("usage: "), "{stderr}");
+    }
+}

@@ -6,6 +6,7 @@ use crate::HvError;
 use hvsim_mem::{DomainId, MachineMemory, MemError, Mfn, Pfn, PhysAddr, VirtAddr};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Magic bytes at the start of every domain's start-info page.
 ///
@@ -87,13 +88,17 @@ impl StartInfo {
 }
 
 /// Hypervisor-side state of one domain.
+///
+/// The two large tables, the p2m and the event ports, sit behind their
+/// own `Arc`, so a copy of a domain (a world fork's first write to it)
+/// shares them until it writes one of them.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Domain {
     id: DomainId,
     name: String,
     privileged: bool,
     cr3: Option<Mfn>,
-    p2m: BTreeMap<u64, Mfn>,
+    p2m: Arc<BTreeMap<u64, Mfn>>,
     start_info_mfn: Mfn,
     dead: bool,
     grant_table: GrantTable,
@@ -103,7 +108,7 @@ pub struct Domain {
     /// (XSA-387/XSA-393-style leaks, or injected states).
     retained_access: BTreeSet<Mfn>,
     shared_info_mfn: Option<Mfn>,
-    event_ports: Vec<PortState>,
+    event_ports: Arc<Vec<PortState>>,
     events_received: u64,
     paused: bool,
 }
@@ -115,14 +120,14 @@ impl Domain {
             name: name.to_owned(),
             privileged,
             cr3: None,
-            p2m: BTreeMap::new(),
+            p2m: Arc::default(),
             start_info_mfn,
             dead: false,
             grant_table: GrantTable::new(),
             trap_handlers: BTreeMap::new(),
             retained_access: BTreeSet::new(),
             shared_info_mfn: None,
-            event_ports: vec![PortState::Free; EVTCHN_PORTS],
+            event_ports: Arc::new(vec![PortState::Free; EVTCHN_PORTS]),
             events_received: 0,
             paused: false,
         }
@@ -184,11 +189,11 @@ impl Domain {
     }
 
     pub(crate) fn p2m_insert(&mut self, pfn: Pfn, mfn: Mfn) {
-        self.p2m.insert(pfn.raw(), mfn);
+        Arc::make_mut(&mut self.p2m).insert(pfn.raw(), mfn);
     }
 
     pub(crate) fn p2m_remove(&mut self, pfn: Pfn) -> Option<Mfn> {
-        self.p2m.remove(&pfn.raw())
+        Arc::make_mut(&mut self.p2m).remove(&pfn.raw())
     }
 
     /// The next unpopulated pfn (for fresh allocations).
@@ -253,23 +258,35 @@ impl Domain {
     ///
     /// [`HvError::NoMem`] when every port is taken.
     pub(crate) fn alloc_event_port(&mut self, state: PortState) -> Result<u16, HvError> {
-        // Port 0 is reserved, as in Xen.
-        for (i, slot) in self.event_ports.iter_mut().enumerate().skip(1) {
-            if *slot == PortState::Free {
-                *slot = state;
-                return Ok(i as u16);
-            }
-        }
-        Err(HvError::NoMem)
+        // Port 0 is reserved, as in Xen. The table is copied only when
+        // a port is taken.
+        let port = (1..self.event_ports.len())
+            .find(|&i| self.event_ports[i] == PortState::Free)
+            .ok_or(HvError::NoMem)?;
+        Arc::make_mut(&mut self.event_ports)[port] = state;
+        Ok(port as u16)
     }
 
     pub(crate) fn set_event_port(&mut self, port: u16, state: PortState) -> Result<(), HvError> {
-        let slot = self
-            .event_ports
-            .get_mut(port as usize)
-            .ok_or(HvError::Inval)?;
-        *slot = state;
+        if usize::from(port) >= self.event_ports.len() {
+            return Err(HvError::Inval);
+        }
+        Arc::make_mut(&mut self.event_ports)[usize::from(port)] = state;
         Ok(())
+    }
+
+    /// A copy of this domain that shares neither table with it.
+    pub(crate) fn unshared(&self) -> Domain {
+        Domain {
+            p2m: Arc::new(BTreeMap::clone(&self.p2m)),
+            event_ports: Arc::new(Vec::clone(&self.event_ports)),
+            ..self.clone()
+        }
+    }
+
+    /// The reference counts of the p2m and the event-port table.
+    pub(crate) fn table_share_counts(&self) -> [usize; 2] {
+        [Arc::strong_count(&self.p2m), Arc::strong_count(&self.event_ports)]
     }
 
     /// Total events delivered to this domain.
@@ -370,6 +387,42 @@ mod tests {
         assert_eq!(d.p2m_remove(Pfn::new(1)), Some(Mfn::new(11)));
         assert_eq!(d.p2m(Pfn::new(1)), None);
         assert_eq!(d.p2m_len(), 1);
+    }
+
+    #[test]
+    fn a_copy_shares_its_tables_until_it_writes_them() {
+        let mut d = Domain::new(DomainId::new(1), "g", false, Mfn::new(10));
+        d.p2m_insert(Pfn::new(0), Mfn::new(10));
+        let mut copy = d.clone();
+        copy.kill();
+        assert_eq!(copy.table_share_counts(), [2, 2]);
+        // A failed port write copies nothing.
+        assert_eq!(copy.set_event_port(u16::MAX, PortState::Free), Err(HvError::Inval));
+        assert_eq!(copy.table_share_counts(), [2, 2]);
+        // Each write copies the table it writes and only that one.
+        let port = copy.alloc_event_port(PortState::Unbound { remote: DomainId::DOM0 }).unwrap();
+        assert_eq!(copy.table_share_counts(), [2, 1]);
+        assert_eq!(d.event_port(port), Some(PortState::Free));
+        copy.p2m_insert(Pfn::new(1), Mfn::new(11));
+        assert_eq!(copy.table_share_counts(), [1, 1]);
+        assert_eq!(d.p2m_len(), 1);
+        assert_eq!(d.unshared().table_share_counts(), [1, 1]);
+        assert_eq!(d.table_share_counts(), [1, 1]);
+    }
+
+    #[test]
+    fn json_writes_the_tables_inline_and_reads_them_back() {
+        let mut d = Domain::new(DomainId::new(1), "g", false, Mfn::new(10));
+        d.p2m_insert(Pfn::new(0), Mfn::new(10));
+        d.p2m_insert(Pfn::new(1), Mfn::new(11));
+        let json = serde_json::to_string(&d).unwrap();
+        let p2m = serde_json::to_string(&*d.p2m).unwrap();
+        let ports = serde_json::to_string(&*d.event_ports).unwrap();
+        assert!(json.contains(&format!(r#""p2m":{p2m},"#)), "{json}");
+        assert!(json.contains(&format!(r#""event_ports":{ports},"#)), "{json}");
+        let back: Domain = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(back.p2m(Pfn::new(1)), Some(Mfn::new(11)));
     }
 
     #[test]

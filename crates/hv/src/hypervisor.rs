@@ -97,7 +97,8 @@ pub struct InterruptDispatch {
 /// a clone (a campaign cell's world fork) allocates nothing: it shares
 /// machine memory, the domain map and each domain, the allocator's
 /// quotas, the IDT and M2P frame lists, the console and the audit log
-/// until its first write to one of them, which copies that one.
+/// until its first write to one of them, which copies that one. A
+/// domain's copy in turn shares its p2m and event-port table.
 #[derive(Clone, Debug)]
 pub struct Hypervisor {
     pub(crate) mem: MachineMemory,
@@ -307,7 +308,8 @@ impl Hypervisor {
     }
 
     /// Mutable domain access; copies the domain map and then the domain
-    /// while either is still shared with a snapshot.
+    /// while either is still shared with a snapshot. A domain copy
+    /// shares its p2m and event-port table until it writes them.
     pub(crate) fn domain_mut(&mut self, id: DomainId) -> Result<&mut Domain, HvError> {
         Arc::make_mut(&mut self.domains).get_mut(&id).map(Arc::make_mut).ok_or(HvError::NoDomain)
     }
@@ -321,9 +323,8 @@ impl Hypervisor {
         self.mem.unshare();
         self.alloc.unshare();
         self.audit.unshare();
-        self.domains = Arc::new(
-            self.domains.iter().map(|(&id, d)| (id, Arc::new(Domain::clone(d)))).collect(),
-        );
+        self.domains =
+            Arc::new(self.domains.iter().map(|(&id, d)| (id, Arc::new(d.unshared()))).collect());
         self.idt_frames = Arc::from(&self.idt_frames[..]);
         self.m2p_frames = Arc::from(&self.m2p_frames[..]);
         self.console = Arc::new(Vec::clone(&self.console));
@@ -331,8 +332,9 @@ impl Hypervisor {
 
     /// The reference count of every container this hypervisor shares
     /// with its clones, in a fixed order: the memory handle, the
-    /// allocator's quotas, the audit log, the domain map, each domain,
-    /// the IDT and M2P frame lists and the console. After
+    /// allocator's quotas, the audit log, the domain map, each domain
+    /// followed by its p2m and event-port table, the IDT and M2P frame
+    /// lists and the console. After
     /// [`unshare`](Self::unshare), forking a clone of this hypervisor
     /// leaves every one of them unchanged.
     pub fn share_counts(&self) -> Vec<usize> {
@@ -342,7 +344,10 @@ impl Hypervisor {
             self.audit.share_count(),
             Arc::strong_count(&self.domains),
         ];
-        counts.extend(self.domains.values().map(Arc::strong_count));
+        for d in self.domains.values() {
+            counts.push(Arc::strong_count(d));
+            counts.extend(d.table_share_counts());
+        }
         counts.extend([
             Arc::strong_count(&self.idt_frames),
             Arc::strong_count(&self.m2p_frames),
