@@ -504,6 +504,9 @@ impl Campaign {
     /// [`Campaign::resume`] and still produce a byte-identical merged
     /// report. The journal is created fresh (any existing file is
     /// truncated) and its header is made durable before any cell runs.
+    /// Workers queue their fold records for one writer thread that
+    /// syncs them in groups; by the time this returns, every record is
+    /// appended and synced.
     ///
     /// # Errors
     ///
@@ -574,27 +577,31 @@ impl Campaign {
     fn stream_impl(
         &self,
         jobs: usize,
-        session: Option<CheckpointSession>,
+        mut session: Option<CheckpointSession>,
         policy: Option<Arc<ChaosPolicy>>,
     ) -> StreamOutcome {
         let run_start = Instant::now();
-        let session = session.as_ref();
-        let first_worker = session.map_or(1, |s| s.first_worker);
+        let first_worker = session.as_ref().map_or(1, |s| s.first_worker);
         let key_names = self.fingerprint().key_names();
-        let sinks = self.run_workers(jobs, session, policy.as_deref(), |index| {
-            FoldSink::new(session, first_worker + index as u64, &key_names, self.trials)
+        let sinks = self.run_workers(jobs, session.as_ref(), policy.as_deref(), |index| {
+            FoldSink::new(session.as_ref(), first_worker + index as u64, &key_names, self.trials)
         });
-        if sinks.is_empty() {
+        let mut parts: Vec<PartialFold> = sinks.into_iter().map(|sink| sink.fold).collect();
+        // Every fold record is appended and synced, and the counters
+        // are final, before the merge.
+        if let Some(s) = &mut session {
+            s.writer.close();
+        }
+        if parts.is_empty() {
             return StreamOutcome::default();
         }
-        let workers = sinks.len() as u64;
+        let workers = parts.len() as u64;
         let merge_start = Instant::now();
-        let mut parts: Vec<PartialFold> = sinks.into_iter().map(|sink| sink.fold).collect();
         // Only the cells this run executed: a resumed run's recovered
         // folds ran in an earlier process.
         let ran: u64 = parts.iter().map(PartialFold::completed).sum();
-        if let Some(s) = session {
-            parts.extend(s.recovered.iter().cloned());
+        if let Some(s) = &mut session {
+            parts.append(&mut s.recovered);
         }
         // Merge in first-slot order. All aggregates commute, so this is
         // for reproducibility of intermediate states, not correctness.
@@ -617,7 +624,7 @@ impl Campaign {
         if let Some(registry) = &self.metrics {
             obs_bridge::record_fold_metrics(&report, &phases, registry);
             registry.add(obs_bridge::M_MERGE_US, merge_us);
-            if let Some(s) = session {
+            if let Some(s) = &session {
                 obs_bridge::record_checkpoint_metrics(
                     &s.writer.counters(),
                     s.resumed_slots(),
@@ -1156,8 +1163,8 @@ impl CellSink for Collected {
 
 /// A streamed run's sink: folds each cell into the worker's partial
 /// report and drops it. With a checkpoint session it also journals the
-/// worker's progress: a synced fold record every [`FOLD_INTERVAL`] slots
-/// and at the end.
+/// worker's progress: it encodes a fold record every [`FOLD_INTERVAL`]
+/// slots and at the end, and queues it for the journal's writer thread.
 ///
 /// The per-key tally is kept by key index (`slot / trials`) beside the
 /// fold, not by name inside it; keys get their names only when a fold
@@ -1199,9 +1206,12 @@ impl<'a> FoldSink<'a> {
     fn record_fold(&mut self, session: &CheckpointSession) {
         self.seq += 1;
         let batch = std::mem::take(&mut self.batch);
+        if session.writer.failed() {
+            return;
+        }
         let mut named = self.fold.clone();
         named.name_keys(&self.keys, self.key_names);
-        session.record_fold(self.worker_id, self.seq, batch, &named);
+        session.record_fold(self.worker_id, self.seq, batch, named);
     }
 }
 
@@ -1999,5 +2009,68 @@ mod tests {
             .find(|c| c.name == crate::obs_bridge::M_WORKER_STALLED)
             .expect("campaign.worker.stalled pre-registered");
         assert_eq!(stalled.value, 0);
+    }
+
+    fn counter_of(registry: &MetricsRegistry, name: &str) -> Option<u64> {
+        registry.snapshot().counters.iter().find(|c| c.name == name).map(|c| c.value)
+    }
+
+    fn scratch_journal(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("hvsim-campaign-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn checkpointed_runs_publish_the_journal_cost() {
+        let journal = scratch_journal("cost.journal");
+        let campaign = || Campaign::new().with_use_case(Box::new(CrashCase)).trials(64).jobs(2);
+        let costs = [obs_bridge::M_CKPT_ENCODE_US, obs_bridge::M_CKPT_SYNC_US];
+        let registry = MetricsRegistry::new();
+        campaign().metrics(registry.clone()).run_streaming_checkpointed(&journal).unwrap();
+        for name in costs {
+            assert!(counter_of(&registry, name) > Some(0), "{name} published and above 0");
+        }
+        let plain = MetricsRegistry::new();
+        campaign().metrics(plain.clone()).run_streaming_with_jobs(2);
+        for name in costs {
+            assert_eq!(counter_of(&plain, name), None, "a plain run publishes no {name}");
+        }
+        std::fs::remove_file(&journal).ok();
+    }
+
+    #[test]
+    fn a_journal_whose_sync_fails_leaves_the_report_unchanged() {
+        /// Syncs the header, then fails every later sync.
+        struct FailingSync {
+            inner: Box<dyn JournalSink>,
+            synced_header: bool,
+        }
+        impl JournalSink for FailingSync {
+            fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+                self.inner.append(bytes)
+            }
+            fn sync(&mut self) -> std::io::Result<()> {
+                if std::mem::replace(&mut self.synced_header, true) {
+                    return Err(std::io::Error::other("sync failed"));
+                }
+                self.inner.sync()
+            }
+        }
+        let journal = scratch_journal("failing-sync.journal");
+        let registry = MetricsRegistry::new();
+        let campaign =
+            Campaign::new().with_use_case(Box::new(CrashCase)).trials(64).metrics(registry.clone());
+        let session = CheckpointSession::create(&journal, campaign.fingerprint(), None, &|inner| {
+            Box::new(FailingSync { inner, synced_header: false })
+        })
+        .unwrap();
+        let outcome = campaign.stream_impl(2, Some(session), None);
+        assert_eq!(
+            outcome.report.normalized(),
+            campaign.run_streaming_with_jobs(2).report.normalized(),
+            "a broken journal degrades durability, never the report"
+        );
+        assert_eq!(counter_of(&registry, obs_bridge::M_CKPT_WRITE_ERRORS), Some(1));
+        assert_eq!(counter_of(&registry, obs_bridge::M_CKPT_SYNCS), Some(0));
+        std::fs::remove_file(&journal).ok();
     }
 }

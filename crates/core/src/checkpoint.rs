@@ -19,15 +19,32 @@
 //!
 //! | path             | meaning                   |
 //! |------------------|---------------------------|
-//! | `journal/header` | grid fingerprint + shard; first record, synced |
-//! | `journal/fold`   | a worker's cumulative fold + the batch of slots it covers since that worker's previous fold; fsync'd |
+//! | `journal/header` | grid fingerprint + shard; first record, synced before any cell runs |
+//! | `journal/fold`   | a worker's cumulative fold + the batch of slots it covers since that worker's previous fold |
 //!
-//! Recovery reads only fold records: the done-set is the union of their
-//! slot batches, and each worker's last fold record is its exact
-//! cumulative state — fsync ordering guarantees a fold record is
-//! durable before any slot it covers is considered done. Each worker
-//! writes one every 1024 slots (`FOLD_INTERVAL`) and when it runs out of
-//! work.
+//! A fold record's `slots` attribute lists its batch in claim order,
+//! comma-separated. Each maximal ascending run of three or more slots
+//! with one stride is written `a-b` (stride 1) or `a-b/s`; any other
+//! slot is a plain decimal. A worker claims 64 contiguous shard-local
+//! indices at a time, so a batch of 1024 slots is about 16 runs whose
+//! stride is the shard count: `0-63,128-191` unsharded, `1-127/2` for
+//! shard 1 of 2. Decoding accepts both forms, so journals written
+//! before runs existed (plain lists only) still load, and it refuses a
+//! run that would grow the batch past [`FOLD_INTERVAL`] slots.
+//!
+//! # Durability
+//!
+//! Workers encode their own fold records and hand each line to the
+//! journal's one writer thread without waiting. The writer appends
+//! every line queued, then syncs once for the whole group (group
+//! commit), so a record is durable shortly after it is queued and no
+//! later than the end of the run: the engine closes the writer after
+//! its workers join and before it merges their folds. Recovery reads
+//! only fold records: the done-set is the union of their slot batches,
+//! and each worker's last fold record is its exact cumulative state. A
+//! crash loses the records still queued, and their slots re-run like
+//! any slot of a batch not yet recorded. Each worker queues a record
+//! every 1024 slots ([`FOLD_INTERVAL`]) and when it runs out of work.
 //!
 //! # Crash model
 //!
@@ -50,7 +67,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Slots a worker folds between two durable fold records. Larger
 /// intervals sync less often; smaller ones lose less work on a crash.
@@ -157,6 +176,82 @@ fn attr<'a>(event: &'a TraceEvent, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("record is missing attr \"{key}\""))
 }
 
+/// The last index of the ascending one-stride run that starts at
+/// `start` (`start` itself when the next slot does not ascend).
+fn run_end(slots: &[u64], start: usize) -> usize {
+    let Some(stride) = slots
+        .get(start + 1)
+        .and_then(|next| next.checked_sub(slots[start]))
+        .filter(|&stride| stride > 0)
+    else {
+        return start;
+    };
+    let mut end = start + 1;
+    while slots.get(end + 1).and_then(|next| next.checked_sub(slots[end])) == Some(stride) {
+        end += 1;
+    }
+    end
+}
+
+/// Appends a fold record's slot batch: runs of three or more as `a-b`
+/// or `a-b/s`, other slots as plain numbers (see the module docs). A
+/// batch longer than [`FOLD_INTERVAL`], which no worker writes, is
+/// written as a plain list, so [`parse_slots`] reads back every batch.
+fn push_slots(out: &mut String, slots: &[u64]) {
+    let runs = slots.len() as u64 <= FOLD_INTERVAL;
+    let mut i = 0;
+    while i < slots.len() {
+        if i > 0 {
+            out.push(',');
+        }
+        let (first, end) = (slots[i], if runs { run_end(slots, i) } else { i });
+        if end >= i + 2 {
+            let (last, stride) = (slots[end], slots[i + 1] - first);
+            let _ = if stride == 1 {
+                write!(out, "{first}-{last}")
+            } else {
+                write!(out, "{first}-{last}/{stride}")
+            };
+            i = end + 1;
+        } else {
+            let _ = write!(out, "{first}");
+            i += 1;
+        }
+    }
+}
+
+/// Parses a fold record's slot batch, plain numbers and runs alike. A
+/// run must ascend (`a < b`), have a nonzero stride that divides
+/// `b - a`, and not grow the batch past [`FOLD_INTERVAL`] slots: a
+/// corrupt record whose checksum happens to hold must not make resume
+/// allocate without bound.
+fn parse_slots(text: &str) -> Result<Vec<u64>, String> {
+    let mut slots = Vec::new();
+    if text.is_empty() {
+        return Ok(slots);
+    }
+    let bad = |part: &str| format!("bad slot '{part}' in batch");
+    for part in text.split(',') {
+        let Some((first, rest)) = part.split_once('-') else {
+            slots.push(part.parse().map_err(|_| bad(part))?);
+            continue;
+        };
+        let (last, stride) = rest.split_once('/').unwrap_or((rest, "1"));
+        let parse = |n: &str| n.parse::<u64>().map_err(|_| bad(part));
+        let (first, last, stride) = (parse(first)?, parse(last)?, parse(stride)?);
+        if stride == 0 || first >= last || (last - first) % stride != 0 {
+            return Err(bad(part));
+        }
+        // The run holds `steps + 1` slots.
+        let steps = (last - first) / stride;
+        if steps >= FOLD_INTERVAL.saturating_sub(slots.len() as u64) {
+            return Err(format!("run '{part}' grows the batch past {FOLD_INTERVAL} slots"));
+        }
+        slots.extend((0..=steps).map(|k| first + k * stride));
+    }
+    Ok(slots)
+}
+
 impl JournalRecord {
     /// Encodes this record as one framed journal line (with trailing
     /// newline).
@@ -185,12 +280,7 @@ impl JournalRecord {
             },
             JournalRecord::Fold { worker, seq, slots, fold } => {
                 let mut joined = String::new();
-                for (i, slot) in slots.iter().enumerate() {
-                    if i > 0 {
-                        joined.push(',');
-                    }
-                    let _ = write!(joined, "{slot}");
-                }
+                push_slots(&mut joined, slots);
                 TraceEvent {
                     shard: *worker,
                     seq: *seq,
@@ -243,15 +333,7 @@ impl JournalRecord {
                 Ok(JournalRecord::Header { grid, shard })
             }
             "journal/fold" => {
-                let slots_text = attr(&event, "slots")?;
-                let mut slots = Vec::new();
-                if !slots_text.is_empty() {
-                    for part in slots_text.split(',') {
-                        slots.push(
-                            part.parse().map_err(|_| format!("bad slot '{part}' in batch"))?,
-                        );
-                    }
-                }
+                let slots = parse_slots(attr(&event, "slots")?)?;
                 let fold: PartialFold = serde_json::from_str(attr(&event, "fold")?)
                     .map_err(|e| format!("bad fold snapshot: {e}"))?;
                 Ok(JournalRecord::Fold {
@@ -364,72 +446,149 @@ pub(crate) struct CheckpointCounters {
     pub(crate) syncs: u64,
     pub(crate) bytes: u64,
     pub(crate) write_errors: u64,
+    /// Worker time spent encoding fold records, µs (rounded up).
+    pub(crate) encode_us: u64,
+    /// Writer time spent appending and syncing, µs (rounded up).
+    pub(crate) sync_us: u64,
 }
 
-/// Thread-safe journal writer. **Fail-soft**: the first I/O error
-/// disables it for the rest of the run (counted in `write_errors`) — a
-/// broken journal must degrade durability, never the campaign itself.
-pub(crate) struct CheckpointWriter {
-    sink: Mutex<Box<dyn JournalSink>>,
+/// What the workers and the writer thread share: the fail-soft latch
+/// and the counters.
+#[derive(Default)]
+struct WriterState {
     failed: AtomicBool,
     folds: AtomicU64,
     syncs: AtomicU64,
     bytes: AtomicU64,
     write_errors: AtomicU64,
+    encode_ns: AtomicU64,
+    sync_ns: AtomicU64,
 }
 
-impl CheckpointWriter {
-    fn new(sink: Box<dyn JournalSink>) -> Self {
-        Self {
-            sink: Mutex::new(sink),
-            failed: AtomicBool::new(false),
-            folds: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-        }
-    }
-
+impl WriterState {
     fn trip(&self) {
-        self.write_errors.fetch_add(1, Ordering::Relaxed);
-        self.failed.store(true, Ordering::Relaxed);
+        if !self.failed.swap(true, Ordering::Relaxed) {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
-    /// Appends one fold record to the journal and syncs it — the only
-    /// steady-state write path. Errors trip the fail-soft latch instead
-    /// of propagating.
-    fn append_fold(&self, fold: &JournalRecord) {
-        if self.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        let line = match fold.encode() {
-            Ok(line) => line,
-            Err(_) => {
+    /// Appends one group of lines and syncs it once. Errors trip the
+    /// fail-soft latch instead of propagating.
+    fn commit(&self, sink: &mut dyn JournalSink, group: impl Iterator<Item = String>) {
+        for line in group {
+            if sink.append(line.as_bytes()).is_err() {
                 self.trip();
                 return;
             }
-        };
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(_e) = sink.append(line.as_bytes()) {
-            self.trip();
-            return;
+            self.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
+            self.folds.fetch_add(1, Ordering::Relaxed);
         }
-        self.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
-        self.folds.fetch_add(1, Ordering::Relaxed);
-        if let Err(_e) = sink.sync() {
+        if sink.sync().is_err() {
             self.trip();
             return;
         }
         self.syncs.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Elapsed nanoseconds since `start`, saturating.
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The journal's writer: workers encode fold records and queue the
+/// lines; one writer thread owns the sink, appends every queued line
+/// and syncs once per group. **Fail-soft**: the first I/O error
+/// disables it for the rest of the run (counted in `write_errors`) — a
+/// broken journal must degrade durability, never the campaign itself.
+pub(crate) struct CheckpointWriter {
+    state: Arc<WriterState>,
+    /// The writer thread's queue; `None` once closed.
+    lines: Option<mpsc::Sender<String>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl CheckpointWriter {
+    /// Starts the writer thread on `sink`, which already holds
+    /// `header_bytes` bytes.
+    fn new(mut sink: Box<dyn JournalSink>, header_bytes: u64) -> Self {
+        let state = Arc::new(WriterState::default());
+        state.bytes.store(header_bytes, Ordering::Relaxed);
+        let (lines, queue) = mpsc::channel::<String>();
+        let thread = {
+            let state = Arc::clone(&state);
+            std::thread::Builder::new()
+                .name("journal-writer".to_owned())
+                .spawn(move || {
+                    while let Ok(first) = queue.recv() {
+                        if state.failed.load(Ordering::Relaxed) {
+                            continue; // Drain and drop: journaling is off.
+                        }
+                        let start = Instant::now();
+                        state.commit(sink.as_mut(), std::iter::once(first).chain(queue.try_iter()));
+                        state.sync_ns.fetch_add(nanos_since(start), Ordering::Relaxed);
+                    }
+                })
+                .ok()
+        };
+        let writer = Self { state, lines: Some(lines), thread };
+        if writer.thread.is_none() {
+            writer.state.trip(); // No thread, no journal: fail soft.
+        }
+        writer
+    }
+
+    /// `true` once an I/O error has switched journaling off.
+    pub(crate) fn failed(&self) -> bool {
+        self.state.failed.load(Ordering::Relaxed)
+    }
+
+    /// Encodes one fold record and queues it for the writer thread,
+    /// without waiting for it to be appended or synced. Does nothing
+    /// once the latch has tripped.
+    fn append_fold(&self, fold: &JournalRecord) {
+        if self.failed() {
+            return;
+        }
+        let start = Instant::now();
+        let line = fold.encode();
+        self.state.encode_ns.fetch_add(nanos_since(start), Ordering::Relaxed);
+        let queued = match (line, &self.lines) {
+            (Ok(line), Some(lines)) => lines.send(line).is_ok(),
+            _ => false,
+        };
+        if !queued {
+            self.state.trip();
+        }
+    }
+
+    /// Waits until every queued record is appended and synced, then
+    /// stops the writer thread. Later calls do nothing.
+    pub(crate) fn close(&mut self) {
+        self.lines = None;
+        if let Some(thread) = self.thread.take() {
+            if thread.join().is_err() {
+                self.state.trip(); // The sink panicked.
+            }
+        }
+    }
 
     pub(crate) fn counters(&self) -> CheckpointCounters {
+        let s = &*self.state;
         CheckpointCounters {
-            folds: self.folds.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
+            folds: s.folds.load(Ordering::Relaxed),
+            syncs: s.syncs.load(Ordering::Relaxed),
+            bytes: s.bytes.load(Ordering::Relaxed),
+            write_errors: s.write_errors.load(Ordering::Relaxed),
+            encode_us: s.encode_ns.load(Ordering::Relaxed).div_ceil(1000),
+            sync_us: s.sync_ns.load(Ordering::Relaxed).div_ceil(1000),
         }
+    }
+}
+
+impl Drop for CheckpointWriter {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -480,10 +639,8 @@ impl CheckpointSession {
         })?;
         sink.append(line.as_bytes()).map_err(io_err)?;
         sink.sync().map_err(io_err)?;
-        let writer = CheckpointWriter::new(sink);
-        writer.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
         Ok(Self {
-            writer,
+            writer: CheckpointWriter::new(sink, line.len() as u64),
             done: BTreeSet::new(),
             recovered: Vec::new(),
             first_worker: 1,
@@ -520,7 +677,7 @@ impl CheckpointSession {
         file.seek(SeekFrom::End(0)).map_err(io_err)?;
         let sink = wrap(Box::new(FileSink::new(file)));
         Ok(Self {
-            writer: CheckpointWriter::new(sink),
+            writer: CheckpointWriter::new(sink, 0),
             done: state.done,
             recovered: state.folds.into_values().collect(),
             first_worker: state.next_worker,
@@ -537,15 +694,16 @@ impl CheckpointSession {
         self.done.len() as u64
     }
 
-    /// Records a worker's cumulative fold covering `slots` since its
-    /// previous fold record, then syncs — after this returns, those
-    /// slots survive any crash.
-    pub(crate) fn record_fold(&self, worker: u64, seq: u64, slots: Vec<u64>, fold: &PartialFold) {
+    /// Queues a worker's cumulative fold covering `slots` since its
+    /// previous fold record. Those slots survive any crash once the
+    /// writer has synced the record, which is no later than
+    /// [`CheckpointWriter::close`].
+    pub(crate) fn record_fold(&self, worker: u64, seq: u64, slots: Vec<u64>, fold: PartialFold) {
         self.writer.append_fold(&JournalRecord::Fold {
             worker,
             seq,
             slots,
-            fold: Box::new(fold.clone()),
+            fold: Box::new(fold),
         });
     }
 }
@@ -707,11 +865,12 @@ mod tests {
                 Ok(())
             }
         }
-        let writer = CheckpointWriter::new(Box::new(BrokenSink { appends: 0 }));
+        let mut writer = CheckpointWriter::new(Box::new(BrokenSink { appends: 0 }), 0);
         let fold =
             JournalRecord::Fold { worker: 1, seq: 1, slots: vec![0], fold: Box::default() };
         writer.append_fold(&fold);
         writer.append_fold(&fold);
+        writer.close();
         let counters = writer.counters();
         assert_eq!(counters.write_errors, 1, "first error latches");
         assert_eq!(counters.folds, 0);
@@ -724,8 +883,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.journal");
         let identity: SinkWrap<'_> = &|s| s;
-        let session = CheckpointSession::create(&path, fingerprint(), None, identity).unwrap();
-        session.record_fold(1, 1, vec![3], &PartialFold::default());
+        let mut session = CheckpointSession::create(&path, fingerprint(), None, identity).unwrap();
+        session.record_fold(1, 1, vec![3], PartialFold::default());
+        session.writer.close();
         let counters = session.writer.counters();
         assert_eq!(counters.folds, 1);
         assert!(counters.syncs >= 1);
@@ -739,5 +899,222 @@ mod tests {
         assert_eq!(resumed.recovered.len(), 1);
         assert_eq!(resumed.first_worker, 2);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A fold record framed like [`JournalRecord::encode`] frames one,
+    /// with `slots` as its raw batch text.
+    fn framed_fold(slots: &str) -> String {
+        let payload = encode_event(&TraceEvent {
+            shard: 1,
+            seq: 1,
+            kind: EventKind::Point,
+            path: "journal/fold".to_owned(),
+            wall_us: 0,
+            attrs: vec![
+                ("slots".to_owned(), slots.to_owned()),
+                ("fold".to_owned(), serde_json::to_string(&PartialFold::default()).unwrap()),
+            ],
+        });
+        format!("{} {:016x} {payload}", payload.len(), fnv64(payload.as_bytes()))
+    }
+
+    fn decoded_slots(slots: &str) -> Result<Vec<u64>, String> {
+        match JournalRecord::decode(framed_fold(slots).as_bytes())? {
+            JournalRecord::Fold { slots, .. } => Ok(slots),
+            JournalRecord::Header { .. } => Err("not a fold record".to_owned()),
+        }
+    }
+
+    #[test]
+    fn slot_batches_are_written_as_runs() {
+        let mut out = String::new();
+        push_slots(&mut out, &[0, 1, 2, 3, 5, 7, 9, 20, 22, 30, 29, 28, 4, 4, 4]);
+        assert_eq!(out, "0-3,5-9/2,20,22,30,29,28,4,4,4");
+        // One worker's claims on shard 1 of 2: 64 shard-local indices
+        // each, so one run per claim with the shard count as stride.
+        let shard: Vec<u64> = (0..64).chain(128..192).map(|i| i * 2 + 1).collect();
+        out.clear();
+        push_slots(&mut out, &shard);
+        assert_eq!(out, "1-127/2,257-383/2");
+    }
+
+    #[test]
+    fn a_plain_list_and_its_run_form_decode_to_the_same_slots() {
+        let plain = decoded_slots("0,1,2,3,5,7,9,12").unwrap();
+        assert_eq!(plain, vec![0, 1, 2, 3, 5, 7, 9, 12]);
+        assert_eq!(decoded_slots("0-3,5-9/2,12").unwrap(), plain);
+        assert_eq!(decoded_slots("").unwrap(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn decode_rejects_malformed_and_oversized_runs() {
+        let too_long = format!("0-{FOLD_INTERVAL}");
+        let too_long_together = format!("0-{},{}-{}", FOLD_INTERVAL - 2, FOLD_INTERVAL, FOLD_INTERVAL + 1);
+        for bad in [
+            "5-3",
+            "3-3",
+            "1-5/0",
+            "1-6/2",
+            "-4",
+            "4-",
+            "1-2-3",
+            "0-18446744073709551616",
+            "18446744073709551616",
+            "0-18446744073709551615",
+            too_long.as_str(),
+            too_long_together.as_str(),
+        ] {
+            assert!(decoded_slots(bad).is_err(), "'{bad}' must not decode");
+        }
+        // The largest run a batch can hold still decodes.
+        let whole = format!("0-{}", FOLD_INTERVAL - 1);
+        assert_eq!(decoded_slots(&whole).unwrap().len() as u64, FOLD_INTERVAL);
+    }
+
+    /// One piece of a generated slot batch: `(kind, start, stride, len)`.
+    type Piece = (u8, u64, u64, u64);
+
+    fn batch_of(pieces: &[Piece]) -> Vec<u64> {
+        let mut slots = Vec::new();
+        for &(kind, start, stride, len) in pieces {
+            match kind {
+                // Ascending runs: stride 1, a shard count, or any stride.
+                0 => slots.extend((0..len).map_while(|k| start.checked_add(k))),
+                1 => slots.extend((0..len).map_while(|k| start.checked_add(k * stride))),
+                2 => slots.push(start),
+                3 => slots.extend([start, start.wrapping_add(stride)]),
+                // Descending runs are written as plain numbers.
+                4 => slots.extend((0..len).map_while(|k| start.checked_sub(k * stride))),
+                // Runs that end at, or stop short of, `u64::MAX`.
+                _ => slots.extend((0..len).map_while(|k| (u64::MAX - 64).checked_add(k * stride))),
+            }
+        }
+        slots
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every slot sequence survives the record codec in order, runs
+        /// or no runs, including batches longer than a worker writes.
+        #[test]
+        fn slot_batches_round_trip_through_the_record(
+            pieces in proptest::collection::vec(
+                (0u8..6, proptest::prelude::any::<u64>(), 1u64..9, 1u64..80),
+                0..40,
+            ),
+        ) {
+            let slots = batch_of(&pieces);
+            let record = JournalRecord::Fold { worker: 3, seq: 9, slots, fold: Box::default() };
+            let line = record.encode().unwrap();
+            let back = JournalRecord::decode(line.trim_end().as_bytes()).unwrap();
+            proptest::prop_assert_eq!(back, record);
+        }
+    }
+
+    /// One call a [`RecordingSink`] saw.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Op {
+        Append,
+        Sync,
+    }
+
+    /// Records every call; `sync` fails when `fail_sync` is set.
+    struct RecordingSink {
+        ops: Arc<std::sync::Mutex<Vec<Op>>>,
+        fail_sync: bool,
+    }
+
+    impl JournalSink for RecordingSink {
+        fn append(&mut self, _bytes: &[u8]) -> std::io::Result<()> {
+            self.ops.lock().unwrap().push(Op::Append);
+            Ok(())
+        }
+
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.ops.lock().unwrap().push(Op::Sync);
+            if self.fail_sync {
+                return Err(std::io::Error::other("sync failed"));
+            }
+            Ok(())
+        }
+    }
+
+    fn recording_writer(fail_sync: bool) -> (CheckpointWriter, Arc<std::sync::Mutex<Vec<Op>>>) {
+        let ops = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = RecordingSink { ops: Arc::clone(&ops), fail_sync };
+        (CheckpointWriter::new(Box::new(sink), 0), ops)
+    }
+
+    #[test]
+    fn closed_writer_has_synced_every_append() {
+        let (mut writer, ops) = recording_writer(false);
+        std::thread::scope(|scope| {
+            for worker in 1..=4u64 {
+                let writer = &writer;
+                scope.spawn(move || {
+                    for seq in 1..=50 {
+                        writer.append_fold(&JournalRecord::Fold {
+                            worker,
+                            seq,
+                            slots: vec![seq],
+                            fold: Box::default(),
+                        });
+                    }
+                });
+            }
+        });
+        writer.close();
+        let ops = ops.lock().unwrap().clone();
+        let appends = ops.iter().filter(|&&op| op == Op::Append).count();
+        let syncs = ops.iter().filter(|&&op| op == Op::Sync).count();
+        assert_eq!(appends, 200, "every queued record is appended");
+        assert_eq!(ops.last(), Some(&Op::Sync), "nothing is appended after the last sync");
+        assert!(ops.windows(2).all(|w| w != [Op::Sync, Op::Sync]), "a sync follows appends");
+        assert!((1..=appends).contains(&syncs));
+        let counters = writer.counters();
+        assert_eq!(counters.folds, 200);
+        assert_eq!(counters.syncs, syncs as u64);
+        assert_eq!(counters.write_errors, 0);
+        assert!(counters.encode_us > 0 && counters.sync_us > 0);
+    }
+
+    #[test]
+    fn close_is_idempotent() {
+        let (mut writer, ops) = recording_writer(false);
+        writer.append_fold(&JournalRecord::Fold {
+            worker: 1,
+            seq: 1,
+            slots: vec![0],
+            fold: Box::default(),
+        });
+        writer.close();
+        let counters = writer.counters();
+        writer.close();
+        drop(writer);
+        assert_eq!(counters.folds, 1);
+        assert_eq!(*ops.lock().unwrap(), [Op::Append, Op::Sync]);
+    }
+
+    #[test]
+    fn a_failing_sync_trips_the_latch_once() {
+        let (mut writer, ops) = recording_writer(true);
+        let fold =
+            JournalRecord::Fold { worker: 1, seq: 1, slots: vec![0], fold: Box::default() };
+        writer.append_fold(&fold);
+        // Wait until the writer has tripped, so the next record is
+        // refused by the worker-side latch rather than dropped by it.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !writer.failed() {
+            assert!(Instant::now() < deadline, "the failed sync never tripped the latch");
+            std::thread::yield_now();
+        }
+        writer.append_fold(&fold);
+        writer.close();
+        let counters = writer.counters();
+        assert_eq!(counters.write_errors, 1, "first error latches");
+        assert_eq!(counters.syncs, 0);
+        assert_eq!(counters.folds, 1);
+        assert_eq!(*ops.lock().unwrap(), [Op::Append, Op::Sync], "nothing after the error");
     }
 }

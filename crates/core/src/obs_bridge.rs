@@ -47,6 +47,12 @@ pub const M_CKPT_BYTES: &str = "campaign.checkpoint.bytes";
 /// Counter (checkpointing only): journal write errors (fail-soft — the
 /// run continues unjournaled after the first).
 pub const M_CKPT_WRITE_ERRORS: &str = "campaign.checkpoint.write_errors";
+/// Counter (checkpointing only): worker time spent encoding fold
+/// records, µs (rounded up). Two clock reads per record.
+pub const M_CKPT_ENCODE_US: &str = "campaign.checkpoint.encode_us";
+/// Counter (checkpointing only): the journal writer's time in append
+/// plus sync, µs (rounded up). Two clock reads per group commit.
+pub const M_CKPT_SYNC_US: &str = "campaign.checkpoint.sync_us";
 /// Counter (resume only): slots skipped because a durable fold record
 /// already covered them.
 pub const M_CKPT_RESUMED_SLOTS: &str = "campaign.checkpoint.resumed_slots";
@@ -119,10 +125,10 @@ pub(crate) fn record_fold_metrics(
     }
 }
 
-/// Folds a finished checkpoint session into the registry. Counter
-/// values are wall-clock-free but schedule-*shaped* (batch boundaries
-/// move with worker interleaving), so they live outside determinism
-/// diffs like the `campaign.stream.*` family.
+/// Folds a finished checkpoint session into the registry. The counts
+/// are schedule-*shaped* (batch boundaries move with worker
+/// interleaving) and the `_us` pair is wall-clock, so they live outside
+/// determinism diffs like the `campaign.stream.*` family.
 pub(crate) fn record_checkpoint_metrics(
     counters: &crate::checkpoint::CheckpointCounters,
     resumed_slots: u64,
@@ -132,6 +138,8 @@ pub(crate) fn record_checkpoint_metrics(
     registry.add(M_CKPT_SYNCS, counters.syncs);
     registry.add(M_CKPT_BYTES, counters.bytes);
     registry.add(M_CKPT_WRITE_ERRORS, counters.write_errors);
+    registry.add(M_CKPT_ENCODE_US, counters.encode_us);
+    registry.add(M_CKPT_SYNC_US, counters.sync_us);
     registry.add(M_CKPT_RESUMED_SLOTS, resumed_slots);
 }
 
