@@ -12,7 +12,7 @@ use hvsim::XenVersion;
 use hvsim_obs::{
     normalized_jsonl, parse_jsonl, to_jsonl, MetricsRegistry, TraceEvent, TraceSummary, Tracer,
 };
-use intrusion_core::{Campaign, CampaignReport, CellOutcome, Mode};
+use intrusion_core::{Campaign, CampaignReport, CellOutcome, ChaosConfig, Mode};
 
 /// A quiet run — one do-nothing cell — must still publish the
 /// copy-on-write and hypercall counters as explicit zeros (the
@@ -30,6 +30,33 @@ fn quiet_runs_publish_explicit_zero_perf_counters() {
     let value = |name: &str| snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value);
     for name in ["mem.frames_copied", "campaign.hypercalls"] {
         assert_eq!(value(name), Some(0), "{name} published on every run");
+    }
+}
+
+/// A collecting run folds its cells exactly as a streamed run does, so
+/// both publish the same metrics, chaos tallies included; only the
+/// streamed run's merge time is its own.
+#[test]
+fn collecting_and_streamed_runs_publish_the_same_metrics() {
+    for chaos in [None, Some(ChaosConfig::standard(7))] {
+        let published = |collect: bool| {
+            let registry = MetricsRegistry::new();
+            let mut campaign = messy_campaign().metrics(registry.clone());
+            if let Some(config) = chaos {
+                campaign = campaign.chaos(config);
+            }
+            if collect {
+                campaign.run_with_jobs(2);
+            } else {
+                campaign.run_streaming_with_jobs(2);
+            }
+            let mut snapshot = registry.snapshot().normalized();
+            snapshot.counters.retain(|c| c.name != "campaign.stream.merge_us");
+            serde_json::to_string(&snapshot).unwrap()
+        };
+        let collected = published(true);
+        assert!(collected.contains("campaign.hypercalls"), "{collected}");
+        assert_eq!(collected, published(false), "chaos {chaos:?}");
     }
 }
 

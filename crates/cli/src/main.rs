@@ -179,12 +179,14 @@ fn parse_version_or(p: &Parsed, default: &'static str) -> Result<XenVersion, Arg
     }
 }
 
-/// Parses `--jobs`; `0` (the default) lets the campaign pick one worker
-/// per hardware thread.
+/// Parses `--jobs`; `0` (the default) means one worker per hardware
+/// thread.
 fn parse_jobs(p: &Parsed) -> Result<usize, String> {
-    p.get_or("jobs", "0")
-        .parse()
-        .map_err(|_| "--jobs must be a number".to_owned())
+    match p.get_or("jobs", "0").parse() {
+        Ok(0) => Ok(default_jobs()),
+        Ok(jobs) => Ok(jobs),
+        Err(_) => Err("--jobs must be a number".to_owned()),
+    }
 }
 
 /// Parses `--retries` (extra attempts for transient boot failures).
@@ -493,18 +495,20 @@ fn cmd_randomized(p: &Parsed) -> Result<CliOutcome, String> {
     // The randomized sweep targets a non-vulnerable version by default
     // (the HELP text's documented 4.8), unlike `run`'s 4.6.
     let version = parse_version_or(p, "4.8").map_err(|e| e.to_string())?;
-    let campaign = RandomizedCampaign::new(region, trials, seed)
-        .with_jobs(parse_jobs(p)?)
-        .retries(parse_retries(p)?);
+    let jobs = parse_jobs(p)?;
+    let campaign = RandomizedCampaign::new(region, trials, seed).retries(parse_retries(p)?);
     eprintln!("running {trials} trials against {} on Xen {version} ...", region.label());
     let (summary, outcomes) = campaign
-        .run(|| {
-            let w = standard_world(version, true)?;
-            let a = w
-                .domain_by_name("guest03")
-                .ok_or_else(|| guestos::BootError::new("find attacker", "no guest03"))?;
-            Ok((w, a))
-        })
+        .run_with_jobs(
+            || {
+                let w = standard_world(version, true)?;
+                let a = w
+                    .domain_by_name("guest03")
+                    .ok_or_else(|| guestos::BootError::new("find attacker", "no guest03"))?;
+                Ok((w, a))
+            },
+            jobs,
+        )
         .map_err(|e| e.to_string())?;
     println!("{summary}");
     for (i, o) in outcomes.iter().enumerate() {
@@ -526,11 +530,7 @@ fn cmd_benchmark(p: &Parsed) -> Result<CliOutcome, String> {
     }
     let (campaign, hooks) = attach_obs(campaign, p);
     eprintln!("running the extended campaign ...");
-    let jobs = match parse_jobs(p)? {
-        0 => default_jobs(),
-        jobs => jobs,
-    };
-    let report = campaign.run_with_jobs(jobs);
+    let report = campaign.run_with_jobs(parse_jobs(p)?);
     write_obs_outputs(p, &hooks)?;
     let benchmark = SecurityBenchmark::from_report(&report);
     println!("{}", benchmark.render());

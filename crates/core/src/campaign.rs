@@ -2,16 +2,16 @@
 //! monitoring — the machinery behind the paper's Tables II/III and
 //! Figs. 2/4.
 
-use crate::chaos::{splitmix64, ChaosConfig, ChaosPolicy, ChaosSink, ChaosUseCase};
-use crate::checkpoint::{fnv64, CheckpointSession, JournalSink, FOLD_INTERVAL};
+use crate::chaos::{splitmix64, ChaosConfig, ChaosPolicy, ChaosUseCase};
+use crate::checkpoint::{fnv64, CheckpointSession, FOLD_INTERVAL};
 use crate::error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
 use crate::injector::ArbitraryAccessInjector;
 use crate::monitor::SecurityViolation;
 use crate::obs_bridge;
 use crate::scenario::{Mode, UseCase};
 use crate::stream::{
-    CellSpec, GridFingerprint, KeySummary, PartialFold, Shard, SlotClaims, SpecGrid, StreamOutcome,
-    StreamRunStats,
+    CellSpec, GridFingerprint, KeySummary, PartialFold, PhaseHistograms, Shard, SlotClaims,
+    SpecGrid, StreamOutcome, StreamReport, StreamRunStats,
 };
 use crate::telemetry::{self, Telemetry};
 use guestos::{BootError, World, WorldBuilder};
@@ -149,9 +149,9 @@ impl CellResult {
 }
 
 /// The per-cell result list of a collecting run
-/// ([`Campaign::run_with_jobs`]): the security benchmark and the
-/// randomized sweep read every cell. Every rendered artefact reads the
-/// streamed [`StreamReport`](crate::StreamReport) instead.
+/// ([`Campaign::run_with_jobs`]): the security benchmark reads every
+/// cell. Every rendered artefact reads the streamed [`StreamReport`]
+/// instead.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CampaignReport {
     cells: Vec<CellResult>,
@@ -323,7 +323,7 @@ impl Campaign {
     /// Sets the trials per `(use_case, version, mode)` key — the
     /// parameter-grid axis of the campaign grid. Each trial is its own
     /// cell; use cases see the trial index via
-    /// [`UseCase::run_injection_trial`](crate::UseCase::run_injection_trial).
+    /// [`UseCase::run_injection_trial`].
     /// `0` is treated as 1.
     #[must_use]
     pub fn trials(mut self, trials: u64) -> Self {
@@ -413,39 +413,50 @@ impl Campaign {
     /// pristine world, the cells themselves — are identical for every
     /// worker count. Chaos and deadlines behave exactly
     /// as in [`Campaign::run_streaming_with_jobs`]: both run the same
-    /// worker loop.
+    /// worker loop. With a metrics registry attached, each worker also
+    /// folds its cells' totals as a streamed run's workers do, and the
+    /// run publishes the merged fold; without one, nothing is folded.
     pub fn run_with_jobs(&self, jobs: usize) -> CampaignReport {
         let policy = self.chaos_policy();
-        let sinks = self.run_workers(jobs, None, policy.as_deref(), |_| Collected::default());
+        let sinks = self.run_workers(jobs, None, policy.as_deref(), |_| Collected {
+            cells: Vec::new(),
+            fold: self.metrics.is_some().then(PartialFold::default),
+        });
         if sinks.is_empty() {
             return CampaignReport::default();
         }
         // Cells are boxed while they wait, so the tagged list stays
         // small and the report's vector is the only other copy.
-        let mut tagged: Vec<(u64, Box<CellResult>)> =
-            sinks.into_iter().flat_map(|sink| sink.0).collect();
+        let mut tagged: Vec<(u64, Box<CellResult>)> = Vec::new();
+        let mut folds = Vec::new();
+        for sink in sinks {
+            tagged.extend(sink.cells);
+            folds.extend(sink.fold);
+        }
         tagged.sort_unstable_by_key(|&(index, _)| index);
         let cells: Vec<CellResult> = tagged.into_iter().map(|(_, cell)| *cell).collect();
-        // Metrics fold in at collection time, in report order, through
-        // the same fold a streamed run uses — never in worker order.
         if let Some(registry) = &self.metrics {
-            let grid = self.grid();
-            let mut fold = PartialFold::default();
-            for (index, cell) in (0u64..).zip(&cells) {
-                if let Some(spec) = grid.shard_decode(self.shard, index) {
-                    fold.fold(&spec, cell);
-                }
-            }
-            let (summary, phases) = fold.finish();
-            obs_bridge::record_fold_metrics(&summary, &phases, registry);
-            // Published whenever chaos is configured — even a no-op or
-            // quiet policy records explicit zeros, so dashboards can
-            // tell "chaos quiet" from "chaos off".
-            if self.chaos.is_some() {
-                obs_bridge::record_chaos_metrics(policy.as_deref(), registry);
-            }
+            let (report, phases) = PartialFold::merge_in_slot_order(folds).finish();
+            self.publish_fold(registry, &report, &phases, policy.as_deref());
         }
         CampaignReport { cells }
+    }
+
+    /// Publishes a finished run's merged fold into `registry`, and its
+    /// chaos tallies whenever chaos is configured — even a quiet policy
+    /// records explicit zeros, so dashboards can tell "chaos quiet" from
+    /// "chaos off". Collecting and streamed runs both publish here.
+    fn publish_fold(
+        &self,
+        registry: &MetricsRegistry,
+        report: &StreamReport,
+        phases: &PhaseHistograms,
+        policy: Option<&ChaosPolicy>,
+    ) {
+        obs_bridge::record_fold_metrics(report, phases, registry);
+        if self.chaos.is_some() {
+            obs_bridge::record_chaos_metrics(policy, registry);
+        }
     }
 
     /// Whether this run needs the telemetry supervisor thread.
@@ -516,9 +527,8 @@ impl Campaign {
     /// in `campaign.checkpoint.write_errors`) and the run completes.
     pub fn run_streaming_checkpointed(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
         let policy = self.chaos_policy();
-        let session = self.with_journal_wrap(&policy, |wrap| {
-            CheckpointSession::create(path, self.fingerprint(), self.shard, wrap)
-        })?;
+        let session =
+            CheckpointSession::create(path, self.fingerprint(), self.shard, policy.clone())?;
         Ok(self.stream_impl(
             self.jobs.unwrap_or_else(default_jobs),
             Some(session),
@@ -538,9 +548,8 @@ impl Campaign {
     /// journal, or was written by a different campaign grid or shard.
     pub fn resume(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
         let policy = self.chaos_policy();
-        let session = self.with_journal_wrap(&policy, |wrap| {
-            CheckpointSession::resume(path, &self.fingerprint(), self.shard, wrap)
-        })?;
+        let session =
+            CheckpointSession::resume(path, &self.fingerprint(), self.shard, policy.clone())?;
         Ok(self.stream_impl(
             self.jobs.unwrap_or_else(default_jobs),
             Some(session),
@@ -551,24 +560,6 @@ impl Campaign {
     /// The run's chaos policy, when chaos is configured.
     fn chaos_policy(&self) -> Option<Arc<ChaosPolicy>> {
         self.chaos.map(|config| Arc::new(ChaosPolicy::new(config)))
-    }
-
-    /// Calls `open` with the journal sink transformer this run needs:
-    /// the identity normally, the torn-write chaos wrapper under chaos.
-    fn with_journal_wrap<T>(
-        &self,
-        policy: &Option<Arc<ChaosPolicy>>,
-        open: impl FnOnce(crate::checkpoint::SinkWrap<'_>) -> T,
-    ) -> T {
-        match policy {
-            Some(p) => {
-                let p = Arc::clone(p);
-                open(&move |sink: Box<dyn JournalSink>| {
-                    Box::new(ChaosSink::new(sink, Arc::clone(&p))) as Box<dyn JournalSink>
-                })
-            }
-            None => open(&|sink| sink),
-        }
     }
 
     /// The streaming engine body shared by plain, checkpointed, and
@@ -603,13 +594,7 @@ impl Campaign {
         if let Some(s) = &mut session {
             parts.append(&mut s.recovered);
         }
-        // Merge in first-slot order. All aggregates commute, so this is
-        // for reproducibility of intermediate states, not correctness.
-        parts.sort_by_key(|fold| fold.first_slot().unwrap_or(u64::MAX));
-        let mut whole = PartialFold::default();
-        for part in &parts {
-            whole.absorb(part);
-        }
+        let whole = PartialFold::merge_in_slot_order(parts);
         let merge_us = merge_start.elapsed().as_micros() as u64;
         let (mut report, phases) = whole.finish();
         report.grid = self.fingerprint();
@@ -622,7 +607,7 @@ impl Campaign {
             merge_us,
         };
         if let Some(registry) = &self.metrics {
-            obs_bridge::record_fold_metrics(&report, &phases, registry);
+            self.publish_fold(registry, &report, &phases, policy.as_deref());
             registry.add(obs_bridge::M_MERGE_US, merge_us);
             if let Some(s) = &session {
                 obs_bridge::record_checkpoint_metrics(
@@ -630,12 +615,6 @@ impl Campaign {
                     s.resumed_slots(),
                     registry,
                 );
-            }
-            // Published whenever chaos is configured — even a no-op or
-            // quiet policy records explicit zeros, so dashboards can
-            // tell "chaos quiet" from "chaos off".
-            if self.chaos.is_some() {
-                obs_bridge::record_chaos_metrics(policy.as_deref(), registry);
             }
         }
         StreamOutcome { report, stats }
@@ -1140,7 +1119,7 @@ fn unshared_copy(worlds: &BaseWorldMap) -> BaseWorldMap {
 }
 
 /// Where a worker puts its finished cells — the one difference between
-/// a collecting run, a streamed one and a randomized campaign's count.
+/// a collecting run, a streamed one and a randomized campaign's trials.
 /// Everything else is the shared worker loop ([`Campaign::run_workers`]).
 pub(crate) trait CellSink: Send {
     /// Takes one finished cell; `index` is its shard-local index.
@@ -1151,13 +1130,20 @@ pub(crate) trait CellSink: Send {
 }
 
 /// A collecting run's sink: every cell, tagged with its shard-local
-/// index so the report can put them back in grid order.
-#[derive(Default)]
-struct Collected(Vec<(u64, Box<CellResult>)>);
+/// index so the report can put them back in grid order, and — when the
+/// run publishes metrics — the worker's fold of their totals (the
+/// metrics read no per-key tally).
+struct Collected {
+    cells: Vec<(u64, Box<CellResult>)>,
+    fold: Option<PartialFold>,
+}
 
 impl CellSink for Collected {
-    fn push(&mut self, index: u64, _spec: &CellSpec, cell: CellResult, _ctx: &TraceCtx) {
-        self.0.push((index, Box::new(cell)));
+    fn push(&mut self, index: u64, spec: &CellSpec, cell: CellResult, _ctx: &TraceCtx) {
+        if let Some(fold) = &mut self.fold {
+            fold.fold_totals(spec, &cell);
+        }
+        self.cells.push((index, Box::new(cell)));
     }
 }
 
@@ -1302,6 +1288,7 @@ impl Default for Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{CheckpointWriter, JournalSink};
     use crate::erroneous_state::ErroneousStateSpec;
     use crate::injector::Injector;
     use crate::model::IntrusionModel;
@@ -2039,30 +2026,26 @@ mod tests {
 
     #[test]
     fn a_journal_whose_sync_fails_leaves_the_report_unchanged() {
-        /// Syncs the header, then fails every later sync.
-        struct FailingSync {
-            inner: Box<dyn JournalSink>,
-            synced_header: bool,
-        }
+        /// Takes every append and fails every sync.
+        struct FailingSync;
         impl JournalSink for FailingSync {
-            fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-                self.inner.append(bytes)
+            fn append(&mut self, _bytes: &[u8]) -> std::io::Result<()> {
+                Ok(())
             }
             fn sync(&mut self) -> std::io::Result<()> {
-                if std::mem::replace(&mut self.synced_header, true) {
-                    return Err(std::io::Error::other("sync failed"));
-                }
-                self.inner.sync()
+                Err(std::io::Error::other("sync failed"))
             }
         }
-        let journal = scratch_journal("failing-sync.journal");
         let registry = MetricsRegistry::new();
         let campaign =
             Campaign::new().with_use_case(Box::new(CrashCase)).trials(64).metrics(registry.clone());
-        let session = CheckpointSession::create(&journal, campaign.fingerprint(), None, &|inner| {
-            Box::new(FailingSync { inner, synced_header: false })
-        })
-        .unwrap();
+        // A session past its synced header, whose later syncs all fail.
+        let session = CheckpointSession {
+            writer: CheckpointWriter::new(Box::new(FailingSync), 0),
+            done: std::collections::BTreeSet::new(),
+            recovered: Vec::new(),
+            first_worker: 1,
+        };
         let outcome = campaign.stream_impl(2, Some(session), None);
         assert_eq!(
             outcome.report.normalized(),
@@ -2071,6 +2054,5 @@ mod tests {
         );
         assert_eq!(counter_of(&registry, obs_bridge::M_CKPT_WRITE_ERRORS), Some(1));
         assert_eq!(counter_of(&registry, obs_bridge::M_CKPT_SYNCS), Some(0));
-        std::fs::remove_file(&journal).ok();
     }
 }

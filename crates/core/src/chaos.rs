@@ -68,9 +68,9 @@ pub struct ChaosConfig {
     /// the slot and running it (wall-clock only — never visible in a
     /// normalized report).
     claim_stall_permille: u32,
-    /// Permille of journal records written torn (a prefix of the
-    /// bytes), exercising torn-tail recovery. Header records are
-    /// exempt so the journal stays identifiable.
+    /// Permille of journal fold records written torn (a prefix of the
+    /// bytes), exercising torn-tail recovery. The header is written
+    /// before chaos wraps the journal, so it stays identifiable.
     torn_write_permille: u32,
 }
 
@@ -179,8 +179,7 @@ impl ChaosPolicy {
     }
 
     /// Should this journal record be torn? Keyed by the payload hash
-    /// (journal writes have no slot identity at the sink layer); the
-    /// header record is never torn.
+    /// (journal writes have no slot identity at the sink layer).
     pub fn torn_write(&self, payload_hash: u64) -> bool {
         let fires = self.fires(SALT_TORN, payload_hash, self.config.torn_write_permille);
         if fires {
@@ -205,7 +204,9 @@ impl ChaosPolicy {
 
 /// A [`JournalSink`] wrapper that tears a seeded fraction of records —
 /// writes only a prefix of the bytes — exercising the journal's
-/// torn-tail recovery exactly where a crash would.
+/// torn-tail recovery exactly where a crash would. A checkpoint session
+/// wraps its journal only after the header is synced, so every record
+/// this sink sees is a fold record.
 pub(crate) struct ChaosSink {
     inner: Box<dyn JournalSink>,
     policy: Arc<ChaosPolicy>,
@@ -219,10 +220,7 @@ impl ChaosSink {
 
 impl JournalSink for ChaosSink {
     fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        // The header must survive or the journal loses its identity —
-        // chaos targets steady-state records only.
-        let is_header = bytes.windows(b"journal/header".len()).any(|w| w == b"journal/header");
-        if !is_header && self.policy.torn_write(fnv64(bytes)) {
+        if self.policy.torn_write(fnv64(bytes)) {
             return self.inner.append(&bytes[..bytes.len() / 2]);
         }
         self.inner.append(bytes)
@@ -316,6 +314,8 @@ impl UseCase for ChaosUseCase<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{read_header, CheckpointSession};
+    use crate::stream::{GridFingerprint, PartialFold};
 
     #[test]
     fn decisions_are_slot_keyed_and_reproducible() {
@@ -386,16 +386,6 @@ mod tests {
 
     #[test]
     fn chaos_sink_tears_records_but_never_the_header() {
-        struct CaptureSink(Vec<Vec<u8>>);
-        impl JournalSink for CaptureSink {
-            fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-                self.0.push(bytes.to_vec());
-                Ok(())
-            }
-            fn sync(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let policy = Arc::new(ChaosPolicy::new(ChaosConfig {
             seed: 5,
             worker_panic_permille: 0,
@@ -404,12 +394,25 @@ mod tests {
             claim_stall_permille: 0,
             torn_write_permille: 1000,
         }));
-        let mut sink = ChaosSink::new(Box::new(CaptureSink(Vec::new())), Arc::clone(&policy));
-        let header = b"xx journal/header yy\n";
-        let record = b"123 deadbeef {\"payload\":\"journal/fold\"}\n";
-        sink.append(header).unwrap();
-        sink.append(record).unwrap();
-        let (_, _, _, _, torn) = policy.fired();
-        assert_eq!(torn, 1, "only the non-header record is torn");
+        let grid = GridFingerprint {
+            use_cases: vec!["XSA-212-crash".into()],
+            versions: vec![hvsim::XenVersion::V4_6],
+            modes: vec![crate::Mode::Injection],
+            trials: 3,
+        };
+        let path = std::env::temp_dir()
+            .join(format!("hvsim-chaos-{}-torn.journal", std::process::id()));
+        let mut session =
+            CheckpointSession::create(&path, grid.clone(), None, Some(Arc::clone(&policy)))
+                .unwrap();
+        let torn = |policy: &ChaosPolicy| policy.fired().4;
+        assert_eq!(torn(&policy), 0, "the header is written before chaos wraps the journal");
+        session.record_fold(1, 1, vec![0], PartialFold::default());
+        session.writer.close();
+        assert_eq!(torn(&policy), 1, "every fold record is torn");
+        assert_eq!(read_header(&path).unwrap().grid, grid, "the journal keeps its identity");
+        let resumed = CheckpointSession::resume(&path, &grid, None, None).unwrap();
+        assert!(!resumed.is_done(0), "the torn record is cut off on resume");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -30,7 +30,7 @@
 //! stride is the shard count: `0-63,128-191` unsharded, `1-127/2` for
 //! shard 1 of 2. Decoding accepts both forms, so journals written
 //! before runs existed (plain lists only) still load, and it refuses a
-//! run that would grow the batch past [`FOLD_INTERVAL`] slots.
+//! run that would grow the batch past 1024 slots (`FOLD_INTERVAL`).
 //!
 //! # Durability
 //!
@@ -44,7 +44,7 @@
 //! and each worker's last fold record is its exact cumulative state. A
 //! crash loses the records still queued, and their slots re-run like
 //! any slot of a batch not yet recorded. Each worker queues a record
-//! every 1024 slots ([`FOLD_INTERVAL`]) and when it runs out of work.
+//! every 1024 slots (`FOLD_INTERVAL`) and when it runs out of work.
 //!
 //! # Crash model
 //!
@@ -58,6 +58,7 @@
 //! report aggregate is a commutative monoid, so "at least the recorded
 //! slots are done" is exactly the invariant resume needs.
 
+use crate::chaos::{ChaosPolicy, ChaosSink};
 use crate::error::CheckpointError;
 use crate::stream::{GridFingerprint, PartialFold, Shard};
 use hvsim_obs::{encode_event, parse_line, EventKind, TraceEvent};
@@ -87,9 +88,9 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Where journal bytes go. The production implementation is
-/// [`FileSink`]; chaos testing substitutes a sink that tears writes,
+/// [`FileSink`]; under chaos a [`ChaosSink`] wraps it and tears writes,
 /// which is why this is a trait and not a `File`.
-pub trait JournalSink: Send {
+pub(crate) trait JournalSink: Send {
     /// Appends bytes (one framed record) to the journal.
     ///
     /// # Errors
@@ -108,15 +109,8 @@ pub trait JournalSink: Send {
 
 /// The production sink: a plain append-mode file, `sync_data` on
 /// [`JournalSink::sync`].
-pub struct FileSink {
+pub(crate) struct FileSink {
     file: File,
-}
-
-impl FileSink {
-    /// Wraps an already positioned file handle.
-    pub fn new(file: File) -> Self {
-        Self { file }
-    }
 }
 
 impl JournalSink for FileSink {
@@ -511,7 +505,7 @@ pub(crate) struct CheckpointWriter {
 impl CheckpointWriter {
     /// Starts the writer thread on `sink`, which already holds
     /// `header_bytes` bytes.
-    fn new(mut sink: Box<dyn JournalSink>, header_bytes: u64) -> Self {
+    pub(crate) fn new(mut sink: Box<dyn JournalSink>, header_bytes: u64) -> Self {
         let state = Arc::new(WriterState::default());
         state.bytes.store(header_bytes, Ordering::Relaxed);
         let (lines, queue) = mpsc::channel::<String>();
@@ -592,9 +586,15 @@ impl Drop for CheckpointWriter {
     }
 }
 
-/// Sink transformer hook: the identity for production runs, a
-/// torn-write chaos wrapper under `ChaosConfig`.
-pub(crate) type SinkWrap<'a> = &'a dyn Fn(Box<dyn JournalSink>) -> Box<dyn JournalSink>;
+/// The writer's sink for a journal file: the file itself, or under
+/// chaos the file behind a [`ChaosSink`] that tears a seeded fraction
+/// of the fold records.
+fn writer_sink(file: FileSink, chaos: Option<Arc<ChaosPolicy>>) -> Box<dyn JournalSink> {
+    match chaos {
+        Some(policy) => Box::new(ChaosSink::new(Box::new(file), policy)),
+        None => Box::new(file),
+    }
+}
 
 /// One campaign run's attachment to a journal: the writer plus the
 /// recovered state a resumed run starts from (empty for a fresh run).
@@ -613,7 +613,10 @@ pub(crate) struct CheckpointSession {
 
 impl CheckpointSession {
     /// Starts a fresh journal at `path` (truncating any existing file)
-    /// and makes the header durable before any cell runs.
+    /// and makes the header durable before any cell runs. The header
+    /// goes straight to the file; only then does `chaos`, when set, wrap
+    /// the sink, so chaos never tears the record that identifies the
+    /// journal.
     ///
     /// # Errors
     ///
@@ -624,14 +627,13 @@ impl CheckpointSession {
         path: &Path,
         grid: GridFingerprint,
         shard: Option<Shard>,
-        wrap: SinkWrap<'_>,
+        chaos: Option<Arc<ChaosPolicy>>,
     ) -> Result<Self, CheckpointError> {
         let io_err = |e: std::io::Error| CheckpointError::Io {
             path: path.display().to_string(),
             message: e.to_string(),
         };
-        let file = File::create(path).map_err(io_err)?;
-        let mut sink = wrap(Box::new(FileSink::new(file)));
+        let mut sink = FileSink { file: File::create(path).map_err(io_err)? };
         let header = JournalRecord::Header { grid, shard };
         let line = header.encode().map_err(|message| CheckpointError::Io {
             path: path.display().to_string(),
@@ -640,7 +642,7 @@ impl CheckpointSession {
         sink.append(line.as_bytes()).map_err(io_err)?;
         sink.sync().map_err(io_err)?;
         Ok(Self {
-            writer: CheckpointWriter::new(sink, line.len() as u64),
+            writer: CheckpointWriter::new(writer_sink(sink, chaos), line.len() as u64),
             done: BTreeSet::new(),
             recovered: Vec::new(),
             first_worker: 1,
@@ -649,7 +651,8 @@ impl CheckpointSession {
 
     /// Reopens a journal for resume: loads the valid prefix, verifies
     /// the grid/shard identity, truncates the torn tail, and positions
-    /// the sink for appending.
+    /// the sink for appending, behind a [`ChaosSink`] when `chaos` is
+    /// set.
     ///
     /// # Errors
     ///
@@ -659,7 +662,7 @@ impl CheckpointSession {
         path: &Path,
         grid: &GridFingerprint,
         shard: Option<Shard>,
-        wrap: SinkWrap<'_>,
+        chaos: Option<Arc<ChaosPolicy>>,
     ) -> Result<Self, CheckpointError> {
         let state = JournalState::load(path)?;
         if state.header.grid != *grid || state.header.shard != shard {
@@ -675,9 +678,8 @@ impl CheckpointSession {
         let mut file = OpenOptions::new().write(true).open(path).map_err(io_err)?;
         file.set_len(state.valid_bytes).map_err(io_err)?;
         file.seek(SeekFrom::End(0)).map_err(io_err)?;
-        let sink = wrap(Box::new(FileSink::new(file)));
         Ok(Self {
-            writer: CheckpointWriter::new(sink, 0),
+            writer: CheckpointWriter::new(writer_sink(FileSink { file }, chaos), 0),
             done: state.done,
             recovered: state.folds.into_values().collect(),
             first_worker: state.next_worker,
@@ -826,14 +828,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("grid.journal");
-        let identity: SinkWrap<'_> = &|s| s;
-        let session =
-            CheckpointSession::create(&path, fingerprint(), None, identity).unwrap();
+        let session = CheckpointSession::create(&path, fingerprint(), None, None).unwrap();
         drop(session);
         let mut other = fingerprint();
         other.trials = 99;
         assert!(matches!(
-            CheckpointSession::resume(&path, &other, None, identity),
+            CheckpointSession::resume(&path, &other, None, None),
             Err(CheckpointError::GridMismatch { .. })
         ));
         assert!(matches!(
@@ -841,11 +841,11 @@ mod tests {
                 &path,
                 &fingerprint(),
                 Some(Shard { index: 0, count: 2 }),
-                identity
+                None
             ),
             Err(CheckpointError::GridMismatch { .. })
         ));
-        let ok = CheckpointSession::resume(&path, &fingerprint(), None, identity).unwrap();
+        let ok = CheckpointSession::resume(&path, &fingerprint(), None, None).unwrap();
         assert_eq!(ok.resumed_slots(), 0);
         assert_eq!(ok.first_worker, 1);
         std::fs::remove_file(&path).unwrap();
@@ -882,8 +882,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.journal");
-        let identity: SinkWrap<'_> = &|s| s;
-        let mut session = CheckpointSession::create(&path, fingerprint(), None, identity).unwrap();
+        let mut session = CheckpointSession::create(&path, fingerprint(), None, None).unwrap();
         session.record_fold(1, 1, vec![3], PartialFold::default());
         session.writer.close();
         let counters = session.writer.counters();
@@ -892,7 +891,7 @@ mod tests {
         drop(session);
         let journal = std::fs::read_to_string(&path).unwrap();
         assert_eq!(journal.lines().count(), 2, "the journal holds the header and one fold");
-        let resumed = CheckpointSession::resume(&path, &fingerprint(), None, identity).unwrap();
+        let resumed = CheckpointSession::resume(&path, &fingerprint(), None, None).unwrap();
         assert!(resumed.is_done(3));
         assert!(!resumed.is_done(4));
         assert_eq!(resumed.resumed_slots(), 1);

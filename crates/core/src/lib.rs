@@ -98,7 +98,7 @@ pub use avi::{ThreatChain, ThreatLink, ThreatStage};
 pub use benchmark::{SecurityAttribute, SecurityBenchmark, VersionScore};
 pub use campaign::{default_jobs, Campaign, CampaignReport, CellResult, PhaseTimings, WorldFactory};
 pub use chaos::{ChaosConfig, ChaosPolicy};
-pub use checkpoint::{read_header, FileSink, JournalHeader, JournalSink};
+pub use checkpoint::{read_header, JournalHeader};
 pub use error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
 pub use erroneous_state::{ErroneousStateSpec, StateAudit};
 pub use injector::{ArbitraryAccessInjector, DebugStubInjector, InjectError, InjectionEvidence, Injector};

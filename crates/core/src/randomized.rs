@@ -12,7 +12,7 @@
 //! injection)` × `trials`, whose use case samples, injects and shakes
 //! per trial index. Containment, claiming and cloning are the grid's.
 
-use crate::campaign::{boot_with_retries, default_jobs, Campaign, CellResult, CellSink};
+use crate::campaign::{boot_with_retries, Campaign, CellResult, CellSink};
 use crate::erroneous_state::ErroneousStateSpec;
 use crate::error::CampaignError;
 use crate::injector::Injector;
@@ -193,8 +193,7 @@ pub struct RandomizedSummary {
 
 impl RandomizedSummary {
     /// Counts the trial that ran as `cell`: the one definition of
-    /// degraded/crashed/violated/handled that collecting and streaming
-    /// runs share.
+    /// degraded/crashed/violated/handled that every run uses.
     fn count(&mut self, cell: &CellResult) {
         self.total += 1;
         if cell.degraded() {
@@ -255,29 +254,13 @@ pub struct RandomizedCampaign {
     pub trials: usize,
     /// RNG seed (campaigns are reproducible).
     pub seed: u64,
-    jobs: Option<usize>,
     retries: u32,
 }
 
 impl RandomizedCampaign {
-    /// A campaign of `trials` reproducible trials, run on one worker per
-    /// hardware thread with no retries.
+    /// A campaign of `trials` reproducible trials with no boot retries.
     pub fn new(region: TargetRegion, trials: usize, seed: u64) -> Self {
-        Self {
-            region,
-            trials,
-            seed,
-            jobs: None,
-            retries: 0,
-        }
-    }
-
-    /// Sets the worker count used by [`RandomizedCampaign::run`]. `0` or
-    /// unset means one worker per hardware thread.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = (jobs > 0).then_some(jobs);
-        self
+        Self { region, trials, seed, retries: 0 }
     }
 
     /// Allows up to `retries` extra attempts at booting the base world
@@ -290,7 +273,8 @@ impl RandomizedCampaign {
         self
     }
 
-    /// Runs the campaign with the configured worker count.
+    /// Runs the campaign on exactly `jobs` worker threads, keeping every
+    /// trial's outcome in trial order.
     ///
     /// The factory is called once; every trial starts from a clone of
     /// that base world (booting is deterministic, so a clone is
@@ -305,38 +289,14 @@ impl RandomizedCampaign {
     /// base world could be produced at all (transient boot failures are
     /// retried up to the retry budget). Per-trial failures are contained
     /// and reported in the outcomes/summary instead.
-    pub fn run(
-        &self,
-        factory: impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync,
-    ) -> Result<(RandomizedSummary, Vec<RandomizedOutcome>), CampaignError> {
-        self.run_with_jobs(factory, self.jobs.unwrap_or_else(default_jobs))
-    }
-
-    /// Runs the campaign on exactly `jobs` worker threads, keeping every
-    /// trial's outcome in trial order.
-    ///
-    /// # Errors
-    ///
-    /// See [`RandomizedCampaign::run`].
     pub fn run_with_jobs(
         &self,
         factory: impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync,
         jobs: usize,
     ) -> Result<(RandomizedSummary, Vec<RandomizedOutcome>), CampaignError> {
-        let Some(grid) = self.grid(factory)? else {
-            return Ok((RandomizedSummary::default(), Vec::new()));
-        };
-        let report = grid.run_with_jobs(jobs);
-        let mut summary = RandomizedSummary::default();
-        let outcomes = report
-            .cells()
-            .iter()
-            .map(|cell| {
-                summary.count(cell);
-                RandomizedOutcome::from_cell(cell, self.region)
-            })
-            .collect();
-        Ok((summary, outcomes))
+        let (summary, mut outcomes) = self.run_trials(factory, jobs, true)?;
+        outcomes.sort_unstable_by_key(|&(trial, _)| trial);
+        Ok((summary, outcomes.into_iter().map(|(_, outcome)| outcome).collect()))
     }
 
     /// Runs the trials on exactly `jobs` workers, counting each trial
@@ -348,52 +308,71 @@ impl RandomizedCampaign {
     ///
     /// # Errors
     ///
-    /// See [`RandomizedCampaign::run`].
+    /// See [`RandomizedCampaign::run_with_jobs`].
     pub fn run_streaming_summary(
         &self,
         factory: impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync,
         jobs: usize,
     ) -> Result<RandomizedSummary, CampaignError> {
-        let Some(grid) = self.grid(factory)? else {
-            return Ok(RandomizedSummary::default());
-        };
-        let sinks = grid.run_workers(jobs, None, None, |_| Counted::default());
-        Ok(sinks.iter().fold(RandomizedSummary::default(), |merged, s| merged.merge(&s.0)))
+        Ok(self.run_trials(factory, jobs, false)?.0)
     }
 
-    /// The campaign as a one-key grid: boots the factory's base world
-    /// under the transient-failure retry budget (backoff jitter keyed on
-    /// the campaign seed) and hands the grid clones of it. `None` when
-    /// there are no trials; the factory is then never called.
-    fn grid(
+    /// Runs the trials as a one-key grid on `jobs` workers through one
+    /// [`Trials`] sink each and merges the workers' counts; with `keep`,
+    /// also returns every trial's outcome tagged with its trial index, in
+    /// worker order. The factory's base world boots once, under the
+    /// transient-failure retry budget (backoff jitter keyed on the
+    /// campaign seed), and the grid clones it; with no trials the factory
+    /// is never called.
+    fn run_trials(
         &self,
         factory: impl Fn() -> Result<(World, DomainId), BootError>,
-    ) -> Result<Option<Campaign>, CampaignError> {
+        jobs: usize,
+        keep: bool,
+    ) -> Result<(RandomizedSummary, Vec<(u64, RandomizedOutcome)>), CampaignError> {
+        let mut summary = RandomizedSummary::default();
+        let mut outcomes = Vec::new();
         if self.trials == 0 {
-            return Ok(None);
+            return Ok((summary, outcomes));
         }
         let (base, _, _) =
             boot_with_retries(format_args!("randomized/{}", self.seed), self.retries, factory);
         let (world, attacker) = base?;
         let trial = RandomTrial { region: self.region, seed: self.seed, attacker };
-        Ok(Some(
-            Campaign::new()
-                .with_use_case(Box::new(trial))
-                .versions(&[world.hv().version()])
-                .modes(&[Mode::Injection])
-                .trials(self.trials as u64)
-                .world_factory(Arc::new(move |_, _| Ok(world.clone()))),
-        ))
+        let grid = Campaign::new()
+            .with_use_case(Box::new(trial))
+            .versions(&[world.hv().version()])
+            .modes(&[Mode::Injection])
+            .trials(self.trials as u64)
+            .world_factory(Arc::new(move |_, _| Ok(world.clone())));
+        let sinks = grid.run_workers(jobs, None, None, |_| Trials {
+            region: self.region,
+            summary: RandomizedSummary::default(),
+            outcomes: keep.then(Vec::new),
+        });
+        for sink in sinks {
+            summary = summary.merge(&sink.summary);
+            outcomes.extend(sink.outcomes.into_iter().flatten());
+        }
+        Ok((summary, outcomes))
     }
 }
 
-/// A streaming run's sink: the worker's trial counts.
-#[derive(Default)]
-struct Counted(RandomizedSummary);
+/// A randomized run's sink: the worker's trial counts and, when the run
+/// keeps them, each trial's outcome tagged with its trial index (the
+/// grid is one unsharded key, so a trial's index is its slot).
+struct Trials {
+    region: TargetRegion,
+    summary: RandomizedSummary,
+    outcomes: Option<Vec<(u64, RandomizedOutcome)>>,
+}
 
-impl CellSink for Counted {
-    fn push(&mut self, _index: u64, _spec: &CellSpec, cell: CellResult, _ctx: &TraceCtx) {
-        self.0.count(&cell);
+impl CellSink for Trials {
+    fn push(&mut self, index: u64, _spec: &CellSpec, cell: CellResult, _ctx: &TraceCtx) {
+        self.summary.count(&cell);
+        if let Some(outcomes) = &mut self.outcomes {
+            outcomes.push((index, RandomizedOutcome::from_cell(&cell, self.region)));
+        }
     }
 }
 
@@ -475,7 +454,7 @@ fn shake(world: &mut World, attacker: DomainId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::standard_world;
+    use crate::campaign::{default_jobs, standard_world};
     use hvsim::XenVersion;
 
     fn factory(version: XenVersion) -> impl Fn() -> Result<(World, DomainId), BootError> {
@@ -489,7 +468,8 @@ mod tests {
     #[test]
     fn idt_campaign_finds_crashes() {
         let campaign = RandomizedCampaign::new(TargetRegion::IdtGates { cpu: 0 }, 12, 7);
-        let (summary, outcomes) = campaign.run(factory(XenVersion::V4_8)).unwrap();
+        let (summary, outcomes) =
+            campaign.run_with_jobs(factory(XenVersion::V4_8), default_jobs()).unwrap();
         assert_eq!(summary.total, 12);
         assert_eq!(outcomes.len(), 12);
         assert!(summary.injected > 0);
@@ -507,8 +487,8 @@ mod tests {
     #[test]
     fn campaign_is_reproducible() {
         let campaign = RandomizedCampaign::new(TargetRegion::DomainFrames, 6, 42);
-        let (s1, o1) = campaign.run(factory(XenVersion::V4_13)).unwrap();
-        let (s2, o2) = campaign.run(factory(XenVersion::V4_13)).unwrap();
+        let (s1, o1) = campaign.run_with_jobs(factory(XenVersion::V4_13), default_jobs()).unwrap();
+        let (s2, o2) = campaign.run_with_jobs(factory(XenVersion::V4_13), default_jobs()).unwrap();
         assert_eq!(s1, s2);
         assert_eq!(o1, o2);
     }
@@ -520,9 +500,6 @@ mod tests {
         let (s4, o4) = campaign.run_with_jobs(factory(XenVersion::V4_8), 4).unwrap();
         assert_eq!(s1, s4, "jobs=1 and jobs=4 summaries must match");
         assert_eq!(o1, o4, "jobs=1 and jobs=4 outcomes must match, in order");
-        let (s, o) = campaign.with_jobs(4).run(factory(XenVersion::V4_8)).unwrap();
-        assert_eq!(s, s1);
-        assert_eq!(o, o1);
     }
 
     #[test]
@@ -545,7 +522,8 @@ mod tests {
     #[test]
     fn page_table_region_injections_verify() {
         let campaign = RandomizedCampaign::new(TargetRegion::DomainPageTables, 4, 3);
-        let (summary, _) = campaign.run(factory(XenVersion::V4_8)).unwrap();
+        let (summary, _) =
+            campaign.run_with_jobs(factory(XenVersion::V4_8), default_jobs()).unwrap();
         assert_eq!(summary.injected, 4, "physical PT writes always land");
     }
 
@@ -569,7 +547,10 @@ mod tests {
     fn panicking_factory_degrades_to_a_typed_error() {
         let campaign = RandomizedCampaign::new(TargetRegion::SharedL3, 3, 1);
         let err = campaign
-            .run(|| -> Result<(World, DomainId), BootError> { panic!("factory exploded") })
+            .run_with_jobs(
+                || -> Result<(World, DomainId), BootError> { panic!("factory exploded") },
+                default_jobs(),
+            )
             .unwrap_err();
         assert_eq!(err, CampaignError::HarnessCrash { payload: "factory exploded".into() });
     }
@@ -580,21 +561,25 @@ mod tests {
         let failures = AtomicU32::new(2);
         let campaign = RandomizedCampaign::new(TargetRegion::IdtGates { cpu: 0 }, 4, 5).retries(2);
         let (summary, outcomes) = campaign
-            .run(|| {
-                if failures.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok()
-                {
-                    return Err(BootError::transient("create dom0", "no frames left"));
-                }
-                factory(XenVersion::V4_8)()
-            })
+            .run_with_jobs(
+                || {
+                    if failures
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                        .is_ok()
+                    {
+                        return Err(BootError::transient("create dom0", "no frames left"));
+                    }
+                    factory(XenVersion::V4_8)()
+                },
+                default_jobs(),
+            )
             .unwrap();
         assert_eq!(summary.total, 4);
         assert_eq!(summary.degraded, 0);
         // The retried boot must not perturb the trial streams.
         let (clean, clean_outcomes) =
             RandomizedCampaign::new(TargetRegion::IdtGates { cpu: 0 }, 4, 5)
-                .run(factory(XenVersion::V4_8))
+                .run_with_jobs(factory(XenVersion::V4_8), default_jobs())
                 .unwrap();
         assert_eq!(summary, clean);
         assert_eq!(outcomes, clean_outcomes);
@@ -633,7 +618,7 @@ mod tests {
         let unreachable = || -> Result<(World, DomainId), BootError> {
             panic!("a 0-trial campaign must not boot")
         };
-        let (summary, outcomes) = campaign.run(unreachable).unwrap();
+        let (summary, outcomes) = campaign.run_with_jobs(unreachable, default_jobs()).unwrap();
         assert_eq!(summary, RandomizedSummary::default());
         assert!(outcomes.is_empty());
         let streamed = campaign.run_streaming_summary(unreachable, 4).unwrap();
@@ -644,9 +629,12 @@ mod tests {
     fn non_transient_boot_failure_is_not_retried() {
         let campaign = RandomizedCampaign::new(TargetRegion::SharedL3, 2, 1).retries(5);
         let err = campaign
-            .run(|| -> Result<(World, DomainId), BootError> {
-                Err(BootError::new("create dom0", "deterministic failure"))
-            })
+            .run_with_jobs(
+                || -> Result<(World, DomainId), BootError> {
+                    Err(BootError::new("create dom0", "deterministic failure"))
+                },
+                default_jobs(),
+            )
             .unwrap_err();
         match err {
             CampaignError::Boot { attempts, message } => {

@@ -46,17 +46,6 @@ impl TextTable {
         self
     }
 
-    /// Appends a full-width separator row.
-    pub fn separator(&mut self) -> &mut Self {
-        self.rows.push(Vec::new());
-        self
-    }
-
-    /// Number of data rows (separators included).
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -84,10 +73,6 @@ impl fmt::Display for TextTable {
         writeln!(f)?;
         writeln!(f, "{line}")?;
         for row in &self.rows {
-            if row.is_empty() {
-                writeln!(f, "{line}")?;
-                continue;
-            }
             write!(f, "|")?;
             for (c, w) in row.iter().zip(&widths) {
                 write!(f, " {c:<w$} |")?;
@@ -129,7 +114,6 @@ mod tests {
         assert!(s.starts_with("TABLE\n"));
         assert!(s.contains("| XSA-212-crash |"));
         assert!(s.contains(CHECK));
-        assert_eq!(t.row_count(), 2);
     }
 
     #[test]
@@ -145,16 +129,5 @@ mod tests {
     fn rejects_long_rows() {
         let mut t = TextTable::new(["a"]);
         t.row(["1", "2"]);
-    }
-
-    #[test]
-    fn separator_renders_line() {
-        let mut t = TextTable::new(["a"]);
-        t.row(["x"]);
-        t.separator();
-        t.row(["y"]);
-        let s = t.to_string();
-        let dashes = s.lines().filter(|l| l.starts_with('-')).count();
-        assert_eq!(dashes, 4, "top, under-header, separator, bottom");
     }
 }

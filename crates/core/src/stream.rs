@@ -23,14 +23,15 @@
 //!
 //! There is no generator thread and no queue: [`SpecGrid`] decodes any
 //! slot from its index, so a worker that claims a batch of shard-local
-//! indices from [`SlotClaims`] can build every cell spec itself.
+//! indices from the shared slot counter can build every cell spec itself.
 //!
 //! The [`StreamReport`] is the one report the artefacts render from:
 //! Table III and Figs. 2/4 read its per-key aggregates. A collecting
 //! run ([`Campaign::run_with_jobs`](crate::Campaign::run_with_jobs))
 //! keeps one [`CellResult`] per cell instead, O(cells) memory, for the
-//! callers that read every cell: the security benchmark and the
-//! randomized sweep.
+//! security benchmark, which reads every cell. With a metrics registry
+//! attached it also folds each cell's totals on its worker, as a
+//! streamed run does, and publishes the merged fold.
 //!
 //! Determinism: a cell's result depends only on its [`CellSpec`] (every
 //! cell starts from a pristine world), and every aggregate in a
@@ -983,10 +984,11 @@ impl PhaseHistograms {
 }
 
 impl PartialFold {
-    /// Folds one finished cell into this worker's partial report; the
-    /// cell is dropped afterwards. Looks its key up by name, per cell;
-    /// a streaming worker keeps its per-key tally by key index instead
-    /// ([`PartialFold::fold_totals`] and [`PartialFold::name_keys`]).
+    /// Folds one finished cell, looking its key up by name, per cell:
+    /// the reference the index-keyed fold workers run
+    /// ([`PartialFold::fold_totals`] and [`PartialFold::name_keys`]) is
+    /// tested against.
+    #[cfg(test)]
     pub(crate) fn fold(&mut self, spec: &CellSpec, cell: &CellResult) {
         self.fold_totals(spec, cell);
         let key = grid_key(&cell.use_case, cell.version, cell.mode);
@@ -1055,7 +1057,7 @@ impl PartialFold {
 
     /// Adds per-key tallies kept by key index to `by_key`: `keys[i]` is
     /// named `names[i]` ([`GridFingerprint::key_names`]). Keys no cell
-    /// reached stay out, as they do from [`PartialFold::fold`].
+    /// reached stay out.
     pub(crate) fn name_keys(&mut self, keys: &[KeySummary], names: &[String]) {
         for (summary, name) in keys.iter().zip(names).filter(|(s, _)| s.cells > 0) {
             self.report.by_key.entry(name.clone()).or_default().absorb(summary);
@@ -1067,9 +1069,16 @@ impl PartialFold {
         self.report.completed
     }
 
-    /// The first slot this fold saw (for deterministic merge ordering).
-    pub(crate) fn first_slot(&self) -> Option<u64> {
-        self.first_slot
+    /// Merges worker folds into one, absorbing them in first-slot order.
+    /// All aggregates commute, so the order is for reproducibility of
+    /// intermediate states, not correctness.
+    pub(crate) fn merge_in_slot_order(mut parts: Vec<PartialFold>) -> PartialFold {
+        parts.sort_by_key(|fold| fold.first_slot.unwrap_or(u64::MAX));
+        let mut whole = PartialFold::default();
+        for part in &parts {
+            whole.absorb(part);
+        }
+        whole
     }
 
     /// Absorbs another fold (all aggregates commute; ordering is only

@@ -173,11 +173,6 @@ impl GuestKernel {
             .ok_or(HvError::Inval)
     }
 
-    /// The vDSO's kernel virtual address.
-    pub fn vdso_va(&self) -> VirtAddr {
-        Self::va_of_pfn_raw(PFN_VDSO)
-    }
-
     /// Allocates and maps a fresh heap page; returns `(pfn, mfn, va)`.
     ///
     /// # Errors
@@ -292,7 +287,7 @@ mod tests {
     fn vdso_is_mapped_and_fingerprintable() {
         let (mut hv, k) = boot_one();
         let mut head = [0u8; 8];
-        k.read(&mut hv, k.vdso_va(), &mut head).unwrap();
+        k.read(&mut hv, k.va_of_pfn(Pfn::new(PFN_VDSO)), &mut head).unwrap();
         assert_eq!(&head, vdso::VDSO_MAGIC);
         // And it is visible in raw machine memory at the vdso mfn.
         let mfn = k.vdso_mfn(&hv).unwrap();

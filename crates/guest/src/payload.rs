@@ -73,8 +73,9 @@ impl Payload {
         }
     }
 
-    /// Encodes the blob in the wire format described in the [module
-    /// documentation](self).
+    /// Encodes the blob in its wire format: [`PAYLOAD_MAGIC`], the body
+    /// length, then the body — a one-byte command tag and the command's
+    /// strings, each a `u16` length and UTF-8 bytes, all little-endian.
     ///
     /// # Panics
     ///

@@ -172,7 +172,6 @@ pub enum HandlerOutcome {
 pub struct WorldBuilder {
     version: XenVersion,
     injector: bool,
-    frames: usize,
     dom0_pages: u64,
     guests: Vec<(String, u64)>,
     remote_host: String,
@@ -186,7 +185,6 @@ impl WorldBuilder {
         Self {
             version,
             injector: false,
-            frames: 4096,
             dom0_pages: 96,
             guests: Vec::new(),
             remote_host: "10.3.1.99".to_owned(),
@@ -198,13 +196,6 @@ impl WorldBuilder {
     #[must_use]
     pub fn injector(mut self, enabled: bool) -> Self {
         self.injector = enabled;
-        self
-    }
-
-    /// Sets installed machine frames.
-    #[must_use]
-    pub fn frames(mut self, frames: usize) -> Self {
-        self.frames = frames;
         self
     }
 
@@ -233,11 +224,7 @@ impl WorldBuilder {
             });
             stage_start = Instant::now();
         };
-        let mut hv = Hypervisor::new(
-            BuildConfig::new(self.version)
-                .injector(self.injector)
-                .frames(self.frames),
-        );
+        let mut hv = Hypervisor::new(BuildConfig::new(self.version).injector(self.injector));
         let dom0 = hv
             .create_domain("xen3", true, self.dom0_pages)
             .map_err(|e| BootError::from_world("create dom0", e.into()))?;
@@ -584,15 +571,6 @@ impl World {
     pub fn file_in_all_domains(&self, path: &str) -> bool {
         !self.kernels.is_empty() && self.kernels.values().all(|k| k.vfs().exists(path))
     }
-
-    /// Domains in which `path` exists.
-    pub fn domains_with_file(&self, path: &str) -> Vec<DomainId> {
-        self.kernels
-            .iter()
-            .filter(|(_, k)| k.vfs().exists(path))
-            .map(|(&d, _)| d)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -763,7 +741,7 @@ mod tests {
             .iter()
             .all(|(_, o)| matches!(o, HandlerOutcome::Faulted(_))));
         assert!(!w.file_in_all_domains("/tmp/injector_log"));
-        assert_eq!(w.domains_with_file("/tmp/injector_log"), vec![]);
+        assert!(w.kernels.values().all(|k| !k.vfs().exists("/tmp/injector_log")));
     }
 
     #[test]

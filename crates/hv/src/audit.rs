@@ -162,27 +162,18 @@ impl fmt::Display for AuditEvent {
 #[derive(Clone, Debug, Default)]
 pub struct AuditLog {
     events: Arc<Vec<AuditEvent>>,
-    capacity: usize,
     dropped: u64,
 }
 
 impl AuditLog {
-    /// Default maximum retained events.
+    /// Maximum retained events.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
-    /// Creates an empty log with the default capacity.
+    /// Creates an empty log retaining at most
+    /// [`AuditLog::DEFAULT_CAPACITY`] events; further events are counted
+    /// but dropped.
     pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates an empty log retaining at most `capacity` events; further
-    /// events are counted but dropped.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            events: Arc::default(),
-            capacity,
-            dropped: 0,
-        }
+        Self::default()
     }
 
     /// Gives this log its own copy of the events, so its clones bump a
@@ -199,7 +190,7 @@ impl AuditLog {
     /// Appends an event; the first append after a clone copies the
     /// events shared with it.
     pub fn push(&mut self, event: AuditEvent) {
-        if self.events.len() < self.capacity {
+        if self.events.len() < Self::DEFAULT_CAPACITY {
             Arc::make_mut(&mut self.events).push(event);
         } else {
             self.dropped += 1;
@@ -249,15 +240,15 @@ mod tests {
 
     #[test]
     fn capacity_bound_drops_and_counts() {
-        let mut log = AuditLog::with_capacity(2);
-        for i in 0..5 {
+        let mut log = AuditLog::new();
+        for i in 0..AuditLog::DEFAULT_CAPACITY as i64 + 3 {
             log.push(AuditEvent::Hypercall {
                 dom: DomainId::DOM0,
                 name: "noop",
                 result: i,
             });
         }
-        assert_eq!(log.events().len(), 2);
+        assert_eq!(log.events().len(), AuditLog::DEFAULT_CAPACITY);
         assert_eq!(log.dropped(), 3);
     }
 

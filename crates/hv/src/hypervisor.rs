@@ -20,6 +20,12 @@ use std::sync::Arc;
 /// The M2P value marking a frame with no pseudo-physical mapping.
 const INVALID_M2P: u64 = u64::MAX;
 
+/// Installed machine frames of every build (16 MiB).
+const MACHINE_FRAMES: usize = 4096;
+
+/// Simulated CPUs of every build, each with its own IDT.
+const CPUS: usize = 2;
+
 /// Build-time configuration of a simulated hypervisor instance.
 ///
 /// Mirrors the paper's experimental setup: the same build environment with
@@ -31,41 +37,20 @@ pub struct BuildConfig {
     pub version: XenVersion,
     /// Whether the `arbitrary_access` injector hypercall is compiled in.
     pub injector_enabled: bool,
-    /// Installed machine frames (default 4096 = 16 MiB).
-    pub frames: usize,
-    /// Simulated CPUs, each with its own IDT (default 2).
-    pub cpus: usize,
 }
 
 impl BuildConfig {
-    /// A stock build of `version` (no injector), 16 MiB, 2 CPUs.
+    /// A stock build of `version` (no injector), 16 MiB, 2 CPUs: every
+    /// build has the same machine, only the version and the injector
+    /// vary.
     pub fn new(version: XenVersion) -> Self {
-        Self {
-            version,
-            injector_enabled: false,
-            frames: 4096,
-            cpus: 2,
-        }
+        Self { version, injector_enabled: false }
     }
 
     /// Enables or disables the injector hypercall.
     #[must_use]
     pub fn injector(mut self, enabled: bool) -> Self {
         self.injector_enabled = enabled;
-        self
-    }
-
-    /// Sets the installed machine frame count.
-    #[must_use]
-    pub fn frames(mut self, frames: usize) -> Self {
-        self.frames = frames;
-        self
-    }
-
-    /// Sets the CPU count.
-    #[must_use]
-    pub fn cpus(mut self, cpus: usize) -> Self {
-        self.cpus = cpus;
         self
     }
 }
@@ -129,11 +114,6 @@ impl Hypervisor {
     /// next frame is the shared hypervisor L3 page stitched into every
     /// guest's L4; then one IDT frame per CPU. Remaining frames form the
     /// domain heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.frames` is too small to hold the hypervisor
-    /// image (fewer than 64 frames).
     // Boot-time invariant checks: every `expect` below touches a frame
     // this constructor just reserved out of a heap it just sized, so a
     // failure is a bug in the simulator itself, not a recoverable
@@ -141,9 +121,7 @@ impl Hypervisor {
     // panic boundary, so even these aborts are contained per-cell.
     #[allow(clippy::expect_used)]
     pub fn new(config: BuildConfig) -> Self {
-        assert!(config.frames >= 64, "need at least 64 machine frames");
-        assert!(config.cpus >= 1, "need at least one CPU");
-        let mut mem = MachineMemory::new(config.frames);
+        let mut mem = MachineMemory::new(MACHINE_FRAMES);
         let xen_text = Mfn::new(0);
         mem.info_mut(xen_text)
             .expect("frame 0 installed")
@@ -157,8 +135,8 @@ impl Hypervisor {
             .set_type_unchecked(PageType::Hypervisor);
 
         let layout = config.version.layout();
-        let mut idt_frames = Vec::with_capacity(config.cpus);
-        for cpu in 0..config.cpus {
+        let mut idt_frames = Vec::with_capacity(CPUS);
+        for cpu in 0..CPUS {
             let mfn = Mfn::new(2 + cpu as u64);
             mem.info_mut(mfn)
                 .expect("idt frame installed")
@@ -180,10 +158,10 @@ impl Hypervisor {
         // Xen-owned frames exposed read-only to guests at the bottom of
         // the hypervisor range (as in real Xen's RO MPT).
         let m2p_entry_bytes = 8usize;
-        let m2p_frame_count = (config.frames * m2p_entry_bytes).div_ceil(PAGE_SIZE);
+        let m2p_frame_count = (MACHINE_FRAMES * m2p_entry_bytes).div_ceil(PAGE_SIZE);
         let mut m2p_frames = Vec::with_capacity(m2p_frame_count);
         for i in 0..m2p_frame_count {
-            let mfn = Mfn::new(2 + config.cpus as u64 + i as u64);
+            let mfn = Mfn::new(2 + CPUS as u64 + i as u64);
             mem.info_mut(mfn)
                 .expect("m2p frame installed")
                 .set_type_unchecked(PageType::Hypervisor);
@@ -193,13 +171,13 @@ impl Hypervisor {
         // per entry, because every write pays the copy-on-write checks.
         let per_frame = PAGE_SIZE / m2p_entry_bytes;
         for (i, frame) in m2p_frames.iter().enumerate() {
-            let entries = (config.frames - i * per_frame).min(per_frame);
+            let entries = (MACHINE_FRAMES - i * per_frame).min(per_frame);
             mem.write(frame.base(), &INVALID_M2P.to_le_bytes().repeat(entries))
                 .expect("m2p init");
         }
 
-        let heap_start = Mfn::new(2 + config.cpus as u64 + m2p_frame_count as u64);
-        let alloc = FrameAllocator::new(heap_start, Mfn::new(config.frames as u64));
+        let heap_start = Mfn::new(2 + CPUS as u64 + m2p_frame_count as u64);
+        let alloc = FrameAllocator::new(heap_start, Mfn::new(MACHINE_FRAMES as u64));
 
         let mut hv = Self {
             mem,

@@ -127,15 +127,6 @@ macro_rules! address {
             pub const fn offset(self, n: u64) -> Self {
                 Self(self.0.wrapping_add(n))
             }
-
-            /// Returns `true` if the address is aligned to `align` bytes.
-            ///
-            /// `align` must be a power of two; this is a debug-checked
-            /// precondition.
-            pub fn is_aligned(self, align: u64) -> bool {
-                debug_assert!(align.is_power_of_two());
-                self.0 & (align - 1) == 0
-            }
         }
 
         impl fmt::Debug for $name {
@@ -213,7 +204,7 @@ mod tests {
 
     #[test]
     fn mfn_base_is_page_aligned() {
-        assert!(Mfn::new(7).base().is_aligned(PAGE_SIZE as u64));
+        assert_eq!(Mfn::new(7).base().page_offset(), 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`MachineMemory`] — a byte-accurate array of 4 KiB machine frames with
 //!   typed load/store accessors,
-//! * [`PageInfo`] — per-frame accounting (owner domain, page *type*, type and
-//!   general reference counts), the simulator's equivalent of Xen's
+//! * [`PageInfo`] — per-frame accounting (owner domain, page *type*, typed
+//!   reference count), the simulator's equivalent of Xen's
 //!   `struct page_info`,
 //! * [`FrameAllocator`] — a free-list allocator with per-domain accounting,
 //! * strongly-typed addresses and frame numbers ([`Mfn`], [`Pfn`],

@@ -2,7 +2,7 @@
 //!
 //! Xen tracks, for every machine frame, which domain owns it, what *type*
 //! the frame currently has (writable data, level-N page table, segment
-//! descriptor page, ...), and two reference counts. The type system is the
+//! descriptor page, ...), and a typed reference count. The type system is the
 //! heart of PV memory safety: a frame validated as an L2 page table must not
 //! simultaneously be writable by a guest, otherwise the guest could forge
 //! translations. Several of the vulnerabilities reproduced by this project
@@ -142,7 +142,6 @@ pub struct PageInfo {
     owner: Option<DomainId>,
     page_type: PageType,
     type_count: u32,
-    ref_count: u32,
     pinned: bool,
     validated: bool,
 }
@@ -168,11 +167,6 @@ impl PageInfo {
         self.type_count
     }
 
-    /// Number of outstanding general references.
-    pub fn ref_count(&self) -> u32 {
-        self.ref_count
-    }
-
     /// Whether the frame is pinned to its current type.
     pub fn pinned(&self) -> bool {
         self.pinned
@@ -185,12 +179,11 @@ impl PageInfo {
 
     /// Assigns the frame to `owner` with the given initial type.
     ///
-    /// Resets both reference counts; used when (re-)allocating a frame.
+    /// Resets the type count; used when (re-)allocating a frame.
     pub fn assign(&mut self, owner: DomainId, page_type: PageType) {
         self.owner = Some(owner);
         self.page_type = page_type;
         self.type_count = 0;
-        self.ref_count = 1;
         self.pinned = false;
         self.validated = !page_type.is_page_table();
     }
@@ -243,24 +236,6 @@ impl PageInfo {
         Ok(())
     }
 
-    /// Takes a general reference. Mirrors Xen's `get_page()`.
-    pub fn get_ref(&mut self) {
-        self.ref_count += 1;
-    }
-
-    /// Drops a general reference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::RefUnderflow`] if no reference is held.
-    pub fn put_ref(&mut self) -> Result<(), MemError> {
-        if self.ref_count == 0 {
-            return Err(MemError::RefUnderflow);
-        }
-        self.ref_count -= 1;
-        Ok(())
-    }
-
     /// Pins the frame to its current type (Xen's `MMUEXT_PIN_*`).
     pub fn pin(&mut self) {
         self.pinned = true;
@@ -302,7 +277,6 @@ mod tests {
         info.assign(DomainId::new(3), PageType::Writable);
         assert_eq!(info.owner(), Some(DomainId::new(3)));
         assert_eq!(info.page_type(), PageType::Writable);
-        assert_eq!(info.ref_count(), 1);
         assert!(info.validated());
         info.release();
         assert_eq!(info, PageInfo::new());
@@ -364,17 +338,6 @@ mod tests {
         assert!(info.get_type(PageType::Writable).is_err());
         info.unpin();
         info.get_type(PageType::Writable).unwrap();
-    }
-
-    #[test]
-    fn ref_counting() {
-        let mut info = PageInfo::new();
-        info.assign(DomainId::new(1), PageType::Writable);
-        info.get_ref();
-        assert_eq!(info.ref_count(), 2);
-        info.put_ref().unwrap();
-        info.put_ref().unwrap();
-        assert!(matches!(info.put_ref(), Err(MemError::RefUnderflow)));
     }
 
     #[test]

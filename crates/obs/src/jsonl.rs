@@ -87,13 +87,14 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Scanner<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Scanner<'a> {
     fn new(s: &'a str) -> Self {
-        Self { bytes: s.as_bytes(), pos: 0 }
+        Self { text: s, bytes: s.as_bytes(), pos: 0 }
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -143,13 +144,22 @@ impl<'a> Scanner<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash as one slice. Both are ASCII, so the run ends on a
+            // character boundary of the already valid UTF-8 line.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: decode the escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -176,18 +186,6 @@ impl<'a> Scanner<'a> {
                         _ => return Err(self.err("bad escape sequence")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: take the full scalar value.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = match s.chars().next() {
-                        Some(c) => c,
-                        None => return Err(self.err("unterminated string")),
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -339,6 +337,13 @@ mod tests {
         let e = sample();
         let back = parse_line(&encode_event(&e)).unwrap();
         assert_eq!(back, e);
+        // A long attribute mixing multi-byte characters, escapes and
+        // control characters, as a fold record's embedded JSON is.
+        let long = TraceEvent {
+            attrs: vec![("fold".into(), "é漢\"k\":\\🦀\n\t\u{1}/".repeat(4000))],
+            ..sample()
+        };
+        assert_eq!(parse_line(&encode_event(&long)).unwrap(), long);
     }
 
     #[test]

@@ -104,12 +104,6 @@ impl PageTableEntry {
         Self(self.0 | flags.bits())
     }
 
-    /// Returns a copy with `flags` removed.
-    #[must_use]
-    pub fn without_flags(self, flags: PteFlags) -> Self {
-        Self(self.0 & !flags.bits())
-    }
-
     /// Bits that differ between `self` and `other`, as a raw mask.
     pub fn diff_bits(self, other: PageTableEntry) -> u64 {
         self.0 ^ other.0
@@ -166,7 +160,6 @@ mod tests {
         let e = PageTableEntry::new(Mfn::new(5), PteFlags::PRESENT);
         let rw = e.with_flags(PteFlags::RW);
         assert!(rw.flags().contains(PteFlags::RW));
-        assert_eq!(rw.without_flags(PteFlags::RW), e);
         assert_eq!(e.diff_bits(rw), PteFlags::RW.bits());
     }
 

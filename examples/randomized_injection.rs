@@ -8,7 +8,7 @@
 //! ```
 
 use intrusion_core::campaign::standard_world;
-use intrusion_core::{RandomizedCampaign, TargetRegion, TextTable};
+use intrusion_core::{default_jobs, RandomizedCampaign, TargetRegion, TextTable};
 use hvsim::XenVersion;
 
 fn main() {
@@ -30,11 +30,14 @@ fn main() {
         for region in regions {
             let campaign = RandomizedCampaign::new(region, 24, 0xDEAD_BEEF);
             let (summary, _) = campaign
-                .run(|| {
-                    let w = standard_world(version, true)?;
-                    let attacker = w.domain_by_name("guest03").unwrap();
-                    Ok((w, attacker))
-                })
+                .run_with_jobs(
+                    || {
+                        let w = standard_world(version, true)?;
+                        let attacker = w.domain_by_name("guest03").unwrap();
+                        Ok((w, attacker))
+                    },
+                    default_jobs(),
+                )
                 .expect("sweep completes");
             table.row([
                 region.label().to_owned(),

@@ -4,8 +4,8 @@
 
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
-    ArbitraryAccessInjector, ErroneousStateSpec, Injector, Monitor, RandomizedCampaign,
-    SecurityViolation, TargetRegion, ThreatChain, ThreatStage,
+    default_jobs, ArbitraryAccessInjector, ErroneousStateSpec, Injector, Monitor,
+    RandomizedCampaign, SecurityViolation, TargetRegion, ThreatChain, ThreatStage,
 };
 use guestos::{TxnStore, Uid, WorldBuilder};
 use hvsim::{AccessMode, AuditEvent, XenVersion};
@@ -148,11 +148,14 @@ fn randomized_campaigns_run_on_all_regions_and_versions() {
             TargetRegion::DomainFrames,
         ] {
             let (summary, outcomes) = RandomizedCampaign::new(region, 4, 11)
-                .run(|| {
-                    let w = standard_world(version, true)?;
-                    let a = w.domain_by_name("guest03").unwrap();
-                    Ok((w, a))
-                })
+                .run_with_jobs(
+                    || {
+                        let w = standard_world(version, true)?;
+                        let a = w.domain_by_name("guest03").unwrap();
+                        Ok((w, a))
+                    },
+                    default_jobs(),
+                )
                 .unwrap();
             assert_eq!(summary.total, 4);
             assert_eq!(outcomes.len(), 4);
