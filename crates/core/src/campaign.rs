@@ -972,7 +972,7 @@ impl Campaign {
             obs_bridge::bridge_audit(ctx, events.get(audit_baseline..).unwrap_or(&[]));
         };
         let Some(attacker) =
-            world.domain_by_name(ATTACKER_GUEST).or_else(|| world.domains().last().copied())
+            world.domain_by_name(ATTACKER_GUEST).or_else(|| world.domains().next_back())
         else {
             let error = CampaignError::Boot {
                 message: "world booted with no domains".to_owned(),

@@ -65,7 +65,7 @@ use hvsim_obs::{encode_event, parse_line, EventKind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -374,62 +374,60 @@ impl JournalState {
             path: path.display().to_string(),
             message: e.to_string(),
         })?;
-        let mut offset = 0usize;
-        let mut header: Option<JournalHeader> = None;
+        let first = bytes.iter().position(|&b| b == b'\n');
+        let header = decode_header(path, first.map(|nl| &bytes[..nl]))?;
+        let mut offset = first.map_or(0, |nl| nl + 1);
         let mut folds: BTreeMap<u64, PartialFold> = BTreeMap::new();
         let mut done: BTreeSet<u64> = BTreeSet::new();
         let mut next_worker = 1u64;
         while let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') {
-            let record = match JournalRecord::decode(&bytes[offset..offset + nl]) {
-                Ok(record) => record,
-                Err(message) => {
-                    if header.is_none() {
-                        return Err(CheckpointError::Header {
-                            path: path.display().to_string(),
-                            message,
-                        });
-                    }
-                    break; // Torn tail: keep the valid prefix.
-                }
-            };
-            match record {
-                JournalRecord::Header { grid, shard } => {
-                    if header.is_some() {
-                        break; // A second header is not ours; treat as torn.
-                    }
-                    header = Some(JournalHeader { grid, shard });
-                }
-                _ if header.is_none() => {
-                    return Err(CheckpointError::Header {
-                        path: path.display().to_string(),
-                        message: "first record is not a journal header".to_owned(),
-                    });
-                }
-                JournalRecord::Fold { worker, slots, fold, .. } => {
+            match JournalRecord::decode(&bytes[offset..offset + nl]) {
+                Ok(JournalRecord::Fold { worker, slots, fold, .. }) => {
                     next_worker = next_worker.max(worker + 1);
                     done.extend(slots);
                     folds.insert(worker, *fold);
                 }
+                // A second header is not ours; like a torn tail, it
+                // ends the valid prefix.
+                Ok(JournalRecord::Header { .. }) | Err(_) => break,
             }
             offset += nl + 1;
         }
-        let header = header.ok_or_else(|| CheckpointError::Header {
-            path: path.display().to_string(),
-            message: "journal is empty".to_owned(),
-        })?;
         Ok(Self { header, folds, done, next_worker, valid_bytes: offset as u64 })
+    }
+}
+
+/// The header a journal's first line (`None` when the file holds no
+/// complete line) carries.
+fn decode_header(path: &Path, first_line: Option<&[u8]>) -> Result<JournalHeader, CheckpointError> {
+    let error = |message: String| CheckpointError::Header {
+        path: path.display().to_string(),
+        message,
+    };
+    let line = first_line.ok_or_else(|| error("journal is empty".to_owned()))?;
+    match JournalRecord::decode(line).map_err(error)? {
+        JournalRecord::Header { grid, shard } => Ok(JournalHeader { grid, shard }),
+        JournalRecord::Fold { .. } => Err(error("first record is not a journal header".to_owned())),
     }
 }
 
 /// Reads just the identity of a checkpoint journal — what the CLI
 /// `campaign resume` uses to configure the campaign (trials, shard)
-/// before the full resume validates the complete fingerprint.
+/// before the full resume validates the complete fingerprint. It reads
+/// and decodes the first line only.
 ///
 /// # Errors
 ///
 /// [`CheckpointError`] when the file is unreadable or is not a journal.
 pub fn read_header(path: &Path) -> Result<JournalHeader, CheckpointError> {
-    Ok(JournalState::load(path)?.header)
+    let io = |e: std::io::Error| CheckpointError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    };
+    let mut line = Vec::new();
+    BufReader::new(File::open(path).map_err(io)?).read_until(b'\n', &mut line).map_err(io)?;
+    let complete = line.pop() == Some(b'\n');
+    decode_header(path, complete.then_some(&line[..]))
 }
 
 /// Counter snapshot of a journal writer, for the
@@ -820,6 +818,38 @@ mod tests {
             JournalState::load(&dir.join("missing.journal")),
             Err(CheckpointError::Io { .. })
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn read_header_decodes_the_first_line_only() {
+        let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("garbage-folds.journal");
+        let shard = Some(Shard { index: 1, count: 4 });
+        let header = JournalRecord::Header { grid: fingerprint(), shard };
+        let mut bytes = header.encode().unwrap().into_bytes();
+        bytes.extend_from_slice(b"not a record\n\xff\xfe garbage\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let read = read_header(&path).unwrap();
+        assert_eq!((read.grid, read.shard), (fingerprint(), shard));
+        // What `load` refuses as a header, `read_header` refuses too.
+        for not_a_journal in [&b"hello world\n"[..], b"", b"no newline"] {
+            std::fs::write(&path, not_a_journal).unwrap();
+            assert!(matches!(read_header(&path), Err(CheckpointError::Header { .. })));
+        }
+        let fold = JournalRecord::Fold {
+            worker: 1,
+            seq: 1,
+            slots: vec![0],
+            fold: Box::new(PartialFold::default()),
+        };
+        std::fs::write(&path, fold.encode().unwrap()).unwrap();
+        assert!(matches!(
+            read_header(&path),
+            Err(CheckpointError::Header { message, .. }) if message == "first record is not a journal header"
+        ));
+        assert!(matches!(read_header(&dir.join("missing.journal")), Err(CheckpointError::Io { .. })));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -104,14 +104,11 @@ impl Injector for ArbitraryAccessInjector {
         dom: DomainId,
         spec: &ErroneousStateSpec,
     ) -> Result<InjectionEvidence, InjectError> {
-        let ops = spec.lower(world);
-        let mut performed = 0usize;
-        for (mode, addr, mut bytes) in ops {
-            world
-                .hv_mut()
-                .hc_arbitrary_access(dom, addr, &mut bytes, mode)?;
-            performed += 1;
-        }
+        let performed = spec.each_write(&mut *world, |world, mode, addr, bytes| {
+            with_scratch_copy(bytes, |bytes| {
+                world.hv_mut().hc_arbitrary_access(dom, addr, bytes, mode).map(drop)
+            })
+        })?;
         finish_injection(world, spec, performed)
     }
 }
@@ -141,9 +138,7 @@ impl Injector for DebugStubInjector {
         dom: DomainId,
         spec: &ErroneousStateSpec,
     ) -> Result<InjectionEvidence, InjectError> {
-        let ops = spec.lower(world);
-        let mut performed = 0usize;
-        for (mode, addr, mut bytes) in ops {
+        let performed = spec.each_write(&mut *world, |world, mode, addr, bytes| {
             let phys = if mode.is_linear() {
                 world
                     .hv()
@@ -152,13 +147,26 @@ impl Injector for DebugStubInjector {
             } else {
                 hvsim_mem::PhysAddr::new(addr)
             };
-            world
-                .hv_mut()
-                .debug_stub_access(phys, &mut bytes, mode.is_write())
-                .map_err(InjectError::Hv)?;
-            performed += 1;
-        }
+            with_scratch_copy(bytes, |bytes| {
+                world.hv_mut().debug_stub_access(phys, bytes, mode.is_write())
+            })
+            .map_err(InjectError::Hv)
+        })?;
         finish_injection(world, spec, performed)
+    }
+}
+
+/// Runs `f` on a mutable copy of `bytes` (the hypervisor's access
+/// calls take a buffer they may fill): a stack copy for the short
+/// writes every specification but a large frame write lowers to.
+fn with_scratch_copy<R>(bytes: &[u8], f: impl FnOnce(&mut [u8]) -> R) -> R {
+    let mut stack = [0u8; 64];
+    match stack.get_mut(..bytes.len()) {
+        Some(copy) => {
+            copy.copy_from_slice(bytes);
+            f(copy)
+        }
+        None => f(&mut bytes.to_vec()),
     }
 }
 

@@ -100,7 +100,7 @@ pub use campaign::{default_jobs, Campaign, CampaignReport, CellResult, PhaseTimi
 pub use chaos::{ChaosConfig, ChaosPolicy};
 pub use checkpoint::{read_header, JournalHeader};
 pub use error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
-pub use erroneous_state::{ErroneousStateSpec, StateAudit};
+pub use erroneous_state::{AuditEvidence, ErroneousStateSpec, StateAudit};
 pub use injector::{ArbitraryAccessInjector, DebugStubInjector, InjectError, InjectionEvidence, Injector};
 pub use model::{AttackInterface, IntrusionModel, StateTrace, TargetComponent, TriggeringSource};
 pub use monitor::{Detector, Monitor, Observation, SecurityViolation};

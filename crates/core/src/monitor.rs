@@ -128,18 +128,16 @@ impl Detector for CrashDetector {
 
 /// Detects the XSA-212-priv outcome: a root-owned file present in every
 /// domain.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct PrivEscFileDetector {
     /// The artifact path to look for.
-    pub path: String,
+    pub path: &'static str,
 }
 
 impl PrivEscFileDetector {
     /// Watches for `path` in every domain.
-    pub fn new(path: &str) -> Self {
-        Self {
-            path: path.to_owned(),
-        }
+    pub const fn new(path: &'static str) -> Self {
+        Self { path }
     }
 }
 
@@ -149,18 +147,18 @@ impl Detector for PrivEscFileDetector {
     }
 
     fn observe(&self, world: &World) -> Vec<SecurityViolation> {
-        let all = world.file_in_all_domains(&self.path);
-        let root_owned = world.domains().iter().all(|&d| {
+        let all = world.file_in_all_domains(self.path);
+        let root_owned = world.domains().all(|d| {
             world
                 .kernel(d)
                 .ok()
-                .and_then(|k| k.vfs().owner(&self.path))
+                .and_then(|k| k.vfs().owner(self.path))
                 .map(|o| o == Uid::ROOT)
                 .unwrap_or(false)
         });
         if all && root_owned {
             vec![SecurityViolation::PrivilegeEscalationAllDomains {
-                path: self.path.clone(),
+                path: self.path.to_owned(),
             }]
         } else {
             Vec::new()
@@ -266,7 +264,6 @@ impl Detector for SpuriousInterruptDetector {
     fn observe(&self, world: &World) -> Vec<SecurityViolation> {
         world
             .domains()
-            .into_iter()
             .filter_map(|dom| {
                 let ports = world.hv().spurious_pending_ports(dom);
                 if ports.is_empty() {
@@ -293,7 +290,6 @@ impl Detector for UnexpectedPauseDetector {
     fn observe(&self, world: &World) -> Vec<SecurityViolation> {
         world
             .domains()
-            .into_iter()
             .filter(|&d| {
                 world
                     .hv()
@@ -328,19 +324,28 @@ impl Detector for PvInvariantDetector {
     }
 }
 
-/// A set of detectors run together.
+/// The standard detector set every campaign runs, shared by every
+/// monitor built from [`Monitor::standard`].
+static STANDARD: [&dyn Detector; 4] = [
+    &CrashDetector,
+    &PrivEscFileDetector::new("/tmp/injector_log"),
+    &ReverseShellDetector,
+    &CrossDomainAccessDetector,
+];
+
+/// A set of detectors run together: a shared static set (empty or
+/// [`Monitor::standard`]'s) followed by the detectors added to this
+/// monitor. Building the standard monitor allocates nothing.
 #[derive(Default)]
 pub struct Monitor {
-    detectors: Vec<Box<dyn Detector>>,
+    shared: &'static [&'static dyn Detector],
+    added: Vec<Box<dyn Detector>>,
 }
 
 impl fmt::Debug for Monitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Monitor")
-            .field(
-                "detectors",
-                &self.detectors.iter().map(|d| d.name()).collect::<Vec<_>>(),
-            )
+            .field("detectors", &self.detectors().map(|d| d.name()).collect::<Vec<_>>())
             .finish()
     }
 }
@@ -368,30 +373,31 @@ impl Monitor {
     /// Adds a detector.
     #[must_use]
     pub fn with(mut self, detector: Box<dyn Detector>) -> Self {
-        self.detectors.push(detector);
+        self.added.push(detector);
         self
     }
 
     /// Adds a detector in place.
     pub fn add(&mut self, detector: Box<dyn Detector>) {
-        self.detectors.push(detector);
+        self.added.push(detector);
     }
 
     /// The standard detector set every campaign runs (crash, priv-esc
     /// file, reverse shell, cross-domain access).
     pub fn standard() -> Self {
-        Monitor::new()
-            .with(Box::new(CrashDetector))
-            .with(Box::new(PrivEscFileDetector::new("/tmp/injector_log")))
-            .with(Box::new(ReverseShellDetector))
-            .with(Box::new(CrossDomainAccessDetector))
+        Monitor { shared: &STANDARD, added: Vec::new() }
+    }
+
+    /// Every detector, in the order they run.
+    fn detectors(&self) -> impl Iterator<Item = &dyn Detector> {
+        self.shared.iter().copied().chain(self.added.iter().map(|d| &**d))
     }
 
     /// Runs every detector.
     pub fn observe(&self, world: &World) -> Observation {
         let mut violations = Vec::new();
-        for d in &self.detectors {
-            violations.extend(d.observe(world));
+        for d in self.detectors() {
+            append(&mut violations, d.observe(world));
         }
         Observation { violations }
     }
@@ -408,9 +414,9 @@ impl Monitor {
     pub fn observe_contained(&self, world: &World) -> (Observation, Vec<String>) {
         let mut violations = Vec::new();
         let mut failures = Vec::new();
-        for d in &self.detectors {
+        for d in self.detectors() {
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.observe(world))) {
-                Ok(observed) => violations.extend(observed),
+                Ok(observed) => append(&mut violations, observed),
                 Err(p) => failures.push(format!(
                     "{}: {}",
                     d.name(),
@@ -419,6 +425,16 @@ impl Monitor {
             }
         }
         (Observation { violations }, failures)
+    }
+}
+
+/// Appends one detector's findings, taking over its `Vec` when nothing
+/// was found before it.
+fn append(violations: &mut Vec<SecurityViolation>, observed: Vec<SecurityViolation>) {
+    if violations.is_empty() {
+        *violations = observed;
+    } else {
+        violations.extend(observed);
     }
 }
 
@@ -469,7 +485,7 @@ mod tests {
             .unwrap();
         assert!(det.observe(&w).is_empty());
         // Present everywhere as root: violation.
-        for d in w.domains() {
+        for d in w.domains().collect::<Vec<_>>() {
             w.kernel_mut(d)
                 .unwrap()
                 .vfs_mut()
@@ -482,7 +498,7 @@ mod tests {
     #[test]
     fn privesc_detector_ignores_non_root_files() {
         let mut w = world();
-        for d in w.domains() {
+        for d in w.domains().collect::<Vec<_>>() {
             w.kernel_mut(d)
                 .unwrap()
                 .vfs_mut()

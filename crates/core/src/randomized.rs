@@ -77,18 +77,14 @@ impl TargetRegion {
                 }
             }
             TargetRegion::DomainFrames => {
-                let frames: Vec<_> = world
-                    .hv()
-                    .domain(attacker)
-                    .map(|d| d.p2m_iter().map(|(_, m)| m).collect())
-                    .unwrap_or_default();
+                let domain = world.hv().domain(attacker).ok();
                 // A domain with an empty P2M degrades to frame 0 (the
                 // injector will then report the failure) instead of
                 // panicking the trial.
-                let mfn = frames
-                    .get(rng.gen_range(0..frames.len().max(1)))
-                    .copied()
-                    .unwrap_or(hvsim_mem::Mfn::new(0));
+                let pick = rng.gen_range(0..domain.map_or(0, |d| d.p2m_len()).max(1));
+                let mfn = domain
+                    .and_then(|d| d.p2m_iter().nth(pick))
+                    .map_or(hvsim_mem::Mfn::new(0), |(_, mfn)| mfn);
                 let offset = rng.gen_range(0..4096 - 8);
                 ErroneousStateSpec::WriteFrame {
                     mfn,
@@ -427,7 +423,7 @@ impl UseCase for RandomTrial {
         ScenarioOutcome {
             erroneous_state: injected,
             state_audit: None,
-            notes: vec![format!("{} ({})", spec.label(), self.region.label())],
+            notes: vec![[spec.label(), " (", self.region.label(), ")"].concat()],
             error: None,
         }
     }

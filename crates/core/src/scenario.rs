@@ -38,7 +38,7 @@ impl fmt::Display for Mode {
 /// The *security violation* judgment is made separately by the
 /// [`Monitor`]; the outcome reports whether the erroneous state was
 /// induced, with the audit evidence, plus the run's log.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScenarioOutcome {
     /// Whether the erroneous state was induced (per the audit).
     pub erroneous_state: bool,

@@ -1,24 +1,30 @@
-//! A campaign cell's fork allocates nothing, and what a cell does
-//! first allocates only what it writes.
+//! A campaign cell's fork allocates nothing, and a cell allocates
+//! little beyond the state it writes.
 //!
 //! Every cell forks a base world, so the fork is on the hot path of
 //! every campaign. A booted world keeps each of its containers behind
 //! an `Arc` that the fork's first write copies, so cloning and dropping
-//! a worker's `unshare`d copy must not touch the heap at all. The
-//! XSA-212 cells then parse a payload in every domain or crash the
-//! hypervisor, and those are pinned here too. This test counts
-//! allocations with its own global allocator, which is why it is a test
-//! binary of its own: a global allocator applies to the whole binary.
+//! a worker's `unshare`d copy must not touch the heap at all. What the
+//! cells then do is pinned as exact allocation budgets: the 24 paper
+//! cells, the XSA-148-priv exploit cell, a randomized page-table trial,
+//! a crash, and the XSA-212-priv payload parse. A new allocation in any
+//! of them fails here. This test counts allocations with its own global
+//! allocator, which is why it is a test binary of its own: a global
+//! allocator applies to the whole binary.
 
 use guestos::{Payload, PayloadCommand, World};
 use hvsim::XenVersion;
-use intrusion_core::campaign::standard_world;
+use intrusion_core::campaign::{standard_world, ATTACKER_GUEST};
+use intrusion_core::{ArbitraryAccessInjector, Mode, RandomizedCampaign, TargetRegion, UseCase};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counts allocations made on threads that switched counting on, each
-/// thread on its own counter, so neither the test harness's threads
-/// nor tests running side by side disturb a count.
+/// thread on its own counter, and, while [`EVERY_THREAD`] is set, those
+/// of every thread on one process-wide counter (for runs whose work
+/// happens on worker threads).
 struct CountingAlloc;
 
 thread_local! {
@@ -26,7 +32,13 @@ thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
+static EVERY_THREAD: AtomicBool = AtomicBool::new(false);
+static PROCESS_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
 fn count() {
+    if EVERY_THREAD.load(Ordering::Relaxed) {
+        PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
@@ -56,6 +68,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs the tests one at a time: a process-wide count must not see
+/// another test's allocations.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Heap allocations `f` makes on this thread.
 fn allocations_in(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
@@ -63,6 +82,17 @@ fn allocations_in(f: impl FnOnce()) -> usize {
     f();
     COUNTING.with(|c| c.set(false));
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Heap allocations every thread makes while `f` runs, the threads `f`
+/// starts included. Only as exact as the process is quiet: the test
+/// harness may allocate now and then on its own threads.
+fn process_allocations_in(f: impl FnOnce()) -> usize {
+    let before = PROCESS_ALLOCATIONS.load(Ordering::SeqCst);
+    EVERY_THREAD.store(true, Ordering::SeqCst);
+    f();
+    EVERY_THREAD.store(false, Ordering::SeqCst);
+    PROCESS_ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
 /// A campaign worker's copy of a base world: a clone, `unshare`d.
@@ -73,8 +103,27 @@ fn worker_copy(version: XenVersion, injector: bool) -> World {
     copy
 }
 
+/// One campaign cell the way the engine runs it on a worker's copy:
+/// fork, the use case's trial 0, its monitor, and the drop; returns the
+/// allocations it made.
+fn cell_allocations(uc: &dyn UseCase, copy: &World, mode: Mode) -> usize {
+    allocations_in(|| {
+        let mut world = copy.clone();
+        let attacker = world.domain_by_name(ATTACKER_GUEST).expect("standard worlds have it");
+        let outcome = match mode {
+            Mode::Exploit => uc.run_exploit_trial(&mut world, attacker, 0),
+            Mode::Injection => {
+                uc.run_injection_trial(&mut world, attacker, &ArbitraryAccessInjector, 0)
+            }
+        };
+        let observed = uc.monitor(&world, attacker).observe_contained(&world);
+        drop((outcome, observed, world));
+    })
+}
+
 #[test]
 fn forking_an_unshared_standard_world_allocates_nothing() {
+    let _serial = serial();
     for version in [XenVersion::V4_6, XenVersion::V4_8, XenVersion::V4_13] {
         for injector in [false, true] {
             let copy = worker_copy(version, injector);
@@ -101,6 +150,7 @@ fn forking_an_unshared_standard_world_allocates_nothing() {
 /// handler runs, allocates the command's two strings and nothing else.
 #[test]
 fn parsing_the_xsa212_payload_allocates_only_its_strings() {
+    let _serial = serial();
     let blob = Payload::drop_root_file("/tmp/injector_log", "|$(id)|@$(hostname)").to_bytes();
     let mut parsed = None;
     let allocations = allocations_in(|| parsed = Payload::parse(&blob));
@@ -116,9 +166,11 @@ fn parsing_the_xsa212_payload_allocates_only_its_strings() {
 /// copy shares its p2m and event-port table with the base world. Before
 /// those tables sat behind their own `Arc`, `crash` plus the drop made
 /// 53 allocations here, most of them the three p2m `BTreeMap`s and
-/// 512-entry port tables.
+/// 512-entry port tables; 13 before the audit log's first append made
+/// its copy with room to grow.
 #[test]
 fn crashing_a_fork_copies_no_domain_table() {
+    let _serial = serial();
     for version in [XenVersion::V4_6, XenVersion::V4_8, XenVersion::V4_13] {
         let copy = worker_copy(version, true);
         let allocations = allocations_in(|| {
@@ -127,7 +179,71 @@ fn crashing_a_fork_copies_no_domain_table() {
             assert!(fork.hv().domains().all(|d| d.is_dead()));
             drop(fork);
         });
-        assert_eq!(allocations, 13, "crash and drop of a Xen {version} fork");
+        assert_eq!(allocations, 12, "crash and drop of a Xen {version} fork");
         assert!(copy.hv().domains().all(|d| !d.is_dead()), "the fork's crash stays in the fork");
     }
+}
+
+/// The 24 paper cells (4 use cases x 3 versions x 2 modes), each run on
+/// a fork of its key's unshared base world, allocate 832 times in all.
+/// They made 1,210 allocations before page walks kept their steps
+/// inline, the standard monitor stopped building its detector list,
+/// audits stopped formatting their evidence, injections stopped listing
+/// their writes, the p2m became one flat vector and the logs stopped
+/// copying on every fork's first line. Each cell is counted twice, so
+/// a count that depends on what ran before fails too.
+#[test]
+fn the_paper_cells_allocate_their_budget() {
+    let _serial = serial();
+    let mut total = 0;
+    for uc in xsa_exploits::paper_use_cases() {
+        for version in [XenVersion::V4_6, XenVersion::V4_8, XenVersion::V4_13] {
+            for mode in [Mode::Exploit, Mode::Injection] {
+                let copy = worker_copy(version, mode == Mode::Injection);
+                let first = cell_allocations(uc.as_ref(), &copy, mode);
+                let again = cell_allocations(uc.as_ref(), &copy, mode);
+                assert_eq!(first, again, "{} on Xen {version}, {mode}", uc.name());
+                total += first;
+            }
+        }
+    }
+    assert_eq!(total, 832, "the 24 paper cells");
+}
+
+/// The XSA-148-priv exploit on Xen 4.6 walks guest page tables most of
+/// all the paper cells: 76 allocations before walks held their steps
+/// inline, 20 of them the walks' step vectors.
+#[test]
+fn the_xsa148_exploit_cell_allocates_its_budget() {
+    let _serial = serial();
+    let copy = worker_copy(XenVersion::V4_6, false);
+    let allocations = cell_allocations(&xsa_exploits::Xsa148Priv, &copy, Mode::Exploit);
+    assert_eq!(allocations, 47, "the XSA-148-priv exploit cell on Xen 4.6");
+}
+
+/// One randomized page-table trial, engine and harness included, is
+/// the difference between two streamed runs 512 trials apart, divided
+/// and rounded, so the boot, the worker thread and any stray harness
+/// allocation fall out. It was 23 before the walks, the monitor, the
+/// audit, the spec label and the injection's writes stopped allocating.
+#[test]
+fn a_randomized_page_table_trial_allocates_its_budget() {
+    let _serial = serial();
+    let run = |trials: usize| {
+        process_allocations_in(|| {
+            let factory = || {
+                let world = standard_world(XenVersion::V4_8, true)?;
+                let attacker = world.domain_by_name(ATTACKER_GUEST).expect("standard worlds have it");
+                Ok((world, attacker))
+            };
+            let summary = RandomizedCampaign::new(TargetRegion::DomainPageTables, trials, 7)
+                .run_streaming_summary(factory, 1)
+                .expect("the base world boots");
+            assert_eq!(summary.total, trials);
+        })
+    };
+    const APART: usize = 512;
+    let (small, large) = (run(64), run(64 + APART));
+    let per_trial = (large.saturating_sub(small) + APART / 2) / APART;
+    assert_eq!(per_trial, 8, "one randomized page-table trial ({small} vs {large} allocations)");
 }

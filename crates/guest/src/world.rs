@@ -18,6 +18,7 @@ use hvsim_mem::{DomainId, VirtAddr, PAGE_SIZE};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -342,8 +343,10 @@ impl World {
     }
 
     /// Ids of all domains with booted kernels, in order.
-    pub fn domains(&self) -> Vec<DomainId> {
-        self.kernels.keys().copied().collect()
+    pub fn domains(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = DomainId> + ExactSizeIterator + '_ {
+        self.kernels.keys().copied()
     }
 
     /// Finds a domain by name.
@@ -426,9 +429,11 @@ impl World {
         vector: u8,
     ) -> Result<Vec<(DomainId, HandlerOutcome)>, WorldError> {
         let dispatch = self.hv.software_interrupt(dom, vector)?;
-        let targets = self.domains();
-        let mut results = Vec::with_capacity(targets.len());
-        for d in targets {
+        let mut results = Vec::with_capacity(self.kernels.len());
+        // Walk the domains by key: the handler writes the world.
+        let mut next = self.kernels.keys().next().copied();
+        while let Some(d) = next {
+            next = self.kernels.range((Excluded(d), Unbounded)).next().map(|(&k, _)| k);
             if self.hv.domain(d).map(|x| x.is_dead()).unwrap_or(true) {
                 continue;
             }
@@ -595,7 +600,7 @@ mod tests {
         let w = small_world(XenVersion::V4_6);
         assert_eq!(w.domains().len(), 3);
         assert!(w.hv().domain(w.dom0()).unwrap().is_privileged());
-        assert_eq!(w.domain_by_name("xen2"), Some(w.domains()[1]));
+        assert_eq!(w.domain_by_name("xen2"), w.domains().nth(1));
         assert!(w.kernel(w.dom0()).unwrap().vfs().exists("/root/root_msg"));
     }
 

@@ -158,7 +158,8 @@ impl fmt::Display for AuditEvent {
 /// A bounded in-order log of [`AuditEvent`]s.
 ///
 /// The events sit behind an `Arc`: a clone (a campaign cell's world
-/// fork) shares the boot-time prefix, and its first append copies it.
+/// fork) shares the boot-time prefix, and its first append copies it
+/// once, with room for a cell's events.
 #[derive(Clone, Debug, Default)]
 pub struct AuditLog {
     events: Arc<Vec<AuditEvent>>,
@@ -168,6 +169,9 @@ pub struct AuditLog {
 impl AuditLog {
     /// Maximum retained events.
     pub const DEFAULT_CAPACITY: usize = 65_536;
+
+    /// Events a fork's copy of the log takes before it reallocates.
+    const FORK_HEADROOM: usize = 32;
 
     /// Creates an empty log retaining at most
     /// [`AuditLog::DEFAULT_CAPACITY`] events; further events are counted
@@ -188,9 +192,15 @@ impl AuditLog {
     }
 
     /// Appends an event; the first append after a clone copies the
-    /// events shared with it.
+    /// events shared with it, once, with room for a cell's events.
     pub fn push(&mut self, event: AuditEvent) {
         if self.events.len() < Self::DEFAULT_CAPACITY {
+            if Arc::get_mut(&mut self.events).is_none() {
+                let mut copy = Vec::with_capacity(self.events.len() + Self::FORK_HEADROOM);
+                copy.extend_from_slice(&self.events);
+                self.events = Arc::new(copy);
+            }
+            // Unique by now, so this copies nothing.
             Arc::make_mut(&mut self.events).push(event);
         } else {
             self.dropped += 1;

@@ -4,7 +4,7 @@ use crate::events::{PortState, EVTCHN_PORTS};
 use crate::grants::GrantTable;
 use crate::HvError;
 use hvsim_mem::{DomainId, MachineMemory, MemError, Mfn, Pfn, PhysAddr, VirtAddr};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -87,6 +87,58 @@ impl StartInfo {
     }
 }
 
+/// A domain's pseudo-physical-to-machine map: `(pfn, mfn)` pairs
+/// sorted by pfn, in one flat vector. Copying it (a fork's first write
+/// to it) is one allocation whatever its size, and the copy keeps room
+/// for the frames a cell adds. It reads and writes JSON as a
+/// `BTreeMap<u64, Mfn>` does: an object keyed by pfn.
+#[derive(Debug, Default)]
+struct P2m(Vec<(u64, Mfn)>);
+
+impl P2m {
+    /// Entries a copy can take before it reallocates.
+    const HEADROOM: usize = 8;
+
+    fn position(&self, pfn: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&pfn, |&(p, _)| p)
+    }
+
+    fn get(&self, pfn: u64) -> Option<Mfn> {
+        self.position(pfn).ok().map(|i| self.0[i].1)
+    }
+
+    fn insert(&mut self, pfn: u64, mfn: Mfn) {
+        match self.position(pfn) {
+            Ok(i) => self.0[i].1 = mfn,
+            Err(i) => self.0.insert(i, (pfn, mfn)),
+        }
+    }
+
+    fn remove(&mut self, pfn: u64) -> Option<Mfn> {
+        self.position(pfn).ok().map(|i| self.0.remove(i).1)
+    }
+}
+
+impl Clone for P2m {
+    fn clone(&self) -> Self {
+        let mut entries = Vec::with_capacity(self.0.len() + Self::HEADROOM);
+        entries.extend_from_slice(&self.0);
+        P2m(entries)
+    }
+}
+
+impl Serialize for P2m {
+    fn to_value(&self) -> Value {
+        self.0.iter().copied().collect::<BTreeMap<u64, Mfn>>().to_value()
+    }
+}
+
+impl Deserialize for P2m {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(P2m(BTreeMap::<u64, Mfn>::from_value(v)?.into_iter().collect()))
+    }
+}
+
 /// Hypervisor-side state of one domain.
 ///
 /// The two large tables, the p2m and the event ports, sit behind their
@@ -98,7 +150,7 @@ pub struct Domain {
     name: String,
     privileged: bool,
     cr3: Option<Mfn>,
-    p2m: Arc<BTreeMap<u64, Mfn>>,
+    p2m: Arc<P2m>,
     start_info_mfn: Mfn,
     dead: bool,
     grant_table: GrantTable,
@@ -175,17 +227,17 @@ impl Domain {
 
     /// Looks up the machine frame backing a pseudo-physical frame.
     pub fn p2m(&self, pfn: Pfn) -> Option<Mfn> {
-        self.p2m.get(&pfn.raw()).copied()
+        self.p2m.get(pfn.raw())
     }
 
     /// Number of pseudo-physical frames currently populated.
     pub fn p2m_len(&self) -> usize {
-        self.p2m.len()
+        self.p2m.0.len()
     }
 
     /// Iterates `(pfn, mfn)` pairs in pfn order.
     pub fn p2m_iter(&self) -> impl Iterator<Item = (Pfn, Mfn)> + '_ {
-        self.p2m.iter().map(|(&p, &m)| (Pfn::new(p), m))
+        self.p2m.0.iter().map(|&(p, m)| (Pfn::new(p), m))
     }
 
     pub(crate) fn p2m_insert(&mut self, pfn: Pfn, mfn: Mfn) {
@@ -193,12 +245,12 @@ impl Domain {
     }
 
     pub(crate) fn p2m_remove(&mut self, pfn: Pfn) -> Option<Mfn> {
-        Arc::make_mut(&mut self.p2m).remove(&pfn.raw())
+        Arc::make_mut(&mut self.p2m).remove(pfn.raw())
     }
 
     /// The next unpopulated pfn (for fresh allocations).
     pub(crate) fn next_free_pfn(&self) -> Pfn {
-        Pfn::new(self.p2m.keys().next_back().map_or(0, |&p| p + 1))
+        Pfn::new(self.p2m.0.last().map_or(0, |&(p, _)| p + 1))
     }
 
     /// The domain's grant table.
@@ -278,7 +330,7 @@ impl Domain {
     /// A copy of this domain that shares neither table with it.
     pub(crate) fn unshared(&self) -> Domain {
         Domain {
-            p2m: Arc::new(BTreeMap::clone(&self.p2m)),
+            p2m: Arc::new(P2m::clone(&self.p2m)),
             event_ports: Arc::new(Vec::clone(&self.event_ports)),
             ..self.clone()
         }
@@ -322,6 +374,7 @@ impl Domain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn start_info_roundtrip() {
@@ -416,13 +469,89 @@ mod tests {
         d.p2m_insert(Pfn::new(0), Mfn::new(10));
         d.p2m_insert(Pfn::new(1), Mfn::new(11));
         let json = serde_json::to_string(&d).unwrap();
-        let p2m = serde_json::to_string(&*d.p2m).unwrap();
+        // The p2m writes as a `BTreeMap<u64, Mfn>` does.
+        let reference = BTreeMap::from([(0u64, Mfn::new(10)), (1, Mfn::new(11))]);
+        let p2m = serde_json::to_string(&reference).unwrap();
         let ports = serde_json::to_string(&*d.event_ports).unwrap();
         assert!(json.contains(&format!(r#""p2m":{p2m},"#)), "{json}");
         assert!(json.contains(&format!(r#""event_ports":{ports},"#)), "{json}");
         let back: Domain = serde_json::from_str(&json).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
         assert_eq!(back.p2m(Pfn::new(1)), Some(Mfn::new(11)));
+    }
+
+    /// Checks `d`'s p2m against `reference` through every read the
+    /// domain offers.
+    fn assert_p2m_matches(d: &Domain, reference: &BTreeMap<u64, Mfn>) -> Result<(), TestCaseError> {
+        prop_assert_eq!(d.p2m_len(), reference.len());
+        prop_assert!(d.p2m_iter().eq(reference.iter().map(|(&p, &m)| (Pfn::new(p), m))));
+        let next = reference.keys().next_back().map_or(0, |&p| p + 1);
+        prop_assert_eq!(d.next_free_pfn(), Pfn::new(next));
+        for pfn in 0..PFNS + 2 {
+            prop_assert_eq!(d.p2m(Pfn::new(pfn)), reference.get(&pfn).copied());
+        }
+        Ok(())
+    }
+
+    /// Pfns the proptest draws from: few enough that inserts, removals
+    /// and lookups hit each other.
+    const PFNS: u64 = 24;
+
+    proptest! {
+        /// The flat p2m behaves as the `BTreeMap` it replaced under
+        /// inserts, removals, appends at the next free pfn, forks and
+        /// unshares; a fork's writes never reach the domain it was
+        /// forked from; and the JSON is the map's, byte for byte.
+        #[test]
+        fn prop_p2m_matches_a_btreemap(
+            ops in proptest::collection::vec((0u8..5, 0..PFNS, 0u64..4096), 1..80)
+        ) {
+            let mut d = Domain::new(DomainId::new(1), "g", false, Mfn::new(10));
+            let mut reference = BTreeMap::new();
+            let mut forked_from = Vec::new();
+            for (kind, pfn, mfn) in ops {
+                let mfn = Mfn::new(mfn);
+                match kind {
+                    0 => {
+                        d.p2m_insert(Pfn::new(pfn), mfn);
+                        reference.insert(pfn, mfn);
+                    }
+                    1 => prop_assert_eq!(d.p2m_remove(Pfn::new(pfn)), reference.remove(&pfn)),
+                    2 => {
+                        let next = d.next_free_pfn();
+                        d.p2m_insert(next, mfn);
+                        reference.insert(next.raw(), mfn);
+                    }
+                    3 => {
+                        let fork = d.clone();
+                        forked_from.push((std::mem::replace(&mut d, fork), reference.clone()));
+                    }
+                    _ => d = d.unshared(),
+                }
+                assert_p2m_matches(&d, &reference)?;
+            }
+            for (source, at_fork) in &forked_from {
+                assert_p2m_matches(source, at_fork)?;
+            }
+            let json = serde_json::to_string(&d).unwrap();
+            let p2m = serde_json::to_string(&reference).unwrap();
+            prop_assert!(json.contains(&format!(r#""p2m":{p2m},"#)), "{}", json);
+            let back: Domain = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            assert_p2m_matches(&back, &reference)?;
+        }
+    }
+
+    #[test]
+    fn a_copy_of_the_p2m_keeps_room_to_grow() {
+        let mut d = Domain::new(DomainId::new(1), "g", false, Mfn::new(10));
+        for pfn in 0..65 {
+            d.p2m_insert(Pfn::new(pfn), Mfn::new(100 + pfn));
+        }
+        let mut copy = d.clone();
+        copy.p2m_insert(Pfn::new(65), Mfn::new(7));
+        assert_eq!(copy.p2m.0.capacity(), 65 + P2m::HEADROOM);
+        assert_eq!(d.p2m_len(), 65, "the copy's write stays in the copy");
     }
 
     #[test]

@@ -71,6 +71,45 @@ pub struct InterruptDispatch {
     pub handler: VirtAddr,
 }
 
+/// The console lines: a shared list, appended to in place while this
+/// hypervisor holds it alone (at boot), then a list of its own for the
+/// lines printed once the shared list has clones. A fork's first line
+/// allocates only that list and copies no shared line, and a booted
+/// hypervisor has no lines of its own, so forking it copies nothing.
+#[derive(Clone, Debug, Default)]
+struct Console {
+    shared: Arc<Vec<String>>,
+    own: Vec<String>,
+}
+
+impl Console {
+    /// Lines a fork's own list takes before it reallocates: a panic
+    /// prints four.
+    const FORK_HEADROOM: usize = 8;
+
+    fn push(&mut self, line: String) {
+        match Arc::get_mut(&mut self.shared) {
+            Some(lines) if self.own.is_empty() => lines.push(line),
+            _ => {
+                if self.own.capacity() == 0 {
+                    self.own.reserve_exact(Self::FORK_HEADROOM);
+                }
+                self.own.push(line);
+            }
+        }
+    }
+
+    fn lines(&self) -> impl Iterator<Item = &str> {
+        self.shared.iter().chain(&self.own).map(String::as_str)
+    }
+
+    /// Gives this console all its lines in a list of its own.
+    fn unshare(&mut self) {
+        self.shared = Arc::new(self.lines().map(str::to_owned).collect());
+        self.own = Vec::new();
+    }
+}
+
 /// The simulated hypervisor.
 ///
 /// See the [crate-level documentation](crate) for an overview. All guest
@@ -82,7 +121,8 @@ pub struct InterruptDispatch {
 /// a clone (a campaign cell's world fork) allocates nothing: it shares
 /// machine memory, the domain map and each domain, the allocator's
 /// quotas, the IDT and M2P frame lists, the console and the audit log
-/// until its first write to one of them, which copies that one. A
+/// until its first write to one of them, which copies that one (the
+/// console copies nothing: a fork's lines go to a list of its own). A
 /// domain's copy in turn shares its p2m and event-port table.
 #[derive(Clone, Debug)]
 pub struct Hypervisor {
@@ -101,8 +141,7 @@ pub struct Hypervisor {
     idt_frames: Arc<[Mfn]>,
     m2p_frames: Arc<[Mfn]>,
     crashed: Option<CrashInfo>,
-    /// Append-only: a fork's first line copies the boot-time lines.
-    console: Arc<Vec<String>>,
+    console: Console,
     pub(crate) audit: AuditLog,
     pub(crate) hypercall_count: u64,
 }
@@ -193,7 +232,7 @@ impl Hypervisor {
             idt_frames: idt_frames.into(),
             m2p_frames: m2p_frames.into(),
             crashed: None,
-            console: Arc::default(),
+            console: Console::default(),
             audit: AuditLog::new(),
             hypercall_count: 0,
         };
@@ -250,9 +289,9 @@ impl Hypervisor {
         self.crashed.is_some()
     }
 
-    /// The console ring (every line ever printed).
-    pub fn console(&self) -> &[String] {
-        &self.console
+    /// The console ring (every line ever printed), oldest first.
+    pub fn console(&self) -> impl Iterator<Item = &str> {
+        self.console.lines()
     }
 
     /// The audit log.
@@ -305,7 +344,7 @@ impl Hypervisor {
             Arc::new(self.domains.iter().map(|(&id, d)| (id, Arc::new(d.unshared()))).collect());
         self.idt_frames = Arc::from(&self.idt_frames[..]);
         self.m2p_frames = Arc::from(&self.m2p_frames[..]);
-        self.console = Arc::new(Vec::clone(&self.console));
+        self.console.unshare();
     }
 
     /// The reference count of every container this hypervisor shares
@@ -329,7 +368,7 @@ impl Hypervisor {
         counts.extend([
             Arc::strong_count(&self.idt_frames),
             Arc::strong_count(&self.m2p_frames),
-            Arc::strong_count(&self.console),
+            Arc::strong_count(&self.console.shared),
         ]);
         counts
     }
@@ -345,7 +384,7 @@ impl Hypervisor {
     }
 
     pub(crate) fn console_line(&mut self, line: impl Into<String>) {
-        Arc::make_mut(&mut self.console).push(line.into());
+        self.console.push(line.into());
     }
 
     // ------------------------------------------------------------------
@@ -474,6 +513,12 @@ impl Hypervisor {
     /// Fails with [`HvError::Crashed`] after a panic and
     /// [`HvError::NoDomain`] for an unknown or dead domain.
     pub(crate) fn check_alive(&self, dom: DomainId) -> Result<(), HvError> {
+        self.live_domain(dom).map(drop)
+    }
+
+    /// The domain, if the hypervisor is up and the domain alive; fails
+    /// as [`check_alive`](Self::check_alive) does.
+    fn live_domain(&self, dom: DomainId) -> Result<&Domain, HvError> {
         if self.crashed.is_some() {
             return Err(HvError::Crashed);
         }
@@ -481,7 +526,7 @@ impl Hypervisor {
         if d.is_dead() {
             return Err(HvError::NoDomain);
         }
-        Ok(())
+        Ok(d)
     }
 
     // ------------------------------------------------------------------
@@ -608,26 +653,20 @@ impl Hypervisor {
         access: AccessKind,
         user_mode: bool,
     ) -> Result<Translation, HvError> {
-        self.check_alive(dom)?;
+        // One domain lookup serves the liveness check and the walk.
+        let cr3 = self.live_domain(dom)?.cr3();
         if let Err(denial) = self.layout.guest_may(va, access) {
             let pf: PageFault = denial.into();
             self.deliver_page_fault(&pf);
             return Err(HvError::GuestFault(pf));
         }
-        match self.guest_translate(dom, va) {
-            Ok(t) => match t.check(access, user_mode) {
-                Ok(()) => Ok(t),
-                Err(pf) => {
-                    self.deliver_page_fault(&pf);
-                    Err(HvError::GuestFault(pf))
-                }
-            },
-            Err(HvError::GuestFault(pf)) => {
-                self.deliver_page_fault(&pf);
-                Err(HvError::GuestFault(pf))
-            }
-            Err(e) => Err(e),
-        }
+        let cr3 = cr3.ok_or(HvError::Inval)?;
+        let walked = walk(&self.mem, cr3, va, &self.walk_policy())
+            .and_then(|t| t.check(access, user_mode).map(|()| t));
+        walked.map_err(|pf| {
+            self.deliver_page_fault(&pf);
+            HvError::GuestFault(pf)
+        })
     }
 
     /// Reads guest-virtual memory in kernel (ring ≤ 1) context.

@@ -858,7 +858,7 @@ mod tests {
         let err = g.hv.guest_read_va(g.dom, VirtAddr::new(0x7f00_0000_0000), &mut buf).unwrap_err();
         assert!(matches!(err, HvError::GuestFault(_)));
         assert!(g.hv.is_crashed());
-        assert!(g.hv.console().iter().any(|l| l.contains("DOUBLE FAULT")));
+        assert!(g.hv.console().any(|l| l.contains("DOUBLE FAULT")));
         assert!(g.hv.domain(g.dom).unwrap().is_dead());
         // Further hypercalls are refused.
         assert_eq!(g.hv.hc_console_io(g.dom, "hi").unwrap_err(), HvError::Crashed);
@@ -1207,7 +1207,7 @@ mod tests {
 
             match (&routed_call, &result) {
                 (Hypercall::ConsoleIo(line), Ok(_)) => {
-                    assert_eq!(routed.console().last(), Some(&format!("[{caller}] {line}")));
+                    assert_eq!(routed.console().last(), Some(format!("[{caller}] {line}").as_str()));
                 }
                 (Hypercall::Domctl { .. }, Err(Perm)) => {
                     assert!(routed.audit().events().iter().any(|e| matches!(

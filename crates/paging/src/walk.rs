@@ -40,8 +40,21 @@ pub struct WalkPolicy {
     pub forbid_writable_selfmap: bool,
 }
 
+impl WalkStep {
+    /// Fills the unvisited slots of a [`Translation`]'s step array.
+    const UNVISITED: WalkStep = WalkStep {
+        level: 0,
+        table: Mfn::new(0),
+        index: 0,
+        entry: PageTableEntry::from_raw(0),
+    };
+}
+
 /// A successful translation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The visited entries sit inline (a walk visits at most four levels),
+/// so a translation never touches the heap.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Translation {
     /// The translated virtual address.
     pub va: VirtAddr,
@@ -51,24 +64,30 @@ pub struct Translation {
     pub phys: PhysAddr,
     /// Size class of the mapping.
     pub level: MappingLevel,
-    /// Every entry visited, top-down.
-    pub steps: Vec<WalkStep>,
+    steps: [WalkStep; 4],
+    depth: u8,
 }
 
 impl Translation {
+    /// Every entry visited, top-down: four for a 4 KiB page, three for
+    /// a 2 MiB superpage, two for a 1 GiB one.
+    pub fn steps(&self) -> &[WalkStep] {
+        &self.steps[..usize::from(self.depth)]
+    }
+
     /// `true` if every visited level permits writes.
     pub fn writable(&self) -> bool {
-        self.steps.iter().all(|s| s.entry.flags().contains(PteFlags::RW))
+        self.steps().iter().all(|s| s.entry.flags().contains(PteFlags::RW))
     }
 
     /// `true` if every visited level permits user-mode access.
     pub fn user_accessible(&self) -> bool {
-        self.steps.iter().all(|s| s.entry.flags().contains(PteFlags::USER))
+        self.steps().iter().all(|s| s.entry.flags().contains(PteFlags::USER))
     }
 
     /// `true` if no visited level sets `NX`.
     pub fn executable(&self) -> bool {
-        !self.steps.iter().any(|s| s.entry.flags().contains(PteFlags::NX))
+        !self.steps().iter().any(|s| s.entry.flags().contains(PteFlags::NX))
     }
 
     /// Validates an access against the accumulated permissions.
@@ -81,7 +100,7 @@ impl Translation {
     pub fn check(&self, access: AccessKind, user_mode: bool) -> Result<(), PageFault> {
         if user_mode {
             if let Some(s) = self
-                .steps
+                .steps()
                 .iter()
                 .find(|s| !s.entry.flags().contains(PteFlags::USER))
             {
@@ -95,7 +114,7 @@ impl Translation {
         match access {
             AccessKind::Read => Ok(()),
             AccessKind::Write => match self
-                .steps
+                .steps()
                 .iter()
                 .find(|s| !s.entry.flags().contains(PteFlags::RW))
             {
@@ -154,7 +173,7 @@ pub fn walk(
         return Err(PageFault::new(va, access, PageFaultKind::NonCanonical));
     }
     let idx = VaIndices::of(va);
-    let mut steps = Vec::with_capacity(4);
+    let mut steps = [WalkStep::UNVISITED; 4];
     let mut table = cr3;
 
     for level in (1..=4u8).rev() {
@@ -173,12 +192,14 @@ pub fn walk(
                 PageFaultKind::HardenedSelfMap { level },
             ));
         }
-        steps.push(WalkStep {
+        // Level 4 is the first step, level 1 the fourth.
+        steps[usize::from(4 - level)] = WalkStep {
             level,
             table,
             index,
             entry,
-        });
+        };
+        let depth = 5 - level;
         let next = entry.mfn();
         let pse = entry.flags().contains(PteFlags::PSE);
         match (level, pse) {
@@ -192,6 +213,7 @@ pub fn walk(
                     phys,
                     level: MappingLevel::Page1G,
                     steps,
+                    depth,
                 });
             }
             (2, true) => {
@@ -204,6 +226,7 @@ pub fn walk(
                     phys,
                     level: MappingLevel::Page2M,
                     steps,
+                    depth,
                 });
             }
             (1, _) => {
@@ -215,6 +238,7 @@ pub fn walk(
                     phys,
                     level: MappingLevel::Page4K,
                     steps,
+                    depth,
                 });
             }
             _ => {
@@ -350,7 +374,10 @@ mod tests {
         assert_eq!(t.mfn, Mfn::new(50));
         assert_eq!(t.phys, Mfn::new(50).base().offset(0xabc));
         assert_eq!(t.level, MappingLevel::Page4K);
-        assert_eq!(t.steps.len(), 4);
+        let levels: Vec<u8> = t.steps().iter().map(|s| s.level).collect();
+        assert_eq!(levels, [4, 3, 2, 1], "top-down, one step per level");
+        assert_eq!(t.steps()[0].table, h.cr3);
+        assert_eq!(t.steps()[3].entry.mfn(), Mfn::new(50));
         assert!(t.writable());
         assert!(t.user_accessible());
         assert!(t.executable());
@@ -394,7 +421,8 @@ mod tests {
         let t = walk(&h.mem, h.cr3, va, &WalkPolicy::default()).unwrap();
         assert_eq!(t.level, MappingLevel::Page2M);
         assert_eq!(t.phys, Mfn::new(32).base().offset(((idx.l1 as u64) << 12) | 0x123));
-        assert_eq!(t.steps.len(), 3, "L4, L3 and the PSE L2 entry are visited");
+        let levels: Vec<u8> = t.steps().iter().map(|s| s.level).collect();
+        assert_eq!(levels, [4, 3, 2], "L4, L3 and the PSE L2 entry are visited");
     }
 
     #[test]
@@ -407,6 +435,7 @@ mod tests {
         h.write_entry(l3, idx.l3, PageTableEntry::new(Mfn::new(0), LINK | PteFlags::PSE));
         let t = walk(&h.mem, h.cr3, va, &WalkPolicy::default()).unwrap();
         assert_eq!(t.level, MappingLevel::Page1G);
+        assert_eq!(t.steps().len(), 2, "L4 and the PSE L3 entry are visited");
         // phys = l2 index << 21 | l1 << 12 | offset relative to frame 0.
         assert_eq!(t.phys.raw(), ((idx.l2 as u64) << 21) | ((idx.l1 as u64) << 12) | 0x123);
     }

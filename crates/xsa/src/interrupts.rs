@@ -74,7 +74,6 @@ impl UseCase for EvtchnStorm {
         // The erroneous state: someone now has spurious pending events.
         let spurious: Vec<(DomainId, Vec<u16>)> = world
             .domains()
-            .into_iter()
             .map(|d| (d, world.hv().spurious_pending_ports(d)))
             .filter(|(_, p)| !p.is_empty())
             .collect();

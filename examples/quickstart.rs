@@ -23,7 +23,7 @@ fn main() {
     }
     println!("  erroneous state induced: {}", outcome.erroneous_state);
     println!("  hypervisor crashed:      {}", world.hv().is_crashed());
-    for line in world.hv().console().iter().filter(|l| l.contains("XEN")) {
+    for line in world.hv().console().filter(|l| l.contains("XEN")) {
         println!("  {line}");
     }
 

@@ -49,7 +49,6 @@ fn injected_interrupt_state_equals_exploited_interrupt_state() {
     EvtchnStorm.run_exploit(&mut vulnerable, a);
     let victim_states: Vec<(DomainId, Vec<u16>)> = vulnerable
         .domains()
-        .into_iter()
         .map(|d| (d, vulnerable.hv().spurious_pending_ports(d)))
         .filter(|(_, p)| !p.is_empty())
         .collect();

@@ -21,8 +21,7 @@ fn worlds_boot_identically_across_versions() {
         assert_eq!(w.domains().len(), 3);
         let per_domain: Vec<(String, usize)> = w
             .domains()
-            .iter()
-            .map(|&d| {
+            .map(|d| {
                 let dom = w.hv().domain(d).unwrap();
                 (dom.name().to_owned(), dom.p2m_len())
             })
