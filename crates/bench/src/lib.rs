@@ -14,8 +14,8 @@
 //! | Table III (non-vulnerable versions) | `table3_campaign` |
 //!
 //! Run one with `cargo run -p bench --bin <name>`; none takes an argument
-//! (see [`reject_arguments`]). Criterion benches live under `benches/`
-//! (`cargo bench -p bench`).
+//! (see [`reject_arguments`]). Timing is the `perf` benchmark's job
+//! (`src/bin/perf/README.md`), which uses these helpers too.
 
 use guestos::World;
 use hvsim::XenVersion;

@@ -2,7 +2,7 @@
 //!
 //! A specification says *what state to induce* (lowered to injector
 //! operations) and *how to audit that it is present* — the paper's
-//! equivalence criterion between exploit-induced and injected states
+//! equivalence test between exploit-induced and injected states
 //! ("a page-table walk to audit the same erroneous state was performed",
 //! §VI-C).
 

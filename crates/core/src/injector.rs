@@ -271,6 +271,9 @@ mod tests {
 
     #[test]
     fn debug_stub_and_hypercall_injector_induce_identical_states() {
+        // §IX-D's trade is where the access comes from: the patched
+        // injector issues one guest hypercall per operation, the debug
+        // stub none, and both leave the same audited state.
         let spec = |w: &World| {
             let dom = w.domain_by_name("g").unwrap();
             let l4 = w.hv().domain(dom).unwrap().cr3().unwrap();
@@ -278,10 +281,15 @@ mod tests {
         };
         let (mut w1, d1) = world(true);
         let s1 = spec(&w1);
-        ArbitraryAccessInjector.inject(&mut w1, d1, &s1).unwrap();
+        let before = w1.hv().hypercall_count();
+        let evidence = ArbitraryAccessInjector.inject(&mut w1, d1, &s1).unwrap();
+        assert_eq!(evidence.ops, 1);
+        assert_eq!(w1.hv().hypercall_count() - before, evidence.ops as u64);
         let (mut w2, d2) = world(true);
         let s2 = spec(&w2);
+        let before = w2.hv().hypercall_count();
         DebugStubInjector.inject(&mut w2, d2, &s2).unwrap();
+        assert_eq!(w2.hv().hypercall_count(), before, "no hypercall");
         assert_eq!(s1.audit(&w1).evidence, s2.audit(&w2).evidence);
     }
 

@@ -572,7 +572,7 @@ impl World {
     // ------------------------------------------------------------------
 
     /// `true` if `path` exists in **every** live domain — the paper's
-    /// XSA-212-priv success criterion ("a file appears in every domain").
+    /// XSA-212-priv success condition ("a file appears in every domain").
     pub fn file_in_all_domains(&self, path: &str) -> bool {
         !self.kernels.is_empty() && self.kernels.values().all(|k| k.vfs().exists(path))
     }

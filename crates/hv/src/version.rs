@@ -114,18 +114,6 @@ impl VulnConfig {
             xsa_evtchn_unvalidated_send: false,
         }
     }
-
-    /// Every vulnerability present.
-    pub const fn all_vulnerable() -> Self {
-        Self {
-            xsa148_l2_pse_unchecked: true,
-            xsa182_l4_fastpath_unrestricted: true,
-            xsa212_exchange_unchecked_handle: true,
-            xsa387_gnttab_v2_status_leak: true,
-            xsa393_decrease_reservation_keeps_mapping: true,
-            xsa_evtchn_unvalidated_send: true,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -101,12 +101,8 @@ impl MachineMemory {
     /// Creates a machine with `frames` installed 4 KiB frames, all zeroed
     /// and unowned.
     pub fn new(frames: usize) -> Self {
-        Self::from_frames(vec![Frame::default(); frames])
-    }
-
-    fn from_frames(frames: Vec<Frame>) -> Self {
         Self {
-            base: Arc::new(Frames(Arc::new(frames))),
+            base: Arc::new(Frames(Arc::new(vec![Frame::default(); frames]))),
             overlay: Vec::new(),
             overlay_mask: 0,
             frames_copied: 0,
@@ -199,23 +195,6 @@ impl MachineMemory {
             frames_total: self.frame_count(),
             frames_copied: self.frames_copied,
         }
-    }
-
-    /// A clone that materializes a private copy of every frame — the
-    /// pre-COW snapshot behaviour, kept as the baseline the
-    /// `snapshot_cow` bench compares reference-count cloning against.
-    pub fn deep_copy(&self) -> Self {
-        Self::from_frames(
-            (0..self.base.0.len())
-                .map(|idx| {
-                    let frame = self.frame(idx);
-                    Frame {
-                        data: frame.data.as_deref().map(|bytes| Arc::new(*bytes)),
-                        info: frame.info.clone(),
-                    }
-                })
-                .collect(),
-        )
     }
 
     /// Accounting record for a frame.
@@ -569,25 +548,6 @@ mod tests {
         child.write_u64(PhysAddr::new(8), 0).unwrap();
         assert_eq!(child.read_u64(PhysAddr::new(8)).unwrap(), 0);
         assert_eq!(materialized_frames(&child), 1);
-    }
-
-    #[test]
-    fn deep_copy_shares_nothing() {
-        let mut parent = MachineMemory::new(4);
-        parent.write(PhysAddr::new(0), b"data").unwrap();
-        let mut deep = parent.deep_copy();
-        let mut buf = [0u8; 4];
-        deep.read(PhysAddr::new(0), &mut buf).unwrap();
-        assert_eq!(&buf, b"data");
-        // Neither image shares a base or a frame with the other, so
-        // writes on both sides copy nothing and stay invisible across.
-        deep.write(PhysAddr::new(0), b"DEEP").unwrap();
-        parent.write(PhysAddr::new(0), b"PRNT").unwrap();
-        for image in [&deep, &parent] {
-            assert_eq!(image.snapshot_stats().frames_copied, 0);
-        }
-        deep.read(PhysAddr::new(0), &mut buf).unwrap();
-        assert_eq!(&buf, b"DEEP");
     }
 
     proptest! {
