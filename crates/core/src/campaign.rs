@@ -18,6 +18,7 @@ use guestos::{BootError, World, WorldBuilder};
 use hvsim::{SnapshotStats, XenVersion};
 use hvsim_obs::{MetricsRegistry, MetricsTimeline, TraceCtx, Tracer};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -101,7 +102,7 @@ pub struct CellResult {
     /// shield of Table III).
     pub handled: bool,
     /// The run's log.
-    pub notes: Vec<String>,
+    pub notes: Vec<Cow<'static, str>>,
     /// What went wrong, as the typed campaign taxonomy: a failed
     /// injection attempt (assessment data), or a harness failure (boot,
     /// monitor, crash, deadline).

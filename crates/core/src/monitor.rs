@@ -9,7 +9,9 @@
 use guestos::{Uid, World};
 use hvsim_mem::{DomainId, Mfn, VirtAddr};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// An observed security violation (a failure affecting a security
 /// attribute).
@@ -18,14 +20,14 @@ use std::fmt;
 pub enum SecurityViolation {
     /// The hypervisor panicked (availability).
     HypervisorCrash {
-        /// The panic message.
-        message: String,
+        /// The panic message, shared with the hypervisor's crash record.
+        message: Arc<str>,
     },
     /// A root-owned artifact appeared in every domain (integrity +
     /// confidentiality: arbitrary code ran as root everywhere).
     PrivilegeEscalationAllDomains {
         /// The artifact path.
-        path: String,
+        path: Cow<'static, str>,
     },
     /// A root reverse shell was established from a domain.
     RemoteRootShell {
@@ -119,7 +121,7 @@ impl Detector for CrashDetector {
             .crash_info()
             .map(|c| {
                 vec![SecurityViolation::HypervisorCrash {
-                    message: c.message.clone(),
+                    message: Arc::clone(&c.message),
                 }]
             })
             .unwrap_or_default()
@@ -158,7 +160,7 @@ impl Detector for PrivEscFileDetector {
         });
         if all && root_owned {
             vec![SecurityViolation::PrivilegeEscalationAllDomains {
-                path: self.path.to_owned(),
+                path: self.path.into(),
             }]
         } else {
             Vec::new()

@@ -133,7 +133,7 @@ impl RandomizedOutcome {
     /// The outcome of the trial that ran as `cell`.
     fn from_cell(cell: &CellResult, region: TargetRegion) -> Self {
         Self {
-            spec: cell.notes.first().cloned().unwrap_or_else(|| {
+            spec: cell.notes.first().map(|n| n.clone().into_owned()).unwrap_or_else(|| {
                 format!("(degraded) ({})", region.label())
             }),
             injected: cell.erroneous_state,
@@ -423,7 +423,7 @@ impl UseCase for RandomTrial {
         ScenarioOutcome {
             erroneous_state: injected,
             state_audit: None,
-            notes: vec![[spec.label(), " (", self.region.label(), ")"].concat()],
+            notes: vec![[spec.label(), " (", self.region.label(), ")"].concat().into()],
             error: None,
         }
     }

@@ -13,6 +13,7 @@ use crate::monitor::Monitor;
 use guestos::World;
 use hvsim_mem::DomainId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Whether a run used the original exploit or the injector.
@@ -44,8 +45,9 @@ pub struct ScenarioOutcome {
     pub erroneous_state: bool,
     /// The state audit, when one was performed.
     pub state_audit: Option<StateAudit>,
-    /// Noteworthy steps (mirrors the exploit transcripts in the paper).
-    pub notes: Vec<String>,
+    /// Noteworthy steps (mirrors the exploit transcripts in the paper);
+    /// a fixed note is borrowed, not copied.
+    pub notes: Vec<Cow<'static, str>>,
     /// Why the run failed to induce the state, if it did (e.g.
     /// "memory_exchange returned -EFAULT (bad address)").
     pub error: Option<String>,
@@ -63,7 +65,7 @@ impl ScenarioOutcome {
     }
 
     /// Appends a note.
-    pub fn note(&mut self, line: impl Into<String>) {
+    pub fn note(&mut self, line: impl Into<Cow<'static, str>>) {
         self.notes.push(line.into());
     }
 }

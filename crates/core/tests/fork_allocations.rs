@@ -6,8 +6,9 @@
 //! an `Arc` that the fork's first write copies, so cloning and dropping
 //! a worker's `unshare`d copy must not touch the heap at all. What the
 //! cells then do is pinned as exact allocation budgets: the 24 paper
-//! cells, the XSA-148-priv exploit cell, a randomized page-table trial,
-//! a crash, and the XSA-212-priv payload parse. A new allocation in any
+//! cells, the XSA-148-priv and XSA-212-priv exploit cells, a randomized
+//! page-table trial, a crash, a fork's first kernel log line, and the
+//! XSA-212-priv payload parse. A new allocation in any
 //! of them fails here. This test counts allocations with its own global
 //! allocator, which is why it is a test binary of its own: a global
 //! allocator applies to the whole binary.
@@ -146,10 +147,33 @@ fn forking_an_unshared_standard_world_allocates_nothing() {
     }
 }
 
-/// Parsing the XSA-212-priv blob, which every domain does when the
-/// handler runs, allocates the command's two strings and nothing else.
+/// A fork's first kernel log line copies the kernel map (the `Arc` and
+/// its one node), then makes the kernel's `Arc` and the log's own tail;
+/// the kernel's hostname, processes, files and boot lines stay shared,
+/// and the fixed message is borrowed. A second line allocates nothing,
+/// and a first line in another kernel of the same fork skips the map.
+/// These were 16, 3 and 11 when a kernel copy copied every part and a
+/// line was formatted as it was logged.
 #[test]
-fn parsing_the_xsa212_payload_allocates_only_its_strings() {
+fn a_forks_first_klog_line_copies_only_the_kernel_map_and_arc() {
+    let _serial = serial();
+    for version in [XenVersion::V4_6, XenVersion::V4_8, XenVersion::V4_13] {
+        let copy = worker_copy(version, false);
+        let mut fork = copy.clone();
+        let (dom0, attacker) = (fork.dom0(), fork.domain_by_name(ATTACKER_GUEST).expect("guest"));
+        let mut klog = |dom, line: &'static str| {
+            allocations_in(|| fork.kernel_mut(dom).expect("kernel").klog(line))
+        };
+        let counts = [klog(dom0, "first line"), klog(dom0, "second line"), klog(attacker, "first line")];
+        assert_eq!(counts, [4, 0, 2], "first, second and other-kernel klog lines of a Xen {version} fork");
+    }
+}
+
+/// Parsing the XSA-212-priv blob, which every domain does when the
+/// handler runs, borrows the command's two strings from the code bytes
+/// and allocates nothing; it made one allocation per string before.
+#[test]
+fn parsing_the_xsa212_payload_allocates_nothing() {
     let _serial = serial();
     let blob = Payload::drop_root_file("/tmp/injector_log", "|$(id)|@$(hostname)").to_bytes();
     let mut parsed = None;
@@ -159,15 +183,16 @@ fn parsing_the_xsa212_payload_allocates_only_its_strings() {
         Some(PayloadCommand::DropRootFile { path, template })
             if path == "/tmp/injector_log" && template == "|$(id)|@$(hostname)"
     ));
-    assert_eq!(allocations, 2, "one allocation per string");
+    assert_eq!(allocations, 0, "the strings are borrowed");
 }
 
 /// Crashing a fork copies each domain to mark it dead, and each domain
-/// copy shares its p2m and event-port table with the base world. Before
-/// those tables sat behind their own `Arc`, `crash` plus the drop made
-/// 53 allocations here, most of them the three p2m `BTreeMap`s and
+/// copy shares its p2m, event-port table and name with the base world.
+/// Before those tables sat behind their own `Arc`, `crash` plus the drop
+/// made 53 allocations here, most of them the three p2m `BTreeMap`s and
 /// 512-entry port tables; 13 before the audit log's first append made
-/// its copy with room to grow.
+/// its copy with room to grow; 12 before the domain copies shared their
+/// names and the crash record and its audit event one message.
 #[test]
 fn crashing_a_fork_copies_no_domain_table() {
     let _serial = serial();
@@ -179,19 +204,22 @@ fn crashing_a_fork_copies_no_domain_table() {
             assert!(fork.hv().domains().all(|d| d.is_dead()));
             drop(fork);
         });
-        assert_eq!(allocations, 12, "crash and drop of a Xen {version} fork");
+        assert_eq!(allocations, 8, "crash and drop of a Xen {version} fork");
         assert!(copy.hv().domains().all(|d| !d.is_dead()), "the fork's crash stays in the fork");
     }
 }
 
 /// The 24 paper cells (4 use cases x 3 versions x 2 modes), each run on
-/// a fork of its key's unshared base world, allocate 832 times in all.
+/// a fork of its key's unshared base world, allocate 497 times in all.
 /// They made 1,210 allocations before page walks kept their steps
 /// inline, the standard monitor stopped building its detector list,
 /// audits stopped formatting their evidence, injections stopped listing
 /// their writes, the p2m became one flat vector and the logs stopped
-/// copying on every fork's first line. Each cell is counted twice, so
-/// a count that depends on what ran before fails too.
+/// copying on every fork's first line; 832 before a kernel copy shared
+/// its parts, payloads borrowed their strings, fixed notes were
+/// borrowed, log lines were formatted only when read and the reverse
+/// shell stopped copying its output. Each cell is counted twice, so a
+/// count that depends on what ran before fails too.
 #[test]
 fn the_paper_cells_allocate_their_budget() {
     let _serial = serial();
@@ -207,18 +235,33 @@ fn the_paper_cells_allocate_their_budget() {
             }
         }
     }
-    assert_eq!(total, 832, "the 24 paper cells");
+    assert_eq!(total, 497, "the 24 paper cells");
 }
 
 /// The XSA-148-priv exploit on Xen 4.6 walks guest page tables most of
 /// all the paper cells: 76 allocations before walks held their steps
-/// inline, 20 of them the walks' step vectors.
+/// inline, 20 of them the walks' step vectors; 47 before the backdoor
+/// borrowed its host, the listener stopped formatting its lines and the
+/// shell stopped copying its output.
 #[test]
 fn the_xsa148_exploit_cell_allocates_its_budget() {
     let _serial = serial();
     let copy = worker_copy(XenVersion::V4_6, false);
     let allocations = cell_allocations(&xsa_exploits::Xsa148Priv, &copy, Mode::Exploit);
-    assert_eq!(allocations, 47, "the XSA-148-priv exploit cell on Xen 4.6");
+    assert_eq!(allocations, 29, "the XSA-148-priv exploit cell on Xen 4.6");
+}
+
+/// The XSA-212-priv exploit on Xen 4.6 writes a guest kernel in every
+/// domain: the attacker's staging and log lines, then the payload's
+/// root file in each domain. It made 108 allocations when each kernel
+/// copy copied its processes, files and log, the payload parse copied
+/// its strings and the template expanded through two owned strings.
+#[test]
+fn the_xsa212_priv_exploit_cell_allocates_its_budget() {
+    let _serial = serial();
+    let copy = worker_copy(XenVersion::V4_6, false);
+    let allocations = cell_allocations(&xsa_exploits::Xsa212Priv, &copy, Mode::Exploit);
+    assert_eq!(allocations, 49, "the XSA-212-priv exploit cell on Xen 4.6");
 }
 
 /// One randomized page-table trial, engine and harness included, is

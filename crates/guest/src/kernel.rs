@@ -14,10 +14,12 @@
 use crate::process::{Process, Uid};
 use crate::vdso;
 use crate::vfs::Vfs;
-use hvsim::{Hypervisor, HvError, MmuExtOp, MmuUpdate, PageTableEntry, PteFlags};
+use hvsim::{Hypervisor, HvError, MmuExtOp, MmuUpdate, PageTableEntry, PteFlags, SharedLog};
 use hvsim_mem::{DomainId, Mfn, PageType, Pfn, VirtAddr, PAGE_SIZE};
 use hvsim_paging::VaIndices;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Base virtual address of the kernel's linear mapping of guest memory.
 ///
@@ -51,17 +53,39 @@ pub struct TableMfns {
     pub l1: Mfn,
 }
 
+/// A kernel log line; its `[secs.frac]` stamp is rendered when read.
+#[derive(Clone, Debug)]
+struct LogLine {
+    tick: u64,
+    msg: Cow<'static, str>,
+}
+
+impl LogLine {
+    fn render(&self) -> String {
+        format!("[{:5}.{:04}] {}", 100 + self.tick / 10, (self.tick % 10) * 1000 + 268, self.msg)
+    }
+}
+
+impl Serialize for LogLine {
+    fn to_value(&self) -> Value {
+        Value::Str(self.render())
+    }
+}
+
 /// A simulated PV guest kernel.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// A copy shares the hostname, the process table, the filesystem and
+/// the log's boot lines until it writes one of them.
+#[derive(Clone, Debug, Serialize)]
 pub struct GuestKernel {
     dom: DomainId,
-    hostname: String,
+    hostname: Arc<str>,
     tables: TableMfns,
     heap_next: u64,
-    processes: Vec<Process>,
+    processes: Arc<Vec<Process>>,
     next_pid: u32,
     vfs: Vfs,
-    klog: Vec<String>,
+    klog: SharedLog<LogLine>,
     tick: u64,
 }
 
@@ -83,7 +107,7 @@ impl GuestKernel {
             // A single L1 covers 512 pages; enough for every experiment.
             return Err(HvError::Inval);
         }
-        let hostname = domain.name().to_owned();
+        let hostname = domain.name().into();
         let mfn_of = |hv: &Hypervisor, pfn: u64| -> Result<Mfn, HvError> {
             hv.domain(dom)?.p2m(Pfn::new(pfn)).ok_or(HvError::Inval)
         };
@@ -127,10 +151,10 @@ impl GuestKernel {
             hostname,
             tables,
             heap_next,
-            processes: Vec::new(),
+            processes: Arc::default(),
             next_pid: 1,
             vfs: Vfs::new(),
-            klog: Vec::new(),
+            klog: SharedLog::default(),
             tick: 0,
         };
         kernel.spawn("init", Uid::ROOT, false);
@@ -215,28 +239,27 @@ impl GuestKernel {
     }
 
     /// Appends a timestamped line to the kernel log.
-    pub fn klog(&mut self, msg: impl AsRef<str>) {
+    pub fn klog(&mut self, msg: impl Into<Cow<'static, str>>) {
         self.tick += 1;
-        let secs = 100 + self.tick / 10;
-        let frac = (self.tick % 10) * 1000 + 268;
-        self.klog.push(format!("[{secs:5}.{frac:04}] {}", msg.as_ref()));
+        self.klog.push(LogLine { tick: self.tick, msg: msg.into() });
     }
 
-    /// The kernel log, oldest first.
-    pub fn log(&self) -> &[String] {
-        &self.klog
+    /// The kernel log, oldest first, each line rendered as
+    /// `[  secs.frac] message`.
+    pub fn log(&self) -> impl DoubleEndedIterator<Item = String> + '_ {
+        self.klog.iter().map(LogLine::render)
     }
 
     /// `true` if any log line contains `needle`.
     pub fn log_contains(&self, needle: &str) -> bool {
-        self.klog.iter().any(|l| l.contains(needle))
+        self.log().any(|l| l.contains(needle))
     }
 
     /// Spawns a process.
     pub fn spawn(&mut self, name: &str, uid: Uid, calls_vdso: bool) -> u32 {
         let pid = self.next_pid;
         self.next_pid += 1;
-        self.processes.push(Process::new(pid, uid, name, calls_vdso));
+        Arc::make_mut(&mut self.processes).push(Process::new(pid, uid, name, calls_vdso));
         pid
     }
 
@@ -253,6 +276,26 @@ impl GuestKernel {
     /// Mutable access to the guest filesystem.
     pub fn vfs_mut(&mut self) -> &mut Vfs {
         &mut self.vfs
+    }
+
+    /// A copy of this kernel that shares no part with it.
+    pub(crate) fn unshared(&self) -> Self {
+        let mut k = self.clone();
+        k.hostname = Arc::from(&*self.hostname);
+        let copy = |p: &Process| Process { name: Arc::from(&*p.name), ..p.clone() };
+        k.processes = Arc::new(self.processes.iter().map(copy).collect());
+        k.vfs.unshare();
+        k.klog.unshare();
+        k
+    }
+
+    /// The reference counts of the parts [`unshared`](Self::unshared)
+    /// copies, in that order.
+    pub(crate) fn share_counts(&self, counts: &mut Vec<usize>) {
+        counts.extend([Arc::strong_count(&self.hostname), Arc::strong_count(&self.processes)]);
+        counts.extend(self.processes.iter().map(|p| Arc::strong_count(&p.name)));
+        self.vfs.share_counts(counts);
+        counts.push(self.klog.share_count());
     }
 }
 

@@ -33,6 +33,14 @@ pub struct ShellSession {
     pub transcript: Vec<(String, String)>,
 }
 
+/// One line of the listener's console, kept as what happened and
+/// formatted only when the log is read.
+#[derive(Clone, Debug)]
+enum ListenerEvent {
+    Listening,
+    Connection { peer: &'static str, domain: DomainId, uid: Uid },
+}
+
 /// The attacker's remote listener.
 ///
 /// The host name is shared between clones; the sessions and the log are
@@ -44,7 +52,7 @@ pub struct RemoteHost {
     port: u16,
     listening: bool,
     sessions: Vec<ShellSession>,
-    log: Vec<String>,
+    log: Vec<ListenerEvent>,
 }
 
 impl RemoteHost {
@@ -84,21 +92,17 @@ impl RemoteHost {
     /// Starts listening (`nc -l -vvv -p <port>`).
     pub fn listen(&mut self) {
         self.listening = true;
-        self.log
-            .push(format!("Listening on [0.0.0.0] (family 0, port {})", self.port));
+        self.log.push(ListenerEvent::Listening);
     }
 
     /// An inbound connection from a compromised guest. Returns the new
     /// session, or `None` if nobody is listening (the connection is
     /// simply lost, as in the real experiment).
-    pub fn accept(&mut self, domain: DomainId, uid: Uid, peer: &str) -> Option<SessionId> {
+    pub fn accept(&mut self, domain: DomainId, uid: Uid, peer: &'static str) -> Option<SessionId> {
         if !self.listening {
             return None;
         }
-        self.log.push(format!(
-            "Connection from [{peer}] port {} [tcp/*] ({domain}, uid {uid})",
-            self.port
-        ));
+        self.log.push(ListenerEvent::Connection { peer, domain, uid });
         self.sessions.push(ShellSession {
             domain,
             uid,
@@ -121,9 +125,15 @@ impl RemoteHost {
         self.sessions.get_mut(id.0)
     }
 
-    /// The listener's console log.
-    pub fn log(&self) -> &[String] {
-        &self.log
+    /// The listener's console log, oldest first.
+    pub fn log(&self) -> impl DoubleEndedIterator<Item = String> + '_ {
+        let port = self.port;
+        self.log.iter().map(move |event| match event {
+            ListenerEvent::Listening => format!("Listening on [0.0.0.0] (family 0, port {port})"),
+            ListenerEvent::Connection { peer, domain, uid } => {
+                format!("Connection from [{peer}] port {port} [tcp/*] ({domain}, uid {uid})")
+            }
+        })
     }
 }
 
@@ -140,7 +150,7 @@ mod tests {
         assert_eq!(id, SessionId(0));
         assert_eq!(host.sessions().len(), 1);
         assert_eq!(host.session(id).unwrap().uid, Uid::ROOT);
-        assert!(host.log().iter().any(|l| l.contains("Connection from")));
+        assert!(host.log().any(|l| l.contains("Connection from")));
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //!
 //! [`World`]: crate::World
 
+use std::sync::Arc;
+
 /// Magic header identifying an executable payload blob.
 pub const PAYLOAD_MAGIC: u32 = 0xb4c0_de77;
 
@@ -33,44 +35,40 @@ const TAG_DROP_ROOT_FILE: u8 = 0;
 /// Body tag of [`PayloadCommand::KlogMarker`].
 const TAG_KLOG_MARKER: u8 = 1;
 
-/// What the payload does when executed in a domain.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What the payload does when executed in a domain. Its strings are
+/// borrowed: a parsed command borrows them from the fetched code bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum PayloadCommand {
+pub enum PayloadCommand<'a> {
     /// Run a command as root and drop its output into a file — the
     /// `./attack 'echo "|$(id)|@$(hostname)"' > /tmp/injector_log`
     /// behaviour of the original PoC. The template may contain `$(id)`
     /// and `$(hostname)`, expanded per domain at execution time.
     DropRootFile {
         /// Target path in each domain's VFS.
-        path: String,
+        path: &'a str,
         /// Content template (`$(id)`, `$(hostname)` are expanded).
-        template: String,
+        template: &'a str,
     },
     /// Append a marker line to each domain's kernel log (a benign
     /// payload used by tests and ablations).
     KlogMarker {
         /// The marker text.
-        marker: String,
+        marker: &'a str,
     },
 }
 
 /// A payload blob: magic + command.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Payload {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Payload<'a> {
     /// The command to run in each domain.
-    pub command: PayloadCommand,
+    pub command: PayloadCommand<'a>,
 }
 
-impl Payload {
+impl<'a> Payload<'a> {
     /// The classic PoC payload.
-    pub fn drop_root_file(path: &str, template: &str) -> Self {
-        Self {
-            command: PayloadCommand::DropRootFile {
-                path: path.to_owned(),
-                template: template.to_owned(),
-            },
-        }
+    pub fn drop_root_file(path: &'a str, template: &'a str) -> Self {
+        Self { command: PayloadCommand::DropRootFile { path, template } }
     }
 
     /// Encodes the blob in its wire format: [`PAYLOAD_MAGIC`], the body
@@ -83,10 +81,8 @@ impl Payload {
     /// field cannot hold.
     pub fn to_bytes(&self) -> Vec<u8> {
         let (tag, strings): (u8, &[&str]) = match &self.command {
-            PayloadCommand::DropRootFile { path, template } => {
-                (TAG_DROP_ROOT_FILE, &[path.as_str(), template.as_str()])
-            }
-            PayloadCommand::KlogMarker { marker } => (TAG_KLOG_MARKER, &[marker.as_str()]),
+            PayloadCommand::DropRootFile { path, template } => (TAG_DROP_ROOT_FILE, &[path, template]),
+            PayloadCommand::KlogMarker { marker } => (TAG_KLOG_MARKER, &[marker]),
         };
         let body_len = 1 + strings.iter().map(|s| 2 + s.len()).sum::<usize>();
         let mut out = Vec::with_capacity(8 + body_len);
@@ -101,11 +97,12 @@ impl Payload {
         out
     }
 
-    /// Parses a blob from memory; bytes past the body are ignored.
-    /// Returns `None` for a bad magic, a body length past the buffer, an
-    /// unknown tag, a truncated string, bad UTF-8 or bytes left over in
-    /// the body — executing garbage is a fault, not a panic.
-    pub fn parse(bytes: &[u8]) -> Option<Payload> {
+    /// Parses a blob from memory, borrowing the command's strings from
+    /// `bytes`; bytes past the body are ignored. Returns `None` for a bad
+    /// magic, a body length past the buffer, an unknown tag, a truncated
+    /// string, bad UTF-8 or bytes left over in the body — executing
+    /// garbage is a fault, not a panic.
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
         let magic = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
         if magic != PAYLOAD_MAGIC {
             return None;
@@ -125,20 +122,48 @@ impl Payload {
         rest.is_empty().then_some(Payload { command })
     }
 
-    /// Expands a content template for one domain.
-    pub fn expand_template(template: &str, uid_id_string: &str, hostname: &str) -> String {
-        template
-            .replace("$(id)", uid_id_string)
-            .replace("$(hostname)", hostname)
+    /// Expands a content template for one domain straight into a file's
+    /// contents, in one allocation. `$(id)` and `$(hostname)` are
+    /// replaced left to right; the text they expand to is not scanned
+    /// again.
+    pub fn expand_template(template: &str, uid_id_string: &str, hostname: &str) -> Arc<[u8]> {
+        let pieces = template_pieces(template, uid_id_string, hostname);
+        let len = pieces.clone().map(str::len).sum();
+        let mut contents: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        let buf = Arc::get_mut(&mut contents).expect("a new Arc has one owner");
+        for (byte, text) in buf.iter_mut().zip(pieces.flat_map(str::bytes)) {
+            *byte = text;
+        }
+        contents
     }
 }
 
+/// The text of `template` in order, with each `$(id)` and
+/// `$(hostname)` replaced by its value.
+fn template_pieces<'t>(
+    template: &'t str,
+    id: &'t str,
+    hostname: &'t str,
+) -> impl Iterator<Item = &'t str> + Clone {
+    let mut after_each_opening = template.split("$(");
+    let head = after_each_opening.next();
+    head.into_iter().chain(after_each_opening.flat_map(move |text| {
+        if let Some(rest) = text.strip_prefix("id)") {
+            [id, rest]
+        } else if let Some(rest) = text.strip_prefix("hostname)") {
+            [hostname, rest]
+        } else {
+            ["$(", text]
+        }
+    }))
+}
+
 /// Splits one length-prefixed UTF-8 string off the front of `rest`.
-fn take_string(rest: &mut &[u8]) -> Option<String> {
+fn take_string<'a>(rest: &mut &'a [u8]) -> Option<&'a str> {
     let len = u16::from_le_bytes(rest.get(..2)?.try_into().ok()?) as usize;
     let raw = rest.get(2..2 + len)?;
     *rest = &rest[2 + len..];
-    std::str::from_utf8(raw).ok().map(str::to_owned)
+    std::str::from_utf8(raw).ok()
 }
 
 #[cfg(test)]
@@ -146,8 +171,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn klog_marker(marker: &str) -> Payload {
-        Payload { command: PayloadCommand::KlogMarker { marker: marker.to_owned() } }
+    fn klog_marker(marker: &str) -> Payload<'_> {
+        Payload { command: PayloadCommand::KlogMarker { marker } }
     }
 
     /// A blob with the right magic and `body` behind a correct length.
@@ -288,6 +313,35 @@ mod tests {
             "uid=0(root) gid=0(root) groups=0(root)",
             "xen3",
         );
-        assert_eq!(s, "|uid=0(root) gid=0(root) groups=0(root)|@xen3");
+        assert_eq!(&*s, b"|uid=0(root) gid=0(root) groups=0(root)|@xen3");
+    }
+
+    /// The eager expansion the one-pass form replaced.
+    fn replace_both(template: &str, id: &str, hostname: &str) -> String {
+        template.replace("$(id)", id).replace("$(hostname)", hostname)
+    }
+
+    proptest! {
+        /// On templates built from the variables, their near misses and
+        /// plain text, one pass expands as replacing `$(id)` and then
+        /// `$(hostname)` does, for root's id and any hostname.
+        #[test]
+        fn expansion_matches_replacing_each_variable(
+            parts in proptest::collection::vec(
+                prop_oneof![
+                    Just("$(id)"), Just("$(hostname)"), Just("$("), Just("$(id"),
+                    Just("$(host"), Just(")"), Just("$"), Just("|"), Just("@"), Just("é"),
+                ],
+                0..12,
+            ),
+            hostname in chars(0..12),
+        ) {
+            let template = parts.concat();
+            let id = crate::Uid::ROOT.id_string();
+            prop_assert_eq!(
+                &*Payload::expand_template(&template, &id, &hostname),
+                replace_both(&template, &id, &hostname).as_bytes()
+            );
+        }
     }
 }

@@ -1,7 +1,12 @@
 //! Processes and user ids.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
+
+/// Root's `id(1)` line.
+const ROOT_ID: &str = "uid=0(root) gid=0(root) groups=0(root)";
 
 /// A numeric user id; 0 is root.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -27,21 +32,22 @@ impl Uid {
     }
 
     /// The `id(1)`-style description, as the paper's exploit output
-    /// prints it (`uid=0(root) gid=0(root) groups=0(root)`).
-    pub fn id_string(self) -> String {
+    /// prints it (`uid=0(root) gid=0(root) groups=0(root)`); root's is a
+    /// constant.
+    pub fn id_string(self) -> Cow<'static, str> {
         if self.is_root() {
-            "uid=0(root) gid=0(root) groups=0(root)".to_owned()
+            Cow::Borrowed(ROOT_ID)
         } else {
-            format!("uid={0}(user{0}) gid={0}(user{0}) groups={0}(user{0})", self.0)
+            format!("uid={0}(user{0}) gid={0}(user{0}) groups={0}(user{0})", self.0).into()
         }
     }
 
-    /// The account name (`whoami`).
-    pub fn name(self) -> String {
+    /// The account name (`whoami`); root's is a constant.
+    pub fn name(self) -> Cow<'static, str> {
         if self.is_root() {
-            "root".to_owned()
+            Cow::Borrowed("root")
         } else {
-            format!("user{}", self.0)
+            format!("user{}", self.0).into()
         }
     }
 }
@@ -59,8 +65,8 @@ pub struct Process {
     pub pid: u32,
     /// Owner.
     pub uid: Uid,
-    /// Command name.
-    pub name: String,
+    /// Command name, shared by every copy of the process table.
+    pub name: Arc<str>,
     /// Whether the process periodically calls into the vDSO (the hook the
     /// XSA-148 backdoor triggers through).
     pub calls_vdso: bool,
@@ -72,7 +78,7 @@ impl Process {
         Self {
             pid,
             uid,
-            name: name.to_owned(),
+            name: name.into(),
             calls_vdso,
         }
     }
@@ -102,6 +108,6 @@ mod tests {
     fn process_record() {
         let p = Process::new(1, Uid::ROOT, "cron", true);
         assert!(p.calls_vdso);
-        assert_eq!(p.name, "cron");
+        assert_eq!(&*p.name, "cron");
     }
 }

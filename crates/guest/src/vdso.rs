@@ -8,6 +8,7 @@
 //! backdoor runs with that process's privileges and opens a reverse shell.
 
 use hvsim_mem::PAGE_SIZE;
+use std::borrow::Cow;
 
 /// Magic bytes at the start of the vDSO image (an ELF-like fingerprint).
 pub const VDSO_MAGIC: &[u8; 8] = b"\x7fVDSO64\0";
@@ -32,16 +33,17 @@ pub fn vdso_image() -> Vec<u8> {
     page
 }
 
-/// A parsed backdoor, if one is installed in a vDSO image.
+/// A backdoor, as the exploit writes it or as parsed out of a vDSO
+/// image; the host borrows from the image unless it is not UTF-8.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Backdoor {
+pub struct Backdoor<'a> {
     /// Host the reverse shell connects to.
-    pub host: String,
+    pub host: Cow<'a, str>,
     /// TCP port.
     pub port: u16,
 }
 
-impl Backdoor {
+impl<'a> Backdoor<'a> {
     /// The longest backdoor blob: magic, port, host length and a host of
     /// at most 255 bytes.
     pub const MAX_WIRE_LEN: usize = 11 + u8::MAX as usize;
@@ -53,7 +55,7 @@ impl Backdoor {
     /// Serializes the backdoor blob the exploit writes over the vDSO
     /// entry point.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(11 + self.host.len());
         out.extend_from_slice(BACKDOOR_MAGIC);
         out.extend_from_slice(&self.port.to_le_bytes());
         let host = self.host.as_bytes();
@@ -64,14 +66,14 @@ impl Backdoor {
 
     /// Parses a backdoor from a vDSO image, if present at the entry
     /// point.
-    pub fn parse(image: &[u8]) -> Option<Backdoor> {
+    pub fn parse(image: &'a [u8]) -> Option<Self> {
         let at = image.get(VDSO_ENTRY_OFFSET..)?;
         if at.len() < 11 || &at[..8] != BACKDOOR_MAGIC {
             return None;
         }
         let port = u16::from_le_bytes([at[8], at[9]]);
         let len = at[10] as usize;
-        let host = String::from_utf8_lossy(at.get(11..11 + len)?).into_owned();
+        let host = String::from_utf8_lossy(at.get(11..11 + len)?);
         Some(Backdoor { host, port })
     }
 }
@@ -112,7 +114,7 @@ mod tests {
     #[test]
     fn longest_backdoor_fits_the_image_prefix() {
         let mut img = vdso_image();
-        let bd = Backdoor { host: "h".repeat(255), port: 4444 };
+        let bd = Backdoor { host: "h".repeat(255).into(), port: 4444 };
         let blob = bd.to_bytes();
         assert_eq!(blob.len(), Backdoor::MAX_WIRE_LEN);
         img[VDSO_ENTRY_OFFSET..VDSO_ENTRY_OFFSET + blob.len()].copy_from_slice(&blob);

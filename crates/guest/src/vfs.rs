@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// File access mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,11 +38,11 @@ impl fmt::Display for VfsError {
 
 impl Error for VfsError {}
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 struct FileEntry {
     owner: Uid,
     mode: FileMode,
-    data: Vec<u8>,
+    data: Arc<[u8]>,
 }
 
 /// The per-guest filesystem.
@@ -49,9 +50,12 @@ struct FileEntry {
 /// The privilege-escalation experiments observe their outcome here: the
 /// XSA-212-priv payload drops `/tmp/injector_log` (root-owned) into every
 /// domain, and the XSA-148 reverse shell reads dom0's `/root/root_msg`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// The map, each path and each file's contents sit behind `Arc`s: a copy
+/// shares them all, and its first write copies the map alone.
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct Vfs {
-    files: BTreeMap<String, FileEntry>,
+    files: Arc<BTreeMap<Arc<str>, FileEntry>>,
 }
 
 impl Vfs {
@@ -72,19 +76,23 @@ impl Vfs {
         mode: FileMode,
         data: &[u8],
     ) -> Result<(), VfsError> {
+        self.write_shared(path, uid, mode, data.into())
+    }
+
+    /// [`write`](Self::write), keeping `data` without a copy.
+    pub(crate) fn write_shared(
+        &mut self,
+        path: &str,
+        uid: Uid,
+        mode: FileMode,
+        data: Arc<[u8]>,
+    ) -> Result<(), VfsError> {
         if let Some(existing) = self.files.get(path) {
             if !Self::may_write(existing, uid) {
                 return Err(VfsError::Denied(path.to_owned()));
             }
         }
-        self.files.insert(
-            path.to_owned(),
-            FileEntry {
-                owner: uid,
-                mode,
-                data: data.to_vec(),
-            },
-        );
+        Arc::make_mut(&mut self.files).insert(path.into(), FileEntry { owner: uid, mode, data });
         Ok(())
     }
 
@@ -117,7 +125,25 @@ impl Vfs {
 
     /// All paths, in order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
+        self.files.keys().map(|p| &**p)
+    }
+
+    /// Gives this filesystem its own copy of the map, of every path and
+    /// of every file's contents.
+    pub(crate) fn unshare(&mut self) {
+        let copy = |(path, e): (&Arc<str>, &FileEntry)| {
+            (Arc::from(&**path), FileEntry { data: Arc::from(&*e.data), ..*e })
+        };
+        self.files = Arc::new(self.files.iter().map(copy).collect());
+    }
+
+    /// The reference counts of the map, then of each path and its
+    /// contents.
+    pub(crate) fn share_counts(&self, counts: &mut Vec<usize>) {
+        counts.push(Arc::strong_count(&self.files));
+        for (path, e) in self.files.iter() {
+            counts.extend([Arc::strong_count(path), Arc::strong_count(&e.data)]);
+        }
     }
 
     fn may_read(entry: &FileEntry, uid: Uid) -> bool {

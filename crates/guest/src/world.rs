@@ -17,7 +17,7 @@ use hvsim::{BuildConfig, HvError, Hypervisor, XenVersion};
 use hvsim_mem::{DomainId, VirtAddr, PAGE_SIZE};
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 use std::time::Instant;
@@ -317,22 +317,26 @@ impl World {
     /// itself.
     pub fn unshare(&mut self) {
         self.hv.unshare();
-        self.kernels = Arc::new(
-            self.kernels.iter().map(|(&dom, k)| (dom, Arc::new(GuestKernel::clone(k)))).collect(),
-        );
+        self.kernels =
+            Arc::new(self.kernels.iter().map(|(&dom, k)| (dom, Arc::new(k.unshared()))).collect());
         self.remote.unshare();
         self.boot_trace = Arc::from(&self.boot_trace[..]);
     }
 
     /// The reference count of every container this world shares with
     /// its clones: the hypervisor's ([`Hypervisor::share_counts`]), then
-    /// the kernel map, each kernel, the remote host and the boot trace.
+    /// the kernel map, each kernel followed by its parts (hostname,
+    /// process table and names, file map, paths and contents, log), the
+    /// remote host and the boot trace.
     /// After [`unshare`](Self::unshare), forking a clone of this world
     /// leaves every one of them unchanged.
     pub fn share_counts(&self) -> Vec<usize> {
         let mut counts = self.hv.share_counts();
         counts.push(Arc::strong_count(&self.kernels));
-        counts.extend(self.kernels.values().map(Arc::strong_count));
+        for k in self.kernels.values() {
+            counts.push(Arc::strong_count(k));
+            k.share_counts(&mut counts);
+        }
         counts.extend([self.remote.share_count(), Arc::strong_count(&self.boot_trace)]);
         counts
     }
@@ -463,27 +467,17 @@ impl World {
         }
     }
 
-    fn apply_payload(&mut self, dom: DomainId, payload: &Payload) {
-        let hostname = self
-            .kernels
-            .get(&dom)
-            .map(|k| k.hostname().to_owned())
-            .unwrap_or_default();
-        match &payload.command {
+    fn apply_payload(&mut self, dom: DomainId, payload: &Payload<'_>) {
+        let Ok(k) = self.kernel_mut(dom) else { return };
+        match payload.command {
             PayloadCommand::DropRootFile { path, template } => {
-                let content =
-                    Payload::expand_template(template, &Uid::ROOT.id_string(), &hostname);
-                if let Ok(k) = self.kernel_mut(dom) {
-                    // Kernel-privileged: writes as root regardless of any
-                    // user-space permission.
-                    let _ = k.vfs_mut().write(path, Uid::ROOT, FileMode::PublicRead, content.as_bytes());
-                }
+                let contents =
+                    Payload::expand_template(template, &Uid::ROOT.id_string(), k.hostname());
+                // Kernel-privileged: writes as root regardless of any
+                // user-space permission.
+                let _ = k.vfs_mut().write_shared(path, Uid::ROOT, FileMode::PublicRead, contents);
             }
-            PayloadCommand::KlogMarker { marker } => {
-                if let Ok(k) = self.kernel_mut(dom) {
-                    k.klog(format!("payload: {marker}"));
-                }
-            }
+            PayloadCommand::KlogMarker { marker } => k.klog(format!("payload: {marker}")),
         }
     }
 
@@ -519,52 +513,60 @@ impl World {
     /// session, with the session's privileges, against the compromised
     /// domain's filesystem. Supports the command mix of the paper's
     /// transcript: `whoami`, `hostname`, `id`, `cat <path>`, and `&&`
-    /// chaining.
+    /// chaining. Returns the output as the session's transcript keeps
+    /// it.
     ///
     /// # Errors
     ///
     /// [`WorldError::NoSession`] for unknown sessions.
-    pub fn shell_exec(&mut self, session: SessionId, cmd: &str) -> Result<String, WorldError> {
+    pub fn shell_exec(&mut self, session: SessionId, cmd: &str) -> Result<&str, WorldError> {
         let (dom, uid) = {
             let s = self.remote.session(session).ok_or(WorldError::NoSession)?;
             (s.domain, s.uid)
         };
-        let mut outputs = Vec::new();
-        for part in cmd.split("&&").map(str::trim).filter(|p| !p.is_empty()) {
-            outputs.push(self.shell_one(dom, uid, part)?);
+        let mut output = String::new();
+        for (i, part) in cmd.split("&&").map(str::trim).filter(|p| !p.is_empty()).enumerate() {
+            if i > 0 {
+                output.push('\n');
+            }
+            self.shell_one(dom, uid, part, &mut output)?;
         }
-        let output = outputs.join("\n");
-        if let Some(s) = self.remote.session_mut(session) {
-            s.transcript.push((cmd.to_owned(), output.clone()));
-        }
-        Ok(output)
+        let transcript =
+            &mut self.remote.session_mut(session).ok_or(WorldError::NoSession)?.transcript;
+        transcript.push((cmd.to_owned(), output));
+        Ok(transcript.last().map_or("", |(_, output)| output))
     }
 
-    fn shell_one(&mut self, dom: DomainId, uid: Uid, cmd: &str) -> Result<String, WorldError> {
+    /// Appends one command's output to `out`.
+    fn shell_one(&self, dom: DomainId, uid: Uid, cmd: &str, out: &mut String) -> Result<(), WorldError> {
         let kernel = self.kernel(dom)?;
-        let out = match cmd {
-            "whoami" => uid.name(),
-            "hostname" => kernel.hostname().to_owned(),
-            "id" => uid.id_string(),
+        match cmd {
+            "whoami" => out.push_str(&uid.name()),
+            "hostname" => out.push_str(kernel.hostname()),
+            "id" => out.push_str(&uid.id_string()),
             _ if cmd.starts_with("cat ") => {
                 let path = cmd[4..].trim();
                 match kernel.vfs().read(path, uid) {
-                    Ok(data) => String::from_utf8_lossy(data).into_owned(),
-                    Err(e) => format!("cat: {e}"),
+                    Ok(data) => out.push_str(&String::from_utf8_lossy(data)),
+                    Err(e) => {
+                        let _ = write!(out, "cat: {e}");
+                    }
                 }
             }
             _ if cmd.starts_with("ls ") => {
                 let prefix = cmd[3..].trim();
-                kernel
-                    .vfs()
-                    .paths()
-                    .filter(|p| p.starts_with(prefix))
-                    .collect::<Vec<_>>()
-                    .join("\n")
+                for (i, path) in kernel.vfs().paths().filter(|p| p.starts_with(prefix)).enumerate() {
+                    if i > 0 {
+                        out.push('\n');
+                    }
+                    out.push_str(path);
+                }
             }
-            other => format!("sh: {other}: command not found"),
-        };
-        Ok(out)
+            other => {
+                let _ = write!(out, "sh: {other}: command not found");
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -638,12 +640,20 @@ mod tests {
         let forks: Vec<World> = (0..1000)
             .map(|i| {
                 let mut fork = copy.clone();
-                if i % 2 == 0 {
+                // A third of the forks keep a kernel copy that shares all
+                // its parts, a third write those parts too.
+                if i % 3 != 2 {
                     let hv = fork.hv_mut();
                     hv.hc_set_trap_table(attacker, &[(0x80, VirtAddr::new(0x1000))]).unwrap();
                     hv.hc_console_io(attacker, "first write").unwrap();
                     hv.alloc_domain_frame(attacker, hvsim_mem::PageType::Writable).unwrap();
                     fork.kernel_mut(attacker).unwrap().klog("first write");
+                }
+                if i % 3 == 1 {
+                    let dom0 = fork.dom0();
+                    let kernel = fork.kernel_mut(dom0).unwrap();
+                    kernel.spawn("sh", Uid::ROOT, false);
+                    kernel.vfs_mut().write("/tmp/x", Uid::ROOT, FileMode::Public, b"x").unwrap();
                 }
                 fork
             })
@@ -758,7 +768,7 @@ mod tests {
         let dom0 = w.dom0();
         let vdso_mfn = w.kernel(dom0).unwrap().vdso_mfn(w.hv()).unwrap();
         let backdoor = Backdoor {
-            host: w.remote().host().to_owned(),
+            host: w.remote().host().into(),
             port: w.remote().port(),
         };
         let blob = backdoor.to_bytes();

@@ -2,7 +2,9 @@
 //! ACID checker, world determinism, fork equivalence, and shell-session
 //! behaviour under arbitrary command sequences.
 
-use guestos::{FileMode, TxnStore, Uid, World, WorldBuilder};
+use guestos::{
+    FileMode, HandlerOutcome, Payload, PayloadCommand, TxnStore, Uid, World, WorldBuilder,
+};
 use hvsim::{
     AccessMode, DomctlOp, EventChannelOp, ExchangeArgs, Hypercall, MmuUpdate, PageType, PteFlags,
     XenVersion,
@@ -143,10 +145,9 @@ fn klog_timestamps_monotonic() {
     for i in 0..50 {
         k.klog(format!("line {i}"));
     }
-    let stamps: Vec<&str> = k
+    let stamps: Vec<String> = k
         .log()
-        .iter()
-        .map(|l| l.split(']').next().unwrap())
+        .map(|l| l.split(']').next().unwrap().to_owned())
         .collect();
     let mut sorted = stamps.clone();
     sorted.sort();
@@ -335,5 +336,187 @@ proptest! {
                 prop_assert!(!kernel.log_contains("fork write"));
             }
         }
+    }
+}
+
+/// Kernel log lines are stored as (tick, message) and rendered when
+/// read, and listener lines as what happened; both render exactly as
+/// the eagerly formatted lines did (the literals are that output).
+#[test]
+fn rendered_klog_and_listener_lines_match_their_literals() {
+    let mut w = WorldBuilder::new(XenVersion::V4_6).injector(true).guest("guest03", 64).build().unwrap();
+    let (dom0, guest) = (w.dom0(), w.domain_by_name("guest03").unwrap());
+    let k = w.kernel_mut(dom0).unwrap();
+    for i in 0..11 {
+        k.klog(format!("line {i}"));
+    }
+    let mut want = vec!["[  100.1268] kernel booted (direct paging, tables pinned)".to_owned()];
+    want.extend((0..8).map(|i| format!("[  100.{}268] line {i}", i + 2)));
+    want.extend(["[  101.0268] line 8", "[  101.1268] line 9", "[  101.2268] line 10"].map(String::from));
+    assert_eq!(k.log().collect::<Vec<_>>(), want);
+    assert!(w.kernel(guest).unwrap().log().eq(["[  100.1268] kernel booted (direct paging, tables pinned)".to_owned()]));
+
+    w.remote_mut().listen();
+    w.remote_mut().accept(dom0, Uid::ROOT, "10.3.1.181");
+    w.remote_mut().accept(guest, Uid::new(1000), "peer");
+    assert_eq!(
+        w.remote().log().collect::<Vec<_>>(),
+        [
+            "Listening on [0.0.0.0] (family 0, port 1234)",
+            "Connection from [10.3.1.181] port 1234 [tcp/*] (dom0, uid 0)",
+            "Connection from [peer] port 1234 [tcp/*] (dom1, uid 1000)",
+        ]
+    );
+}
+
+/// The vector the isolation test's payload handler is registered on.
+const PAYLOAD_VECTOR: u8 = 0x80;
+
+/// Links a payload page into every domain's address space through the
+/// injector (as XSA-212-priv's injection does) and registers it on
+/// [`PAYLOAD_VECTOR`]; returns the attacker-side address to write
+/// payload blobs at.
+fn install_payload_handler(w: &mut World, attacker: DomainId) -> VirtAddr {
+    let payload_va = VirtAddr::new(hvsim_paging::LINEAR_PT_START);
+    let idx = hvsim_paging::VaIndices::of(payload_va);
+    let link = PteFlags::PRESENT | PteFlags::RW | PteFlags::USER;
+    let (hv, kernel) = w.hv_and_kernel_mut(attacker).unwrap();
+    let (_, pmd, _) = kernel.alloc_heap_page(hv).unwrap();
+    let (_, pt, _) = kernel.alloc_heap_page(hv).unwrap();
+    let (_, payload_frame, payload_heap_va) = kernel.alloc_heap_page(hv).unwrap();
+    hv.guest_write_frame(attacker, pt, idx.l1 * 8, &PageTableEntry::new(payload_frame, link).raw().to_le_bytes())
+        .unwrap();
+    hv.guest_write_frame(attacker, pmd, idx.l2 * 8, &PageTableEntry::new(pt, link).raw().to_le_bytes())
+        .unwrap();
+    let l3_slot = hv.shared_l3_mfn().base().offset(idx.l3 as u64 * 8).raw();
+    let mut entry = PageTableEntry::new(pmd, link).raw().to_le_bytes().to_vec();
+    hv.hc_arbitrary_access(attacker, l3_slot, &mut entry, AccessMode::PhysWrite).unwrap();
+    let gate = hvsim::IdtEntry { offset: payload_va, selector: hvsim::IdtEntry::XEN_CS, dpl: 3, present: true };
+    let gate_va = hv.sidt(0).offset(hvsim::IdtEntry::slot_offset(PAYLOAD_VECTOR) as u64);
+    let mut packed = gate.pack().to_vec();
+    hv.hc_arbitrary_access(attacker, gate_va.raw(), &mut packed, AccessMode::LinearWrite).unwrap();
+    payload_heap_va
+}
+
+/// A guest kernel as the eager kernel kept it: every log line formatted
+/// as it was logged, the process table and the files as plain owned
+/// values. The isolation test's reference.
+#[derive(Debug, PartialEq)]
+struct EagerKernel {
+    log: Vec<String>,
+    processes: Vec<(u32, Uid, String, bool)>,
+    files: std::collections::BTreeMap<String, (Option<Uid>, Vec<u8>)>,
+}
+
+impl EagerKernel {
+    /// Deep-copies what `kernel` shows through its API.
+    fn of(kernel: &guestos::GuestKernel) -> Self {
+        Self {
+            log: kernel.log().collect(),
+            processes: kernel.processes().iter().map(|p| (p.pid, p.uid, p.name.to_string(), p.calls_vdso)).collect(),
+            files: kernel
+                .vfs()
+                .paths()
+                .map(|p| (p.to_owned(), (kernel.vfs().owner(p), kernel.vfs().read(p, Uid::ROOT).unwrap().to_vec())))
+                .collect(),
+        }
+    }
+
+    fn klog(&mut self, msg: &str) {
+        let tick = self.log.len() as u64 + 1;
+        self.log.push(format!("[{:5}.{:04}] {msg}", 100 + tick / 10, (tick % 10) * 1000 + 268));
+    }
+}
+
+/// Paths the isolation test writes: one the parent has, two it has not.
+const PATHS: [&str; 3] = ["/root/root_msg", "/tmp/a", "/tmp/injector_log"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A fork's first write copies only the kernel part it writes, and
+    /// what it shares stays shared correctly: random log lines (fixed
+    /// and formatted), spawns, file writes, heap pages and payload runs
+    /// on a fork of an unshared parent leave every domain's rendered
+    /// log, process table and files equal to an eager deep copy driven
+    /// the same way, and the parent, its base and a second fork of the
+    /// parent unchanged.
+    #[test]
+    fn prop_split_kernel_fork_matches_an_eager_copy(
+        version in prop_oneof![Just(XenVersion::V4_6), Just(XenVersion::V4_8), Just(XenVersion::V4_13)],
+        ops in proptest::collection::vec((0u8..6, any::<u8>(), any::<u16>()), 1..24),
+    ) {
+        let mut base = fork_world(version);
+        let attacker = base.domain_by_name("b").unwrap();
+        let payload_va = install_payload_handler(&mut base, attacker);
+        let mut parent = base.clone();
+        parent.unshare();
+        let snapshot = |w: &World| -> Vec<String> {
+            w.domains().map(|d| serde_json::to_string(w.kernel(d).unwrap()).unwrap()).collect()
+        };
+        let (base_before, parent_before) = (snapshot(&base), snapshot(&parent));
+        let sibling = parent.clone();
+        let mut fork = parent.clone();
+        let doms: Vec<DomainId> = fork.domains().collect();
+        let mut eager: Vec<EagerKernel> = doms.iter().map(|&d| EagerKernel::of(fork.kernel(d).unwrap())).collect();
+        for (kind, at, value) in ops {
+            let i = usize::from(at) % doms.len();
+            let dom = doms[i];
+            match kind {
+                0 => {
+                    fork.kernel_mut(dom).unwrap().klog("fixed line");
+                    eager[i].klog("fixed line");
+                }
+                1 => {
+                    fork.kernel_mut(dom).unwrap().klog(format!("line {value:x}"));
+                    eager[i].klog(&format!("line {value:x}"));
+                }
+                2 => {
+                    let (uid, calls) = (Uid::new(u32::from(value % 3) * 500), value % 2 == 0);
+                    let pid = fork.kernel_mut(dom).unwrap().spawn(&format!("p{value}"), uid, calls);
+                    prop_assert_eq!(pid, eager[i].processes.last().unwrap().0 + 1);
+                    eager[i].processes.push((pid, uid, format!("p{value}"), calls));
+                }
+                3 => {
+                    let path = PATHS[usize::from(value) % PATHS.len()];
+                    let data = value.to_le_bytes();
+                    fork.kernel_mut(dom).unwrap().vfs_mut().write(path, Uid::ROOT, FileMode::PublicRead, &data).unwrap();
+                    eager[i].files.insert(path.to_owned(), (Some(Uid::ROOT), data.to_vec()));
+                }
+                4 => {
+                    let (hv, kernel) = fork.hv_and_kernel_mut(dom).unwrap();
+                    let _ = kernel.alloc_heap_page(hv);
+                }
+                _ => {
+                    let payload = if value % 2 == 0 {
+                        Payload::drop_root_file(PATHS[usize::from(value / 2) % PATHS.len()], "|$(id)|@$(hostname)$(")
+                    } else {
+                        Payload { command: PayloadCommand::KlogMarker { marker: "m$(id)" } }
+                    };
+                    fork.hv_mut().guest_write_va(attacker, payload_va, &payload.to_bytes()).unwrap();
+                    for (d, outcome) in fork.invoke_interrupt(attacker, PAYLOAD_VECTOR).unwrap() {
+                        if outcome != HandlerOutcome::Executed {
+                            continue;
+                        }
+                        let j = doms.iter().position(|&x| x == d).unwrap();
+                        match payload.command {
+                            PayloadCommand::DropRootFile { path, template } => {
+                                let hostname = fork.kernel(d).unwrap().hostname();
+                                let text = template.replace("$(id)", &Uid::ROOT.id_string()).replace("$(hostname)", hostname);
+                                eager[j].files.insert(path.to_owned(), (Some(Uid::ROOT), text.into_bytes()));
+                            }
+                            PayloadCommand::KlogMarker { marker } => eager[j].klog(&format!("payload: {marker}")),
+                            _ => unreachable!("the test builds only these two"),
+                        }
+                    }
+                }
+            }
+        }
+        for (&d, want) in doms.iter().zip(&eager) {
+            prop_assert_eq!(&EagerKernel::of(fork.kernel(d).unwrap()), want, "{}", d);
+        }
+        prop_assert_eq!(snapshot(&base), base_before);
+        prop_assert_eq!(snapshot(&parent), parent_before.clone());
+        prop_assert_eq!(snapshot(&sibling), parent_before);
     }
 }

@@ -81,8 +81,9 @@ pub enum AuditEvent {
     },
     /// The hypervisor panicked.
     Crash {
-        /// Panic message (mirrors the Xen console output).
-        message: String,
+        /// Panic message (mirrors the Xen console output), shared with
+        /// the hypervisor's crash record.
+        message: Arc<str>,
     },
     /// The injector hypercall performed an access.
     InjectorAccess {

@@ -143,11 +143,12 @@ impl Deserialize for P2m {
 ///
 /// The two large tables, the p2m and the event ports, sit behind their
 /// own `Arc`, so a copy of a domain (a world fork's first write to it)
-/// shares them until it writes one of them.
+/// shares them until it writes one of them; the copy shares the name
+/// for good.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Domain {
     id: DomainId,
-    name: String,
+    name: Arc<str>,
     privileged: bool,
     cr3: Option<Mfn>,
     p2m: Arc<P2m>,
@@ -169,7 +170,7 @@ impl Domain {
     pub(crate) fn new(id: DomainId, name: &str, privileged: bool, start_info_mfn: Mfn) -> Self {
         Self {
             id,
-            name: name.to_owned(),
+            name: name.into(),
             privileged,
             cr3: None,
             p2m: Arc::default(),
@@ -327,9 +328,11 @@ impl Domain {
         Ok(())
     }
 
-    /// A copy of this domain that shares neither table with it.
+    /// A copy of this domain that shares neither table nor its name with
+    /// it.
     pub(crate) fn unshared(&self) -> Domain {
         Domain {
+            name: Arc::from(&*self.name),
             p2m: Arc::new(P2m::clone(&self.p2m)),
             event_ports: Arc::new(Vec::clone(&self.event_ports)),
             ..self.clone()
@@ -339,6 +342,11 @@ impl Domain {
     /// The reference counts of the p2m and the event-port table.
     pub(crate) fn table_share_counts(&self) -> [usize; 2] {
         [Arc::strong_count(&self.p2m), Arc::strong_count(&self.event_ports)]
+    }
+
+    /// The reference count of the name.
+    pub(crate) fn name_share_count(&self) -> usize {
+        Arc::strong_count(&self.name)
     }
 
     /// Total events delivered to this domain.

@@ -7,6 +7,7 @@ use crate::exchange::ExchangeArgs;
 use crate::grants::{GrantEntry, GrantTableVersion};
 use crate::idt::{IdtEntry, DOUBLE_FAULT_VECTOR, PAGE_FAULT_VECTOR};
 use crate::injector::AccessMode;
+use crate::shared_log::SharedLog;
 use crate::version::{VulnConfig, XenVersion};
 use crate::HvError;
 use hvsim_mem::{
@@ -14,6 +15,7 @@ use hvsim_mem::{
 };
 use hvsim_paging::{walk, AccessKind, MemoryLayout, PageFault, Region, Translation, WalkPolicy};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -58,8 +60,9 @@ impl BuildConfig {
 /// Details of a hypervisor panic.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashInfo {
-    /// Panic message, as printed on the console.
-    pub message: String,
+    /// Panic message, as printed on the console; the audit log's
+    /// [`AuditEvent::Crash`] shares it.
+    pub message: Arc<str>,
 }
 
 /// The result of a guest software interrupt: the gate that was dispatched.
@@ -69,45 +72,6 @@ pub struct InterruptDispatch {
     pub vector: u8,
     /// Handler linear address from the IDT gate.
     pub handler: VirtAddr,
-}
-
-/// The console lines: a shared list, appended to in place while this
-/// hypervisor holds it alone (at boot), then a list of its own for the
-/// lines printed once the shared list has clones. A fork's first line
-/// allocates only that list and copies no shared line, and a booted
-/// hypervisor has no lines of its own, so forking it copies nothing.
-#[derive(Clone, Debug, Default)]
-struct Console {
-    shared: Arc<Vec<String>>,
-    own: Vec<String>,
-}
-
-impl Console {
-    /// Lines a fork's own list takes before it reallocates: a panic
-    /// prints four.
-    const FORK_HEADROOM: usize = 8;
-
-    fn push(&mut self, line: String) {
-        match Arc::get_mut(&mut self.shared) {
-            Some(lines) if self.own.is_empty() => lines.push(line),
-            _ => {
-                if self.own.capacity() == 0 {
-                    self.own.reserve_exact(Self::FORK_HEADROOM);
-                }
-                self.own.push(line);
-            }
-        }
-    }
-
-    fn lines(&self) -> impl Iterator<Item = &str> {
-        self.shared.iter().chain(&self.own).map(String::as_str)
-    }
-
-    /// Gives this console all its lines in a list of its own.
-    fn unshare(&mut self) {
-        self.shared = Arc::new(self.lines().map(str::to_owned).collect());
-        self.own = Vec::new();
-    }
 }
 
 /// The simulated hypervisor.
@@ -141,7 +105,7 @@ pub struct Hypervisor {
     idt_frames: Arc<[Mfn]>,
     m2p_frames: Arc<[Mfn]>,
     crashed: Option<CrashInfo>,
-    console: Console,
+    console: SharedLog<Cow<'static, str>>,
     pub(crate) audit: AuditLog,
     pub(crate) hypercall_count: u64,
 }
@@ -232,7 +196,7 @@ impl Hypervisor {
             idt_frames: idt_frames.into(),
             m2p_frames: m2p_frames.into(),
             crashed: None,
-            console: Console::default(),
+            console: SharedLog::default(),
             audit: AuditLog::new(),
             hypercall_count: 0,
         };
@@ -291,7 +255,7 @@ impl Hypervisor {
 
     /// The console ring (every line ever printed), oldest first.
     pub fn console(&self) -> impl Iterator<Item = &str> {
-        self.console.lines()
+        self.console.iter().map(|line| &**line)
     }
 
     /// The audit log.
@@ -350,7 +314,7 @@ impl Hypervisor {
     /// The reference count of every container this hypervisor shares
     /// with its clones, in a fixed order: the memory handle, the
     /// allocator's quotas, the audit log, the domain map, each domain
-    /// followed by its p2m and event-port table, the IDT and M2P frame
+    /// followed by its p2m, event-port table and name, the IDT and M2P frame
     /// lists and the console. After
     /// [`unshare`](Self::unshare), forking a clone of this hypervisor
     /// leaves every one of them unchanged.
@@ -364,11 +328,12 @@ impl Hypervisor {
         for d in self.domains.values() {
             counts.push(Arc::strong_count(d));
             counts.extend(d.table_share_counts());
+            counts.push(d.name_share_count());
         }
         counts.extend([
             Arc::strong_count(&self.idt_frames),
             Arc::strong_count(&self.m2p_frames),
-            Arc::strong_count(&self.console.shared),
+            self.console.share_count(),
         ]);
         counts
     }
@@ -383,7 +348,7 @@ impl Hypervisor {
         self.domains.keys().copied().collect()
     }
 
-    pub(crate) fn console_line(&mut self, line: impl Into<String>) {
+    pub(crate) fn console_line(&mut self, line: impl Into<Cow<'static, str>>) {
         self.console.push(line.into());
     }
 
@@ -903,12 +868,9 @@ impl Hypervisor {
         if self.crashed.is_some() {
             return;
         }
-        self.crashed = Some(CrashInfo {
-            message: message.to_owned(),
-        });
-        self.audit.push(AuditEvent::Crash {
-            message: message.to_owned(),
-        });
+        let message: Arc<str> = message.into();
+        self.audit.push(AuditEvent::Crash { message: Arc::clone(&message) });
+        self.crashed = Some(CrashInfo { message });
         for d in Arc::make_mut(&mut self.domains).values_mut() {
             Arc::make_mut(d).kill();
         }

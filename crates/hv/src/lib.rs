@@ -74,6 +74,7 @@ mod hypervisor;
 mod idt;
 mod injector;
 mod invariants;
+mod shared_log;
 mod validate;
 mod version;
 
@@ -89,6 +90,7 @@ pub use hypervisor::{BuildConfig, CrashInfo, Hypervisor, InterruptDispatch};
 pub use idt::{IdtEntry, DOUBLE_FAULT_VECTOR, IDT_ENTRIES, PAGE_FAULT_VECTOR};
 pub use injector::AccessMode;
 pub use invariants::InvariantViolation;
+pub use shared_log::SharedLog;
 pub use version::{VulnConfig, XenVersion};
 
 // Re-export the vocabulary types users inevitably need alongside this crate.

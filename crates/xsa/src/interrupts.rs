@@ -153,7 +153,7 @@ impl UseCase for MgmtPause {
                     erroneous_state: true,
                     ..Default::default()
                 };
-                outcome.note("unprivileged domctl accepted?!".to_owned());
+                outcome.note("unprivileged domctl accepted?!");
                 outcome
             }
             Err(e) => ScenarioOutcome::failed(format!(

@@ -239,7 +239,7 @@ fn non_root_backdoor_sessions_are_not_privilege_escalations() {
     let guest = w.domain_by_name("xen2").unwrap();
     let vdso = w.kernel(guest).unwrap().vdso_mfn(w.hv()).unwrap();
     let backdoor = guestos::Backdoor {
-        host: w.remote().host().to_owned(),
+        host: w.remote().host().into(),
         port: w.remote().port(),
     };
     let attacker = w.domain_by_name("guest03").unwrap();
