@@ -165,6 +165,7 @@ fn fold_records_keep_the_by_name_folds_json() {
     let campaign = || paper_campaign().trials(2).jobs(1);
     let fresh = campaign().run_streaming_checkpointed(&journal).unwrap();
     let new = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(new.lines().next(), old.lines().next(), "the header line is unchanged");
     let (old_fold, new_fold) = (fold_record(old), fold_record(&new));
     assert_eq!(json_keys(&new_fold), json_keys(&old_fold));
     let by_key = |fold: &str| {

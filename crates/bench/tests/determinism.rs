@@ -99,7 +99,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For random grids, seeds, and worker counts, running the campaign
-    /// as n independent shards (n ∈ {2, 3, 5}) and merging the shard
+    /// as n independent shards (n ∈ {2, 3, 5}, and one more shard than
+    /// the grid has cells, so one shard is empty) and merging the shard
     /// reports reproduces the unsharded streamed report byte-for-byte.
     #[test]
     fn sharded_streaming_reports_merge_to_the_unsharded_report(
@@ -114,7 +115,7 @@ proptest! {
             .normalized()
             .to_json()
             .unwrap();
-        for count in [2u64, 3, 5] {
+        for count in [2u64, 3, 5, 3 * trials + 1] {
             let merged = (0..count)
                 .map(|index| {
                     synthetic_campaign(seed, trials)

@@ -9,11 +9,10 @@
 //! system does not handle that state, a **security violation** (a failure
 //! affecting a security attribute) follows.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One stage of the extended-AVI threat chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ThreatStage {
     /// The intentional act against the system (malicious external fault).
     Attack,
@@ -50,7 +49,7 @@ impl fmt::Display for ThreatStage {
 }
 
 /// One concrete link in a threat chain.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ThreatLink {
     /// The stage this link instantiates.
     pub stage: ThreatStage,
@@ -61,7 +60,7 @@ pub struct ThreatLink {
 
 /// A concrete instantiation of the threat chain, buildable from a real
 /// run of an exploit or an injection.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ThreatChain {
     links: Vec<ThreatLink>,
 }

@@ -23,12 +23,11 @@ use crate::monitor::SecurityViolation;
 use crate::report::TextTable;
 use crate::scenario::Mode;
 use hvsim::XenVersion;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The classic security attributes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SecurityAttribute {
     /// Confidentiality: unauthorized information disclosure.
     Confidentiality,
@@ -90,7 +89,7 @@ impl fmt::Display for SecurityAttribute {
 }
 
 /// One version's benchmark result.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct VersionScore {
     /// Injection cells where the state landed (the assessed set).
     pub assessed: usize,
@@ -114,7 +113,7 @@ impl VersionScore {
 }
 
 /// The benchmark over a campaign report.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SecurityBenchmark {
     scores: BTreeMap<XenVersion, VersionScore>,
 }
@@ -215,18 +214,9 @@ mod tests {
         }
     }
 
-    fn report(cells: Vec<CellResult>) -> CampaignReport {
-        // Round-trip through JSON to construct the report without a
-        // public constructor.
-        let json = serde_json::to_string(&cells).unwrap();
-        serde_json::from_str::<Vec<CellResult>>(&json)
-            .map(CampaignReport::from_cells)
-            .unwrap()
-    }
-
     #[test]
     fn scores_and_ranking() {
-        let r = report(vec![
+        let r = CampaignReport::from_cells(vec![
             cell(XenVersion::V4_6, true, vec![SecurityViolation::HypervisorCrash { message: "x".into() }]),
             cell(XenVersion::V4_6, true, vec![SecurityViolation::PrivilegeEscalationAllDomains { path: "p".into() }]),
             cell(XenVersion::V4_13, true, vec![]),
@@ -246,7 +236,7 @@ mod tests {
 
     #[test]
     fn uninjected_cells_are_excluded() {
-        let r = report(vec![cell(XenVersion::V4_8, false, vec![])]);
+        let r = CampaignReport::from_cells(vec![cell(XenVersion::V4_8, false, vec![])]);
         let b = SecurityBenchmark::from_report(&r);
         assert!(b.version(XenVersion::V4_8).is_none());
         assert!(b.ranking().is_empty());
@@ -254,7 +244,7 @@ mod tests {
 
     #[test]
     fn render_contains_scores() {
-        let r = report(vec![cell(XenVersion::V4_13, true, vec![])]);
+        let r = CampaignReport::from_cells(vec![cell(XenVersion::V4_13, true, vec![])]);
         let b = SecurityBenchmark::from_report(&r);
         let t = b.render();
         assert!(t.contains("Xen 4.13"));

@@ -10,9 +10,7 @@ use guestos::World;
 use hvsim::{AccessMode, HvError, IdtEntry, PteFlags};
 use hvsim_mem::{DomainId, MachineMemory, Mfn, PhysAddr, VirtAddr};
 use hvsim_paging::PageTableEntry;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::fmt;
 use std::ops::Deref;
 
@@ -165,7 +163,7 @@ fn memory_holds(mem: &MachineMemory, mut at: PhysAddr, expected: &[u8]) -> bool 
 }
 
 /// A specification of one erroneous state.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ErroneousStateSpec {
     /// Overwrite the first 8 bytes of an IDT gate with `value`
@@ -261,28 +259,18 @@ impl ErroneousStateSpec {
         }
     }
 
-    /// Lowers the specification to `arbitrary_access` operations:
-    /// `(mode, address, bytes)` triples. [`RetainFrameAccess`] lowers to
-    /// an empty list — it is applied through the injector's accounting
-    /// interface instead.
+    /// Lowers the specification to `arbitrary_access` operations and
+    /// hands each `(mode, address, bytes)` to `write`, in order, as it
+    /// is lowered, and returns how many were written; the first error
+    /// stops the walk. [`RetainFrameAccess`] lowers to no operation: it
+    /// is applied through the injector's accounting interface instead.
+    /// `write` gets the world back, so an injector can apply each write
+    /// as it comes without a list of operations or a byte vector per
+    /// operation. Lowering an operation reads only what no earlier
+    /// operation of the same specification writes, so writing as it
+    /// goes lowers the same operations.
     ///
     /// [`RetainFrameAccess`]: ErroneousStateSpec::RetainFrameAccess
-    pub fn lower(&self, world: &World) -> Vec<(AccessMode, u64, Vec<u8>)> {
-        let mut ops = Vec::new();
-        let _ = self.each_write(world, |_, mode, addr, bytes| {
-            ops.push((mode, addr, bytes.to_vec()));
-            Ok::<(), Infallible>(())
-        });
-        ops
-    }
-
-    /// Hands each operation [`lower`](Self::lower) lists to `write`, in
-    /// order, as it is lowered, and returns how many were written; the
-    /// first error stops the walk. `write` gets the world back, so an
-    /// injector can apply each write as it comes without a list of
-    /// operations or a byte vector per operation. Lowering an operation
-    /// reads only what no earlier operation of the same specification
-    /// writes, so writing as it goes lowers the same operations.
     pub(crate) fn each_write<W: Deref<Target = World>, E>(
         &self,
         mut world: W,
@@ -427,6 +415,17 @@ mod tests {
     use super::*;
     use guestos::WorldBuilder;
     use hvsim::XenVersion;
+    use std::convert::Infallible;
+
+    /// The `(mode, address, bytes)` operations `each_write` hands out.
+    fn lower(spec: &ErroneousStateSpec, world: &World) -> Vec<(AccessMode, u64, Vec<u8>)> {
+        let mut ops = Vec::new();
+        let _ = spec.each_write(world, |_, mode, addr, bytes| {
+            ops.push((mode, addr, bytes.to_vec()));
+            Ok::<(), Infallible>(())
+        });
+        ops
+    }
 
     fn world() -> World {
         WorldBuilder::new(XenVersion::V4_6)
@@ -444,7 +443,7 @@ mod tests {
             vector: 14,
             value: 0x41,
         };
-        let ops = spec.lower(&w);
+        let ops = lower(&spec, &w);
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].0, AccessMode::LinearWrite);
         assert_eq!(ops[0].1, w.hv().sidt(0).raw() + 14 * 16);
@@ -463,7 +462,7 @@ mod tests {
             bytes: b"evil".to_vec(),
         };
         assert!(!spec.audit(&w).present);
-        for (mode, addr, mut bytes) in spec.lower(&w) {
+        for (mode, addr, mut bytes) in lower(&spec, &w) {
             w.hv_mut().hc_arbitrary_access(dom, addr, &mut bytes, mode).unwrap();
         }
         assert!(spec.audit(&w).present);
@@ -477,7 +476,7 @@ mod tests {
             dom,
             mfn: Mfn::new(3),
         };
-        assert!(spec.lower(&w).is_empty());
+        assert!(lower(&spec, &w).is_empty());
         assert!(!spec.audit(&w).present);
     }
 

@@ -10,11 +10,10 @@
 //! erroneous state.
 
 use crate::taxonomy::AbusiveFunctionality;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Who triggers the intrusion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TriggeringSource {
     /// A privileged user inside an unprivileged guest VM.
     UnprivilegedGuest,
@@ -38,7 +37,7 @@ impl fmt::Display for TriggeringSource {
 }
 
 /// The virtualization-layer component the intrusion targets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TargetComponent {
     /// The memory-management component (page tables, P2M, heap).
     MemoryManagement,
@@ -65,7 +64,7 @@ impl fmt::Display for TargetComponent {
 }
 
 /// The interface the adversary interacts through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AttackInterface {
     /// A hypercall (the PV "system call").
     Hypercall,
@@ -86,7 +85,7 @@ impl fmt::Display for AttackInterface {
 }
 
 /// An instantiated intrusion model.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IntrusionModel {
     /// Short identifier (e.g. `"IM-write-arbitrary-memory"`).
     pub name: String,
@@ -149,7 +148,7 @@ impl fmt::Display for IntrusionModel {
 /// through while the exploit runs; the *abstracted* view collapses the
 /// whole path into one **abusive functionality** transition from the
 /// initial state to the erroneous state.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StateTrace {
     states: Vec<String>,
     transitions: Vec<(usize, String, usize)>,

@@ -8,14 +8,13 @@
 
 use guestos::{Uid, World};
 use hvsim_mem::{DomainId, Mfn, VirtAddr};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 /// An observed security violation (a failure affecting a security
 /// attribute).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SecurityViolation {
     /// The hypervisor panicked (availability).
@@ -353,7 +352,7 @@ impl fmt::Debug for Monitor {
 }
 
 /// The merged result of a monitoring pass.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Observation {
     /// All violations found, in detector order.
     pub violations: Vec<SecurityViolation>,
@@ -377,11 +376,6 @@ impl Monitor {
     pub fn with(mut self, detector: Box<dyn Detector>) -> Self {
         self.added.push(detector);
         self
-    }
-
-    /// Adds a detector in place.
-    pub fn add(&mut self, detector: Box<dyn Detector>) {
-        self.added.push(detector);
     }
 
     /// The standard detector set every campaign runs (crash, priv-esc

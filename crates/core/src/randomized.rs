@@ -28,13 +28,12 @@ use hvsim_mem::{DomainId, VirtAddr};
 use hvsim_obs::TraceCtx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Where randomized injections land — the concrete footprint of an
 /// intrusion model's target component.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TargetRegion {
     /// The IDT gates of one CPU (interrupt-handling component).
     IdtGates {
@@ -107,7 +106,7 @@ impl TargetRegion {
 }
 
 /// Classification of one randomized trial.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RandomizedOutcome {
     /// What was injected (label + evidence).
     pub spec: String,
@@ -170,7 +169,7 @@ impl PartialEq for RandomizedOutcome {
 impl Eq for RandomizedOutcome {}
 
 /// Aggregated trial counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RandomizedSummary {
     /// Trials run.
     pub total: usize,

@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `slot` encodes the cell's grid coordinates positionally
 /// (use-case-major, trial fastest-varying), so any subset of slots can
 /// be regenerated independently — the basis for deterministic sharding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellSpec {
     /// Global slot index in `0..grid.len()`.
     pub slot: u64,
@@ -894,7 +894,7 @@ impl StreamReport {
 /// Run-shape measurements of one streaming execution. Deliberately kept
 /// outside [`StreamReport`]: all of this is schedule- and wall-clock
 /// dependent, and determinism diffs compare reports only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StreamRunStats {
     /// Worker threads used.
     pub workers: u64,
@@ -909,7 +909,7 @@ pub struct StreamRunStats {
 
 /// What a streaming run returns: the mergeable report plus the
 /// run-shape stats.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamOutcome {
     /// The deterministic, mergeable assessment report.
     pub report: StreamReport,

@@ -7,11 +7,10 @@
 //! CVEs into 15 functionalities across 4 classes; some CVEs carry more
 //! than one functionality, so the 100 CVEs yield 108 tags.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four classes Table I groups abusive functionalities into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FunctionalityClass {
     /// Direct unauthorized reads/writes of memory.
     MemoryAccess,
@@ -60,7 +59,7 @@ impl fmt::Display for FunctionalityClass {
 }
 
 /// The 15 abusive functionalities of Table I.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum AbusiveFunctionality {
     /// Read memory the caller is not authorized for.

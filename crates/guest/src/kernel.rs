@@ -17,7 +17,6 @@ use crate::vfs::Vfs;
 use hvsim::{Hypervisor, HvError, MmuExtOp, MmuUpdate, PageTableEntry, PteFlags, SharedLog};
 use hvsim_mem::{DomainId, Mfn, PageType, Pfn, VirtAddr, PAGE_SIZE};
 use hvsim_paging::VaIndices;
-use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -41,7 +40,7 @@ const PFN_HEAP: u64 = 6;
 const LINK: PteFlags = PteFlags::PRESENT.union(PteFlags::RW).union(PteFlags::USER);
 
 /// The machine frames holding the kernel's four page-table levels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TableMfns {
     /// Top-level (PGD) frame — the domain's cr3.
     pub l4: Mfn,
@@ -54,7 +53,7 @@ pub struct TableMfns {
 }
 
 /// A kernel log line; its `[secs.frac]` stamp is rendered when read.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct LogLine {
     tick: u64,
     msg: Cow<'static, str>,
@@ -66,17 +65,11 @@ impl LogLine {
     }
 }
 
-impl Serialize for LogLine {
-    fn to_value(&self) -> Value {
-        Value::Str(self.render())
-    }
-}
-
 /// A simulated PV guest kernel.
 ///
 /// A copy shares the hostname, the process table, the filesystem and
 /// the log's boot lines until it writes one of them.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GuestKernel {
     dom: DomainId,
     hostname: Arc<str>,

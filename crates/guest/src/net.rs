@@ -8,12 +8,11 @@
 
 use crate::process::Uid;
 use hvsim_mem::DomainId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of an established shell session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub usize);
 
 impl fmt::Display for SessionId {
@@ -23,7 +22,7 @@ impl fmt::Display for SessionId {
 }
 
 /// One established reverse-shell session.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ShellSession {
     /// The compromised domain the shell runs in.
     pub domain: DomainId,

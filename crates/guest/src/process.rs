@@ -1,6 +1,5 @@
 //! Processes and user ids.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -9,7 +8,7 @@ use std::sync::Arc;
 const ROOT_ID: &str = "uid=0(root) gid=0(root) groups=0(root)";
 
 /// A numeric user id; 0 is root.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Uid(u32);
 
 impl Uid {
@@ -59,7 +58,7 @@ impl fmt::Display for Uid {
 }
 
 /// A process inside a guest.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Process {
     /// Process id (unique within its guest).
     pub pid: u32,

@@ -11,7 +11,6 @@
 
 use crate::world::{World, WorldError};
 use hvsim_mem::{DomainId, Mfn, VirtAddr};
-use serde::{Deserialize, Serialize};
 
 const SLOT_SIZE: u64 = 24; // key, value, checksum
 const JOURNAL_MAGIC: u64 = 0x5452_414e_5341_4354; // "TRANSACT"
@@ -29,7 +28,7 @@ fn checksum(key: u64, value: u64) -> u64 {
 }
 
 /// Result of an integrity check over the store.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TxnCheckReport {
     /// Slots holding data.
     pub occupied_slots: usize,

@@ -1,14 +1,13 @@
 //! A minimal in-memory filesystem with uid-based permissions.
 
 use crate::process::Uid;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
 /// File access mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileMode {
     /// Readable and writable only by the owner (and root).
     OwnerOnly,
@@ -38,7 +37,7 @@ impl fmt::Display for VfsError {
 
 impl Error for VfsError {}
 
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct FileEntry {
     owner: Uid,
     mode: FileMode,
@@ -53,7 +52,7 @@ struct FileEntry {
 ///
 /// The map, each path and each file's contents sit behind `Arc`s: a copy
 /// shares them all, and its first write copies the map alone.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Vfs {
     files: Arc<BTreeMap<Arc<str>, FileEntry>>,
 }

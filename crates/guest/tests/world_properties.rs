@@ -3,7 +3,8 @@
 //! behaviour under arbitrary command sequences.
 
 use guestos::{
-    FileMode, HandlerOutcome, Payload, PayloadCommand, TxnStore, Uid, World, WorldBuilder,
+    FileMode, GuestKernel, HandlerOutcome, Payload, PayloadCommand, TxnStore, Uid, World,
+    WorldBuilder,
 };
 use hvsim::{
     AccessMode, DomctlOp, EventChannelOp, ExchangeArgs, Hypercall, MmuUpdate, PageType, PteFlags,
@@ -240,10 +241,7 @@ fn assert_same_hypervisor_state(a: &World, b: &World) -> Result<(), TestCaseErro
     }
     prop_assert_eq!(ha.domain_ids(), hb.domain_ids());
     for dom in ha.domain_ids() {
-        prop_assert_eq!(
-            serde_json::to_string(ha.domain(dom).unwrap()).unwrap(),
-            serde_json::to_string(hb.domain(dom).unwrap()).unwrap()
-        );
+        prop_assert_eq!(ha.domain(dom).unwrap(), hb.domain(dom).unwrap());
         prop_assert_eq!(ha.pages_of(dom), hb.pages_of(dom), "{} page count differs", dom);
     }
     prop_assert_eq!(ha.free_frames(), hb.free_frames());
@@ -267,10 +265,7 @@ fn assert_same_hypervisor_state(a: &World, b: &World) -> Result<(), TestCaseErro
 fn assert_same_kernels(a: &World, b: &World) -> Result<(), TestCaseError> {
     prop_assert!(a.domains().eq(b.domains()));
     for dom in a.domains() {
-        prop_assert_eq!(
-            serde_json::to_string(a.kernel(dom).unwrap()).unwrap(),
-            serde_json::to_string(b.kernel(dom).unwrap()).unwrap()
-        );
+        prop_assert_eq!(a.kernel(dom).unwrap(), b.kernel(dom).unwrap());
     }
     Ok(())
 }
@@ -451,8 +446,8 @@ proptest! {
         let payload_va = install_payload_handler(&mut base, attacker);
         let mut parent = base.clone();
         parent.unshare();
-        let snapshot = |w: &World| -> Vec<String> {
-            w.domains().map(|d| serde_json::to_string(w.kernel(d).unwrap()).unwrap()).collect()
+        let snapshot = |w: &World| -> Vec<GuestKernel> {
+            w.domains().map(|d| w.kernel(d).unwrap().clone()).collect()
         };
         let (base_before, parent_before) = (snapshot(&base), snapshot(&parent));
         let sibling = parent.clone();

@@ -7,12 +7,11 @@
 //! "page-table walk audit" plus console-output comparison, §VI-C).
 
 use hvsim_mem::{DomainId, Mfn, PhysAddr, VirtAddr};
-use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
 /// How a page-table entry came to be written.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteOrigin {
     /// Through validated `mmu_update` / `update_va_mapping`.
     Validated,
@@ -25,7 +24,7 @@ pub enum WriteOrigin {
 }
 
 /// One audited event.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AuditEvent {
     /// A hypercall was dispatched.

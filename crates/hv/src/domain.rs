@@ -4,7 +4,6 @@ use crate::events::{PortState, EVTCHN_PORTS};
 use crate::grants::GrantTable;
 use crate::HvError;
 use hvsim_mem::{DomainId, MachineMemory, MemError, Mfn, Pfn, PhysAddr, VirtAddr};
-use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ const SIF_PRIVILEGED: u32 = 1;
 
 /// The start-info structure the hypervisor writes into each domain's
 /// start-info frame at build time.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StartInfo {
     /// Owning domain.
     pub domid: DomainId,
@@ -90,9 +89,8 @@ impl StartInfo {
 /// A domain's pseudo-physical-to-machine map: `(pfn, mfn)` pairs
 /// sorted by pfn, in one flat vector. Copying it (a fork's first write
 /// to it) is one allocation whatever its size, and the copy keeps room
-/// for the frames a cell adds. It reads and writes JSON as a
-/// `BTreeMap<u64, Mfn>` does: an object keyed by pfn.
-#[derive(Debug, Default)]
+/// for the frames a cell adds.
+#[derive(Debug, Default, PartialEq, Eq)]
 struct P2m(Vec<(u64, Mfn)>);
 
 impl P2m {
@@ -127,25 +125,13 @@ impl Clone for P2m {
     }
 }
 
-impl Serialize for P2m {
-    fn to_value(&self) -> Value {
-        self.0.iter().copied().collect::<BTreeMap<u64, Mfn>>().to_value()
-    }
-}
-
-impl Deserialize for P2m {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(P2m(BTreeMap::<u64, Mfn>::from_value(v)?.into_iter().collect()))
-    }
-}
-
 /// Hypervisor-side state of one domain.
 ///
 /// The two large tables, the p2m and the event ports, sit behind their
 /// own `Arc`, so a copy of a domain (a world fork's first write to it)
 /// shares them until it writes one of them; the copy shares the name
 /// for good.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Domain {
     id: DomainId,
     name: Arc<str>,
@@ -471,23 +457,6 @@ mod tests {
         assert_eq!(d.table_share_counts(), [1, 1]);
     }
 
-    #[test]
-    fn json_writes_the_tables_inline_and_reads_them_back() {
-        let mut d = Domain::new(DomainId::new(1), "g", false, Mfn::new(10));
-        d.p2m_insert(Pfn::new(0), Mfn::new(10));
-        d.p2m_insert(Pfn::new(1), Mfn::new(11));
-        let json = serde_json::to_string(&d).unwrap();
-        // The p2m writes as a `BTreeMap<u64, Mfn>` does.
-        let reference = BTreeMap::from([(0u64, Mfn::new(10)), (1, Mfn::new(11))]);
-        let p2m = serde_json::to_string(&reference).unwrap();
-        let ports = serde_json::to_string(&*d.event_ports).unwrap();
-        assert!(json.contains(&format!(r#""p2m":{p2m},"#)), "{json}");
-        assert!(json.contains(&format!(r#""event_ports":{ports},"#)), "{json}");
-        let back: Domain = serde_json::from_str(&json).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        assert_eq!(back.p2m(Pfn::new(1)), Some(Mfn::new(11)));
-    }
-
     /// Checks `d`'s p2m against `reference` through every read the
     /// domain offers.
     fn assert_p2m_matches(d: &Domain, reference: &BTreeMap<u64, Mfn>) -> Result<(), TestCaseError> {
@@ -508,8 +477,8 @@ mod tests {
     proptest! {
         /// The flat p2m behaves as the `BTreeMap` it replaced under
         /// inserts, removals, appends at the next free pfn, forks and
-        /// unshares; a fork's writes never reach the domain it was
-        /// forked from; and the JSON is the map's, byte for byte.
+        /// unshares, and a fork's writes never reach the domain it was
+        /// forked from.
         #[test]
         fn prop_p2m_matches_a_btreemap(
             ops in proptest::collection::vec((0u8..5, 0..PFNS, 0u64..4096), 1..80)
@@ -541,12 +510,6 @@ mod tests {
             for (source, at_fork) in &forked_from {
                 assert_p2m_matches(source, at_fork)?;
             }
-            let json = serde_json::to_string(&d).unwrap();
-            let p2m = serde_json::to_string(&reference).unwrap();
-            prop_assert!(json.contains(&format!(r#""p2m":{p2m},"#)), "{}", json);
-            let back: Domain = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
-            assert_p2m_matches(&back, &reference)?;
         }
     }
 

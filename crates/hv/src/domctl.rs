@@ -12,10 +12,9 @@ use crate::audit::AuditEvent;
 use crate::hypervisor::Hypervisor;
 use crate::HvError;
 use hvsim_mem::DomainId;
-use serde::{Deserialize, Serialize};
 
 /// A domain-control operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DomctlOp {
     /// Stop scheduling the target domain.
     Pause,

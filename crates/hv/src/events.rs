@@ -21,7 +21,6 @@ use crate::audit::AuditEvent;
 use crate::hypervisor::Hypervisor;
 use crate::HvError;
 use hvsim_mem::{DomainId, Mfn};
-use serde::{Deserialize, Serialize};
 
 /// Number of event ports per domain.
 pub const EVTCHN_PORTS: usize = 512;
@@ -31,7 +30,7 @@ pub const PENDING_OFFSET: usize = 0;
 pub const MASK_OFFSET: usize = 64;
 
 /// State of one event port.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PortState {
     /// Free for allocation.
     Free,
@@ -50,7 +49,7 @@ pub enum PortState {
 }
 
 /// An event-channel operation (`EVTCHNOP_*`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventChannelOp {
     /// Allocate a port that `remote` may later bind to.
     AllocUnbound {

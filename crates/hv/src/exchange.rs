@@ -1,7 +1,6 @@
 //! `XENMEM_exchange` argument structure.
 
 use hvsim_mem::VirtAddr;
-use serde::{Deserialize, Serialize};
 
 /// Arguments to the `memory_exchange` hypercall.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// `out_extent_start`/`nr_exchanged` and supplies an invalid `in_gmfn`
 /// whose raw value is the 8 bytes it wants written, turning the error
 /// write-back path into a hypervisor-privileged write-what-where.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExchangeArgs {
     /// Guest pseudo-physical frame numbers to exchange. On the error
     /// path the raw value is written back verbatim — attacker-controlled

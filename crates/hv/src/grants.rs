@@ -10,10 +10,9 @@
 //! abusive functionality of §IV-B.
 
 use hvsim_mem::{DomainId, Mfn};
-use serde::{Deserialize, Serialize};
 
 /// Grant table interface version.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GrantTableVersion {
     /// Classic v1 layout (no status frames).
     V1,
@@ -22,7 +21,7 @@ pub enum GrantTableVersion {
 }
 
 /// One grant entry: `domid` may map `frame`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GrantEntry {
     /// Domain the grant is extended to.
     pub domid: DomainId,
@@ -35,7 +34,7 @@ pub struct GrantEntry {
 }
 
 /// Per-domain grant table state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GrantTable {
     version: GrantTableVersion,
     entries: Vec<GrantEntry>,

@@ -18,14 +18,13 @@ use crate::hypervisor::Hypervisor;
 use crate::injector::AccessMode;
 use crate::HvError;
 use hvsim_mem::{DomainId, Mfn, Pfn, VirtAddr};
-use serde::{Deserialize, Serialize};
 
 /// One `mmu_update` request: write `val` into the page-table entry at
 /// machine byte address `ptr`.
 ///
 /// As in Xen, the low two bits of `ptr` encode the update type; only
 /// `MMU_NORMAL_PT_UPDATE` (0) is modelled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MmuUpdate {
     /// Machine byte address of the target PTE (low 2 bits: update type).
     pub ptr: u64,
@@ -41,7 +40,7 @@ impl MmuUpdate {
 }
 
 /// Extended MMU operations (`HYPERVISOR_mmuext_op`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MmuExtOp {
     /// Pin a frame as a level-`level` page table, validating its contents.
     Pin {
@@ -63,7 +62,7 @@ pub enum MmuExtOp {
 }
 
 /// A hypercall request, for uniform dispatch.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Hypercall {
     /// Batched page-table updates.

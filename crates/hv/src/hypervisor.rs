@@ -14,7 +14,6 @@ use hvsim_mem::{
     DomainId, FrameAllocator, MachineMemory, Mfn, PageType, Pfn, PhysAddr, VirtAddr, PAGE_SIZE,
 };
 use hvsim_paging::{walk, AccessKind, MemoryLayout, PageFault, Region, Translation, WalkPolicy};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -33,7 +32,7 @@ const CPUS: usize = 2;
 /// Mirrors the paper's experimental setup: the same build environment with
 /// only the Xen version varying, plus the choice of whether the injector
 /// hypercall is compiled in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BuildConfig {
     /// The Xen version being simulated.
     pub version: XenVersion,
@@ -58,7 +57,7 @@ impl BuildConfig {
 }
 
 /// Details of a hypervisor panic.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CrashInfo {
     /// Panic message, as printed on the console; the audit log's
     /// [`AuditEvent::Crash`] shares it.
@@ -66,7 +65,7 @@ pub struct CrashInfo {
 }
 
 /// The result of a guest software interrupt: the gate that was dispatched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InterruptDispatch {
     /// The invoked vector.
     pub vector: u8,

@@ -8,7 +8,6 @@
 //! fault and panics the hypervisor.
 
 use hvsim_mem::VirtAddr;
-use serde::{Deserialize, Serialize};
 
 /// Number of gates in an IDT.
 pub const IDT_ENTRIES: usize = 256;
@@ -18,7 +17,7 @@ pub const PAGE_FAULT_VECTOR: u8 = 14;
 pub const DOUBLE_FAULT_VECTOR: u8 = 8;
 
 /// One x86-64 interrupt gate, in unpacked form.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IdtEntry {
     /// Handler linear address.
     pub offset: VirtAddr,

@@ -10,7 +10,6 @@
 //! simulator mirrors the interface exactly; the implementation lives in
 //! [`Hypervisor::hc_arbitrary_access`](crate::Hypervisor::hc_arbitrary_access).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operation and address mode of an `arbitrary_access` call — the paper's
@@ -19,7 +18,7 @@ use std::fmt;
 /// A *linear* address is already mapped in the hypervisor (e.g. what
 /// `sidt` returns, or a direct-map address); a *physical* address names
 /// hardware memory and is mapped by the injector prior to the access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessMode {
     /// `ARBITRARY_READ_LINEAR`.
     LinearRead,

@@ -12,11 +12,10 @@ use crate::hypervisor::Hypervisor;
 use crate::validate::L4_HYPERVISOR_SLOT;
 use hvsim_mem::{DomainId, Mfn, PageType};
 use hvsim_paging::{PageTableEntry, PteFlags, ENTRIES_PER_TABLE};
-use serde::Serialize;
 use std::fmt;
 
 /// One violated PV invariant.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum InvariantViolation {
     /// An L1 entry maps a page-table (or descriptor) frame writable —

@@ -1,6 +1,5 @@
 //! An append-only log that the copies of its owner share.
 
-use serde::{Serialize, Value};
 use std::sync::Arc;
 
 /// An append-only list of lines: a shared list, appended to in place
@@ -57,12 +56,14 @@ impl<T: Clone> SharedLog<T> {
     }
 }
 
-/// Writes as the list of its lines, however they are shared.
-impl<T: Serialize + Clone> Serialize for SharedLog<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+/// Equal by its lines, however they are shared.
+impl<T: PartialEq + Clone> PartialEq for SharedLog<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
+
+impl<T: Eq + Clone> Eq for SharedLog<T> {}
 
 #[cfg(test)]
 mod tests {

@@ -75,7 +75,7 @@ impl fmt::Display for XenVersion {
 ///
 /// Each flag names the *check that is missing* in vulnerable builds, so
 /// the validation code reads as "if the check is compiled in, enforce it".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VulnConfig {
     /// XSA-148: `mmu_update` accepts L2 entries with the PSE bit without
     /// validating the superpage's frame range, letting a PV guest map a

@@ -13,7 +13,6 @@
 //! Mixing these up is precisely the class of bug several Xen XSAs are about,
 //! so the newtypes are deliberately non-interchangeable (C-NEWTYPE).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size of one machine frame / page in bytes (4 KiB).
@@ -26,9 +25,7 @@ pub const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 macro_rules! frame_number {
     ($(#[$doc:meta])* $name:ident, $addr:ident) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(u64);
 
         impl $name {
@@ -97,9 +94,7 @@ frame_number!(
 macro_rules! address {
     ($(#[$doc:meta])* $name:ident, $frame:ident) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(u64);
 
         impl $name {

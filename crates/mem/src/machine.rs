@@ -30,7 +30,6 @@
 //! so an image costs O(touched pages) of real memory over its lifetime.
 
 use crate::{MemError, Mfn, PageInfo, PhysAddr, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One machine frame: its contents and its accounting, copied into an
@@ -53,7 +52,7 @@ struct Frames(Arc<Vec<Frame>>);
 /// cell so a run shows how much of a snapshot the cell had to copy.
 /// Every field is a counter the image keeps as it goes, so taking the
 /// stats is O(1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
     /// Installed frames.
     pub frames_total: u64,

@@ -9,12 +9,11 @@
 //! (XSA-148, XSA-182) are precisely failures to uphold these invariants.
 
 use crate::MemError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a domain (virtual machine). Domain 0 is the privileged
 /// control domain, like Xen's dom0.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DomainId(u16);
 
 impl DomainId {
@@ -61,7 +60,7 @@ impl From<u16> for DomainId {
 /// A frame's type constrains how it may be referenced: page-table frames
 /// must never be writable from guest context, and a frame can only change
 /// type when its type count has dropped to zero.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum PageType {
     /// No type yet; the frame may be promoted to any type.
     #[default]
@@ -137,7 +136,7 @@ impl fmt::Display for PageType {
 }
 
 /// Accounting record for one machine frame.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PageInfo {
     owner: Option<DomainId>,
     page_type: PageType,

@@ -264,7 +264,7 @@ impl MetricsRegistry {
 
 /// One sample on a [`MetricsTimeline`]: the values of a set of live
 /// gauges/counters at one wall-clock offset from the run start.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimelineSample {
     /// Milliseconds since the run started.
     pub t_ms: u64,
@@ -522,10 +522,6 @@ mod tests {
             "{\"t_ms\":200,\"values\":{\"progress.done\":1200,\"stream.claimed\":16}}\n\
              {\"t_ms\":400,\"values\":{\"progress.done\":2400}}\n"
         );
-        // Samples round-trip through serde for programmatic consumers.
-        let json = serde_json::to_string(&samples).unwrap();
-        let back: Vec<TimelineSample> = serde_json::from_str(&json).unwrap();
-        assert_eq!(samples, back);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use bitflags::bitflags;
 use hvsim_mem::Mfn;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mask of the frame-address bits (51..=12) within a PTE.
@@ -14,7 +13,7 @@ bitflags! {
     /// The names follow the Intel SDM; `PSE` (bit 7) marks a superpage
     /// mapping at L2 (2 MiB) or L3 (1 GiB). Setting `PSE` on an entry the
     /// hypervisor failed to validate is the core of XSA-148.
-    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
     pub struct PteFlags: u64 {
         /// Entry is valid.
         const PRESENT  = 1 << 0;
@@ -61,7 +60,7 @@ impl PteFlags {
 }
 
 /// One 64-bit page-table entry: a frame number plus [`PteFlags`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PageTableEntry(u64);
 
 impl PageTableEntry {

@@ -1,12 +1,11 @@
 //! Structured page-fault information.
 
 use hvsim_mem::{MemError, VirtAddr};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// The kind of memory access being attempted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data read.
     Read,
@@ -27,7 +26,7 @@ impl fmt::Display for AccessKind {
 }
 
 /// Why a translation failed.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PageFaultKind {
     /// The address is not canonical (#GP on real hardware).
@@ -67,7 +66,7 @@ pub enum PageFaultKind {
 /// In the simulator these propagate to the hypervisor's exception-delivery
 /// path (`#PF`), which is exactly the surface the XSA-212-crash use case
 /// corrupts.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageFault {
     /// Faulting virtual address.
     pub va: VirtAddr,

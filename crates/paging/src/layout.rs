@@ -16,7 +16,6 @@
 
 use crate::{AccessKind, PageFault, PageFaultKind};
 use hvsim_mem::VirtAddr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// First hypervisor-owned virtual address.
@@ -35,7 +34,7 @@ pub const DIRECTMAP_START: u64 = 0xffff_8300_0000_0000;
 pub const DIRECTMAP_SIZE: u64 = 0x100_0000_0000;
 
 /// Which architectural region a virtual address falls into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Lower canonical half: ordinary guest virtual addresses.
     GuestVirtual,
@@ -65,7 +64,7 @@ impl fmt::Display for Region {
 }
 
 /// Why the layout denied a guest access.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LayoutDenial {
     /// The denied address.
     pub va: VirtAddr,
@@ -98,7 +97,7 @@ impl From<LayoutDenial> for PageFault {
 }
 
 /// The hypervisor's virtual memory layout for a given hardening level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryLayout {
     hardened: bool,
 }

@@ -1,13 +1,12 @@
 //! Virtual-address decomposition and composition.
 
 use hvsim_mem::VirtAddr;
-use serde::{Deserialize, Serialize};
 
 /// Number of 8-byte entries in one page-table page.
 pub const ENTRIES_PER_TABLE: usize = 512;
 
 /// The four page-table indices plus page offset of a virtual address.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct VaIndices {
     /// Index into the L4 (top-level) table, bits 47..=39.
     pub l4: usize,

@@ -2,10 +2,9 @@
 
 use crate::{AccessKind, PageFault, PageFaultKind, PageTableEntry, PteFlags, VaIndices};
 use hvsim_mem::{MachineMemory, Mfn, PhysAddr, VirtAddr};
-use serde::{Deserialize, Serialize};
 
 /// Size class of a completed mapping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MappingLevel {
     /// 4 KiB page mapped by an L1 entry.
     Page4K,
@@ -18,7 +17,7 @@ pub enum MappingLevel {
 /// One visited page-table entry during a walk. The sequence of steps is the
 /// "page-table walk audit" the paper uses to prove injected erroneous
 /// states equal exploit-induced ones (§VI-C, §VII).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalkStep {
     /// Paging level of the table (4 down to 1).
     pub level: u8,
@@ -32,7 +31,7 @@ pub struct WalkStep {
 
 /// Policy knobs applied during translation, derived from the target
 /// hypervisor version's hardening level.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalkPolicy {
     /// Reject translations passing through a *writable self-referencing*
     /// page-table entry (Xen ≥ 4.9 hardening; defeats the XSA-182 abuse

@@ -15,11 +15,10 @@ pub use data::ADVISORIES;
 
 use intrusion_core::report::TextTable;
 use intrusion_core::{AbusiveFunctionality, FunctionalityClass};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One studied advisory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Advisory {
     /// Xen Security Advisory identifier.
     pub xsa: &'static str,
