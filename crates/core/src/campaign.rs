@@ -8,7 +8,7 @@ use crate::error::{panic_payload, CampaignError, CellId, CellOutcome, Checkpoint
 use crate::injector::ArbitraryAccessInjector;
 use crate::monitor::SecurityViolation;
 use crate::obs_bridge;
-use crate::scenario::{Mode, UseCase};
+use crate::scenario::{Mode, Note, UseCase};
 use crate::stream::{
     CellSpec, GridFingerprint, KeySummary, PartialFold, PhaseHistograms, Shard, SlotClaims,
     SpecGrid, StreamOutcome, StreamReport, StreamRunStats,
@@ -87,8 +87,8 @@ impl PhaseTimings {
 /// One campaign cell: a use case run in one mode on one version.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellResult {
-    /// Use-case name (e.g. `XSA-212-crash`).
-    pub use_case: String,
+    /// Use-case name (e.g. `XSA-212-crash`), borrowed from the use case.
+    pub use_case: Cow<'static, str>,
     /// Version under test.
     pub version: XenVersion,
     /// Exploit or injection.
@@ -101,7 +101,7 @@ pub struct CellResult {
     /// shield of Table III).
     pub handled: bool,
     /// The run's log.
-    pub notes: Vec<Cow<'static, str>>,
+    pub notes: Vec<Note>,
     /// What went wrong, as the typed campaign taxonomy: a failed
     /// injection attempt (assessment data), or a harness failure (boot,
     /// monitor, crash, deadline).
@@ -1031,7 +1031,7 @@ impl Campaign {
         bridge_audit(&world);
         let handled = outcome.erroneous_state && observation.is_clean();
         CellResult {
-            use_case: uc.name().to_owned(),
+            use_case: Cow::Borrowed(uc.name()),
             version,
             mode,
             erroneous_state: outcome.erroneous_state,
@@ -1079,7 +1079,7 @@ impl Campaign {
             CampaignError::Injection { .. } => CellOutcome::Completed,
         };
         CellResult {
-            use_case: uc.name().to_owned(),
+            use_case: Cow::Borrowed(uc.name()),
             version,
             mode,
             erroneous_state: false,
@@ -1861,7 +1861,7 @@ mod tests {
 
     /// A cell of key `spec` with outcome, verdicts and timings drawn
     /// from `bits`.
-    fn random_cell(use_case: &str, spec: &CellSpec, bits: u64) -> CellResult {
+    fn random_cell(use_case: &'static str, spec: &CellSpec, bits: u64) -> CellResult {
         let kind = bits % 6;
         let error = match kind {
             0 => Some(CampaignError::Boot { message: "x".into(), attempts: 2 }),
@@ -1876,7 +1876,7 @@ mod tests {
         };
         let violated = bits & 0x10 != 0;
         CellResult {
-            use_case: use_case.to_owned(),
+            use_case: use_case.into(),
             version: spec.version,
             mode: spec.mode,
             erroneous_state: bits & 0x20 != 0,
@@ -1913,7 +1913,8 @@ mod tests {
             trials in 1u64..5,
             sinks in 1usize..5,
         ) {
-            let use_cases = vec!["uc-a".to_owned(), "uc-b".to_owned(), "uc-c".to_owned()];
+            const NAMES: [&str; 3] = ["uc-a", "uc-b", "uc-c"];
+            let use_cases = NAMES.map(str::to_owned).to_vec();
             let modes = [Mode::Exploit, Mode::Injection];
             let grid = SpecGrid::new(use_cases.len(), &XenVersion::ALL, &modes, trials);
             let fingerprint = GridFingerprint {
@@ -1934,7 +1935,7 @@ mod tests {
                 if bits.is_multiple_of(5) {
                     continue;
                 }
-                let cell = random_cell(&fingerprint.use_cases[spec.use_case], &spec, bits >> 3);
+                let cell = random_cell(NAMES[spec.use_case], &spec, bits >> 3);
                 reference.fold(&spec, &cell);
                 parts[(bits >> 56) as usize % sinks].push(spec.slot, &spec, cell, &ctx);
             }

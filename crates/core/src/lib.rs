@@ -106,7 +106,7 @@ pub use model::{AttackInterface, IntrusionModel, StateTrace, TargetComponent, Tr
 pub use monitor::{Detector, Monitor, Observation, SecurityViolation};
 pub use randomized::{RandomizedCampaign, RandomizedOutcome, RandomizedSummary, TargetRegion};
 pub use report::{render_table2, TextTable};
-pub use scenario::{Mode, ScenarioOutcome, UseCase};
+pub use scenario::{Mode, Note, ScenarioOutcome, UseCase};
 pub use stream::{
     CellSpec, DegradedSlot, GridFingerprint, KeySummary, LatencyBreakdown, MergeError,
     PhaseLatency, Shard, ShardError, SpecGrid, StreamOutcome, StreamReport, StreamRunStats,

@@ -19,7 +19,7 @@ use crate::injector::Injector;
 use crate::model::IntrusionModel;
 use crate::monitor::SecurityViolation;
 use crate::report::TextTable;
-use crate::scenario::{Mode, ScenarioOutcome, UseCase};
+use crate::scenario::{Mode, Note, ScenarioOutcome, UseCase};
 use crate::stream::CellSpec;
 use crate::taxonomy::AbusiveFunctionality;
 use guestos::{BootError, World};
@@ -132,9 +132,10 @@ impl RandomizedOutcome {
     /// The outcome of the trial that ran as `cell`.
     fn from_cell(cell: &CellResult, region: TargetRegion) -> Self {
         Self {
-            spec: cell.notes.first().map(|n| n.clone().into_owned()).unwrap_or_else(|| {
-                format!("(degraded) ({})", region.label())
-            }),
+            spec: cell.notes.first().map_or_else(
+                || format!("(degraded) ({})", region.label()),
+                ToString::to_string,
+            ),
             injected: cell.erroneous_state,
             crashed: crashed(cell),
             violations: cell.violations.len(),
@@ -422,7 +423,7 @@ impl UseCase for RandomTrial {
         ScenarioOutcome {
             erroneous_state: injected,
             state_audit: None,
-            notes: vec![[spec.label(), " (", self.region.label(), ")"].concat().into()],
+            notes: vec![Note::Trial { spec: spec.label(), region: self.region.label() }],
             error: None,
         }
     }

@@ -1008,7 +1008,7 @@ impl PartialFold {
             r.degraded_slots.insert(
                 spec.slot,
                 DegradedSlot {
-                    use_case: cell.use_case.clone(),
+                    use_case: cell.use_case.to_string(),
                     version: cell.version,
                     mode: cell.mode,
                     trial: spec.trial,
@@ -1240,7 +1240,7 @@ mod tests {
         // Synthesize folds directly from specs (no worlds needed).
         for spec in g.iter() {
             let cell = CellResult {
-                use_case: format!("uc{}", spec.use_case),
+                use_case: ["uc0", "uc1"][spec.use_case].into(),
                 version: spec.version,
                 mode: spec.mode,
                 erroneous_state: spec.trial % 2 == 0,

@@ -7,8 +7,8 @@
 //! a worker's `unshare`d copy must not touch the heap at all. What the
 //! cells then do is pinned as exact allocation budgets: the 24 paper
 //! cells, the XSA-148-priv and XSA-212-priv exploit cells, a randomized
-//! page-table trial, a crash, a fork's first kernel log line, and the
-//! XSA-212-priv payload parse. A new allocation in any
+//! page-table trial, a crash, a fork's first kernel log line, the
+//! XSA-212-priv payload parse and a cell's notes. A new allocation in any
 //! of them fails here. This test counts allocations with its own global
 //! allocator, which is why it is a test binary of its own: a global
 //! allocator applies to the whole binary.
@@ -16,7 +16,10 @@
 use guestos::{Payload, PayloadCommand, World};
 use hvsim::XenVersion;
 use intrusion_core::campaign::{standard_world, ATTACKER_GUEST};
-use intrusion_core::{ArbitraryAccessInjector, Mode, RandomizedCampaign, TargetRegion, UseCase};
+use hvsim_mem::{DomainId, Mfn, VirtAddr};
+use intrusion_core::{
+    ArbitraryAccessInjector, Mode, Note, RandomizedCampaign, TargetRegion, UseCase,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -186,6 +189,33 @@ fn parsing_the_xsa212_payload_allocates_nothing() {
     assert_eq!(allocations, 0, "the strings are borrowed");
 }
 
+/// A note of fixed text, numbers, ids, addresses or a shell reply holds
+/// its values and allocates nothing; its text exists only when read.
+#[test]
+fn a_note_of_values_allocates_nothing() {
+    let _serial = serial();
+    let mut world = worker_copy(XenVersion::V4_6, false);
+    world.remote_mut().listen();
+    let dom0 = world.dom0();
+    let session = world.remote_mut().accept(dom0, guestos::Uid::ROOT, "peer").expect("listening");
+    let reply = world.shell_exec(session, "whoami && hostname").expect("session");
+    let mut notes = Vec::with_capacity(8);
+    let allocations = allocations_in(|| {
+        notes.extend([
+            Note::from("xen_exploit: dom0!"),
+            Note::Sidt(VirtAddr::new(0xffff_8300_0000_2000)),
+            Note::GateOverwritten { ops: 1 },
+            Note::StartInfoPage(Mfn::new(0xc)),
+            Note::XenVersion(XenVersion::V4_6),
+            Note::HandlerRan { dom: DomainId::DOM0, outcome: guestos::HandlerOutcome::Executed },
+            Note::Shell { session, command: "whoami && hostname", reply: reply.clone() },
+            Note::Trial { spec: "set RW on L4 entry", region: "domain page tables" },
+        ]);
+    });
+    assert_eq!(allocations, 0, "notes of values");
+    assert_eq!(notes[6].to_string(), "shell[session#0]: whoami && hostname -> root xen3");
+}
+
 /// Crashing a fork copies each domain to mark it dead, and each domain
 /// copy shares its p2m, event-port table and name with the base world.
 /// Before those tables sat behind their own `Arc`, `crash` plus the drop
@@ -210,7 +240,7 @@ fn crashing_a_fork_copies_no_domain_table() {
 }
 
 /// The 24 paper cells (4 use cases x 3 versions x 2 modes), each run on
-/// a fork of its key's unshared base world, allocate 497 times in all.
+/// a fork of its key's unshared base world, allocate 376 times in all.
 /// They made 1,210 allocations before page walks kept their steps
 /// inline, the standard monitor stopped building its detector list,
 /// audits stopped formatting their evidence, injections stopped listing
@@ -218,8 +248,10 @@ fn crashing_a_fork_copies_no_domain_table() {
 /// copying on every fork's first line; 832 before a kernel copy shared
 /// its parts, payloads borrowed their strings, fixed notes were
 /// borrowed, log lines were formatted only when read and the reverse
-/// shell stopped copying its output. Each cell is counted twice, so a
-/// count that depends on what ran before fails too.
+/// shell stopped copying its output; 497 before notes, shell replies,
+/// handler faults and the listener's log kept values instead of text.
+/// Each cell is counted twice, so a count that depends on what ran
+/// before fails too.
 #[test]
 fn the_paper_cells_allocate_their_budget() {
     let _serial = serial();
@@ -235,40 +267,46 @@ fn the_paper_cells_allocate_their_budget() {
             }
         }
     }
-    assert_eq!(total, 497, "the 24 paper cells");
+    assert_eq!(total, 376, "the 24 paper cells");
 }
 
 /// The XSA-148-priv exploit on Xen 4.6 walks guest page tables most of
 /// all the paper cells: 76 allocations before walks held their steps
 /// inline, 20 of them the walks' step vectors; 47 before the backdoor
 /// borrowed its host, the listener stopped formatting its lines and the
-/// shell stopped copying its output.
+/// shell stopped copying its output; 29 before its notes and shell
+/// replies kept values, its transcript was sized up front, the listener
+/// and the vDSO tick stopped keeping lists of their own, and the
+/// backdoor was encoded once.
 #[test]
 fn the_xsa148_exploit_cell_allocates_its_budget() {
     let _serial = serial();
     let copy = worker_copy(XenVersion::V4_6, false);
     let allocations = cell_allocations(&xsa_exploits::Xsa148Priv, &copy, Mode::Exploit);
-    assert_eq!(allocations, 29, "the XSA-148-priv exploit cell on Xen 4.6");
+    assert_eq!(allocations, 12, "the XSA-148-priv exploit cell on Xen 4.6");
 }
 
 /// The XSA-212-priv exploit on Xen 4.6 writes a guest kernel in every
 /// domain: the attacker's staging and log lines, then the payload's
 /// root file in each domain. It made 108 allocations when each kernel
 /// copy copied its processes, files and log, the payload parse copied
-/// its strings and the template expanded through two owned strings.
+/// its strings and the template expanded through two owned strings; 49
+/// before its notes kept values.
 #[test]
 fn the_xsa212_priv_exploit_cell_allocates_its_budget() {
     let _serial = serial();
     let copy = worker_copy(XenVersion::V4_6, false);
     let allocations = cell_allocations(&xsa_exploits::Xsa212Priv, &copy, Mode::Exploit);
-    assert_eq!(allocations, 49, "the XSA-212-priv exploit cell on Xen 4.6");
+    assert_eq!(allocations, 44, "the XSA-212-priv exploit cell on Xen 4.6");
 }
 
 /// One randomized page-table trial, engine and harness included, is
 /// the difference between two streamed runs 512 trials apart, divided
 /// and rounded, so the boot, the worker thread and any stray harness
 /// allocation fall out. It was 23 before the walks, the monitor, the
-/// audit, the spec label and the injection's writes stopped allocating.
+/// audit, the spec label and the injection's writes stopped allocating,
+/// and 8 before the trial's note kept the two labels and its cell
+/// borrowed the use-case name.
 #[test]
 fn a_randomized_page_table_trial_allocates_its_budget() {
     let _serial = serial();
@@ -288,5 +326,5 @@ fn a_randomized_page_table_trial_allocates_its_budget() {
     const APART: usize = 512;
     let (small, large) = (run(64), run(64 + APART));
     let per_trial = (large.saturating_sub(small) + APART / 2) / APART;
-    assert_eq!(per_trial, 8, "one randomized page-table trial ({small} vs {large} allocations)");
+    assert_eq!(per_trial, 6, "one randomized page-table trial ({small} vs {large} allocations)");
 }

@@ -174,6 +174,11 @@ impl GuestKernel {
         &self.hostname
     }
 
+    /// The hostname as the kernel's copies share it.
+    pub(crate) fn hostname_shared(&self) -> &Arc<str> {
+        &self.hostname
+    }
+
     /// The kernel's page-table frames.
     pub fn tables(&self) -> TableMfns {
         self.tables

@@ -49,7 +49,7 @@ mod vfs;
 mod world;
 
 pub use kernel::{GuestKernel, TableMfns, KERNEL_BASE};
-pub use net::{RemoteHost, SessionId, ShellSession};
+pub use net::{RemoteHost, SessionId, ShellOutput, ShellReply, ShellSession};
 pub use payload::{Payload, PayloadCommand, PAYLOAD_MAGIC};
 pub use process::{Process, Uid};
 pub use txn::{TxnCheckReport, TxnStore};

@@ -101,6 +101,11 @@ impl Vfs {
     ///
     /// [`VfsError::NotFound`] / [`VfsError::Denied`].
     pub fn read(&self, path: &str, uid: Uid) -> Result<&[u8], VfsError> {
+        self.read_shared(path, uid).map(|data| &**data)
+    }
+
+    /// Reads a file as `uid`, as the contents the file system shares.
+    pub(crate) fn read_shared(&self, path: &str, uid: Uid) -> Result<&Arc<[u8]>, VfsError> {
         let entry = self
             .files
             .get(path)
@@ -124,7 +129,12 @@ impl Vfs {
 
     /// All paths, in order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(|p| &**p)
+        self.shared_paths().map(|p| &**p)
+    }
+
+    /// Every path, as the file system shares it.
+    pub(crate) fn shared_paths(&self) -> impl Iterator<Item = &Arc<str>> {
+        self.files.keys()
     }
 
     /// Gives this filesystem its own copy of the map, of every path and

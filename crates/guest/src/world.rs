@@ -8,16 +8,17 @@
 //! check afterwards.
 
 use crate::kernel::GuestKernel;
-use crate::net::{RemoteHost, SessionId};
+use crate::net::{RemoteHost, SessionId, ShellOutput, ShellReply};
 use crate::payload::{Payload, PayloadCommand};
 use crate::process::Uid;
 use crate::vdso::Backdoor;
 use crate::vfs::{FileMode, VfsError};
 use hvsim::{BuildConfig, HvError, Hypervisor, XenVersion};
 use hvsim_mem::{DomainId, VirtAddr, PAGE_SIZE};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 use std::time::Instant;
@@ -162,7 +163,9 @@ pub enum HandlerOutcome {
     Executed,
     /// The handler address did not translate / was not executable in
     /// this domain's context (the hardened-layout shield).
-    Faulted(String),
+    Faulted(HvError),
+    /// The handler's code could not be read from memory.
+    FetchFailed,
     /// The handler pointed at bytes that are not a payload (real
     /// hardware would execute garbage; the simulator reports it).
     Garbage,
@@ -450,13 +453,13 @@ impl World {
     fn execute_at(&mut self, dom: DomainId, va: VirtAddr) -> HandlerOutcome {
         let translation = match self.hv.guest_exec_va(dom, va) {
             Ok(t) => t,
-            Err(e) => return HandlerOutcome::Faulted(e.to_string()),
+            Err(e) => return HandlerOutcome::Faulted(e),
         };
         let take = PAGE_SIZE - translation.phys.page_offset();
         let mut code = [0u8; 2048];
         let bytes = &mut code[..take.min(2048)];
         if self.hv.mem().read(translation.phys, bytes).is_err() {
-            return HandlerOutcome::Faulted("code fetch failed".into());
+            return HandlerOutcome::FetchFailed;
         }
         match Payload::parse(bytes) {
             Some(payload) => {
@@ -484,9 +487,10 @@ impl World {
     /// Advances "time": every process that calls into the vDSO does so
     /// once. If a domain's vDSO has been backdoored, each such call opens
     /// a reverse shell to the remote host with the *calling process's*
-    /// privileges. Returns the sessions established this tick.
-    pub fn tick_vdso(&mut self) -> Vec<SessionId> {
-        let mut sessions = Vec::new();
+    /// privileges. Returns the sessions established this tick, which
+    /// have consecutive ids.
+    pub fn tick_vdso(&mut self) -> impl ExactSizeIterator<Item = SessionId> {
+        let first = self.remote.sessions().len();
         for (&dom, kernel) in self.kernels.iter() {
             if self.hv.domain(dom).map(|d| d.is_dead()).unwrap_or(true) {
                 continue;
@@ -501,72 +505,40 @@ impl World {
                 continue;
             }
             for p in kernel.processes().iter().filter(|p| p.calls_vdso) {
-                if let Some(id) = self.remote.accept(dom, p.uid, "10.3.1.181") {
-                    sessions.push(id);
-                }
+                self.remote.accept(dom, p.uid, "10.3.1.181");
             }
         }
-        sessions
+        (first..self.remote.sessions().len()).map(SessionId)
     }
 
     /// Executes a shell command over an established reverse-shell
     /// session, with the session's privileges, against the compromised
     /// domain's filesystem. Supports the command mix of the paper's
     /// transcript: `whoami`, `hostname`, `id`, `cat <path>`, and `&&`
-    /// chaining. Returns the output as the session's transcript keeps
-    /// it.
+    /// chaining. Returns the reply the session's transcript keeps: typed
+    /// outputs that share the hostname and file contents with the
+    /// kernel, so a command copies no text.
     ///
     /// # Errors
     ///
     /// [`WorldError::NoSession`] for unknown sessions.
-    pub fn shell_exec(&mut self, session: SessionId, cmd: &str) -> Result<&str, WorldError> {
-        let (dom, uid) = {
-            let s = self.remote.session(session).ok_or(WorldError::NoSession)?;
-            (s.domain, s.uid)
-        };
-        let mut output = String::new();
-        for (i, part) in cmd.split("&&").map(str::trim).filter(|p| !p.is_empty()).enumerate() {
-            if i > 0 {
-                output.push('\n');
-            }
-            self.shell_one(dom, uid, part, &mut output)?;
-        }
+    pub fn shell_exec(
+        &mut self,
+        session: SessionId,
+        cmd: impl Into<Cow<'static, str>>,
+    ) -> Result<ShellReply, WorldError> {
+        let cmd = cmd.into();
+        let s = self.remote.session(session).ok_or(WorldError::NoSession)?;
+        let (kernel, uid) = (self.kernel(s.domain)?, s.uid);
+        let mut parts = cmd.split("&&").map(str::trim).filter(|p| !p.is_empty());
+        // A counted range collects into the `Arc` in one allocation.
+        let n = parts.clone().count();
+        let outputs = (0..n).map(|_| shell_one(kernel, uid, parts.next().unwrap_or_default()));
+        let reply = ShellReply::new(outputs.collect());
         let transcript =
             &mut self.remote.session_mut(session).ok_or(WorldError::NoSession)?.transcript;
-        transcript.push((cmd.to_owned(), output));
-        Ok(transcript.last().map_or("", |(_, output)| output))
-    }
-
-    /// Appends one command's output to `out`.
-    fn shell_one(&self, dom: DomainId, uid: Uid, cmd: &str, out: &mut String) -> Result<(), WorldError> {
-        let kernel = self.kernel(dom)?;
-        match cmd {
-            "whoami" => out.push_str(&uid.name()),
-            "hostname" => out.push_str(kernel.hostname()),
-            "id" => out.push_str(&uid.id_string()),
-            _ if cmd.starts_with("cat ") => {
-                let path = cmd[4..].trim();
-                match kernel.vfs().read(path, uid) {
-                    Ok(data) => out.push_str(&String::from_utf8_lossy(data)),
-                    Err(e) => {
-                        let _ = write!(out, "cat: {e}");
-                    }
-                }
-            }
-            _ if cmd.starts_with("ls ") => {
-                let prefix = cmd[3..].trim();
-                for (i, path) in kernel.vfs().paths().filter(|p| p.starts_with(prefix)).enumerate() {
-                    if i > 0 {
-                        out.push('\n');
-                    }
-                    out.push_str(path);
-                }
-            }
-            other => {
-                let _ = write!(out, "sh: {other}: command not found");
-            }
-        }
-        Ok(())
+        transcript.push((cmd, reply.clone()));
+        Ok(reply)
     }
 
     // ------------------------------------------------------------------
@@ -577,6 +549,25 @@ impl World {
     /// XSA-212-priv success condition ("a file appears in every domain").
     pub fn file_in_all_domains(&self, path: &str) -> bool {
         !self.kernels.is_empty() && self.kernels.values().all(|k| k.vfs().exists(path))
+    }
+}
+
+/// What one command of a session with `uid` prints in `kernel`.
+fn shell_one(kernel: &GuestKernel, uid: Uid, cmd: &str) -> ShellOutput {
+    match cmd {
+        "whoami" => ShellOutput::Whoami(uid),
+        "hostname" => ShellOutput::Hostname(Arc::clone(kernel.hostname_shared())),
+        "id" => ShellOutput::Id(uid),
+        _ if cmd.starts_with("cat ") => match kernel.vfs().read_shared(cmd[4..].trim(), uid) {
+            Ok(data) => ShellOutput::File(Arc::clone(data)),
+            Err(e) => ShellOutput::CatFailed(e),
+        },
+        _ if cmd.starts_with("ls ") => {
+            let prefix = cmd[3..].trim();
+            let paths = kernel.vfs().shared_paths().filter(|p| p.starts_with(prefix));
+            ShellOutput::Listing(paths.cloned().collect())
+        }
+        other => ShellOutput::NotFound(other.to_owned()),
     }
 }
 
@@ -782,12 +773,12 @@ mod tests {
                 AccessMode::PhysWrite,
             )
             .unwrap();
-        let sessions = w.tick_vdso();
+        let sessions: Vec<_> = w.tick_vdso().collect();
         assert_eq!(sessions.len(), 1, "dom0's root cron tripped the backdoor");
         let sid = sessions[0];
-        assert_eq!(w.shell_exec(sid, "whoami && hostname").unwrap(), "root\nxen3");
+        assert_eq!(w.shell_exec(sid, "whoami && hostname").unwrap().to_string(), "root\nxen3");
         assert_eq!(
-            w.shell_exec(sid, "cat /root/root_msg").unwrap(),
+            w.shell_exec(sid, "cat /root/root_msg").unwrap().to_string(),
             "Confidential content in root folder!"
         );
         let transcript = &w.remote().session(sid).unwrap().transcript;
@@ -798,7 +789,7 @@ mod tests {
     fn pristine_vdso_opens_nothing() {
         let mut w = small_world(XenVersion::V4_13);
         w.remote_mut().listen();
-        assert!(w.tick_vdso().is_empty());
+        assert_eq!(w.tick_vdso().len(), 0);
         assert!(w.remote().sessions().is_empty());
     }
 
@@ -823,7 +814,7 @@ mod tests {
                 AccessMode::PhysWrite,
             )
             .unwrap();
-        assert!(w.tick_vdso().is_empty());
+        assert_eq!(w.tick_vdso().len(), 0);
     }
 
     #[test]
@@ -834,7 +825,7 @@ mod tests {
             .remote_mut()
             .accept(DomainId::DOM0, Uid::new(1000), "peer")
             .unwrap();
-        let out = w.shell_exec(sid, "rm -rf /").unwrap();
+        let out = w.shell_exec(sid, "rm -rf /").unwrap().to_string();
         assert!(out.contains("command not found"));
         assert!(matches!(
             w.shell_exec(SessionId(42), "id"),
@@ -851,7 +842,7 @@ mod tests {
             .remote_mut()
             .accept(dom0, Uid::new(1000), "peer")
             .unwrap();
-        let out = w.shell_exec(sid, "cat /root/root_msg").unwrap();
+        let out = w.shell_exec(sid, "cat /root/root_msg").unwrap().to_string();
         assert!(out.contains("permission denied"));
     }
 
@@ -896,7 +887,7 @@ mod tests {
             w.invoke_interrupt(attacker, 0x80),
             Err(WorldError::Hv(HvError::Crashed))
         ));
-        assert!(w.tick_vdso().is_empty());
+        assert_eq!(w.tick_vdso().len(), 0);
     }
 
     #[test]

@@ -92,13 +92,13 @@ proptest! {
             .unwrap();
         let sid = w.remote_mut().accept(dom0, Uid::new(1000), "peer").unwrap();
         for cmd in &cmds {
-            let out = w.shell_exec(sid, cmd).unwrap();
+            let out = w.shell_exec(sid, cmd.clone()).unwrap().to_string();
             prop_assert!(!out.contains("TOPSECRET"), "cmd {cmd:?} leaked: {out}");
         }
         // And root sessions do read it.
         let root_sid = w.remote_mut().accept(dom0, Uid::ROOT, "peer").unwrap();
         let out = w.shell_exec(root_sid, "cat /root/secret").unwrap();
-        prop_assert_eq!(out, "TOPSECRET");
+        prop_assert_eq!(out.to_string(), "TOPSECRET");
     }
 }
 

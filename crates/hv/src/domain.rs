@@ -54,11 +54,8 @@ impl StartInfo {
     /// Returns `None` if the magic does not match (the scanning primitive
     /// exploits rely on).
     pub fn parse(bytes: &[u8]) -> Option<StartInfo> {
-        if bytes.len() < Self::WIRE_LEN || &bytes[..16] != START_INFO_MAGIC {
-            return None;
-        }
+        let flags = Self::flags_of(bytes)?;
         let domid = DomainId::new(u16::from_le_bytes([bytes[16], bytes[17]]));
-        let flags = u32::from_le_bytes(bytes[18..22].try_into().ok()?);
         let nr_pages = u64::from_le_bytes(bytes[22..30].try_into().ok()?);
         let name_raw = &bytes[30..62];
         let end = name_raw.iter().position(|&b| b == 0).unwrap_or(32);
@@ -71,9 +68,24 @@ impl StartInfo {
         })
     }
 
+    /// The flags of a start-info structure in raw frame bytes, or `None`
+    /// where [`parse`](Self::parse) finds none. A scan that only
+    /// fingerprints frames reads these and copies no name.
+    pub fn flags_of(bytes: &[u8]) -> Option<u32> {
+        if bytes.len() < Self::WIRE_LEN || &bytes[..16] != START_INFO_MAGIC {
+            return None;
+        }
+        Some(u32::from_le_bytes(bytes[18..22].try_into().ok()?))
+    }
+
     /// `true` if the `SIF_PRIVILEGED` flag is set.
     pub fn is_privileged(&self) -> bool {
-        self.flags & SIF_PRIVILEGED != 0
+        Self::privileged(self.flags)
+    }
+
+    /// `true` if `flags` set `SIF_PRIVILEGED`.
+    pub fn privileged(flags: u32) -> bool {
+        flags & SIF_PRIVILEGED != 0
     }
 
     /// Builds the flags word for a (non-)privileged domain.
@@ -359,7 +371,7 @@ impl Domain {
     ///
     /// Returns a [`MemError`] if the start-info frame is not installed.
     pub fn read_start_info(&self, mem: &MachineMemory) -> Result<Option<StartInfo>, MemError> {
-        let mut buf = vec![0u8; StartInfo::WIRE_LEN];
+        let mut buf = [0u8; StartInfo::WIRE_LEN];
         mem.read(PhysAddr::new(self.start_info_mfn.raw() << 12), &mut buf)?;
         Ok(StartInfo::parse(&buf))
     }
@@ -383,6 +395,7 @@ mod tests {
         let parsed = StartInfo::parse(&bytes).unwrap();
         assert_eq!(parsed, si);
         assert!(parsed.is_privileged());
+        assert_eq!(StartInfo::flags_of(&bytes), Some(si.flags));
     }
 
     #[test]
@@ -397,6 +410,7 @@ mod tests {
         bytes[0] ^= 0xff;
         assert_eq!(StartInfo::parse(&bytes), None);
         assert_eq!(StartInfo::parse(&bytes[..10]), None);
+        assert_eq!(StartInfo::flags_of(&bytes), None);
     }
 
     #[test]

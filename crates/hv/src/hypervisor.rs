@@ -610,13 +610,19 @@ impl Hypervisor {
         Ok(())
     }
 
-    fn guest_access(
+    /// Walks `va` in `dom`'s context and checks `access`, delivering any
+    /// fault. `pick` reads what the caller needs from the translation in
+    /// place, so a plain read or write copies out only the physical
+    /// address.
+    #[inline]
+    fn guest_access<T>(
         &mut self,
         dom: DomainId,
         va: VirtAddr,
         access: AccessKind,
         user_mode: bool,
-    ) -> Result<Translation, HvError> {
+        pick: impl FnOnce(&Translation) -> T,
+    ) -> Result<T, HvError> {
         // One domain lookup serves the liveness check and the walk.
         let cr3 = self.live_domain(dom)?.cr3();
         if let Err(denial) = self.layout.guest_may(va, access) {
@@ -625,9 +631,12 @@ impl Hypervisor {
             return Err(HvError::GuestFault(pf));
         }
         let cr3 = cr3.ok_or(HvError::Inval)?;
-        let walked = walk(&self.mem, cr3, va, &self.walk_policy())
-            .and_then(|t| t.check(access, user_mode).map(|()| t));
-        walked.map_err(|pf| {
+        let walked = walk(&self.mem, cr3, va, &self.walk_policy());
+        let checked = match &walked {
+            Ok(t) => t.check(access, user_mode).map(|()| pick(t)),
+            Err(pf) => Err(pf.clone()),
+        };
+        checked.map_err(|pf| {
             self.deliver_page_fault(&pf);
             HvError::GuestFault(pf)
         })
@@ -645,8 +654,8 @@ impl Hypervisor {
         va: VirtAddr,
         buf: &mut [u8],
     ) -> Result<(), HvError> {
-        let t = self.guest_access(dom, va, AccessKind::Read, false)?;
-        self.mem.read(t.phys, buf)?;
+        let phys = self.guest_access(dom, va, AccessKind::Read, false, |t| t.phys)?;
+        self.mem.read(phys, buf)?;
         Ok(())
     }
 
@@ -661,8 +670,8 @@ impl Hypervisor {
         va: VirtAddr,
         bytes: &[u8],
     ) -> Result<(), HvError> {
-        let t = self.guest_access(dom, va, AccessKind::Write, false)?;
-        self.mem.write(t.phys, bytes)?;
+        let phys = self.guest_access(dom, va, AccessKind::Write, false, |t| t.phys)?;
+        self.mem.write(phys, bytes)?;
         Ok(())
     }
 
@@ -679,8 +688,8 @@ impl Hypervisor {
         va: VirtAddr,
         buf: &mut [u8],
     ) -> Result<(), HvError> {
-        let t = self.guest_access(dom, va, AccessKind::Read, true)?;
-        self.mem.read(t.phys, buf)?;
+        let phys = self.guest_access(dom, va, AccessKind::Read, true, |t| t.phys)?;
+        self.mem.read(phys, buf)?;
         Ok(())
     }
 
@@ -695,8 +704,8 @@ impl Hypervisor {
         va: VirtAddr,
         bytes: &[u8],
     ) -> Result<(), HvError> {
-        let t = self.guest_access(dom, va, AccessKind::Write, true)?;
-        self.mem.write(t.phys, bytes)?;
+        let phys = self.guest_access(dom, va, AccessKind::Write, true, |t| t.phys)?;
+        self.mem.write(phys, bytes)?;
         Ok(())
     }
 
@@ -707,7 +716,7 @@ impl Hypervisor {
     ///
     /// See [`Hypervisor::guest_read_va`].
     pub fn guest_exec_va(&mut self, dom: DomainId, va: VirtAddr) -> Result<Translation, HvError> {
-        self.guest_access(dom, va, AccessKind::Execute, false)
+        self.guest_access(dom, va, AccessKind::Execute, false, Translation::clone)
     }
 
     // ------------------------------------------------------------------

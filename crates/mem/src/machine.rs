@@ -276,16 +276,26 @@ impl MachineMemory {
         Ok(())
     }
 
-    /// Reads a little-endian `u64` at `addr`.
+    /// Reads a little-endian `u64` at `addr`. A word inside one frame is
+    /// read in place (every page-walk step reads one); only a word that
+    /// straddles two frames goes through [`read`](Self::read).
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfRange`] if the access crosses the end of
     /// installed memory.
+    #[inline]
     pub fn read_u64(&self, addr: PhysAddr) -> Result<u64, MemError> {
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
+        let (idx, off) = (addr.frame().raw(), addr.page_offset());
+        if off > PAGE_SIZE - 8 || idx >= self.frame_count() {
+            let mut buf = [0u8; 8];
+            self.read(addr, &mut buf)?;
+            return Ok(u64::from_le_bytes(buf));
+        }
+        Ok(match &self.frame(idx as usize).data {
+            Some(bytes) => u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes")),
+            None => 0,
+        })
     }
 
     /// Writes a little-endian `u64` at `addr`.
@@ -681,6 +691,55 @@ mod tests {
                     prop_assert_eq!((info.owner(), info.page_type()), infos[frame]);
                 }
             }
+        }
+    }
+
+    proptest! {
+        // Every case reads each of the 16 Ki offsets twice.
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The in-place word read equals a byte-by-byte read at every
+        /// offset of a frame, the 7 that straddle into the next frame
+        /// included, through materialized, unmaterialized and overlay
+        /// frames alike, and fails past the end of memory as `read` does.
+        #[test]
+        fn prop_read_u64_matches_a_byte_read(
+            words in proptest::collection::vec((0u64..4 * PAGE_SIZE as u64 - 8, any::<u64>()), 0..8),
+            forked in any::<bool>(),
+            fork_words in proptest::collection::vec((0u64..4 * PAGE_SIZE as u64 - 8, any::<u64>()), 0..4),
+        ) {
+            let mut mem = MachineMemory::new(4);
+            for &(addr, value) in &words {
+                mem.write_u64(PhysAddr::new(addr), value).unwrap();
+            }
+            if forked {
+                // The fork's writes land in its overlay.
+                let mut fork = mem.clone();
+                for &(addr, value) in &fork_words {
+                    fork.write_u64(PhysAddr::new(addr), value).unwrap();
+                }
+                mem = fork;
+            }
+            let byte_read = |addr: u64| -> Result<u64, MemError> {
+                let mut word = [0u8; 8];
+                for (i, byte) in word.iter_mut().enumerate() {
+                    let mut one = [0u8; 1];
+                    mem.read(PhysAddr::new(addr + i as u64), &mut one)?;
+                    *byte = one[0];
+                }
+                Ok(u64::from_le_bytes(word))
+            };
+            let end = mem.size_bytes();
+            for addr in 0..end - 7 {
+                let word = mem.read_u64(PhysAddr::new(addr)).ok();
+                prop_assert_eq!(word, byte_read(addr).ok(), "at {:#x}", addr);
+            }
+            for addr in end - 7..end + 8 {
+                let word = mem.read_u64(PhysAddr::new(addr));
+                let overrun = matches!(word, Err(MemError::OutOfRange { .. }));
+                prop_assert!(overrun, "a word at {:#x} crosses the end of memory", addr);
+            }
+            prop_assert!(mem.read_u64(PhysAddr::new(u64::MAX - 3)).is_err());
         }
     }
 }

@@ -25,7 +25,7 @@ fn main() {
         .title("porting keep-page-reference states across versions");
     for cell in report.cells() {
         table.row([
-            cell.use_case.clone(),
+            cell.use_case.to_string(),
             format!("Xen {}", cell.version),
             cell.erroneous_state.to_string(),
             cell.violations.len().to_string(),
