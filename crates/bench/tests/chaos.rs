@@ -20,7 +20,6 @@ const DEADLINE: Duration = Duration::from_millis(100);
 fn chaotic() -> Campaign {
     synthetic_campaign(SEED, TRIALS)
         .chaos(ChaosConfig::standard(CHAOS_SEED))
-        .retries(1)
         .cell_deadline(DEADLINE)
 }
 
@@ -35,14 +34,13 @@ fn chaos_is_schedule_independent_and_every_fault_is_typed() {
     );
 
     // Replay the policy's slot-keyed decisions to predict exactly which
-    // cells degrade and how. Precedence mirrors the engine: a boot that
-    // exhausts its retry budget never reaches the scenario body, and a
-    // panic pre-empts a slowdown.
+    // cells degrade and how. Precedence mirrors the engine: a failed
+    // boot never reaches the scenario body, and a panic pre-empts a
+    // slowdown.
     let policy = ChaosPolicy::new(ChaosConfig::standard(CHAOS_SEED));
     let (mut boot_failed, mut crashed, mut timed_out) = (0u64, 0u64, 0u64);
     for slot in 0..jobs1.report.cells {
-        let faults = policy.transient_boot_faults(slot, 1);
-        if faults > 1 {
+        if policy.boot_failure(slot) {
             boot_failed += 1;
         } else if policy.worker_panic(slot) {
             crashed += 1;
@@ -53,11 +51,10 @@ fn chaos_is_schedule_independent_and_every_fault_is_typed() {
     let report = &jobs1.report;
     assert_eq!(report.cells, 3_000);
     assert!(boot_failed > 0 && crashed > 0 && timed_out > 0, "every fault class fired");
-    assert_eq!(report.boot_failed, boot_failed, "exhausted chaos boots are typed BootFailed");
+    assert_eq!(report.boot_failed, boot_failed, "injected boot failures are typed BootFailed");
     assert_eq!(report.crashed, crashed, "injected panics are typed Crashed");
     assert_eq!(report.timed_out, timed_out, "injected slowdowns are typed TimedOut");
     assert_eq!(report.degraded, boot_failed + crashed + timed_out, "no untyped degradation");
-    assert!(report.retries > 0, "recovered chaos boots consumed real retry attempts");
     assert!(report.is_degraded(), "a chaotic run reports degradation (CLI exit 2)");
     for (id, slot) in &report.degraded_slots {
         assert!(
@@ -112,7 +109,7 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
         .find(|&seed| {
             let probe = ChaosPolicy::new(ChaosConfig::standard(seed));
             (0..cells).all(|slot| {
-                probe.transient_boot_faults(slot, 1) == 0
+                !probe.boot_failure(slot)
                     && !probe.worker_panic(slot)
                     && probe.slowdown(slot, Some(DEADLINE)).is_none()
                     && probe.claim_stall(slot).is_none()
@@ -130,7 +127,7 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
     let snapshot = registry.snapshot();
     for name in [
         "campaign.chaos.worker_panics",
-        "campaign.chaos.transient_boots",
+        "campaign.chaos.boot_failures",
         "campaign.chaos.slowdowns",
         "campaign.chaos.claim_stalls",
         "campaign.chaos.torn_writes",

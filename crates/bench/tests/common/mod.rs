@@ -1,7 +1,7 @@
 //! Harness-fault fixtures shared by `fault_containment.rs` and
 //! `obs_determinism.rs`: a well-behaved use case, a panicking one, a
-//! deadline-overrunning one, and the campaign that mixes them with
-//! transiently-failing boots.
+//! deadline-overrunning one, and the campaign that mixes them with a
+//! failing boot.
 
 use guestos::{BootError, World};
 use hvsim::XenVersion;
@@ -10,8 +10,7 @@ use intrusion_core::campaign::standard_world;
 use intrusion_core::{
     AbusiveFunctionality, Campaign, Injector, IntrusionModel, ScenarioOutcome, UseCase,
 };
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn model() -> IntrusionModel {
@@ -106,27 +105,18 @@ impl UseCase for SleepyCase {
     }
 }
 
-/// Builds the messy campaign: boots of `(4.6, injector)` fail
-/// transiently twice before succeeding, one cell panics, one overruns
-/// its deadline. Fresh failure counters per call so repeated runs see
-/// identical fault schedules.
+/// Builds the messy campaign: the `(4.6, injector)` world fails to
+/// boot, one cell panics, one overruns its deadline.
 pub fn messy_campaign() -> Campaign {
-    let boot_attempts: Mutex<BTreeMap<(XenVersion, bool), u32>> = Mutex::new(BTreeMap::new());
     Campaign::new()
         .with_use_case(Box::new(QuietCase))
         .with_use_case(Box::new(PanickyCase))
         .with_use_case(Box::new(SleepyCase))
         .world_factory(Arc::new(move |version, injector| {
             if version == XenVersion::V4_6 && injector {
-                let mut attempts = boot_attempts.lock().unwrap();
-                let n = attempts.entry((version, injector)).or_insert(0);
-                *n += 1;
-                if *n <= 2 {
-                    return Err(BootError::transient("create dom0", "out of memory"));
-                }
+                return Err(BootError::new("create dom0", "out of memory"));
             }
             standard_world(version, injector)
         }))
-        .retries(2)
         .cell_deadline(Duration::from_millis(100))
 }

@@ -1,6 +1,6 @@
 //! End-to-end acceptance test for the fault-contained campaign engine:
 //! a single campaign mixing a panicking use case, a deadline-overrunning
-//! use case, and a transiently-failing boot must run to completion,
+//! use case, and a failing boot must run to completion,
 //! report each failure through the typed taxonomy, and stay
 //! schedule-independent.
 
@@ -36,23 +36,27 @@ fn mixed_failure_campaign_completes_with_typed_outcomes() {
     assert_eq!(slow.outcome, CellOutcome::TimedOut { deadline_us: 100_000 });
     assert!(slow.degraded());
 
-    // The transiently-failing boots recovered: every (4.6, injection)
-    // cell completed despite two boot failures.
+    // The failing boot degrades every (4.6, injection) cell, and only
+    // those, with the factory's message.
     for cell in report.cells().iter().filter(|c| {
         c.version == XenVersion::V4_6 && c.mode == Mode::Injection
     }) {
-        assert_eq!(cell.outcome, CellOutcome::Completed, "{} did not recover", cell.use_case);
-        assert!(!cell.degraded(), "{} degraded", cell.use_case);
+        assert_eq!(cell.outcome, CellOutcome::BootFailed, "{}", cell.use_case);
+        assert!(matches!(
+            &cell.error,
+            Some(CampaignError::Boot { message }) if message.contains("out of memory")
+        ));
     }
 
-    // Exactly the two injected harness faults degraded the run; this is
-    // what maps to CLI exit code 2.
+    // The three boot failures and the two injected harness faults
+    // degraded the run; this is what maps to CLI exit code 2.
     assert!(report.is_degraded());
-    assert_eq!(report.cells().iter().filter(|c| c.degraded()).count(), 2);
+    assert_eq!(report.cells().iter().filter(|c| c.degraded()).count(), 5);
 
     // The streamed report separates the populations the same way.
     let streamed = messy_campaign().run_streaming_with_jobs(2).report;
-    assert_eq!((streamed.cells, streamed.completed, streamed.degraded), (18, 16, 2));
+    assert_eq!((streamed.cells, streamed.completed, streamed.degraded), (18, 13, 5));
+    assert_eq!(streamed.boot_failed, 3);
 }
 
 #[test]

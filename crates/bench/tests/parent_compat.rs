@@ -1,6 +1,7 @@
 //! Reports and journals written before the overlay memory model still
-//! load: both carry the retired `chunks_privatized` key, which readers
-//! ignore. The fixtures are described in `fixtures/README.md`.
+//! load: both carry the retired `chunks_privatized` and `retries` keys,
+//! which readers ignore. The fixtures are described in
+//! `fixtures/README.md`.
 
 use bench::paper_campaign;
 use hvsim_obs::MetricsRegistry;
@@ -12,7 +13,9 @@ const JOURNAL: &[u8] = include_bytes!("fixtures/chunked-50-trials.journal");
 #[test]
 fn chunked_era_report_merges_with_a_new_shard() {
     let old = StreamReport::from_json(SHARD0).expect("old report parses");
-    assert!(SHARD0.contains("chunks_privatized"), "the fixture carries the retired key");
+    for retired in ["chunks_privatized", "retries"] {
+        assert!(SHARD0.contains(retired), "the fixture carries the retired {retired} key");
+    }
     let campaign = || paper_campaign().trials(2).jobs(2);
     let shard1 = campaign().shard(Shard::new(1, 2).unwrap()).run_streaming().report;
     let merged = old.try_merge(&shard1.normalized()).expect("old and new shards merge");
@@ -25,6 +28,10 @@ fn chunked_era_report_merges_with_a_new_shard() {
 
 #[test]
 fn chunked_era_journal_resumes() {
+    let text = String::from_utf8_lossy(JOURNAL);
+    for retired in ["chunks_privatized", "retries"] {
+        assert!(text.contains(retired), "the journal carries the retired {retired} key");
+    }
     let journal = std::env::temp_dir().join(format!("hvsim-compat-{}.journal", std::process::id()));
     std::fs::write(&journal, JOURNAL).unwrap();
     let campaign = || paper_campaign().trials(50).jobs(2);

@@ -164,7 +164,7 @@ const PRE_REPLAY_CHAOS_SHARD0: &str = r#"{
             "use_case": "synthetic-grid", "version": "V4_13", "mode": "Injection",
             "trial": 12, "outcome": "BootFailed",
             "error": {"Boot": {"message":
-                "boot failed at chaos: injected transient boot failure (transient)",
+                "boot failed at chaos: injected boot failure",
                 "attempts": 1}},
             "flight": [
                 {"slot": 60, "seq": 0, "path": "chaos/transient_boots", "wall_us": 0,

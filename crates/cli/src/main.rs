@@ -52,7 +52,6 @@ COMMANDS:
                    [--json]        emit the streamed report as JSON
                    [--jobs <n>]    worker threads (default: hardware threads)
                    [--cell-deadline-ms <n>]  per-cell deadline (default: none)
-                   [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
                    [--shard <i/n>] run only slots i, i+n, i+2n, ... of the grid;
@@ -67,7 +66,7 @@ COMMANDS:
                                    resumed runs produce the same normalized
                                    report byte-for-byte
                    [--chaos-seed <n>]  deterministic fault injection: seeded
-                                   worker panics, transient boots, slowdowns,
+                                   worker panics, boot failures, slowdowns,
                                    claim stalls, torn journal writes (same
                                    seed => same faults at any --jobs count)
                    [--progress]    live progress line on stderr (done/total,
@@ -79,7 +78,9 @@ COMMANDS:
                                    stalled on slot <s>'
                  resume <file>   resume a checkpointed campaign from its
                                    journal; grid shape, trials and shard are
-                                   restored from the journal header
+                                   restored from the journal header. It keeps
+                                   journaling to <file>, so --checkpoint is
+                                   refused
                  replay <slot>   re-run one grid slot with tracing on: writes
                                    its trace (boot stages, audited hypercalls,
                                    chaos faults, verdict) as JSONL to
@@ -87,8 +88,12 @@ COMMANDS:
                                    stderr and exits 0/1/2 from that cell. Pass
                                    the grid flags of the original run
                                    (--extensions, --trials, --chaos-seed,
-                                   --cell-deadline-ms, --retries); degraded
-                                   cells are listed with their slot
+                                   --cell-deadline-ms); degraded cells are
+                                   listed with their slot. It runs one cell on
+                                   the calling thread and writes no report, so
+                                   --checkpoint, --report-out, --json,
+                                   --metrics-out, --timeline-out, --progress,
+                                   --jobs and --shard are refused
     report       operate on streamed campaign reports
                    merge <out> <in>...   merge shard reports written by
                                          'campaign --report-out'
@@ -105,11 +110,9 @@ COMMANDS:
                    [--seed <n>]     default 7
                    [--version <v>]  default 4.8
                    [--jobs <n>]     worker threads (default: hardware threads)
-                   [--retries <n>] extra boot attempts for transient failures (default 0)
     benchmark    score and rank versions by erroneous-state handling
                    [--jobs <n>]    worker threads (default: hardware threads)
                    [--cell-deadline-ms <n>]  per-cell deadline (default: none)
-                   [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
     trace        inspect a JSONL trace written by --trace-out
@@ -189,13 +192,6 @@ fn parse_jobs(p: &Parsed) -> Result<usize, String> {
     }
 }
 
-/// Parses `--retries` (extra attempts for transient boot failures).
-fn parse_retries(p: &Parsed) -> Result<u32, String> {
-    p.get_or("retries", "0")
-        .parse()
-        .map_err(|_| "--retries must be a number".to_owned())
-}
-
 /// Parses `--cell-deadline-ms` into the optional per-cell deadline.
 fn parse_cell_deadline(p: &Parsed) -> Result<Option<Duration>, String> {
     match p.get_or("cell-deadline-ms", "0").parse::<u64>() {
@@ -207,7 +203,7 @@ fn parse_cell_deadline(p: &Parsed) -> Result<Option<Duration>, String> {
 
 /// Applies the shared fault-containment and grid options to a campaign.
 fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, String> {
-    campaign = campaign.jobs(parse_jobs(p)?).retries(parse_retries(p)?);
+    campaign = campaign.jobs(parse_jobs(p)?);
     if let Some(deadline) = parse_cell_deadline(p)? {
         campaign = campaign.cell_deadline(deadline);
     }
@@ -293,17 +289,29 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         }
         Ok(arg.clone())
     };
-    let (resume_path, replay_slot) = match p.positionals.first().map(String::as_str) {
-        None => (None, None),
-        Some("resume") => (Some(argument("resume", "a journal path")?), None),
-        Some("replay") => {
-            let raw = argument("replay", "a slot number")?;
-            let slot: u64 =
-                raw.parse().map_err(|_| format!("campaign replay: '{raw}' is not a slot number"))?;
-            (None, Some(slot))
-        }
-        Some(other) => return Err(format!("unexpected argument '{other}'")),
-    };
+    // Each form refuses the options it would silently ignore: `resume`
+    // keeps journaling to the journal it resumes, and `replay` runs one
+    // cell on this thread and writes no report.
+    let (resume_path, replay_slot, refused): (_, _, &[&str]) =
+        match p.positionals.first().map(String::as_str) {
+            None => (None, None, &[]),
+            Some("resume") => (Some(argument("resume", "a journal path")?), None, &["checkpoint"]),
+            Some("replay") => {
+                let raw = argument("replay", "a slot number")?;
+                let slot: u64 = raw
+                    .parse()
+                    .map_err(|_| format!("campaign replay: '{raw}' is not a slot number"))?;
+                let refused = &[
+                    "checkpoint", "report-out", "json", "metrics-out", "timeline-out", "progress",
+                    "jobs", "shard",
+                ];
+                (None, Some(slot), refused)
+            }
+            Some(other) => return Err(format!("unexpected argument '{other}'")),
+        };
+    if let Some(option) = refused.iter().find(|&&o| p.options.contains_key(o) || p.has_flag(o)) {
+        return Err(format!("campaign {} does not take --{option}", p.positionals[0]));
+    }
     let resume_header = resume_path
         .as_deref()
         .map(|path| read_header(Path::new(path)).map_err(|e| e.to_string()))
@@ -390,7 +398,7 @@ fn replay_flags(p: &Parsed, extensions: bool, trials: u64) -> String {
     if trials > 1 {
         flags.push_str(&format!(" --trials {trials}"));
     }
-    for option in ["chaos-seed", "cell-deadline-ms", "retries"] {
+    for option in ["chaos-seed", "cell-deadline-ms"] {
         if let Some(value) = p.options.get(option) {
             flags.push_str(&format!(" --{option} {value}"));
         }
@@ -496,7 +504,7 @@ fn cmd_randomized(p: &Parsed) -> Result<CliOutcome, String> {
     // (the HELP text's documented 4.8), unlike `run`'s 4.6.
     let version = parse_version_or(p, "4.8").map_err(|e| e.to_string())?;
     let jobs = parse_jobs(p)?;
-    let campaign = RandomizedCampaign::new(region, trials, seed).retries(parse_retries(p)?);
+    let campaign = RandomizedCampaign::new(region, trials, seed);
     eprintln!("running {trials} trials against {} on Xen {version} ...", region.label());
     let (summary, outcomes) = campaign
         .run_with_jobs(
@@ -757,18 +765,14 @@ fn spec(command: &str) -> Option<Spec> {
             "campaign" => (
                 &["extensions", "json", "progress"],
                 &[
-                    "jobs", "cell-deadline-ms", "retries", "trace-out", "metrics-out", "shard",
-                    "trials", "report-out", "checkpoint", "chaos-seed", "timeline-out",
+                    "jobs", "cell-deadline-ms", "trace-out", "metrics-out", "shard", "trials",
+                    "report-out", "checkpoint", "chaos-seed", "timeline-out",
                 ],
                 true,
             ),
             "run" => (&[], &["use-case", "version", "mode"], false),
-            "randomized" => {
-                (&[], &["region", "trials", "seed", "version", "jobs", "retries"], false)
-            }
-            "benchmark" => {
-                (&[], &["jobs", "cell-deadline-ms", "retries", "trace-out", "metrics-out"], false)
-            }
+            "randomized" => (&[], &["region", "trials", "seed", "version", "jobs"], false),
+            "benchmark" => (&[], &["jobs", "cell-deadline-ms", "trace-out", "metrics-out"], false),
             "trace" => (&[], &["top"], true),
             "report" => (&[], &[], true),
             "taxonomy" | "models" | "help" | "--help" | "-h" => (&[], &[], false),
@@ -958,7 +962,6 @@ mod tests {
             notes: vec![],
             error,
             outcome: CellOutcome::Completed,
-            attempts: 1,
             wall_time_us: 0,
             hypercalls: 0,
             phase_us: intrusion_core::PhaseTimings::default(),
@@ -1257,8 +1260,20 @@ mod tests {
 
     #[test]
     fn unknown_options_and_missing_values_are_cli_errors() {
-        let cases: [&[&str]; 8] = [
+        let cases: [&[&str]; 20] = [
             &["campaign", "--stream"],
+            &["campaign", "--retries", "1"],
+            &["benchmark", "--retries", "1"],
+            &["randomized", "--retries", "1"],
+            &["campaign", "replay", "3", "--checkpoint", "j.journal"],
+            &["campaign", "replay", "3", "--report-out", "r.json"],
+            &["campaign", "replay", "3", "--json"],
+            &["campaign", "replay", "3", "--metrics-out", "m.json"],
+            &["campaign", "replay", "3", "--timeline-out", "t.jsonl"],
+            &["campaign", "replay", "3", "--progress"],
+            &["campaign", "replay", "3", "--jobs", "2"],
+            &["campaign", "replay", "3", "--shard", "0/2"],
+            &["campaign", "resume", "j.journal", "--checkpoint", "k.journal"],
             &["campaign", "--journal-slots"],
             &["campaign", "--flight-out", "dumps"],
             &["campaign", "--chunk-frames", "1"],
@@ -1289,18 +1304,8 @@ mod tests {
 
     #[test]
     fn fault_containment_flags_parse_and_reject_garbage() {
-        run(vec![
-            "randomized".into(),
-            "--trials".into(),
-            "2".into(),
-            "--version".into(),
-            "4.13".into(),
-            "--retries".into(),
-            "1".into(),
-        ])
-        .unwrap();
-        let err = run(vec!["randomized".into(), "--retries".into(), "lots".into()]).unwrap_err();
-        assert!(err.contains("--retries"));
+        run(vec!["randomized".into(), "--trials".into(), "2".into(), "--version".into(), "4.13".into()])
+            .unwrap();
         let err =
             run(vec!["campaign".into(), "--cell-deadline-ms".into(), "soon".into()]).unwrap_err();
         assert!(err.contains("--cell-deadline-ms"));

@@ -206,7 +206,6 @@ mod tests {
             notes: vec![],
             error: None,
             outcome: crate::error::CellOutcome::Completed,
-            attempts: 1,
             wall_time_us: 0,
             hypercalls: 0,
             phase_us: crate::campaign::PhaseTimings::default(),

@@ -2,8 +2,8 @@
 //! monitoring — the machinery behind the paper's Tables II/III and
 //! Figs. 2/4.
 
-use crate::chaos::{splitmix64, ChaosConfig, ChaosPolicy, ChaosUseCase};
-use crate::checkpoint::{fnv64, CheckpointSession, FOLD_INTERVAL};
+use crate::chaos::{ChaosConfig, ChaosPolicy, ChaosUseCase};
+use crate::checkpoint::{CheckpointSession, JournalHeader, FOLD_INTERVAL};
 use crate::error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
 use crate::injector::ArbitraryAccessInjector;
 use crate::monitor::SecurityViolation;
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 /// runs ("the build and experimental environment are kept the same",
 /// §V-B). Shared across worker threads, hence `Arc + Send + Sync`.
 /// Boot failures are data: the campaign records them per cell instead of
-/// aborting, and retries transient ones under its retry budget.
+/// aborting.
 pub type WorldFactory = Arc<dyn Fn(XenVersion, bool) -> Result<World, BootError> + Send + Sync>;
 
 /// The default worker count: one per available hardware thread.
@@ -109,9 +109,6 @@ pub struct CellResult {
     /// How far the cell got: completed, boot-failed, crashed, or
     /// timed out.
     pub outcome: CellOutcome,
-    /// World-boot attempts consumed by this cell (1 unless transient
-    /// boot failures were retried).
-    pub attempts: u32,
     /// Wall-clock time spent on this cell (world acquisition + run +
     /// monitoring), in microseconds. Non-deterministic;
     /// [`CampaignReport::normalized`] zeroes it for run-to-run
@@ -215,7 +212,6 @@ pub struct Campaign {
     jobs: Option<usize>,
     reuse_snapshots: bool,
     cell_deadline: Option<Duration>,
-    retries: u32,
     trials: u64,
     shard: Option<Shard>,
     chaos: Option<ChaosConfig>,
@@ -228,9 +224,8 @@ pub struct Campaign {
 impl Campaign {
     /// A campaign over all three versions and both modes, using the
     /// standard world, snapshot reuse, and one worker per hardware
-    /// thread: one trial per key, the whole grid, no deadline, no boot
-    /// retries, no chaos. Tracing, metrics and telemetry are off until
-    /// attached.
+    /// thread: one trial per key, the whole grid, no deadline, no
+    /// chaos. Tracing, metrics and telemetry are off until attached.
     pub fn new() -> Self {
         Self {
             use_cases: Vec::new(),
@@ -240,7 +235,6 @@ impl Campaign {
             jobs: None,
             reuse_snapshots: true,
             cell_deadline: None,
-            retries: 0,
             trials: 1,
             shard: None,
             chaos: None,
@@ -311,15 +305,6 @@ impl Campaign {
         self
     }
 
-    /// Allows up to `retries` extra boot attempts per cell for
-    /// *transient* failures (`-ENOMEM`/`-EBUSY`); `0` fails on the first
-    /// error.
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// Sets the trials per `(use_case, version, mode)` key — the
     /// parameter-grid axis of the campaign grid. Each trial is its own
     /// cell; use cases see the trial index via
@@ -385,6 +370,12 @@ impl Campaign {
             modes: self.modes.clone(),
             trials: self.trials.max(1),
         }
+    }
+
+    /// The identity a checkpoint journal of this campaign carries: its
+    /// grid and shard.
+    fn journal_header(&self) -> JournalHeader {
+        JournalHeader { grid: self.fingerprint(), shard: self.shard }
     }
 
     /// Attaches a tracer: campaign setup, every cell phase, guest boot
@@ -528,7 +519,7 @@ impl Campaign {
     pub fn run_streaming_checkpointed(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
         let policy = self.chaos_policy();
         let session =
-            CheckpointSession::create(path, self.fingerprint(), self.shard, policy.clone())?;
+            CheckpointSession::create(path, self.journal_header(), policy.clone())?;
         Ok(self.stream_impl(
             self.jobs.unwrap_or_else(default_jobs),
             Some(session),
@@ -549,7 +540,7 @@ impl Campaign {
     pub fn resume(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
         let policy = self.chaos_policy();
         let session =
-            CheckpointSession::resume(path, &self.fingerprint(), self.shard, policy.clone())?;
+            CheckpointSession::resume(path, &self.journal_header(), policy.clone())?;
         Ok(self.stream_impl(
             self.jobs.unwrap_or_else(default_jobs),
             Some(session),
@@ -757,11 +748,11 @@ impl Campaign {
         let uc = &*self.use_cases[spec.use_case];
         // Chaos decisions are slot-keyed and made exactly once, here —
         // the only place that knows both the slot and the cell.
-        let (chaos_panic, chaos_slow, chaos_boot_faults) = policy.map_or((false, None, 0), |p| {
+        let (chaos_panic, chaos_slow, chaos_boot) = policy.map_or((false, None, false), |p| {
             (
                 p.worker_panic(spec.slot),
                 p.slowdown(spec.slot, self.cell_deadline),
-                p.transient_boot_faults(spec.slot, self.retries),
+                p.boot_failure(spec.slot),
             )
         });
         if chaos_panic {
@@ -772,10 +763,8 @@ impl Campaign {
                 vec![("detail".to_owned(), "2x deadline".to_owned())]
             });
         }
-        if chaos_boot_faults > 0 {
-            ctx.point("chaos/transient_boots", 0, || {
-                vec![("faults".to_owned(), chaos_boot_faults.to_string())]
-            });
+        if chaos_boot {
+            ctx.point("chaos/boot_failures", 0, Vec::new);
         }
         let chaos_uc;
         let run_uc: &dyn UseCase = if chaos_panic || chaos_slow.is_some() {
@@ -784,36 +773,30 @@ impl Campaign {
         } else {
             uc
         };
-        // Forced transient boots take the fresh-boot path (snapshot
-        // clones are proven identical to fresh boots, so the report is
-        // unmoved).
-        let base = if chaos_boot_faults > 0 {
-            None
+        // An injected boot failure stands in for the cell's base world,
+        // so the cell degrades exactly as one whose base world failed.
+        let failed_boot;
+        let base = if chaos_boot {
+            failed_boot = Err(CampaignError::Boot {
+                message: BootError::new("chaos", "injected boot failure").to_string(),
+            });
+            Some(&failed_boot)
         } else {
             base_worlds.and_then(|worlds| worlds.get(&(spec.version, spec.mode == Mode::Injection)))
         };
-        let mut cell = self.run_cell_contained(
-            ctx,
-            run_uc,
-            spec.version,
-            spec.mode,
-            spec.trial,
-            base,
-            chaos_boot_faults,
-        );
+        let mut cell = self.run_cell_contained(ctx, run_uc, spec.version, spec.mode, spec.trial, base);
         let overrun = self.cell_deadline.zip(started).filter(|&(d, started)| started.elapsed() > d);
         if let Some((deadline, started)) = overrun {
             let deadline_us = deadline.as_micros() as u64;
             ctx.point("cell/deadline_exceeded", 0, || {
                 vec![("deadline_us".to_owned(), deadline_us.to_string())]
             });
-            // The relabelled cell keeps the boot attempts it consumed,
-            // the time it really took and its per-phase timings, so the
-            // overrun is attributable to boot vs inject vs monitor.
+            // The relabelled cell keeps the time it really took and its
+            // per-phase timings, so the overrun is attributable to boot
+            // vs inject vs monitor.
             let error = CampaignError::Deadline { deadline_us };
             let wall = started.elapsed().as_micros() as u64;
-            let (attempts, phases) = (cell.attempts, cell.phase_us);
-            cell = self.degraded_cell(uc, spec.version, spec.mode, error, attempts, wall, phases);
+            cell = self.degraded_cell(uc, spec.version, spec.mode, error, wall, cell.phase_us);
         }
         if cell.degraded() {
             ctx.point("cell/degraded", 0, || {
@@ -841,7 +824,7 @@ impl Campaign {
     }
 
     /// Boots one `(version, injector_enabled)` base world under the
-    /// setup trace context, with the campaign's retry budget.
+    /// setup trace context.
     fn boot_base_world(
         &self,
         setup_ctx: &TraceCtx,
@@ -853,23 +836,12 @@ impl Campaign {
                 ("injector".to_owned(), injector.to_string()),
             ]
         });
-        let (world, attempts, backoff_us) =
-            boot_with_retries(format_args!("{version}/{injector}"), self.retries, || {
-                (self.factory)(version, injector)
-            });
-        if backoff_us > 0 {
-            if let Some(registry) = &self.metrics {
-                registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
-            }
-        }
+        let world = boot_contained(|| (self.factory)(version, injector));
         if let Ok(world) = &world {
             obs_bridge::bridge_boot_stages(setup_ctx, "campaign/snapshot_boot", world.boot_trace());
         }
         setup_ctx.point("campaign/snapshot_boot/result", 0, || {
-            vec![
-                ("attempts".to_owned(), attempts.to_string()),
-                ("ok".to_owned(), world.is_ok().to_string()),
-            ]
+            vec![("ok".to_owned(), world.is_ok().to_string())]
         });
         world
     }
@@ -884,10 +856,6 @@ impl Campaign {
     /// time. Audit events the cell generated (everything past the
     /// acquired world's baseline) are bridged into the trace before
     /// every return.
-    /// `boot_faults` > 0 (chaos only) makes the first that many factory
-    /// calls fail with a transient [`BootError`], exercising the real
-    /// retry/backoff path; the caller forces the fresh-boot arm first.
-    #[allow(clippy::too_many_arguments)]
     fn run_cell_contained(
         &self,
         ctx: &TraceCtx,
@@ -896,7 +864,6 @@ impl Campaign {
         mode: Mode,
         trial: u64,
         base: Option<&Result<World, CampaignError>>,
-        boot_faults: u32,
     ) -> CellResult {
         // One clock chain: each phase ends where the next begins, so the
         // phases tile the cell's wall time from `start` to the end of
@@ -916,37 +883,17 @@ impl Campaign {
         // broken state can leak to other cells.
         let boot_span = ctx.span("cell/boot");
         let fresh_boot = base.is_none();
-        let (world, attempts, backoff_us) = match base {
-            Some(Ok(base)) => (
-                catch_unwind(AssertUnwindSafe(|| base.clone())).map_err(|p| {
-                    CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }
-                }),
-                1,
-                0,
-            ),
-            Some(Err(e)) => (Err(e.clone()), 1, 0),
-            None => {
-                let injector = mode == Mode::Injection;
-                let remaining_faults = std::cell::Cell::new(boot_faults);
-                boot_with_retries(format_args!("{version}/{injector}"), self.retries, || {
-                    if remaining_faults.get() > 0 {
-                        remaining_faults.set(remaining_faults.get() - 1);
-                        return Err(BootError::transient("chaos", "injected transient boot failure"));
-                    }
-                    (self.factory)(version, injector)
-                })
-            }
+        let world = match base {
+            Some(Ok(base)) => catch_unwind(AssertUnwindSafe(|| base.clone())).map_err(|p| {
+                CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }
+            }),
+            Some(Err(e)) => Err(e.clone()),
+            None => boot_contained(|| (self.factory)(version, mode == Mode::Injection)),
         };
-        if backoff_us > 0 {
-            if let Some(registry) = &self.metrics {
-                registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
-            }
-        }
         let booted = Instant::now();
         phases.boot_us = Some(micros(start, booted));
         ctx.point("cell/boot/result", 0, || {
             vec![
-                ("attempts".to_owned(), attempts.to_string()),
                 ("source".to_owned(), if fresh_boot { "boot" } else { "snapshot" }.to_owned()),
                 ("ok".to_owned(), world.is_ok().to_string()),
             ]
@@ -956,7 +903,7 @@ impl Campaign {
             Ok(world) => world,
             Err(error) => {
                 let wall = micros(start, booted);
-                return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
+                return self.degraded_cell(uc, version, mode, error, wall, phases);
             }
         };
         if fresh_boot {
@@ -974,12 +921,9 @@ impl Campaign {
         let Some(attacker) =
             world.domain_by_name(ATTACKER_GUEST).or_else(|| world.domains().next_back())
         else {
-            let error = CampaignError::Boot {
-                message: "world booted with no domains".to_owned(),
-                attempts,
-            };
+            let error = CampaignError::Boot { message: "world booted with no domains".to_owned() };
             let wall = micros(start, booted);
-            return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
+            return self.degraded_cell(uc, version, mode, error, wall, phases);
         };
 
         // Phase 2: the scenario body. The world is owned by this cell,
@@ -1000,7 +944,7 @@ impl Campaign {
                 let error = CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) };
                 let wall = micros(start, injected);
                 bridge_audit(&world);
-                return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
+                return self.degraded_cell(uc, version, mode, error, wall, phases);
             }
         };
 
@@ -1019,7 +963,7 @@ impl Campaign {
             Err(p) => {
                 let error = CampaignError::Monitor { message: panic_payload(p.as_ref()) };
                 bridge_audit(&world);
-                return self.degraded_cell(uc, version, mode, error, attempts, wall, phases);
+                return self.degraded_cell(uc, version, mode, error, wall, phases);
             }
         };
         let error = if detector_failures.is_empty() {
@@ -1040,7 +984,6 @@ impl Campaign {
             notes: outcome.notes,
             error,
             outcome: CellOutcome::Completed,
-            attempts,
             wall_time_us: wall,
             hypercalls: world.hv().hypercall_count().saturating_sub(base_hypercalls),
             phase_us: phases,
@@ -1050,16 +993,12 @@ impl Campaign {
 
     /// A cell record for a harness failure (boot / crash / monitor /
     /// deadline).
-    // Private helper mirroring the cell-result fields one-to-one; a
-    // params struct would just restate `CellResult`.
-    #[allow(clippy::too_many_arguments)]
     fn degraded_cell(
         &self,
         uc: &dyn UseCase,
         version: XenVersion,
         mode: Mode,
         error: CampaignError,
-        attempts: u32,
         wall_time_us: u64,
         phases: PhaseTimings,
     ) -> CellResult {
@@ -1088,7 +1027,6 @@ impl Campaign {
             notes: Vec::new(),
             error: Some(error),
             outcome,
-            attempts,
             wall_time_us,
             hypercalls: 0,
             phase_us: phases,
@@ -1224,53 +1162,16 @@ impl CellSink for FoldSink<'_> {
     }
 }
 
-/// Hard ceiling on total backoff sleep per world boot, µs. Keeps the
-/// retry loop's worst case well under any sane cell deadline: deadlines
-/// dominate, backoff only spaces the attempts out.
-const MAX_BOOT_BACKOFF_US: u64 = 20_000;
-
-/// The backoff before retry number `attempt` of a transient boot
-/// failure: exponential from 200µs (doubling per attempt, capped at
-/// 5ms), scaled by a deterministic ±25% jitter keyed on `(key,
-/// attempt)` — seeded, not sampled, so reruns sleep the same schedule
-/// and reports stay reproducible.
-fn retry_backoff_us(key: impl std::fmt::Display, attempt: u32) -> u64 {
-    let base = (200u64 << attempt.min(6).saturating_sub(1)).min(5_000);
-    let salt = format!("{key}/{attempt}");
-    let jitter = 750 + splitmix64(fnv64(salt.as_bytes())) % 501;
-    base * jitter / 1000
-}
-
-/// Boots through `boot` with panic containment and the bounded retry
-/// policy: transient failures (`BootError::is_transient`) are retried
-/// up to `retries` extra times with deterministic exponential backoff
-/// jittered on `key` (total sleep capped at [`MAX_BOOT_BACKOFF_US`]);
-/// deterministic failures and panics fail immediately. Returns the
-/// attempts consumed and the backoff slept, µs.
-pub(crate) fn boot_with_retries<T>(
-    key: impl std::fmt::Display,
-    retries: u32,
-    boot: impl Fn() -> Result<T, BootError>,
-) -> (Result<T, CampaignError>, u32, u64) {
-    let mut attempts = 0u32;
-    let mut backoff_us = 0u64;
-    loop {
-        attempts += 1;
-        let error = match catch_unwind(AssertUnwindSafe(&boot)) {
-            Ok(Ok(booted)) => return (Ok(booted), attempts, backoff_us),
-            Ok(Err(boot)) if boot.is_transient() && attempts <= retries => {
-                let sleep = retry_backoff_us(&key, attempts)
-                    .min(MAX_BOOT_BACKOFF_US.saturating_sub(backoff_us));
-                if sleep > 0 {
-                    std::thread::sleep(Duration::from_micros(sleep));
-                    backoff_us += sleep;
-                }
-                continue;
-            }
-            Ok(Err(boot)) => CampaignError::Boot { message: boot.to_string(), attempts },
-            Err(p) => CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) },
-        };
-        return (Err(error), attempts, backoff_us);
+/// Boots through `boot` once, with panic containment: a boot error
+/// becomes [`CampaignError::Boot`] and a panic
+/// [`CampaignError::HarnessCrash`].
+pub(crate) fn boot_contained<T>(
+    boot: impl FnOnce() -> Result<T, BootError>,
+) -> Result<T, CampaignError> {
+    match catch_unwind(AssertUnwindSafe(boot)) {
+        Ok(Ok(booted)) => Ok(booted),
+        Ok(Err(boot)) => Err(CampaignError::Boot { message: boot.to_string() }),
+        Err(p) => Err(CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }),
     }
 }
 
@@ -1288,6 +1189,7 @@ impl Default for Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::splitmix64;
     use crate::checkpoint::{CheckpointWriter, JournalSink};
     use crate::erroneous_state::ErroneousStateSpec;
     use crate::injector::Injector;
@@ -1296,7 +1198,6 @@ mod tests {
     use crate::scenario::ScenarioOutcome;
     use crate::taxonomy::AbusiveFunctionality;
     use hvsim_mem::DomainId;
-    use std::sync::Mutex;
 
     /// A synthetic use case: injects IDT corruption and triggers a fault.
     struct CrashCase;
@@ -1690,81 +1591,45 @@ mod tests {
     }
 
     #[test]
-    fn deadline_relabel_keeps_boot_attempts_and_wall_time() {
-        // One transient boot failure, retried, then a cell that sleeps
-        // far past its 1 ms deadline.
-        let campaign = || {
-            let failed = Mutex::new(false);
-            let factory: WorldFactory = Arc::new(move |version, injector| {
-                if !std::mem::replace(&mut *failed.lock().unwrap(), true) {
-                    return Err(guestos::BootError::transient("create dom0", "no frames left"));
-                }
-                standard_world(version, injector)
-            });
-            Campaign::new()
-                .with_use_case(Box::new(SleepyCase))
-                .world_factory(factory)
-                .reuse_snapshots(false)
-                .versions(&[XenVersion::V4_13])
-                .modes(&[Mode::Injection])
-                .retries(1)
-                .cell_deadline(Duration::from_millis(1))
-        };
-        let report = campaign().run_with_jobs(1);
-        let cell = &report.cells()[0];
-        assert!(matches!(cell.outcome, CellOutcome::TimedOut { deadline_us: 1_000 }));
-        assert_eq!(cell.attempts, 2, "the failed boot and its retry");
-        let wall = cell.wall_time_us;
-        assert!(wall >= 300_000, "the time the cell took, not the deadline: {wall}");
-        assert_eq!(campaign().run_streaming_with_jobs(1).report.retries, 1);
-    }
-
-    #[test]
-    fn transient_boot_failures_retry_then_succeed() {
-        use std::collections::BTreeMap as Map;
-        // Each (version, injector) key fails transiently twice before
-        // booting, so retry accounting is schedule-independent.
-        let counters: Mutex<Map<(XenVersion, bool), u32>> = Mutex::new(Map::new());
-        let factory: WorldFactory = Arc::new(move |version, injector| {
-            let mut counters = counters.lock().unwrap();
-            let failures = counters.entry((version, injector)).or_insert(0);
-            if *failures < 2 {
-                *failures += 1;
-                return Err(guestos::BootError::transient("create dom0", "no frames left"));
-            }
-            drop(counters);
-            standard_world(version, injector)
-        });
-
+    fn deadline_relabel_keeps_wall_time_and_phases() {
+        // A cell that sleeps far past its 1 ms deadline.
         let report = Campaign::new()
-            .with_use_case(Box::new(CrashCase))
-            .world_factory(factory.clone())
+            .with_use_case(Box::new(SleepyCase))
             .reuse_snapshots(false)
             .versions(&[XenVersion::V4_13])
             .modes(&[Mode::Injection])
-            .retries(2)
-            .run_with_jobs(2);
-        let cell = report.cell("synthetic-crash", XenVersion::V4_13, Mode::Injection).unwrap();
-        assert_eq!(cell.attempts, 3, "two transient failures + one success");
-        assert_eq!(cell.outcome, CellOutcome::Completed);
-        assert!(!cell.degraded());
-        assert!(cell.erroneous_state, "the recovered cell carries real assessment data");
+            .cell_deadline(Duration::from_millis(1))
+            .run_with_jobs(1);
+        let cell = &report.cells()[0];
+        assert!(matches!(cell.outcome, CellOutcome::TimedOut { deadline_us: 1_000 }));
+        let wall = cell.wall_time_us;
+        assert!(wall >= 300_000, "the time the cell took, not the deadline: {wall}");
+        let phases = cell.phase_us;
+        assert!(phases.boot_us.is_some() && phases.inject_us.is_some());
+        assert!(phases.monitor_us.is_some(), "every phase the cell ran is kept: {phases:?}");
+    }
 
-        // Without a retry budget the same failure degrades the cell.
+    #[test]
+    fn a_failing_boot_degrades_its_cell_after_one_call() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
         let report = Campaign::new()
             .with_use_case(Box::new(CrashCase))
-            .world_factory(Arc::new(|_, _| {
-                Err(guestos::BootError::transient("create dom0", "no frames left"))
+            .world_factory(Arc::new(move |_, _| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                Err(guestos::BootError::new("create dom0", "no frames left"))
             }))
             .reuse_snapshots(false)
             .versions(&[XenVersion::V4_13])
             .modes(&[Mode::Injection])
             .run_with_jobs(2);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "a failed boot is not called again");
         let cell = report.cells().first().unwrap();
         assert_eq!(cell.outcome, CellOutcome::BootFailed);
         assert!(matches!(
             &cell.error,
-            Some(CampaignError::Boot { attempts: 1, message }) if message.contains("no frames left")
+            Some(CampaignError::Boot { message }) if message.contains("no frames left")
         ));
         assert!(cell.degraded());
     }
@@ -1864,7 +1729,7 @@ mod tests {
     fn random_cell(use_case: &'static str, spec: &CellSpec, bits: u64) -> CellResult {
         let kind = bits % 6;
         let error = match kind {
-            0 => Some(CampaignError::Boot { message: "x".into(), attempts: 2 }),
+            0 => Some(CampaignError::Boot { message: "x".into() }),
             1 => Some(CampaignError::Deadline { deadline_us: 7 }),
             2 => Some(CampaignError::Injection { message: "-EFAULT".into() }),
             _ => None,
@@ -1889,7 +1754,6 @@ mod tests {
             notes: Vec::new(),
             error,
             outcome,
-            attempts: 1 + (bits >> 6) as u32 % 2,
             wall_time_us: (bits >> 8) % 1_000,
             hypercalls: (bits >> 18) % 9,
             phase_us: PhaseTimings {

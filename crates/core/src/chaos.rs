@@ -1,6 +1,6 @@
 //! Deterministic chaos injection for the harness itself: seeded faults
 //! that exercise every degradation path the campaign engine claims to
-//! contain — worker panics, transient boot failures, cells that blow
+//! contain — worker panics, boot failures, cells that blow
 //! their deadline, claim stalls, and torn journal writes.
 //!
 //! The paper's argument depends on the harness surviving its own
@@ -57,10 +57,8 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Permille of slots whose inject phase panics (→ `Crashed`).
     worker_panic_permille: u32,
-    /// Permille of slots whose boot suffers forced transient failures
-    /// (some recover within the retry budget, some exhaust it →
-    /// `BootFailed`).
-    transient_boot_permille: u32,
+    /// Permille of slots whose boot fails (→ `BootFailed`).
+    boot_failure_permille: u32,
     /// Permille of slots slowed past the cell deadline (→ `TimedOut`;
     /// inert when no deadline is configured).
     slowdown_permille: u32,
@@ -82,7 +80,7 @@ impl ChaosConfig {
         Self {
             seed,
             worker_panic_permille: 10,
-            transient_boot_permille: 20,
+            boot_failure_permille: 20,
             slowdown_permille: 5,
             claim_stall_permille: 10,
             torn_write_permille: 100,
@@ -97,7 +95,7 @@ impl ChaosConfig {
 pub struct ChaosPolicy {
     config: ChaosConfig,
     worker_panics: AtomicU64,
-    transient_boots: AtomicU64,
+    boot_failures: AtomicU64,
     slowdowns: AtomicU64,
     claim_stalls: AtomicU64,
     torn_writes: AtomicU64,
@@ -109,7 +107,7 @@ impl ChaosPolicy {
         Self {
             config,
             worker_panics: AtomicU64::new(0),
-            transient_boots: AtomicU64::new(0),
+            boot_failures: AtomicU64::new(0),
             slowdowns: AtomicU64::new(0),
             claim_stalls: AtomicU64::new(0),
             torn_writes: AtomicU64::new(0),
@@ -134,18 +132,13 @@ impl ChaosPolicy {
         fires
     }
 
-    /// How many forced transient boot failures this slot suffers
-    /// (0 = none). The count is drawn from `1..=retries + 2`, so some
-    /// slots recover inside the retry budget (visible as retries) and
-    /// some exhaust it (visible as `BootFailed`) — both containment
-    /// paths get exercised by one knob.
-    pub fn transient_boot_faults(&self, slot: u64, retries: u32) -> u32 {
-        if !self.fires(SALT_BOOT, slot, self.config.transient_boot_permille) {
-            return 0;
+    /// Should this slot's boot fail? Counted when it fires.
+    pub fn boot_failure(&self, slot: u64) -> bool {
+        let fires = self.fires(SALT_BOOT, slot, self.config.boot_failure_permille);
+        if fires {
+            self.boot_failures.fetch_add(1, Ordering::Relaxed);
         }
-        self.transient_boots.fetch_add(1, Ordering::Relaxed);
-        let spread = u64::from(retries) + 2;
-        1 + (self.roll(SALT_BOOT ^ 0xff, slot) % spread) as u32
+        fires
     }
 
     /// How long to slow this slot down, if at all: 2× the deadline, so
@@ -189,12 +182,12 @@ impl ChaosPolicy {
     }
 
     /// Fired-fault counts so far:
-    /// `(worker_panics, transient_boots, slowdowns, claim_stalls,
+    /// `(worker_panics, boot_failures, slowdowns, claim_stalls,
     /// torn_writes)`.
     pub fn fired(&self) -> (u64, u64, u64, u64, u64) {
         (
             self.worker_panics.load(Ordering::Relaxed),
-            self.transient_boots.load(Ordering::Relaxed),
+            self.boot_failures.load(Ordering::Relaxed),
             self.slowdowns.load(Ordering::Relaxed),
             self.claim_stalls.load(Ordering::Relaxed),
             self.torn_writes.load(Ordering::Relaxed),
@@ -314,7 +307,7 @@ impl UseCase for ChaosUseCase<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{read_header, CheckpointSession};
+    use crate::checkpoint::{read_header, CheckpointSession, JournalHeader};
     use crate::stream::{GridFingerprint, PartialFold};
 
     #[test]
@@ -323,7 +316,7 @@ mod tests {
         let b = ChaosPolicy::new(ChaosConfig::standard(7));
         for slot in 0..5_000 {
             assert_eq!(a.worker_panic(slot), b.worker_panic(slot));
-            assert_eq!(a.transient_boot_faults(slot, 2), b.transient_boot_faults(slot, 2));
+            assert_eq!(a.boot_failure(slot), b.boot_failure(slot));
             assert_eq!(
                 a.slowdown(slot, Some(Duration::from_millis(50))),
                 b.slowdown(slot, Some(Duration::from_millis(50)))
@@ -348,7 +341,7 @@ mod tests {
         let policy = ChaosPolicy::new(ChaosConfig {
             seed: 3,
             worker_panic_permille: 1000,
-            transient_boot_permille: 0,
+            boot_failure_permille: 0,
             slowdown_permille: 1000,
             claim_stall_permille: 0,
             torn_write_permille: 0,
@@ -360,58 +353,36 @@ mod tests {
     }
 
     #[test]
-    fn boot_faults_spread_across_and_beyond_the_retry_budget() {
-        let policy = ChaosPolicy::new(ChaosConfig {
-            seed: 11,
-            worker_panic_permille: 0,
-            transient_boot_permille: 1000,
-            slowdown_permille: 0,
-            claim_stall_permille: 0,
-            torn_write_permille: 0,
-        });
-        let retries = 2u32;
-        let mut recovered = 0;
-        let mut exhausted = 0;
-        for slot in 0..1_000 {
-            let faults = policy.transient_boot_faults(slot, retries);
-            assert!((1..=retries + 2).contains(&faults));
-            if faults <= retries {
-                recovered += 1;
-            } else {
-                exhausted += 1;
-            }
-        }
-        assert!(recovered > 0 && exhausted > 0);
-    }
-
-    #[test]
     fn chaos_sink_tears_records_but_never_the_header() {
         let policy = Arc::new(ChaosPolicy::new(ChaosConfig {
             seed: 5,
             worker_panic_permille: 0,
-            transient_boot_permille: 0,
+            boot_failure_permille: 0,
             slowdown_permille: 0,
             claim_stall_permille: 0,
             torn_write_permille: 1000,
         }));
-        let grid = GridFingerprint {
-            use_cases: vec!["XSA-212-crash".into()],
-            versions: vec![hvsim::XenVersion::V4_6],
-            modes: vec![crate::Mode::Injection],
-            trials: 3,
+        let header = JournalHeader {
+            grid: GridFingerprint {
+                use_cases: vec!["XSA-212-crash".into()],
+                versions: vec![hvsim::XenVersion::V4_6],
+                modes: vec![crate::Mode::Injection],
+                trials: 3,
+            },
+            shard: None,
         };
         let path = std::env::temp_dir()
             .join(format!("hvsim-chaos-{}-torn.journal", std::process::id()));
         let mut session =
-            CheckpointSession::create(&path, grid.clone(), None, Some(Arc::clone(&policy)))
+            CheckpointSession::create(&path, header.clone(), Some(Arc::clone(&policy)))
                 .unwrap();
         let torn = |policy: &ChaosPolicy| policy.fired().4;
         assert_eq!(torn(&policy), 0, "the header is written before chaos wraps the journal");
         session.record_fold(1, 1, vec![0], PartialFold::default());
         session.writer.close();
         assert_eq!(torn(&policy), 1, "every fold record is torn");
-        assert_eq!(read_header(&path).unwrap().grid, grid, "the journal keeps its identity");
-        let resumed = CheckpointSession::resume(&path, &grid, None, None).unwrap();
+        assert_eq!(read_header(&path).unwrap(), header, "the journal keeps its identity");
+        let resumed = CheckpointSession::resume(&path, &header, None).unwrap();
         assert!(!resumed.is_done(0), "the torn record is cut off on resume");
         std::fs::remove_file(&path).unwrap();
     }

@@ -134,11 +134,11 @@ pub struct JournalHeader {
 }
 
 impl JournalHeader {
-    /// Renders `grid` + shard for mismatch diagnostics.
-    pub(crate) fn render(grid: &GridFingerprint, shard: Option<Shard>) -> String {
-        match shard {
-            Some(s) => format!("{grid}, shard {s}"),
-            None => format!("{grid}, unsharded"),
+    /// Renders the grid and shard for mismatch diagnostics.
+    pub(crate) fn render(&self) -> String {
+        match self.shard {
+            Some(s) => format!("{}, shard {s}", self.grid),
+            None => format!("{}, unsharded", self.grid),
         }
     }
 }
@@ -147,10 +147,7 @@ impl JournalHeader {
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum JournalRecord {
     /// First record of every journal.
-    Header {
-        grid: GridFingerprint,
-        shard: Option<Shard>,
-    },
+    Header(JournalHeader),
     /// `worker`'s cumulative fold, covering `slots` since its previous
     /// fold record — the durable unit of recovery.
     Fold {
@@ -255,7 +252,7 @@ impl JournalRecord {
     /// Serializer failures (unreachable for this data model).
     pub(crate) fn encode(&self) -> Result<String, String> {
         let event = match self {
-            JournalRecord::Header { grid, shard } => TraceEvent {
+            JournalRecord::Header(JournalHeader { grid, shard }) => TraceEvent {
                 shard: 0,
                 seq: 0,
                 kind: EventKind::Point,
@@ -324,7 +321,7 @@ impl JournalRecord {
                 } else {
                     Some(Shard::parse(shard_text).map_err(|e| format!("bad shard: {e}"))?)
                 };
-                Ok(JournalRecord::Header { grid, shard })
+                Ok(JournalRecord::Header(JournalHeader { grid, shard }))
             }
             "journal/fold" => {
                 let slots = parse_slots(attr(&event, "slots")?)?;
@@ -389,7 +386,7 @@ impl JournalState {
                 }
                 // A second header is not ours; like a torn tail, it
                 // ends the valid prefix.
-                Ok(JournalRecord::Header { .. }) | Err(_) => break,
+                Ok(JournalRecord::Header(_)) | Err(_) => break,
             }
             offset += nl + 1;
         }
@@ -406,7 +403,7 @@ fn decode_header(path: &Path, first_line: Option<&[u8]>) -> Result<JournalHeader
     };
     let line = first_line.ok_or_else(|| error("journal is empty".to_owned()))?;
     match JournalRecord::decode(line).map_err(error)? {
-        JournalRecord::Header { grid, shard } => Ok(JournalHeader { grid, shard }),
+        JournalRecord::Header(header) => Ok(header),
         JournalRecord::Fold { .. } => Err(error("first record is not a journal header".to_owned())),
     }
 }
@@ -623,8 +620,7 @@ impl CheckpointSession {
     /// to start without a durable journal.
     pub(crate) fn create(
         path: &Path,
-        grid: GridFingerprint,
-        shard: Option<Shard>,
+        header: JournalHeader,
         chaos: Option<Arc<ChaosPolicy>>,
     ) -> Result<Self, CheckpointError> {
         let io_err = |e: std::io::Error| CheckpointError::Io {
@@ -632,8 +628,7 @@ impl CheckpointSession {
             message: e.to_string(),
         };
         let mut sink = FileSink { file: File::create(path).map_err(io_err)? };
-        let header = JournalRecord::Header { grid, shard };
-        let line = header.encode().map_err(|message| CheckpointError::Io {
+        let line = JournalRecord::Header(header).encode().map_err(|message| CheckpointError::Io {
             path: path.display().to_string(),
             message,
         })?;
@@ -658,15 +653,14 @@ impl CheckpointSession {
     /// journal, or belongs to a different campaign grid or shard.
     pub(crate) fn resume(
         path: &Path,
-        grid: &GridFingerprint,
-        shard: Option<Shard>,
+        header: &JournalHeader,
         chaos: Option<Arc<ChaosPolicy>>,
     ) -> Result<Self, CheckpointError> {
         let state = JournalState::load(path)?;
-        if state.header.grid != *grid || state.header.shard != shard {
+        if state.header != *header {
             return Err(CheckpointError::GridMismatch {
-                journal: JournalHeader::render(&state.header.grid, state.header.shard),
-                campaign: JournalHeader::render(grid, shard),
+                journal: state.header.render(),
+                campaign: header.render(),
             });
         }
         let io_err = |e: std::io::Error| CheckpointError::Io {
@@ -723,11 +717,15 @@ mod tests {
         }
     }
 
+    fn header(shard: Option<Shard>) -> JournalHeader {
+        JournalHeader { grid: fingerprint(), shard }
+    }
+
     #[test]
     fn records_round_trip_through_the_frame() {
         let records = [
-            JournalRecord::Header { grid: fingerprint(), shard: Some(Shard { index: 1, count: 4 }) },
-            JournalRecord::Header { grid: fingerprint(), shard: None },
+            JournalRecord::Header(header(Some(Shard { index: 1, count: 4 }))),
+            JournalRecord::Header(header(None)),
             JournalRecord::Fold {
                 worker: 2,
                 seq: 4,
@@ -768,7 +766,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.journal");
-        let header = JournalRecord::Header { grid: fingerprint(), shard: None };
+        let header = JournalRecord::Header(header(None));
         let fold_a = JournalRecord::Fold {
             worker: 1,
             seq: 2,
@@ -827,8 +825,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage-folds.journal");
         let shard = Some(Shard { index: 1, count: 4 });
-        let header = JournalRecord::Header { grid: fingerprint(), shard };
-        let mut bytes = header.encode().unwrap().into_bytes();
+        let mut bytes = JournalRecord::Header(header(shard)).encode().unwrap().into_bytes();
         bytes.extend_from_slice(b"not a record\n\xff\xfe garbage\n");
         std::fs::write(&path, &bytes).unwrap();
         let read = read_header(&path).unwrap();
@@ -858,24 +855,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("grid.journal");
-        let session = CheckpointSession::create(&path, fingerprint(), None, None).unwrap();
+        let session = CheckpointSession::create(&path, header(None), None).unwrap();
         drop(session);
-        let mut other = fingerprint();
-        other.trials = 99;
+        let mut other = header(None);
+        other.grid.trials = 99;
         assert!(matches!(
-            CheckpointSession::resume(&path, &other, None, None),
+            CheckpointSession::resume(&path, &other, None),
             Err(CheckpointError::GridMismatch { .. })
         ));
         assert!(matches!(
-            CheckpointSession::resume(
-                &path,
-                &fingerprint(),
-                Some(Shard { index: 0, count: 2 }),
-                None
-            ),
+            CheckpointSession::resume(&path, &header(Some(Shard { index: 0, count: 2 })), None),
             Err(CheckpointError::GridMismatch { .. })
         ));
-        let ok = CheckpointSession::resume(&path, &fingerprint(), None, None).unwrap();
+        let ok = CheckpointSession::resume(&path, &header(None), None).unwrap();
         assert_eq!(ok.resumed_slots(), 0);
         assert_eq!(ok.first_worker, 1);
         std::fs::remove_file(&path).unwrap();
@@ -912,7 +904,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.journal");
-        let mut session = CheckpointSession::create(&path, fingerprint(), None, None).unwrap();
+        let mut session = CheckpointSession::create(&path, header(None), None).unwrap();
         session.record_fold(1, 1, vec![3], PartialFold::default());
         session.writer.close();
         let counters = session.writer.counters();
@@ -921,7 +913,7 @@ mod tests {
         drop(session);
         let journal = std::fs::read_to_string(&path).unwrap();
         assert_eq!(journal.lines().count(), 2, "the journal holds the header and one fold");
-        let resumed = CheckpointSession::resume(&path, &fingerprint(), None, None).unwrap();
+        let resumed = CheckpointSession::resume(&path, &header(None), None).unwrap();
         assert!(resumed.is_done(3));
         assert!(!resumed.is_done(4));
         assert_eq!(resumed.resumed_slots(), 1);

@@ -20,14 +20,10 @@ use std::fmt;
 /// assessment result.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CampaignError {
-    /// The world factory failed to produce a bootable world, after
-    /// `attempts` tries (transient failures are retried up to the
-    /// campaign's retry budget).
+    /// The world factory failed to produce a bootable world.
     Boot {
-        /// Final failure message.
+        /// The failure message.
         message: String,
-        /// Boot attempts made, including the failing one.
-        attempts: u32,
     },
     /// The scenario could not establish the erroneous state — the
     /// paper's "exploit fails with `-EFAULT` on a fixed version" class.
@@ -67,9 +63,7 @@ impl CampaignError {
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CampaignError::Boot { message, attempts } => {
-                write!(f, "boot failed after {attempts} attempt(s): {message}")
-            }
+            CampaignError::Boot { message } => write!(f, "boot failed: {message}"),
             // Printed verbatim: this is the exploit/injection failure
             // signature the paper reports (e.g. "-EFAULT (bad address)").
             CampaignError::Injection { message } => f.write_str(message),
@@ -205,7 +199,7 @@ mod tests {
 
     #[test]
     fn taxonomy_separates_harness_failures_from_assessment_data() {
-        assert!(CampaignError::Boot { message: "x".into(), attempts: 3 }.is_harness_failure());
+        assert!(CampaignError::Boot { message: "x".into() }.is_harness_failure());
         assert!(CampaignError::Monitor { message: "x".into() }.is_harness_failure());
         assert!(CampaignError::HarnessCrash { payload: "x".into() }.is_harness_failure());
         assert!(CampaignError::Deadline { deadline_us: 1 }.is_harness_failure());
@@ -216,8 +210,8 @@ mod tests {
     fn injection_errors_display_verbatim() {
         let e = CampaignError::Injection { message: "-EFAULT (bad address)".into() };
         assert_eq!(e.to_string(), "-EFAULT (bad address)");
-        let b = CampaignError::Boot { message: "no frames".into(), attempts: 2 };
-        assert!(b.to_string().contains("after 2 attempt(s)"));
+        let b = CampaignError::Boot { message: "no frames".into() };
+        assert_eq!(b.to_string(), "boot failed: no frames");
     }
 
     #[test]

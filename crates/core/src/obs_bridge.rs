@@ -18,8 +18,6 @@ pub const M_CELLS: &str = "campaign.cells";
 pub const M_CELLS_COMPLETED: &str = "campaign.cells_completed";
 /// Counter: cells on which the harness degraded.
 pub const M_CELLS_DEGRADED: &str = "campaign.cells_degraded";
-/// Counter: extra boot attempts consumed by transient-failure retries.
-pub const M_RETRIES: &str = "campaign.retries";
 /// Counter: cells abandoned at the per-cell deadline.
 pub const M_TIMEOUTS: &str = "campaign.timeouts";
 /// Counter: cells whose world never booted.
@@ -36,8 +34,6 @@ pub const M_FRAMES_COPIED: &str = "mem.frames_copied";
 /// Counter (streaming only): time spent merging per-worker partial
 /// reports, µs.
 pub const M_MERGE_US: &str = "campaign.stream.merge_us";
-/// Counter: total backoff slept between transient boot retries, µs.
-pub const M_RETRY_BACKOFF_US: &str = "boot.retry_backoff_us";
 /// Counter (checkpointing only): durable fold records journaled.
 pub const M_CKPT_FOLDS: &str = "campaign.checkpoint.folds";
 /// Counter (checkpointing only): fsyncs issued on the journal.
@@ -58,8 +54,8 @@ pub const M_CKPT_SYNC_US: &str = "campaign.checkpoint.sync_us";
 pub const M_CKPT_RESUMED_SLOTS: &str = "campaign.checkpoint.resumed_slots";
 /// Counter (chaos only): worker panics injected.
 pub const M_CHAOS_PANICS: &str = "campaign.chaos.worker_panics";
-/// Counter (chaos only): transient boot failures injected.
-pub const M_CHAOS_BOOTS: &str = "campaign.chaos.transient_boots";
+/// Counter (chaos only): boot failures injected.
+pub const M_CHAOS_BOOTS: &str = "campaign.chaos.boot_failures";
 /// Counter (chaos only): cell slowdowns injected.
 pub const M_CHAOS_SLOWDOWNS: &str = "campaign.chaos.slowdowns";
 /// Counter (chaos only): claim stalls injected.
@@ -114,7 +110,6 @@ pub(crate) fn record_fold_metrics(
     registry.add(M_CELLS, report.cells);
     registry.add(M_CELLS_COMPLETED, report.completed);
     registry.add(M_CELLS_DEGRADED, report.degraded);
-    registry.add(M_RETRIES, report.retries);
     registry.add(M_TIMEOUTS, report.timed_out);
     registry.add(M_BOOT_FAILURES, report.boot_failed);
     registry.add(M_CRASHES, report.crashed);

@@ -12,7 +12,7 @@
 //! injection)` × `trials`, whose use case samples, injects and shakes
 //! per trial index. Containment, claiming and cloning are the grid's.
 
-use crate::campaign::{boot_with_retries, Campaign, CellResult, CellSink};
+use crate::campaign::{boot_contained, Campaign, CellResult, CellSink};
 use crate::erroneous_state::ErroneousStateSpec;
 use crate::error::CampaignError;
 use crate::injector::Injector;
@@ -250,23 +250,12 @@ pub struct RandomizedCampaign {
     pub trials: usize,
     /// RNG seed (campaigns are reproducible).
     pub seed: u64,
-    retries: u32,
 }
 
 impl RandomizedCampaign {
-    /// A campaign of `trials` reproducible trials with no boot retries.
+    /// A campaign of `trials` reproducible trials.
     pub fn new(region: TargetRegion, trials: usize, seed: u64) -> Self {
-        Self { region, trials, seed, retries: 0 }
-    }
-
-    /// Allows up to `retries` extra attempts at booting the base world
-    /// after a transient failure, as [`Campaign::retries`] does for
-    /// grid keys. A trial that panics is not retried: it degrades its
-    /// own slot.
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
+        Self { region, trials, seed }
     }
 
     /// Runs the campaign on exactly `jobs` worker threads, keeping every
@@ -282,8 +271,7 @@ impl RandomizedCampaign {
     /// # Errors
     ///
     /// [`CampaignError::Boot`] / [`CampaignError::HarnessCrash`] when no
-    /// base world could be produced at all (transient boot failures are
-    /// retried up to the retry budget). Per-trial failures are contained
+    /// base world could be produced. Per-trial failures are contained
     /// and reported in the outcomes/summary instead.
     pub fn run_with_jobs(
         &self,
@@ -316,10 +304,8 @@ impl RandomizedCampaign {
     /// Runs the trials as a one-key grid on `jobs` workers through one
     /// [`Trials`] sink each and merges the workers' counts; with `keep`,
     /// also returns every trial's outcome tagged with its trial index, in
-    /// worker order. The factory's base world boots once, under the
-    /// transient-failure retry budget (backoff jitter keyed on the
-    /// campaign seed), and the grid clones it; with no trials the factory
-    /// is never called.
+    /// worker order. The factory's base world boots once and the grid
+    /// clones it; with no trials the factory is never called.
     fn run_trials(
         &self,
         factory: impl Fn() -> Result<(World, DomainId), BootError>,
@@ -331,9 +317,7 @@ impl RandomizedCampaign {
         if self.trials == 0 {
             return Ok((summary, outcomes));
         }
-        let (base, _, _) =
-            boot_with_retries(format_args!("randomized/{}", self.seed), self.retries, factory);
-        let (world, attacker) = base?;
+        let (world, attacker) = boot_contained(factory)?;
         let trial = RandomTrial { region: self.region, seed: self.seed, attacker };
         let grid = Campaign::new()
             .with_use_case(Box::new(trial))
@@ -552,36 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_boot_failures_are_retried_then_succeed() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let failures = AtomicU32::new(2);
-        let campaign = RandomizedCampaign::new(TargetRegion::IdtGates { cpu: 0 }, 4, 5).retries(2);
-        let (summary, outcomes) = campaign
-            .run_with_jobs(
-                || {
-                    if failures
-                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                        .is_ok()
-                    {
-                        return Err(BootError::transient("create dom0", "no frames left"));
-                    }
-                    factory(XenVersion::V4_8)()
-                },
-                default_jobs(),
-            )
-            .unwrap();
-        assert_eq!(summary.total, 4);
-        assert_eq!(summary.degraded, 0);
-        // The retried boot must not perturb the trial streams.
-        let (clean, clean_outcomes) =
-            RandomizedCampaign::new(TargetRegion::IdtGates { cpu: 0 }, 4, 5)
-                .run_with_jobs(factory(XenVersion::V4_8), default_jobs())
-                .unwrap();
-        assert_eq!(summary, clean);
-        assert_eq!(outcomes, clean_outcomes);
-    }
-
-    #[test]
     fn region_verdicts_are_pinned() {
         // The verdicts are assessment data: how the engine schedules,
         // contains or counts trials must not move any of them.
@@ -622,21 +576,22 @@ mod tests {
     }
 
     #[test]
-    fn non_transient_boot_failure_is_not_retried() {
-        let campaign = RandomizedCampaign::new(TargetRegion::SharedL3, 2, 1).retries(5);
+    fn a_failing_boot_fails_the_campaign_after_one_call() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let calls = AtomicU32::new(0);
+        let campaign = RandomizedCampaign::new(TargetRegion::SharedL3, 2, 1);
         let err = campaign
             .run_with_jobs(
                 || -> Result<(World, DomainId), BootError> {
+                    calls.fetch_add(1, Ordering::SeqCst);
                     Err(BootError::new("create dom0", "deterministic failure"))
                 },
                 default_jobs(),
             )
             .unwrap_err();
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "the factory is called once");
         match err {
-            CampaignError::Boot { attempts, message } => {
-                assert_eq!(attempts, 1, "non-transient failures fail fast");
-                assert!(message.contains("deterministic failure"));
-            }
+            CampaignError::Boot { message } => assert!(message.contains("deterministic failure")),
             other => panic!("expected a boot error, got {other:?}"),
         }
     }

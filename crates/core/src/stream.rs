@@ -612,8 +612,6 @@ pub struct StreamReport {
     pub crashed: u64,
     /// Cells abandoned at the deadline.
     pub timed_out: u64,
-    /// Extra boot attempts consumed by transient-failure retries.
-    pub retries: u64,
     /// Hypercalls executed across all cells.
     pub hypercalls: u64,
     /// Sum of per-cell wall-clock time, µs (zeroed by `normalized`).
@@ -690,7 +688,6 @@ impl StreamReport {
             boot_failed: self.boot_failed + other.boot_failed,
             crashed: self.crashed + other.crashed,
             timed_out: self.timed_out + other.timed_out,
-            retries: self.retries + other.retries,
             hypercalls: self.hypercalls + other.hypercalls,
             wall_time_us: self.wall_time_us + other.wall_time_us,
             frames_copied: self.frames_copied + other.frames_copied,
@@ -1035,7 +1032,6 @@ impl PartialFold {
             CellOutcome::TimedOut { .. } => r.timed_out += 1,
             CellOutcome::Completed => {}
         }
-        r.retries += u64::from(cell.attempts.saturating_sub(1));
         r.hypercalls += cell.hypercalls;
         r.wall_time_us += cell.wall_time_us;
         r.frames_copied += cell.snapshot.frames_copied;
@@ -1249,7 +1245,6 @@ mod tests {
                 notes: Vec::new(),
                 error: None,
                 outcome: CellOutcome::Completed,
-                attempts: 1,
                 wall_time_us: 10 + spec.slot,
                 hypercalls: 3,
                 phase_us: crate::campaign::PhaseTimings {
@@ -1293,9 +1288,8 @@ mod tests {
             violations: Vec::new(),
             handled: false,
             notes: Vec::new(),
-            error: Some(CampaignError::Boot { message: "-ENOMEM".into(), attempts: 2 }),
+            error: Some(CampaignError::Boot { message: "-ENOMEM".into() }),
             outcome: CellOutcome::BootFailed,
-            attempts: 2,
             wall_time_us: 5,
             hypercalls: 0,
             phase_us: crate::campaign::PhaseTimings::default(),
@@ -1305,7 +1299,6 @@ mod tests {
         fold.fold(&spec, &cell);
         let (report, _) = fold.finish();
         assert!(report.is_degraded());
-        assert_eq!(report.retries, 1);
         assert_eq!(report.boot_failed, 1);
         let slot = report.degraded_slots.get(&5).unwrap();
         assert_eq!(slot.outcome, CellOutcome::BootFailed);
@@ -1338,7 +1331,6 @@ mod tests {
                 notes: Vec::new(),
                 error: None,
                 outcome: CellOutcome::Completed,
-                attempts: 1,
                 wall_time_us: 0,
                 hypercalls: 1,
                 phase_us: crate::campaign::PhaseTimings::default(),

@@ -87,41 +87,25 @@ impl From<VfsError> for WorldError {
 ///
 /// Boot failures are *harness*-level errors, not assessment results: a
 /// cell whose world never came up produced no erroneous state to judge.
-/// The error carries the boot stage that failed, a human-readable
-/// message, and whether the failure is transient (resource exhaustion a
-/// retry may clear) — the campaign's bounded retry policy only retries
-/// transient failures.
+/// The error carries the boot stage that failed and a human-readable
+/// message. Booting is deterministic, so a failed boot fails again.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BootError {
     stage: &'static str,
     message: String,
-    transient: bool,
     source: Option<WorldError>,
 }
 
 impl BootError {
-    /// A non-transient boot failure (used by test factories and
-    /// non-hypervisor boot stages).
+    /// A boot failure with no underlying world error (used by test
+    /// factories and non-hypervisor boot stages).
     pub fn new(stage: &'static str, message: impl Into<String>) -> Self {
-        Self { stage, message: message.into(), transient: false, source: None }
+        Self { stage, message: message.into(), source: None }
     }
 
-    /// A transient boot failure: the campaign retry policy may re-run
-    /// the factory for these.
-    pub fn transient(stage: &'static str, message: impl Into<String>) -> Self {
-        Self { stage, message: message.into(), transient: true, source: None }
-    }
-
-    /// Wraps an underlying world error, deriving transience from the
-    /// hypervisor errno (`-ENOMEM`/`-EBUSY` are retryable).
+    /// Wraps an underlying world error.
     pub fn from_world(stage: &'static str, source: WorldError) -> Self {
-        let transient = matches!(&source, WorldError::Hv(e) if e.is_transient());
-        Self {
-            stage,
-            message: source.to_string(),
-            transient,
-            source: Some(source),
-        }
+        Self { stage, message: source.to_string(), source: Some(source) }
     }
 
     /// The boot stage that failed (e.g. `"create dom0"`).
@@ -133,20 +117,11 @@ impl BootError {
     pub fn message(&self) -> &str {
         &self.message
     }
-
-    /// `true` when a retry might succeed (resource exhaustion).
-    pub fn is_transient(&self) -> bool {
-        self.transient
-    }
 }
 
 impl fmt::Display for BootError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "boot failed at {}: {}", self.stage, self.message)?;
-        if self.transient {
-            f.write_str(" (transient)")?;
-        }
-        Ok(())
+        write!(f, "boot failed at {}: {}", self.stage, self.message)
     }
 }
 
@@ -215,9 +190,7 @@ impl WorldBuilder {
     ///
     /// # Errors
     ///
-    /// [`BootError`] tagged with the boot stage that failed; transient
-    /// failures (`-ENOMEM`/`-EBUSY`) are marked retryable for the
-    /// campaign's retry policy.
+    /// [`BootError`] tagged with the boot stage that failed.
     pub fn build(self) -> Result<World, BootError> {
         let mut boot_trace: Vec<BootStage> = Vec::new();
         let mut stage_start = Instant::now();

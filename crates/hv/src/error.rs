@@ -27,8 +27,6 @@ pub enum HvError {
     NoSys,
     /// `-ESRCH`: no such domain.
     NoDomain,
-    /// `-EBUSY`: resource has outstanding references.
-    Busy,
     /// The hypervisor has crashed; no further hypercalls are served.
     Crashed,
     /// A guest-context page fault surfaced through a hypercall path.
@@ -48,7 +46,6 @@ impl HvError {
             HvError::NoMem => -12,
             HvError::NoSys => -38,
             HvError::NoDomain => -3,
-            HvError::Busy => -16,
             HvError::Crashed => -5,
             HvError::Mem(_) => -14,
         }
@@ -58,14 +55,6 @@ impl HvError {
     /// paper reports for fixed-version exploit attempts.
     pub fn is_fault(&self) -> bool {
         self.errno() == -14
-    }
-
-    /// `true` for resource-exhaustion errors that a retry may clear
-    /// (`-ENOMEM`, `-EBUSY`). The campaign's bounded retry policy uses
-    /// this to distinguish transient boot failures from deterministic
-    /// ones; everything else fails the cell immediately.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, HvError::NoMem | HvError::Busy)
     }
 }
 
@@ -78,7 +67,6 @@ impl fmt::Display for HvError {
             HvError::NoMem => f.write_str("out of memory (-ENOMEM)"),
             HvError::NoSys => f.write_str("hypercall not implemented (-ENOSYS)"),
             HvError::NoDomain => f.write_str("no such domain (-ESRCH)"),
-            HvError::Busy => f.write_str("resource busy (-EBUSY)"),
             HvError::Crashed => f.write_str("hypervisor has crashed"),
             HvError::GuestFault(pf) => write!(f, "guest fault: {pf}"),
             HvError::Mem(e) => write!(f, "machine memory error: {e}"),
@@ -122,15 +110,6 @@ mod tests {
         assert_eq!(HvError::NoMem.errno(), -12);
         assert!(HvError::Fault.is_fault());
         assert!(!HvError::Inval.is_fault());
-    }
-
-    #[test]
-    fn transient_errors_are_the_retryable_ones() {
-        assert!(HvError::NoMem.is_transient());
-        assert!(HvError::Busy.is_transient());
-        assert!(!HvError::Fault.is_transient());
-        assert!(!HvError::Crashed.is_transient());
-        assert!(!HvError::NoSys.is_transient());
     }
 
     #[test]

@@ -491,7 +491,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_serde() {
         let reg = MetricsRegistry::new();
-        reg.add("campaign.retries", 3);
+        reg.add("campaign.boot_failures", 3);
         reg.observe("campaign.boot_us.completed", 1234);
         let snap = reg.snapshot();
         let json = serde_json::to_string(&snap).unwrap();

@@ -285,7 +285,7 @@ mod tests {
         let ctx = tracer.ctx(1);
         {
             let _outer = ctx.span("cell");
-            let _inner = ctx.span_with("cell/boot", || vec![("attempts".into(), "1".into())]);
+            let _inner = ctx.span_with("cell/boot", || vec![("source".into(), "boot".into())]);
             ctx.point("cell/boot/create dom0", 12, Vec::new);
         }
         let events = tracer.drain();
@@ -301,7 +301,7 @@ mod tests {
                 (4, EventKind::SpanExit, "cell"),
             ]
         );
-        assert_eq!(events[1].attrs, vec![("attempts".to_owned(), "1".to_owned())]);
+        assert_eq!(events[1].attrs, vec![("source".to_owned(), "boot".to_owned())]);
         assert_eq!(events[2].wall_us, 12);
         // Drain clears.
         assert!(tracer.drain().is_empty());
