@@ -8,19 +8,15 @@ use bench::synthetic_campaign;
 use hvsim_obs::MetricsRegistry;
 use intrusion_core::{Campaign, CellOutcome, ChaosConfig, ChaosPolicy};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 const SEED: u64 = 0xD5_2023;
 // 3 versions × 1,000 trials = 3,000 cells: enough for every fault class
 // to fire many times at the standard permille rates.
 const TRIALS: u64 = 1_000;
 const CHAOS_SEED: u64 = 7;
-const DEADLINE: Duration = Duration::from_millis(100);
 
 fn chaotic() -> Campaign {
-    synthetic_campaign(SEED, TRIALS)
-        .chaos(ChaosConfig::standard(CHAOS_SEED))
-        .cell_deadline(DEADLINE)
+    synthetic_campaign(SEED, TRIALS).chaos(ChaosConfig::standard(CHAOS_SEED))
 }
 
 #[test]
@@ -35,33 +31,25 @@ fn chaos_is_schedule_independent_and_every_fault_is_typed() {
 
     // Replay the policy's slot-keyed decisions to predict exactly which
     // cells degrade and how. Precedence mirrors the engine: a failed
-    // boot never reaches the scenario body, and a panic pre-empts a
-    // slowdown.
+    // boot never reaches the scenario body, so its panic never fires.
     let policy = ChaosPolicy::new(ChaosConfig::standard(CHAOS_SEED));
-    let (mut boot_failed, mut crashed, mut timed_out) = (0u64, 0u64, 0u64);
+    let (mut boot_failed, mut crashed) = (0u64, 0u64);
     for slot in 0..jobs1.report.cells {
         if policy.boot_failure(slot) {
             boot_failed += 1;
         } else if policy.worker_panic(slot) {
             crashed += 1;
-        } else if policy.slowdown(slot, Some(DEADLINE)).is_some() {
-            timed_out += 1;
         }
     }
     let report = &jobs1.report;
     assert_eq!(report.cells, 3_000);
-    assert!(boot_failed > 0 && crashed > 0 && timed_out > 0, "every fault class fired");
+    assert!(boot_failed > 0 && crashed > 0, "every fault class fired");
     assert_eq!(report.boot_failed, boot_failed, "injected boot failures are typed BootFailed");
     assert_eq!(report.crashed, crashed, "injected panics are typed Crashed");
-    assert_eq!(report.timed_out, timed_out, "injected slowdowns are typed TimedOut");
-    assert_eq!(report.degraded, boot_failed + crashed + timed_out, "no untyped degradation");
+    assert_eq!(report.degraded, boot_failed + crashed, "no untyped degradation");
     assert!(report.is_degraded(), "a chaotic run reports degradation (CLI exit 2)");
     for (id, slot) in &report.degraded_slots {
-        assert!(
-            slot.error.is_some()
-                || matches!(slot.outcome, intrusion_core::CellOutcome::TimedOut { .. }),
-            "degraded slot {id} carries a typed error or outcome: {slot:?}"
-        );
+        assert!(slot.error.is_some(), "degraded slot {id} carries a typed error: {slot:?}");
         // Every degraded cell is reproducible from its slot alone.
         let replayed = chaotic().replay(*id).expect("degraded slots lie inside the grid");
         assert_eq!(replayed.outcome, slot.outcome, "replay of slot {id}");
@@ -111,7 +99,6 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
             (0..cells).all(|slot| {
                 !probe.boot_failure(slot)
                     && !probe.worker_panic(slot)
-                    && probe.slowdown(slot, Some(DEADLINE)).is_none()
                     && probe.claim_stall(slot).is_none()
             })
         })
@@ -119,7 +106,6 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
     let registry = MetricsRegistry::new();
     let outcome = synthetic_campaign(SEED, 2)
         .chaos(ChaosConfig::standard(quiet_seed))
-        .cell_deadline(DEADLINE)
         .metrics(registry.clone())
         .run_streaming_with_jobs(2);
     assert_eq!(outcome.report.cells, cells);
@@ -128,7 +114,6 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
     for name in [
         "campaign.chaos.worker_panics",
         "campaign.chaos.boot_failures",
-        "campaign.chaos.slowdowns",
         "campaign.chaos.claim_stalls",
         "campaign.chaos.torn_writes",
     ] {

@@ -167,10 +167,13 @@ fn fold_records_keep_the_by_name_folds_json() {
     let new = std::fs::read_to_string(&journal).unwrap();
     assert_eq!(new.lines().next(), old.lines().next(), "the header line is unchanged");
     let (old_fold, new_fold) = (fold_record(old), fold_record(&new));
-    // The old fold's keys, minus the retired `retries` count.
+    // The old fold's keys, minus the retired `retries` and `timed_out`
+    // counts.
     let mut old_keys = json_keys(&old_fold);
-    assert!(old_keys.contains(&"retries"), "the fixture carries the retired key");
-    old_keys.retain(|&key| key != "retries");
+    for retired in ["retries", "timed_out"] {
+        assert!(old_keys.contains(&retired), "the fixture carries the retired {retired} key");
+    }
+    old_keys.retain(|&key| key != "retries" && key != "timed_out");
     assert_eq!(json_keys(&new_fold), old_keys);
     let by_key = |fold: &str| {
         let (start, end) =

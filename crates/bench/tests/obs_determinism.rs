@@ -1,6 +1,6 @@
 //! End-to-end acceptance test for the observability layer: a campaign
-//! mixing a panicking use case, a deadline-overrunning use case, and a
-//! failing boot must produce a trace and metrics snapshot
+//! mixing a panicking use case, a slow use case, and a failing boot
+//! must produce a trace and metrics snapshot
 //! that are (after normalization) byte-identical at any worker count,
 //! schema-valid line by line, and summarizable — and degraded cells must
 //! carry per-phase timings so the failure is attributable.
@@ -108,11 +108,11 @@ fn traces_and_metrics_are_schedule_independent() {
 fn degraded_cells_carry_phase_timings() {
     let report = messy_campaign().run_with_jobs(2);
 
-    // The deadline overrun is attributable: the sleepy exploit burned
-    // its time in the inject phase, and the recorded timing says so.
+    // The slow cell completed, and its time is attributable: the sleepy
+    // exploit burned it in the inject phase, and the timing says so.
     let slow = report.cell("sleepy", XenVersion::V4_13, Mode::Exploit).unwrap();
-    assert!(matches!(slow.outcome, CellOutcome::TimedOut { .. }));
-    let inject_us = slow.phase_us.inject_us.expect("timed-out cell keeps inject timing");
+    assert_eq!(slow.outcome, CellOutcome::Completed);
+    let inject_us = slow.phase_us.inject_us.expect("a completed cell keeps inject timing");
     assert!(
         inject_us >= 300_000,
         "the 400 ms sleep must show up in the inject phase, got {inject_us} us"
@@ -129,14 +129,13 @@ fn degraded_cells_carry_phase_timings() {
 
     // The streamed report's latency breakdown splits the populations.
     let latency = messy_campaign().run_streaming_with_jobs(2).report.latency;
-    assert_eq!(latency.inject.degraded.count, 2, "panicky + sleepy");
-    // Sleepy ran to completion (late), so its monitor phase was timed;
-    // panicky never reached the monitor.
-    assert_eq!(latency.monitor.degraded.count, 1);
-    assert_eq!(latency.boot.completed.count, 13);
+    assert_eq!(latency.inject.degraded.count, 1, "panicky");
+    // Panicky never reached the monitor.
+    assert_eq!(latency.monitor.degraded.count, 0);
+    assert_eq!(latency.boot.completed.count, 14);
     // The three cells of the failed world stopped at boot.
-    assert_eq!(latency.boot.degraded.count, 5);
-    assert!(latency.inject.degraded.max_us >= 300_000);
+    assert_eq!(latency.boot.degraded.count, 4);
+    assert!(latency.inject.completed.max_us >= 300_000, "sleepy is a completed cell");
 }
 
 /// The normalized events of one trace shard, as canonical JSONL.
@@ -181,7 +180,7 @@ fn trace_summary_profiles_the_campaign() {
     assert!(rendered.contains("cell/inject"), "{rendered}");
     assert!(rendered.contains("cell/monitor"), "{rendered}");
     assert!(rendered.contains("slowest cells"), "{rendered}");
-    // The deadline-overrunning cell dominates wall time.
+    // The sleepy cell dominates wall time.
     assert!(
         rendered.contains("sleepy / Xen 4.13 / exploit"),
         "the slowest cell is the sleeper:\n{rendered}"

@@ -36,7 +36,6 @@ use serde::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
 use xsa_exploits::{extension_use_cases, paper_use_cases};
 
 const HELP: &str = "\
@@ -51,7 +50,6 @@ COMMANDS:
                    [--extensions]  include the extension use cases
                    [--json]        emit the streamed report as JSON
                    [--jobs <n>]    worker threads (default: hardware threads)
-                   [--cell-deadline-ms <n>]  per-cell deadline (default: none)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
                    [--shard <i/n>] run only slots i, i+n, i+2n, ... of the grid;
@@ -66,9 +64,9 @@ COMMANDS:
                                    resumed runs produce the same normalized
                                    report byte-for-byte
                    [--chaos-seed <n>]  deterministic fault injection: seeded
-                                   worker panics, boot failures, slowdowns,
-                                   claim stalls, torn journal writes (same
-                                   seed => same faults at any --jobs count)
+                                   worker panics, boot failures, claim
+                                   stalls, torn journal writes (same seed =>
+                                   same faults at any --jobs count)
                    [--progress]    live progress line on stderr (done/total,
                                    cells/s, ETA, degraded count)
                    [--timeline-out <file>]  write the metrics timeline, sampled
@@ -77,20 +75,21 @@ COMMANDS:
                                    wedged worker is reported as 'worker <w>
                                    stalled on slot <s>'
                  resume <file>   resume a checkpointed campaign from its
-                                   journal; grid shape, trials and shard are
-                                   restored from the journal header. It keeps
-                                   journaling to <file>, so --checkpoint is
-                                   refused
+                                   journal; the journal header supplies the
+                                   grid (extensions, trials and shard), so
+                                   --extensions, --trials and --shard are
+                                   refused. It keeps journaling to <file>, so
+                                   --checkpoint is refused too
                  replay <slot>   re-run one grid slot with tracing on: writes
                                    its trace (boot stages, audited hypercalls,
                                    chaos faults, verdict) as JSONL to
                                    --trace-out or stdout, prints the verdict on
                                    stderr and exits 0/1/2 from that cell. Pass
                                    the grid flags of the original run
-                                   (--extensions, --trials, --chaos-seed,
-                                   --cell-deadline-ms); degraded cells are
-                                   listed with their slot. It runs one cell on
-                                   the calling thread and writes no report, so
+                                   (--extensions, --trials, --chaos-seed);
+                                   degraded cells are listed with their
+                                   slot. It runs one cell on the calling
+                                   thread and writes no report, so
                                    --checkpoint, --report-out, --json,
                                    --metrics-out, --timeline-out, --progress,
                                    --jobs and --shard are refused
@@ -112,7 +111,6 @@ COMMANDS:
                    [--jobs <n>]     worker threads (default: hardware threads)
     benchmark    score and rank versions by erroneous-state handling
                    [--jobs <n>]    worker threads (default: hardware threads)
-                   [--cell-deadline-ms <n>]  per-cell deadline (default: none)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
     trace        inspect a JSONL trace written by --trace-out
@@ -129,7 +127,7 @@ EXIT CODES:
     0  clean run, no security violations observed
     1  the assessment observed at least one security violation (that is
        the expected result of the paper's campaigns)
-    2  harness degradation (a cell crashed / timed out / failed to boot)
+    2  harness degradation (a cell crashed or failed to boot)
        or a CLI error
 ";
 
@@ -140,7 +138,7 @@ enum CliOutcome {
     Clean,
     /// Exit 1: the assessment observed security violations.
     Violations,
-    /// Exit 2: the harness degraded (crash / deadline / boot failure).
+    /// Exit 2: the harness degraded (crash / boot failure).
     Degraded,
 }
 
@@ -192,21 +190,9 @@ fn parse_jobs(p: &Parsed) -> Result<usize, String> {
     }
 }
 
-/// Parses `--cell-deadline-ms` into the optional per-cell deadline.
-fn parse_cell_deadline(p: &Parsed) -> Result<Option<Duration>, String> {
-    match p.get_or("cell-deadline-ms", "0").parse::<u64>() {
-        Ok(0) => Ok(None),
-        Ok(ms) => Ok(Some(Duration::from_millis(ms))),
-        Err(_) => Err("--cell-deadline-ms must be a number".to_owned()),
-    }
-}
-
 /// Applies the shared fault-containment and grid options to a campaign.
 fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, String> {
     campaign = campaign.jobs(parse_jobs(p)?);
-    if let Some(deadline) = parse_cell_deadline(p)? {
-        campaign = campaign.cell_deadline(deadline);
-    }
     let trials: u64 =
         p.get_or("trials", "1").parse().map_err(|_| "--trials must be a number".to_owned())?;
     campaign = campaign.trials(trials);
@@ -246,6 +232,12 @@ fn attach_obs(campaign: Campaign, p: &Parsed) -> (Campaign, ObsHooks) {
     (campaign, ObsHooks { tracer, registry, timeline })
 }
 
+/// Writes one JSON file (a report or a metrics snapshot), ending it
+/// with a newline so line tools see a terminated last line.
+fn write_json(path: &str, json: String) -> Result<(), String> {
+    std::fs::write(path, json + "\n").map_err(|e| format!("could not write {path}: {e}"))
+}
+
 /// Writes the requested trace / metrics / timeline files after a
 /// campaign ran.
 fn write_obs_outputs(p: &Parsed, hooks: &ObsHooks) -> Result<(), String> {
@@ -258,7 +250,7 @@ fn write_obs_outputs(p: &Parsed, hooks: &ObsHooks) -> Result<(), String> {
     if let Some(path) = p.options.get("metrics-out") {
         let snapshot = serde_json::to_string_pretty(&hooks.registry.snapshot())
             .map_err(|e| e.to_string())?;
-        std::fs::write(path, snapshot).map_err(|e| format!("could not write {path}: {e}"))?;
+        write_json(path, snapshot)?;
         eprintln!("wrote metrics snapshot to {path}");
     }
     if let Some(path) = p.options.get("timeline-out") {
@@ -290,12 +282,16 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         Ok(arg.clone())
     };
     // Each form refuses the options it would silently ignore: `resume`
-    // keeps journaling to the journal it resumes, and `replay` runs one
-    // cell on this thread and writes no report.
+    // takes its grid from the journal header and keeps journaling to the
+    // journal it resumes, and `replay` runs one cell on this thread and
+    // writes no report.
     let (resume_path, replay_slot, refused): (_, _, &[&str]) =
         match p.positionals.first().map(String::as_str) {
             None => (None, None, &[]),
-            Some("resume") => (Some(argument("resume", "a journal path")?), None, &["checkpoint"]),
+            Some("resume") => {
+                let refused = &["checkpoint", "trials", "shard", "extensions"];
+                (Some(argument("resume", "a journal path")?), None, refused)
+            }
             Some("replay") => {
                 let raw = argument("replay", "a slot number")?;
                 let slot: u64 = raw
@@ -317,10 +313,10 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         .map(|path| read_header(Path::new(path)).map_err(|e| e.to_string()))
         .transpose()?;
     let mut campaign = configure_campaign(Campaign::new(), p)?;
-    // On resume the journal header is authoritative for the grid shape:
-    // restore extensions, trials, and shard from it so the resumed grid
-    // matches (resume still verifies the full fingerprint and refuses a
-    // journal from a different campaign).
+    // On resume the journal header is the only source of the grid shape:
+    // extensions, trials, and shard come from it (resume still verifies
+    // the full fingerprint and refuses a journal from a different
+    // campaign).
     let want_extensions = p.has_flag("extensions")
         || resume_header
             .as_ref()
@@ -358,7 +354,7 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     let report = &outcome.report;
     if let Some(path) = p.options.get("report-out") {
         let json = report.normalized().to_json().map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| format!("could not write {path}: {e}"))?;
+        write_json(path, json)?;
         eprintln!("wrote normalized stream report to {path}");
     }
     let exit = CliOutcome::new(report.is_degraded(), report.has_violations());
@@ -377,7 +373,7 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     );
     if report.degraded > 0 {
         eprintln!(
-            "warning: {} cell(s) degraded (crash / deadline / boot failure):",
+            "warning: {} cell(s) degraded (crash / boot failure):",
             report.degraded
         );
         for (&slot, cell) in &report.degraded_slots {
@@ -398,10 +394,8 @@ fn replay_flags(p: &Parsed, extensions: bool, trials: u64) -> String {
     if trials > 1 {
         flags.push_str(&format!(" --trials {trials}"));
     }
-    for option in ["chaos-seed", "cell-deadline-ms"] {
-        if let Some(value) = p.options.get(option) {
-            flags.push_str(&format!(" --{option} {value}"));
-        }
+    if let Some(seed) = p.options.get("chaos-seed") {
+        flags.push_str(&format!(" --chaos-seed {seed}"));
     }
     flags
 }
@@ -634,7 +628,7 @@ fn cmd_report_merge(p: &Parsed) -> Result<CliOutcome, String> {
         merged = merged.try_merge(&report).map_err(|e| format!("{path}: {e}"))?;
     }
     let json = merged.to_json().map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| format!("could not write {out}: {e}"))?;
+    write_json(out, json)?;
     eprintln!("merged {} report(s) into {out} ({} cells)", inputs.len(), merged.cells);
     Ok(CliOutcome::Clean)
 }
@@ -765,14 +759,14 @@ fn spec(command: &str) -> Option<Spec> {
             "campaign" => (
                 &["extensions", "json", "progress"],
                 &[
-                    "jobs", "cell-deadline-ms", "trace-out", "metrics-out", "shard", "trials",
-                    "report-out", "checkpoint", "chaos-seed", "timeline-out",
+                    "jobs", "trace-out", "metrics-out", "shard", "trials", "report-out",
+                    "checkpoint", "chaos-seed", "timeline-out",
                 ],
                 true,
             ),
             "run" => (&[], &["use-case", "version", "mode"], false),
             "randomized" => (&[], &["region", "trials", "seed", "version", "jobs"], false),
-            "benchmark" => (&[], &["jobs", "cell-deadline-ms", "trace-out", "metrics-out"], false),
+            "benchmark" => (&[], &["jobs", "trace-out", "metrics-out"], false),
             "trace" => (&[], &["top"], true),
             "report" => (&[], &[], true),
             "taxonomy" | "models" | "help" | "--help" | "-h" => (&[], &[], false),
@@ -1260,11 +1254,13 @@ mod tests {
 
     #[test]
     fn unknown_options_and_missing_values_are_cli_errors() {
-        let cases: [&[&str]; 20] = [
+        let cases: [&[&str]; 25] = [
             &["campaign", "--stream"],
             &["campaign", "--retries", "1"],
             &["benchmark", "--retries", "1"],
             &["randomized", "--retries", "1"],
+            &["campaign", "--cell-deadline-ms", "50"],
+            &["benchmark", "--cell-deadline-ms", "50"],
             &["campaign", "replay", "3", "--checkpoint", "j.journal"],
             &["campaign", "replay", "3", "--report-out", "r.json"],
             &["campaign", "replay", "3", "--json"],
@@ -1274,6 +1270,9 @@ mod tests {
             &["campaign", "replay", "3", "--jobs", "2"],
             &["campaign", "replay", "3", "--shard", "0/2"],
             &["campaign", "resume", "j.journal", "--checkpoint", "k.journal"],
+            &["campaign", "resume", "j.journal", "--trials", "8"],
+            &["campaign", "resume", "j.journal", "--shard", "0/2"],
+            &["campaign", "resume", "j.journal", "--extensions"],
             &["campaign", "--journal-slots"],
             &["campaign", "--flight-out", "dumps"],
             &["campaign", "--chunk-frames", "1"],
@@ -1306,8 +1305,5 @@ mod tests {
     fn fault_containment_flags_parse_and_reject_garbage() {
         run(vec!["randomized".into(), "--trials".into(), "2".into(), "--version".into(), "4.13".into()])
             .unwrap();
-        let err =
-            run(vec!["campaign".into(), "--cell-deadline-ms".into(), "soon".into()]).unwrap_err();
-        assert!(err.contains("--cell-deadline-ms"));
     }
 }

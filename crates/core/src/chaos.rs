@@ -1,13 +1,16 @@
 //! Deterministic chaos injection for the harness itself: seeded faults
 //! that exercise every degradation path the campaign engine claims to
-//! contain — worker panics, boot failures, cells that blow
-//! their deadline, claim stalls, and torn journal writes.
+//! contain — worker panics, boot failures, claim stalls, and torn
+//! journal writes.
 //!
 //! The paper's argument depends on the harness surviving its own
-//! faults (a fault injector that dies on a fault proves nothing), and
-//! PR 2's containment story was so far only exercised by hand-written
-//! failing scenarios. Chaos mode turns it into a continuously tested
-//! property.
+//! faults (a fault injector that dies on a fault proves nothing).
+//! Hand-written failing scenarios exercise containment once; chaos mode
+//! turns it into a continuously tested property. The campaign asks this
+//! policy once per slot and injects the faults itself: a worker panic is
+//! raised inside the cell's inject-phase containment boundary, before
+//! the use case runs, and a boot failure stands in for the cell's base
+//! world.
 //!
 //! # Determinism contract
 //!
@@ -20,12 +23,6 @@
 //! excludes by construction.
 
 use crate::checkpoint::{fnv64, JournalSink};
-use crate::injector::Injector;
-use crate::model::IntrusionModel;
-use crate::monitor::Monitor;
-use crate::scenario::{ScenarioOutcome, UseCase};
-use guestos::World;
-use hvsim_mem::DomainId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,7 +41,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// slot are independent.
 const SALT_PANIC: u64 = 0x70_61_6e_69_63; // "panic"
 const SALT_BOOT: u64 = 0x62_6f_6f_74; // "boot"
-const SALT_SLOW: u64 = 0x73_6c_6f_77; // "slow"
 const SALT_STALL: u64 = 0x73_74_61_6c_6c; // "stall"
 const SALT_TORN: u64 = 0x74_6f_72_6e; // "torn"
 
@@ -59,9 +55,6 @@ pub struct ChaosConfig {
     worker_panic_permille: u32,
     /// Permille of slots whose boot fails (→ `BootFailed`).
     boot_failure_permille: u32,
-    /// Permille of slots slowed past the cell deadline (→ `TimedOut`;
-    /// inert when no deadline is configured).
-    slowdown_permille: u32,
     /// Permille of slots whose worker stalls briefly between claiming
     /// the slot and running it (wall-clock only — never visible in a
     /// normalized report).
@@ -81,7 +74,6 @@ impl ChaosConfig {
             seed,
             worker_panic_permille: 10,
             boot_failure_permille: 20,
-            slowdown_permille: 5,
             claim_stall_permille: 10,
             torn_write_permille: 100,
         }
@@ -96,7 +88,6 @@ pub struct ChaosPolicy {
     config: ChaosConfig,
     worker_panics: AtomicU64,
     boot_failures: AtomicU64,
-    slowdowns: AtomicU64,
     claim_stalls: AtomicU64,
     torn_writes: AtomicU64,
 }
@@ -108,7 +99,6 @@ impl ChaosPolicy {
             config,
             worker_panics: AtomicU64::new(0),
             boot_failures: AtomicU64::new(0),
-            slowdowns: AtomicU64::new(0),
             claim_stalls: AtomicU64::new(0),
             torn_writes: AtomicU64::new(0),
         }
@@ -141,26 +131,6 @@ impl ChaosPolicy {
         fires
     }
 
-    /// How long to slow this slot down, if at all: 2× the deadline, so
-    /// the deadline relabel is unambiguous. Panic takes precedence —
-    /// a cell that panics never reaches its slowdown.
-    pub fn slowdown(&self, slot: u64, deadline: Option<Duration>) -> Option<Duration> {
-        let deadline = deadline?;
-        if self.worker_panic_preview(slot)
-            || !self.fires(SALT_SLOW, slot, self.config.slowdown_permille)
-        {
-            return None;
-        }
-        self.slowdowns.fetch_add(1, Ordering::Relaxed);
-        Some(deadline * 2)
-    }
-
-    /// The panic decision without counting it (for precedence checks).
-    fn worker_panic_preview(&self, slot: u64) -> bool {
-        self.config.worker_panic_permille > 0
-            && self.roll(SALT_PANIC, slot) % 1000 < u64::from(self.config.worker_panic_permille)
-    }
-
     /// Should the worker stall after claiming this slot, before
     /// running it?
     pub fn claim_stall(&self, slot: u64) -> Option<Duration> {
@@ -182,13 +152,11 @@ impl ChaosPolicy {
     }
 
     /// Fired-fault counts so far:
-    /// `(worker_panics, boot_failures, slowdowns, claim_stalls,
-    /// torn_writes)`.
-    pub fn fired(&self) -> (u64, u64, u64, u64, u64) {
+    /// `(worker_panics, boot_failures, claim_stalls, torn_writes)`.
+    pub fn fired(&self) -> (u64, u64, u64, u64) {
         (
             self.worker_panics.load(Ordering::Relaxed),
             self.boot_failures.load(Ordering::Relaxed),
-            self.slowdowns.load(Ordering::Relaxed),
             self.claim_stalls.load(Ordering::Relaxed),
             self.torn_writes.load(Ordering::Relaxed),
         )
@@ -224,86 +192,6 @@ impl JournalSink for ChaosSink {
     }
 }
 
-/// A delegating [`UseCase`] wrapper that injects this cell's chaos
-/// faults into the inject phase: a panic (caught at the containment
-/// boundary → `Crashed`) or a sleep past the deadline (relabelled by
-/// the deadline check → `TimedOut`). Built per cell by the campaign
-/// worker loop, which is the only place that knows the slot.
-pub(crate) struct ChaosUseCase<'a> {
-    inner: &'a dyn UseCase,
-    panic_in_inject: bool,
-    sleep_in_inject: Option<Duration>,
-}
-
-impl<'a> ChaosUseCase<'a> {
-    pub(crate) fn new(
-        inner: &'a dyn UseCase,
-        panic_in_inject: bool,
-        sleep_in_inject: Option<Duration>,
-    ) -> Self {
-        Self { inner, panic_in_inject, sleep_in_inject }
-    }
-
-    fn inject_fault(&self) {
-        if self.panic_in_inject {
-            panic!("chaos: injected worker panic");
-        }
-        if let Some(sleep) = self.sleep_in_inject {
-            std::thread::sleep(sleep);
-        }
-    }
-}
-
-impl UseCase for ChaosUseCase<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn intrusion_model(&self) -> IntrusionModel {
-        self.inner.intrusion_model()
-    }
-
-    fn run_exploit(&self, world: &mut World, attacker: DomainId) -> ScenarioOutcome {
-        self.inject_fault();
-        self.inner.run_exploit(world, attacker)
-    }
-
-    fn run_injection(
-        &self,
-        world: &mut World,
-        attacker: DomainId,
-        injector: &dyn Injector,
-    ) -> ScenarioOutcome {
-        self.inject_fault();
-        self.inner.run_injection(world, attacker, injector)
-    }
-
-    fn run_exploit_trial(
-        &self,
-        world: &mut World,
-        attacker: DomainId,
-        trial: u64,
-    ) -> ScenarioOutcome {
-        self.inject_fault();
-        self.inner.run_exploit_trial(world, attacker, trial)
-    }
-
-    fn run_injection_trial(
-        &self,
-        world: &mut World,
-        attacker: DomainId,
-        injector: &dyn Injector,
-        trial: u64,
-    ) -> ScenarioOutcome {
-        self.inject_fault();
-        self.inner.run_injection_trial(world, attacker, injector, trial)
-    }
-
-    fn monitor(&self, world: &World, attacker: DomainId) -> Monitor {
-        self.inner.monitor(world, attacker)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,15 +205,11 @@ mod tests {
         for slot in 0..5_000 {
             assert_eq!(a.worker_panic(slot), b.worker_panic(slot));
             assert_eq!(a.boot_failure(slot), b.boot_failure(slot));
-            assert_eq!(
-                a.slowdown(slot, Some(Duration::from_millis(50))),
-                b.slowdown(slot, Some(Duration::from_millis(50)))
-            );
             assert_eq!(a.claim_stall(slot).is_some(), b.claim_stall(slot).is_some());
         }
         assert_eq!(a.fired(), b.fired());
-        let (panics, boots, slows, stalls, _) = a.fired();
-        assert!(panics > 0 && boots > 0 && slows > 0 && stalls > 0, "rates actually fire");
+        let (panics, boots, stalls, _) = a.fired();
+        assert!(panics > 0 && boots > 0 && stalls > 0, "rates actually fire");
     }
 
     #[test]
@@ -337,28 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_is_inert_without_a_deadline_and_yields_to_panics() {
-        let policy = ChaosPolicy::new(ChaosConfig {
-            seed: 3,
-            worker_panic_permille: 1000,
-            boot_failure_permille: 0,
-            slowdown_permille: 1000,
-            claim_stall_permille: 0,
-            torn_write_permille: 0,
-        });
-        assert_eq!(policy.slowdown(0, None), None);
-        // Panic fires on every slot here, so slowdown never does.
-        assert_eq!(policy.slowdown(0, Some(Duration::from_millis(10))), None);
-        assert!(policy.worker_panic(0));
-    }
-
-    #[test]
     fn chaos_sink_tears_records_but_never_the_header() {
         let policy = Arc::new(ChaosPolicy::new(ChaosConfig {
             seed: 5,
             worker_panic_permille: 0,
             boot_failure_permille: 0,
-            slowdown_permille: 0,
             claim_stall_permille: 0,
             torn_write_permille: 1000,
         }));
@@ -376,7 +243,7 @@ mod tests {
         let mut session =
             CheckpointSession::create(&path, header.clone(), Some(Arc::clone(&policy)))
                 .unwrap();
-        let torn = |policy: &ChaosPolicy| policy.fired().4;
+        let torn = |policy: &ChaosPolicy| policy.fired().3;
         assert_eq!(torn(&policy), 0, "the header is written before chaos wraps the journal");
         session.record_fold(1, 1, vec![0], PartialFold::default());
         session.writer.close();

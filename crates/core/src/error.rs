@@ -6,9 +6,9 @@
 //! violation the monitors record), never a harness failure. The taxonomy
 //! here covers the harness side: worlds that failed to boot, injections
 //! that could not establish the erroneous state, monitors that died while
-//! observing, panics that escaped a cell body, and cells that overran
-//! their deadline. Every variant serializes into reports, so a degraded
-//! campaign still produces a complete, machine-readable record.
+//! observing, and panics that escaped a cell body. Every variant
+//! serializes into reports, so a degraded campaign still produces a
+//! complete, machine-readable record.
 
 use crate::scenario::Mode;
 use hvsim::XenVersion;
@@ -44,16 +44,11 @@ pub enum CampaignError {
         /// The downcast panic payload.
         payload: String,
     },
-    /// The cell returned past the campaign's per-cell deadline.
-    Deadline {
-        /// The configured deadline, in microseconds.
-        deadline_us: u64,
-    },
 }
 
 impl CampaignError {
     /// `true` for errors that degrade the *harness* (boot, monitor,
-    /// crash, deadline) as opposed to recording an assessment outcome
+    /// crash) as opposed to recording an assessment outcome
     /// (a failed injection attempt is paper data).
     pub fn is_harness_failure(&self) -> bool {
         !matches!(self, CampaignError::Injection { .. })
@@ -69,9 +64,6 @@ impl fmt::Display for CampaignError {
             CampaignError::Injection { message } => f.write_str(message),
             CampaignError::Monitor { message } => write!(f, "monitor failed: {message}"),
             CampaignError::HarnessCrash { payload } => write!(f, "harness crashed: {payload}"),
-            CampaignError::Deadline { deadline_us } => {
-                write!(f, "cell exceeded its {deadline_us} us deadline")
-            }
         }
     }
 }
@@ -166,11 +158,6 @@ pub enum CellOutcome {
         /// Which cell crashed.
         cell: CellId,
     },
-    /// The cell returned past the per-cell deadline.
-    TimedOut {
-        /// The configured deadline, in microseconds.
-        deadline_us: u64,
-    },
 }
 
 impl CellOutcome {
@@ -202,7 +189,6 @@ mod tests {
         assert!(CampaignError::Boot { message: "x".into() }.is_harness_failure());
         assert!(CampaignError::Monitor { message: "x".into() }.is_harness_failure());
         assert!(CampaignError::HarnessCrash { payload: "x".into() }.is_harness_failure());
-        assert!(CampaignError::Deadline { deadline_us: 1 }.is_harness_failure());
         assert!(!CampaignError::Injection { message: "-EFAULT".into() }.is_harness_failure());
     }
 

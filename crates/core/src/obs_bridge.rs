@@ -18,8 +18,6 @@ pub const M_CELLS: &str = "campaign.cells";
 pub const M_CELLS_COMPLETED: &str = "campaign.cells_completed";
 /// Counter: cells on which the harness degraded.
 pub const M_CELLS_DEGRADED: &str = "campaign.cells_degraded";
-/// Counter: cells abandoned at the per-cell deadline.
-pub const M_TIMEOUTS: &str = "campaign.timeouts";
 /// Counter: cells whose world never booted.
 pub const M_BOOT_FAILURES: &str = "campaign.boot_failures";
 /// Counter: cells where a panic escaped the cell body.
@@ -56,8 +54,6 @@ pub const M_CKPT_RESUMED_SLOTS: &str = "campaign.checkpoint.resumed_slots";
 pub const M_CHAOS_PANICS: &str = "campaign.chaos.worker_panics";
 /// Counter (chaos only): boot failures injected.
 pub const M_CHAOS_BOOTS: &str = "campaign.chaos.boot_failures";
-/// Counter (chaos only): cell slowdowns injected.
-pub const M_CHAOS_SLOWDOWNS: &str = "campaign.chaos.slowdowns";
 /// Counter (chaos only): claim stalls injected.
 pub const M_CHAOS_STALLS: &str = "campaign.chaos.claim_stalls";
 /// Counter (chaos only): journal records torn mid-write.
@@ -110,7 +106,6 @@ pub(crate) fn record_fold_metrics(
     registry.add(M_CELLS, report.cells);
     registry.add(M_CELLS_COMPLETED, report.completed);
     registry.add(M_CELLS_DEGRADED, report.degraded);
-    registry.add(M_TIMEOUTS, report.timed_out);
     registry.add(M_BOOT_FAILURES, report.boot_failed);
     registry.add(M_CRASHES, report.crashed);
     registry.add(M_HYPERCALLS, report.hypercalls);
@@ -148,11 +143,10 @@ pub(crate) fn record_chaos_metrics(
     policy: Option<&crate::chaos::ChaosPolicy>,
     registry: &MetricsRegistry,
 ) {
-    let (panics, boots, slowdowns, stalls, torn) =
-        policy.map_or((0, 0, 0, 0, 0), crate::chaos::ChaosPolicy::fired);
+    let (panics, boots, stalls, torn) =
+        policy.map_or((0, 0, 0, 0), crate::chaos::ChaosPolicy::fired);
     registry.add(M_CHAOS_PANICS, panics);
     registry.add(M_CHAOS_BOOTS, boots);
-    registry.add(M_CHAOS_SLOWDOWNS, slowdowns);
     registry.add(M_CHAOS_STALLS, stalls);
     registry.add(M_CHAOS_TORN, torn);
 }

@@ -610,8 +610,6 @@ pub struct StreamReport {
     pub boot_failed: u64,
     /// Cells where a panic escaped the cell body.
     pub crashed: u64,
-    /// Cells abandoned at the deadline.
-    pub timed_out: u64,
     /// Hypercalls executed across all cells.
     pub hypercalls: u64,
     /// Sum of per-cell wall-clock time, µs (zeroed by `normalized`).
@@ -687,7 +685,6 @@ impl StreamReport {
             handled: self.handled + other.handled,
             boot_failed: self.boot_failed + other.boot_failed,
             crashed: self.crashed + other.crashed,
-            timed_out: self.timed_out + other.timed_out,
             hypercalls: self.hypercalls + other.hypercalls,
             wall_time_us: self.wall_time_us + other.wall_time_us,
             frames_copied: self.frames_copied + other.frames_copied,
@@ -1029,7 +1026,6 @@ impl PartialFold {
         match &cell.outcome {
             CellOutcome::BootFailed => r.boot_failed += 1,
             CellOutcome::Crashed { .. } => r.crashed += 1,
-            CellOutcome::TimedOut { .. } => r.timed_out += 1,
             CellOutcome::Completed => {}
         }
         r.hypercalls += cell.hypercalls;

@@ -7,7 +7,7 @@
 //! claimed, and its done/degraded counts — at every slot boundary, and
 //! the supervisor thread wakes every [`SAMPLE_INTERVAL`] to (1) push a
 //! [`TimelineSample`] of live counters and gauges, (2) compare every
-//! worker's heartbeat age against the stall threshold — flagging a
+//! worker's heartbeat age against [`STALL_AFTER`] — flagging a
 //! wedged worker once per stall episode via the
 //! `campaign.worker.stalled` counter and a `worker <w> stalled on slot
 //! <s>` line on stderr, which `campaign replay <s>` reproduces — and
@@ -25,6 +25,10 @@ use std::time::{Duration, Instant};
 /// How often the supervisor samples the timeline, checks for stalls and
 /// redraws the progress line.
 pub(crate) const SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
+
+/// Heartbeat age beyond which a busy worker counts as stalled: ten
+/// sampling ticks, far past any cell a healthy worker runs.
+pub(crate) const STALL_AFTER: Duration = Duration::from_secs(2);
 
 /// Heartbeat value meaning "this worker is idle" (finished its stream
 /// or waiting for work) — idle workers are never stall candidates.
@@ -190,8 +194,6 @@ pub(crate) fn progress_line(done: u64, total: u64, degraded: u64, elapsed_ms: u6
 /// Everything the supervisor thread needs, borrowed from the engine's
 /// scope so the thread can live inside `std::thread::scope`.
 pub(crate) struct Supervisor<'a> {
-    /// Heartbeat age beyond which a busy worker counts as stalled.
-    pub stall_after: Duration,
     /// Redraw the live progress line on stderr every tick.
     pub progress: bool,
     /// Timeline the samples are pushed into, when attached.
@@ -252,7 +254,7 @@ impl Supervisor<'_> {
         let degraded = telemetry.degraded();
         let beats = telemetry.heartbeats(now_ms);
         let busy = beats.iter().filter(|beat| beat.is_some()).count() as u64;
-        let stalled = stalled_workers(&beats, self.stall_after.as_millis() as u64);
+        let stalled = stalled_workers(&beats, STALL_AFTER.as_millis() as u64);
         for &(worker, slot) in &stalled {
             if !flagged[worker] {
                 flagged[worker] = true;

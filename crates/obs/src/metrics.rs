@@ -20,8 +20,8 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Number of power-of-two buckets. See [`Histogram`] for the boundary
-/// scheme. 40 buckets reach ~2^39 µs ≈ 6 days, far beyond any cell
-/// deadline.
+/// scheme. 40 buckets reach ~2^39 µs ≈ 6 days, far beyond any cell's
+/// wall time.
 const BUCKETS: usize = 40;
 
 /// A fixed-bucket latency histogram over microsecond values.
