@@ -33,7 +33,7 @@ use intrusion_core::{
 };
 use hvsim::XenVersion;
 use serde::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::ExitCode;
 use xsa_exploits::{extension_use_cases, paper_use_cases};
@@ -634,7 +634,10 @@ fn cmd_report_merge(p: &Parsed) -> Result<CliOutcome, String> {
 }
 
 /// Flattens a JSON document into dotted-path leaves (`a.b[2].c`), the
-/// unit `report diff` compares.
+/// unit `report diff` compares. A list whose elements are all maps with
+/// a unique string `name` is keyed by name (`counters[campaign.cells].value`),
+/// so two metrics snapshots that differ by one counter differ in that
+/// counter's leaves alone; any other list is keyed by index.
 fn flatten_json(prefix: &str, v: &Value, out: &mut BTreeMap<String, Value>) {
     match v {
         Value::Map(entries) => {
@@ -645,14 +648,30 @@ fn flatten_json(prefix: &str, v: &Value, out: &mut BTreeMap<String, Value>) {
             }
         }
         Value::Seq(items) => {
+            let names: Option<Vec<&str>> = items.iter().map(element_name).collect();
+            let unique = names.as_ref().is_some_and(|names| {
+                names.iter().collect::<BTreeSet<_>>().len() == names.len()
+            });
             for (i, value) in items.iter().enumerate() {
-                flatten_json(&format!("{prefix}[{i}]"), value, out);
+                let key = match &names {
+                    Some(names) if unique => names[i].to_owned(),
+                    _ => i.to_string(),
+                };
+                flatten_json(&format!("{prefix}[{key}]"), value, out);
             }
         }
         leaf => {
             out.insert(prefix.to_owned(), leaf.clone());
         }
     }
+}
+
+/// The string `name` of a map, if it has one.
+fn element_name(v: &Value) -> Option<&str> {
+    v.as_map()?.iter().find_map(|(key, value)| match value {
+        Value::Str(name) if key == "name" => Some(name.as_str()),
+        _ => None,
+    })
 }
 
 fn render_leaf(v: &Value) -> String {

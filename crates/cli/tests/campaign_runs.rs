@@ -83,3 +83,41 @@ fn every_counted_hypercall_has_one_audit_point() {
     assert!(calls > 0);
     assert_eq!(points as u64, calls);
 }
+
+/// `report diff` keys a list of named maps by name: two metrics
+/// snapshots that differ by one counter differ in that counter's leaves
+/// alone, not in every counter listed after it.
+#[test]
+fn report_diff_keys_named_list_elements_by_name() {
+    let dir = scratch("report_diff_keys_named_list_elements_by_name");
+    let (full, short) = (dir.join("full.json"), dir.join("short.json"));
+    let full = full.to_str().expect("UTF-8 path");
+    let short = short.to_str().expect("UTF-8 path");
+    assert_eq!(run(&["campaign", "--jobs", "2", "--metrics-out", full]), Some(1));
+    let mut metrics: MetricsSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(full).expect("metrics written"))
+            .expect("the metrics snapshot parses");
+    let gone = metrics.counters.remove(1);
+    assert!(metrics.counters.len() > 2, "counters follow the removed one");
+    std::fs::write(short, serde_json::to_string(&metrics).expect("serializes")).expect("written");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_intrusion-injector"))
+        .args(["report", "diff", full, short])
+        .output()
+        .expect("the CLI runs");
+    assert_eq!(output.status.code(), Some(1), "the snapshots differ");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
+    let differing: Vec<&str> =
+        stdout.lines().filter(|line| line.starts_with(['-', '+', '~'])).collect();
+    let key = format!("counters[{}]", gone.name);
+    assert_eq!(
+        differing,
+        [
+            format!("- {key}.name = {:?}", gone.name),
+            format!("- {key}.value = {}", gone.value),
+        ],
+        "{stdout}"
+    );
+    let last = stdout.lines().last().unwrap_or_default();
+    assert!(last.starts_with("2 leaves differ, "), "{stdout}");
+}

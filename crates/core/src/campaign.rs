@@ -281,7 +281,8 @@ impl Campaign {
 
     /// Enables or disables world-snapshot reuse. When enabled (the
     /// default), each `(version, injector_enabled)` base world boots
-    /// once and every cell starts from a clone of it; when disabled,
+    /// once and every cell starts from a copy of it (a worker's world,
+    /// reset to the base before each cell); when disabled,
     /// every cell boots its own world through the factory, like the
     /// paper's original setup. Booting is deterministic, so both paths
     /// produce identical reports.
@@ -633,6 +634,8 @@ impl Campaign {
                     scope.spawn(move || {
                         let worker_worlds = base_worlds.map(unshared_copy);
                         let base_worlds = worker_worlds.as_ref();
+                        // The worker's one cell world, reset per cell.
+                        let mut scratch = None;
                         let mut sink = new_sink(index);
                         claims.drain(|i| {
                             let Some(spec) = grid.shard_decode(shard, i) else { return };
@@ -646,7 +649,7 @@ impl Campaign {
                                 t.beat(index, spec.slot);
                             }
                             let ctx = self.tracer.ctx(spec.slot + 1);
-                            let cell = self.run_slot(&ctx, spec, base_worlds, policy);
+                            let cell = self.run_slot(&ctx, spec, base_worlds, policy, &mut scratch);
                             if let Some(t) = telemetry {
                                 t.cell_done(index, cell.degraded());
                             }
@@ -701,19 +704,21 @@ impl Campaign {
             BaseWorldMap::from([(key, self.boot_base_world(&self.tracer.ctx(0), key))])
         });
         let ctx = self.tracer.ctx(slot + 1);
-        Some(self.run_slot(&ctx, spec, base_worlds.as_ref(), policy.as_deref()))
+        Some(self.run_slot(&ctx, spec, base_worlds.as_ref(), policy.as_deref(), &mut None))
     }
 
     /// Runs one claimed slot: the slot-keyed chaos decisions and the
-    /// contained cell. The injected faults and a degraded verdict are
-    /// trace points in the slot's shard, so a replay shows which fault
-    /// was injected, not just its effect.
+    /// contained cell, on `scratch`, the calling worker's cell world.
+    /// The injected faults and a degraded verdict are trace points in the
+    /// slot's shard, so a replay shows which fault was injected, not just
+    /// its effect.
     fn run_slot(
         &self,
         ctx: &TraceCtx,
         spec: CellSpec,
         base_worlds: Option<&BaseWorldMap>,
         policy: Option<&ChaosPolicy>,
+        scratch: &mut Option<World>,
     ) -> CellResult {
         // Chaos decisions are slot-keyed and made exactly once, here —
         // the only place that knows both the slot and the cell.
@@ -736,7 +741,7 @@ impl Campaign {
         } else {
             base_worlds.and_then(|worlds| worlds.get(&(spec.version, spec.mode == Mode::Injection)))
         };
-        let cell = self.run_cell_contained(ctx, &spec, chaos_panic, base);
+        let cell = self.run_cell_contained(ctx, &spec, chaos_panic, base, scratch);
         if cell.degraded() {
             ctx.point("cell/degraded", 0, || {
                 let error = cell.error.as_ref().map_or_else(String::new, ToString::to_string);
@@ -750,7 +755,8 @@ impl Campaign {
     /// can need, under the setup trace context. A base world that fails
     /// to boot (or panics the factory) poisons only the cells that need
     /// it — the error is cloned into each. The map never changes after
-    /// this; each worker forks its cells from its own unshared copy.
+    /// this; each worker resets its cell world from its own unshared
+    /// copy.
     fn boot_base_worlds(&self, setup_ctx: &TraceCtx, grid: &SpecGrid) -> BaseWorldMap {
         let mut worlds = BaseWorldMap::new();
         for &version in grid.versions() {
@@ -791,6 +797,13 @@ impl Campaign {
     /// With `chaos_panic`, the scenario body panics before the use case
     /// runs — the chaos worker-panic fault.
     ///
+    /// The cell runs on `scratch`, the worker's world: with a base
+    /// world, acquisition resets it to the base (`clone_from`, which
+    /// undoes the previous cell's writes) or clones the base into it on
+    /// the worker's first cell; a fresh boot replaces it. A cell that
+    /// panics leaves it mid-cell, which the next reset undoes like any
+    /// other write.
+    ///
     /// Each phase runs under a trace span and records its wall-clock
     /// duration in the cell's [`PhaseTimings`] — degraded cells too, so
     /// a crash is attributable to the phase that ate the time. Audit
@@ -802,6 +815,7 @@ impl Campaign {
         spec: &CellSpec,
         chaos_panic: bool,
         base: Option<&Result<World, CampaignError>>,
+        scratch: &mut Option<World>,
     ) -> CellResult {
         let uc = &*self.use_cases[spec.use_case];
         let (version, mode) = (spec.version, spec.mode);
@@ -817,18 +831,14 @@ impl Campaign {
                 ("mode".to_owned(), mode.to_string()),
             ]
         });
-        // Phase 1: world acquisition. `AssertUnwindSafe` is sound here:
-        // the base snapshot is only read through `&` during `Clone`, and
-        // a partially-cloned world is dropped inside the boundary — no
-        // broken state can leak to other cells.
+        // Phase 1: world acquisition.
         let boot_span = ctx.span("cell/boot");
         let fresh_boot = base.is_none();
         let world = match base {
-            Some(Ok(base)) => catch_unwind(AssertUnwindSafe(|| base.clone())).map_err(|p| {
-                CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }
-            }),
+            Some(Ok(base)) => reset_contained(scratch, base),
             Some(Err(e)) => Err(e.clone()),
-            None => boot_contained(|| (self.factory)(version, mode == Mode::Injection)),
+            None => boot_contained(|| (self.factory)(version, mode == Mode::Injection))
+                .map(|world| scratch.insert(world)),
         };
         let booted = Instant::now();
         phases.boot_us = Some(micros(start, booted));
@@ -839,7 +849,7 @@ impl Campaign {
             ]
         });
         drop(boot_span);
-        let mut world = match world {
+        let world = match world {
             Ok(world) => world,
             Err(error) => {
                 let wall = micros(start, booted);
@@ -855,8 +865,7 @@ impl Campaign {
         // this cell's doing and gets bridged into its trace shard.
         let audit_baseline = world.hv().audit().events().len();
         let bridge_audit = |world: &World| {
-            let events = world.hv().audit().events();
-            obs_bridge::bridge_audit(ctx, events.get(audit_baseline..).unwrap_or(&[]));
+            obs_bridge::bridge_audit(ctx, world.hv().audit().events().skip(audit_baseline));
         };
         let Some(attacker) =
             world.domain_by_name(ATTACKER_GUEST).or_else(|| world.domains().next_back())
@@ -866,17 +875,18 @@ impl Campaign {
             return self.degraded_cell(uc, version, mode, error, wall, phases);
         };
 
-        // Phase 2: the scenario body. The world is owned by this cell,
-        // so a panicking exploit/injector takes only its own clone down.
+        // Phase 2: the scenario body. The world is this worker's alone,
+        // so a panicking exploit/injector takes only its own world down,
+        // and the next cell's reset undoes whatever it left behind.
         let inject_span = ctx.span("cell/inject");
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if chaos_panic {
                 panic!("chaos: injected worker panic");
             }
             match mode {
-                Mode::Exploit => uc.run_exploit_trial(&mut world, attacker, spec.trial),
+                Mode::Exploit => uc.run_exploit_trial(world, attacker, spec.trial),
                 Mode::Injection => uc.run_injection_trial(
-                    &mut world,
+                    world,
                     attacker,
                     &ArbitraryAccessInjector,
                     spec.trial,
@@ -891,7 +901,7 @@ impl Campaign {
             Err(p) => {
                 let error = CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) };
                 let wall = micros(start, injected);
-                bridge_audit(&world);
+                bridge_audit(world);
                 return self.degraded_cell(uc, version, mode, error, wall, phases);
             }
         };
@@ -900,7 +910,7 @@ impl Campaign {
         // panicking detector costs its own observations, not the cell's.
         let monitor_span = ctx.span("cell/monitor");
         let observed = catch_unwind(AssertUnwindSafe(|| {
-            uc.monitor(&world, attacker).observe_contained(&world)
+            uc.monitor(world, attacker).observe_contained(world)
         }));
         let monitored = Instant::now();
         phases.monitor_us = Some(micros(injected, monitored));
@@ -910,7 +920,7 @@ impl Campaign {
             Ok(observed) => observed,
             Err(p) => {
                 let error = CampaignError::Monitor { message: panic_payload(p.as_ref()) };
-                bridge_audit(&world);
+                bridge_audit(world);
                 return self.degraded_cell(uc, version, mode, error, wall, phases);
             }
         };
@@ -920,7 +930,7 @@ impl Campaign {
             Some(CampaignError::Monitor { message: detector_failures.join("; ") })
         };
 
-        bridge_audit(&world);
+        bridge_audit(world);
         let handled = outcome.erroneous_state && observation.is_clean();
         CellResult {
             use_case: Cow::Borrowed(uc.name()),
@@ -984,8 +994,28 @@ impl Campaign {
 /// that world.
 type BaseWorldMap = BTreeMap<(XenVersion, bool), Result<World, CampaignError>>;
 
+/// Resets `scratch` to `base` (cloning `base` into it if it holds no
+/// world yet) with panic containment. A panic mid-reset drops the taken
+/// world inside the boundary, so a half-reset world is never reused:
+/// the next cell clones afresh. `AssertUnwindSafe` is sound because the
+/// base is only read.
+fn reset_contained<'w>(
+    scratch: &'w mut Option<World>,
+    base: &World,
+) -> Result<&'w mut World, CampaignError> {
+    let world = catch_unwind(AssertUnwindSafe(|| match scratch.take() {
+        Some(mut world) => {
+            world.clone_from(base);
+            world
+        }
+        None => base.clone(),
+    }))
+    .map_err(|p| CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) })?;
+    Ok(scratch.insert(world))
+}
+
 /// A worker's own copy of the base worlds, each [`World::unshare`]d so
-/// that no two workers' forks bump the same reference counts.
+/// that no two workers' resets bump the same reference counts.
 fn unshared_copy(worlds: &BaseWorldMap) -> BaseWorldMap {
     worlds
         .iter()

@@ -67,10 +67,10 @@ pub const M_WORKER_STALLED: &str = "campaign.worker.stalled";
 
 /// Re-emits hypervisor audit events as trace points under
 /// `audit/<kind>`, one per event, with the human-readable rendering in
-/// the `detail` attribute. Callers pass the slice *after* their
+/// the `detail` attribute. Callers pass the events *after* their
 /// baseline index so world-boot events are not re-attributed to the
 /// cell that merely cloned the world.
-pub fn bridge_audit(ctx: &TraceCtx, events: &[AuditEvent]) {
+pub fn bridge_audit<'a>(ctx: &TraceCtx, events: impl IntoIterator<Item = &'a AuditEvent>) {
     if !ctx.is_enabled() {
         return;
     }

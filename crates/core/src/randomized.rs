@@ -301,6 +301,15 @@ impl RandomizedCampaign {
         Ok(self.run_trials(factory, jobs, false)?.0)
     }
 
+    /// The campaign's trials as a use case on worlds whose attacker is
+    /// `attacker`: its injection trial `t` samples from the generator
+    /// seeded `seed ^ t`, injects and shakes the world, exactly as the
+    /// campaign's trial `t` does, so one trial can run on a world of
+    /// one's own.
+    pub fn use_case(&self, attacker: DomainId) -> Box<dyn UseCase> {
+        Box::new(RandomTrial { region: self.region, seed: self.seed, attacker })
+    }
+
     /// Runs the trials as a one-key grid on `jobs` workers through one
     /// [`Trials`] sink each and merges the workers' counts; with `keep`,
     /// also returns every trial's outcome tagged with its trial index, in
@@ -318,9 +327,8 @@ impl RandomizedCampaign {
             return Ok((summary, outcomes));
         }
         let (world, attacker) = boot_contained(factory)?;
-        let trial = RandomTrial { region: self.region, seed: self.seed, attacker };
         let grid = Campaign::new()
-            .with_use_case(Box::new(trial))
+            .with_use_case(self.use_case(attacker))
             .versions(&[world.hv().version()])
             .modes(&[Mode::Injection])
             .trials(self.trials as u64)

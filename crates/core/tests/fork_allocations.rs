@@ -1,15 +1,17 @@
-//! A campaign cell's fork allocates nothing, and a cell allocates
-//! little beyond the state it writes.
+//! A campaign cell's world costs no allocation to fork or reset, and a
+//! cell allocates little beyond the state it writes.
 //!
-//! Every cell forks a base world, so the fork is on the hot path of
-//! every campaign. A booted world keeps each of its containers behind
-//! an `Arc` that the fork's first write copies, so cloning and dropping
-//! a worker's `unshare`d copy must not touch the heap at all. What the
-//! cells then do is pinned as exact allocation budgets: the 24 paper
-//! cells, the XSA-148-priv and XSA-212-priv exploit cells, a randomized
-//! page-table trial, a crash, a fork's first kernel log line, the
-//! XSA-212-priv payload parse and a cell's notes. A new allocation in any
-//! of them fails here. This test counts allocations with its own global
+//! Every cell starts from a base world, so getting that world is on the
+//! hot path of every campaign. A booted world keeps each of its
+//! containers behind an `Arc` that a fork's first write copies, so
+//! cloning and dropping a worker's `unshare`d copy must not touch the
+//! heap at all, and neither must resetting a written fork to it (a
+//! worker's world is reset that way before each cell). What the cells
+//! then do is pinned as exact allocation budgets: the 24 paper cells,
+//! the XSA-148-priv and XSA-212-priv exploit cells, a cell on a warm,
+//! reused world, a randomized page-table trial, a crash, a fork's first
+//! kernel log line, the XSA-212-priv payload parse and a cell's notes. A
+//! new allocation in any of them fails here. This test counts allocations with its own global
 //! allocator, which is why it is a test binary of its own: a global
 //! allocator applies to the whole binary.
 
@@ -107,22 +109,26 @@ fn worker_copy(version: XenVersion, injector: bool) -> World {
     copy
 }
 
-/// One campaign cell the way the engine runs it on a worker's copy:
-/// fork, the use case's trial 0, its monitor, and the drop; returns the
+/// One campaign cell on a worker's copy, run on a fresh fork: fork, the
+/// use case's trial 0, its monitor, and the drop; returns the
 /// allocations it made.
 fn cell_allocations(uc: &dyn UseCase, copy: &World, mode: Mode) -> usize {
     allocations_in(|| {
         let mut world = copy.clone();
-        let attacker = world.domain_by_name(ATTACKER_GUEST).expect("standard worlds have it");
-        let outcome = match mode {
-            Mode::Exploit => uc.run_exploit_trial(&mut world, attacker, 0),
-            Mode::Injection => {
-                uc.run_injection_trial(&mut world, attacker, &ArbitraryAccessInjector, 0)
-            }
-        };
-        let observed = uc.monitor(&world, attacker).observe_contained(&world);
-        drop((outcome, observed, world));
+        run_cell(uc, &mut world, mode);
+        drop(world);
     })
+}
+
+/// The use case's trial 0 in `mode` on `world`, and its monitor.
+fn run_cell(uc: &dyn UseCase, world: &mut World, mode: Mode) {
+    let attacker = world.domain_by_name(ATTACKER_GUEST).expect("standard worlds have it");
+    let outcome = match mode {
+        Mode::Exploit => uc.run_exploit_trial(world, attacker, 0),
+        Mode::Injection => uc.run_injection_trial(world, attacker, &ArbitraryAccessInjector, 0),
+    };
+    let observed = uc.monitor(world, attacker).observe_contained(world);
+    drop((outcome, observed));
 }
 
 #[test]
@@ -146,6 +152,10 @@ fn forking_an_unshared_standard_world_allocates_nothing() {
                 fork.kernel_mut(dom0).expect("dom0 kernel").klog("first write");
             });
             assert!(first_write > 0, "a first write copies what it writes");
+            // Resetting the written fork drops what it wrote and
+            // re-points the containers at the copy's.
+            let reset = allocations_in(|| fork.clone_from(&copy));
+            assert_eq!(reset, 0, "resetting a written Xen {version} fork allocated");
         }
     }
 }
@@ -222,7 +232,9 @@ fn a_note_of_values_allocates_nothing() {
 /// made 53 allocations here, most of them the three p2m `BTreeMap`s and
 /// 512-entry port tables; 13 before the audit log's first append made
 /// its copy with room to grow; 12 before the domain copies shared their
-/// names and the crash record and its audit event one message.
+/// names and the crash record and its audit event one message; 8 before
+/// a fork's audit events went to a list of its own instead of a copy of
+/// the boot events in a new `Arc`.
 #[test]
 fn crashing_a_fork_copies_no_domain_table() {
     let _serial = serial();
@@ -234,7 +246,7 @@ fn crashing_a_fork_copies_no_domain_table() {
             assert!(fork.hv().domains().all(|d| d.is_dead()));
             drop(fork);
         });
-        assert_eq!(allocations, 8, "crash and drop of a Xen {version} fork");
+        assert_eq!(allocations, 7, "crash and drop of a Xen {version} fork");
         assert!(copy.hv().domains().all(|d| !d.is_dead()), "the fork's crash stays in the fork");
     }
 }
@@ -249,7 +261,9 @@ fn crashing_a_fork_copies_no_domain_table() {
 /// its parts, payloads borrowed their strings, fixed notes were
 /// borrowed, log lines were formatted only when read and the reverse
 /// shell stopped copying its output; 497 before notes, shell replies,
-/// handler faults and the listener's log kept values instead of text.
+/// handler faults and the listener's log kept values instead of text;
+/// 376 before a fork's audit events went to a list of its own (one
+/// allocation less in each cell that audits anything).
 /// Each cell is counted twice, so a count that depends on what ran
 /// before fails too.
 #[test]
@@ -267,7 +281,7 @@ fn the_paper_cells_allocate_their_budget() {
             }
         }
     }
-    assert_eq!(total, 376, "the 24 paper cells");
+    assert_eq!(total, 352, "the 24 paper cells");
 }
 
 /// The XSA-148-priv exploit on Xen 4.6 walks guest page tables most of
@@ -277,13 +291,36 @@ fn the_paper_cells_allocate_their_budget() {
 /// shell stopped copying its output; 29 before its notes and shell
 /// replies kept values, its transcript was sized up front, the listener
 /// and the vDSO tick stopped keeping lists of their own, and the
-/// backdoor was encoded once.
+/// backdoor was encoded once; 12 before its audit events went to a list
+/// of its own.
 #[test]
 fn the_xsa148_exploit_cell_allocates_its_budget() {
     let _serial = serial();
     let copy = worker_copy(XenVersion::V4_6, false);
     let allocations = cell_allocations(&xsa_exploits::Xsa148Priv, &copy, Mode::Exploit);
-    assert_eq!(allocations, 12, "the XSA-148-priv exploit cell on Xen 4.6");
+    assert_eq!(allocations, 11, "the XSA-148-priv exploit cell on Xen 4.6");
+}
+
+/// A worker runs its cells on one world, reset to the base before each
+/// cell instead of forked and dropped. Warm, the world keeps the room
+/// its lists grew in earlier cells (memory overlay, audit and log
+/// tails, shell sessions), so the XSA-148-priv exploit cell, reset
+/// included, allocates 8 times where it allocates 11 on a fresh fork.
+/// It is counted on three consecutive resets, so a count that depends
+/// on what ran before fails too.
+#[test]
+fn a_cell_on_a_warm_reused_world_allocates_its_budget() {
+    let _serial = serial();
+    let copy = worker_copy(XenVersion::V4_6, false);
+    let mut world = copy.clone();
+    run_cell(&xsa_exploits::Xsa148Priv, &mut world, Mode::Exploit);
+    let warm = [(); 3].map(|()| {
+        allocations_in(|| {
+            world.clone_from(&copy);
+            run_cell(&xsa_exploits::Xsa148Priv, &mut world, Mode::Exploit);
+        })
+    });
+    assert_eq!(warm, [8; 3], "the XSA-148-priv exploit cell on a warm Xen 4.6 world");
 }
 
 /// The XSA-212-priv exploit on Xen 4.6 writes a guest kernel in every
@@ -291,13 +328,14 @@ fn the_xsa148_exploit_cell_allocates_its_budget() {
 /// root file in each domain. It made 108 allocations when each kernel
 /// copy copied its processes, files and log, the payload parse copied
 /// its strings and the template expanded through two owned strings; 49
-/// before its notes kept values.
+/// before its notes kept values; 44 before its audit events went to a
+/// list of its own.
 #[test]
 fn the_xsa212_priv_exploit_cell_allocates_its_budget() {
     let _serial = serial();
     let copy = worker_copy(XenVersion::V4_6, false);
     let allocations = cell_allocations(&xsa_exploits::Xsa212Priv, &copy, Mode::Exploit);
-    assert_eq!(allocations, 44, "the XSA-212-priv exploit cell on Xen 4.6");
+    assert_eq!(allocations, 43, "the XSA-212-priv exploit cell on Xen 4.6");
 }
 
 /// One randomized page-table trial, engine and harness included, is
@@ -305,8 +343,10 @@ fn the_xsa212_priv_exploit_cell_allocates_its_budget() {
 /// and rounded, so the boot, the worker thread and any stray harness
 /// allocation fall out. It was 23 before the walks, the monitor, the
 /// audit, the spec label and the injection's writes stopped allocating,
-/// and 8 before the trial's note kept the two labels and its cell
-/// borrowed the use-case name.
+/// 8 before the trial's note kept the two labels and its cell borrowed
+/// the use-case name, and 6 before each worker reset one world per cell
+/// instead of forking and dropping one (the world's lists keep their
+/// room, and a fork's audit events no longer copy the boot events).
 #[test]
 fn a_randomized_page_table_trial_allocates_its_budget() {
     let _serial = serial();
@@ -326,5 +366,5 @@ fn a_randomized_page_table_trial_allocates_its_budget() {
     const APART: usize = 512;
     let (small, large) = (run(64), run(64 + APART));
     let per_trial = (large.saturating_sub(small) + APART / 2) / APART;
-    assert_eq!(per_trial, 6, "one randomized page-table trial ({small} vs {large} allocations)");
+    assert_eq!(per_trial, 3, "one randomized page-table trial ({small} vs {large} allocations)");
 }

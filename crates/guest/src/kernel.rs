@@ -33,7 +33,7 @@ const PFN_L4: u64 = 1;
 const PFN_L3: u64 = 2;
 const PFN_L2: u64 = 3;
 const PFN_L1: u64 = 4;
-const PFN_VDSO: u64 = 5;
+pub(crate) const PFN_VDSO: u64 = 5;
 /// First pfn available to the kernel heap.
 const PFN_HEAP: u64 = 6;
 

@@ -110,15 +110,31 @@ pub struct ShellSession {
 /// The attacker's remote listener.
 ///
 /// The host name is shared between clones; the sessions are empty until
-/// the listener runs, so cloning a fresh host allocates nothing. The
-/// listener's console log is rendered from the sessions when read.
-#[derive(Clone, Debug)]
+/// the listener runs, so cloning a fresh host allocates nothing, and
+/// `clone_from` keeps the session list's capacity. The listener's
+/// console log is rendered from the sessions when read.
+#[derive(Debug)]
 pub struct RemoteHost {
     host: Arc<str>,
     port: u16,
     /// How many times the listener started; each start logs a line.
     listens: u32,
     sessions: Vec<ShellSession>,
+}
+
+impl Clone for RemoteHost {
+    fn clone(&self) -> Self {
+        let Self { host, port, listens, sessions } = self;
+        Self { host: Arc::clone(host), port: *port, listens: *listens, sessions: sessions.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { host, port, listens, sessions } = self;
+        hvsim_mem::clone_arc_from(host, &source.host);
+        *port = source.port;
+        *listens = source.listens;
+        sessions.clone_from(&source.sessions);
+    }
 }
 
 impl RemoteHost {

@@ -7,14 +7,14 @@
 //! crashes (XSA-212-crash), and the file-system evidence the monitors
 //! check afterwards.
 
-use crate::kernel::GuestKernel;
+use crate::kernel::{GuestKernel, PFN_VDSO};
 use crate::net::{RemoteHost, SessionId, ShellOutput, ShellReply};
 use crate::payload::{Payload, PayloadCommand};
 use crate::process::Uid;
-use crate::vdso::Backdoor;
+use crate::vdso::{Backdoor, BACKDOOR_MAGIC, VDSO_ENTRY_OFFSET};
 use crate::vfs::{FileMode, VfsError};
 use hvsim::{BuildConfig, HvError, Hypervisor, XenVersion};
-use hvsim_mem::{DomainId, VirtAddr, PAGE_SIZE};
+use hvsim_mem::{clone_arc_from, DomainId, Pfn, VirtAddr, PAGE_SIZE};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -247,10 +247,15 @@ impl WorldBuilder {
 
 /// Hypervisor, guests and attacker network in one deterministic unit.
 ///
-/// A clone of a booted world (a campaign cell's fork) allocates
-/// nothing: every container sits behind an `Arc` until the clone first
-/// writes it (see [`Hypervisor`]).
-#[derive(Clone, Debug)]
+/// A clone of a booted world allocates nothing: every container sits
+/// behind an `Arc` until the clone first writes it (see [`Hypervisor`]).
+/// A campaign worker keeps one such clone and resets it to the base
+/// world before each cell with `clone_from`, which undoes the previous
+/// cell's writes in place: a container the cell never wrote still
+/// points at the base's and is left alone, one it wrote is re-pointed,
+/// and the lists a fork keeps of its own (memory overlay, log tails,
+/// shell sessions) are emptied but keep their capacity.
+#[derive(Debug)]
 pub struct World {
     hv: Hypervisor,
     dom0: DomainId,
@@ -258,6 +263,28 @@ pub struct World {
     kernels: Arc<BTreeMap<DomainId, Arc<GuestKernel>>>,
     remote: RemoteHost,
     boot_trace: Arc<[BootStage]>,
+}
+
+impl Clone for World {
+    fn clone(&self) -> Self {
+        let Self { hv, dom0, kernels, remote, boot_trace } = self;
+        Self {
+            hv: hv.clone(),
+            dom0: *dom0,
+            kernels: Arc::clone(kernels),
+            remote: remote.clone(),
+            boot_trace: Arc::clone(boot_trace),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { hv, dom0, kernels, remote, boot_trace } = self;
+        hv.clone_from(&source.hv);
+        *dom0 = source.dom0;
+        clone_arc_from(kernels, &source.kernels);
+        remote.clone_from(&source.remote);
+        clone_arc_from(boot_trace, &source.boot_trace);
+    }
 }
 
 impl World {
@@ -287,10 +314,11 @@ impl World {
 
     /// Gives this world its own memory handle and its own copy of every
     /// other container a clone shares by reference count. A campaign
-    /// worker forks its cells from its own unshared copy of each base
-    /// world, because workers forking one base bump the same reference
-    /// counts and the contended cache lines cost more than the fork
-    /// itself.
+    /// worker resets its scratch world from its own unshared copy of
+    /// each base world, because workers resetting from one base would
+    /// bump the same reference counts (each container a cell wrote is
+    /// re-pointed at the base's), and the contended cache lines cost
+    /// more than the reset itself.
     pub fn unshare(&mut self) {
         self.hv.unshare();
         self.kernels =
@@ -462,13 +490,20 @@ impl World {
     /// a reverse shell to the remote host with the *calling process's*
     /// privileges. Returns the sessions established this tick, which
     /// have consecutive ids.
+    ///
+    /// Each live domain costs one domain lookup and one word read at the
+    /// vDSO entry point; only a vDSO whose entry carries
+    /// [`BACKDOOR_MAGIC`] is copied and parsed.
     pub fn tick_vdso(&mut self) -> impl ExactSizeIterator<Item = SessionId> {
         let first = self.remote.sessions().len();
+        let magic = u64::from_le_bytes(*BACKDOOR_MAGIC);
         for (&dom, kernel) in self.kernels.iter() {
-            if self.hv.domain(dom).map(|d| d.is_dead()).unwrap_or(true) {
+            let live = self.hv.domain(dom).ok().filter(|d| !d.is_dead());
+            let Some(vdso_mfn) = live.and_then(|d| d.p2m(Pfn::new(PFN_VDSO))) else { continue };
+            let entry = vdso_mfn.base().offset(VDSO_ENTRY_OFFSET as u64);
+            if self.hv.mem().read_u64(entry).ok() != Some(magic) {
                 continue;
             }
-            let Ok(vdso_mfn) = kernel.vdso_mfn(&self.hv) else { continue };
             let mut image = [0u8; Backdoor::IMAGE_PREFIX_LEN];
             if self.hv.mem().read(vdso_mfn.base(), &mut image).is_err() {
                 continue;
@@ -547,7 +582,6 @@ fn shell_one(kernel: &GuestKernel, uid: Uid, cmd: &str) -> ShellOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vdso::{Backdoor, VDSO_ENTRY_OFFSET};
     use hvsim::{AccessMode, IdtEntry, PteFlags};
     use hvsim_mem::Mfn;
     use hvsim_paging::{PageTableEntry, VaIndices, LINEAR_PT_START};
@@ -788,6 +822,45 @@ mod tests {
             )
             .unwrap();
         assert_eq!(w.tick_vdso().len(), 0);
+    }
+
+    /// Writes `blob` over dom0's vDSO entry point, as the XSA-148
+    /// exploit does, and ticks the vDSO once.
+    fn tick_with_entry(blob: &[u8]) -> usize {
+        let mut w = small_world(XenVersion::V4_6);
+        w.remote_mut().listen();
+        let dom0 = w.dom0();
+        let vdso_mfn = w.kernel(dom0).unwrap().vdso_mfn(w.hv()).unwrap();
+        let entry = vdso_mfn.base().offset(VDSO_ENTRY_OFFSET as u64).raw();
+        let attacker = w.domain_by_name("xen2").unwrap();
+        w.hv_mut()
+            .hc_arbitrary_access(attacker, entry, &mut blob.to_vec(), AccessMode::PhysWrite)
+            .unwrap();
+        let opened = w.tick_vdso().len();
+        assert_eq!(opened, w.remote().sessions().len());
+        opened
+    }
+
+    /// Only a backdoor to the listener's own host and port opens a
+    /// session; the magic alone does not.
+    #[test]
+    fn a_backdoor_to_a_foreign_host_or_port_opens_nothing() {
+        let (host, port) = ("10.3.1.99", 1234);
+        let to = |host: &str, port| Backdoor { host: host.into(), port }.to_bytes();
+        assert_eq!(tick_with_entry(&to(host, port)), 1, "the listener's own address");
+        assert_eq!(tick_with_entry(&to("10.3.1.98", port)), 0, "a foreign host");
+        assert_eq!(tick_with_entry(&to(host, 4444)), 0, "a foreign port");
+    }
+
+    /// A backdoor whose host is cut short, by its length byte or by the
+    /// bytes written, opens no session.
+    #[test]
+    fn a_backdoor_with_a_truncated_host_opens_nothing() {
+        let blob = Backdoor { host: "10.3.1.99".into(), port: 1234 }.to_bytes();
+        let mut short_length = blob.clone();
+        short_length[10] -= 1;
+        assert_eq!(tick_with_entry(&short_length), 0, "a length byte one short");
+        assert_eq!(tick_with_entry(&blob[..blob.len() - 4]), 0, "a host cut off mid-write");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! injected erroneous state equals an exploit-induced one (the paper's
 //! "page-table walk audit" plus console-output comparison, §VI-C).
 
+use crate::shared_log::SharedLog;
 use hvsim_mem::{DomainId, Mfn, PhysAddr, VirtAddr};
 use std::fmt;
 use std::sync::Arc;
@@ -157,20 +158,35 @@ impl fmt::Display for AuditEvent {
 
 /// A bounded in-order log of [`AuditEvent`]s.
 ///
-/// The events sit behind an `Arc`: a clone (a campaign cell's world
-/// fork) shares the boot-time prefix, and its first append copies it
-/// once, with room for a cell's events.
-#[derive(Clone, Debug, Default)]
+/// The events are a [`SharedLog`]: a clone (a campaign cell's world)
+/// shares the boot-time prefix and appends to a list of its own, so its
+/// first append copies no boot event, and later appends touch no
+/// reference count. `clone_from` drops the clone's own events and keeps
+/// their room.
+#[derive(Debug, Default)]
 pub struct AuditLog {
-    events: Arc<Vec<AuditEvent>>,
+    events: SharedLog<AuditEvent, { AuditLog::FORK_HEADROOM }>,
     dropped: u64,
+}
+
+impl Clone for AuditLog {
+    fn clone(&self) -> Self {
+        let Self { events, dropped } = self;
+        Self { events: events.clone(), dropped: *dropped }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { events, dropped } = self;
+        events.clone_from(&source.events);
+        *dropped = source.dropped;
+    }
 }
 
 impl AuditLog {
     /// Maximum retained events.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
-    /// Events a fork's copy of the log takes before it reallocates.
+    /// Events a fork's own list takes before it reallocates.
     const FORK_HEADROOM: usize = 32;
 
     /// Creates an empty log retaining at most
@@ -183,33 +199,27 @@ impl AuditLog {
     /// Gives this log its own copy of the events, so its clones bump a
     /// reference count that clones of the log it was cloned from do not.
     pub(crate) fn unshare(&mut self) {
-        self.events = Arc::new((*self.events).clone());
+        self.events.unshare();
     }
 
-    /// The reference count of the events (how many logs share them).
+    /// The reference count of the shared events (how many logs share
+    /// them).
     pub(crate) fn share_count(&self) -> usize {
-        Arc::strong_count(&self.events)
+        self.events.share_count()
     }
 
-    /// Appends an event; the first append after a clone copies the
-    /// events shared with it, once, with room for a cell's events.
+    /// Appends an event.
     pub fn push(&mut self, event: AuditEvent) {
-        if self.events.len() < Self::DEFAULT_CAPACITY {
-            if Arc::get_mut(&mut self.events).is_none() {
-                let mut copy = Vec::with_capacity(self.events.len() + Self::FORK_HEADROOM);
-                copy.extend_from_slice(&self.events);
-                self.events = Arc::new(copy);
-            }
-            // Unique by now, so this copies nothing.
-            Arc::make_mut(&mut self.events).push(event);
+        if self.events.iter().len() < Self::DEFAULT_CAPACITY {
+            self.events.push(event);
         } else {
             self.dropped += 1;
         }
     }
 
     /// All retained events, oldest first.
-    pub fn events(&self) -> &[AuditEvent] {
-        &self.events
+    pub fn events(&self) -> impl DoubleEndedIterator<Item = &AuditEvent> + ExactSizeIterator {
+        self.events.iter()
     }
 
     /// Number of events dropped due to the capacity bound.
@@ -222,7 +232,7 @@ impl AuditLog {
     where
         P: FnMut(&&'a AuditEvent) -> bool + 'a,
     {
-        self.events.iter().filter(pred)
+        self.events().filter(pred)
     }
 }
 

@@ -174,7 +174,7 @@ mod tests {
     fn privilege_rejections_audited() {
         let (mut hv, dom0, guest) = setup();
         let _ = hv.hc_domctl(guest, dom0, DomctlOp::Pause);
-        assert!(hv.audit().events().iter().any(|e| matches!(
+        assert!(hv.audit().events().any(|e| matches!(
             e,
             AuditEvent::ValidationRejected { check: "domctl_privilege", .. }
         )));

@@ -11,7 +11,8 @@ use crate::shared_log::SharedLog;
 use crate::version::{VulnConfig, XenVersion};
 use crate::HvError;
 use hvsim_mem::{
-    DomainId, FrameAllocator, MachineMemory, Mfn, PageType, Pfn, PhysAddr, VirtAddr, PAGE_SIZE,
+    clone_arc_from, DomainId, FrameAllocator, MachineMemory, Mfn, PageType, Pfn, PhysAddr,
+    VirtAddr, PAGE_SIZE,
 };
 use hvsim_paging::{walk, AccessKind, MemoryLayout, PageFault, Region, Translation, WalkPolicy};
 use std::borrow::Cow;
@@ -85,9 +86,16 @@ pub struct InterruptDispatch {
 /// machine memory, the domain map and each domain, the allocator's
 /// quotas, the IDT and M2P frame lists, the console and the audit log
 /// until its first write to one of them, which copies that one (the
-/// console copies nothing: a fork's lines go to a list of its own). A
-/// domain's copy in turn shares its p2m and event-port table.
-#[derive(Clone, Debug)]
+/// console and the audit log copy nothing: a fork's lines and events go
+/// to lists of its own). A domain's copy in turn shares its p2m and
+/// event-port table.
+///
+/// `clone_from` resets a hypervisor to a fork of another in place: it
+/// re-points each shared container only when it differs from the
+/// source's and keeps the capacity of the memory overlay and the fork's
+/// own log lists, so resetting a fork that wrote a few containers
+/// allocates nothing and touches only those containers' counts.
+#[derive(Debug)]
 pub struct Hypervisor {
     pub(crate) mem: MachineMemory,
     pub(crate) alloc: FrameAllocator,
@@ -107,6 +115,84 @@ pub struct Hypervisor {
     console: SharedLog<Cow<'static, str>>,
     pub(crate) audit: AuditLog,
     pub(crate) hypercall_count: u64,
+}
+
+impl Clone for Hypervisor {
+    fn clone(&self) -> Self {
+        let Self {
+            mem,
+            alloc,
+            domains,
+            next_domid,
+            version,
+            vulns,
+            layout,
+            injector_enabled,
+            xen_text,
+            shared_l3,
+            idt_frames,
+            m2p_frames,
+            crashed,
+            console,
+            audit,
+            hypercall_count,
+        } = self;
+        Self {
+            mem: mem.clone(),
+            alloc: alloc.clone(),
+            domains: Arc::clone(domains),
+            next_domid: *next_domid,
+            version: *version,
+            vulns: *vulns,
+            layout: *layout,
+            injector_enabled: *injector_enabled,
+            xen_text: *xen_text,
+            shared_l3: *shared_l3,
+            idt_frames: Arc::clone(idt_frames),
+            m2p_frames: Arc::clone(m2p_frames),
+            crashed: crashed.clone(),
+            console: console.clone(),
+            audit: audit.clone(),
+            hypercall_count: *hypercall_count,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            mem,
+            alloc,
+            domains,
+            next_domid,
+            version,
+            vulns,
+            layout,
+            injector_enabled,
+            xen_text,
+            shared_l3,
+            idt_frames,
+            m2p_frames,
+            crashed,
+            console,
+            audit,
+            hypercall_count,
+        } = self;
+        mem.clone_from(&source.mem);
+        alloc.clone_from(&source.alloc);
+        clone_arc_from(domains, &source.domains);
+        *next_domid = source.next_domid;
+        *version = source.version;
+        *vulns = source.vulns;
+        *layout = source.layout;
+        *injector_enabled = source.injector_enabled;
+        *xen_text = source.xen_text;
+        *shared_l3 = source.shared_l3;
+        clone_arc_from(idt_frames, &source.idt_frames);
+        clone_arc_from(m2p_frames, &source.m2p_frames);
+        crashed.clone_from(&source.crashed);
+        console.clone_from(&source.console);
+        audit.clone_from(&source.audit);
+        *hypercall_count = source.hypercall_count;
+    }
 }
 
 impl Hypervisor {

@@ -568,7 +568,6 @@ mod tests {
             g.hv
                 .audit()
                 .events()
-                .iter()
                 .filter(|e| matches!(e, AuditEvent::PteWritten { .. }))
                 .count()
         };
@@ -613,7 +612,6 @@ mod tests {
             g.hv
                 .audit()
                 .events()
-                .iter()
                 .filter(|e| matches!(e, AuditEvent::ValidationRejected { .. }))
                 .count()
         };
@@ -1210,7 +1208,7 @@ mod tests {
                     assert_eq!(routed.console().last(), Some(format!("[{caller}] {line}").as_str()));
                 }
                 (Hypercall::Domctl { .. }, Err(Perm)) => {
-                    assert!(routed.audit().events().iter().any(|e| matches!(
+                    assert!(routed.audit().events().any(|e| matches!(
                         e,
                         AuditEvent::ValidationRejected { check: "domctl_privilege", .. }
                     )));
@@ -1218,8 +1216,7 @@ mod tests {
                 _ => {}
             }
             assert_eq!(routed.hypercall_count(), base.hypercall_count() + 1, "{name}");
-            let audited: Vec<_> = routed.audit().events()[base.audit().events().len()..]
-                .iter()
+            let audited: Vec<_> = routed.audit().events().skip(base.audit().events().len())
                 .filter(|e| matches!(e, AuditEvent::Hypercall { .. }))
                 .collect();
             let errno = result.map_or_else(|e| e.errno(), |v| v as i64);

@@ -42,7 +42,6 @@ impl Rig {
             .hv
             .audit()
             .events()
-            .iter()
             .filter(|e| matches!(e, AuditEvent::Hypercall { .. }))
             .count();
         (self.hv.hypercall_count(), audited as u64)

@@ -18,8 +18,9 @@ use std::sync::Arc;
 /// The never-allocated frames are one range and the quotas sit behind an
 /// `Arc` until the first allocation or free after a clone, so cloning a
 /// booted allocator (a campaign cell's world fork) allocates nothing: the
-/// freed stack is empty at boot.
-#[derive(Clone, Debug)]
+/// freed stack is empty at boot. `clone_from` keeps the freed stack's
+/// capacity and re-points the quotas only when they differ.
+#[derive(Debug)]
 pub struct FrameAllocator {
     /// Never-allocated frames, handed out lowest first.
     fresh: Range<u64>,
@@ -32,6 +33,20 @@ pub struct FrameAllocator {
 struct Quota {
     max_pages: u64,
     tot_pages: u64,
+}
+
+impl Clone for FrameAllocator {
+    fn clone(&self) -> Self {
+        let Self { fresh, freed, quotas } = self;
+        Self { fresh: fresh.clone(), freed: freed.clone(), quotas: Arc::clone(quotas) }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { fresh, freed, quotas } = self;
+        *fresh = source.fresh.clone();
+        freed.clone_from(&source.freed);
+        crate::clone_arc_from(quotas, &source.quotas);
+    }
 }
 
 impl FrameAllocator {

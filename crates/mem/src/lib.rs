@@ -46,3 +46,15 @@ pub use alloc::FrameAllocator;
 pub use error::MemError;
 pub use machine::{MachineMemory, SnapshotStats};
 pub use page_info::{DomainId, PageInfo, PageType};
+
+use std::sync::Arc;
+
+/// Points `dst` at `src`'s value, the way `Clone::clone_from` resets a
+/// shared container: when `dst` already points there it is left alone,
+/// so resetting a container a world never wrote touches no reference
+/// count.
+pub fn clone_arc_from<T: ?Sized>(dst: &mut Arc<T>, src: &Arc<T>) {
+    if !Arc::ptr_eq(dst, src) {
+        *dst = Arc::clone(src);
+    }
+}

@@ -17,17 +17,22 @@
 //!   the search.
 //! - A clone bumps the base's reference count and copies the overlay, so
 //!   a fork of a fork holds one flat overlay rather than a chain. A drop
-//!   frees only the overlay.
+//!   frees only the overlay. `clone_from` resets an image in place: it
+//!   empties the overlay (keeping its capacity) and bumps the base's
+//!   count only when the image points at another base.
 //! - The base sits behind a per-image *handle*, a second [`Arc`] that
 //!   clones share. [`MachineMemory::unshare`] gives an image a handle of
 //!   its own in O(1), so threads that each fork their own unshared copy
 //!   of one image never bump the same reference count.
 //!
-//! A campaign cell forks a booted base world (empty overlay) and writes a
-//! frame or two, so it pays one entry copy plus a 4 KiB copy for each
-//! materialized frame it writes. Frame contents are `Arc<[u8; PAGE_SIZE]>`
-//! shared until written, and a never-written frame holds no page at all,
-//! so an image costs O(touched pages) of real memory over its lifetime.
+//! A campaign cell runs on an image reset to a booted base (empty
+//! overlay) and writes a frame or two, so it pays one entry copy plus a
+//! 4 KiB copy for each materialized frame it writes. The write copies the
+//! base page's bytes into a new page without touching the base page's
+//! count, which every image forked from the base shares. Frame contents
+//! are `Arc<[u8; PAGE_SIZE]>` shared until written, and a never-written
+//! frame holds no page at all, so an image costs O(touched pages) of real
+//! memory over its lifetime.
 
 use crate::{MemError, Mfn, PageInfo, PhysAddr, PAGE_SIZE};
 use std::sync::Arc;
@@ -87,13 +92,38 @@ impl Clone for MachineMemory {
     /// clone starts its own [`SnapshotStats::frames_copied`] count at
     /// zero.
     fn clone(&self) -> Self {
+        let Self { base, overlay, overlay_mask, frames_copied: _ } = self;
         Self {
-            base: Arc::clone(&self.base),
-            overlay: self.overlay.clone(),
-            overlay_mask: self.overlay_mask,
+            base: Arc::clone(base),
+            overlay: overlay.clone(),
+            overlay_mask: *overlay_mask,
             frames_copied: 0,
         }
     }
+
+    /// Resets this image to a snapshot of `source`: the frames it wrote
+    /// are dropped, the overlay keeps its capacity, and the base handle
+    /// is re-pointed only if it differs from `source`'s.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { base, overlay, overlay_mask, frames_copied } = self;
+        crate::clone_arc_from(base, &source.base);
+        overlay.clone_from(&source.overlay);
+        *overlay_mask = source.overlay_mask;
+        *frames_copied = 0;
+    }
+}
+
+/// What a frame's first write after a fork does with the base's page
+/// when it copies the frame's entry into the overlay.
+#[derive(Clone, Copy)]
+enum Privatize {
+    /// Share the page (an accounting update leaves the bytes alone).
+    Share,
+    /// Copy the page's bytes into a page of the image's own (a write is
+    /// about to change them). Sharing the page instead would bump a
+    /// count that every image forked from the base bumps, only for the
+    /// write to copy the page anyway.
+    Copy,
 }
 
 impl MachineMemory {
@@ -158,8 +188,10 @@ impl MachineMemory {
 
     /// The frame a write to `idx` lands in: its overlay entry if it has
     /// one, else the base while this image owns it alone, else a new
-    /// overlay entry copied from the base.
-    fn frame_mut(&mut self, idx: usize) -> &mut Frame {
+    /// overlay entry copied from the base, whose page `page` says what
+    /// to do with. A copied page counts in
+    /// [`SnapshotStats::frames_copied`].
+    fn frame_mut(&mut self, idx: usize, page: Privatize) -> &mut Frame {
         let pos = match self.overlay_pos(idx) {
             Ok(pos) => return &mut self.overlay[pos].1,
             Err(pos) => pos,
@@ -170,7 +202,16 @@ impl MachineMemory {
             // fall-through path.)
             return &mut Arc::make_mut(&mut Arc::make_mut(&mut self.base).0)[idx];
         }
-        self.overlay.insert(pos, (idx, self.base.0[idx].clone()));
+        let base = &self.base.0[idx];
+        let frame = match page {
+            Privatize::Share => base.clone(),
+            Privatize::Copy => {
+                self.frames_copied += u64::from(base.data.is_some());
+                let data = base.data.as_deref().map(|bytes| Arc::new(*bytes));
+                Frame { data, info: base.info.clone() }
+            }
+        };
+        self.overlay.insert(pos, (idx, frame));
         self.overlay_mask |= 1 << (idx % 64);
         &mut self.overlay[pos].1
     }
@@ -213,7 +254,7 @@ impl MachineMemory {
     /// Returns [`MemError::BadFrame`] for uninstalled frames.
     pub fn info_mut(&mut self, mfn: Mfn) -> Result<&mut PageInfo, MemError> {
         let idx = self.check_frame(mfn)?;
-        Ok(&mut self.frame_mut(idx).info)
+        Ok(&mut self.frame_mut(idx, Privatize::Share).info)
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -263,7 +304,7 @@ impl MachineMemory {
             let len = (PAGE_SIZE - off).min(buf.len() - written);
             let src = &buf[written..written + len];
             if self.frame(idx).data.is_some() || src.iter().any(|&b| b != 0) {
-                let data = &mut self.frame_mut(idx).data;
+                let data = &mut self.frame_mut(idx, Privatize::Copy).data;
                 // Contents another image can still read are a COW copy.
                 let copied = data.as_ref().is_some_and(|d| Arc::strong_count(d) > 1);
                 let bytes = data.get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
@@ -320,7 +361,7 @@ impl MachineMemory {
     pub fn zero_frame(&mut self, mfn: Mfn) -> Result<(), MemError> {
         let idx = self.check_frame(mfn)?;
         if self.frame(idx).data.is_some() {
-            self.frame_mut(idx).data = None;
+            self.frame_mut(idx, Privatize::Share).data = None;
         }
         Ok(())
     }
@@ -509,6 +550,59 @@ mod tests {
         let mut buf = [0u8; 4];
         base.read(PhysAddr::new(0), &mut buf).unwrap();
         assert_eq!(&buf, b"base");
+    }
+
+    /// A write's first privatization copies the base page's bytes into
+    /// a page of the image's own and counts the copy, without bumping
+    /// the base page's count; an accounting update shares the page.
+    #[test]
+    fn a_write_copies_the_base_page_and_an_info_update_shares_it() {
+        let mut base = MachineMemory::new(4);
+        base.write(PhysAddr::new(0), b"page zero").unwrap();
+        base.write(Mfn::new(1).base(), b"page one").unwrap();
+        let page = |mem: &MachineMemory, idx: usize| Arc::clone(mem.base.0[idx].data.as_ref().unwrap());
+        let mut fork = base.clone();
+        fork.write(PhysAddr::new(5), b"ZERO").unwrap();
+        assert_eq!(Arc::strong_count(&page(&base, 0)), 2, "the base page alone, plus this probe");
+        assert_eq!(fork.snapshot_stats().frames_copied, 1);
+        let mut buf = [0u8; 9];
+        fork.read(PhysAddr::new(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"page ZERO");
+        fork.info_mut(Mfn::new(1)).unwrap().assign(DomainId::new(1), PageType::Writable);
+        assert_eq!(Arc::strong_count(&page(&base, 1)), 3, "the fork's overlay shares the page");
+        assert_eq!(fork.snapshot_stats().frames_copied, 1);
+        // The shared page is copied, and counted, on the first write.
+        fork.write(Mfn::new(1).base(), b"PAGE").unwrap();
+        assert_eq!(fork.snapshot_stats().frames_copied, 2);
+        assert_eq!(Arc::strong_count(&page(&base, 1)), 2);
+    }
+
+    /// `clone_from` resets an image to a snapshot of another: what the
+    /// image wrote is gone, its overlay keeps its capacity, its copy
+    /// count restarts, and a base it already points at is not bumped.
+    #[test]
+    fn clone_from_resets_an_image_in_place() {
+        let mut base = MachineMemory::new(8);
+        base.write(PhysAddr::new(0), b"base").unwrap();
+        let mut image = base.clone();
+        for frame in 0..8 {
+            image.write_u64(Mfn::new(frame).base(), 0x4141).unwrap();
+        }
+        let room = image.overlay.capacity();
+        image.clone_from(&base);
+        assert!(image.overlay.is_empty());
+        assert_eq!((image.overlay.capacity(), image.overlay_mask), (room, 0));
+        assert_eq!(image.snapshot_stats(), base.clone().snapshot_stats());
+        assert_eq!(base.share_count(), 2, "the base handle, not bumped again");
+        let mut buf = [0u8; 4];
+        image.read(PhysAddr::new(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"base");
+        assert_eq!(image.read_u64(Mfn::new(3).base()).unwrap(), 0);
+        // An image of another base is re-pointed.
+        let mut other = MachineMemory::new(8);
+        other.clone_from(&base);
+        assert!(Arc::ptr_eq(&other.base, &base.base));
+        assert_eq!(base.share_count(), 3);
     }
 
     #[test]

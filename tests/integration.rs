@@ -45,7 +45,6 @@ fn injector_activity_is_fully_audited() {
         .hv()
         .audit()
         .events()
-        .iter()
         .filter(|e| matches!(e, AuditEvent::InjectorAccess { .. }))
         .count();
     assert!(injector_events >= 1, "injection leaves an audit trail");
@@ -53,7 +52,6 @@ fn injector_activity_is_fully_audited() {
         .hv()
         .audit()
         .events()
-        .iter()
         .any(|e| matches!(e, AuditEvent::HypervisorWrite { .. }));
     assert!(hv_writes);
 }
