@@ -6,7 +6,7 @@
 
 use bench::synthetic_campaign;
 use hvsim_obs::MetricsRegistry;
-use intrusion_core::{Campaign, CellOutcome, ChaosConfig, ChaosPolicy};
+use intrusion_core::{Campaign, CellOutcome, ChaosPolicy};
 use std::collections::BTreeMap;
 
 const SEED: u64 = 0xD5_2023;
@@ -16,7 +16,7 @@ const TRIALS: u64 = 1_000;
 const CHAOS_SEED: u64 = 7;
 
 fn chaotic() -> Campaign {
-    synthetic_campaign(SEED, TRIALS).chaos(ChaosConfig::standard(CHAOS_SEED))
+    synthetic_campaign(SEED, TRIALS).chaos(CHAOS_SEED)
 }
 
 #[test]
@@ -32,7 +32,7 @@ fn chaos_is_schedule_independent_and_every_fault_is_typed() {
     // Replay the policy's slot-keyed decisions to predict exactly which
     // cells degrade and how. Precedence mirrors the engine: a failed
     // boot never reaches the scenario body, so its panic never fires.
-    let policy = ChaosPolicy::new(ChaosConfig::standard(CHAOS_SEED));
+    let policy = ChaosPolicy::new(CHAOS_SEED);
     let (mut boot_failed, mut crashed) = (0u64, 0u64);
     for slot in 0..jobs1.report.cells {
         if policy.boot_failure(slot) {
@@ -95,17 +95,13 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
     let cells = 6u64;
     let quiet_seed = (0..10_000u64)
         .find(|&seed| {
-            let probe = ChaosPolicy::new(ChaosConfig::standard(seed));
-            (0..cells).all(|slot| {
-                !probe.boot_failure(slot)
-                    && !probe.worker_panic(slot)
-                    && probe.claim_stall(slot).is_none()
-            })
+            let probe = ChaosPolicy::new(seed);
+            (0..cells).all(|slot| !probe.boot_failure(slot) && !probe.worker_panic(slot))
         })
         .expect("some seed in 0..10_000 is quiet over six slots");
     let registry = MetricsRegistry::new();
     let outcome = synthetic_campaign(SEED, 2)
-        .chaos(ChaosConfig::standard(quiet_seed))
+        .chaos(quiet_seed)
         .metrics(registry.clone())
         .run_streaming_with_jobs(2);
     assert_eq!(outcome.report.cells, cells);
@@ -114,7 +110,6 @@ fn chaos_counters_are_published_even_when_no_fault_fires() {
     for name in [
         "campaign.chaos.worker_panics",
         "campaign.chaos.boot_failures",
-        "campaign.chaos.claim_stalls",
         "campaign.chaos.torn_writes",
     ] {
         let counter = snapshot
@@ -131,7 +126,7 @@ fn chaos_composes_with_checkpoint_resume_despite_torn_writes() {
     let journal =
         std::env::temp_dir().join(format!("hvsim-chaos-{}.journal", std::process::id()));
     let full = chaotic().jobs(4).run_streaming_checkpointed(&journal).unwrap();
-    // The standard config tears ~10% of journal records mid-write; the
+    // The standard policy tears ~10% of journal records mid-write; the
     // run itself must still complete and report every cell.
     assert_eq!(full.report.cells, 3_000);
     let uninterrupted = full.report.normalized().to_json().unwrap();

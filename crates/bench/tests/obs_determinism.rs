@@ -12,7 +12,7 @@ use hvsim::XenVersion;
 use hvsim_obs::{
     normalized_jsonl, parse_jsonl, to_jsonl, MetricsRegistry, TraceEvent, TraceSummary, Tracer,
 };
-use intrusion_core::{Campaign, CampaignReport, CellOutcome, ChaosConfig, Mode};
+use intrusion_core::{Campaign, CampaignReport, CellOutcome, Mode};
 
 /// A quiet run — one do-nothing cell — must still publish the
 /// copy-on-write and hypercall counters as explicit zeros (the
@@ -38,12 +38,12 @@ fn quiet_runs_publish_explicit_zero_perf_counters() {
 /// streamed run's merge time is its own.
 #[test]
 fn collecting_and_streamed_runs_publish_the_same_metrics() {
-    for chaos in [None, Some(ChaosConfig::standard(7))] {
+    for chaos in [None, Some(7)] {
         let published = |collect: bool| {
             let registry = MetricsRegistry::new();
             let mut campaign = messy_campaign().metrics(registry.clone());
-            if let Some(config) = chaos {
-                campaign = campaign.chaos(config);
+            if let Some(seed) = chaos {
+                campaign = campaign.chaos(seed);
             }
             if collect {
                 campaign.run_with_jobs(2);

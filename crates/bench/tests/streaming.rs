@@ -4,7 +4,7 @@
 //! worker counts and across shard/merge decompositions.
 
 use bench::{paper_campaign, synthetic_campaign};
-use intrusion_core::{ChaosConfig, Shard, StreamReport};
+use intrusion_core::{Shard, StreamReport};
 
 #[test]
 fn hundred_thousand_cell_campaign_is_bounded_and_deterministic() {
@@ -190,7 +190,7 @@ fn reports_written_with_tlb_counters_still_load_and_merge() {
     // a degraded slot's flight tail — must be ignored.
     let cases = [
         (PRE_TLB_REMOVAL_SHARD0, 3, 2, None),
-        (PRE_REPLAY_CHAOS_SHARD0, 36, 24, Some(ChaosConfig::standard(7))),
+        (PRE_REPLAY_CHAOS_SHARD0, 36, 24, Some(7)),
     ];
     for (json, cells, trials, chaos) in cases {
         let old = StreamReport::from_json(json).expect("old report parses");
@@ -198,7 +198,7 @@ fn reports_written_with_tlb_counters_still_load_and_merge() {
         let campaign = || {
             let campaign = synthetic_campaign(7, trials);
             match chaos {
-                Some(config) => campaign.chaos(config),
+                Some(seed) => campaign.chaos(seed),
                 None => campaign,
             }
         };

@@ -27,16 +27,40 @@ use hvsim_obs::{
 };
 use intrusion_core::campaign::standard_world;
 use intrusion_core::{
-    default_jobs, read_header, render_table2, ArbitraryAccessInjector, Campaign, CampaignError,
-    ChaosConfig, Mode, RandomizedCampaign, SecurityBenchmark, Shard, StreamReport, TargetRegion,
-    UseCase,
+    default_jobs, quiet_contained_panics, read_header, render_table2, ArbitraryAccessInjector,
+    Campaign, CampaignError, Mode, RandomizedCampaign, SecurityBenchmark, Shard, StreamReport,
+    TargetRegion, UseCase,
 };
 use hvsim::XenVersion;
 use serde::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use xsa_exploits::{extension_use_cases, paper_use_cases};
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Every stdout write of the CLI, through a locked handle. A closed
+/// stdout (`... | head`) ends the process with exit 0 and nothing on
+/// stderr: the reader took all it wanted. Unit tests print instead,
+/// because the test harness captures only `print!`.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if cfg!(test) {
+        print!("{args}");
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: could not write to stdout: {e}");
+        std::process::exit(2);
+    }
+}
 
 const HELP: &str = "\
 intrusion-injector — intrusion injection for virtualized systems (DSN 2023)
@@ -64,9 +88,9 @@ COMMANDS:
                                    resumed runs produce the same normalized
                                    report byte-for-byte
                    [--chaos-seed <n>]  deterministic fault injection: seeded
-                                   worker panics, boot failures, claim
-                                   stalls, torn journal writes (same seed =>
-                                   same faults at any --jobs count)
+                                   worker panics, boot failures and torn
+                                   journal writes (same seed => same faults
+                                   at any --jobs count)
                    [--progress]    live progress line on stderr (done/total,
                                    cells/s, ETA, degraded count)
                    [--timeline-out <file>]  write the metrics timeline, sampled
@@ -202,7 +226,7 @@ fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, St
     if let Some(raw) = p.options.get("chaos-seed") {
         let seed: u64 =
             raw.parse().map_err(|_| "--chaos-seed must be a number".to_owned())?;
-        campaign = campaign.chaos(ChaosConfig::standard(seed));
+        campaign = campaign.chaos(seed);
     }
     if p.has_flag("progress") {
         campaign = campaign.progress(true);
@@ -338,6 +362,9 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     if let Some(slot) = replay_slot {
         return cmd_campaign_replay(campaign, slot, p);
     }
+    // A contained panic is listed as a degraded slot, whose replay shows
+    // the panic itself.
+    quiet_contained_panics();
     let flags = replay_flags(p, want_extensions, campaign.fingerprint().trials);
     let (campaign, hooks) = attach_obs(campaign, p);
     let outcome = if let Some(path) = &resume_path {
@@ -359,15 +386,15 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     }
     let exit = CliOutcome::new(report.is_degraded(), report.has_violations());
     if p.has_flag("json") {
-        println!("{}", report.to_json().map_err(|e| e.to_string())?);
+        outln!("{}", report.to_json().map_err(|e| e.to_string())?);
         return Ok(exit);
     }
-    println!("{}", render_table2(campaign.use_cases()));
-    println!("{}", report.render_fig4());
-    println!("{}", report.render_table3());
-    println!("{}", report.render_keys());
+    outln!("{}", render_table2(campaign.use_cases()));
+    outln!("{}", report.render_fig4());
+    outln!("{}", report.render_table3());
+    outln!("{}", report.render_keys());
     let s = outcome.stats;
-    println!(
+    outln!(
         "pipeline: {} workers, {:.0} cells/sec; merge {} us",
         s.workers, s.cells_per_sec, s.merge_us,
     );
@@ -423,7 +450,7 @@ fn cmd_campaign_replay(campaign: Campaign, slot: u64, p: &Parsed) -> Result<CliO
         Some(path) => {
             std::fs::write(path, &trace).map_err(|e| format!("could not write {path}: {e}"))?;
         }
-        None => print!("{trace}"),
+        None => write_stdout(format_args!("{trace}")),
     }
     let verdict = if cell.degraded() {
         let error = cell.error.as_ref().map_or_else(|| "unknown".to_owned(), ToString::to_string);
@@ -455,30 +482,30 @@ fn cmd_run(p: &Parsed) -> Result<CliOutcome, String> {
     let attacker = world
         .domain_by_name("guest03")
         .ok_or_else(|| "standard world has no attacker guest".to_owned())?;
-    println!("{} / Xen {version} / {mode}", uc.name());
-    println!("intrusion model: {}", uc.intrusion_model());
+    outln!("{} / Xen {version} / {mode}", uc.name());
+    outln!("intrusion model: {}", uc.intrusion_model());
     let outcome = match mode {
         Mode::Exploit => uc.run_exploit(&mut world, attacker),
         Mode::Injection => uc.run_injection(&mut world, attacker, &ArbitraryAccessInjector),
     };
     for note in &outcome.notes {
-        println!("  | {note}");
+        outln!("  | {note}");
     }
-    println!("erroneous state: {}", outcome.erroneous_state);
+    outln!("erroneous state: {}", outcome.erroneous_state);
     if let Some(audit) = &outcome.state_audit {
-        println!("audit evidence:  {}", audit.evidence);
+        outln!("audit evidence:  {}", audit.evidence);
     }
     if let Some(err) = &outcome.error {
-        println!("failure:         {err}");
+        outln!("failure:         {err}");
     }
     let observation = uc.monitor(&world, attacker).observe(&world);
     if observation.is_clean() {
-        println!("security violations: none (state handled)");
+        outln!("security violations: none (state handled)");
         Ok(CliOutcome::Clean)
     } else {
-        println!("security violations:");
+        outln!("security violations:");
         for v in &observation.violations {
-            println!("  ! {v}");
+            outln!("  ! {v}");
         }
         Ok(CliOutcome::Violations)
     }
@@ -499,6 +526,7 @@ fn cmd_randomized(p: &Parsed) -> Result<CliOutcome, String> {
     let version = parse_version_or(p, "4.8").map_err(|e| e.to_string())?;
     let jobs = parse_jobs(p)?;
     let campaign = RandomizedCampaign::new(region, trials, seed);
+    quiet_contained_panics();
     eprintln!("running {trials} trials against {} on Xen {version} ...", region.label());
     let (summary, outcomes) = campaign
         .run_with_jobs(
@@ -512,11 +540,11 @@ fn cmd_randomized(p: &Parsed) -> Result<CliOutcome, String> {
             jobs,
         )
         .map_err(|e| e.to_string())?;
-    println!("{summary}");
+    outln!("{summary}");
     for (i, o) in outcomes.iter().enumerate() {
         match &o.error {
-            Some(error) => println!("  trial {i:>3}: degraded: {error}"),
-            None => println!(
+            Some(error) => outln!("  trial {i:>3}: degraded: {error}"),
+            None => outln!(
                 "  trial {i:>3}: {} injected={} crashed={} violations={}",
                 o.spec, o.injected, o.crashed, o.violations
             ),
@@ -531,13 +559,14 @@ fn cmd_benchmark(p: &Parsed) -> Result<CliOutcome, String> {
         campaign = campaign.with_use_case(uc);
     }
     let (campaign, hooks) = attach_obs(campaign, p);
+    quiet_contained_panics();
     eprintln!("running the extended campaign ...");
     let report = campaign.run_with_jobs(parse_jobs(p)?);
     write_obs_outputs(p, &hooks)?;
     let benchmark = SecurityBenchmark::from_report(&report);
-    println!("{}", benchmark.render());
+    outln!("{}", benchmark.render());
     for (i, (version, score)) in benchmark.ranking().iter().enumerate() {
-        println!("  {}. Xen {version}  score {score:.2}", i + 1);
+        outln!("  {}. Xen {version}  score {score:.2}", i + 1);
     }
     Ok(CliOutcome::new(report.is_degraded(), report.has_violations()))
 }
@@ -573,7 +602,7 @@ fn cmd_trace(p: &Parsed) -> Result<CliOutcome, String> {
                 }
             }
             if errors.is_empty() {
-                println!("{path}: {events} events, every line schema-valid");
+                outln!("{path}: {events} events, every line schema-valid");
                 return Ok(CliOutcome::Clean);
             }
             for e in &errors {
@@ -589,7 +618,7 @@ fn cmd_trace(p: &Parsed) -> Result<CliOutcome, String> {
             let top: usize =
                 p.get_or("top", "10").parse().map_err(|_| "--top must be a number")?;
             let events = parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-            print!("{}", TraceSummary::compute(&events).render(top));
+            write_stdout(format_args!("{}", TraceSummary::compute(&events).render(top)));
             Ok(CliOutcome::Clean)
         }
         other => Err(format!("unknown trace action '{other}' (expected summary|validate)")),
@@ -628,7 +657,11 @@ fn cmd_report_merge(p: &Parsed) -> Result<CliOutcome, String> {
         merged = merged.try_merge(&report).map_err(|e| format!("{path}: {e}"))?;
     }
     let json = merged.to_json().map_err(|e| e.to_string())?;
-    write_json(out, json)?;
+    // A merge never replaces a file: a forgotten `<out>` would otherwise
+    // overwrite the first shard with a one-shard "merge".
+    let mut file = std::fs::File::create_new(out)
+        .map_err(|e| format!("could not create {out} (report merge overwrites nothing): {e}"))?;
+    writeln!(file, "{json}").map_err(|e| format!("could not write {out}: {e}"))?;
     eprintln!("merged {} report(s) into {out} ({} cells)", inputs.len(), merged.cells);
     Ok(CliOutcome::Clean)
 }
@@ -722,21 +755,21 @@ fn cmd_report_diff(p: &Parsed) -> Result<CliOutcome, String> {
         match b.get(path) {
             None => {
                 changed += 1;
-                println!("- {path} = {}", render_leaf(va));
+                outln!("- {path} = {}", render_leaf(va));
             }
             Some(vb) if va == vb => unchanged += 1,
             Some(vb) => {
                 changed += 1;
                 match (as_number(va), as_number(vb)) {
                     (Some(na), Some(nb)) => {
-                        println!(
+                        outln!(
                             "~ {path}: {} -> {} ({:+})",
                             render_leaf(va),
                             render_leaf(vb),
                             nb - na
                         );
                     }
-                    _ => println!("~ {path}: {} -> {}", render_leaf(va), render_leaf(vb)),
+                    _ => outln!("~ {path}: {} -> {}", render_leaf(va), render_leaf(vb)),
                 }
             }
         }
@@ -744,14 +777,14 @@ fn cmd_report_diff(p: &Parsed) -> Result<CliOutcome, String> {
     for (path, vb) in &b {
         if !a.contains_key(path) {
             changed += 1;
-            println!("+ {path} = {}", render_leaf(vb));
+            outln!("+ {path} = {}", render_leaf(vb));
         }
     }
     if changed == 0 {
-        println!("identical: {unchanged} leaves agree");
+        outln!("identical: {unchanged} leaves agree");
         Ok(CliOutcome::Clean)
     } else {
-        println!("{changed} leaves differ, {unchanged} agree");
+        outln!("{changed} leaves differ, {unchanged} agree");
         // Same exit class as "the assessment found something": callers
         // gating on drift want a nonzero exit without a CLI error.
         Ok(CliOutcome::Violations)
@@ -761,9 +794,9 @@ fn cmd_report_diff(p: &Parsed) -> Result<CliOutcome, String> {
 fn cmd_models() -> Result<CliOutcome, String> {
     for uc in all_use_cases() {
         let im = uc.intrusion_model();
-        println!("{:<14} {im}", uc.name());
+        outln!("{:<14} {im}", uc.name());
         if !im.related_advisories.is_empty() {
-            println!("{:<14}   generalizes: {}", "", im.related_advisories.join(", "));
+            outln!("{:<14}   generalizes: {}", "", im.related_advisories.join(", "));
         }
     }
     Ok(CliOutcome::Clean)
@@ -806,13 +839,13 @@ fn run(argv: Vec<String>) -> Result<CliOutcome, String> {
         "trace" => cmd_trace(&parsed),
         "report" => cmd_report(&parsed),
         "taxonomy" => {
-            println!("{}", xsa_exploits::advisories::render_table1());
+            outln!("{}", xsa_exploits::advisories::render_table1());
             Ok(CliOutcome::Clean)
         }
         "models" => cmd_models(),
         // `help`, `--help` and `-h`: `spec` admits no other command.
         _ => {
-            print!("{HELP}");
+            write_stdout(format_args!("{HELP}"));
             Ok(CliOutcome::Clean)
         }
     }
@@ -1047,6 +1080,7 @@ mod tests {
         assert_eq!(outcome, CliOutcome::Violations, "vulnerable versions violate");
         stream(vec!["--shard".into(), "0/2".into(), "--report-out".into(), s0.clone()]);
         stream(vec!["--shard".into(), "1/2".into(), "--report-out".into(), s1.clone()]);
+        let _ = std::fs::remove_file(&merged);
         run(vec!["report".into(), "merge".into(), merged.clone(), s0, s1]).unwrap();
         assert_eq!(
             std::fs::read_to_string(&full).unwrap(),
@@ -1146,6 +1180,7 @@ mod tests {
         ])
         .unwrap();
         // The same shard twice would double-count every slot.
+        let _ = std::fs::remove_file(&merged);
         let err =
             run(vec!["report".into(), "merge".into(), merged, a.clone(), a]).unwrap_err();
         assert!(err.contains("overlap"), "overlap is refused loudly: {err}");

@@ -2,9 +2,9 @@
 //! monitoring — the machinery behind the paper's Tables II/III and
 //! Figs. 2/4.
 
-use crate::chaos::{ChaosConfig, ChaosPolicy};
+use crate::chaos::ChaosPolicy;
 use crate::checkpoint::{CheckpointSession, JournalHeader, FOLD_INTERVAL};
-use crate::error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
+use crate::error::{contain, CampaignError, CellId, CellOutcome, CheckpointError};
 use crate::injector::ArbitraryAccessInjector;
 use crate::monitor::SecurityViolation;
 use crate::obs_bridge;
@@ -19,7 +19,6 @@ use hvsim::{SnapshotStats, XenVersion};
 use hvsim_obs::{MetricsRegistry, MetricsTimeline, TraceCtx, Tracer};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -212,7 +211,7 @@ pub struct Campaign {
     reuse_snapshots: bool,
     trials: u64,
     shard: Option<Shard>,
-    chaos: Option<ChaosConfig>,
+    chaos: Option<u64>,
     progress: bool,
     tracer: Tracer,
     metrics: Option<MetricsRegistry>,
@@ -313,10 +312,11 @@ impl Campaign {
         self
     }
 
-    /// Enables seeded harness-fault injection (see [`crate::chaos`]).
+    /// Enables seeded harness-fault injection (see [`crate::chaos`]):
+    /// `seed` names the run's whole fault schedule.
     #[must_use]
-    pub fn chaos(mut self, config: ChaosConfig) -> Self {
-        self.chaos = Some(config);
+    pub fn chaos(mut self, seed: u64) -> Self {
+        self.chaos = Some(seed);
         self
     }
 
@@ -421,9 +421,8 @@ impl Campaign {
     }
 
     /// Publishes a finished run's merged fold into `registry`, and its
-    /// chaos tallies whenever chaos is configured — even a quiet policy
-    /// records explicit zeros, so dashboards can tell "chaos quiet" from
-    /// "chaos off". Collecting and streamed runs both publish here.
+    /// chaos tallies when chaos is on. Collecting and streamed runs both
+    /// publish here.
     fn publish_fold(
         &self,
         registry: &MetricsRegistry,
@@ -432,7 +431,7 @@ impl Campaign {
         policy: Option<&ChaosPolicy>,
     ) {
         obs_bridge::record_fold_metrics(report, phases, registry);
-        if self.chaos.is_some() {
+        if let Some(policy) = policy {
             obs_bridge::record_chaos_metrics(policy, registry);
         }
     }
@@ -528,7 +527,7 @@ impl Campaign {
 
     /// The run's chaos policy, when chaos is configured.
     fn chaos_policy(&self) -> Option<Arc<ChaosPolicy>> {
-        self.chaos.map(|config| Arc::new(ChaosPolicy::new(config)))
+        self.chaos.map(|seed| Arc::new(ChaosPolicy::new(seed)))
     }
 
     /// The streaming engine body shared by plain, checkpointed, and
@@ -642,9 +641,6 @@ impl Campaign {
                             if session.is_some_and(|s| s.is_done(spec.slot)) {
                                 return;
                             }
-                            if let Some(stall) = policy.and_then(|p| p.claim_stall(spec.slot)) {
-                                std::thread::sleep(stall);
-                            }
                             if let Some(t) = telemetry {
                                 t.beat(index, spec.slot);
                             }
@@ -675,8 +671,8 @@ impl Campaign {
                             values.push(("checkpoint.bytes".to_owned(), counters.bytes));
                         }
                         if let Some(p) = policy {
-                            let (panics, boots, stalls, torn) = p.fired();
-                            values.push(("chaos.fired".to_owned(), panics + boots + stalls + torn));
+                            let (panics, boots, torn) = p.fired();
+                            values.push(("chaos.fired".to_owned(), panics + boots + torn));
                         }
                     });
                 });
@@ -879,7 +875,7 @@ impl Campaign {
         // so a panicking exploit/injector takes only its own world down,
         // and the next cell's reset undoes whatever it left behind.
         let inject_span = ctx.span("cell/inject");
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = contain(|| {
             if chaos_panic {
                 panic!("chaos: injected worker panic");
             }
@@ -892,14 +888,14 @@ impl Campaign {
                     spec.trial,
                 ),
             }
-        }));
+        });
         let injected = Instant::now();
         phases.inject_us = Some(micros(booted, injected));
         drop(inject_span);
         let outcome = match outcome {
             Ok(outcome) => outcome,
-            Err(p) => {
-                let error = CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) };
+            Err(payload) => {
+                let error = CampaignError::HarnessCrash { payload };
                 let wall = micros(start, injected);
                 bridge_audit(world);
                 return self.degraded_cell(uc, version, mode, error, wall, phases);
@@ -909,17 +905,15 @@ impl Campaign {
         // Phase 3: monitoring, with per-detector containment — one
         // panicking detector costs its own observations, not the cell's.
         let monitor_span = ctx.span("cell/monitor");
-        let observed = catch_unwind(AssertUnwindSafe(|| {
-            uc.monitor(world, attacker).observe_contained(world)
-        }));
+        let observed = contain(|| uc.monitor(world, attacker).observe_contained(world));
         let monitored = Instant::now();
         phases.monitor_us = Some(micros(injected, monitored));
         let wall = micros(start, monitored);
         drop(monitor_span);
         let (observation, detector_failures) = match observed {
             Ok(observed) => observed,
-            Err(p) => {
-                let error = CampaignError::Monitor { message: panic_payload(p.as_ref()) };
+            Err(message) => {
+                let error = CampaignError::Monitor { message };
                 bridge_audit(world);
                 return self.degraded_cell(uc, version, mode, error, wall, phases);
             }
@@ -997,20 +991,20 @@ type BaseWorldMap = BTreeMap<(XenVersion, bool), Result<World, CampaignError>>;
 /// Resets `scratch` to `base` (cloning `base` into it if it holds no
 /// world yet) with panic containment. A panic mid-reset drops the taken
 /// world inside the boundary, so a half-reset world is never reused:
-/// the next cell clones afresh. `AssertUnwindSafe` is sound because the
-/// base is only read.
+/// the next cell clones afresh. Containment is sound because the base is
+/// only read.
 fn reset_contained<'w>(
     scratch: &'w mut Option<World>,
     base: &World,
 ) -> Result<&'w mut World, CampaignError> {
-    let world = catch_unwind(AssertUnwindSafe(|| match scratch.take() {
+    let world = contain(|| match scratch.take() {
         Some(mut world) => {
             world.clone_from(base);
             world
         }
         None => base.clone(),
-    }))
-    .map_err(|p| CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) })?;
+    })
+    .map_err(|payload| CampaignError::HarnessCrash { payload })?;
     Ok(scratch.insert(world))
 }
 
@@ -1142,11 +1136,9 @@ impl CellSink for FoldSink<'_> {
 pub(crate) fn boot_contained<T>(
     boot: impl FnOnce() -> Result<T, BootError>,
 ) -> Result<T, CampaignError> {
-    match catch_unwind(AssertUnwindSafe(boot)) {
-        Ok(Ok(booted)) => Ok(booted),
-        Ok(Err(boot)) => Err(CampaignError::Boot { message: boot.to_string() }),
-        Err(p) => Err(CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }),
-    }
+    contain(boot)
+        .map_err(|payload| CampaignError::HarnessCrash { payload })?
+        .map_err(|boot| CampaignError::Boot { message: boot.to_string() })
 }
 
 /// Whole microseconds from `from` to `to`.

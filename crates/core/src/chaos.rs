@@ -1,7 +1,6 @@
 //! Deterministic chaos injection for the harness itself: seeded faults
 //! that exercise every degradation path the campaign engine claims to
-//! contain — worker panics, boot failures, claim stalls, and torn
-//! journal writes.
+//! contain — worker panics, boot failures and torn journal writes.
 //!
 //! The paper's argument depends on the harness surviving its own
 //! faults (a fault injector that dies on a fault proves nothing).
@@ -18,14 +17,13 @@
 //! `(seed, fault kind, slot)` — **never** of worker id, claim order,
 //! or wall clock — so a chaos campaign produces byte-identical
 //! normalized reports at any `--jobs` count, and CI diffs them exactly
-//! like regular runs. Claim stalls and torn journal writes only shape
-//! wall-clock time and journal durability, which `normalized()`
-//! excludes by construction.
+//! like regular runs. Torn journal writes only shape journal
+//! durability, which `normalized()` excludes by construction. The rates
+//! are constants, so the seed alone names a run's whole fault schedule.
 
 use crate::checkpoint::{fnv64, JournalSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// SplitMix64 — the same generator the synthetic workload uses, kept
 /// private per module so chaos decisions cannot couple to workload
@@ -37,127 +35,72 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-fault salts: decisions for different fault kinds on the same
-/// slot are independent.
-const SALT_PANIC: u64 = 0x70_61_6e_69_63; // "panic"
-const SALT_BOOT: u64 = 0x62_6f_6f_74; // "boot"
-const SALT_STALL: u64 = 0x73_74_61_6c_6c; // "stall"
-const SALT_TORN: u64 = 0x74_6f_72_6e; // "torn"
-
-/// Chaos fault rates, in permille per slot, plus the seed that makes
-/// the whole fault schedule reproducible. The seed is the only setting:
-/// every run uses the rates of [`ChaosConfig::standard`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Seed for every fault decision.
-    pub seed: u64,
-    /// Permille of slots whose inject phase panics (→ `Crashed`).
-    worker_panic_permille: u32,
-    /// Permille of slots whose boot fails (→ `BootFailed`).
-    boot_failure_permille: u32,
-    /// Permille of slots whose worker stalls briefly between claiming
-    /// the slot and running it (wall-clock only — never visible in a
-    /// normalized report).
-    claim_stall_permille: u32,
-    /// Permille of journal fold records written torn (a prefix of the
-    /// bytes), exercising torn-tail recovery. The header is written
-    /// before chaos wraps the journal, so it stays identifiable.
-    torn_write_permille: u32,
-}
-
-impl ChaosConfig {
-    /// The CI fault matrix: every fault kind enabled at rates that
-    /// degrade a few-thousand-cell grid visibly but leave most cells
-    /// clean.
-    pub fn standard(seed: u64) -> Self {
-        Self {
-            seed,
-            worker_panic_permille: 10,
-            boot_failure_permille: 20,
-            claim_stall_permille: 10,
-            torn_write_permille: 100,
-        }
-    }
-}
+// Each fault's `(salt, permille)`: the salt keeps decisions for
+// different faults on one slot independent, and every fault fires
+// visibly on a few-thousand-cell grid while most cells stay clean.
+/// Slots whose inject phase panics (→ `Crashed`); salt "panic".
+const WORKER_PANIC: (u64, u64) = (0x70_61_6e_69_63, 10);
+/// Slots whose boot fails (→ `BootFailed`); salt "boot".
+const BOOT_FAILURE: (u64, u64) = (0x62_6f_6f_74, 20);
+/// Journal fold records written torn (see [`ChaosSink`]); salt "torn".
+const TORN_WRITE: (u64, u64) = (0x74_6f_72_6e, 100);
 
 /// The seeded decision engine plus fired-fault counters. Decisions are
 /// slot-keyed (see the module docs); counters are recorded into the
 /// metrics registry as `campaign.chaos.*` at the end of the run.
 #[derive(Debug)]
 pub struct ChaosPolicy {
-    config: ChaosConfig,
+    seed: u64,
     worker_panics: AtomicU64,
     boot_failures: AtomicU64,
-    claim_stalls: AtomicU64,
     torn_writes: AtomicU64,
 }
 
 impl ChaosPolicy {
-    /// Builds the policy for one campaign run.
-    pub fn new(config: ChaosConfig) -> Self {
+    /// Builds the policy for one campaign run: `seed` names its whole
+    /// fault schedule.
+    pub fn new(seed: u64) -> Self {
         Self {
-            config,
+            seed,
             worker_panics: AtomicU64::new(0),
             boot_failures: AtomicU64::new(0),
-            claim_stalls: AtomicU64::new(0),
             torn_writes: AtomicU64::new(0),
         }
     }
 
-    /// The raw seeded roll for one (fault, key) pair, in `0..`.
-    fn roll(&self, salt: u64, key: u64) -> u64 {
-        splitmix64(self.config.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ splitmix64(key))
-    }
-
-    fn fires(&self, salt: u64, key: u64, permille: u32) -> bool {
-        permille > 0 && self.roll(salt, key) % 1000 < u64::from(permille)
+    /// Whether a fault's seeded roll for `key` fires; counted in `fired`
+    /// when it does.
+    fn fires(&self, (salt, permille): (u64, u64), key: u64, fired: &AtomicU64) -> bool {
+        let roll = splitmix64(self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ splitmix64(key));
+        let fires = roll % 1000 < permille;
+        if fires {
+            fired.fetch_add(1, Ordering::Relaxed);
+        }
+        fires
     }
 
     /// Should this slot's inject phase panic? Counted when it fires.
     pub fn worker_panic(&self, slot: u64) -> bool {
-        let fires = self.fires(SALT_PANIC, slot, self.config.worker_panic_permille);
-        if fires {
-            self.worker_panics.fetch_add(1, Ordering::Relaxed);
-        }
-        fires
+        self.fires(WORKER_PANIC, slot, &self.worker_panics)
     }
 
     /// Should this slot's boot fail? Counted when it fires.
     pub fn boot_failure(&self, slot: u64) -> bool {
-        let fires = self.fires(SALT_BOOT, slot, self.config.boot_failure_permille);
-        if fires {
-            self.boot_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        fires
-    }
-
-    /// Should the worker stall after claiming this slot, before
-    /// running it?
-    pub fn claim_stall(&self, slot: u64) -> Option<Duration> {
-        if !self.fires(SALT_STALL, slot, self.config.claim_stall_permille) {
-            return None;
-        }
-        self.claim_stalls.fetch_add(1, Ordering::Relaxed);
-        Some(Duration::from_micros(200))
+        self.fires(BOOT_FAILURE, slot, &self.boot_failures)
     }
 
     /// Should this journal record be torn? Keyed by the payload hash
     /// (journal writes have no slot identity at the sink layer).
     pub fn torn_write(&self, payload_hash: u64) -> bool {
-        let fires = self.fires(SALT_TORN, payload_hash, self.config.torn_write_permille);
-        if fires {
-            self.torn_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        fires
+        self.fires(TORN_WRITE, payload_hash, &self.torn_writes)
     }
 
     /// Fired-fault counts so far:
-    /// `(worker_panics, boot_failures, claim_stalls, torn_writes)`.
-    pub fn fired(&self) -> (u64, u64, u64, u64) {
+    /// `(worker_panics, boot_failures, torn_writes)`.
+    pub fn fired(&self) -> (u64, u64, u64) {
         (
             self.worker_panics.load(Ordering::Relaxed),
             self.boot_failures.load(Ordering::Relaxed),
-            self.claim_stalls.load(Ordering::Relaxed),
             self.torn_writes.load(Ordering::Relaxed),
         )
     }
@@ -169,14 +112,8 @@ impl ChaosPolicy {
 /// wraps its journal only after the header is synced, so every record
 /// this sink sees is a fold record.
 pub(crate) struct ChaosSink {
-    inner: Box<dyn JournalSink>,
-    policy: Arc<ChaosPolicy>,
-}
-
-impl ChaosSink {
-    pub(crate) fn new(inner: Box<dyn JournalSink>, policy: Arc<ChaosPolicy>) -> Self {
-        Self { inner, policy }
-    }
+    pub(crate) inner: Box<dyn JournalSink>,
+    pub(crate) policy: Arc<ChaosPolicy>,
 }
 
 impl JournalSink for ChaosSink {
@@ -195,40 +132,37 @@ impl JournalSink for ChaosSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{read_header, CheckpointSession, JournalHeader};
+    use crate::checkpoint::{read_header, CheckpointSession, JournalHeader, JournalRecord};
     use crate::stream::{GridFingerprint, PartialFold};
 
     #[test]
     fn decisions_are_slot_keyed_and_reproducible() {
-        let a = ChaosPolicy::new(ChaosConfig::standard(7));
-        let b = ChaosPolicy::new(ChaosConfig::standard(7));
+        let a = ChaosPolicy::new(7);
+        let b = ChaosPolicy::new(7);
         for slot in 0..5_000 {
             assert_eq!(a.worker_panic(slot), b.worker_panic(slot));
             assert_eq!(a.boot_failure(slot), b.boot_failure(slot));
-            assert_eq!(a.claim_stall(slot).is_some(), b.claim_stall(slot).is_some());
         }
         assert_eq!(a.fired(), b.fired());
-        let (panics, boots, stalls, _) = a.fired();
-        assert!(panics > 0 && boots > 0 && stalls > 0, "rates actually fire");
+        let (panics, boots, _) = a.fired();
+        assert!(panics > 0 && boots > 0, "rates actually fire");
     }
 
     #[test]
     fn different_seeds_give_different_schedules() {
-        let a = ChaosPolicy::new(ChaosConfig::standard(1));
-        let b = ChaosPolicy::new(ChaosConfig::standard(2));
+        let a = ChaosPolicy::new(1);
+        let b = ChaosPolicy::new(2);
         let plan = |p: &ChaosPolicy| (0..2_000).map(|s| p.worker_panic(s)).collect::<Vec<_>>();
         assert_ne!(plan(&a), plan(&b));
     }
 
     #[test]
     fn chaos_sink_tears_records_but_never_the_header() {
-        let policy = Arc::new(ChaosPolicy::new(ChaosConfig {
-            seed: 5,
-            worker_panic_permille: 0,
-            boot_failure_permille: 0,
-            claim_stall_permille: 0,
-            torn_write_permille: 1000,
-        }));
+        // The first seed whose policy tears the fold record below.
+        let record = JournalRecord::Fold { worker: 1, seq: 1, slots: vec![0], fold: Box::default() };
+        let hash = fnv64(record.encode().unwrap().as_bytes());
+        let seed = (0..).find(|&seed| ChaosPolicy::new(seed).torn_write(hash)).unwrap();
+        let policy = Arc::new(ChaosPolicy::new(seed));
         let header = JournalHeader {
             grid: GridFingerprint {
                 use_cases: vec!["XSA-212-crash".into()],
@@ -243,11 +177,11 @@ mod tests {
         let mut session =
             CheckpointSession::create(&path, header.clone(), Some(Arc::clone(&policy)))
                 .unwrap();
-        let torn = |policy: &ChaosPolicy| policy.fired().3;
+        let torn = |policy: &ChaosPolicy| policy.fired().2;
         assert_eq!(torn(&policy), 0, "the header is written before chaos wraps the journal");
         session.record_fold(1, 1, vec![0], PartialFold::default());
         session.writer.close();
-        assert_eq!(torn(&policy), 1, "every fold record is torn");
+        assert_eq!(torn(&policy), 1, "the fold record is torn");
         assert_eq!(read_header(&path).unwrap(), header, "the journal keeps its identity");
         let resumed = CheckpointSession::resume(&path, &header, None).unwrap();
         assert!(!resumed.is_done(0), "the torn record is cut off on resume");

@@ -586,7 +586,7 @@ impl Drop for CheckpointWriter {
 /// of the fold records.
 fn writer_sink(file: FileSink, chaos: Option<Arc<ChaosPolicy>>) -> Box<dyn JournalSink> {
     match chaos {
-        Some(policy) => Box::new(ChaosSink::new(Box::new(file), policy)),
+        Some(policy) => Box::new(ChaosSink { inner: Box::new(file), policy }),
         None => Box::new(file),
     }
 }

@@ -170,7 +170,7 @@ impl CellOutcome {
 /// Renders a panic payload captured by `std::panic::catch_unwind` as a
 /// string: `&str` and `String` payloads (everything `panic!` produces)
 /// verbatim, anything else as an opaque marker.
-pub fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -178,6 +178,38 @@ pub fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
+}
+
+thread_local! {
+    /// Whether this thread runs a phase of [`contain`].
+    static CONTAINED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` as a contained phase of a cell: a panic becomes its rendered
+/// payload, for the caller to type as a degraded cell. Each caller
+/// documents why what `f` touches is not reused half-updated. Inlined,
+/// because out of line it copied each phase's result through its frame.
+#[inline(always)]
+pub(crate) fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    let outer = CONTAINED.replace(true);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    CONTAINED.set(outer);
+    result.map_err(|p| panic_payload(p.as_ref()))
+}
+
+/// Installs, once per process, a panic hook that prints nothing for a
+/// panic inside a contained phase of a cell (the run reports it as a
+/// degraded cell) and defers to the previous hook for any other panic.
+pub fn quiet_contained_panics() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !CONTAINED.get() {
+                previous(info);
+            }
+        }));
+    });
 }
 
 #[cfg(test)]

@@ -97,9 +97,9 @@ mod telemetry;
 pub use avi::{ThreatChain, ThreatLink, ThreatStage};
 pub use benchmark::{SecurityAttribute, SecurityBenchmark, VersionScore};
 pub use campaign::{default_jobs, Campaign, CampaignReport, CellResult, PhaseTimings, WorldFactory};
-pub use chaos::{ChaosConfig, ChaosPolicy};
+pub use chaos::ChaosPolicy;
 pub use checkpoint::{read_header, JournalHeader};
-pub use error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
+pub use error::{quiet_contained_panics, CampaignError, CellId, CellOutcome, CheckpointError};
 pub use erroneous_state::{AuditEvidence, ErroneousStateSpec, StateAudit};
 pub use injector::{ArbitraryAccessInjector, DebugStubInjector, InjectError, InjectionEvidence, Injector};
 pub use model::{AttackInterface, IntrusionModel, StateTrace, TargetComponent, TriggeringSource};

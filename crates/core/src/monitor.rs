@@ -404,20 +404,16 @@ impl Monitor {
     /// `"name: payload"` record per failed detector — the campaign
     /// surfaces those as [`crate::error::CampaignError::Monitor`].
     ///
-    /// `AssertUnwindSafe` is sound: detectors only read `&World`, and a
+    /// Containment is sound: detectors only read `&World`, and a
     /// world is plain owned data that cannot be left half-mutated by a
     /// `&`-borrow.
     pub fn observe_contained(&self, world: &World) -> (Observation, Vec<String>) {
         let mut violations = Vec::new();
         let mut failures = Vec::new();
         for d in self.detectors() {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.observe(world))) {
+            match crate::error::contain(|| d.observe(world)) {
                 Ok(observed) => append(&mut violations, observed),
-                Err(p) => failures.push(format!(
-                    "{}: {}",
-                    d.name(),
-                    crate::error::panic_payload(p.as_ref())
-                )),
+                Err(payload) => failures.push(format!("{}: {payload}", d.name())),
             }
         }
         (Observation { violations }, failures)

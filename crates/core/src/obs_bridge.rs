@@ -54,8 +54,6 @@ pub const M_CKPT_RESUMED_SLOTS: &str = "campaign.checkpoint.resumed_slots";
 pub const M_CHAOS_PANICS: &str = "campaign.chaos.worker_panics";
 /// Counter (chaos only): boot failures injected.
 pub const M_CHAOS_BOOTS: &str = "campaign.chaos.boot_failures";
-/// Counter (chaos only): claim stalls injected.
-pub const M_CHAOS_STALLS: &str = "campaign.chaos.claim_stalls";
 /// Counter (chaos only): journal records torn mid-write.
 pub const M_CHAOS_TORN: &str = "campaign.chaos.torn_writes";
 /// Counter: stall episodes the supervisor flagged — a busy worker
@@ -133,20 +131,12 @@ pub(crate) fn record_checkpoint_metrics(
     registry.add(M_CKPT_RESUMED_SLOTS, resumed_slots);
 }
 
-/// Folds a finished run's chaos-fault tallies into the registry.
-///
-/// Called whenever chaos is *configured*, even when the policy is
-/// no-op (`None`) or simply fired nothing: the `campaign.chaos.*`
-/// counters then read an explicit 0, so a dashboard can distinguish
-/// "chaos off" (counters absent) from "chaos quiet" (counters zero).
-pub(crate) fn record_chaos_metrics(
-    policy: Option<&crate::chaos::ChaosPolicy>,
-    registry: &MetricsRegistry,
-) {
-    let (panics, boots, stalls, torn) =
-        policy.map_or((0, 0, 0, 0), crate::chaos::ChaosPolicy::fired);
+/// Folds a finished run's chaos-fault tallies into the registry, zeros
+/// included, so "chaos quiet" (counters zero) differs from "chaos off"
+/// (counters absent).
+pub(crate) fn record_chaos_metrics(policy: &crate::chaos::ChaosPolicy, registry: &MetricsRegistry) {
+    let (panics, boots, torn) = policy.fired();
     registry.add(M_CHAOS_PANICS, panics);
     registry.add(M_CHAOS_BOOTS, boots);
-    registry.add(M_CHAOS_STALLS, stalls);
     registry.add(M_CHAOS_TORN, torn);
 }
