@@ -136,6 +136,12 @@ fn chaos_composes_with_checkpoint_resume_despite_torn_writes() {
     // the same slot-keyed faults, and the report comes back identical.
     let bytes = std::fs::read(&journal).unwrap();
     std::fs::write(&journal, &bytes[..bytes.len() / 2]).unwrap();
+    // The journal names its seed, so no other schedule may resume it.
+    let calm = synthetic_campaign(SEED, TRIALS).jobs(4);
+    for other in [calm.resume(&journal), calm.chaos(CHAOS_SEED + 1).resume(&journal)] {
+        let err = other.unwrap_err().to_string();
+        assert!(err.contains(&format!("chaos seed {CHAOS_SEED}")), "{err}");
+    }
     let resumed = chaotic().jobs(4).resume(&journal).unwrap();
     assert_eq!(
         resumed.report.normalized().to_json().unwrap(),

@@ -10,7 +10,7 @@
 
 use bench::{paper_campaign, synthetic_campaign};
 use hvsim_obs::MetricsRegistry;
-use intrusion_core::{Campaign, Shard};
+use intrusion_core::{read_header, Campaign, Shard};
 use std::path::PathBuf;
 
 const SEED: u64 = 0xD5_2023;
@@ -184,6 +184,7 @@ fn fold_records_keep_the_by_name_folds_json() {
     // The old journal covers every slot; resuming it runs nothing and
     // reproduces the fresh run's report.
     std::fs::write(&journal, old).unwrap();
+    assert_eq!(read_header(&journal).unwrap().chaos, None, "a header without a seed has no chaos");
     let resumed = campaign().resume(&journal).unwrap();
     assert_eq!(resumed.report.normalized(), fresh.report.normalized());
     assert_eq!(resumed.stats.cells_per_sec, 0.0);

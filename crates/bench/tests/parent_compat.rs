@@ -5,7 +5,7 @@
 
 use bench::paper_campaign;
 use hvsim_obs::MetricsRegistry;
-use intrusion_core::{Shard, StreamReport};
+use intrusion_core::{read_header, Shard, StreamReport};
 
 const SHARD0: &str = include_str!("fixtures/chunked-shard0-of-2.json");
 const JOURNAL: &[u8] = include_bytes!("fixtures/chunked-50-trials.journal");
@@ -37,6 +37,7 @@ fn chunked_era_journal_resumes() {
     }
     let journal = std::env::temp_dir().join(format!("hvsim-compat-{}.journal", std::process::id()));
     std::fs::write(&journal, JOURNAL).unwrap();
+    assert_eq!(read_header(&journal).unwrap().chaos, None, "a header without a seed has no chaos");
     let campaign = || paper_campaign().trials(50).jobs(2);
     let registry = MetricsRegistry::new();
     let resumed = campaign().metrics(registry.clone()).resume(&journal).unwrap();

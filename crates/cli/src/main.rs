@@ -100,9 +100,11 @@ COMMANDS:
                                    stalled on slot <s>'
                  resume <file>   resume a checkpointed campaign from its
                                    journal; the journal header supplies the
-                                   grid (extensions, trials and shard), so
-                                   --extensions, --trials and --shard are
-                                   refused. It keeps journaling to <file>, so
+                                   grid (extensions, trials and shard) and
+                                   the chaos seed, so --extensions, --trials
+                                   and --shard are refused, and so is a
+                                   --chaos-seed other than the journal's. It
+                                   keeps journaling to <file>, so
                                    --checkpoint is refused too
                  replay <slot>   re-run one grid slot with tracing on: writes
                                    its trace (boot stages, audited hypercalls,
@@ -152,7 +154,9 @@ EXIT CODES:
     1  the assessment observed at least one security violation (that is
        the expected result of the paper's campaigns)
     2  harness degradation (a cell crashed or failed to boot)
-       or a CLI error
+       or a CLI error; an output file (--report-out, --trace-out,
+       --metrics-out, --timeline-out) is created before the first cell
+       runs, so one that cannot be created fails before the run
 ";
 
 /// What the process should report via its exit code.
@@ -223,11 +227,6 @@ fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, St
     if let Some(raw) = p.options.get("shard") {
         campaign = campaign.shard(Shard::parse(raw).map_err(|e| format!("--shard: {e}"))?);
     }
-    if let Some(raw) = p.options.get("chaos-seed") {
-        let seed: u64 =
-            raw.parse().map_err(|_| "--chaos-seed must be a number".to_owned())?;
-        campaign = campaign.chaos(seed);
-    }
     if p.has_flag("progress") {
         campaign = campaign.progress(true);
     }
@@ -256,31 +255,58 @@ fn attach_obs(campaign: Campaign, p: &Parsed) -> (Campaign, ObsHooks) {
     (campaign, ObsHooks { tracer, registry, timeline })
 }
 
-/// Writes one JSON file (a report or a metrics snapshot), ending it
-/// with a newline so line tools see a terminated last line.
-fn write_json(path: &str, json: String) -> Result<(), String> {
-    std::fs::write(path, json + "\n").map_err(|e| format!("could not write {path}: {e}"))
+/// The output files a command was asked for, keyed by option. Each is
+/// created before the run, so an unwritable path exits 2 before any
+/// cell runs; the end of the run writes it.
+struct Outputs(BTreeMap<&'static str, (String, std::fs::File)>);
+
+impl Outputs {
+    /// Creates the file of every one of `options` given on the command
+    /// line.
+    fn create(p: &Parsed, options: &[&'static str]) -> Result<Self, String> {
+        let mut files = BTreeMap::new();
+        for &option in options {
+            if let Some(path) = p.options.get(option) {
+                let file = std::fs::File::create(path)
+                    .map_err(|e| format!("--{option}: could not create {path}: {e}"))?;
+                files.insert(option, (path.clone(), file));
+            }
+        }
+        Ok(Self(files))
+    }
+
+    /// Writes `text()` to the file of `option`, when it was requested,
+    /// and returns its path.
+    fn write(
+        &mut self,
+        option: &str,
+        text: impl FnOnce() -> Result<String, String>,
+    ) -> Result<Option<&str>, String> {
+        let Some((path, file)) = self.0.get_mut(option) else { return Ok(None) };
+        file.write_all(text()?.as_bytes()).map_err(|e| format!("could not write {path}: {e}"))?;
+        Ok(Some(path))
+    }
+}
+
+/// One JSON file (a report or a metrics snapshot), ending with a
+/// newline so line tools see a terminated last line.
+fn json_file(json: Result<String, serde_json::Error>) -> Result<String, String> {
+    json.map(|json| json + "\n").map_err(|e| e.to_string())
 }
 
 /// Writes the requested trace / metrics / timeline files after a
 /// campaign ran.
-fn write_obs_outputs(p: &Parsed, hooks: &ObsHooks) -> Result<(), String> {
-    if let Some(path) = p.options.get("trace-out") {
-        let events = hooks.tracer.drain();
-        std::fs::write(path, to_jsonl(&events))
-            .map_err(|e| format!("could not write {path}: {e}"))?;
+fn write_obs_outputs(outputs: &mut Outputs, hooks: &ObsHooks) -> Result<(), String> {
+    let events = hooks.tracer.drain();
+    if let Some(path) = outputs.write("trace-out", || Ok(to_jsonl(&events)))? {
         eprintln!("wrote {} trace events to {path}", events.len());
     }
-    if let Some(path) = p.options.get("metrics-out") {
-        let snapshot = serde_json::to_string_pretty(&hooks.registry.snapshot())
-            .map_err(|e| e.to_string())?;
-        write_json(path, snapshot)?;
+    let snapshot = || json_file(serde_json::to_string_pretty(&hooks.registry.snapshot()));
+    if let Some(path) = outputs.write("metrics-out", snapshot)? {
         eprintln!("wrote metrics snapshot to {path}");
     }
-    if let Some(path) = p.options.get("timeline-out") {
-        if let Some(timeline) = &hooks.timeline {
-            std::fs::write(path, timeline.to_jsonl())
-                .map_err(|e| format!("could not write {path}: {e}"))?;
+    if let Some(timeline) = &hooks.timeline {
+        if let Some(path) = outputs.write("timeline-out", || Ok(timeline.to_jsonl()))? {
             eprintln!("wrote {} timeline samples to {path}", timeline.len());
         }
     }
@@ -336,11 +362,31 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         .as_deref()
         .map(|path| read_header(Path::new(path)).map_err(|e| e.to_string()))
         .transpose()?;
+    let seed = p
+        .options
+        .get("chaos-seed")
+        .map(|raw| raw.parse::<u64>().map_err(|_| "--chaos-seed must be a number".to_owned()))
+        .transpose()?;
+    // On resume the journal header is the only source of the run's
+    // settings: the chaos seed comes from it, and a --chaos-seed other
+    // than the journal's is refused rather than obeyed.
+    let chaos = match &resume_header {
+        None => seed,
+        Some(header) if seed.is_none_or(|seed| header.chaos == Some(seed)) => header.chaos,
+        Some(header) => {
+            let journal = header.chaos.map_or_else(|| "none".to_owned(), |s| s.to_string());
+            return Err(format!(
+                "campaign resume: --chaos-seed differs from the journal's chaos seed ({journal})"
+            ));
+        }
+    };
     let mut campaign = configure_campaign(Campaign::new(), p)?;
-    // On resume the journal header is the only source of the grid shape:
-    // extensions, trials, and shard come from it (resume still verifies
-    // the full fingerprint and refuses a journal from a different
-    // campaign).
+    if let Some(seed) = chaos {
+        campaign = campaign.chaos(seed);
+    }
+    // The grid shape comes from the header too: extensions, trials, and
+    // shard (resume still verifies the whole header and refuses a
+    // journal from a different campaign).
     let want_extensions = p.has_flag("extensions")
         || resume_header
             .as_ref()
@@ -358,14 +404,22 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         if let Some(shard) = header.shard {
             campaign = campaign.shard(shard);
         }
+        // Refused here, not by `Campaign::resume`, so that no output
+        // file is created for a run that cannot start.
+        if campaign.grid() != &header.grid {
+            let grid = &header.grid;
+            return Err(format!("campaign resume: the journal's grid ({grid}) is not one it runs"));
+        }
     }
+    let mut outputs =
+        Outputs::create(p, &["trace-out", "metrics-out", "timeline-out", "report-out"])?;
     if let Some(slot) = replay_slot {
-        return cmd_campaign_replay(campaign, slot, p);
+        return cmd_campaign_replay(campaign, slot, &mut outputs);
     }
     // A contained panic is listed as a degraded slot, whose replay shows
     // the panic itself.
     quiet_contained_panics();
-    let flags = replay_flags(p, want_extensions, campaign.fingerprint().trials);
+    let flags = replay_flags(want_extensions, campaign.grid().trials, chaos);
     let (campaign, hooks) = attach_obs(campaign, p);
     let outcome = if let Some(path) = &resume_path {
         eprintln!("resuming the campaign from {path} ...");
@@ -377,11 +431,9 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         eprintln!("running the campaign ...");
         campaign.run_streaming()
     };
-    write_obs_outputs(p, &hooks)?;
+    write_obs_outputs(&mut outputs, &hooks)?;
     let report = &outcome.report;
-    if let Some(path) = p.options.get("report-out") {
-        let json = report.normalized().to_json().map_err(|e| e.to_string())?;
-        write_json(path, json)?;
+    if let Some(path) = outputs.write("report-out", || json_file(report.normalized().to_json()))? {
         eprintln!("wrote normalized stream report to {path}");
     }
     let exit = CliOutcome::new(report.is_degraded(), report.has_violations());
@@ -411,9 +463,9 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     Ok(exit)
 }
 
-/// The grid flags `campaign replay` needs to rebuild this invocation's
-/// grid.
-fn replay_flags(p: &Parsed, extensions: bool, trials: u64) -> String {
+/// The grid flags `campaign replay` needs to rebuild this run's grid
+/// and chaos seed.
+fn replay_flags(extensions: bool, trials: u64, chaos: Option<u64>) -> String {
     let mut flags = String::new();
     if extensions {
         flags.push_str(" --extensions");
@@ -421,7 +473,7 @@ fn replay_flags(p: &Parsed, extensions: bool, trials: u64) -> String {
     if trials > 1 {
         flags.push_str(&format!(" --trials {trials}"));
     }
-    if let Some(seed) = p.options.get("chaos-seed") {
+    if let Some(seed) = chaos {
         flags.push_str(&format!(" --chaos-seed {seed}"));
     }
     flags
@@ -438,7 +490,11 @@ fn degraded_line(slot: u64, cell_id: &str, error: Option<&CampaignError>, flags:
 /// `campaign replay <slot>`: re-runs one slot of the grid with the
 /// tracer on, writes its trace as canonical JSONL to `--trace-out` (or
 /// stdout), prints the verdict on stderr, and exits from that cell.
-fn cmd_campaign_replay(campaign: Campaign, slot: u64, p: &Parsed) -> Result<CliOutcome, String> {
+fn cmd_campaign_replay(
+    campaign: Campaign,
+    slot: u64,
+    outputs: &mut Outputs,
+) -> Result<CliOutcome, String> {
     let tracer = Tracer::enabled();
     let campaign = campaign.tracer(tracer.clone());
     let cells = campaign.grid().len();
@@ -446,11 +502,8 @@ fn cmd_campaign_replay(campaign: Campaign, slot: u64, p: &Parsed) -> Result<CliO
         .replay(slot)
         .ok_or_else(|| format!("slot {slot} is past the end of the grid ({cells} cells)"))?;
     let trace = to_jsonl(&tracer.drain());
-    match p.options.get("trace-out") {
-        Some(path) => {
-            std::fs::write(path, &trace).map_err(|e| format!("could not write {path}: {e}"))?;
-        }
-        None => write_stdout(format_args!("{trace}")),
+    if outputs.write("trace-out", || Ok(trace.clone()))?.is_none() {
+        write_stdout(format_args!("{trace}"));
     }
     let verdict = if cell.degraded() {
         let error = cell.error.as_ref().map_or_else(|| "unknown".to_owned(), ToString::to_string);
@@ -558,11 +611,12 @@ fn cmd_benchmark(p: &Parsed) -> Result<CliOutcome, String> {
     for uc in all_use_cases() {
         campaign = campaign.with_use_case(uc);
     }
+    let mut outputs = Outputs::create(p, &["trace-out", "metrics-out"])?;
     let (campaign, hooks) = attach_obs(campaign, p);
     quiet_contained_panics();
     eprintln!("running the extended campaign ...");
     let report = campaign.run_with_jobs(parse_jobs(p)?);
-    write_obs_outputs(p, &hooks)?;
+    write_obs_outputs(&mut outputs, &hooks)?;
     let benchmark = SecurityBenchmark::from_report(&report);
     outln!("{}", benchmark.render());
     for (i, (version, score)) in benchmark.ranking().iter().enumerate() {

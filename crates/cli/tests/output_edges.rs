@@ -1,7 +1,8 @@
 //! The CLI at the edges of its outputs: a closed stdout is a clean
-//! exit, `report merge` never overwrites a file, and a panic the
-//! campaign contains is reported as a degraded slot, not by the panic
-//! hook.
+//! exit, `report merge` never overwrites a file, a panic the campaign
+//! contains is reported as a degraded slot, not by the panic hook, and
+//! an output file that cannot be created stops a command before it
+//! runs anything.
 
 use intrusion_core::{CellOutcome, StreamReport};
 use std::path::{Path, PathBuf};
@@ -99,4 +100,30 @@ fn contained_panics_are_listed_as_slots_not_printed() {
     assert_eq!(output.status.code(), Some(2), "the replayed cell crashes again");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("panicked at"), "replay keeps the default hook: {stderr}");
+}
+
+/// Every output file is created before the first cell runs, so a path
+/// that cannot be created fails the command before the run starts.
+#[test]
+fn an_unwritable_output_is_refused_before_the_run() {
+    let dir = scratch("an_unwritable_output_is_refused_before_the_run");
+    let missing = path(&dir, "no/such/dir/out");
+    let commands: [&[&str]; 7] = [
+        &["campaign", "--trials", "64", "--report-out"],
+        &["campaign", "--trials", "64", "--metrics-out"],
+        &["campaign", "--trials", "64", "--trace-out"],
+        &["campaign", "--trials", "64", "--timeline-out"],
+        &["campaign", "replay", "3", "--trace-out"],
+        &["benchmark", "--metrics-out"],
+        &["benchmark", "--trace-out"],
+    ];
+    for command in commands {
+        let output = run(&[command, &[&missing]].concat());
+        assert_eq!(output.status.code(), Some(2), "{command:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let option = command.last().expect("an option");
+        assert!(stderr.contains(&missing) && stderr.contains(option), "{command:?}: {stderr}");
+        assert!(!stderr.contains("running"), "{command:?} runs nothing: {stderr}");
+        assert!(output.stdout.is_empty(), "{command:?}");
+    }
 }

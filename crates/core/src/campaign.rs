@@ -10,8 +10,8 @@ use crate::monitor::SecurityViolation;
 use crate::obs_bridge;
 use crate::scenario::{Mode, Note, UseCase};
 use crate::stream::{
-    CellSpec, GridFingerprint, KeySummary, PartialFold, PhaseHistograms, Shard, SlotClaims,
-    SpecGrid, StreamOutcome, StreamReport, StreamRunStats,
+    CellSpec, KeySummary, PartialFold, PhaseHistograms, Shard, SlotClaims, SpecGrid,
+    StreamOutcome, StreamReport, StreamRunStats,
 };
 use crate::telemetry::{self, Telemetry};
 use guestos::{BootError, World, WorldBuilder};
@@ -204,12 +204,11 @@ impl CampaignReport {
 /// default, set by [`Campaign::new`]; the builder methods change them.
 pub struct Campaign {
     use_cases: Vec<Box<dyn UseCase>>,
-    versions: Vec<XenVersion>,
-    modes: Vec<Mode>,
+    /// The cell grid; its use-case axis names `use_cases`.
+    grid: SpecGrid,
     factory: WorldFactory,
     jobs: Option<usize>,
     reuse_snapshots: bool,
-    trials: u64,
     shard: Option<Shard>,
     chaos: Option<u64>,
     progress: bool,
@@ -226,12 +225,15 @@ impl Campaign {
     pub fn new() -> Self {
         Self {
             use_cases: Vec::new(),
-            versions: XenVersion::ALL.to_vec(),
-            modes: vec![Mode::Exploit, Mode::Injection],
+            grid: SpecGrid {
+                use_cases: Vec::new(),
+                versions: XenVersion::ALL.to_vec(),
+                modes: vec![Mode::Exploit, Mode::Injection],
+                trials: 1,
+            },
             factory: Arc::new(standard_world),
             jobs: None,
             reuse_snapshots: true,
-            trials: 1,
             shard: None,
             chaos: None,
             progress: false,
@@ -244,6 +246,7 @@ impl Campaign {
     /// Adds a use case.
     #[must_use]
     pub fn with_use_case(mut self, uc: Box<dyn UseCase>) -> Self {
+        self.grid.use_cases.push(uc.name().to_owned());
         self.use_cases.push(uc);
         self
     }
@@ -251,14 +254,14 @@ impl Campaign {
     /// Restricts the versions under test.
     #[must_use]
     pub fn versions(mut self, versions: &[XenVersion]) -> Self {
-        self.versions = versions.to_vec();
+        self.grid.versions = versions.to_vec();
         self
     }
 
     /// Restricts the modes.
     #[must_use]
     pub fn modes(mut self, modes: &[Mode]) -> Self {
-        self.modes = modes.to_vec();
+        self.grid.modes = modes.to_vec();
         self
     }
 
@@ -298,7 +301,7 @@ impl Campaign {
     /// `0` is treated as 1.
     #[must_use]
     pub fn trials(mut self, trials: u64) -> Self {
-        self.trials = trials.max(1);
+        self.grid.trials = trials.max(1);
         self
     }
 
@@ -342,27 +345,16 @@ impl Campaign {
         &self.use_cases
     }
 
-    /// The campaign's cell grid: use cases × versions × modes × trials.
-    pub fn grid(&self) -> SpecGrid {
-        SpecGrid::new(self.use_cases.len(), &self.versions, &self.modes, self.trials)
-    }
-
-    /// The campaign's grid identity — stamped into streamed reports
-    /// (so mismatched reports refuse to merge) and into checkpoint
-    /// journals (so a journal refuses to resume the wrong campaign).
-    pub fn fingerprint(&self) -> GridFingerprint {
-        GridFingerprint {
-            use_cases: self.use_cases.iter().map(|uc| uc.name().to_owned()).collect(),
-            versions: self.versions.clone(),
-            modes: self.modes.clone(),
-            trials: self.trials.max(1),
-        }
+    /// The campaign's cell grid: use cases × versions × modes × trials,
+    /// and its identity in streamed reports and checkpoint journals.
+    pub fn grid(&self) -> &SpecGrid {
+        &self.grid
     }
 
     /// The identity a checkpoint journal of this campaign carries: its
-    /// grid and shard.
+    /// grid, shard and chaos seed.
     fn journal_header(&self) -> JournalHeader {
-        JournalHeader { grid: self.fingerprint(), shard: self.shard }
+        JournalHeader { grid: self.grid.clone(), shard: self.shard, chaos: self.chaos }
     }
 
     /// Attaches a tracer: campaign setup, every cell phase, guest boot
@@ -513,7 +505,8 @@ impl Campaign {
     /// # Errors
     ///
     /// [`CheckpointError`] when the journal is unreadable, is not a
-    /// journal, or was written by a different campaign grid or shard.
+    /// journal, or was written by a different campaign grid, shard or
+    /// chaos seed.
     pub fn resume(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
         let policy = self.chaos_policy();
         let session =
@@ -541,9 +534,9 @@ impl Campaign {
     ) -> StreamOutcome {
         let run_start = Instant::now();
         let first_worker = session.as_ref().map_or(1, |s| s.first_worker);
-        let key_names = self.fingerprint().key_names();
+        let key_names = self.grid.key_names();
         let sinks = self.run_workers(jobs, session.as_ref(), policy.as_deref(), |index| {
-            FoldSink::new(session.as_ref(), first_worker + index as u64, &key_names, self.trials)
+            FoldSink::new(session.as_ref(), first_worker + index as u64, &self.grid, &key_names)
         });
         let mut parts: Vec<PartialFold> = sinks.into_iter().map(|sink| sink.fold).collect();
         // Every fold record is appended and synced, and the counters
@@ -565,7 +558,7 @@ impl Campaign {
         let whole = PartialFold::merge_in_slot_order(parts);
         let merge_us = merge_start.elapsed().as_micros() as u64;
         let (mut report, phases) = whole.finish();
-        report.grid = self.fingerprint();
+        report.grid = self.grid.clone();
         report.coverage = vec![self.shard.unwrap_or(Shard { index: 0, count: 1 })];
         let elapsed_us = (run_start.elapsed().as_micros() as u64).max(1);
         let stats = StreamRunStats {
@@ -603,7 +596,7 @@ impl Campaign {
         policy: Option<&ChaosPolicy>,
         new_sink: impl Fn(usize) -> S + Sync,
     ) -> Vec<S> {
-        let grid = self.grid();
+        let grid = &self.grid;
         let shard = self.shard;
         let total = grid.shard_len(shard);
         if total == 0 {
@@ -616,7 +609,7 @@ impl Campaign {
         let setup_ctx = self.tracer.ctx(0);
         let _campaign_span = setup_ctx.span("campaign");
         let base_worlds =
-            self.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
+            self.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx));
         let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
         let claims = SlotClaims::new(total, workers);
         // Workers write telemetry only for a supervisor to read.
@@ -625,7 +618,7 @@ impl Campaign {
             Telemetry::new(live, workers)
         });
         std::thread::scope(|scope| {
-            let (claims, grid, new_sink) = (&claims, &grid, &new_sink);
+            let (claims, new_sink) = (&claims, &new_sink);
             let telemetry = telemetry.as_ref();
             let base_worlds = base_worlds.as_ref();
             let handles: Vec<_> = (0..workers)
@@ -693,7 +686,7 @@ impl Campaign {
     /// demand. Slots are global: the shard setting is ignored. Returns
     /// `None` past the grid's end.
     pub fn replay(&self, slot: u64) -> Option<CellResult> {
-        let spec = self.grid().decode(slot)?;
+        let spec = self.grid.decode(slot)?;
         let policy = self.chaos_policy();
         let base_worlds = self.reuse_snapshots.then(|| {
             let key = (spec.version, spec.mode == Mode::Injection);
@@ -753,10 +746,10 @@ impl Campaign {
     /// it — the error is cloned into each. The map never changes after
     /// this; each worker resets its cell world from its own unshared
     /// copy.
-    fn boot_base_worlds(&self, setup_ctx: &TraceCtx, grid: &SpecGrid) -> BaseWorldMap {
+    fn boot_base_worlds(&self, setup_ctx: &TraceCtx) -> BaseWorldMap {
         let mut worlds = BaseWorldMap::new();
-        for &version in grid.versions() {
-            for &mode in grid.modes() {
+        for &version in &self.grid.versions {
+            for &mode in &self.grid.modes {
                 let key = (version, mode == Mode::Injection);
                 worlds.entry(key).or_insert_with(|| self.boot_base_world(setup_ctx, key));
             }
@@ -1058,19 +1051,20 @@ impl CellSink for Collected {
 /// worker's progress: it encodes a fold record every [`FOLD_INTERVAL`]
 /// slots and at the end, and queues it for the journal's writer thread.
 ///
-/// The per-key tally is kept by key index (`slot / trials`) beside the
-/// fold, not by name inside it; keys get their names only when a fold
-/// record is written and at [`CellSink::finish`], so the fold and its
-/// journal records are the same as a by-name fold's.
+/// The per-key tally is kept by key index ([`SpecGrid::key_index`])
+/// beside the fold, not by name inside it; keys get their names only
+/// when a fold record is written and at [`CellSink::finish`], so the
+/// fold and its journal records are the same as a by-name fold's.
 struct FoldSink<'a> {
     session: Option<&'a CheckpointSession>,
     worker_id: u64,
     fold: PartialFold,
+    /// The run's grid, which maps a slot to its key.
+    grid: &'a SpecGrid,
     /// Per-key tallies, indexed by key.
     keys: Vec<KeySummary>,
-    /// `by_key` name of each key ([`GridFingerprint::key_names`]).
+    /// `by_key` name of each key ([`SpecGrid::key_names`]).
     key_names: &'a [String],
-    trials: u64,
     /// Fold records this worker has journaled.
     seq: u64,
     batch: Vec<u64>,
@@ -1080,16 +1074,16 @@ impl<'a> FoldSink<'a> {
     fn new(
         session: Option<&'a CheckpointSession>,
         worker_id: u64,
+        grid: &'a SpecGrid,
         key_names: &'a [String],
-        trials: u64,
     ) -> Self {
         Self {
             session,
             worker_id,
             fold: PartialFold::default(),
+            grid,
             keys: vec![KeySummary::default(); key_names.len()],
             key_names,
-            trials,
             seq: 0,
             batch: Vec::new(),
         }
@@ -1110,7 +1104,7 @@ impl<'a> FoldSink<'a> {
 impl CellSink for FoldSink<'_> {
     fn push(&mut self, _index: u64, spec: &CellSpec, cell: CellResult, ctx: &TraceCtx) {
         self.fold.fold_totals(spec, &cell);
-        self.keys[(spec.slot / self.trials) as usize].tally(&cell);
+        self.keys[self.grid.key_index(spec.slot)].tally(&cell);
         let Some(session) = self.session else { return };
         let _journal_span = ctx.span("cell/journal");
         self.batch.push(spec.slot);
@@ -1660,18 +1654,17 @@ mod tests {
             const NAMES: [&str; 3] = ["uc-a", "uc-b", "uc-c"];
             let use_cases = NAMES.map(str::to_owned).to_vec();
             let modes = [Mode::Exploit, Mode::Injection];
-            let grid = SpecGrid::new(use_cases.len(), &XenVersion::ALL, &modes, trials);
-            let fingerprint = GridFingerprint {
+            let grid = SpecGrid {
                 use_cases,
                 versions: XenVersion::ALL.to_vec(),
                 modes: modes.to_vec(),
                 trials,
             };
-            let key_names = fingerprint.key_names();
+            let key_names = grid.key_names();
             let ctx = Tracer::disabled().ctx(0);
             let mut reference = PartialFold::default();
             let mut parts: Vec<FoldSink<'_>> =
-                (0..sinks).map(|w| FoldSink::new(None, w as u64, &key_names, trials)).collect();
+                (0..sinks).map(|w| FoldSink::new(None, w as u64, &grid, &key_names)).collect();
             let mut bits = seed;
             for spec in grid.iter() {
                 bits = splitmix64(bits);

@@ -133,7 +133,7 @@ impl JournalSink for ChaosSink {
 mod tests {
     use super::*;
     use crate::checkpoint::{read_header, CheckpointSession, JournalHeader, JournalRecord};
-    use crate::stream::{GridFingerprint, PartialFold};
+    use crate::stream::{PartialFold, SpecGrid};
 
     #[test]
     fn decisions_are_slot_keyed_and_reproducible() {
@@ -164,13 +164,14 @@ mod tests {
         let seed = (0..).find(|&seed| ChaosPolicy::new(seed).torn_write(hash)).unwrap();
         let policy = Arc::new(ChaosPolicy::new(seed));
         let header = JournalHeader {
-            grid: GridFingerprint {
+            grid: SpecGrid {
                 use_cases: vec!["XSA-212-crash".into()],
                 versions: vec![hvsim::XenVersion::V4_6],
                 modes: vec![crate::Mode::Injection],
                 trials: 3,
             },
             shard: None,
+            chaos: Some(seed),
         };
         let path = std::env::temp_dir()
             .join(format!("hvsim-chaos-{}-torn.journal", std::process::id()));

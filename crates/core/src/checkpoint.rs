@@ -19,7 +19,7 @@
 //!
 //! | path             | meaning                   |
 //! |------------------|---------------------------|
-//! | `journal/header` | grid fingerprint + shard; first record, synced before any cell runs |
+//! | `journal/header` | grid + shard (+ chaos seed); first record, synced before any cell runs |
 //! | `journal/fold`   | a worker's cumulative fold + the batch of slots it covers since that worker's previous fold |
 //!
 //! A fold record's `slots` attribute lists its batch in claim order,
@@ -60,7 +60,7 @@
 
 use crate::chaos::{ChaosPolicy, ChaosSink};
 use crate::error::CheckpointError;
-use crate::stream::{GridFingerprint, PartialFold, Shard};
+use crate::stream::{PartialFold, Shard, SpecGrid};
 use hvsim_obs::{encode_event, parse_line, EventKind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -123,23 +123,25 @@ impl JournalSink for FileSink {
     }
 }
 
-/// The journal's identity record: which campaign grid (and shard) the
-/// journal belongs to. Resume refuses any mismatch.
+/// The journal's identity record: which campaign grid, shard and chaos
+/// seed the journal belongs to. Resume refuses any mismatch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalHeader {
-    /// Fingerprint of the campaign grid.
-    pub grid: GridFingerprint,
+    /// The campaign grid.
+    pub grid: SpecGrid,
     /// The shard the journal's run covered (`None` = whole grid).
     pub shard: Option<Shard>,
+    /// The run's chaos seed (`None` = no chaos), written as a `chaos`
+    /// attribute only when set: a journal without it has no chaos.
+    pub chaos: Option<u64>,
 }
 
 impl JournalHeader {
-    /// Renders the grid and shard for mismatch diagnostics.
+    /// Renders the grid, shard and chaos seed for mismatch diagnostics.
     pub(crate) fn render(&self) -> String {
-        match self.shard {
-            Some(s) => format!("{}, shard {s}", self.grid),
-            None => format!("{}, unsharded", self.grid),
-        }
+        let shard = self.shard.map_or_else(|| "unsharded".to_owned(), |s| format!("shard {s}"));
+        let chaos = self.chaos.map_or_else(String::new, |seed| format!(", chaos seed {seed}"));
+        format!("{}, {shard}{chaos}", self.grid)
     }
 }
 
@@ -252,23 +254,21 @@ impl JournalRecord {
     /// Serializer failures (unreachable for this data model).
     pub(crate) fn encode(&self) -> Result<String, String> {
         let event = match self {
-            JournalRecord::Header(JournalHeader { grid, shard }) => TraceEvent {
-                shard: 0,
-                seq: 0,
-                kind: EventKind::Point,
-                path: "journal/header".to_owned(),
-                wall_us: 0,
-                attrs: vec![
-                    (
-                        "grid".to_owned(),
-                        serde_json::to_string(grid).map_err(|e| e.to_string())?,
-                    ),
-                    (
-                        "shard".to_owned(),
-                        shard.map_or_else(|| "-".to_owned(), |s| s.to_string()),
-                    ),
-                ],
-            },
+            JournalRecord::Header(JournalHeader { grid, shard, chaos }) => {
+                let mut attrs = vec![
+                    ("grid".to_owned(), serde_json::to_string(grid).map_err(|e| e.to_string())?),
+                    ("shard".to_owned(), shard.map_or_else(|| "-".to_owned(), |s| s.to_string())),
+                ];
+                attrs.extend(chaos.map(|seed| ("chaos".to_owned(), seed.to_string())));
+                TraceEvent {
+                    shard: 0,
+                    seq: 0,
+                    kind: EventKind::Point,
+                    path: "journal/header".to_owned(),
+                    wall_us: 0,
+                    attrs,
+                }
+            }
             JournalRecord::Fold { worker, seq, slots, fold } => {
                 let mut joined = String::new();
                 push_slots(&mut joined, slots);
@@ -313,7 +313,7 @@ impl JournalRecord {
         let event = parse_line(payload).map_err(|e| e.to_string())?;
         match event.path.as_str() {
             "journal/header" => {
-                let grid: GridFingerprint = serde_json::from_str(attr(&event, "grid")?)
+                let grid: SpecGrid = serde_json::from_str(attr(&event, "grid")?)
                     .map_err(|e| format!("bad grid fingerprint: {e}"))?;
                 let shard_text = attr(&event, "shard")?;
                 let shard = if shard_text == "-" {
@@ -321,7 +321,9 @@ impl JournalRecord {
                 } else {
                     Some(Shard::parse(shard_text).map_err(|e| format!("bad shard: {e}"))?)
                 };
-                Ok(JournalRecord::Header(JournalHeader { grid, shard }))
+                let chaos = attr(&event, "chaos").ok().map(str::parse).transpose();
+                let chaos = chaos.map_err(|e| format!("bad chaos seed: {e}"))?;
+                Ok(JournalRecord::Header(JournalHeader { grid, shard, chaos }))
             }
             "journal/fold" => {
                 let slots = parse_slots(attr(&event, "slots")?)?;
@@ -409,8 +411,8 @@ fn decode_header(path: &Path, first_line: Option<&[u8]>) -> Result<JournalHeader
 }
 
 /// Reads just the identity of a checkpoint journal — what the CLI
-/// `campaign resume` uses to configure the campaign (trials, shard)
-/// before the full resume validates the complete fingerprint. It reads
+/// `campaign resume` uses to configure the campaign (trials, shard,
+/// chaos seed) before the full resume validates the whole header. It reads
 /// and decodes the first line only.
 ///
 /// # Errors
@@ -643,14 +645,15 @@ impl CheckpointSession {
     }
 
     /// Reopens a journal for resume: loads the valid prefix, verifies
-    /// the grid/shard identity, truncates the torn tail, and positions
-    /// the sink for appending, behind a [`ChaosSink`] when `chaos` is
-    /// set.
+    /// the grid, shard and chaos seed, truncates the torn tail, and
+    /// positions the sink for appending, behind a [`ChaosSink`] when
+    /// `chaos` is set.
     ///
     /// # Errors
     ///
     /// [`CheckpointError`] when the journal is unreadable, is not a
-    /// journal, or belongs to a different campaign grid or shard.
+    /// journal, or belongs to a different campaign grid, shard or chaos
+    /// seed.
     pub(crate) fn resume(
         path: &Path,
         header: &JournalHeader,
@@ -708,8 +711,8 @@ mod tests {
     use crate::scenario::Mode;
     use hvsim::XenVersion;
 
-    fn fingerprint() -> GridFingerprint {
-        GridFingerprint {
+    fn fingerprint() -> SpecGrid {
+        SpecGrid {
             use_cases: vec!["XSA-212-crash".into()],
             versions: vec![XenVersion::V4_6, XenVersion::V4_13],
             modes: vec![Mode::Injection],
@@ -718,7 +721,7 @@ mod tests {
     }
 
     fn header(shard: Option<Shard>) -> JournalHeader {
-        JournalHeader { grid: fingerprint(), shard }
+        JournalHeader { grid: fingerprint(), shard, chaos: None }
     }
 
     #[test]
@@ -726,6 +729,7 @@ mod tests {
         let records = [
             JournalRecord::Header(header(Some(Shard { index: 1, count: 4 }))),
             JournalRecord::Header(header(None)),
+            JournalRecord::Header(JournalHeader { chaos: Some(7), ..header(None) }),
             JournalRecord::Fold {
                 worker: 2,
                 seq: 4,
@@ -740,6 +744,20 @@ mod tests {
             let back = JournalRecord::decode(line.trim_end().as_bytes()).unwrap();
             assert_eq!(back, record);
         }
+    }
+
+    /// A header without a chaos seed encodes exactly as before the
+    /// `chaos` attribute existed; one with a seed carries it last.
+    #[test]
+    fn the_chaos_attribute_is_written_only_for_a_chaos_run() {
+        let plain = JournalRecord::Header(header(None)).encode().unwrap();
+        assert!(!plain.contains("chaos"), "{plain}");
+        assert!(plain.trim_end().ends_with(r#""shard":"-"}}"#), "{plain}");
+        let seeded = JournalHeader { chaos: Some(u64::MAX), ..header(None) };
+        let line = JournalRecord::Header(seeded.clone()).encode().unwrap();
+        assert!(line.trim_end().ends_with(r#""shard":"-","chaos":"18446744073709551615"}}"#), "{line}");
+        let back = JournalRecord::decode(line.trim_end().as_bytes()).unwrap();
+        assert_eq!(back, JournalRecord::Header(seeded));
     }
 
     #[test]
@@ -870,6 +888,27 @@ mod tests {
         let ok = CheckpointSession::resume(&path, &header(None), None).unwrap();
         assert_eq!(ok.resumed_slots(), 0);
         assert_eq!(ok.first_worker, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_a_different_chaos_seed() {
+        let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chaos.journal");
+        let seeded = |chaos| JournalHeader { chaos, ..header(None) };
+        drop(CheckpointSession::create(&path, seeded(Some(7)), None).unwrap());
+        for chaos in [None, Some(8)] {
+            let refused = CheckpointSession::resume(&path, &seeded(chaos), None).err();
+            let message = refused.as_ref().map(ToString::to_string).unwrap_or_default();
+            assert!(
+                matches!(refused, Some(CheckpointError::GridMismatch { .. }))
+                    && message.contains("(journal [XSA-212-crash] x 2 version(s) x 1 mode(s) x 7 trial(s), unsharded, chaos seed 7, campaign"),
+                "{chaos:?}: {message}"
+            );
+        }
+        assert_eq!(read_header(&path).unwrap(), seeded(Some(7)));
+        CheckpointSession::resume(&path, &seeded(Some(7)), None).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -94,13 +94,13 @@ pub enum CheckpointError {
         /// What was wrong with the header.
         message: String,
     },
-    /// The journal was written by a campaign with a different grid
-    /// (use cases, versions, modes, trials, or shard): resuming would
-    /// silently mis-attribute slots, so it fails loudly instead.
+    /// The journal was written by a campaign with a different grid (use
+    /// cases, versions, modes, trials), shard or chaos seed: resuming
+    /// would silently mix two runs, so it fails loudly instead.
     GridMismatch {
-        /// Fingerprint recorded in the journal.
+        /// The journal's header, rendered.
         journal: String,
-        /// Fingerprint of the campaign attempting to resume.
+        /// The resuming campaign's header, rendered.
         campaign: String,
     },
 }
@@ -116,7 +116,7 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::GridMismatch { journal, campaign } => write!(
                 f,
-                "checkpoint journal was written by a different campaign grid \
+                "checkpoint journal was written by a different campaign \
                  (journal {journal}, campaign {campaign})"
             ),
         }

@@ -108,7 +108,7 @@ pub use randomized::{RandomizedCampaign, RandomizedOutcome, RandomizedSummary, T
 pub use report::{render_table2, TextTable};
 pub use scenario::{Mode, Note, ScenarioOutcome, UseCase};
 pub use stream::{
-    CellSpec, DegradedSlot, GridFingerprint, KeySummary, LatencyBreakdown, MergeError,
-    PhaseLatency, Shard, ShardError, SpecGrid, StreamOutcome, StreamReport, StreamRunStats,
+    CellSpec, DegradedSlot, KeySummary, LatencyBreakdown, MergeError, PhaseLatency, Shard,
+    ShardError, SpecGrid, StreamOutcome, StreamReport, StreamRunStats,
 };
 pub use taxonomy::{AbusiveFunctionality, FunctionalityClass};

@@ -74,33 +74,30 @@ pub struct CellSpec {
 }
 
 /// The cartesian campaign grid: use cases × versions × modes × trials,
-/// enumerated lazily by slot index.
+/// enumerated lazily by slot index. Reports and journals carry it as
+/// their identity, so reports of different campaigns refuse to merge
+/// and a journal refuses to resume the wrong campaign.
 ///
 /// `slot = ((uc · V + v) · M + m) · T + t` — identical to the classic
 /// runner's work order when `trials == 1`, so streamed and classic runs
-/// visit cells in the same logical order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// visit cells in the same logical order. Cell `slot` belongs to grid
+/// key `slot / T`.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpecGrid {
-    use_cases: usize,
-    versions: Vec<XenVersion>,
-    modes: Vec<Mode>,
-    trials: u64,
+    /// Use-case names, in grid order.
+    pub use_cases: Vec<String>,
+    /// Versions axis, in grid order.
+    pub versions: Vec<XenVersion>,
+    /// Modes axis, in grid order.
+    pub modes: Vec<Mode>,
+    /// Trials axis (≥ 1 for any real grid).
+    pub trials: u64,
 }
 
 impl SpecGrid {
-    /// Builds a grid; `trials` is clamped to at least 1.
-    pub fn new(use_cases: usize, versions: &[XenVersion], modes: &[Mode], trials: u64) -> Self {
-        Self {
-            use_cases,
-            versions: versions.to_vec(),
-            modes: modes.to_vec(),
-            trials: trials.max(1),
-        }
-    }
-
     /// Total number of cells in the grid.
     pub fn len(&self) -> u64 {
-        self.use_cases as u64
+        self.use_cases.len() as u64
             * self.versions.len() as u64
             * self.modes.len() as u64
             * self.trials
@@ -121,9 +118,18 @@ impl SpecGrid {
         &self.modes
     }
 
-    /// The trials axis (always ≥ 1).
-    pub fn trials(&self) -> u64 {
-        self.trials
+    /// The key index of a slot: its position among the grid's
+    /// `use_case/version/mode` keys ([`SpecGrid::key_names`]).
+    pub(crate) fn key_index(&self, slot: u64) -> usize {
+        (slot / self.trials) as usize
+    }
+
+    /// The `by_key` name of every grid key, indexed by key: the name of
+    /// the key's first slot.
+    pub(crate) fn key_names(&self) -> Vec<String> {
+        let firsts = (0..self.len()).step_by(self.trials.max(1) as usize);
+        let specs = firsts.filter_map(|slot| self.decode(slot));
+        specs.map(|s| grid_key(&self.use_cases[s.use_case], s.version, s.mode)).collect()
     }
 
     /// Decodes a slot index back into its grid coordinates.
@@ -445,52 +451,7 @@ pub struct LatencyBreakdown {
     pub monitor: PhaseLatency,
 }
 
-/// Identity of the campaign grid a [`StreamReport`] was produced from:
-/// enough to refuse merging reports of *different* campaigns (a silent
-/// double-count is worse than a loud error) and to refuse resuming a
-/// checkpoint journal against the wrong campaign.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GridFingerprint {
-    /// Use-case names, in grid order.
-    pub use_cases: Vec<String>,
-    /// Versions axis, in grid order.
-    pub versions: Vec<XenVersion>,
-    /// Modes axis, in grid order.
-    pub modes: Vec<Mode>,
-    /// Trials axis (≥ 1 for any real grid).
-    pub trials: u64,
-}
-
-impl GridFingerprint {
-    /// `true` for the fingerprint of a never-run (default) report.
-    pub fn is_empty(&self) -> bool {
-        *self == Self::default()
-    }
-
-    /// Total number of cells in the fingerprinted grid.
-    pub fn len(&self) -> u64 {
-        self.use_cases.len() as u64
-            * self.versions.len() as u64
-            * self.modes.len() as u64
-            * self.trials.max(1)
-    }
-
-    /// The `by_key` name of every grid key, indexed by key: cell `slot`
-    /// belongs to key `slot / trials`.
-    pub(crate) fn key_names(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for use_case in &self.use_cases {
-            for &version in &self.versions {
-                for &mode in &self.modes {
-                    names.push(grid_key(use_case, version, mode));
-                }
-            }
-        }
-        names
-    }
-}
-
-impl std::fmt::Display for GridFingerprint {
+impl std::fmt::Display for SpecGrid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -509,9 +470,9 @@ pub enum MergeError {
     /// The reports were produced from different campaign grids; their
     /// aggregates are not comparable, let alone summable.
     GridMismatch {
-        /// Left fingerprint, rendered.
+        /// Left grid, rendered.
         left: String,
-        /// Right fingerprint, rendered.
+        /// Right grid, rendered.
         right: String,
     },
     /// Two shards cover at least one common slot — merging would
@@ -625,7 +586,7 @@ pub struct StreamReport {
     pub degraded_slots: BTreeMap<u64, DegradedSlot>,
     /// Which campaign grid produced this report (empty for a
     /// never-run default report).
-    pub grid: GridFingerprint,
+    pub grid: SpecGrid,
     /// Which shards of the grid this report covers, in canonical form:
     /// a full run (or a merge that reassembled one) is `[0/1]`.
     pub coverage: Vec<Shard>,
@@ -695,7 +656,7 @@ impl StreamReport {
             },
             by_key,
             degraded_slots,
-            grid: if self.grid.is_empty() { other.grid.clone() } else { self.grid.clone() },
+            grid: if self.grid == SpecGrid::default() { &other.grid } else { &self.grid }.clone(),
             coverage: canonical_coverage(
                 self.coverage.iter().chain(&other.coverage).copied().collect(),
             ),
@@ -713,10 +674,10 @@ impl StreamReport {
     ///
     /// [`MergeError`] on a grid mismatch or shard overlap.
     pub fn try_merge(&self, other: &Self) -> Result<Self, MergeError> {
-        if self.cells == 0 && self.grid.is_empty() && self.coverage.is_empty() {
+        if self.cells == 0 && self.grid == SpecGrid::default() && self.coverage.is_empty() {
             return Ok(other.clone());
         }
-        if other.cells == 0 && other.grid.is_empty() && other.coverage.is_empty() {
+        if other.cells == 0 && other.grid == SpecGrid::default() && other.coverage.is_empty() {
             return Ok(self.clone());
         }
         if self.grid != other.grid {
@@ -1048,7 +1009,7 @@ impl PartialFold {
     }
 
     /// Adds per-key tallies kept by key index to `by_key`: `keys[i]` is
-    /// named `names[i]` ([`GridFingerprint::key_names`]). Keys no cell
+    /// named `names[i]` ([`SpecGrid::key_names`]). Keys no cell
     /// reached stay out.
     pub(crate) fn name_keys(&mut self, keys: &[KeySummary], names: &[String]) {
         for (summary, name) in keys.iter().zip(names).filter(|(s, _)| s.cells > 0) {
@@ -1095,13 +1056,18 @@ impl PartialFold {
 mod tests {
     use super::*;
 
+    /// A grid of `use_cases` use cases named `uc0`, `uc1`, ….
+    fn spec_grid(use_cases: usize, versions: &[XenVersion], modes: &[Mode], trials: u64) -> SpecGrid {
+        SpecGrid {
+            use_cases: (0..use_cases).map(|i| format!("uc{i}")).collect(),
+            versions: versions.to_vec(),
+            modes: modes.to_vec(),
+            trials,
+        }
+    }
+
     fn grid() -> SpecGrid {
-        SpecGrid::new(
-            2,
-            &[XenVersion::V4_6, XenVersion::V4_13],
-            &[Mode::Exploit, Mode::Injection],
-            3,
-        )
+        spec_grid(2, &[XenVersion::V4_6, XenVersion::V4_13], &[Mode::Exploit, Mode::Injection], 3)
     }
 
     #[test]
@@ -1125,7 +1091,7 @@ mod tests {
 
     #[test]
     fn trials_one_matches_classic_work_order() {
-        let g = SpecGrid::new(2, &[XenVersion::V4_6, XenVersion::V4_8], &[Mode::Exploit, Mode::Injection], 1);
+        let g = spec_grid(2, &[XenVersion::V4_6, XenVersion::V4_8], &[Mode::Exploit, Mode::Injection], 1);
         let streamed: Vec<(usize, XenVersion, Mode)> =
             g.iter().map(|s| (s.use_case, s.version, s.mode)).collect();
         let mut classic = Vec::new();
@@ -1170,7 +1136,7 @@ mod tests {
 
     #[test]
     fn empty_grid() {
-        let g = SpecGrid::new(0, &[XenVersion::V4_6], &[Mode::Exploit], 1);
+        let g = spec_grid(0, &[XenVersion::V4_6], &[Mode::Exploit], 1);
         assert!(g.is_empty());
         assert_eq!(g.iter().count(), 0);
         assert_eq!(g.shard_len(Some(Shard { index: 0, count: 2 })), 0);
@@ -1181,7 +1147,7 @@ mod tests {
         let b = CLAIM_BATCH as usize;
         let shards = [None, Some(Shard { index: 0, count: 3 }), Some(Shard { index: 2, count: 3 })];
         for len in [0, 1, b - 1, b, b + 1] {
-            let g = SpecGrid::new(len, &[XenVersion::V4_6], &[Mode::Exploit], 1);
+            let g = spec_grid(len, &[XenVersion::V4_6], &[Mode::Exploit], 1);
             for shard in shards {
                 let expected: Vec<u64> = g.shard_iter(shard).map(|s| s.slot).collect();
                 // Every third slot counts as already done, as a resumed
@@ -1306,7 +1272,12 @@ mod tests {
     fn disagreeing_trials_render_as_k_of_n() {
         let versions = XenVersion::ALL;
         let modes = [Mode::Exploit, Mode::Injection];
-        let g = SpecGrid::new(1, &versions, &modes, 3);
+        let g = SpecGrid {
+            use_cases: vec!["uc".into()],
+            versions: versions.to_vec(),
+            modes: modes.to_vec(),
+            trials: 3,
+        };
         let mut fold = PartialFold::default();
         for spec in g.iter() {
             // Every trial induces the state. On 4.13 every trial handles
@@ -1335,12 +1306,7 @@ mod tests {
             fold.fold(&spec, &cell);
         }
         let (mut report, _) = fold.finish();
-        report.grid = GridFingerprint {
-            use_cases: vec!["uc".into()],
-            versions: versions.to_vec(),
-            modes: modes.to_vec(),
-            trials: 3,
-        };
+        report.grid = g;
         let row = |table: String| -> Vec<String> {
             let line = table.lines().find(|l| l.starts_with("| uc ")).unwrap().to_owned();
             line.split('|').map(|c| c.trim().to_owned()).filter(|c| !c.is_empty()).collect()

@@ -130,28 +130,6 @@ pub enum Hypercall {
     },
 }
 
-impl Hypercall {
-    /// The hypercall's name, as recorded in the audit log. Each must match
-    /// the literal its typed `hc_*` method passes to `Hypervisor::enter`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Hypercall::MmuUpdate(_) => "mmu_update",
-            Hypercall::MmuExtOp(_) => "mmuext_op",
-            Hypercall::UpdateVaMapping { .. } => "update_va_mapping",
-            Hypercall::MemoryExchange(_) => "memory_exchange",
-            Hypercall::DecreaseReservation { .. } => "decrease_reservation",
-            Hypercall::GrantTableSetVersion(_) => "grant_table_set_version",
-            Hypercall::SetTrapTable(_) => "set_trap_table",
-            Hypercall::ConsoleIo(_) => "console_io",
-            Hypercall::ArbitraryAccess { .. } => "arbitrary_access",
-            Hypercall::GrantAccess { .. } => "grant_access",
-            Hypercall::GrantMap { .. } => "grant_map",
-            Hypercall::EventChannelOp(_) => "event_channel_op",
-            Hypercall::Domctl { .. } => "domctl",
-        }
-    }
-}
-
 impl Hypervisor {
     /// The one hypercall entry point (see the module docs): runs `body`
     /// for `dom` between the checks and the audit.
@@ -207,20 +185,6 @@ impl Hypervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Hypercall::MmuUpdate(vec![]).name(), "mmu_update");
-        assert_eq!(
-            Hypercall::ArbitraryAccess {
-                addr: 0,
-                data: vec![],
-                mode: AccessMode::LinearRead,
-            }
-            .name(),
-            "arbitrary_access"
-        );
-    }
 
     #[test]
     fn mmu_update_normal_constructor() {
