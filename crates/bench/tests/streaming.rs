@@ -1,10 +1,14 @@
 //! End-to-end tests for the streaming campaign pipeline at scale: a
 //! ≥100k-cell synthetic campaign must finish without retaining per-cell
 //! results, and its normalized report must be byte-identical across
-//! worker counts and across shard/merge decompositions.
+//! worker counts and across shard/merge decompositions, whichever way
+//! the shards are cut, ordered and grouped.
 
 use bench::{paper_campaign, synthetic_campaign};
 use intrusion_core::{Shard, StreamReport};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 #[test]
 fn hundred_thousand_cell_campaign_is_bounded_and_deterministic() {
@@ -74,6 +78,73 @@ fn merge_misuse_fails_loudly_instead_of_double_counting() {
     // Deserializing non-reports fails instead of yielding zeroed data.
     assert!(StreamReport::from_json("{}").is_err());
     assert!(StreamReport::from_json("not a report").is_err());
+}
+
+/// The synthetic grid the merge property cuts: 3 versions × 8 trials.
+const MERGE_TRIALS: u64 = 8;
+
+/// The report of one shard of the synthetic grid, run once per test
+/// binary and shared by every case.
+fn shard_report(shard: Shard) -> StreamReport {
+    static RUNS: Mutex<BTreeMap<(u64, u64), StreamReport>> = Mutex::new(BTreeMap::new());
+    let mut runs = RUNS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let run = || synthetic_campaign(7, MERGE_TRIALS).shard(shard).run_streaming_with_jobs(1).report;
+    runs.entry((shard.index, shard.count)).or_insert_with(run).clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Cut the grid into a random partition of shards (each split turns
+    /// `i/n` into the `k` shards `i + j·n / k·n`), merge the shard
+    /// reports in a random order and grouping, and get the unsharded
+    /// report. A shard merged twice, a shard of another grid and a
+    /// report whose coverage holds a zero-count shard are refused.
+    #[test]
+    fn any_merge_of_a_shard_partition_is_the_unsharded_report(
+        splits in proptest::collection::vec((0usize..16, 2u64..4), 0..5),
+        picks in proptest::collection::vec(0usize..64, 32..33),
+    ) {
+        let mut shards = vec![Shard::new(0, 1).unwrap()];
+        for (pick, k) in splits {
+            let cut = shards.remove(pick % shards.len());
+            let piece = |j| Shard::new(cut.index + j * cut.count, cut.count * k).unwrap();
+            shards.extend((0..k).map(piece));
+        }
+        let mut reports: Vec<StreamReport> = shards.iter().map(|&s| shard_report(s)).collect();
+        let mut picks = picks.into_iter().cycle();
+        let mut pick = |len: usize| picks.next().unwrap() % len;
+
+        let twice = reports[pick(reports.len())].clone();
+        let other_grid = synthetic_campaign(7, MERGE_TRIALS + 1)
+            .shard(shards[pick(shards.len())])
+            .run_streaming_with_jobs(1)
+            .report;
+        while reports.len() > 1 {
+            let a = reports.swap_remove(pick(reports.len()));
+            let b = reports.swap_remove(pick(reports.len()));
+            reports.push(a.try_merge(&b).unwrap());
+        }
+        let merged = reports.pop().unwrap();
+        let whole = shard_report(Shard::new(0, 1).unwrap());
+        prop_assert_eq!(merged.coverage.clone(), vec![Shard::new(0, 1).unwrap()]);
+        prop_assert_eq!(
+            merged.normalized().to_json().unwrap(),
+            whole.normalized().to_json().unwrap()
+        );
+        let err = merged.try_merge(&twice).unwrap_err().to_string();
+        prop_assert!(err.contains("overlap"), "{}", err);
+        let err = merged.try_merge(&other_grid).unwrap_err().to_string();
+        prop_assert!(err.contains("different campaign grids"), "{}", err);
+
+        let json = twice.to_json().unwrap();
+        let (head, coverage) = json.split_at(json.rfind("\"coverage\"").unwrap());
+        let covered = format!("\"count\": {}", twice.coverage[0].count);
+        prop_assert!(coverage.contains(&covered), "{}", coverage);
+        let zero = format!("{head}{}", coverage.replacen(&covered, "\"count\": 0", 1));
+        let err = StreamReport::from_json(&zero).unwrap_err();
+        prop_assert!(err.to_string().contains("bad coverage shard"), "{}", err);
+    }
 }
 
 #[test]

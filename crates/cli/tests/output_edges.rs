@@ -1,5 +1,6 @@
 //! The CLI at the edges of its outputs: a closed stdout is a clean
-//! exit, `report merge` never overwrites a file, a panic the campaign
+//! exit, `report merge` never overwrites a file and refuses a report
+//! whose coverage holds an invalid shard, a panic the campaign
 //! contains is reported as a degraded slot, not by the panic hook, and
 //! an output file that cannot be created stops a command before it
 //! runs anything.
@@ -69,6 +70,40 @@ fn report_merge_never_overwrites_a_file() {
     let first = std::fs::read(&merged).expect("merge written");
     assert_eq!(run(&["report", "merge", &merged, &s0, &s1]).status.code(), Some(2));
     assert_eq!(std::fs::read(&merged).expect("merge kept"), first, "an old merge is kept");
+}
+
+/// A coverage shard with a zero count or an index out of range is
+/// refused when the report is read, alone or merged with another copy,
+/// with exit 2 naming the file and no panic.
+#[test]
+fn report_merge_refuses_an_invalid_coverage_shard() {
+    let dir = scratch("report_merge_refuses_an_invalid_coverage_shard");
+    let report = path(&dir, "r.json");
+    assert_eq!(run(&["campaign", "--report-out", &report]).status.code(), Some(1));
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let full = r#""coverage": [
+    {
+      "index": 0,
+      "count": 1
+    }
+  ]"#;
+    assert!(text.contains(full), "a full run covers 0/1: {text}");
+    let shards = [r#"{"index":0,"count":0}"#, r#"{"index":7,"count":2}"#];
+    for (i, shard) in shards.into_iter().enumerate() {
+        let bad = path(&dir, &format!("bad{i}.json"));
+        std::fs::write(&bad, text.replace(full, &format!(r#""coverage": [{shard}]"#)))
+            .expect("written");
+        for copies in [1, 2] {
+            let out = path(&dir, &format!("merged{i}-{copies}.json"));
+            let inputs = vec![bad.as_str(); copies];
+            let output = run(&[&["report", "merge", &out][..], &inputs].concat());
+            assert_eq!(output.status.code(), Some(2), "{shard} x{copies}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(stderr.contains(&bad) && stderr.contains("bad coverage shard"), "{stderr}");
+            assert!(!stderr.contains("panicked"), "{stderr}");
+            assert!(!Path::new(&out).exists(), "nothing is merged");
+        }
+    }
 }
 
 /// A chaos run lists each contained panic as a degraded slot and

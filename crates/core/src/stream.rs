@@ -501,6 +501,26 @@ impl std::fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
+/// Why a serialized [`StreamReport`] could not be read.
+#[derive(Debug)]
+pub enum ReportError {
+    /// The text is not a report.
+    Json(serde_json::Error),
+    /// A coverage shard has a zero count or an index out of range.
+    Coverage(ShardError),
+}
+
+impl std::fmt::Display for ReportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReportError::Json(e) => e.fmt(f),
+            ReportError::Coverage(e) => write!(f, "bad coverage shard: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReportError {}
+
 fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
@@ -715,13 +735,18 @@ impl StreamReport {
         serde_json::to_string_pretty(self)
     }
 
-    /// Parses a report serialized by [`StreamReport::to_json`].
+    /// Parses a report serialized by [`StreamReport::to_json`] and
+    /// checks every coverage shard with [`Shard::new`].
     ///
     /// # Errors
     ///
-    /// Propagates deserializer errors on malformed input.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
+    /// [`ReportError`] on malformed input or an invalid coverage shard.
+    pub fn from_json(text: &str) -> Result<Self, ReportError> {
+        let report: Self = serde_json::from_str(text).map_err(ReportError::Json)?;
+        for shard in &report.coverage {
+            Shard::new(shard.index, shard.count).map_err(ReportError::Coverage)?;
+        }
+        Ok(report)
     }
 
     /// The aggregate of one grid key, when any of its cells ran.
@@ -1132,6 +1157,21 @@ mod tests {
         assert!(Shard::parse("1").is_err());
         assert!(Shard::parse("a/b").is_err());
         assert!(Shard::new(0, 0).is_err());
+    }
+
+    #[test]
+    fn a_report_with_an_invalid_coverage_shard_is_refused() {
+        let json = StreamReport::default().to_json().unwrap();
+        for (coverage, why) in [
+            (r#"[{"index":0,"count":0}]"#, "shard count must be at least 1"),
+            (r#"[{"index":7,"count":2}]"#, "shard index 7 out of range for 2 shards"),
+        ] {
+            let text = json.replace(r#""coverage": []"#, &format!(r#""coverage": {coverage}"#));
+            let err = StreamReport::from_json(&text).unwrap_err();
+            assert_eq!(err.to_string(), format!("bad coverage shard: {why}"));
+        }
+        let text = json.replace(r#""coverage": []"#, r#""coverage": [{"index":1,"count":2}]"#);
+        assert_eq!(StreamReport::from_json(&text).unwrap().coverage, [Shard::new(1, 2).unwrap()]);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! heap at all, and neither must resetting a written fork to it (a
 //! worker's world is reset that way before each cell). What the cells
 //! then do is pinned as exact allocation budgets: the 24 paper cells,
-//! the XSA-148-priv and XSA-212-priv exploit cells, a cell on a warm,
-//! reused world, a randomized page-table trial, a crash, a fork's first
-//! kernel log line, the XSA-212-priv payload parse and a cell's notes. A
-//! new allocation in any of them fails here. This test counts allocations with its own global
+//! the XSA-148-priv and XSA-212-priv exploit cells, the XSA-148-priv
+//! cell traced through a campaign, a cell on a warm, reused world, a
+//! randomized page-table trial, a crash, a fork's first kernel log
+//! line, the XSA-212-priv payload parse and a cell's notes. A new
+//! allocation in any of them fails here. This test counts allocations with its own global
 //! allocator, which is why it is a test binary of its own: a global
 //! allocator applies to the whole binary.
 
@@ -19,13 +20,14 @@ use guestos::{Payload, PayloadCommand, World};
 use hvsim::XenVersion;
 use intrusion_core::campaign::{standard_world, ATTACKER_GUEST};
 use hvsim_mem::{DomainId, Mfn, VirtAddr};
+use hvsim_obs::Tracer;
 use intrusion_core::{
-    ArbitraryAccessInjector, Mode, Note, RandomizedCampaign, TargetRegion, UseCase,
+    ArbitraryAccessInjector, Campaign, Mode, Note, RandomizedCampaign, TargetRegion, UseCase,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Counts allocations made on threads that switched counting on, each
 /// thread on its own counter, and, while [`EVERY_THREAD`] is set, those
@@ -299,6 +301,40 @@ fn the_xsa148_exploit_cell_allocates_its_budget() {
     let copy = worker_copy(XenVersion::V4_6, false);
     let allocations = cell_allocations(&xsa_exploits::Xsa148Priv, &copy, Mode::Exploit);
     assert_eq!(allocations, 11, "the XSA-148-priv exploit cell on Xen 4.6");
+}
+
+/// The same cell run through `Campaign` with a tracer attached: the
+/// replay of its slot, which boots the base world under the setup
+/// context and runs the cell under its own, spans, boot stages, audit
+/// points and attributes included. The factory hands out forks of a
+/// worker's copy, so booting the base world allocates nothing and the
+/// count is the cell's and its trace's: 124, where the same replay
+/// untraced makes 12 (25 events, each path and attribute an owned
+/// string). It was 124 too when the contexts pushed each event into one
+/// of 16 locked shards: a context's own list grows where a shard's list
+/// grew, and no context allocates a clock any more.
+#[test]
+fn a_traced_campaign_cell_allocates_its_budget() {
+    let _serial = serial();
+    let copy = worker_copy(XenVersion::V4_6, false);
+    let traced = || {
+        let copy = copy.clone();
+        let tracer = Tracer::enabled();
+        let campaign = Campaign::new()
+            .with_use_case(Box::new(xsa_exploits::Xsa148Priv))
+            .versions(&[XenVersion::V4_6])
+            .modes(&[Mode::Exploit])
+            .world_factory(Arc::new(move |_, _| Ok(copy.clone())))
+            .tracer(tracer.clone());
+        let allocations = allocations_in(|| {
+            campaign.replay(0).expect("slot 0 is in the grid");
+        });
+        (allocations, tracer.drain().len())
+    };
+    let (allocations, events) = traced();
+    assert_eq!(traced(), (allocations, events), "a second traced replay");
+    assert_eq!(events, 25, "trace events");
+    assert_eq!(allocations, 124, "the traced XSA-148-priv exploit cell on Xen 4.6");
 }
 
 /// A worker runs its cells on one world, reset to the base before each

@@ -14,8 +14,9 @@
 //!
 //! The pieces:
 //!
-//! * [`Tracer`] / [`TraceCtx`] / [`Span`] — a sharded, lock-poisoning-
-//!   safe trace sink with RAII span guards ([`trace`]),
+//! * [`Tracer`] / [`TraceCtx`] / [`Span`] — a trace sink whose contexts
+//!   keep their own events and hand them over when dropped, with RAII
+//!   span guards ([`trace`]),
 //! * [`MetricsRegistry`] — named counters and fixed-bucket latency
 //!   histograms snapshotted into reports ([`metrics`]),
 //! * [`jsonl`] — the stable-field-order JSONL wire format plus the
@@ -39,6 +40,8 @@
 //!     let _cell = ctx.span_with("cell", || vec![("use_case".into(), "demo".into())]);
 //!     let _boot = ctx.span("cell/boot");
 //! }
+//! // A context's events reach the tracer when the context is dropped.
+//! drop(ctx);
 //! let events = tracer.drain();
 //! let text = jsonl::to_jsonl(&events);
 //! let back = jsonl::parse_jsonl(&text).unwrap();
@@ -63,3 +66,12 @@ pub use metrics::{
 };
 pub use summary::{CellTiming, SummaryRow, TraceSummary};
 pub use trace::{EventKind, Span, TraceCtx, TraceEvent, Tracer};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Locks `mutex` even if a holder panicked: observability must not take
+/// the harness down, and the event lists, counters and samples guarded
+/// here stay usable after an interrupted update.
+fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -10,14 +10,8 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use crate::lock_recover;
+use std::sync::{Arc, Mutex};
 
 /// Number of power-of-two buckets. See [`Histogram`] for the boundary
 /// scheme. 40 buckets reach ~2^39 µs ≈ 6 days, far beyond any cell's

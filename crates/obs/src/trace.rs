@@ -1,35 +1,26 @@
-//! The trace sink: sharded, lock-poisoning-safe collection of span and
-//! point events.
+//! The trace sink: span and point events, kept by the context that
+//! emits them.
 //!
-//! Ordering is carried by a **logical sequence clock**, allocated
-//! per-[`TraceCtx`] (one context per campaign cell, or per other unit of
-//! deterministic work). Wall-clock durations ride along in a separate
-//! `wall_us` field that [`TraceEvent::normalized`] zeroes, so a trace
-//! sorted by `(shard, seq)` and normalized is byte-identical no matter
-//! how many worker threads interleaved while producing it.
+//! Ordering is carried by a **logical sequence number**: each
+//! [`TraceCtx`] (one per campaign cell, or per other unit of
+//! deterministic work) numbers its own events from 0. Wall-clock
+//! durations ride along in a separate `wall_us` field that
+//! [`TraceEvent::normalized`] zeroes, so a trace sorted by
+//! `(shard, seq)` and normalized is byte-identical no matter how many
+//! worker threads interleaved while producing it.
+//!
+//! A context keeps its events without a lock and hands them to its
+//! [`Tracer`] in one push when it is dropped, so [`Tracer::drain`]
+//! returns the events of the contexts that have ended.
 //!
 //! The disabled path is a no-op: a disabled [`Tracer`] holds no sink,
 //! every span/point call takes an early return before any allocation,
 //! and attribute closures are never invoked.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use crate::lock_recover;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Number of independently locked storage shards inside a [`Tracer`].
-/// Events are routed by `ctx_shard % STORAGE_SHARDS`, so contexts on
-/// different workers rarely contend on the same mutex.
-const STORAGE_SHARDS: usize = 16;
-
-/// Recovers a mutex guard even if a holder panicked mid-push. Trace
-/// events are append-only `Vec` pushes, so a poisoned shard still holds
-/// a consistent prefix of events.
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// The kind of a trace event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,7 +63,7 @@ impl EventKind {
 /// nondeterministic field and is excluded by [`TraceEvent::normalized`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Logical context id (not the storage shard index).
+    /// Logical context id.
     pub shard: u64,
     /// Per-context logical sequence number, starting at 0.
     pub seq: u64,
@@ -94,32 +85,8 @@ impl TraceEvent {
     }
 }
 
-#[derive(Debug, Default)]
-struct Sink {
-    shards: Vec<Mutex<Vec<TraceEvent>>>,
-}
-
-impl Sink {
-    fn new() -> Self {
-        Self {
-            shards: (0..STORAGE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    fn push(&self, event: TraceEvent) {
-        let idx = (event.shard as usize) % self.shards.len();
-        lock_recover(&self.shards[idx]).push(event);
-    }
-
-    fn drain(&self) -> Vec<TraceEvent> {
-        let mut events = Vec::new();
-        for shard in &self.shards {
-            events.append(&mut lock_recover(shard));
-        }
-        events.sort_by_key(|a| (a.shard, a.seq));
-        events
-    }
-}
+/// The events of every context that has ended.
+type Sink = Mutex<Vec<TraceEvent>>;
 
 /// Handle to a trace sink, or to nothing at all.
 ///
@@ -128,57 +95,54 @@ impl Sink {
 /// call site.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    inner: Option<Arc<Sink>>,
+    sink: Option<Arc<Sink>>,
 }
 
 impl Tracer {
     /// A tracer that records events.
     pub fn enabled() -> Self {
-        Self { inner: Some(Arc::new(Sink::new())) }
+        Self { sink: Some(Arc::default()) }
     }
 
     /// A tracer that drops everything (the default).
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { sink: None }
     }
 
     /// `true` when events are being recorded.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.sink.is_some()
     }
 
     /// A logical context feeding this tracer. `shard` is the context's
     /// identity in the trace — give each deterministic unit of work
     /// (campaign cell, setup phase) its own.
     pub fn ctx(&self, shard: u64) -> TraceCtx {
-        TraceCtx {
-            sink: self.inner.clone(),
-            shard,
-            seq: self.inner.as_ref().map(|_| Arc::new(AtomicU64::new(0))),
-        }
+        TraceCtx { sink: self.sink.clone(), shard, events: RefCell::default() }
     }
 
-    /// Removes and returns all recorded events, sorted by
-    /// `(shard, seq)`. Returns an empty vec on a disabled tracer.
+    /// Removes and returns the events of every context dropped so far,
+    /// sorted by `(shard, seq)`. Returns an empty vec on a disabled
+    /// tracer.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        match &self.inner {
-            Some(sink) => sink.drain(),
-            None => Vec::new(),
-        }
+        let Some(sink) = &self.sink else { return Vec::new() };
+        let mut events = std::mem::take(&mut *lock_recover(sink));
+        events.sort_by_key(|e| (e.shard, e.seq));
+        events
     }
 }
 
-/// A logical trace context: owns the per-context sequence clock.
+/// A logical trace context: numbers and keeps its own events, and
+/// hands them to the tracer when dropped.
 ///
-/// The clock lives here — not in the storage shard — so the numbering
-/// of a context's events depends only on the order of its own calls,
-/// never on which other contexts happened to share a storage mutex.
-/// A disabled context has no clock, so creating one allocates nothing.
-#[derive(Clone, Debug)]
+/// The numbering of a context's events depends only on the order of
+/// its own calls, never on other contexts. A disabled context keeps an
+/// empty list, so creating one allocates nothing.
+#[derive(Debug)]
 pub struct TraceCtx {
     sink: Option<Arc<Sink>>,
     shard: u64,
-    seq: Option<Arc<AtomicU64>>,
+    events: RefCell<Vec<TraceEvent>>,
 }
 
 impl TraceCtx {
@@ -187,40 +151,31 @@ impl TraceCtx {
         self.sink.is_some()
     }
 
-    /// The logical shard id this context stamps on its events.
-    pub fn shard(&self) -> u64 {
-        self.shard
-    }
-
-    fn emit(&self, kind: EventKind, path: String, wall_us: u64, attrs: Vec<(String, String)>) {
-        if let (Some(sink), Some(seq)) = (&self.sink, &self.seq) {
-            let seq = seq.fetch_add(1, Ordering::Relaxed);
-            sink.push(TraceEvent { shard: self.shard, seq, kind, path, wall_us, attrs });
-        }
+    fn emit(&self, kind: EventKind, path: &str, wall_us: u64, attrs: Vec<(String, String)>) {
+        let mut events = self.events.borrow_mut();
+        let seq = events.len() as u64;
+        let (shard, path) = (self.shard, path.to_owned());
+        events.push(TraceEvent { shard, seq, kind, path, wall_us, attrs });
     }
 
     /// Opens a span. The guard emits `span_enter` now and `span_exit`
     /// (with the measured duration) on drop — including drops during
     /// panic unwinding, so crashed phases still close their spans.
-    pub fn span(&self, path: &str) -> Span {
+    pub fn span<'a>(&'a self, path: &'a str) -> Span<'a> {
         self.span_with(path, Vec::new)
     }
 
     /// Opens a span with attributes. The closure runs only when the
     /// context is enabled, so disabled call sites allocate nothing.
-    pub fn span_with<F>(&self, path: &str, attrs: F) -> Span
+    pub fn span_with<'a, F>(&'a self, path: &'a str, attrs: F) -> Span<'a>
     where
         F: FnOnce() -> Vec<(String, String)>,
     {
-        if self.sink.is_none() {
-            return Span { ctx: None, path: String::new(), started: None };
-        }
-        self.emit(EventKind::SpanEnter, path.to_owned(), 0, attrs());
-        Span {
-            ctx: Some(self.clone()),
-            path: path.to_owned(),
-            started: Some(Instant::now()),
-        }
+        let started = self.is_enabled().then(|| {
+            self.emit(EventKind::SpanEnter, path, 0, attrs());
+            Instant::now()
+        });
+        Span { ctx: self, path, started }
     }
 
     /// Emits an instantaneous event. `wall_us` may carry an externally
@@ -230,29 +185,34 @@ impl TraceCtx {
     where
         F: FnOnce() -> Vec<(String, String)>,
     {
-        if self.sink.is_none() {
-            return;
+        if self.is_enabled() {
+            self.emit(EventKind::Point, path, wall_us, attrs());
         }
-        self.emit(EventKind::Point, path.to_owned(), wall_us, attrs());
+    }
+}
+
+impl Drop for TraceCtx {
+    fn drop(&mut self) {
+        if let Some(sink) = &self.sink {
+            lock_recover(sink).append(self.events.get_mut());
+        }
     }
 }
 
 /// RAII span guard returned by [`TraceCtx::span`].
 #[derive(Debug)]
-pub struct Span {
-    ctx: Option<TraceCtx>,
-    path: String,
+pub struct Span<'a> {
+    ctx: &'a TraceCtx,
+    path: &'a str,
+    /// When the span was entered; `None` on a disabled context.
     started: Option<Instant>,
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some(ctx) = &self.ctx {
-            let wall_us = self
-                .started
-                .map(|s| s.elapsed().as_micros() as u64)
-                .unwrap_or(0);
-            ctx.emit(EventKind::SpanExit, std::mem::take(&mut self.path), wall_us, Vec::new());
+        if let Some(started) = self.started {
+            let wall_us = started.elapsed().as_micros() as u64;
+            self.ctx.emit(EventKind::SpanExit, self.path, wall_us, Vec::new());
         }
     }
 }
@@ -267,10 +227,11 @@ mod tests {
         assert!(!tracer.is_enabled());
         let ctx = tracer.ctx(7);
         assert!(!ctx.is_enabled());
-        assert!(ctx.seq.is_none(), "a disabled context allocates no clock");
         let span = ctx.span_with("cell", || panic!("attrs closure must not run"));
         ctx.point("cell/event", 3, || panic!("attrs closure must not run"));
         drop(span);
+        assert_eq!(ctx.events.borrow().capacity(), 0, "a disabled context allocates nothing");
+        drop(ctx);
         assert!(tracer.drain().is_empty());
     }
 
@@ -288,6 +249,7 @@ mod tests {
             let _inner = ctx.span_with("cell/boot", || vec![("source".into(), "boot".into())]);
             ctx.point("cell/boot/create dom0", 12, Vec::new);
         }
+        drop(ctx);
         let events = tracer.drain();
         let shape: Vec<(u64, EventKind, &str)> =
             events.iter().map(|e| (e.seq, e.kind, e.path.as_str())).collect();
@@ -308,28 +270,32 @@ mod tests {
     }
 
     #[test]
+    fn a_contexts_events_reach_the_tracer_when_it_is_dropped() {
+        let tracer = Tracer::enabled();
+        let ctx = tracer.ctx(1);
+        ctx.point("cell", 0, Vec::new);
+        assert!(tracer.drain().is_empty(), "a live context keeps its events");
+        drop(ctx);
+        assert_eq!(tracer.drain().len(), 1);
+    }
+
+    #[test]
     fn drain_orders_by_shard_then_seq() {
         let tracer = Tracer::enabled();
-        // Interleave contexts whose shards collide modulo the storage
-        // shard count, so storage order differs from logical order.
+        // Interleave two contexts and drop the later shard first, so
+        // the sink receives them out of logical order.
         let a = tracer.ctx(2);
-        let b = tracer.ctx(2 + STORAGE_SHARDS as u64);
+        let b = tracer.ctx(18);
         b.point("b0", 0, Vec::new);
         a.point("a0", 0, Vec::new);
         b.point("b1", 0, Vec::new);
         a.point("a1", 0, Vec::new);
+        drop(b);
+        drop(a);
         let events = tracer.drain();
         let keys: Vec<(u64, u64, &str)> =
             events.iter().map(|e| (e.shard, e.seq, e.path.as_str())).collect();
-        assert_eq!(
-            keys,
-            vec![
-                (2, 0, "a0"),
-                (2, 1, "a1"),
-                (2 + STORAGE_SHARDS as u64, 0, "b0"),
-                (2 + STORAGE_SHARDS as u64, 1, "b1"),
-            ]
-        );
+        assert_eq!(keys, vec![(2, 0, "a0"), (2, 1, "a1"), (18, 0, "b0"), (18, 1, "b1")]);
     }
 
     #[test]
@@ -341,6 +307,7 @@ mod tests {
             panic!("injected crash");
         }));
         assert!(result.is_err());
+        drop(ctx);
         let events = tracer.drain();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].kind, EventKind::SpanExit);
@@ -364,21 +331,20 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_shard_still_drains() {
+    fn poisoned_sink_still_drains() {
         let tracer = Tracer::enabled();
         let ctx = tracer.ctx(0);
         ctx.point("before", 0, Vec::new);
-        // Poison a storage shard by panicking while holding its lock.
-        let sink = tracer.inner.as_ref().map(Arc::clone);
-        let sink = match sink {
-            Some(s) => s,
-            None => unreachable!("enabled tracer has a sink"),
-        };
+        drop(ctx);
+        // Poison the sink by panicking while holding its lock.
+        let sink = tracer.sink.clone().expect("enabled tracer has a sink");
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = sink.shards[0].lock();
+            let _guard = sink.lock();
             panic!("poison");
         }));
+        let ctx = tracer.ctx(1);
         ctx.point("after", 0, Vec::new);
+        drop(ctx);
         let events = tracer.drain();
         assert_eq!(events.len(), 2);
     }
