@@ -6,8 +6,11 @@
 //! carry per-phase timings so the failure is attributable.
 
 mod common;
+#[path = "common/fault_plan.rs"]
+mod fault_plan;
 
 use common::{messy_campaign, QuietCase};
+use fault_plan::FaultPlan;
 use hvsim::XenVersion;
 use hvsim_obs::{
     normalized_jsonl, parse_jsonl, to_jsonl, MetricsRegistry, TraceEvent, TraceSummary, Tracer,
@@ -15,9 +18,8 @@ use hvsim_obs::{
 use intrusion_core::{Campaign, CampaignReport, CellOutcome, Mode};
 
 /// A quiet run — one do-nothing cell — must still publish the
-/// copy-on-write and hypercall counters as explicit zeros (the
-/// `campaign.chaos.*` convention), so a dashboard can tell "nothing
-/// happened" from "counter missing".
+/// copy-on-write and hypercall counters as explicit zeros, so a
+/// dashboard can tell "nothing happened" from "counter missing".
 #[test]
 fn quiet_runs_publish_explicit_zero_perf_counters() {
     let registry = MetricsRegistry::new();
@@ -34,17 +36,20 @@ fn quiet_runs_publish_explicit_zero_perf_counters() {
 }
 
 /// A collecting run folds its cells exactly as a streamed run does, so
-/// both publish the same metrics, chaos tallies included; only the
+/// both publish the same metrics, degraded cells included; only the
 /// streamed run's merge time is its own.
 #[test]
 fn collecting_and_streamed_runs_publish_the_same_metrics() {
-    for chaos in [None, Some(7)] {
+    let plan = FaultPlan {
+        panics: vec![(XenVersion::V4_8, Mode::Exploit, 1), (XenVersion::V4_6, Mode::Injection, 0)],
+        boot_failures: vec![(XenVersion::V4_13, true)],
+    };
+    let planned = plan.campaign(&XenVersion::ALL, 2);
+    let planned = planned.grid().iter().filter(|spec| plan.outcome(spec).is_degraded()).count();
+    let check = |name: &str, campaign: &dyn Fn() -> Campaign, degraded: usize| {
         let published = |collect: bool| {
             let registry = MetricsRegistry::new();
-            let mut campaign = messy_campaign().metrics(registry.clone());
-            if let Some(seed) = chaos {
-                campaign = campaign.chaos(seed);
-            }
+            let campaign = campaign().metrics(registry.clone());
             if collect {
                 campaign.run_with_jobs(2);
             } else {
@@ -52,12 +57,17 @@ fn collecting_and_streamed_runs_publish_the_same_metrics() {
             }
             let mut snapshot = registry.snapshot().normalized();
             snapshot.counters.retain(|c| c.name != "campaign.stream.merge_us");
-            serde_json::to_string(&snapshot).unwrap()
+            snapshot
         };
         let collected = published(true);
+        let counter = collected.counters.iter().find(|c| c.name == "campaign.cells_degraded");
+        assert_eq!(counter.map(|c| c.value), Some(degraded as u64), "{name}");
+        let collected = serde_json::to_string(&collected).unwrap();
         assert!(collected.contains("campaign.hypercalls"), "{collected}");
-        assert_eq!(collected, published(false), "chaos {chaos:?}");
-    }
+        assert_eq!(collected, serde_json::to_string(&published(false)).unwrap(), "{name}");
+    };
+    check("the messy campaign", &messy_campaign, 4);
+    check("a fault plan", &|| plan.campaign(&XenVersion::ALL, 2), planned);
 }
 
 /// Runs the messy campaign with obs attached; returns (report, trace

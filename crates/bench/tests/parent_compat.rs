@@ -1,7 +1,8 @@
 //! Reports and journals written before the overlay memory model still
 //! load: both carry the retired `chunks_privatized`, `retries` and
 //! `timed_out` keys, which readers ignore. The fixtures are described in
-//! `fixtures/README.md`.
+//! `fixtures/README.md`. A chaos run's report still loads and is written
+//! back byte for byte, although no run writes one any more.
 
 use bench::paper_campaign;
 use hvsim_obs::MetricsRegistry;
@@ -37,8 +38,8 @@ fn chunked_era_journal_resumes() {
     }
     let journal = std::env::temp_dir().join(format!("hvsim-compat-{}.journal", std::process::id()));
     std::fs::write(&journal, JOURNAL).unwrap();
-    assert_eq!(read_header(&journal).unwrap().chaos, None, "a header without a seed has no chaos");
     let campaign = || paper_campaign().trials(50).jobs(2);
+    assert_eq!(&read_header(&journal).unwrap().grid, campaign().grid(), "the old header reads");
     let registry = MetricsRegistry::new();
     let resumed = campaign().metrics(registry.clone()).resume(&journal).unwrap();
     std::fs::remove_file(&journal).ok();
@@ -54,6 +55,16 @@ fn chunked_era_journal_resumes() {
         campaign().run_streaming().report.normalized().to_json().unwrap(),
         "the resumed run equals an uninterrupted one"
     );
+}
+
+/// Every key, variant and field order of `StreamReport`, `CellOutcome`,
+/// `CellId` and `CampaignError` is pinned: the report reads back into
+/// the bytes `--report-out` wrote.
+#[test]
+fn a_chaos_report_is_written_back_byte_for_byte() {
+    let report = StreamReport::from_json(CHAOS).expect("the chaos report parses");
+    assert_eq!(report.degraded_slots.len(), 2);
+    assert_eq!(report.to_json().unwrap() + "\n", CHAOS);
 }
 
 #[test]

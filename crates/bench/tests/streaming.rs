@@ -208,7 +208,9 @@ const PRE_TLB_REMOVAL_SHARD0: &str = r#"{
 /// Shard 0/2 of `synthetic_campaign(7, 24)` under `--chaos-seed 7`,
 /// normalized, in the shape written before the flight recorder was
 /// removed: its degraded slot carries a `flight` forensic tail, as
-/// checkpoint fold records of that era persist it.
+/// checkpoint fold records of that era persist it. The chaos run that
+/// wrote it no longer exists, so it can still be read and merged, but
+/// no run reproduces its faults.
 const PRE_REPLAY_CHAOS_SHARD0: &str = r#"{
     "cells": 36, "completed": 35, "degraded": 1, "erroneous_states": 21,
     "violated_cells": 0, "violations": 0, "handled": 21, "boot_failed": 1,
@@ -259,27 +261,21 @@ fn reports_written_with_tlb_counters_still_load_and_merge() {
     // `report merge` and `campaign resume` read reports and journals
     // written by older builds; retired keys — the software-TLB counters,
     // a degraded slot's flight tail — must be ignored.
-    let cases = [
-        (PRE_TLB_REMOVAL_SHARD0, 3, 2, None),
-        (PRE_REPLAY_CHAOS_SHARD0, 36, 24, Some(7)),
-    ];
-    for (json, cells, trials, chaos) in cases {
+    let cases = [(PRE_TLB_REMOVAL_SHARD0, 3, 2, true), (PRE_REPLAY_CHAOS_SHARD0, 36, 24, false)];
+    for (json, cells, trials, reproducible) in cases {
         let old = StreamReport::from_json(json).expect("old report parses");
         assert_eq!(old.cells, cells);
-        let campaign = || {
-            let campaign = synthetic_campaign(7, trials);
-            match chaos {
-                Some(seed) => campaign.chaos(seed),
-                None => campaign,
-            }
-        };
+        let campaign = || synthetic_campaign(7, trials);
         let shard1 = campaign().shard(Shard::new(1, 2).unwrap()).run_streaming_with_jobs(1).report;
         let merged = old.try_merge(&shard1).expect("old and new shards merge");
-        let whole = campaign().run_streaming_with_jobs(1).report;
-        assert_eq!(
-            merged.normalized().to_json().unwrap(),
-            whole.normalized().to_json().unwrap(),
-            "an old shard merged with a new one reproduces the unsharded report"
-        );
+        assert_eq!(merged.cells, 3 * trials, "the two shards cover the grid");
+        if reproducible {
+            let whole = campaign().run_streaming_with_jobs(1).report;
+            assert_eq!(
+                merged.normalized().to_json().unwrap(),
+                whole.normalized().to_json().unwrap(),
+                "an old shard merged with a new one reproduces the unsharded report"
+            );
+        }
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! ```text
 //! intrusion-injector campaign [--extensions] [--json] [--jobs 4] [--trace-out t.jsonl]
-//! intrusion-injector campaign --checkpoint c.journal [--chaos-seed 7]
+//! intrusion-injector campaign --checkpoint c.journal
 //! intrusion-injector campaign --progress --timeline-out tl.jsonl
 //! intrusion-injector campaign resume c.journal
-//! intrusion-injector campaign replay 17 --chaos-seed 7 --trace-out slot17.jsonl
+//! intrusion-injector campaign replay 17 --trials 32 --trace-out slot17.jsonl
 //! intrusion-injector run --use-case XSA-182-test --version 4.13 --mode injection
 //! intrusion-injector randomized --region idt --trials 24 --seed 7 --version 4.8
 //! intrusion-injector benchmark [--jobs 4]
@@ -46,16 +46,24 @@ macro_rules! outln {
 
 /// Every stdout write of the CLI, through a locked handle. A closed
 /// stdout (`... | head`) ends the process with exit 0 and nothing on
-/// stderr: the reader took all it wanted. Unit tests print instead,
-/// because the test harness captures only `print!`.
+/// stderr: the reader took all it wanted.
 fn write_stdout(args: std::fmt::Arguments<'_>) {
+    write_answer(args, CliOutcome::Clean);
+}
+
+/// Writes the stdout of a command that knows its exit code before it
+/// prints, `report diff`'s: a closed stdout ends the process with
+/// `answer`'s code, so `report diff a b | head -1` still says whether
+/// the files differ. Unit tests print instead, because the test harness
+/// captures only `print!`.
+fn write_answer(args: std::fmt::Arguments<'_>, answer: CliOutcome) {
     if cfg!(test) {
         print!("{args}");
         return;
     }
     if let Err(e) = std::io::stdout().lock().write_fmt(args) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
+            std::process::exit(answer.code().into());
         }
         eprintln!("error: could not write to stdout: {e}");
         std::process::exit(2);
@@ -87,10 +95,6 @@ COMMANDS:
                                    a killed run can 'campaign resume <file>';
                                    resumed runs produce the same normalized
                                    report byte-for-byte
-                   [--chaos-seed <n>]  deterministic fault injection: seeded
-                                   worker panics, boot failures and torn
-                                   journal writes (same seed => same faults
-                                   at any --jobs count)
                    [--progress]    live progress line on stderr (done/total,
                                    cells/s, ETA, degraded count)
                    [--timeline-out <file>]  write the metrics timeline, sampled
@@ -100,19 +104,17 @@ COMMANDS:
                                    stalled on slot <s>'
                  resume <file>   resume a checkpointed campaign from its
                                    journal; the journal header supplies the
-                                   grid (extensions, trials and shard) and
-                                   the chaos seed, so --extensions, --trials
-                                   and --shard are refused, and so is a
-                                   --chaos-seed other than the journal's. It
-                                   keeps journaling to <file>, so
-                                   --checkpoint is refused too
+                                   grid (extensions, trials and shard), so
+                                   --extensions, --trials and --shard are
+                                   refused. It keeps journaling to <file>,
+                                   so --checkpoint is refused too
                  replay <slot>   re-run one grid slot with tracing on: writes
                                    its trace (boot stages, audited hypercalls,
-                                   chaos faults, verdict) as JSONL to
-                                   --trace-out or stdout, prints the verdict on
-                                   stderr and exits 0/1/2 from that cell. Pass
-                                   the grid flags of the original run
-                                   (--extensions, --trials, --chaos-seed);
+                                   verdict) as JSONL to --trace-out or
+                                   stdout, prints the verdict on stderr and
+                                   exits 0/1/2 from that cell. Pass the grid
+                                   flags of the original run (--extensions,
+                                   --trials);
                                    degraded cells are listed with their
                                    slot. It runs one cell on the calling
                                    thread and writes no report, so
@@ -124,7 +126,8 @@ COMMANDS:
                                          'campaign --report-out'
                    diff <a> <b>          compare two JSON reports or metrics
                                          snapshots leaf-by-leaf; exit 0 when
-                                         identical, 1 when they differ
+                                         identical, 1 when they differ (also
+                                         when stdout closes early)
     run          run one use case once
                    --use-case <name>      e.g. XSA-212-crash (see 'models')
                    [--version <v>]        4.6 | 4.8 | 4.13   (default 4.6)
@@ -171,11 +174,11 @@ enum CliOutcome {
 }
 
 impl CliOutcome {
-    fn exit_code(self) -> ExitCode {
+    fn code(self) -> u8 {
         match self {
-            CliOutcome::Clean => ExitCode::SUCCESS,
-            CliOutcome::Violations => ExitCode::from(1),
-            CliOutcome::Degraded => ExitCode::from(2),
+            CliOutcome::Clean => 0,
+            CliOutcome::Violations => 1,
+            CliOutcome::Degraded => 2,
         }
     }
 
@@ -362,31 +365,10 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         .as_deref()
         .map(|path| read_header(Path::new(path)).map_err(|e| e.to_string()))
         .transpose()?;
-    let seed = p
-        .options
-        .get("chaos-seed")
-        .map(|raw| raw.parse::<u64>().map_err(|_| "--chaos-seed must be a number".to_owned()))
-        .transpose()?;
-    // On resume the journal header is the only source of the run's
-    // settings: the chaos seed comes from it, and a --chaos-seed other
-    // than the journal's is refused rather than obeyed.
-    let chaos = match &resume_header {
-        None => seed,
-        Some(header) if seed.is_none_or(|seed| header.chaos == Some(seed)) => header.chaos,
-        Some(header) => {
-            let journal = header.chaos.map_or_else(|| "none".to_owned(), |s| s.to_string());
-            return Err(format!(
-                "campaign resume: --chaos-seed differs from the journal's chaos seed ({journal})"
-            ));
-        }
-    };
     let mut campaign = configure_campaign(Campaign::new(), p)?;
-    if let Some(seed) = chaos {
-        campaign = campaign.chaos(seed);
-    }
-    // The grid shape comes from the header too: extensions, trials, and
-    // shard (resume still verifies the whole header and refuses a
-    // journal from a different campaign).
+    // On resume the journal header is the only source of the grid:
+    // extensions, trials, and shard (resume still verifies the whole
+    // header and refuses a journal from a different campaign).
     let want_extensions = p.has_flag("extensions")
         || resume_header
             .as_ref()
@@ -419,7 +401,7 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     // A contained panic is listed as a degraded slot, whose replay shows
     // the panic itself.
     quiet_contained_panics();
-    let flags = replay_flags(want_extensions, campaign.grid().trials, chaos);
+    let flags = replay_flags(want_extensions, campaign.grid().trials);
     let (campaign, hooks) = attach_obs(campaign, p);
     let outcome = if let Some(path) = &resume_path {
         eprintln!("resuming the campaign from {path} ...");
@@ -463,18 +445,14 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
     Ok(exit)
 }
 
-/// The grid flags `campaign replay` needs to rebuild this run's grid
-/// and chaos seed.
-fn replay_flags(extensions: bool, trials: u64, chaos: Option<u64>) -> String {
+/// The grid flags `campaign replay` needs to rebuild this run's grid.
+fn replay_flags(extensions: bool, trials: u64) -> String {
     let mut flags = String::new();
     if extensions {
         flags.push_str(" --extensions");
     }
     if trials > 1 {
         flags.push_str(&format!(" --trials {trials}"));
-    }
-    if let Some(seed) = chaos {
-        flags.push_str(&format!(" --chaos-seed {seed}"));
     }
     flags
 }
@@ -785,8 +763,9 @@ fn as_number(v: &Value) -> Option<f64> {
 /// `report diff <a> <b>` — leaf-by-leaf comparison of two JSON
 /// documents (campaign reports, metrics snapshots, benchmark files).
 /// Numeric leaves get a signed delta. Exits 0 when identical, 1 when
-/// the documents differ.
+/// the documents differ, whether or not its reader reads every line.
 fn cmd_report_diff(p: &Parsed) -> Result<CliOutcome, String> {
+    use std::fmt::Write as _;
     let a_path = p.positionals.get(1).ok_or("report diff needs two paths: diff <a> <b>")?;
     let b_path = p.positionals.get(2).ok_or("report diff needs two paths: diff <a> <b>")?;
     if let Some(extra) = p.positionals.get(3) {
@@ -803,46 +782,49 @@ fn cmd_report_diff(p: &Parsed) -> Result<CliOutcome, String> {
     };
     let a = load(a_path)?;
     let b = load(b_path)?;
+    // The whole diff is written at once, after its answer is known.
+    let mut out = String::new();
     let mut changed = 0usize;
     let mut unchanged = 0usize;
     for (path, va) in &a {
         match b.get(path) {
             None => {
                 changed += 1;
-                outln!("- {path} = {}", render_leaf(va));
+                let _ = writeln!(out, "- {path} = {}", render_leaf(va));
             }
             Some(vb) if va == vb => unchanged += 1,
             Some(vb) => {
                 changed += 1;
-                match (as_number(va), as_number(vb)) {
-                    (Some(na), Some(nb)) => {
-                        outln!(
-                            "~ {path}: {} -> {} ({:+})",
-                            render_leaf(va),
-                            render_leaf(vb),
-                            nb - na
-                        );
-                    }
-                    _ => outln!("~ {path}: {} -> {}", render_leaf(va), render_leaf(vb)),
-                }
+                let _ = match (as_number(va), as_number(vb)) {
+                    (Some(na), Some(nb)) => writeln!(
+                        out,
+                        "~ {path}: {} -> {} ({:+})",
+                        render_leaf(va),
+                        render_leaf(vb),
+                        nb - na
+                    ),
+                    _ => writeln!(out, "~ {path}: {} -> {}", render_leaf(va), render_leaf(vb)),
+                };
             }
         }
     }
     for (path, vb) in &b {
         if !a.contains_key(path) {
             changed += 1;
-            outln!("+ {path} = {}", render_leaf(vb));
+            let _ = writeln!(out, "+ {path} = {}", render_leaf(vb));
         }
     }
-    if changed == 0 {
-        outln!("identical: {unchanged} leaves agree");
-        Ok(CliOutcome::Clean)
+    let answer = if changed == 0 {
+        let _ = writeln!(out, "identical: {unchanged} leaves agree");
+        CliOutcome::Clean
     } else {
-        outln!("{changed} leaves differ, {unchanged} agree");
+        let _ = writeln!(out, "{changed} leaves differ, {unchanged} agree");
         // Same exit class as "the assessment found something": callers
         // gating on drift want a nonzero exit without a CLI error.
-        Ok(CliOutcome::Violations)
-    }
+        CliOutcome::Violations
+    };
+    write_answer(format_args!("{out}"), answer);
+    Ok(answer)
 }
 
 fn cmd_models() -> Result<CliOutcome, String> {
@@ -866,7 +848,7 @@ fn spec(command: &str) -> Option<Spec> {
                 &["extensions", "json", "progress"],
                 &[
                     "jobs", "trace-out", "metrics-out", "shard", "trials", "report-out",
-                    "checkpoint", "chaos-seed", "timeline-out",
+                    "checkpoint", "timeline-out",
                 ],
                 true,
             ),
@@ -909,7 +891,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let argv = if argv.is_empty() { vec!["help".to_owned()] } else { argv };
     match run(argv) {
-        Ok(outcome) => outcome.exit_code(),
+        Ok(outcome) => ExitCode::from(outcome.code()),
         // CLI errors are harness failures, same exit class as a
         // degraded campaign.
         Err(e) => {
@@ -1241,34 +1223,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_seed_runs_deterministically_degraded() {
-        let dir = std::env::temp_dir();
-        let r1 = dir.join("cli_chaos_1.json").display().to_string();
-        let r8 = dir.join("cli_chaos_8.json").display().to_string();
-        let chaos = |jobs: &str, out: &str| {
-            run(vec![
-                "campaign".into(),
-                "--chaos-seed".into(),
-                "7".into(),
-                "--jobs".into(),
-                jobs.into(),
-                "--report-out".into(),
-                out.into(),
-            ])
-            .unwrap()
-        };
-        assert_eq!(chaos("1", &r1), CliOutcome::Degraded, "chaos degrades the run: exit 2");
-        assert_eq!(chaos("8", &r8), CliOutcome::Degraded);
-        assert_eq!(
-            std::fs::read_to_string(&r1).unwrap(),
-            std::fs::read_to_string(&r8).unwrap(),
-            "seeded chaos is schedule-independent: jobs 1 and 8 agree byte-for-byte"
-        );
-        let err = run(vec!["campaign".into(), "--chaos-seed".into(), "soon".into()]).unwrap_err();
-        assert!(err.contains("--chaos-seed"));
-    }
-
-    #[test]
     fn trace_validate_reports_every_bad_line() {
         let dir = std::env::temp_dir();
         let path = dir.join("cli_trace_corrupt.jsonl").display().to_string();
@@ -1311,59 +1265,52 @@ mod tests {
     }
 
     #[test]
-    fn chaos_run_replays_a_degraded_slot_and_writes_timeline() {
+    fn progress_run_writes_a_timeline_and_replays_a_slot() {
         let dir = std::env::temp_dir();
-        let report = dir.join("cli_chaos_replay_report.json").display().to_string();
         let timeline = dir.join("cli_timeline.jsonl").display().to_string();
-        let trace = dir.join("cli_chaos_replay_slot.jsonl").display().to_string();
+        let trace = dir.join("cli_replay_slot.jsonl").display().to_string();
         let outcome = run(vec![
             "campaign".into(),
-            "--chaos-seed".into(),
-            "7".into(),
             "--jobs".into(),
             "2".into(),
             "--progress".into(),
             "--timeline-out".into(),
             timeline.clone(),
-            "--report-out".into(),
-            report.clone(),
         ])
         .unwrap();
-        assert_eq!(outcome, CliOutcome::Degraded, "seed 7 degrades cells");
+        assert_eq!(outcome, CliOutcome::Violations, "the vulnerable versions violate");
         let samples = std::fs::read_to_string(&timeline).unwrap();
         assert!(samples.contains("progress.done"), "timeline carries progress: {samples}");
         assert!(samples.contains("stream.claimed"), "timeline carries stream gauges");
-        // Replaying a degraded slot reproduces its degradation and
-        // writes a schema-valid trace of it.
-        let written = StreamReport::from_json(&std::fs::read_to_string(&report).unwrap()).unwrap();
-        let slot = *written.degraded_slots.keys().next().expect("a degraded slot");
+        // Replaying a slot reproduces its cell (slot 0: XSA-212-crash
+        // exploited on 4.6) and writes a schema-valid trace of it.
         let outcome = run(vec![
             "campaign".into(),
             "replay".into(),
-            slot.to_string(),
-            "--chaos-seed".into(),
-            "7".into(),
+            "0".into(),
             "--trace-out".into(),
             trace.clone(),
         ])
         .unwrap();
-        assert_eq!(outcome, CliOutcome::Degraded, "the replayed cell degrades again: exit 2");
+        assert_eq!(outcome, CliOutcome::Violations, "the replayed cell violates again: exit 1");
         run(vec!["trace".into(), "validate".into(), trace.clone()]).unwrap();
         let events = parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-        assert!(events.iter().any(|e| e.path == "cell/degraded" && e.shard == slot + 1));
+        assert!(events.iter().any(|e| e.path == "cell/inject" && e.shard == 1));
         let err = run(vec!["campaign".into(), "replay".into(), "many".into()]).unwrap_err();
         assert!(err.contains("slot number"), "{err}");
         let err = run(vec!["campaign".into(), "replay".into(), "999999".into()]).unwrap_err();
         assert!(err.contains("past the end"), "{err}");
-        for stale in [report, timeline, trace] {
+        for stale in [timeline, trace] {
             std::fs::remove_file(stale).ok();
         }
     }
 
     #[test]
     fn unknown_options_and_missing_values_are_cli_errors() {
-        let cases: [&[&str]; 25] = [
+        let cases: [&[&str]; 27] = [
             &["campaign", "--stream"],
+            &["campaign", "--chaos-seed", "7"],
+            &["campaign", "replay", "3", "--chaos-seed", "7"],
             &["campaign", "--retries", "1"],
             &["benchmark", "--retries", "1"],
             &["randomized", "--retries", "1"],

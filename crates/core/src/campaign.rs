@@ -2,7 +2,6 @@
 //! monitoring — the machinery behind the paper's Tables II/III and
 //! Figs. 2/4.
 
-use crate::chaos::ChaosPolicy;
 use crate::checkpoint::{CheckpointSession, JournalHeader, FOLD_INTERVAL};
 use crate::error::{contain, CampaignError, CellId, CellOutcome, CheckpointError};
 use crate::injector::ArbitraryAccessInjector;
@@ -10,8 +9,7 @@ use crate::monitor::SecurityViolation;
 use crate::obs_bridge;
 use crate::scenario::{Mode, Note, UseCase};
 use crate::stream::{
-    CellSpec, KeySummary, PartialFold, PhaseHistograms, Shard, SlotClaims, SpecGrid,
-    StreamOutcome, StreamReport, StreamRunStats,
+    CellSpec, KeySummary, PartialFold, Shard, SlotClaims, SpecGrid, StreamOutcome, StreamRunStats,
 };
 use crate::telemetry::{self, Telemetry};
 use guestos::{BootError, World, WorldBuilder};
@@ -145,7 +143,7 @@ impl CellResult {
 
 /// The per-cell result list of a collecting run
 /// ([`Campaign::run_with_jobs`]): the security benchmark reads every
-/// cell. Every rendered artefact reads the streamed [`StreamReport`]
+/// cell. Every rendered artefact reads the streamed [`StreamReport`](crate::StreamReport)
 /// instead.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CampaignReport {
@@ -181,8 +179,8 @@ impl CampaignReport {
             cell.wall_time_us = 0;
             cell.phase_us = cell.phase_us.normalized();
             // COW accounting depends on whether the cell's world was
-            // cloned or freshly booted (snapshot reuse, chaos boot
-            // faults); it is not part of the assessment result.
+            // cloned or freshly booted (snapshot reuse); it is not part
+            // of the assessment result.
             cell.snapshot = SnapshotStats::default();
         }
         report
@@ -210,7 +208,6 @@ pub struct Campaign {
     jobs: Option<usize>,
     reuse_snapshots: bool,
     shard: Option<Shard>,
-    chaos: Option<u64>,
     progress: bool,
     tracer: Tracer,
     metrics: Option<MetricsRegistry>,
@@ -220,7 +217,7 @@ pub struct Campaign {
 impl Campaign {
     /// A campaign over all three versions and both modes, using the
     /// standard world, snapshot reuse, and one worker per hardware
-    /// thread: one trial per key, the whole grid, no chaos. Tracing,
+    /// thread: one trial per key, the whole grid. Tracing,
     /// metrics and telemetry are off until attached.
     pub fn new() -> Self {
         Self {
@@ -235,7 +232,6 @@ impl Campaign {
             jobs: None,
             reuse_snapshots: true,
             shard: None,
-            chaos: None,
             progress: false,
             tracer: Tracer::disabled(),
             metrics: None,
@@ -315,14 +311,6 @@ impl Campaign {
         self
     }
 
-    /// Enables seeded harness-fault injection (see [`crate::chaos`]):
-    /// `seed` names the run's whole fault schedule.
-    #[must_use]
-    pub fn chaos(mut self, seed: u64) -> Self {
-        self.chaos = Some(seed);
-        self
-    }
-
     /// Redraws a live progress line (done/total, cells/s, ETA, degraded
     /// count) on stderr every sampling tick.
     #[must_use]
@@ -352,9 +340,9 @@ impl Campaign {
     }
 
     /// The identity a checkpoint journal of this campaign carries: its
-    /// grid, shard and chaos seed.
+    /// grid and shard.
     fn journal_header(&self) -> JournalHeader {
-        JournalHeader { grid: self.grid.clone(), shard: self.shard, chaos: self.chaos }
+        JournalHeader { grid: self.grid.clone(), shard: self.shard }
     }
 
     /// Attaches a tracer: campaign setup, every cell phase, guest boot
@@ -381,14 +369,13 @@ impl Campaign {
     /// and the cells are put in index order after the join, so the
     /// report's cell order — and, because each cell starts from a
     /// pristine world, the cells themselves — are identical for every
-    /// worker count. Chaos behaves exactly as in
-    /// [`Campaign::run_streaming_with_jobs`]: both run the same worker
-    /// loop. With a metrics registry attached, each worker also
+    /// worker count. It runs the worker loop of
+    /// [`Campaign::run_streaming_with_jobs`], so both degrade the same
+    /// slots. With a metrics registry attached, each worker also
     /// folds its cells' totals as a streamed run's workers do, and the
     /// run publishes the merged fold; without one, nothing is folded.
     pub fn run_with_jobs(&self, jobs: usize) -> CampaignReport {
-        let policy = self.chaos_policy();
-        let sinks = self.run_workers(jobs, None, policy.as_deref(), |_| Collected {
+        let sinks = self.run_workers(jobs, None, |_| Collected {
             cells: Vec::new(),
             fold: self.metrics.is_some().then(PartialFold::default),
         });
@@ -407,25 +394,9 @@ impl Campaign {
         let cells: Vec<CellResult> = tagged.into_iter().map(|(_, cell)| *cell).collect();
         if let Some(registry) = &self.metrics {
             let (report, phases) = PartialFold::merge_in_slot_order(folds).finish();
-            self.publish_fold(registry, &report, &phases, policy.as_deref());
+            obs_bridge::record_fold_metrics(&report, &phases, registry);
         }
         CampaignReport { cells }
-    }
-
-    /// Publishes a finished run's merged fold into `registry`, and its
-    /// chaos tallies when chaos is on. Collecting and streamed runs both
-    /// publish here.
-    fn publish_fold(
-        &self,
-        registry: &MetricsRegistry,
-        report: &StreamReport,
-        phases: &PhaseHistograms,
-        policy: Option<&ChaosPolicy>,
-    ) {
-        obs_bridge::record_fold_metrics(report, phases, registry);
-        if let Some(policy) = policy {
-            obs_bridge::record_chaos_metrics(policy, registry);
-        }
     }
 
     /// Whether this run needs the telemetry supervisor thread.
@@ -460,14 +431,14 @@ impl Campaign {
     /// worker resident: each worker claims batches of slots, decodes
     /// each [`CellSpec`] from its index, folds the finished cell into a
     /// per-worker partial report and drops it, and the partials merge —
-    /// ordered by first slot — into one [`StreamReport`].
+    /// ordered by first slot — into one [`StreamReport`](crate::StreamReport).
     ///
     /// Every aggregate in the report is a commutative monoid over
     /// per-cell values that depend only on the cell's spec, so the
     /// normalized report is byte-identical for every worker count and
     /// sharding.
     pub fn run_streaming_with_jobs(&self, jobs: usize) -> StreamOutcome {
-        self.stream_impl(jobs, None, self.chaos_policy())
+        self.stream_impl(jobs, None)
     }
 
     /// Streams the grid like [`Campaign::run_streaming`], journaling
@@ -486,14 +457,8 @@ impl Campaign {
     /// errors *after* startup are fail-soft: journaling stops (counted
     /// in `campaign.checkpoint.write_errors`) and the run completes.
     pub fn run_streaming_checkpointed(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
-        let policy = self.chaos_policy();
-        let session =
-            CheckpointSession::create(path, self.journal_header(), policy.clone())?;
-        Ok(self.stream_impl(
-            self.jobs.unwrap_or_else(default_jobs),
-            Some(session),
-            policy,
-        ))
+        let session = CheckpointSession::create(path, self.journal_header())?;
+        Ok(self.stream_impl(self.jobs.unwrap_or_else(default_jobs), Some(session)))
     }
 
     /// Resumes a checkpointed streaming run from its journal: reloads
@@ -505,37 +470,20 @@ impl Campaign {
     /// # Errors
     ///
     /// [`CheckpointError`] when the journal is unreadable, is not a
-    /// journal, or was written by a different campaign grid, shard or
-    /// chaos seed.
+    /// journal, or was written by a different campaign grid or shard.
     pub fn resume(&self, path: &Path) -> Result<StreamOutcome, CheckpointError> {
-        let policy = self.chaos_policy();
-        let session =
-            CheckpointSession::resume(path, &self.journal_header(), policy.clone())?;
-        Ok(self.stream_impl(
-            self.jobs.unwrap_or_else(default_jobs),
-            Some(session),
-            policy,
-        ))
-    }
-
-    /// The run's chaos policy, when chaos is configured.
-    fn chaos_policy(&self) -> Option<Arc<ChaosPolicy>> {
-        self.chaos.map(|seed| Arc::new(ChaosPolicy::new(seed)))
+        let session = CheckpointSession::resume(path, &self.journal_header())?;
+        Ok(self.stream_impl(self.jobs.unwrap_or_else(default_jobs), Some(session)))
     }
 
     /// The streaming engine body shared by plain, checkpointed, and
     /// resumed runs: the worker loop with a [`FoldSink`] per worker,
     /// then the ordered merge of the fresh and recovered folds.
-    fn stream_impl(
-        &self,
-        jobs: usize,
-        mut session: Option<CheckpointSession>,
-        policy: Option<Arc<ChaosPolicy>>,
-    ) -> StreamOutcome {
+    fn stream_impl(&self, jobs: usize, mut session: Option<CheckpointSession>) -> StreamOutcome {
         let run_start = Instant::now();
         let first_worker = session.as_ref().map_or(1, |s| s.first_worker);
         let key_names = self.grid.key_names();
-        let sinks = self.run_workers(jobs, session.as_ref(), policy.as_deref(), |index| {
+        let sinks = self.run_workers(jobs, session.as_ref(), |index| {
             FoldSink::new(session.as_ref(), first_worker + index as u64, &self.grid, &key_names)
         });
         let mut parts: Vec<PartialFold> = sinks.into_iter().map(|sink| sink.fold).collect();
@@ -568,7 +516,7 @@ impl Campaign {
             merge_us,
         };
         if let Some(registry) = &self.metrics {
-            self.publish_fold(registry, &report, &phases, policy.as_deref());
+            obs_bridge::record_fold_metrics(&report, &phases, registry);
             registry.add(obs_bridge::M_MERGE_US, merge_us);
             if let Some(s) = &session {
                 obs_bridge::record_checkpoint_metrics(
@@ -593,7 +541,6 @@ impl Campaign {
         &self,
         jobs: usize,
         session: Option<&CheckpointSession>,
-        policy: Option<&ChaosPolicy>,
         new_sink: impl Fn(usize) -> S + Sync,
     ) -> Vec<S> {
         let grid = &self.grid;
@@ -638,7 +585,7 @@ impl Campaign {
                                 t.beat(index, spec.slot);
                             }
                             let ctx = self.tracer.ctx(spec.slot + 1);
-                            let cell = self.run_slot(&ctx, spec, base_worlds, policy, &mut scratch);
+                            let cell = self.run_slot(&ctx, spec, base_worlds, &mut scratch);
                             if let Some(t) = telemetry {
                                 t.cell_done(index, cell.degraded());
                             }
@@ -663,10 +610,6 @@ impl Campaign {
                             values.push(("checkpoint.syncs".to_owned(), counters.syncs));
                             values.push(("checkpoint.bytes".to_owned(), counters.bytes));
                         }
-                        if let Some(p) = policy {
-                            let (panics, boots, torn) = p.fired();
-                            values.push(("chaos.fired".to_owned(), panics + boots + torn));
-                        }
                     });
                 });
             }
@@ -678,59 +621,35 @@ impl Campaign {
     }
 
     /// Re-runs one grid slot on the calling thread exactly as the
-    /// campaign runs it — the same chaos decisions and contained cell,
-    /// under the slot's own trace shard (`slot + 1`). Only the base
-    /// world the slot needs is booted, under setup context 0. Every
-    /// cell is a pure function of (grid, slot, chaos seed), so with a
-    /// tracer attached this reproduces a degraded cell's events on
-    /// demand. Slots are global: the shard setting is ignored. Returns
-    /// `None` past the grid's end.
+    /// campaign runs it — the same contained cell, under the slot's own
+    /// trace shard (`slot + 1`). Only the base world the slot needs is
+    /// booted, under setup context 0. Every cell is a pure function of
+    /// (grid, slot), so with a tracer attached this reproduces a
+    /// degraded cell's events on demand. Slots are global: the shard
+    /// setting is ignored. Returns `None` past the grid's end.
     pub fn replay(&self, slot: u64) -> Option<CellResult> {
         let spec = self.grid.decode(slot)?;
-        let policy = self.chaos_policy();
         let base_worlds = self.reuse_snapshots.then(|| {
             let key = (spec.version, spec.mode == Mode::Injection);
             BaseWorldMap::from([(key, self.boot_base_world(&self.tracer.ctx(0), key))])
         });
         let ctx = self.tracer.ctx(slot + 1);
-        Some(self.run_slot(&ctx, spec, base_worlds.as_ref(), policy.as_deref(), &mut None))
+        Some(self.run_slot(&ctx, spec, base_worlds.as_ref(), &mut None))
     }
 
-    /// Runs one claimed slot: the slot-keyed chaos decisions and the
-    /// contained cell, on `scratch`, the calling worker's cell world.
-    /// The injected faults and a degraded verdict are trace points in the
-    /// slot's shard, so a replay shows which fault was injected, not just
-    /// its effect.
+    /// Runs one claimed slot, the contained cell, on `scratch`, the
+    /// calling worker's cell world. A degraded verdict is a trace point
+    /// in the slot's shard.
     fn run_slot(
         &self,
         ctx: &TraceCtx,
         spec: CellSpec,
         base_worlds: Option<&BaseWorldMap>,
-        policy: Option<&ChaosPolicy>,
         scratch: &mut Option<World>,
     ) -> CellResult {
-        // Chaos decisions are slot-keyed and made exactly once, here —
-        // the only place that knows both the slot and the cell.
-        let (chaos_panic, chaos_boot) =
-            policy.map_or((false, false), |p| (p.worker_panic(spec.slot), p.boot_failure(spec.slot)));
-        if chaos_panic {
-            ctx.point("chaos/worker_panic", 0, Vec::new);
-        }
-        if chaos_boot {
-            ctx.point("chaos/boot_failures", 0, Vec::new);
-        }
-        // An injected boot failure stands in for the cell's base world,
-        // so the cell degrades exactly as one whose base world failed.
-        let failed_boot;
-        let base = if chaos_boot {
-            failed_boot = Err(CampaignError::Boot {
-                message: BootError::new("chaos", "injected boot failure").to_string(),
-            });
-            Some(&failed_boot)
-        } else {
-            base_worlds.and_then(|worlds| worlds.get(&(spec.version, spec.mode == Mode::Injection)))
-        };
-        let cell = self.run_cell_contained(ctx, &spec, chaos_panic, base, scratch);
+        let key = (spec.version, spec.mode == Mode::Injection);
+        let base = base_worlds.and_then(|worlds| worlds.get(&key));
+        let cell = self.run_cell_contained(ctx, &spec, base, scratch);
         if cell.degraded() {
             ctx.point("cell/degraded", 0, || {
                 let error = cell.error.as_ref().map_or_else(String::new, ToString::to_string);
@@ -783,8 +702,6 @@ impl Campaign {
     /// Runs one cell on the calling thread with panic containment
     /// around each phase: world acquisition, the scenario body, and
     /// monitoring. Never panics; every failure becomes a typed cell.
-    /// With `chaos_panic`, the scenario body panics before the use case
-    /// runs — the chaos worker-panic fault.
     ///
     /// The cell runs on `scratch`, the worker's world: with a base
     /// world, acquisition resets it to the base (`clone_from`, which
@@ -802,7 +719,6 @@ impl Campaign {
         &self,
         ctx: &TraceCtx,
         spec: &CellSpec,
-        chaos_panic: bool,
         base: Option<&Result<World, CampaignError>>,
         scratch: &mut Option<World>,
     ) -> CellResult {
@@ -868,18 +784,10 @@ impl Campaign {
         // so a panicking exploit/injector takes only its own world down,
         // and the next cell's reset undoes whatever it left behind.
         let inject_span = ctx.span("cell/inject");
-        let outcome = contain(|| {
-            if chaos_panic {
-                panic!("chaos: injected worker panic");
-            }
-            match mode {
-                Mode::Exploit => uc.run_exploit_trial(world, attacker, spec.trial),
-                Mode::Injection => uc.run_injection_trial(
-                    world,
-                    attacker,
-                    &ArbitraryAccessInjector,
-                    spec.trial,
-                ),
+        let outcome = contain(|| match mode {
+            Mode::Exploit => uc.run_exploit_trial(world, attacker, spec.trial),
+            Mode::Injection => {
+                uc.run_injection_trial(world, attacker, &ArbitraryAccessInjector, spec.trial)
             }
         });
         let injected = Instant::now();
@@ -1149,7 +1057,6 @@ impl Default for Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::splitmix64;
     use crate::checkpoint::{CheckpointWriter, JournalSink};
     use crate::erroneous_state::ErroneousStateSpec;
     use crate::injector::Injector;
@@ -1595,6 +1502,14 @@ mod tests {
         assert!(campaign.replay(report.cells().len() as u64).is_none(), "past the grid's end");
     }
 
+    /// SplitMix64, the test's source of random bits.
+    fn splitmix64(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
     /// A cell of key `spec` with outcome, verdicts and timings drawn
     /// from `bits`.
     fn random_cell(use_case: &'static str, spec: &CellSpec, bits: u64) -> CellResult {
@@ -1778,7 +1693,7 @@ mod tests {
             recovered: Vec::new(),
             first_worker: 1,
         };
-        let outcome = campaign.stream_impl(2, Some(session), None);
+        let outcome = campaign.stream_impl(2, Some(session));
         assert_eq!(
             outcome.report.normalized(),
             campaign.run_streaming_with_jobs(2).report.normalized(),

@@ -19,7 +19,7 @@
 //!
 //! | path             | meaning                   |
 //! |------------------|---------------------------|
-//! | `journal/header` | grid + shard (+ chaos seed); first record, synced before any cell runs |
+//! | `journal/header` | grid + shard; first record, synced before any cell runs |
 //! | `journal/fold`   | a worker's cumulative fold + the batch of slots it covers since that worker's previous fold |
 //!
 //! A fold record's `slots` attribute lists its batch in claim order,
@@ -57,8 +57,11 @@
 //! is a pure function of its [`CellSpec`](crate::CellSpec), and every
 //! report aggregate is a commutative monoid, so "at least the recorded
 //! slots are done" is exactly the invariant resume needs.
+//!
+//! A header with a `chaos` attribute was written by a chaos run of an
+//! older build, whose folds hold harness faults no run can reproduce;
+//! such a journal is refused, never resumed.
 
-use crate::chaos::{ChaosPolicy, ChaosSink};
 use crate::error::CheckpointError;
 use crate::stream::{PartialFold, Shard, SpecGrid};
 use hvsim_obs::{encode_event, parse_line, EventKind, TraceEvent};
@@ -78,7 +81,7 @@ pub(crate) const FOLD_INTERVAL: u64 = 1024;
 
 /// FNV-1a 64-bit: the journal's checksum. Deliberately simple — the
 /// journal defends against torn writes, not adversarial corruption.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -88,8 +91,8 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Where journal bytes go. The production implementation is
-/// [`FileSink`]; under chaos a [`ChaosSink`] wraps it and tears writes,
-/// which is why this is a trait and not a `File`.
+/// [`FileSink`]; tests put failing and recording sinks behind the
+/// writer, which is why this is a trait and not a `File`.
 pub(crate) trait JournalSink: Send {
     /// Appends bytes (one framed record) to the journal.
     ///
@@ -123,25 +126,21 @@ impl JournalSink for FileSink {
     }
 }
 
-/// The journal's identity record: which campaign grid, shard and chaos
-/// seed the journal belongs to. Resume refuses any mismatch.
+/// The journal's identity record: which campaign grid and shard the
+/// journal belongs to. Resume refuses any mismatch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalHeader {
     /// The campaign grid.
     pub grid: SpecGrid,
     /// The shard the journal's run covered (`None` = whole grid).
     pub shard: Option<Shard>,
-    /// The run's chaos seed (`None` = no chaos), written as a `chaos`
-    /// attribute only when set: a journal without it has no chaos.
-    pub chaos: Option<u64>,
 }
 
 impl JournalHeader {
-    /// Renders the grid, shard and chaos seed for mismatch diagnostics.
+    /// Renders the grid and shard for mismatch diagnostics.
     pub(crate) fn render(&self) -> String {
         let shard = self.shard.map_or_else(|| "unsharded".to_owned(), |s| format!("shard {s}"));
-        let chaos = self.chaos.map_or_else(String::new, |seed| format!(", chaos seed {seed}"));
-        format!("{}, {shard}{chaos}", self.grid)
+        format!("{}, {shard}", self.grid)
     }
 }
 
@@ -254,21 +253,17 @@ impl JournalRecord {
     /// Serializer failures (unreachable for this data model).
     pub(crate) fn encode(&self) -> Result<String, String> {
         let event = match self {
-            JournalRecord::Header(JournalHeader { grid, shard, chaos }) => {
-                let mut attrs = vec![
+            JournalRecord::Header(JournalHeader { grid, shard }) => TraceEvent {
+                shard: 0,
+                seq: 0,
+                kind: EventKind::Point,
+                path: "journal/header".to_owned(),
+                wall_us: 0,
+                attrs: vec![
                     ("grid".to_owned(), serde_json::to_string(grid).map_err(|e| e.to_string())?),
                     ("shard".to_owned(), shard.map_or_else(|| "-".to_owned(), |s| s.to_string())),
-                ];
-                attrs.extend(chaos.map(|seed| ("chaos".to_owned(), seed.to_string())));
-                TraceEvent {
-                    shard: 0,
-                    seq: 0,
-                    kind: EventKind::Point,
-                    path: "journal/header".to_owned(),
-                    wall_us: 0,
-                    attrs,
-                }
-            }
+                ],
+            },
             JournalRecord::Fold { worker, seq, slots, fold } => {
                 let mut joined = String::new();
                 push_slots(&mut joined, slots);
@@ -321,9 +316,13 @@ impl JournalRecord {
                 } else {
                     Some(Shard::parse(shard_text).map_err(|e| format!("bad shard: {e}"))?)
                 };
-                let chaos = attr(&event, "chaos").ok().map(str::parse).transpose();
-                let chaos = chaos.map_err(|e| format!("bad chaos seed: {e}"))?;
-                Ok(JournalRecord::Header(JournalHeader { grid, shard, chaos }))
+                if let Ok(seed) = attr(&event, "chaos") {
+                    return Err(format!(
+                        "it was written by a chaos run (seed {seed}), whose injected faults \
+                         no run reproduces, so resuming it would mix faulted and fault-free folds"
+                    ));
+                }
+                Ok(JournalRecord::Header(JournalHeader { grid, shard }))
             }
             "journal/fold" => {
                 let slots = parse_slots(attr(&event, "slots")?)?;
@@ -411,8 +410,8 @@ fn decode_header(path: &Path, first_line: Option<&[u8]>) -> Result<JournalHeader
 }
 
 /// Reads just the identity of a checkpoint journal — what the CLI
-/// `campaign resume` uses to configure the campaign (trials, shard,
-/// chaos seed) before the full resume validates the whole header. It reads
+/// `campaign resume` uses to configure the campaign (trials, shard)
+/// before the full resume validates the whole header. It reads
 /// and decodes the first line only.
 ///
 /// # Errors
@@ -583,16 +582,6 @@ impl Drop for CheckpointWriter {
     }
 }
 
-/// The writer's sink for a journal file: the file itself, or under
-/// chaos the file behind a [`ChaosSink`] that tears a seeded fraction
-/// of the fold records.
-fn writer_sink(file: FileSink, chaos: Option<Arc<ChaosPolicy>>) -> Box<dyn JournalSink> {
-    match chaos {
-        Some(policy) => Box::new(ChaosSink { inner: Box::new(file), policy }),
-        None => Box::new(file),
-    }
-}
-
 /// One campaign run's attachment to a journal: the writer plus the
 /// recovered state a resumed run starts from (empty for a fresh run).
 pub(crate) struct CheckpointSession {
@@ -610,21 +599,14 @@ pub(crate) struct CheckpointSession {
 
 impl CheckpointSession {
     /// Starts a fresh journal at `path` (truncating any existing file)
-    /// and makes the header durable before any cell runs. The header
-    /// goes straight to the file; only then does `chaos`, when set, wrap
-    /// the sink, so chaos never tears the record that identifies the
-    /// journal.
+    /// and makes the header durable before any cell runs.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] when the journal cannot be created or
     /// its header cannot be written — a checkpointed campaign refuses
     /// to start without a durable journal.
-    pub(crate) fn create(
-        path: &Path,
-        header: JournalHeader,
-        chaos: Option<Arc<ChaosPolicy>>,
-    ) -> Result<Self, CheckpointError> {
+    pub(crate) fn create(path: &Path, header: JournalHeader) -> Result<Self, CheckpointError> {
         let io_err = |e: std::io::Error| CheckpointError::Io {
             path: path.display().to_string(),
             message: e.to_string(),
@@ -637,7 +619,7 @@ impl CheckpointSession {
         sink.append(line.as_bytes()).map_err(io_err)?;
         sink.sync().map_err(io_err)?;
         Ok(Self {
-            writer: CheckpointWriter::new(writer_sink(sink, chaos), line.len() as u64),
+            writer: CheckpointWriter::new(Box::new(sink), line.len() as u64),
             done: BTreeSet::new(),
             recovered: Vec::new(),
             first_worker: 1,
@@ -645,20 +627,14 @@ impl CheckpointSession {
     }
 
     /// Reopens a journal for resume: loads the valid prefix, verifies
-    /// the grid, shard and chaos seed, truncates the torn tail, and
-    /// positions the sink for appending, behind a [`ChaosSink`] when
-    /// `chaos` is set.
+    /// the grid and shard, truncates the torn tail, and positions the
+    /// sink for appending.
     ///
     /// # Errors
     ///
     /// [`CheckpointError`] when the journal is unreadable, is not a
-    /// journal, or belongs to a different campaign grid, shard or chaos
-    /// seed.
-    pub(crate) fn resume(
-        path: &Path,
-        header: &JournalHeader,
-        chaos: Option<Arc<ChaosPolicy>>,
-    ) -> Result<Self, CheckpointError> {
+    /// journal, or belongs to a different campaign grid or shard.
+    pub(crate) fn resume(path: &Path, header: &JournalHeader) -> Result<Self, CheckpointError> {
         let state = JournalState::load(path)?;
         if state.header != *header {
             return Err(CheckpointError::GridMismatch {
@@ -674,7 +650,7 @@ impl CheckpointSession {
         file.set_len(state.valid_bytes).map_err(io_err)?;
         file.seek(SeekFrom::End(0)).map_err(io_err)?;
         Ok(Self {
-            writer: CheckpointWriter::new(writer_sink(FileSink { file }, chaos), 0),
+            writer: CheckpointWriter::new(Box::new(FileSink { file }), 0),
             done: state.done,
             recovered: state.folds.into_values().collect(),
             first_worker: state.next_worker,
@@ -721,7 +697,7 @@ mod tests {
     }
 
     fn header(shard: Option<Shard>) -> JournalHeader {
-        JournalHeader { grid: fingerprint(), shard, chaos: None }
+        JournalHeader { grid: fingerprint(), shard }
     }
 
     #[test]
@@ -729,7 +705,6 @@ mod tests {
         let records = [
             JournalRecord::Header(header(Some(Shard { index: 1, count: 4 }))),
             JournalRecord::Header(header(None)),
-            JournalRecord::Header(JournalHeader { chaos: Some(7), ..header(None) }),
             JournalRecord::Fold {
                 worker: 2,
                 seq: 4,
@@ -746,18 +721,40 @@ mod tests {
         }
     }
 
-    /// A header without a chaos seed encodes exactly as before the
-    /// `chaos` attribute existed; one with a seed carries it last.
+    /// A header ends with its shard, as it did before chaos runs added
+    /// a `chaos` attribute after it; a header that carries one is
+    /// refused by the decoder, so neither `read_header` nor resume
+    /// accepts a chaos run's journal.
     #[test]
-    fn the_chaos_attribute_is_written_only_for_a_chaos_run() {
+    fn a_header_with_a_chaos_attribute_is_refused() {
         let plain = JournalRecord::Header(header(None)).encode().unwrap();
-        assert!(!plain.contains("chaos"), "{plain}");
         assert!(plain.trim_end().ends_with(r#""shard":"-"}}"#), "{plain}");
-        let seeded = JournalHeader { chaos: Some(u64::MAX), ..header(None) };
-        let line = JournalRecord::Header(seeded.clone()).encode().unwrap();
-        assert!(line.trim_end().ends_with(r#""shard":"-","chaos":"18446744073709551615"}}"#), "{line}");
-        let back = JournalRecord::decode(line.trim_end().as_bytes()).unwrap();
-        assert_eq!(back, JournalRecord::Header(seeded));
+        let payload = encode_event(&TraceEvent {
+            shard: 0,
+            seq: 0,
+            kind: EventKind::Point,
+            path: "journal/header".to_owned(),
+            wall_us: 0,
+            attrs: vec![
+                ("grid".to_owned(), serde_json::to_string(&fingerprint()).unwrap()),
+                ("shard".to_owned(), "-".to_owned()),
+                ("chaos".to_owned(), "7".to_owned()),
+            ],
+        });
+        let line = format!("{} {:016x} {payload}\n", payload.len(), fnv64(payload.as_bytes()));
+        let refused = JournalRecord::decode(line.trim_end().as_bytes()).unwrap_err();
+        assert!(refused.contains("chaos run (seed 7)"), "{refused}");
+        let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chaos.journal");
+        std::fs::write(&path, &line).unwrap();
+        let is_refused = |result: Result<(), CheckpointError>| {
+            matches!(result, Err(CheckpointError::Header { message, .. }) if message == refused)
+        };
+        assert!(is_refused(read_header(&path).map(drop)));
+        assert!(is_refused(CheckpointSession::resume(&path, &header(None)).map(drop)));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), line, "the journal is kept");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -873,42 +870,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("grid.journal");
-        let session = CheckpointSession::create(&path, header(None), None).unwrap();
+        let session = CheckpointSession::create(&path, header(None)).unwrap();
         drop(session);
         let mut other = header(None);
         other.grid.trials = 99;
         assert!(matches!(
-            CheckpointSession::resume(&path, &other, None),
+            CheckpointSession::resume(&path, &other),
             Err(CheckpointError::GridMismatch { .. })
         ));
         assert!(matches!(
-            CheckpointSession::resume(&path, &header(Some(Shard { index: 0, count: 2 })), None),
+            CheckpointSession::resume(&path, &header(Some(Shard { index: 0, count: 2 }))),
             Err(CheckpointError::GridMismatch { .. })
         ));
-        let ok = CheckpointSession::resume(&path, &header(None), None).unwrap();
+        let ok = CheckpointSession::resume(&path, &header(None)).unwrap();
         assert_eq!(ok.resumed_slots(), 0);
         assert_eq!(ok.first_worker, 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn resume_refuses_a_different_chaos_seed() {
-        let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chaos.journal");
-        let seeded = |chaos| JournalHeader { chaos, ..header(None) };
-        drop(CheckpointSession::create(&path, seeded(Some(7)), None).unwrap());
-        for chaos in [None, Some(8)] {
-            let refused = CheckpointSession::resume(&path, &seeded(chaos), None).err();
-            let message = refused.as_ref().map(ToString::to_string).unwrap_or_default();
-            assert!(
-                matches!(refused, Some(CheckpointError::GridMismatch { .. }))
-                    && message.contains("(journal [XSA-212-crash] x 2 version(s) x 1 mode(s) x 7 trial(s), unsharded, chaos seed 7, campaign"),
-                "{chaos:?}: {message}"
-            );
-        }
-        assert_eq!(read_header(&path).unwrap(), seeded(Some(7)));
-        CheckpointSession::resume(&path, &seeded(Some(7)), None).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -943,7 +919,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.journal");
-        let mut session = CheckpointSession::create(&path, header(None), None).unwrap();
+        let mut session = CheckpointSession::create(&path, header(None)).unwrap();
         session.record_fold(1, 1, vec![3], PartialFold::default());
         session.writer.close();
         let counters = session.writer.counters();
@@ -952,7 +928,7 @@ mod tests {
         drop(session);
         let journal = std::fs::read_to_string(&path).unwrap();
         assert_eq!(journal.lines().count(), 2, "the journal holds the header and one fold");
-        let resumed = CheckpointSession::resume(&path, &header(None), None).unwrap();
+        let resumed = CheckpointSession::resume(&path, &header(None)).unwrap();
         assert!(resumed.is_done(3));
         assert!(!resumed.is_done(4));
         assert_eq!(resumed.resumed_slots(), 1);

@@ -95,7 +95,7 @@ pub enum CheckpointError {
         message: String,
     },
     /// The journal was written by a campaign with a different grid (use
-    /// cases, versions, modes, trials), shard or chaos seed: resuming
+    /// cases, versions, modes, trials) or shard: resuming
     /// would silently mix two runs, so it fails loudly instead.
     GridMismatch {
         /// The journal's header, rendered.

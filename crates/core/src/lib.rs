@@ -79,7 +79,6 @@
 pub mod avi;
 pub mod benchmark;
 pub mod campaign;
-pub mod chaos;
 pub mod checkpoint;
 pub mod erroneous_state;
 pub mod error;
@@ -97,7 +96,6 @@ mod telemetry;
 pub use avi::{ThreatChain, ThreatLink, ThreatStage};
 pub use benchmark::{SecurityAttribute, SecurityBenchmark, VersionScore};
 pub use campaign::{default_jobs, Campaign, CampaignReport, CellResult, PhaseTimings, WorldFactory};
-pub use chaos::ChaosPolicy;
 pub use checkpoint::{read_header, JournalHeader};
 pub use error::{quiet_contained_panics, CampaignError, CellId, CellOutcome, CheckpointError};
 pub use erroneous_state::{AuditEvidence, ErroneousStateSpec, StateAudit};

@@ -50,12 +50,6 @@ pub const M_CKPT_SYNC_US: &str = "campaign.checkpoint.sync_us";
 /// Counter (resume only): slots skipped because a durable fold record
 /// already covered them.
 pub const M_CKPT_RESUMED_SLOTS: &str = "campaign.checkpoint.resumed_slots";
-/// Counter (chaos only): worker panics injected.
-pub const M_CHAOS_PANICS: &str = "campaign.chaos.worker_panics";
-/// Counter (chaos only): boot failures injected.
-pub const M_CHAOS_BOOTS: &str = "campaign.chaos.boot_failures";
-/// Counter (chaos only): journal records torn mid-write.
-pub const M_CHAOS_TORN: &str = "campaign.chaos.torn_writes";
 /// Counter: stall episodes the supervisor flagged — a busy worker
 /// whose heartbeat age exceeded the stall threshold. Wall-clock
 /// shaped, so it lives outside determinism diffs like the
@@ -129,14 +123,4 @@ pub(crate) fn record_checkpoint_metrics(
     registry.add(M_CKPT_ENCODE_US, counters.encode_us);
     registry.add(M_CKPT_SYNC_US, counters.sync_us);
     registry.add(M_CKPT_RESUMED_SLOTS, resumed_slots);
-}
-
-/// Folds a finished run's chaos-fault tallies into the registry, zeros
-/// included, so "chaos quiet" (counters zero) differs from "chaos off"
-/// (counters absent).
-pub(crate) fn record_chaos_metrics(policy: &crate::chaos::ChaosPolicy, registry: &MetricsRegistry) {
-    let (panics, boots, torn) = policy.fired();
-    registry.add(M_CHAOS_PANICS, panics);
-    registry.add(M_CHAOS_BOOTS, boots);
-    registry.add(M_CHAOS_TORN, torn);
 }

@@ -333,7 +333,7 @@ impl RandomizedCampaign {
             .modes(&[Mode::Injection])
             .trials(self.trials as u64)
             .world_factory(Arc::new(move |_, _| Ok(world.clone())));
-        let sinks = grid.run_workers(jobs, None, None, |_| Trials {
+        let sinks = grid.run_workers(jobs, None, |_| Trials {
             region: self.region,
             summary: RandomizedSummary::default(),
             outcomes: keep.then(Vec::new),

@@ -209,7 +209,7 @@ impl Supervisor<'_> {
     /// produce a non-empty timeline.
     ///
     /// `extra` appends run-specific gauges (claimed slots, checkpoint
-    /// counters, chaos tallies) to each sample.
+    /// counters) to each sample.
     pub(crate) fn run(&self, telemetry: &Telemetry, extra: impl Fn(&mut Vec<(String, u64)>)) {
         if let Some(registry) = self.registry {
             // Pre-register the stall counter so "no stalls" is an
