@@ -48,6 +48,35 @@ fn a_chaos_journal_is_refused_before_any_output() {
     assert_eq!(std::fs::read(&journal).expect("journal kept"), CHAOS_JOURNAL);
 }
 
+/// `--chaos-seed` is not an option of `campaign resume`, so no seed
+/// can be set for a journal, with chaos or without: the command is
+/// refused before anything runs and both journals are kept. The plain
+/// journal still resumes when the option is left out.
+#[test]
+fn resume_with_a_chaos_seed_is_refused_and_keeps_the_journal() {
+    let dir = scratch("resume_with_a_chaos_seed_is_refused_and_keeps_the_journal");
+    let [chaos, plain, report] = ["chaos.journal", "plain.journal", "r.json"].map(|f| path(&dir, f));
+    std::fs::write(&chaos, CHAOS_JOURNAL).expect("written");
+    let output = run(&["campaign", "--checkpoint", &plain, "--trials", "2", "--jobs", "1"]);
+    assert_eq!(output.status.code(), Some(1), "the vulnerable versions violate");
+    let before = [&chaos, &plain].map(|j| std::fs::read(j).expect("journal written"));
+
+    for (journal, seed) in [(&chaos, "8"), (&chaos, "7"), (&plain, "7")] {
+        let output =
+            run(&["campaign", "resume", journal, "--chaos-seed", seed, "--report-out", &report]);
+        assert_eq!(output.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("--chaos-seed"), "the refusal names the option: {stderr}");
+        assert!(!stderr.contains("resuming"), "nothing runs: {stderr}");
+        assert!(!Path::new(&report).exists(), "no output is created");
+    }
+    assert_eq!([&chaos, &plain].map(|j| std::fs::read(j).expect("journal kept")), before);
+
+    let output = run(&["campaign", "resume", &plain]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("resuming"), "{stderr}");
+}
+
 /// A journal of a grid the CLI does not build (here: injection cells
 /// only) is refused before any output file is created.
 #[test]

@@ -721,14 +721,9 @@ mod tests {
         }
     }
 
-    /// A header ends with its shard, as it did before chaos runs added
-    /// a `chaos` attribute after it; a header that carries one is
-    /// refused by the decoder, so neither `read_header` nor resume
-    /// accepts a chaos run's journal.
-    #[test]
-    fn a_header_with_a_chaos_attribute_is_refused() {
-        let plain = JournalRecord::Header(header(None)).encode().unwrap();
-        assert!(plain.trim_end().ends_with(r#""shard":"-"}}"#), "{plain}");
+    /// A header line as a chaos run wrote it: the shard, then a `chaos`
+    /// attribute with the run's seed (7).
+    fn chaos_header_line() -> String {
         let payload = encode_event(&TraceEvent {
             shard: 0,
             seq: 0,
@@ -741,19 +736,64 @@ mod tests {
                 ("chaos".to_owned(), "7".to_owned()),
             ],
         });
-        let line = format!("{} {:016x} {payload}\n", payload.len(), fnv64(payload.as_bytes()));
+        format!("{} {:016x} {payload}\n", payload.len(), fnv64(payload.as_bytes()))
+    }
+
+    /// A header ends with its shard, as it did before chaos runs added
+    /// a `chaos` attribute after it; a header that carries one is
+    /// refused by the decoder.
+    #[test]
+    fn a_header_ends_with_its_shard_and_never_decodes_a_chaos_attribute() {
+        let plain = JournalRecord::Header(header(None)).encode().unwrap();
+        assert!(!plain.contains("chaos"), "{plain}");
+        assert!(plain.trim_end().ends_with(r#""shard":"-"}}"#), "{plain}");
+        let line = chaos_header_line();
         let refused = JournalRecord::decode(line.trim_end().as_bytes()).unwrap_err();
         assert!(refused.contains("chaos run (seed 7)"), "{refused}");
+    }
+
+    /// Neither `read_header` nor resume accepts a chaos run's journal,
+    /// whatever header the campaign brings, and the journal is kept.
+    #[test]
+    fn resume_and_read_header_refuse_a_chaos_runs_journal() {
+        let line = chaos_header_line();
+        let refused = JournalRecord::decode(line.trim_end().as_bytes()).unwrap_err();
         let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chaos.journal");
+        let path = dir.join("chaos-resume.journal");
         std::fs::write(&path, &line).unwrap();
         let is_refused = |result: Result<(), CheckpointError>| {
             matches!(result, Err(CheckpointError::Header { message, .. }) if message == refused)
         };
         assert!(is_refused(read_header(&path).map(drop)));
-        assert!(is_refused(CheckpointSession::resume(&path, &header(None)).map(drop)));
+        for shard in [None, Some(Shard { index: 0, count: 2 })] {
+            assert!(is_refused(CheckpointSession::resume(&path, &header(shard)).map(drop)));
+        }
         assert_eq!(std::fs::read_to_string(&path).unwrap(), line, "the journal is kept");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A fold record torn by a crash mid-write is cut off on resume; the
+    /// header, written whole before any record, keeps the journal's
+    /// identity.
+    #[test]
+    fn resume_cuts_a_torn_record_and_keeps_the_header() {
+        let dir = std::env::temp_dir().join(format!("hvsim-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn-record.journal");
+        let mut session = CheckpointSession::create(&path, header(None)).unwrap();
+        let header_len = std::fs::metadata(&path).unwrap().len();
+        session.record_fold(1, 1, vec![0], PartialFold::default());
+        session.writer.close();
+        let whole = std::fs::read(&path).unwrap();
+        assert!(whole.len() as u64 > header_len, "the fold record is written");
+        for cut in header_len as usize + 1..whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            assert_eq!(read_header(&path).unwrap(), header(None), "cut at {cut}");
+            let resumed = CheckpointSession::resume(&path, &header(None)).unwrap();
+            assert!(!resumed.is_done(0), "the torn record is cut off on resume (cut at {cut})");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), header_len, "cut at {cut}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
